@@ -11,6 +11,11 @@ numbers to ``BENCH_kernels.json`` at the repo root:
   ``max_driven`` must serve in-grid keys from the tables and route the
   rest through the RK4 reference path, with outcomes bit-identical to
   the legacy batch engine either way.
+* **Faulted arrays** -- on a 64x32 array carrying every fault kind
+  (stuck-match, stuck-miss, stuck-trit, retention, dead rows, SA
+  offsets), the fault-aware kernel batch must equal the per-key scalar
+  faulty search outcome for outcome, for both sensing styles, with the
+  tables serving it and no RK4 fallback.
 * **Speedup** -- with warm tables, the kernel batch must beat the legacy
   batch engine on the ``bench_perf_search`` configuration.
 
@@ -21,8 +26,8 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_kernels.py --check    # assert
 
 ``--check`` asserts the validation bound, that both the table-hit and
-RK4-fallback paths actually ran, and legacy/kernel bit-identity; these
-hold on any host.  The timing section is informational on shared
+RK4-fallback paths actually ran, legacy/kernel bit-identity, and zero
+mismatching faulted outcomes; these hold on any host.  The timing section is informational on shared
 runners (the kernel-vs-*scalar* CI gate lives in ``bench_perf_search
 --kernel``).
 """
@@ -37,12 +42,14 @@ import time
 import numpy as np
 
 from repro.core import all_designs, build_array, get_design
+from repro.faults.faultmap import FaultKind, FaultMap
 from repro.tcam import ArrayGeometry
 from repro.tcam.outcome import SCHEMA_VERSION
 from repro.tcam.trit import random_word
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DESIGN = "fefet2t"  # precharge-style sensing, same as bench_perf_search
+FAULT_DESIGNS = ("fefet2t", "fefet_cr")  # one design per sensing style
 SEED = 616161
 
 
@@ -57,6 +64,19 @@ def _build_loaded(design: str, rows: int, cols: int, seed: int):
 def _keys(cols: int, n_keys: int, x_fraction: float, seed: int):
     rng = np.random.default_rng(seed)
     return [random_word(cols, rng, x_fraction=x_fraction) for _ in range(n_keys)]
+
+
+def _same(a, b) -> bool:
+    """Every outcome field equal, ledger items in booking order included."""
+    return (
+        np.array_equal(a.match_mask, b.match_mask)
+        and a.first_match == b.first_match
+        and a.search_delay == b.search_delay
+        and a.cycle_time == b.cycle_time
+        and a.miss_histogram == b.miss_histogram
+        and a.functional_errors == b.functional_errors
+        and list(a.energy) == list(b.energy)
+    )
 
 
 def _assert_identical(legacy, kernel, label: str) -> None:
@@ -115,6 +135,70 @@ def run_fallback(rows: int, cols: int, n_keys: int) -> dict:
     }
 
 
+def _every_fault_kind(rows: int, cols: int, seed: int) -> FaultMap:
+    """A map with every cell kind on ~5% of cells plus row-level faults."""
+    rng = np.random.default_rng(seed)
+    fm = FaultMap(rows, cols)
+    cells = rng.choice(rows * cols, size=rows * cols // 20, replace=False)
+    for i, cell in enumerate(cells):
+        kind = (FaultKind.STUCK_MATCH, FaultKind.STUCK_MISS, FaultKind.STUCK_TRIT,
+                FaultKind.RETENTION)[i % 4]
+        value = float(rng.uniform(0.05, 0.4)) if kind is FaultKind.RETENTION else i % 3
+        fm.set_cell(int(cell) // cols, int(cell) % cols, kind, value)
+    for row in rng.choice(rows, size=max(rows // 16, 1), replace=False):
+        fm.set_dead_row(int(row))
+    for row in rng.choice(rows, size=max(rows // 8, 1), replace=False):
+        fm.set_sa_offset(int(row), float(rng.choice([-0.2, 0.05, 0.3])))
+    return fm
+
+
+def run_faulted(rows: int, cols: int, n_keys: int) -> list[dict]:
+    """Fault-aware kernel batch vs the scalar faulty loop, per sensing style.
+
+    Two passes over the same keys; the mismatch count covers both.
+    """
+    records = []
+    for design in FAULT_DESIGNS:
+        reference = _build_loaded(design, rows, cols, SEED)
+        kernel_array = _build_loaded(design, rows, cols, SEED)
+        fm = _every_fault_kind(rows, cols, SEED + 4)
+        reference.attach_faults(fm.copy())
+        kernel_array.attach_faults(fm)
+        engine = kernel_array.enable_kernel()
+        # Half the keys are stored words, so faults can flip real matches.
+        keys = _keys(cols, n_keys - n_keys // 2, x_fraction=0.2, seed=SEED + 5)
+        keys += [reference.word_at((3 * i) % rows) for i in range(n_keys // 2)]
+
+        # The first pass builds tables and integrates fault classes on
+        # both sides; the second pass is warm.
+        seconds, mismatches = [], 0
+        for _ in range(2):
+            t0 = time.perf_counter()
+            expected = [reference.search(k) for k in keys]
+            t_loop = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            got = kernel_array.search_batch(keys)
+            seconds.append((round(t_loop, 4), round(time.perf_counter() - t0, 4)))
+            mismatches += sum(not _same(a, b) for a, b in zip(expected, got))
+        records.append(
+            {
+                "design": design,
+                "sensing": kernel_array.sensing,
+                "rows": rows,
+                "cols": cols,
+                "n_keys": n_keys,
+                "faults": fm.summary(),
+                "functional_errors": sum(o.functional_errors for o in expected),
+                "mismatching_outcomes": mismatches,
+                "table_hits": engine.table_hits,
+                "rk4_fallbacks": engine.rk4_fallbacks,
+                "faulty_loop_seconds": {"cold": seconds[0][0], "warm": seconds[1][0]},
+                "fault_kernel_seconds": {"cold": seconds[0][1], "warm": seconds[1][1]},
+            }
+        )
+    return records
+
+
 def run_timing(rows: int, cols: int, n_keys: int) -> dict:
     """Legacy batch engine vs warm compiled kernel, bit-identity asserted."""
     legacy_array = _build_loaded(DESIGN, rows, cols, SEED)
@@ -148,10 +232,12 @@ def run_bench(smoke: bool) -> dict:
     if smoke:
         validation = run_validation([DESIGN], rows=32, cols=24, n_keys=32)
         fallback = run_fallback(rows=32, cols=24, n_keys=32)
+        faulted = run_faulted(rows=64, cols=32, n_keys=64)
         timing = run_timing(rows=64, cols=32, n_keys=128)
     else:
         validation = run_validation(searchable, rows=64, cols=32, n_keys=64)
         fallback = run_fallback(rows=64, cols=32, n_keys=64)
+        faulted = run_faulted(rows=64, cols=32, n_keys=256)
         timing = run_timing(rows=256, cols=64, n_keys=1024)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -159,6 +245,7 @@ def run_bench(smoke: bool) -> dict:
         "validation_rtol": 1e-9,
         "validation": validation,
         "fallback": fallback,
+        "faulted": faulted,
         "timing": timing,
     }
 
@@ -173,9 +260,9 @@ def main() -> None:
         "--check", action="store_true",
         help=(
             "exit non-zero unless the validation bound holds, both the "
-            "table and RK4-fallback paths ran, and kernel outcomes are "
-            "bit-identical to the legacy engine (all asserted on every "
-            "run; --check makes the intent explicit in CI)"
+            "table and RK4-fallback paths ran, kernel outcomes are "
+            "bit-identical to the legacy engine, and faulted kernel "
+            "batches equal the scalar faulty loop from the tables alone"
         ),
     )
     parser.add_argument(
@@ -194,9 +281,15 @@ def main() -> None:
         assert worst <= 1e-9
         assert record["fallback"]["table_hits"] > 0
         assert record["fallback"]["rk4_fallbacks"] > 0
+        for faulted in record["faulted"]:
+            label = f"faulted {faulted['design']}"
+            assert faulted["mismatching_outcomes"] == 0, f"{label}: outcomes diverged"
+            assert faulted["table_hits"] > 0, f"{label}: tables not used"
+            assert faulted["rk4_fallbacks"] == 0, f"{label}: RK4 fallback ran"
         print(
             f"OK: validation <= 1e-9 (worst {worst:.3e}), table and "
-            "fallback paths exercised, kernel bit-identical to legacy"
+            "fallback paths exercised, kernel bit-identical to legacy, "
+            "faulted kernel batches identical to the scalar faulty loop"
         )
 
 

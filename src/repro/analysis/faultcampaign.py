@@ -219,8 +219,10 @@ def _searches(array: TCAMArray, keys: list[TernaryWord], use_kernel: bool) -> li
     """Per-key outcomes, via the batch engine when the kernel is on.
 
     ``search_batch`` is bit-identical to the scalar loop (the batch
-    engine's contract; fault-injected arrays route to a per-key serial
-    loop internally), so both paths produce the same counts and joules.
+    engine's contract; a faulted kernel-enabled array runs the
+    fault-aware kernel, checked against the per-key faulty reference
+    that the scalar loop runs), so both paths produce the same counts
+    and joules.
     """
     if use_kernel:
         return array.search_batch(list(keys))

@@ -16,11 +16,18 @@ closed form per class.  Both reuse the array's own per-class helpers
 :meth:`TCAMArray._race_class`), so every tabulated quantity is the
 exact object the scalar search would have computed.
 
+With a fault map attached, retention-degraded rows carry pull-down
+compositions outside the class triangle.  Their sensing results are
+compiled on demand, one stacked RK4 pass per batch for the signatures
+not seen yet, and cached on the engine until the fault map changes
+(:meth:`KernelEngine.fault_classes`).
+
 Counters: ``table_hits`` counts per-key class queries served from the
-tables, ``rk4_fallbacks`` counts class queries answered by the RK4
-reference path (classes whose ``driven`` exceeds the tabulated grid);
-the array delta-syncs both into the ``MetricsRegistry`` as
-``kernels.table_hits`` / ``kernels.rk4_fallbacks`` at batch boundaries.
+tables (fault signatures included), ``rk4_fallbacks`` counts class
+queries answered by the RK4 reference path (classes whose ``driven``
+exceeds the tabulated grid); the array delta-syncs both into the
+``MetricsRegistry`` as ``kernels.table_hits`` / ``kernels.rk4_fallbacks``
+at batch boundaries.
 """
 
 from __future__ import annotations
@@ -110,6 +117,8 @@ class KernelEngine:
         self.rk4_fallbacks = 0
         self._rows: dict[int, PrechargeClassRow | RaceClassRow] = {}
         self._window_rows: dict[int, np.ndarray] = {}
+        self._fault_version: int | None = None
+        self._fault_classes: dict[tuple, object] = {}
         if array.sensing == "precharge":
             self.waveform: WaveformTable | None = WaveformTable(
                 array.c_ml,
@@ -184,6 +193,27 @@ class KernelEngine:
             drivens = range(self.max_driven + 1)
         for d in drivens:
             self.row(int(d))
+
+    def fault_classes(self, sigs: list[tuple], fault_version: int) -> dict:
+        """Sensing results of retention-degraded pull-down signatures.
+
+        A signature ``(n_strong, weak_offsets, n_leak)`` fixes a row's
+        discharge (its sorted weak Vt shifts included), so its result is
+        the exact object the per-key faulty search computes for it.  The
+        missing signatures integrate in one stacked RK4 pass through the
+        array's own fault-class integrator.  Results are electrical, not
+        content, so they survive writes; the cache is dropped when the
+        fault map's version moves, which bounds it to one map's
+        signatures.  Precharge sensing only.
+        """
+        if fault_version != self._fault_version:
+            self._fault_classes = {}
+            self._fault_version = fault_version
+        cache = self._fault_classes
+        missing = [sig for sig in sigs if sig not in cache]
+        if missing:
+            cache.update(zip(missing, self._array._fault_sig_classes(missing)))
+        return {sig: cache[sig] for sig in sigs}
 
     def window_row(self, driven: int) -> np.ndarray:
         """Crossing-time table for the distance-mode evaluation windows.

@@ -15,12 +15,11 @@ integer bounded by ``cols``, so float32 BLAS accumulates the counts
 *exactly* (all intermediates are integers below 2**24) in any summation
 order -- the result is bit-identical to the legacy broadcast count.
 
-Alongside the planes, the snapshot carries the per-row float vectors
-the kernel consults before vectorizing a batch: sense-amp offsets (from
-an attached fault map) and R/C perturbation hooks.  The fused gather
-path only covers electrically *uniform* rows; any non-uniformity sends
-the batch to the exact legacy machinery instead (see
-:meth:`TCAMArray._search_batch_kernel`).
+With a non-empty fault map attached, the snapshot also carries
+:class:`FaultPlanes`: the same kind of integer-exact planes over the
+content the faulted hardware compares against, so the fault-aware batch
+path (:meth:`TCAMArray._search_batch_faulty_kernel`) gets every per-row
+pull-down count from one matmul as well.
 """
 
 from __future__ import annotations
@@ -34,6 +33,119 @@ from ..errors import KernelError
 # Trit encoding (see repro.tcam.trit): 0 -> 0, 1 -> 1, X -> 2.
 _X = 2
 
+# FaultKind codes (see repro.faults.faultmap), kept local so the kernel
+# package does not import the fault layer.
+_STUCK_MATCH = 1
+_STUCK_MISS = 2
+_RETENTION = 4
+
+
+def _stacked(zero: np.ndarray, one: np.ndarray) -> np.ndarray:
+    """``(2*cols, rows)`` float32 stack of two ``(rows, cols)`` indicators.
+
+    The top half pairs with a key's "drives 1" columns, the bottom half
+    with its "drives 0" columns (see :func:`key_planes`).
+    """
+    return np.vstack([zero.T, one.T]).astype(np.float32)
+
+
+def key_planes(packed: np.ndarray) -> np.ndarray:
+    """``(n_keys, 2*cols)`` float32 "drives 1" | "drives 0" indicators."""
+    cols = packed.shape[1]
+    kd = np.empty((packed.shape[0], 2 * cols), dtype=np.float32)
+    np.equal(packed, 1, out=kd[:, :cols], casting="unsafe")
+    np.equal(packed, 0, out=kd[:, cols:], casting="unsafe")
+    return kd
+
+
+@dataclass
+class FaultPlanes:
+    """Fault-injected compare planes for one (content, fault-map) version.
+
+    ``counts`` returns, per key, three ``(rows,)`` integer vectors from
+    one float32 matmul against :attr:`weights` (every partial sum is an
+    integer ``<= cols``, so the counts are exact):
+
+    * ``n_pull`` -- intact pull-downs: mismatches against the *compare*
+      content (the effective content with ``STUCK_MATCH`` and
+      ``STUCK_MISS`` cells acting as X) plus driven ``STUCK_MISS``
+      cells.  A pull-down plane is the compare plane OR the stuck-miss
+      indicator, since a stuck-miss cell never mismatches as X;
+    * ``miss_eff`` -- mismatches against the effective content (the
+      hardware histogram);
+    * ``miss`` -- mismatches against the intended content (the
+      functional-error oracle).
+
+    Retention cells are few, so they are kept as flat row-major lists:
+    a retention cell is a weak pull-down for a key exactly when the key
+    drives the complement of its compare trit.
+
+    Attributes:
+        version: The fault map's version counter at build time.
+        weights: ``(2*cols, 3*rows)`` float32 ``[pull | effective |
+            intended]`` planes.
+        dead: ``(rows,)`` bool dead-row mask.
+        sa_offset: ``(rows,)`` float64 sense-amp offsets [V].
+        ret_row: Row of each retention cell (row-major order).
+        ret_col: Column of each retention cell.
+        ret_value: Vt shift of each retention cell [V].
+        ret_target: Key trit that makes the cell pull down (``-1`` when
+            its compare trit is X, i.e. never).
+    """
+
+    version: int
+    weights: np.ndarray
+    dead: np.ndarray
+    sa_offset: np.ndarray
+    ret_row: np.ndarray
+    ret_col: np.ndarray
+    ret_value: np.ndarray
+    ret_target: np.ndarray
+
+    @classmethod
+    def from_fault_map(cls, stored: np.ndarray, faults) -> "FaultPlanes":
+        """Fold ``faults`` into planes over the intended content ``stored``."""
+        kind = faults.kind
+        eff = faults.effective_stored(stored)
+        stuck_miss = kind == _STUCK_MISS
+        compare = np.where((kind == _STUCK_MATCH) | stuck_miss, _X, eff)
+        weights = np.hstack(
+            [
+                _stacked((compare == 0) | stuck_miss, (compare == 1) | stuck_miss),
+                _stacked(eff == 0, eff == 1),
+                _stacked(stored == 0, stored == 1),
+            ]
+        )
+        ret_row, ret_col = np.nonzero(kind == _RETENTION)
+        ret_cmp = compare[ret_row, ret_col].astype(np.int64)
+        return cls(
+            version=faults.version,
+            weights=np.ascontiguousarray(weights),
+            dead=faults.dead_rows.copy(),
+            sa_offset=np.asarray(faults.sa_offset, dtype=np.float64).copy(),
+            ret_row=ret_row,
+            ret_col=ret_col,
+            ret_value=faults.value[ret_row, ret_col].astype(np.float64),
+            ret_target=np.where(ret_cmp == _X, -1, 1 - ret_cmp),
+        )
+
+    def counts(
+        self, kd: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(n_pull, miss_eff, miss)``, each ``(n_keys, rows)`` int64."""
+        rows = self.dead.size
+        out = (kd @ self.weights).astype(np.int64)
+        return out[:, :rows], out[:, rows : 2 * rows], out[:, 2 * rows :]
+
+    def weak_cells(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(key, retention-cell)`` index pairs of every weak pull-down.
+
+        Pairs come key-major, then in the row-major cell order, so one
+        key's weak cells on one row are contiguous and in column order.
+        """
+        hit = packed[:, self.ret_col] == self.ret_target[np.newaxis, :]
+        return np.nonzero(hit)
+
 
 @dataclass
 class SoAState:
@@ -41,57 +153,37 @@ class SoAState:
 
     Attributes:
         version: The array content version this snapshot was built from;
-            the array rebuilds the snapshot when its counter moves.
+            the array rebuilds the snapshot when its counter moves (every
+            write, invalidate and fault-map change moves it).
         plane0_t: ``(cols, rows)`` float32, 1.0 where the row stores 0.
         plane1_t: ``(cols, rows)`` float32, 1.0 where the row stores 1.
         valid: ``(rows,)`` bool copy of the valid bits.
-        sa_offset: ``(rows,)`` float64 per-row sense-amp offsets.
-        c_ml_scale: ``(rows,)`` float64 per-row ML capacitance scale
-            (1.0 nominal; reserved for variability hooks).
+        faults: :class:`FaultPlanes` of the attached non-empty fault map,
+            or ``None`` for a nominal array.
     """
 
     version: int
     plane0_t: np.ndarray
     plane1_t: np.ndarray
     valid: np.ndarray
-    sa_offset: np.ndarray
-    c_ml_scale: np.ndarray
+    faults: FaultPlanes | None = None
 
     @classmethod
-    def from_array(cls, array, version: int) -> "SoAState":
-        """Snapshot ``array``'s stored content and per-row perturbations."""
+    def from_array(cls, array, version: int, faults=None) -> "SoAState":
+        """Snapshot ``array``'s stored content (and ``faults``, if given)."""
         stored = array._stored
-        rows = array.geometry.rows
         if array.geometry.cols >= 2**24:
             # float32 accumulation is only exact while every partial sum
             # (bounded by cols) stays an exact float32 integer.
             raise KernelError("SoA matmul counts require cols < 2**24")
         plane0_t = np.ascontiguousarray((stored == 0).T, dtype=np.float32)
         plane1_t = np.ascontiguousarray((stored == 1).T, dtype=np.float32)
-        faults = array.faults
-        if faults is not None:
-            sa_offset = np.asarray(faults.sa_offset, dtype=np.float64).copy()
-        else:
-            sa_offset = np.zeros(rows)
         return cls(
             version=version,
             plane0_t=plane0_t,
             plane1_t=plane1_t,
             valid=array._valid.copy(),
-            sa_offset=sa_offset,
-            c_ml_scale=np.ones(rows),
-        )
-
-    def is_uniform(self) -> bool:
-        """True when every row shares the nominal electrical parameters.
-
-        The fused per-class gather assumes one sensing result per
-        mismatch class; per-row offsets or R/C scaling break that
-        grouping, so a non-uniform snapshot routes batches to the exact
-        per-row path.
-        """
-        return bool(
-            np.all(self.sa_offset == 0.0) and np.all(self.c_ml_scale == 1.0)
+            faults=None if faults is None else FaultPlanes.from_fault_map(stored, faults),
         )
 
     def mismatch_counts(self, packed: np.ndarray) -> np.ndarray:
@@ -111,16 +203,12 @@ class SoAState:
                 f"key batch shape {packed.shape} does not match plane shape "
                 f"{self.plane0_t.shape}"
             )
-        cols = packed.shape[1]
         # A driven-1 column mismatches stored 0s; a driven-0 column
         # mismatches stored 1s; X on either side never mismatches.  Both
         # products run as ONE matmul over vertically stacked planes: every
         # partial sum is still an exact integer below 2**24, so float32
         # accumulation order cannot change the (integer) result.
-        kd = np.empty((packed.shape[0], 2 * cols), dtype=np.float32)
-        np.equal(packed, 1, out=kd[:, :cols], casting="unsafe")
-        np.equal(packed, 0, out=kd[:, cols:], casting="unsafe")
-        miss = kd @ self._stacked_planes()
+        miss = key_planes(packed) @ self._stacked_planes()
         return miss.astype(np.int64)
 
     def _stacked_planes(self) -> np.ndarray:

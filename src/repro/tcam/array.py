@@ -680,7 +680,9 @@ class TCAMArray:
         pull-down composition feeds the same RK4 integration healthy
         rows use), so faults manifest as wrong *sensed* decisions, not
         output bit-flips.  An **empty** map is equivalent to no map:
-        the search path taken is the ordinary one, bit for bit.
+        the search path taken is the ordinary one, bit for bit.  With
+        the kernel enabled, batches take the fault-aware kernel; the
+        per-key :meth:`_search_impl_faulty` stays the reference.
 
         Cache rule: attaching (and any later mutation of the attached
         map, detected through :attr:`FaultMap.version`) flushes the
@@ -766,9 +768,8 @@ class TCAMArray:
 
         One signature ``(n_strong, weak_offsets, n_leak)`` covers every
         row sharing that pull-down composition; all missing signatures
-        integrate in one stacked RK4 pass (same 65-point grid as the
-        nominal classes) and cache under keys carrying the fault-map
-        version.
+        integrate in one stacked pass (:meth:`_fault_sig_classes`) and
+        cache under keys carrying the fault-map version.
         """
         results: dict[tuple, _PrechargeClassResult] = {}
         v_pre = self.precharge.target_voltage()
@@ -783,13 +784,26 @@ class TCAMArray:
                 missing.append(sig)
         if not missing:
             return results
+        for sig, result in zip(missing, self._fault_sig_classes(missing)):
+            self._ml_cache.put(("fpre", fm_version, sig, v_pre, self.t_eval), result)
+            results[sig] = result
+        return results
 
+    def _fault_sig_classes(self, sigs: list[tuple]) -> list[_PrechargeClassResult]:
+        """Integrate retention-degraded signatures in one stacked RK4 pass.
+
+        Same 65-point grid as the nominal classes; each signature's
+        composite current sums its strong pull-downs, its weak ones in
+        ``weak_offsets`` order and its leaking cells, and every stacked
+        element integrates exactly as it would alone.
+        """
+        v_pre = self.precharge.target_voltage()
         i_pulldown = self.cell.i_pulldown
         i_leak = self.cell.i_leak
 
         def currents(v: np.ndarray) -> np.ndarray:
-            stacked = np.empty(len(missing))
-            for k, (n_strong, offsets, n_leak) in enumerate(missing):
+            stacked = np.empty(len(sigs))
+            for k, (n_strong, offsets, n_leak) in enumerate(sigs):
                 v_k = float(v[k])
                 total = 0.0
                 if n_strong:
@@ -801,16 +815,12 @@ class TCAMArray:
                 stacked[k] = total
             return stacked
 
-        with obs.span("array.integrate_faulty", n_classes=len(missing)):
+        with obs.span("array.integrate_faulty", n_classes=len(sigs)):
             grid = np.linspace(0.0, self.t_eval, 65)
             v_ends = discharge_waveform_batch(
-                self.c_ml, currents, np.full(len(missing), v_pre), grid
+                self.c_ml, currents, np.full(len(sigs), v_pre), grid
             )
-        for sig, v_end in zip(missing, v_ends):
-            result = self._precharge_class_from_v_end(float(v_end))
-            self._ml_cache.put(("fpre", fm_version, sig, v_pre, self.t_eval), result)
-            results[sig] = result
-        return results
+        return [self._precharge_class_from_v_end(float(v_end)) for v_end in v_ends]
 
     def _search_impl_faulty(self, key: TernaryWord, active: np.ndarray) -> SearchOutcome:
         """One search with the attached (non-empty) fault map injected.
@@ -1046,7 +1056,12 @@ class TCAMArray:
         trajectory cache's state and its hit counters stay bit-identical
         to the serial path because the parent performs every cache access
         itself, in serial order, and ships only pure computations to the
-        workers.
+        workers.  Kernel-enabled arrays run in-process whatever
+        ``workers`` says, faulted or not.
+
+        The whole batch (key widths, ``row_mask`` shape) is validated
+        before any key is searched, so a rejected batch leaves the
+        search-line drive state and the metrics untouched.
 
         Args:
             keys: Search keys, all of the array's width.
@@ -1089,14 +1104,8 @@ class TCAMArray:
         row_mask: np.ndarray | None = None,
         workers: int = 0,
     ) -> list[SearchOutcome]:
-        if self._fault_injection_active():
-            # Per-row faults break the per-class dedup the batch engine is
-            # built around, so a faulty batch is the per-key serial loop
-            # (which preserves the sequential SL-toggle semantics and is
-            # trivially identical for every worker count).  Campaigns
-            # parallelize across trials instead -- see
-            # :mod:`repro.analysis.faultcampaign`.
-            return [self._search_impl(key, row_mask) for key in keys]
+        # Validate the whole batch before any key touches array state
+        # (search-line drive, caches, metrics), on every path.
         packed = pack_keys(keys)
         if packed.shape[1] != self.geometry.cols:
             raise TCAMError(
@@ -1112,13 +1121,20 @@ class TCAMArray:
                     f"row_mask must have shape ({self.geometry.rows},), got {active.shape}"
                 )
 
+        faulty = self._fault_injection_active()
         if self._kernel is not None:
+            # The compiled paths are a handful of fused numpy ops; the RK4
+            # fan-out that ``workers`` parallelizes does not exist there,
+            # so the batch runs in-process.
             soa = self._soa_state()
-            if soa.is_uniform():
-                # The compiled path is already a handful of fused numpy
-                # ops; the RK4 fan-out that ``workers`` parallelizes
-                # does not exist here, so the batch runs in-process.
-                return self._search_batch_kernel(packed, active, soa)
+            if faulty:
+                return self._search_batch_faulty_kernel(keys, packed, active, soa)
+            return self._search_batch_kernel(packed, active, soa)
+        if faulty:
+            # Without the kernel a faulty batch is the per-key reference
+            # loop (sequential SL-toggle semantics, trivially identical
+            # for every worker count).
+            return [self._search_impl_faulty(key, active) for key in keys]
 
         miss_all = mismatch_counts_batch(self._stored, packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
@@ -1368,10 +1384,12 @@ class TCAMArray:
         and the distance APIs (:meth:`nearest_match_batch`,
         :meth:`threshold_match_batch`, :meth:`topk_match_batch`) run on
         the fused distance kernel; results stay bit-identical to the
-        legacy paths.  Keys driving more than ``max_driven`` columns
-        fall back to the RK4 reference per key.  The scalar
-        :meth:`search` and fault-injected batches always keep the
-        reference path.
+        legacy paths.  With a non-empty fault map attached,
+        :meth:`search_batch` runs the fault-aware kernel
+        (:meth:`_search_batch_faulty_kernel`), bit-identical to the
+        per-key faulty reference.  Keys driving more than ``max_driven``
+        columns fall back to the RK4 reference per key.  The scalar
+        :meth:`search` always keeps the reference path.
 
         Args:
             max_driven: Largest tabulated ``driven_cols`` (defaults to
@@ -1397,12 +1415,18 @@ class TCAMArray:
         return self._kernel
 
     def _soa_state(self):
-        """Current-content SoA snapshot, rebuilt when the version moves."""
+        """Current-content SoA snapshot, rebuilt when the version moves.
+
+        Carries the fault planes of a non-empty attached map; callers run
+        :meth:`_fault_injection_active` first, which moves the content
+        version whenever the map changed.
+        """
         from ..kernels import SoAState
 
         soa = self._soa
         if soa is None or soa.version != self._content_version:
-            soa = SoAState.from_array(self, self._content_version)
+            faults = None if self._faults_empty else self._faults
+            soa = SoAState.from_array(self, self._content_version, faults)
             self._soa = soa
         return soa
 
@@ -1609,6 +1633,246 @@ class TCAMArray:
             if sp is not None:
                 sp.annotate(
                     fallback_keys=int(fallback_idx.size),
+                    rows_built=eng.rows_built,
+                )
+            return outcomes
+
+    def _search_batch_faulty_kernel(
+        self, keys: list[TernaryWord], packed: np.ndarray, active: np.ndarray, soa
+    ) -> list[SearchOutcome]:
+        """Fault-aware kernel tail of :meth:`_search_batch_impl`.
+
+        Bit-identical, ledger booking order included, to calling
+        :meth:`_search_impl_faulty` (the reference) once per key:
+
+        * per-row pull-down, effective and intended mismatch counts come
+          from one matmul over the snapshot's :class:`FaultPlanes`;
+        * sensed rows without a weak pull-down are electrically nominal
+          ``(n_pull, driven)`` classes and gather their results from the
+          compiled class rows;
+        * retention-degraded rows group into ``(n_strong, weak_offsets,
+          n_leak)`` signatures, precharge results of the batch's unseen
+          ones integrate in one stacked pass cached on the engine
+          (:meth:`KernelEngine.fault_classes`), current-race ones take
+          the reference current sum;
+        * SA-offset rows re-sense their endpoint (or race their current)
+          through the estimator with the offset; dead rows are not
+          sensed;
+        * per-component energies accumulate strictly left to right along
+          the sensed rows (``np.cumsum``), as the reference's per-row
+          ``ledger.add`` loop does.
+
+        Keys driving more columns than the compiled grid run the
+        reference per key, booked as RK4 fallbacks.
+        """
+        from ..kernels.soa import key_planes
+
+        eng = self._kernel
+        fp = soa.faults
+        rows, cols = self.geometry.rows, self.geometry.cols
+        precharge = self.sensing == "precharge"
+        n_keys = packed.shape[0]
+        with obs.span(
+            "array.fault_kernel_batch", n_keys=n_keys, sensing=self.sensing
+        ) as sp:
+            n_pull_all, miss_eff_all, miss_all = fp.counts(key_planes(packed))
+            driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
+            prev_drive = self._last_drive
+            toggles = self._batch_toggles(packed)
+            e_toggle = self.estimator.sl_toggle_energy()
+            sensed_idx = np.flatnonzero(active & ~fp.dead)
+            ns = sensed_idx.size
+            idx = np.flatnonzero(driven_all <= eng.max_driven)
+            n_in = idx.size
+            driven = driven_all[idx]
+            n_pull = n_pull_all[idx][:, sensed_idx]  # (key, sensed row)
+
+            # Retention-degraded (key, sensed row) groups: contiguous runs
+            # of weak cells sharing a key and a row, in column order.
+            key_pos = np.full(n_keys, -1)
+            key_pos[idx] = np.arange(n_in)
+            row_pos = np.full(rows, -1)
+            row_pos[sensed_idx] = np.arange(ns)
+            wk, wi = fp.weak_cells(packed)
+            gk, gr = key_pos[wk], row_pos[fp.ret_row[wi]]
+            keep = (gk >= 0) & (gr >= 0)
+            gk, gr, wi = gk[keep], gr[keep], wi[keep]
+            starts = np.flatnonzero(
+                np.r_[True, (gk[1:] != gk[:-1]) | (gr[1:] != gr[:-1])]
+            ) if gk.size else np.zeros(0, dtype=np.intp)
+            gk, gr = gk[starts], gr[starts]
+            ends = np.r_[starts[1:], wi.size].astype(np.intp)
+            weak = np.zeros((n_in, ns), dtype=bool)
+            weak[gk, gr] = True
+            values = fp.ret_value[wi].tolist()
+            sigs = []
+            for lo, hi, n_p, d in zip(
+                starts.tolist(), ends.tolist(), n_pull[gk, gr].tolist(), driven[gk].tolist()
+            ):
+                offsets = values[lo:hi]
+                # The precharge reference integrates sorted shifts; the
+                # race reference sums them in column order.
+                sigs.append(
+                    (n_p - (hi - lo), tuple(sorted(offsets) if precharge else offsets), d - n_p)
+                )
+            distinct = list(dict.fromkeys(sigs))
+            sig_id = {sig: i for i, sig in enumerate(distinct)}
+            gid = np.array([sig_id[sig] for sig in sigs], dtype=np.intp)
+
+            # Nominal gathers (weak entries are overwritten below).
+            is_match = np.zeros((n_in, ns), dtype=bool)
+            if precharge:
+                v_end, e_pre, e_diss, e_sa, t_sa, t_res = (np.zeros((n_in, ns)) for _ in range(6))
+            else:
+                e_race = np.zeros((n_in, ns))
+            if ns:
+                for d in np.unique(driven):
+                    g = np.flatnonzero(driven == d)
+                    row = eng.row(int(d))
+                    c = n_pull[g]
+                    is_match[g] = row.is_match[c]
+                    if precharge:
+                        v_end[g] = row.v_end[c]
+                        e_pre[g] = row.e_restore[c]
+                        e_diss[g] = row.e_diss[c]
+                        e_sa[g] = row.e_sense[c]
+                        t_sa[g] = row.t_sense[c]
+                        t_res[g] = row.t_restore[c]
+                    else:
+                        e_race[g] = row.energy[c]
+            classes = n_pull + (np.arange(n_in) * (cols + 1))[:, np.newaxis]
+            eng.table_hits += int(
+                np.count_nonzero(np.bincount(classes[~weak], minlength=n_in * (cols + 1)))
+            ) + len(set(zip(gk.tolist(), gid.tolist())))
+
+            offset_cols = np.flatnonzero(fp.sa_offset[sensed_idx] != 0.0)
+            if precharge:
+                if distinct:
+                    found = eng.fault_classes(distinct, fp.version)
+                    res = [found[sig] for sig in distinct]
+                    for name, plane in (
+                        ("is_match", is_match), ("v_end", v_end), ("e_restore", e_pre),
+                        ("e_diss", e_diss), ("e_sense", e_sa), ("t_sense", t_sa),
+                        ("t_restore", t_res),
+                    ):
+                        plane[gk, gr] = np.array([getattr(r, name) for r in res])[gid]
+                # SA-offset rows re-strobe their endpoint with the offset.
+                for j in offset_cols.tolist():
+                    offset = float(fp.sa_offset[sensed_idx[j]])
+                    for i, v in enumerate(v_end[:, j].tolist()):
+                        dec = self.estimator.sense(v, offset)
+                        is_match[i, j] = dec.is_match
+                        t_sa[i, j] = dec.delay
+                        e_sa[i, j] = dec.energy
+            elif ns:
+                # Weak and SA-offset entries race their reference current.
+                v_trip = self.race_amp.v_trip
+                i_pd0 = self.cell.i_pulldown(v_trip)
+                i_lk0 = self.cell.i_leak(v_trip)
+                special = dict(zip(zip(gk.tolist(), gr.tolist()), sigs))
+                for j in offset_cols.tolist():
+                    for i in range(n_in):
+                        if (i, j) not in special:
+                            n_p = int(n_pull[i, j])
+                            special[(i, j)] = (n_p, (), int(driven[i]) - n_p)
+                for (i, j), (n_strong, offsets, n_leak) in special.items():
+                    i_total = n_strong * i_pd0 + n_leak * i_lk0
+                    for dvt in offsets:
+                        i_total += self.cell.i_pulldown(v_trip, dvt)
+                    dec = self.estimator.race(i_total, float(fp.sa_offset[sensed_idx[j]]))
+                    is_match[i, j] = dec.is_match
+                    e_race[i, j] = dec.energy
+
+            # Per-key reductions, in the reference's booking order.
+            sl_delay = self.sl_settle_delay
+            enc_delay = self.encoder.delay
+            if precharge:
+                if ns:
+                    t_sense = self.t_eval + np.maximum(t_sa.max(axis=1), 0.0)
+                    t_cycle = t_sense + np.maximum(t_res.max(axis=1), 0.0)
+                    booked = [
+                        (EnergyComponent.ML_PRECHARGE, np.cumsum(e_pre, axis=1)[:, -1]),
+                        (EnergyComponent.ML_DISSIPATION, np.cumsum(e_diss, axis=1)[:, -1]),
+                        (EnergyComponent.SENSE_AMP, np.cumsum(e_sa, axis=1)[:, -1]),
+                    ]
+                else:
+                    t_sense = t_cycle = np.full(n_in, self.t_eval)
+                    booked = []
+            elif ns:
+                cutoff = self.race_amp.cutoff_time(self.c_ml)
+                t_sense = np.full(n_in, cutoff)
+                t_cycle = np.full(n_in, 1.2 * cutoff)
+                booked = [(EnergyComponent.RACE_SOURCE, np.cumsum(e_race, axis=1)[:, -1])]
+            else:
+                t_sense = t_cycle = np.full(n_in, self.race_amp.t_window)
+                booked = []
+            search_delay = (sl_delay + t_sense + enc_delay).tolist()
+            cycle_time = sl_delay + t_cycle
+            leak = (self.estimator.leakage_power(self.vdd) * cycle_time).tolist()
+            cycle_time = cycle_time.tolist()
+            booked = [(comp, e.tolist()) for comp, e in booked]
+            enc_energy = self.estimator.encode_energy()
+
+            valid = self._valid
+            effective = np.zeros((n_in, rows), dtype=bool)
+            effective[:, sensed_idx] = is_match
+            effective &= valid
+            logical = (miss_all[idx] == 0) & (valid & active)
+            errors = np.count_nonzero(effective != logical, axis=1)
+            has_match = effective.any(axis=1)
+            firsts = np.argmax(effective, axis=1)
+            hist_offsets = miss_eff_all[idx][:, valid] + (
+                np.arange(n_in) * (cols + 1)
+            )[:, np.newaxis]
+            hist = np.bincount(
+                hist_offsets.ravel(), minlength=n_in * (cols + 1)
+            ).reshape(n_in, cols + 1)
+            hk, hn = np.nonzero(hist)
+            hc = hist[hk, hn]
+            hist_bounds = np.searchsorted(hk, np.arange(n_in + 1))
+
+            outcomes: list[SearchOutcome | None] = [None] * n_keys
+            for i, k in enumerate(idx.tolist()):
+                ledger = EnergyLedger()
+                ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
+                for comp, e in booked:
+                    ledger.add(comp, e[i])
+                ledger.add(EnergyComponent.PRIORITY_ENCODER, enc_energy)
+                ledger.add(EnergyComponent.LEAKAGE, leak[i])
+                lo, hi = int(hist_bounds[i]), int(hist_bounds[i + 1])
+                outcomes[k] = SearchOutcome(
+                    match_mask=effective[i].copy(),
+                    first_match=int(firsts[i]) if has_match[i] else None,
+                    energy=ledger,
+                    search_delay=search_delay[i],
+                    cycle_time=cycle_time[i],
+                    miss_histogram={
+                        int(n): int(c) for n, c in zip(hn[lo:hi], hc[lo:hi])
+                    },
+                    functional_errors=int(errors[i]),
+                )
+            m = obs.metrics()
+            if m is not None and n_in:
+                m.counter("faults.searches").inc(n_in)
+                m.counter("faults.functional_errors").inc(int(errors.sum()))
+
+            # Out-of-grid keys: the reference, replayed against the drive
+            # state each key saw in sequence, booked as RK4 fallbacks.
+            fallback_idx = np.flatnonzero(driven_all > eng.max_driven)
+            if fallback_idx.size:
+                final_drive = self._last_drive
+                drives = drive_matrix(packed)
+                for k in fallback_idx.tolist():
+                    self._last_drive = (
+                        prev_drive if k == 0 else tuple(int(c) for c in drives[k - 1])
+                    )
+                    outcomes[k] = self._search_impl_faulty(keys[k], active)
+                    eng.rk4_fallbacks += np.unique(n_pull_all[k, sensed_idx]).size
+                self._last_drive = final_drive
+            if sp is not None:
+                sp.annotate(
+                    fallback_keys=int(fallback_idx.size),
+                    fault_signatures=len(distinct),
                     rows_built=eng.rows_built,
                 )
             return outcomes
@@ -1975,9 +2239,7 @@ class TCAMArray:
                 f"{self.geometry.cols}"
             )
         if self._kernel is not None:
-            soa = self._soa_state()
-            if soa.is_uniform():
-                return self._nearest_match_batch_kernel(packed, soa)
+            return self._nearest_match_batch_kernel(packed, self._soa_state())
         miss_all = mismatch_counts_batch(self._stored, packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
         toggles = self._batch_toggles(packed)
@@ -2157,9 +2419,7 @@ class TCAMArray:
                 f"{self.geometry.cols}"
             )
         if self._kernel is not None:
-            soa = self._soa_state()
-            if soa.is_uniform():
-                return self._threshold_match_batch_kernel(packed, soa, max_distance)
+            return self._threshold_match_batch_kernel(packed, self._soa_state(), max_distance)
         miss_all = mismatch_counts_batch(self._stored, packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
         toggles = self._batch_toggles(packed)
@@ -2334,9 +2594,7 @@ class TCAMArray:
                 f"{self.geometry.cols}"
             )
         if self._kernel is not None:
-            soa = self._soa_state()
-            if soa.is_uniform():
-                return self._topk_match_batch_kernel(packed, soa, k)
+            return self._topk_match_batch_kernel(packed, self._soa_state(), k)
         miss_all = mismatch_counts_batch(self._stored, packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
         toggles = self._batch_toggles(packed)

@@ -135,22 +135,23 @@ class TestKernelWithFaults:
         _assert_outcomes_identical(legacy.search_batch(keys), kernel.search_batch(keys))
         assert kernel.kernel.table_hits > 0
 
-    def test_sa_offset_routes_to_reference_path(self):
-        """Per-row offsets break class grouping; outcomes must still match
-        the scalar fault-aware loop exactly."""
+    def test_sa_offset_stays_on_kernel(self):
+        """Per-row offsets re-strobe only their rows; outcomes must still
+        match the scalar fault-aware loop exactly."""
         scalar, _, kernel = _loaded_trio("fefet2t")
         for a in (scalar, kernel):
             fm = FaultMap(16, 24)
             fm.set_sa_offset(4, 0.03)
             a.attach_faults(fm)
         keys = _keys(24, 10, seed=43)
-        before = kernel.kernel.table_hits
+        hits, fallbacks = kernel.kernel.table_hits, kernel.kernel.rk4_fallbacks
         _assert_outcomes_identical(
             [scalar.search(k) for k in keys], kernel.search_batch(keys)
         )
-        assert kernel.kernel.table_hits == before, "faulty batch must not use tables"
+        assert kernel.kernel.table_hits > hits
+        assert kernel.kernel.rk4_fallbacks == fallbacks
 
-    def test_cell_faults_route_to_reference_path(self):
+    def test_cell_faults_stay_on_kernel(self):
         scalar, _, kernel = _loaded_trio("fefet2t")
         for a in (scalar, kernel):
             fm = FaultMap(16, 24)
@@ -158,9 +159,12 @@ class TestKernelWithFaults:
             fm.set_dead_row(9)
             a.attach_faults(fm)
         keys = _keys(24, 10, seed=47)
+        hits, fallbacks = kernel.kernel.table_hits, kernel.kernel.rk4_fallbacks
         _assert_outcomes_identical(
             [scalar.search(k) for k in keys], kernel.search_batch(keys)
         )
+        assert kernel.kernel.table_hits > hits
+        assert kernel.kernel.rk4_fallbacks == fallbacks
 
 
 class TestKernelMetrics:
