@@ -73,7 +73,6 @@ def run_bench(smoke: bool, workers: int = 0) -> dict:
         wear_density=0.02,
         seed=SEED,
         workers=workers,
-        use_kernel=True,
     )
     by_policy = {
         name: sorted(

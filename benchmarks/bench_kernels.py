@@ -10,14 +10,15 @@ numbers to ``BENCH_kernels.json`` at the repo root:
 * **Fallback** -- a kernel compiled with a deliberately small
   ``max_driven`` must serve in-grid keys from the tables and route the
   rest through the RK4 reference path, with outcomes bit-identical to
-  the legacy batch engine either way.
+  the per-key scalar search either way.
 * **Faulted arrays** -- on a 64x32 array carrying every fault kind
   (stuck-match, stuck-miss, stuck-trit, retention, dead rows, SA
   offsets), the fault-aware kernel batch must equal the per-key scalar
   faulty search outcome for outcome, for both sensing styles, with the
   tables serving it and no RK4 fallback.
-* **Speedup** -- with warm tables, the kernel batch must beat the legacy
-  batch engine on the ``bench_perf_search`` configuration.
+* **Timing** -- warm-table kernel batch throughput on the
+  ``bench_perf_search`` configuration, outcomes checked against the
+  scalar search on a key prefix.
 
 Run directly::
 
@@ -26,10 +27,10 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_kernels.py --check    # assert
 
 ``--check`` asserts the validation bound, that both the table-hit and
-RK4-fallback paths actually ran, legacy/kernel bit-identity, and zero
-mismatching faulted outcomes; these hold on any host.  The timing section is informational on shared
-runners (the kernel-vs-*scalar* CI gate lives in ``bench_perf_search
---kernel``).
+RK4-fallback paths actually ran, scalar/kernel bit-identity, and zero
+mismatching faulted outcomes; these hold on any host.  The timing
+section is informational on shared runners (the kernel-vs-scalar CI
+gate lives in ``bench_perf_search``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 
 from repro.core import all_designs, build_array, get_design
 from repro.faults.faultmap import FaultKind, FaultMap
+from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry
 from repro.tcam.outcome import SCHEMA_VERSION
 from repro.tcam.trit import random_word
@@ -79,15 +81,15 @@ def _same(a, b) -> bool:
     )
 
 
-def _assert_identical(legacy, kernel, label: str) -> None:
-    for a, b in zip(legacy, kernel):
+def _assert_identical(scalar, kernel, label: str) -> None:
+    for a, b in zip(scalar, kernel):
         assert np.array_equal(a.match_mask, b.match_mask), label
         assert a.first_match == b.first_match, label
         assert a.search_delay == b.search_delay, label
         assert a.cycle_time == b.cycle_time, label
         assert a.miss_histogram == b.miss_histogram, label
         assert a.energy.as_dict() == b.energy.as_dict(), (
-            f"{label}: kernel ledger diverged from legacy"
+            f"{label}: kernel ledger diverged from the scalar search"
         )
 
 
@@ -96,7 +98,7 @@ def run_validation(designs: list[str], rows: int, cols: int, n_keys: int) -> lis
     records = []
     for design in designs:
         array = _build_loaded(design, rows, cols, SEED)
-        engine = array.enable_kernel()
+        engine = array.kernel
         keys = _keys(cols, n_keys, x_fraction=0.3, seed=SEED + 1)
         array.search_batch(keys)  # builds the rows this workload touches
         worst = engine.validate(rtol=1e-9)  # raises KernelError over budget
@@ -115,17 +117,19 @@ def run_validation(designs: list[str], rows: int, cols: int, n_keys: int) -> lis
 
 def run_fallback(rows: int, cols: int, n_keys: int) -> dict:
     """Mixed table/RK4 batch: both paths must run and stay bit-identical."""
-    legacy_array = _build_loaded(DESIGN, rows, cols, SEED)
+    scalar_array = _build_loaded(DESIGN, rows, cols, SEED)
     kernel_array = _build_loaded(DESIGN, rows, cols, SEED)
     # Keys carry ~30% X columns, so driven_cols spreads around 0.7*cols;
     # capping the grid near the middle of that spread forces a mix.
     keys = _keys(cols, n_keys, x_fraction=0.3, seed=SEED + 2)
     drivens = [int(np.count_nonzero(k.as_array() != 2)) for k in keys]
-    engine = kernel_array.enable_kernel(max_driven=int(np.median(drivens)))
+    engine = kernel_array._kernel = KernelEngine(
+        kernel_array, max_driven=int(np.median(drivens))
+    )
 
-    legacy = legacy_array.search_batch(keys)
+    scalar = [scalar_array.search(k) for k in keys]
     kernel = kernel_array.search_batch(keys)
-    _assert_identical(legacy, kernel, "fallback batch")
+    _assert_identical(scalar, kernel, "fallback batch")
     assert engine.table_hits > 0, "no key was served from the tables"
     assert engine.rk4_fallbacks > 0, "no key exercised the RK4 fallback"
     return {
@@ -164,7 +168,7 @@ def run_faulted(rows: int, cols: int, n_keys: int) -> list[dict]:
         fm = _every_fault_kind(rows, cols, SEED + 4)
         reference.attach_faults(fm.copy())
         kernel_array.attach_faults(fm)
-        engine = kernel_array.enable_kernel()
+        engine = kernel_array.kernel
         # Half the keys are stored words, so faults can flip real matches.
         keys = _keys(cols, n_keys - n_keys // 2, x_fraction=0.2, seed=SEED + 5)
         keys += [reference.word_at((3 * i) % rows) for i in range(n_keys // 2)]
@@ -199,30 +203,26 @@ def run_faulted(rows: int, cols: int, n_keys: int) -> list[dict]:
     return records
 
 
-def run_timing(rows: int, cols: int, n_keys: int) -> dict:
-    """Legacy batch engine vs warm compiled kernel, bit-identity asserted."""
-    legacy_array = _build_loaded(DESIGN, rows, cols, SEED)
+def run_timing(rows: int, cols: int, n_keys: int, scalar_keys: int) -> dict:
+    """Warm compiled-kernel batch, bit-identity to the scalar search
+    asserted on the first ``scalar_keys`` keys."""
+    scalar_array = _build_loaded(DESIGN, rows, cols, SEED)
     kernel_array = _build_loaded(DESIGN, rows, cols, SEED)
     keys = _keys(cols, n_keys, x_fraction=0.2, seed=SEED + 3)
-    engine = kernel_array.enable_kernel()
+    engine = kernel_array.kernel
     engine.precompute(sorted({int(np.count_nonzero(k.as_array() != 2)) for k in keys}))
-
-    t0 = time.perf_counter()
-    legacy = legacy_array.search_batch(keys)
-    t_legacy = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     kernel = kernel_array.search_batch(keys)
     t_kernel = time.perf_counter() - t0
 
-    _assert_identical(legacy, kernel, "timing batch")
+    scalar = [scalar_array.search(k) for k in keys[:scalar_keys]]
+    _assert_identical(scalar, kernel, "timing batch")
     return {
         "rows": rows,
         "cols": cols,
         "n_keys": n_keys,
-        "legacy_batch_seconds": round(t_legacy, 4),
         "kernel_seconds": round(t_kernel, 4),
-        "speedup_vs_legacy_batch": round(t_legacy / t_kernel, 2),
         "keys_per_sec": round(n_keys / t_kernel, 2),
     }
 
@@ -233,12 +233,12 @@ def run_bench(smoke: bool) -> dict:
         validation = run_validation([DESIGN], rows=32, cols=24, n_keys=32)
         fallback = run_fallback(rows=32, cols=24, n_keys=32)
         faulted = run_faulted(rows=64, cols=32, n_keys=64)
-        timing = run_timing(rows=64, cols=32, n_keys=128)
+        timing = run_timing(rows=64, cols=32, n_keys=128, scalar_keys=16)
     else:
         validation = run_validation(searchable, rows=64, cols=32, n_keys=64)
         fallback = run_fallback(rows=64, cols=32, n_keys=64)
         faulted = run_faulted(rows=64, cols=32, n_keys=256)
-        timing = run_timing(rows=256, cols=64, n_keys=1024)
+        timing = run_timing(rows=256, cols=64, n_keys=1024, scalar_keys=64)
     return {
         "schema_version": SCHEMA_VERSION,
         "design": DESIGN,
@@ -261,7 +261,7 @@ def main() -> None:
         help=(
             "exit non-zero unless the validation bound holds, both the "
             "table and RK4-fallback paths ran, kernel outcomes are "
-            "bit-identical to the legacy engine, and faulted kernel "
+            "bit-identical to the scalar search, and faulted kernel "
             "batches equal the scalar faulty loop from the tables alone"
         ),
     )
@@ -288,7 +288,7 @@ def main() -> None:
             assert faulted["rk4_fallbacks"] == 0, f"{label}: RK4 fallback ran"
         print(
             f"OK: validation <= 1e-9 (worst {worst:.3e}), table and "
-            "fallback paths exercised, kernel bit-identical to legacy, "
+            "fallback paths exercised, kernel bit-identical to scalar, "
             "faulted kernel batches identical to the scalar faulty loop"
         )
 

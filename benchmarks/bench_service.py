@@ -72,12 +72,11 @@ POLICIES = ("none", "fixed", "adaptive")
 
 
 def _backend() -> ArrayBackend:
-    """Fresh kernel-enabled backend; same seed at every sweep point, so
-    stored content (and hence search physics) is identical everywhere."""
+    """Fresh backend; same seed at every sweep point, so stored content
+    (and hence search physics) is identical everywhere."""
     array = build_array(get_design(DESIGN), ArrayGeometry(rows=ROWS, cols=COLS))
     rng = np.random.default_rng(SEED)
     array.load([random_word(COLS, rng, x_fraction=0.1) for _ in range(ROWS)])
-    array.enable_kernel()
     return ArrayBackend(array)
 
 

@@ -187,8 +187,9 @@ def evaluate_point(
         searches: Random search keys.
         seed: Workload seed (per-point stream derived from it).
         x_fraction: Don't-care density of the stored words.
-        use_kernel: Answer the keys from the compiled waveform tables
-            where the array supports them (bit-identical).
+        use_kernel: Answer the keys with the array's compiled-kernel
+            batch path where it has one; ``False`` runs the per-key
+            scalar reference (bit-identical).
     """
     cell, array = _build(point)
     rng = np.random.default_rng(point.seed_key(seed))
@@ -198,8 +199,6 @@ def evaluate_point(
     ]
     keys = [random_word(point.cols, rng) for _ in range(searches)]
     array.load(words)
-    if use_kernel and hasattr(array, "enable_kernel"):
-        array.enable_kernel()
     energy = 0.0
     delay = 0.0
     cycle = 0.0

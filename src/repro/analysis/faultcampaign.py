@@ -204,27 +204,24 @@ def _fresh_instance(
     cols: int,
     words: list[TernaryWord],
     rewrites: list[tuple[int, TernaryWord]],
-    use_kernel: bool = False,
 ) -> TCAMArray:
     """One array instance of the trial, with the full write history."""
     array = _build_loaded(design, rows, cols, [w for w in words])
     for row, word in rewrites:
         array.write(row, word)
-    if use_kernel and hasattr(array, "enable_kernel"):
-        array.enable_kernel()
     return array
 
 
 def _searches(array: TCAMArray, keys: list[TernaryWord], use_kernel: bool) -> list:
-    """Per-key outcomes, via the batch engine when the kernel is on.
+    """Per-key outcomes, via the compiled kernel when ``use_kernel``.
 
-    ``search_batch`` is bit-identical to the scalar loop (the batch
-    engine's contract; a faulted kernel-enabled array runs the
-    fault-aware kernel, checked against the per-key faulty reference
-    that the scalar loop runs), so both paths produce the same counts
-    and joules.
+    ``search_batch`` is bit-identical to the scalar loop (a faulted
+    array runs the fault-aware kernel, checked against the per-key
+    faulty reference that the scalar loop runs), so both paths produce
+    the same counts and joules.  Arrays without a batch path (NAND
+    strings) always run the scalar loop.
     """
-    if use_kernel:
+    if use_kernel and hasattr(array, "search_batch"):
         return array.search_batch(list(keys))
     return [array.search(k) for k in keys]
 
@@ -264,7 +261,7 @@ def _fault_trial(
     rows_loaded = rows - n_spare
     words, keys, rewrites = _trial_content(rng, rows_loaded, cols, mode, n_keys)
 
-    golden = _fresh_instance(design, rows, cols, words, rewrites, use_kernel)
+    golden = _fresh_instance(design, rows, cols, words, rewrites)
     campaign = FaultCampaign(rows, cols)
     plan = campaign.draw(
         mode, rng, wear_counts=golden.wear_counts() if mode == "wear" else None
@@ -279,7 +276,7 @@ def _fault_trial(
     for density in densities:
         fault_map = plan.at_density(density)
 
-        faulty = _fresh_instance(design, rows, cols, words, rewrites, use_kernel)
+        faulty = _fresh_instance(design, rows, cols, words, rewrites)
         faulty.attach_faults(fault_map)
         false_match = 0
         false_miss = 0
@@ -289,7 +286,7 @@ def _fault_trial(
             false_miss += int(np.count_nonzero(gold.match_mask & ~out.match_mask))
             faulty_energy += out.energy.total
 
-        repaired = _fresh_instance(design, rows, cols, words, rewrites, use_kernel)
+        repaired = _fresh_instance(design, rows, cols, words, rewrites)
         repaired.attach_faults(fault_map.copy())
         report = get_policy(repair, n_spare=n_spare).repair(repaired, repaired.faults)
         yield_keys = 0
@@ -351,8 +348,9 @@ def run_fault_campaign(
         n_keys: Search keys per trial (critical corners + random fill).
         seed: Root seed; trials draw from its spawned children.
         workers: Process count for the trial fan-out; ``<= 1`` serial.
-        use_kernel: Route searches through the compiled-kernel batch
-            engine on designs that support it (bit-identical results).
+        use_kernel: Answer searches with the compiled kernel's batch
+            path on designs that have one; ``False`` runs the per-key
+            scalar reference (bit-identical results).
 
     Raises:
         AnalysisError: on an empty/invalid sweep configuration.

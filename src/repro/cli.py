@@ -19,8 +19,14 @@ emit a machine-readable dict (the same shapes as the outcomes'
 
 ``trace <subcommand> ...`` runs any other subcommand under the
 observability layer (:mod:`repro.obs`): the span tree and metrics
-registry are printed after the command's own output, and
-``--trace-out PATH`` additionally writes the trace as JSON lines.
+registry (the compiled kernel's ``kernels.*`` counters included) are
+printed after the command's own output, and ``--trace-out PATH``
+additionally writes the trace as JSON lines.
+
+Batched searches always run on the arrays' compiled kernel
+(bit-identical to the scalar reference); ``--workers`` sets the process
+fan-out on the commands that have one (``mc``, ``faults``, ``serve``
+with ``--banks > 1``, ``dse``, ``cluster``).
 """
 
 from __future__ import annotations
@@ -141,14 +147,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for spec in specs:
         array = build_array(spec, geometry)
         array.load(words)
-        if args.kernel and hasattr(array, "enable_kernel"):
-            array.enable_kernel()
         ledger = EnergyLedger()
         delay = 0.0
         cycle = 0.0
         errors = 0
         if hasattr(array, "search_batch"):
-            outcomes = array.search_batch(keys, workers=args.workers)
+            outcomes = array.search_batch(keys)
         else:  # NAND-string arrays have no batched engine
             outcomes = [array.search(key) for key in keys]
         for out in outcomes:
@@ -223,8 +227,6 @@ def _cmd_margin(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     spec = get_design(args.design)
     array = build_array(spec, ArrayGeometry(args.rows, args.cols))
-    if args.kernel and hasattr(array, "enable_kernel"):
-        array.enable_kernel()
     variation = NOMINAL_VARIATION.scaled(args.sigma_scale)
     mc = run_margin_mc(
         array, variation, n_samples=args.samples, seed=args.seed, workers=args.workers
@@ -260,14 +262,12 @@ def _cmd_lpm(args: argparse.Namespace) -> int:
     rows = args.rows if args.rows is not None else 1 << (args.routes - 1).bit_length()
     array = build_array(get_design(args.design), ArrayGeometry(rows, 32))
     table.deploy(array)
-    if args.kernel and hasattr(array, "enable_kernel"):
-        array.enable_kernel()
     agreements = 0
     addresses = trace_addresses(table, args.lookups, rng)
     ledger = EnergyLedger()
     last_outcome = None
     for address, (route, outcome) in zip(
-        addresses, table.lookup_tcam_batch(array, addresses, workers=args.workers)
+        addresses, table.lookup_tcam_batch(array, addresses)
     ):
         oracle = table.lookup_reference(address)
         ledger.merge(outcome.energy)
@@ -387,7 +387,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         n_keys=args.keys,
         seed=args.seed,
         workers=args.workers,
-        use_kernel=args.kernel,
+        use_kernel=True,
     )
     if args.json:
         _emit_json({"command": "faults", **result.to_dict()})
@@ -443,17 +443,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         chip.load(
             [random_word(args.cols, rng) for _ in range(args.rows * args.banks)]
         )
-        if args.kernel:
-            for bank in chip.banks:
-                if hasattr(bank, "enable_kernel"):
-                    bank.enable_kernel()
         backend = ChipBackend(chip, workers=args.workers)
     else:
         array = build_array(spec, ArrayGeometry(args.rows, args.cols))
         array.load([random_word(args.cols, rng) for _ in range(args.rows)])
-        if args.kernel and hasattr(array, "enable_kernel"):
-            array.enable_kernel()
-        backend = ArrayBackend(array, workers=args.workers)
+        backend = ArrayBackend(array)
 
     trace = ARRIVAL_PROCESSES[args.process](
         args.requests, rate=args.rate, cols=args.cols, seed=args.seed,
@@ -498,7 +492,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         searches=args.searches,
         seed=args.seed,
         workers=args.workers,
-        use_kernel=args.kernel,
+        use_kernel=True,
     )
     if args.json:
         _emit_json({"command": "dse", "seed": args.seed, **result.to_dict()})
@@ -578,7 +572,6 @@ def _cmd_retrieval(args: argparse.Namespace) -> int:
         bank_rows=args.rows,
         banks_per_chip=args.banks,
         seed=args.seed,
-        use_kernel=args.kernel,
     )
     if args.json:
         _emit_json({"command": "retrieval", **record})
@@ -650,7 +643,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         wear_density=args.wear_density,
         seed=args.seed,
         workers=args.workers,
-        use_kernel=args.kernel,
     )
     if args.json:
         _emit_json({"command": "cluster", **record})
@@ -773,23 +765,14 @@ def _seed_flags(default: int = 0) -> argparse.ArgumentParser:
     return parent
 
 
-def _engine_flags(what: str) -> argparse.ArgumentParser:
-    """``--workers`` / ``--kernel``: the shared batch-engine knobs."""
+def _workers_flags(what: str) -> argparse.ArgumentParser:
+    """``--workers``: the process fan-out knob."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--workers",
         type=int,
         default=0,
         help=f"process count for {what} (default: serial)",
-    )
-    parent.add_argument(
-        "--kernel",
-        action="store_true",
-        help=(
-            "answer batched searches from the compiled waveform tables "
-            "(bit-identical; under 'trace', kernels.* counters appear "
-            "in the metrics summary)"
-        ),
     )
     return parent
 
@@ -838,7 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
             _design_flags(None, help="restrict to one design"),
             _shape_flags(rows=64, cols=64),
             _seed_flags(),
-            _engine_flags("the batched searches"),
             _json_flags("a table"),
         ],
     )
@@ -865,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
             _design_flags("fefet2t"),
             _shape_flags(rows=16, cols=64),
             _seed_flags(),
-            _engine_flags("the sample chunks"),
+            _workers_flags("the sample chunks"),
             _json_flags(),
         ],
     )
@@ -879,7 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             _design_flags("fefet2t_lv"),
             _seed_flags(),
-            _engine_flags("the batched lookups"),
             _json_flags(),
         ],
     )
@@ -935,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
             _design_flags("fefet2t"),
             _shape_flags(rows=32, cols=32),
             _seed_flags(20260805),
-            _engine_flags("the trial fan-out"),
+            _workers_flags("the trial fan-out"),
             _json_flags("a table"),
         ],
     )
@@ -971,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
             _shape_flags(rows=32, cols=32),
             _service_flags(),
             _seed_flags(),
-            _engine_flags("the batched searches"),
+            _workers_flags("the bank fan-out (with --banks > 1)"),
             _json_flags(),
         ],
     )
@@ -998,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="design-space exploration: energy-delay-area-accuracy frontier",
         parents=[
             _seed_flags(),
-            _engine_flags("the design-point sweep"),
+            _workers_flags("the design-point sweep"),
             _json_flags("a table"),
         ],
     )
@@ -1051,13 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
     retrieval.add_argument(
         "--banks", type=int, default=16, help="banks tiled per chip"
     )
-    retrieval.add_argument(
-        "--no-kernel",
-        dest="kernel",
-        action="store_false",
-        help="run the scalar reference path instead of the distance kernel",
-    )
-    retrieval.set_defaults(func=_cmd_retrieval, kernel=True)
+    retrieval.set_defaults(func=_cmd_retrieval)
 
     cluster = sub.add_parser(
         "cluster",
@@ -1065,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             _design_flags("fefet2t"),
             _seed_flags(),
-            _engine_flags("the shard fan-out"),
+            _workers_flags("the shard fan-out"),
             _json_flags("a table"),
         ],
     )
@@ -1108,7 +1083,11 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.set_defaults(func=_cmd_cluster)
 
     trace = sub.add_parser(
-        "trace", help="run any subcommand under the observability layer"
+        "trace",
+        help=(
+            "run any subcommand under the observability layer (span tree "
+            "and metrics, kernels.* counters included)"
+        ),
     )
     trace.add_argument("trace_command", choices=list(TRACEABLE_COMMANDS))
     trace.add_argument(

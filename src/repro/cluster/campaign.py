@@ -169,7 +169,6 @@ def _run_point(
     wear_density: float,
     seed: int,
     workers: int,
-    use_kernel: bool,
 ) -> ClusterScalePoint:
     fabric = TCAMFabric(
         table,
@@ -180,7 +179,6 @@ def _run_point(
         spare_rows=spare_rows,
         topology=topology,
         link=link,
-        use_kernel=use_kernel,
     )
     cols = table.width
 
@@ -307,7 +305,6 @@ def run_cluster_campaign(
     wear_density: float = 0.02,
     seed: int = 0,
     workers: int = 0,
-    use_kernel: bool = False,
 ) -> dict:
     """Sweep chip counts x policies; returns the JSON-ready record."""
     if topology not in TOPOLOGIES:
@@ -342,7 +339,6 @@ def run_cluster_campaign(
                         wear_density=wear_density,
                         seed=seed,
                         workers=workers,
-                        use_kernel=use_kernel,
                     )
                 )
     return {
@@ -364,7 +360,6 @@ def run_cluster_campaign(
             "churn_updates": churn_updates,
             "wear_density": wear_density,
             "seed": seed,
-            "use_kernel": use_kernel,
         },
         "points": [p.to_dict() for p in points],
     }

@@ -149,8 +149,9 @@ class TCAMFabric:
         link: Electrical link model.
         result_bits: Verdict flit width for the interconnect.
         gating: Bank power-gating policy for the chips.
-        use_kernel: Compile the waveform kernel on every bank (tables
-            shared across the identical shard banks).
+
+    Every bank's compiled kernel adopts the first bank's tables, so the
+    identical shard banks compile the class triangle once.
     """
 
     def __init__(
@@ -168,7 +169,6 @@ class TCAMFabric:
         link: LinkModel | None = None,
         result_bits: int = 64,
         gating: GatingPolicy | None = None,
-        use_kernel: bool = False,
     ) -> None:
         if n_chips < 1:
             raise ClusterError(f"n_chips must be >= 1, got {n_chips}")
@@ -233,11 +233,9 @@ class TCAMFabric:
             self.load_energy = self._load_shards()
             if sp is not None:
                 sp.add_energy(self.load_energy)
-            if use_kernel:
-                banks = [bank for chip in self.chips for bank in chip.banks]
-                donor = banks[0].enable_kernel()
-                for bank in banks[1:]:
-                    bank.enable_kernel().adopt_tables(donor)
+            banks = [bank for chip in self.chips for bank in chip.banks]
+            for bank in banks[1:]:
+                bank.kernel.adopt_tables(banks[0].kernel)
 
         #: Conservation counters checked by the campaign smoke gate.
         self.queries_offered = 0
@@ -319,7 +317,7 @@ class TCAMFabric:
         """Search a key batch across the fabric.
 
         Keys routed to the same shard keep their relative order, so
-        each shard's drive-state and trajectory cache evolve exactly as
+        each shard's drive state and kernel counters evolve exactly as
         if that key subsequence had been offered to it directly --
         which is what makes the one-chip fabric bit-identical to a
         plain :meth:`~repro.tcam.chip.TCAMChip.search_batch` call,
@@ -522,7 +520,6 @@ def build_reference_chip(
     table: RuleTable,
     *,
     design: str = "fefet2t",
-    use_kernel: bool = False,
 ) -> TCAMChip:
     """The unsharded reference: one bank holding the whole table in
     priority order.  ``chip.search_batch(keys, banks=0)`` on it is the
@@ -532,6 +529,4 @@ def build_reference_chip(
     geometry = ArrayGeometry(rows=len(table), cols=table.width)
     chip = TCAMChip(lambda: build_array(spec, geometry), n_banks=1)
     chip.load_rows(list(table.rules))
-    if use_kernel:
-        chip.banks[0].enable_kernel()
     return chip

@@ -30,7 +30,7 @@ Fault taxonomy (per cell unless noted):
   static input-referred offset [V], shifting its decision threshold.
 
 The map is deliberately a plain value object: mutation bumps
-:attr:`version` so an attached array can flush its trajectory cache,
+:attr:`version` so an attached array can drop state derived from it,
 and :meth:`split_cols` / :meth:`split_rows` project one chip-level map
 onto segmented banks and multi-bank chips.
 """

@@ -8,8 +8,9 @@ trits as contiguous planes so batch mismatch counting is one matmul,
 and :class:`KernelEngine` stitches both into flat per-class sensing
 tables the vectorized ``TCAMArray.search_batch`` path gathers from.
 
-Enable per array with ``array.enable_kernel()`` (or construct with
-``use_kernel=True``); the RK4 integrator remains the reference path --
+Every ``TCAMArray`` builds its engine on first use (``array.kernel``)
+and answers all four ``*_batch`` operations from it; the scalar
+per-key operations and the RK4 integrator remain the reference path --
 tables validate against it to ``<= 1e-9`` relative error and
 out-of-grid classes automatically fall back to it.  See DESIGN.md §11.
 """

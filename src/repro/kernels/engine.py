@@ -1,9 +1,8 @@
 """Compiled per-class sensing tables for one array.
 
-The legacy batch engine integrates each distinct mismatch class per
-batch (memoized in the LRU trajectory cache, which every write flushes).
-The kernel engine instead compiles the *entire* class triangle of the
-array's electrical configuration into flat per-``driven`` rows of
+The scalar reference search integrates each mismatch class it meets by
+RK4, per search.  The kernel engine instead compiles the *entire* class
+triangle of the array's electrical configuration into flat per-``driven`` rows of
 sensing results -- match verdicts, restore/dissipation/sense energies,
 strobe and restore delays -- that survive writes (content never enters
 the class physics) and can be gathered with fancy indexing by the
@@ -47,7 +46,7 @@ def sequential_segment_sum(
 
     ``np.add.reduceat`` switches to unrolled/pairwise accumulation for
     longer segments, which is *not* bit-identical to the sequential
-    ``acc = acc + x`` loop the legacy ledger performs.  This helper
+    ``acc = acc + x`` loop the reference ledger performs.  This helper
     accumulates round-robin instead -- round ``r`` adds the ``r``-th
     element of every still-open segment in one vectorized gather -- so
     each segment's sum is exactly ``((0.0 + x0) + x1) + ...`` while the
@@ -70,7 +69,7 @@ class PrechargeClassRow:
     """Per-class sensing results of one ``driven`` value, as flat arrays.
 
     Entry ``n`` of every field is the corresponding attribute of the
-    legacy ``_PrechargeClassResult`` for class ``(n, driven)``.
+    reference ``_PrechargeClassResult`` for class ``(n, driven)``.
     """
 
     v_end: np.ndarray
@@ -220,7 +219,7 @@ class KernelEngine:
 
         Entry ``n`` is the time for an ``n``-mismatch line (of ``driven``
         driven columns) to cross the sense reference -- float for float
-        the value ``TCAMArray._nearest_window_cached`` computes, with
+        the value ``TCAMArray._nearest_window`` computes, with
         non-finite crossings clamped to ``t_eval``.  Entry 0 (a full
         match never crosses) is ``t_eval``.  The distance kernel gathers
         nearest/threshold/top-k strobe windows from these rows instead

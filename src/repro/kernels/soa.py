@@ -1,8 +1,9 @@
 """Structure-of-arrays snapshot of a TCAM array's stored state.
 
-The legacy search path keeps the stored trits as one ``(rows, cols)``
-int8 matrix and counts mismatches with a broadcast compare over a
-``(n_keys, rows, cols)`` boolean cube.  The kernel path re-expresses the
+The array keeps the stored trits as one ``(rows, cols)`` int8 matrix,
+and the scalar reference counts mismatches with a broadcast compare
+over it (``mismatch_counts_batch`` does the same over a
+``(n_keys, rows, cols)`` boolean cube).  The kernel path re-expresses the
 same content as two contiguous *trit planes* -- ``plane0[r, c] = 1``
 where row ``r`` stores a 0, ``plane1`` likewise for stored 1s -- so the
 whole batch's mismatch counts collapse into two matmuls:
@@ -13,7 +14,7 @@ where ``K1``/``K0`` are the key batch's "drives 1"/"drives 0" indicator
 planes.  Every product term is 0 or 1 and every partial sum is an
 integer bounded by ``cols``, so float32 BLAS accumulates the counts
 *exactly* (all intermediates are integers below 2**24) in any summation
-order -- the result is bit-identical to the legacy broadcast count.
+order -- the result is bit-identical to the broadcast count.
 
 With a non-empty fault map attached, the snapshot also carries
 :class:`FaultPlanes`: the same kind of integer-exact planes over the

@@ -1,13 +1,13 @@
 """Metrics registry: counters, gauges and histograms.
 
 The registry is a flat namespace of named instruments, created on first
-use (``registry.counter("mlcache.hits").inc()``).  Instruments are
+use (``registry.counter("kernels.table_hits").inc()``).  Instruments are
 deliberately minimal -- the simulator is single-threaded, so there is no
 locking -- and :meth:`MetricsRegistry.snapshot` renders everything to one
 plain dict for the sinks.
 
 Naming convention (see DESIGN.md): dotted, ``<subsystem>.<quantity>`` --
-``tcam.searches``, ``tcam.batch_size``, ``mlcache.hits``, ``rk4.batch_size``,
+``tcam.searches``, ``tcam.batch_size``, ``kernels.table_hits``, ``rk4.batch_size``,
 ``mc.row_decisions``, ``energy.<component>``.
 """
 

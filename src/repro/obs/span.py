@@ -3,7 +3,7 @@
 A :class:`Span` is one timed region of work -- a chip search, a bank
 stage, one stacked RK4 integration.  Spans nest: entering a span while
 another is open makes it a child, so the tree mirrors the call structure
-(``chip.search`` > ``bank.stage1`` > ``array.integrate``).  Each span
+(``chip.search`` > ``bank.stage1`` > ``array.search``).  Each span
 carries three observables:
 
 * **wall time** -- measured with ``time.perf_counter`` at enter/exit,

@@ -3,7 +3,7 @@
 A backend owns one piece of TCAM hardware model and turns a dispatched
 batch into outcomes.  Keys always hit the hardware in arrival order --
 batching only changes the *grouping*, never the sequence -- so the
-search-line toggle chains, trajectory caches and ledgers evolve exactly
+search-line toggle chains, kernel counters and ledgers evolve exactly
 as one long serial key stream would, whatever the policy.  That is what
 makes energy-per-request comparable across policies: the physics term
 is identical; only the per-dispatch overhead amortization differs.
@@ -63,16 +63,11 @@ class ArrayBackend:
     """Serve one :class:`~repro.tcam.array.TCAMArray` (bank indices ignored).
 
     Args:
-        array: The loaded array; enable its compiled kernel first for
-            fast serving (bit-identical outcomes either way).
-        workers: Process count forwarded to ``search_batch`` -- results
-            are bit-identical for any value, by the parallel layer's
-            contract.
+        array: The loaded array; batches run on its compiled kernel.
     """
 
-    def __init__(self, array, workers: int = 0) -> None:
+    def __init__(self, array) -> None:
         self.array = array
-        self.workers = workers
 
     @property
     def cols(self) -> int:
@@ -83,7 +78,7 @@ class ArrayBackend:
         self, keys: Sequence[TernaryWord], banks: Sequence[int]
     ) -> list[BaseOutcome]:
         """Search ``keys`` in order; ``banks`` is ignored (single array)."""
-        return self.array.search_batch(list(keys), workers=self.workers)
+        return self.array.search_batch(list(keys))
 
 
 class ChipBackend:

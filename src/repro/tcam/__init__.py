@@ -21,7 +21,6 @@ from .trit import (
     random_word,
     word_from_string,
 )
-from .mlcache import TrajectoryCache
 from .outcome import BaseOutcome
 from .cell import CellDescriptor, WriteCost
 from .area import TechNode, TECH_45NM, cell_dimensions
@@ -46,7 +45,6 @@ __all__ = [
     "word_from_string",
     "pack_keys",
     "mismatch_counts_batch",
-    "TrajectoryCache",
     "BaseOutcome",
     "CellDescriptor",
     "WriteCost",

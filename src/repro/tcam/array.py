@@ -37,16 +37,8 @@ from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..energy.estimator import ArrayEstimator
 from ..errors import TCAMError
 from ..faults.faultmap import FaultKind, FaultMap
-from ..parallel import (
-    chunk_bounds,
-    default_chunk_size,
-    resolve_workers,
-    scatter_gather,
-    scatter_gather_shared,
-)
 from .area import TECH_45NM, TechNode, cell_dimensions
 from .cell import CellDescriptor
-from .mlcache import TrajectoryCache
 from .outcome import BaseOutcome
 from .priority import PriorityEncoder
 from .trit import (
@@ -55,7 +47,6 @@ from .trit import (
     drive_matrix,
     drive_vector,
     mismatch_counts,
-    mismatch_counts_batch,
     pack_keys,
 )
 
@@ -84,63 +75,14 @@ _SPAN_ENERGY_GROUPS = {
 }
 
 
-def _integrate_class_chunk(
-    payload: tuple["TCAMArray", list[tuple[int, int]]],
-) -> list["_PrechargeClassResult | _RaceClassResult"]:
-    """Integrate one chunk of mismatch classes (pure worker fn).
-
-    The worker operates on a pickled copy of the array and returns the
-    sensing results; the parent installs them into the *real* trajectory
-    cache in the order :meth:`TCAMArray._fill_class_cache` would have.
-    """
-    array, pairs = payload
-    if array.sensing == "precharge":
-        v_ends = array._ml_voltages_after_eval(pairs)
-        return [array._precharge_class_from_v_end(v) for v in v_ends]
-    return [array._race_class(n_miss, driven) for n_miss, driven in pairs]
-
-
-def _assemble_chunk_shared(views, meta) -> list["SearchOutcome"]:
-    """Assemble one chunk of batch outcomes (pure shared-transport worker).
-
-    The bulk per-key state -- mismatch matrix, dense per-class count
-    matrices, toggle/driven vectors and the active mask -- arrives as
-    read-only shared-memory ``views``; the pickled ``meta`` carries only
-    the array model, the chunk's class results and its key bounds.  The
-    per-key ``unique`` class vector is rebuilt from the dense counts:
-    classes whose active *and* valid counts are both zero are dropped,
-    which is outcome-identical because :meth:`TCAMArray._assemble_outcome`
-    skips zero-count entries in every loop.  The worker never touches a
-    trajectory cache, so re-running it (serial fallback) has no side
-    effects.
-    """
-    array, e_toggle, class_results_by_pair, lo, hi = meta
-    active = views["active"]
-    outcomes = []
-    for k in range(lo, hi):
-        dense_active = views["counts_active"][k]
-        dense_valid = views["counts_valid"][k]
-        unique = np.flatnonzero((dense_active != 0) | (dense_valid != 0))
-        driven = int(views["driven"][k])
-        class_results = {
-            int(n): class_results_by_pair[(int(n), driven)]
-            for n, c in zip(unique, dense_active[unique])
-            if c
-        }
-        ledger = EnergyLedger()
-        ledger.add(EnergyComponent.SEARCHLINE, int(views["toggles"][k]) * e_toggle)
-        outcomes.append(
-            array._assemble_outcome(
-                ledger,
-                views["miss"][k],
-                active,
-                unique,
-                dense_active[unique],
-                dense_valid[unique],
-                class_results,
-            )
-        )
-    return outcomes
+def _check_count(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int, or :class:`TCAMError` when it is not a
+    Python/NumPy integer (bools and floats included) or below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TCAMError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise TCAMError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -200,8 +142,8 @@ class _PrechargeClassResult:
     One instance covers every row sharing ``(n_miss, driven_cols)``: the
     trajectory endpoint, the sense decision derived from it and the
     per-line restore costs.  These are exactly the quantities the scalar
-    search recomputes per class per search; the batch engine computes
-    them once per class per batch (and caches them across batches).
+    search recomputes per class per search; the compiled kernel
+    tabulates them once per electrical configuration.
     """
 
     v_end: float
@@ -379,11 +321,12 @@ class TCAMArray:
             over this array's cell and sensing chain (bit-identical to
             the historical inline accounting).  Pass a factory to study
             alternative cost models without touching the physics.
-        use_kernel: Enable the compiled search kernel (tabulated
-            discharge endpoints + SoA batch state, see
-            :mod:`repro.kernels`) for ``search_batch``; equivalent to
-            calling :meth:`enable_kernel` after construction.  The
-            scalar :meth:`search` always keeps the reference path.
+
+    The scalar operations (:meth:`search`, :meth:`nearest_match`,
+    :meth:`threshold_match`, :meth:`topk_match`) run the per-key
+    reference bodies; their ``*_batch`` counterparts run the compiled
+    kernel (:attr:`kernel`, see :mod:`repro.kernels`) and are
+    bit-identical to a loop over the scalar calls.
     """
 
     def __init__(
@@ -401,7 +344,6 @@ class TCAMArray:
         sl_wire: WireModel = M4_WIRE,
         encoder: PriorityEncoder | None = None,
         estimator: "Callable[[TCAMArray], ArrayEstimator] | None" = None,
-        use_kernel: bool = False,
     ) -> None:
         if sensing not in _SENSING_STYLES:
             raise TCAMError(f"sensing must be one of {_SENSING_STYLES}, got {sensing!r}")
@@ -417,10 +359,13 @@ class TCAMArray:
         self._valid = np.zeros(rows, dtype=bool)
         self._write_counts = np.zeros((rows, cols), dtype=np.int64)
         self._last_drive: tuple[int, ...] | None = None
-        self._ml_cache = TrajectoryCache()
         self._faults: FaultMap | None = None
         self._faults_seen_version = -1
         self._faults_empty = True
+        # The scalar faulty search's memo of fault-signature results,
+        # keyed by (fault-map version, signature) and dropped whenever
+        # the attached map changes (see _fault_precharge_results).
+        self._fault_oracle: dict[tuple, _PrechargeClassResult] = {}
         # Compiled-kernel state: the engine compiles per-class sensing
         # tables that survive writes; the SoA snapshot tracks stored
         # content through this version counter (bumped by every write /
@@ -485,9 +430,6 @@ class TCAMArray:
         # default reproduces the historical inline formulas bit for bit.
         self.estimator = ArrayEstimator(self) if estimator is None else estimator(self)
 
-        if use_kernel:
-            self.enable_kernel()
-
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
@@ -549,17 +491,11 @@ class TCAMArray:
     def write(self, row: int, word: TernaryWord) -> WriteOutcome:
         """Store ``word`` at ``row``, paying per-cell transition costs.
 
-        Cache-invalidation rule: every write flushes the match-line
-        trajectory cache used by :meth:`search_batch` and
-        :meth:`nearest_match_batch`.  The cached trajectories depend only
-        on the mismatch class and the electrical configuration (which is
-        fixed at construction), so this is conservative -- but it makes
-        staleness structurally impossible and costs one dict clear.  The
-        same flush runs on :meth:`invalidate` and (via the per-row writes)
-        :meth:`load`.
+        Every write moves the content version, so the next batch
+        re-packs the kernel's content planes; the compiled class tables
+        depend only on the electrical configuration and survive.
         """
         self._check_row(row)
-        self._ml_cache.invalidate()
         self._content_version += 1
         if len(word) != self.geometry.cols:
             raise TCAMError(
@@ -590,10 +526,9 @@ class TCAMArray:
     def invalidate(self, row: int) -> None:
         """Remove ``row`` from match participation (erase to all-X).
 
-        Flushes the trajectory cache, like :meth:`write`.
+        Moves the content version, like :meth:`write`.
         """
         self._check_row(row)
-        self._ml_cache.invalidate()
         self._content_version += 1
         self._stored[row] = int(Trit.X)
         self._valid[row] = False
@@ -613,15 +548,15 @@ class TCAMArray:
     def load_rows(
         self, words: Sequence[TernaryWord], start_row: int = 0
     ) -> EnergyLedger:
-        """Bulk-write ``words`` into consecutive rows with one cache flush.
+        """Bulk-write ``words`` into consecutive rows with one version bump.
 
         Ledger-identical to :meth:`load` (the same per-cell transition
-        costs accumulate in the same row-major order), but the trajectory
-        cache flushes once and ``_content_version`` moves once for the
-        whole corpus instead of once per row -- the difference between
-        one SoA/kernel rebuild and 100k of them when a retrieval corpus
-        loads.  The per-cell costs come from the estimator's 3x3
-        ``(old, new)`` transition table gathered over the block.
+        costs accumulate in the same row-major order), but
+        ``_content_version`` moves once for the whole corpus instead of
+        once per row -- the difference between one SoA rebuild and 100k
+        of them when a retrieval corpus loads.  The per-cell costs come
+        from the estimator's 3x3 ``(old, new)`` transition table
+        gathered over the block.
         """
         words = list(words)
         n_rows = len(words)
@@ -639,7 +574,6 @@ class TCAMArray:
                     f"word width {len(word)} does not match array cols "
                     f"{self.geometry.cols}"
                 )
-        self._ml_cache.invalidate()
         self._content_version += 1
         cols = self.geometry.cols
         new = np.stack([w.as_array() for w in words])
@@ -680,15 +614,13 @@ class TCAMArray:
         pull-down composition feeds the same RK4 integration healthy
         rows use), so faults manifest as wrong *sensed* decisions, not
         output bit-flips.  An **empty** map is equivalent to no map:
-        the search path taken is the ordinary one, bit for bit.  With
-        the kernel enabled, batches take the fault-aware kernel; the
-        per-key :meth:`_search_impl_faulty` stays the reference.
+        the search path taken is the ordinary one, bit for bit.  Batches
+        take the fault-aware kernel; the per-key
+        :meth:`_search_impl_faulty` stays the reference.
 
-        Cache rule: attaching (and any later mutation of the attached
-        map, detected through :attr:`FaultMap.version`) flushes the
-        trajectory cache, and fault-class entries additionally carry
-        the map version in their keys -- stale trajectories are
-        structurally impossible.
+        Attaching (and any later mutation of the attached map, detected
+        through :attr:`FaultMap.version`) moves the content version and
+        drops the scalar path's fault-signature memo.
 
         Args:
             faults: The defect map (array-shaped), or ``None`` to detach.
@@ -708,11 +640,11 @@ class TCAMArray:
         else:
             self._faults_seen_version = faults.version
             self._faults_empty = faults.is_empty()
-        self._ml_cache.invalidate()
+        self._fault_oracle = {}
         self._content_version += 1
 
     def detach_faults(self) -> None:
-        """Remove the attached defect map (flushes the trajectory cache)."""
+        """Remove the attached defect map."""
         self.attach_faults(None)
 
     @property
@@ -724,14 +656,14 @@ class TCAMArray:
         """True when a non-empty fault map must shape the next search.
 
         Re-inspects the attached map when its version counter moved
-        (in-place mutation after attach) and flushes the trajectory
-        cache once per such change.
+        (in-place mutation after attach), moving the content version and
+        dropping the fault-signature memo once per such change.
         """
         fm = self._faults
         if fm is None:
             return False
         if fm.version != self._faults_seen_version:
-            self._ml_cache.invalidate()
+            self._fault_oracle = {}
             self._content_version += 1
             self._faults_seen_version = fm.version
             self._faults_empty = fm.is_empty()
@@ -769,25 +701,18 @@ class TCAMArray:
         One signature ``(n_strong, weak_offsets, n_leak)`` covers every
         row sharing that pull-down composition; all missing signatures
         integrate in one stacked pass (:meth:`_fault_sig_classes`) and
-        cache under keys carrying the fault-map version.
+        are memoised in the array's own ``_fault_oracle`` under keys
+        carrying the fault-map version -- independent of the kernel's
+        :meth:`~repro.kernels.KernelEngine.fault_classes`, so the
+        reference never reads kernel state.
         """
-        results: dict[tuple, _PrechargeClassResult] = {}
-        v_pre = self.precharge.target_voltage()
+        memo = self._fault_oracle
         fm_version = self._faults.version
-        missing: list[tuple] = []
-        for sig in sigs:
-            key = ("fpre", fm_version, sig, v_pre, self.t_eval)
-            cached = self._ml_cache.get(key)
-            if cached is not None:
-                results[sig] = cached
-            else:
-                missing.append(sig)
-        if not missing:
-            return results
-        for sig, result in zip(missing, self._fault_sig_classes(missing)):
-            self._ml_cache.put(("fpre", fm_version, sig, v_pre, self.t_eval), result)
-            results[sig] = result
-        return results
+        missing = [sig for sig in sigs if (fm_version, sig) not in memo]
+        if missing:
+            for sig, result in zip(missing, self._fault_sig_classes(missing)):
+                memo[(fm_version, sig)] = result
+        return {sig: memo[(fm_version, sig)] for sig in sigs}
 
     def _fault_sig_classes(self, sigs: list[tuple]) -> list[_PrechargeClassResult]:
         """Integrate retention-degraded signatures in one stacked RK4 pass.
@@ -864,9 +789,12 @@ class TCAMArray:
 
         any_sensed = bool(np.any(sensed))
         if self.sensing == "precharge":
-            nominal = np.unique(n_pull[sensed & (n_weak == 0)])
+            # Nominal classes integrate in one stacked pass (elementwise
+            # identical to integrating each alone).
+            nominal = np.unique(n_pull[sensed & (n_weak == 0)]).tolist()
+            v_ends = self._ml_voltages_after_eval([(n, driven_cols) for n in nominal])
             class_results = {
-                int(n): self._cached_class(int(n), driven_cols) for n in nominal
+                n: self._precharge_class_from_v_end(v) for n, v in zip(nominal, v_ends)
             }
             sig_results = self._fault_precharge_results(set(weak_sigs.values()))
             t_sa_max = 0.0
@@ -993,71 +921,72 @@ class TCAMArray:
             raise TCAMError(
                 f"key width {len(key)} does not match array cols {self.geometry.cols}"
             )
-        if row_mask is None:
-            active = np.ones(self.geometry.rows, dtype=bool)
-        else:
-            active = np.asarray(row_mask, dtype=bool)
-            if active.shape != (self.geometry.rows,):
-                raise TCAMError(
-                    f"row_mask must have shape ({self.geometry.rows},), got {active.shape}"
-                )
+        active = self._active_rows(row_mask)
         if self._fault_injection_active():
             return self._search_impl_faulty(key, active)
         key_arr = key.as_array()
         driven_cols = int(np.count_nonzero(key_arr != int(Trit.X)))
         miss = mismatch_counts(self._stored, key_arr)
+        ledger = EnergyLedger()
+        self._book_searchline_energy(ledger, key)
+        return self._search_key(ledger, miss, driven_cols, active)
 
-        # One np.unique covers both the sensing class grouping (over the
-        # active rows) and the miss histogram (over the valid rows).
+    def _active_rows(self, row_mask: np.ndarray | None) -> np.ndarray:
+        """The per-row evaluation mask, validated (all rows by default)."""
+        if row_mask is None:
+            return np.ones(self.geometry.rows, dtype=bool)
+        active = np.asarray(row_mask, dtype=bool)
+        if active.shape != (self.geometry.rows,):
+            raise TCAMError(
+                f"row_mask must have shape ({self.geometry.rows},), got {active.shape}"
+            )
+        return active
+
+    def _search_key(
+        self,
+        ledger: EnergyLedger,
+        miss: np.ndarray,
+        driven_cols: int,
+        active: np.ndarray,
+    ) -> SearchOutcome:
+        """Reference body of one healthy search, after the SL booking.
+
+        Rows group by mismatch count (one ``np.unique`` covers both the
+        sensing classes over the active rows and the histogram over the
+        valid rows); each active class is sensed once by RK4.  The
+        kernel runs this body for keys outside its compiled grid.
+        """
         unique, inverse = np.unique(miss, return_inverse=True)
         counts_active = np.bincount(inverse[active], minlength=unique.size)
         counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-
-        ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key)
-
-        if self.sensing == "precharge":
-            class_results = {
-                int(n): self._precharge_class(int(n), driven_cols)
-                for n, c in zip(unique, counts_active)
-                if c
-            }
-        else:
-            class_results = {
-                int(n): self._race_class(int(n), driven_cols)
-                for n, c in zip(unique, counts_active)
-                if c
-            }
-        outcome = self._assemble_outcome(
+        sense_class = (
+            self._precharge_class if self.sensing == "precharge" else self._race_class
+        )
+        class_results = {
+            int(n): sense_class(int(n), driven_cols)
+            for n, c in zip(unique, counts_active)
+            if c
+        }
+        return self._assemble_outcome(
             ledger, miss, active, unique, counts_active, counts_valid, class_results
         )
-        return outcome
 
     def search_batch(
         self,
         keys: Iterable[TernaryWord],
         row_mask: np.ndarray | None = None,
-        workers: int = 0,
     ) -> list[SearchOutcome]:
-        """Execute many searches with shared per-class trajectory work.
+        """Execute many searches on the compiled kernel.
 
         Produces exactly the :class:`SearchOutcome` sequence that calling
         :meth:`search` once per key would (including the sequential
         search-line toggle semantics: the first key toggles against the
         array's current drive state and each subsequent key against its
-        predecessor), but the match-line trajectory, sense-amp strobe and
-        restore time of each distinct ``(n_miss, driven_cols)`` mismatch
-        class are computed once for the whole batch -- via the array's
-        bounded LRU trajectory cache, so consecutive batches over an
-        unwritten array reuse them outright.
-
-        With ``workers > 1`` the class integrations and the per-key
-        outcome assembly fan out across processes; outcomes, the
-        trajectory cache's state and its hit counters stay bit-identical
-        to the serial path because the parent performs every cache access
-        itself, in serial order, and ships only pure computations to the
-        workers.  Kernel-enabled arrays run in-process whatever
-        ``workers`` says, faulted or not.
+        predecessor), but mismatch counts come from one SoA matmul and
+        per-class sensing results from the compiled tables
+        (:meth:`_search_batch_kernel`).  With a non-empty fault map the
+        batch runs the fault-aware kernel
+        (:meth:`_search_batch_faulty_kernel`).
 
         The whole batch (key widths, ``row_mask`` shape) is validated
         before any key is searched, so a rejected batch leaves the
@@ -1067,208 +996,65 @@ class TCAMArray:
             keys: Search keys, all of the array's width.
             row_mask: Optional per-row evaluation mask applied to every
                 key in the batch (as in :meth:`search`).
-            workers: Process count for the fan-out; ``<= 1`` (the
-                default) keeps the fully serial path.
         """
         keys = list(keys)
         if not keys:
             return []
-        with obs.span(
+        return self._traced_batch(
+            lambda: self._search_batch_impl(keys, row_mask),
             "array.search_batch",
-            rows=self.geometry.rows,
-            cols=self.geometry.cols,
             sensing=self.sensing,
             n_keys=len(keys),
-        ) as sp:
-            m = obs.metrics()
-            cache_before = self._cache_counters() if m is not None else None
-            kernel_before = (
-                (self._kernel.table_hits, self._kernel.rk4_fallbacks)
-                if m is not None and self._kernel is not None
-                else None
-            )
-            outcomes = self._search_batch_impl(keys, row_mask, workers=workers)
-            if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
-                sp.add_energy(ledger)
-                self._book_batch_metrics(len(keys), ledger)
-            if m is not None:
-                self._book_cache_metrics(m, cache_before)
-                if kernel_before is not None and self._kernel is not None:
-                    self._book_kernel_metrics(m, kernel_before)
-            return outcomes
+        )
 
     def _search_batch_impl(
-        self,
-        keys: list[TernaryWord],
-        row_mask: np.ndarray | None = None,
-        workers: int = 0,
+        self, keys: list[TernaryWord], row_mask: np.ndarray | None = None
     ) -> list[SearchOutcome]:
         # Validate the whole batch before any key touches array state
-        # (search-line drive, caches, metrics), on every path.
+        # (search-line drive, caches, metrics).
+        packed = self._pack_batch(keys)
+        active = self._active_rows(row_mask)
+        faulty = self._fault_injection_active()
+        soa = self._soa_state()
+        if faulty:
+            return self._search_batch_faulty_kernel(keys, packed, active, soa)
+        return self._search_batch_kernel(packed, active, soa)
+
+    def _pack_batch(self, keys: list[TernaryWord]) -> np.ndarray:
+        """Stack a key batch, rejecting it whole on a width mismatch."""
         packed = pack_keys(keys)
         if packed.shape[1] != self.geometry.cols:
             raise TCAMError(
                 f"key width {packed.shape[1]} does not match array cols "
                 f"{self.geometry.cols}"
             )
-        if row_mask is None:
-            active = np.ones(self.geometry.rows, dtype=bool)
-        else:
-            active = np.asarray(row_mask, dtype=bool)
-            if active.shape != (self.geometry.rows,):
-                raise TCAMError(
-                    f"row_mask must have shape ({self.geometry.rows},), got {active.shape}"
-                )
+        return packed
 
-        faulty = self._fault_injection_active()
-        if self._kernel is not None:
-            # The compiled paths are a handful of fused numpy ops; the RK4
-            # fan-out that ``workers`` parallelizes does not exist there,
-            # so the batch runs in-process.
-            soa = self._soa_state()
-            if faulty:
-                return self._search_batch_faulty_kernel(keys, packed, active, soa)
-            return self._search_batch_kernel(packed, active, soa)
-        if faulty:
-            # Without the kernel a faulty batch is the per-key reference
-            # loop (sequential SL-toggle semantics, trivially identical
-            # for every worker count).
-            return [self._search_impl_faulty(key, active) for key in keys]
+    def _traced_batch(self, run: Callable[[], list], name: str, **attrs) -> list:
+        """Run one batch under its span and book search and kernel metrics.
 
-        miss_all = mismatch_counts_batch(self._stored, packed)
-        driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-        toggles = self._batch_toggles(packed)
-        e_toggle = self.estimator.sl_toggle_energy()
-
-        # Per-key class grouping (one np.unique per key, reused for the
-        # histogram), plus the distinct class set of the whole batch.
-        per_key: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        needed: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        with obs.span("array.class_dedup", n_keys=len(keys)) as sp:
-            for k in range(len(keys)):
-                unique, inverse = np.unique(miss_all[k], return_inverse=True)
-                counts_active = np.bincount(inverse[active], minlength=unique.size)
-                counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-                per_key.append((unique, counts_active, counts_valid))
-                driven = int(driven_all[k])
-                for n, c in zip(unique, counts_active):
-                    if c:
-                        pair = (int(n), driven)
-                        if pair not in seen:
-                            seen.add(pair)
-                            if self._ml_cache.get(self._class_cache_key(pair)) is None:
-                                needed.append(pair)
-            if sp is not None:
-                sp.annotate(distinct_classes=len(seen), to_integrate=len(needed))
-
-        if resolve_workers(workers) > 1:
-            return self._finish_batch_parallel(
-                per_key, needed, miss_all, driven_all, toggles, e_toggle, active, workers
-            )
-
-        self._fill_class_cache(needed)
-
-        outcomes: list[SearchOutcome] = []
-        for k, (unique, counts_active, counts_valid) in enumerate(per_key):
-            ledger = EnergyLedger()
-            ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-            driven = int(driven_all[k])
-            class_results = {
-                int(n): self._cached_class(int(n), driven)
-                for n, c in zip(unique, counts_active)
-                if c
-            }
-            outcomes.append(
-                self._assemble_outcome(
-                    ledger,
-                    miss_all[k],
-                    active,
-                    unique,
-                    counts_active,
-                    counts_valid,
-                    class_results,
-                )
-            )
-        return outcomes
-
-    def _finish_batch_parallel(
-        self,
-        per_key: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        needed: list[tuple[int, int]],
-        miss_all: np.ndarray,
-        driven_all: np.ndarray,
-        toggles: np.ndarray,
-        e_toggle: float,
-        active: np.ndarray,
-        workers: int,
-    ) -> list[SearchOutcome]:
-        """Parallel tail of :meth:`_search_batch_impl`.
-
-        The real trajectory cache stays parent-owned: missing classes are
-        integrated by pure workers (chunk bounds depend only on the class
-        count) and installed here in :meth:`_fill_class_cache` order, and
-        the per-key class fetches below run in serial key order -- so the
-        cache's LRU state and hit/miss counters match a serial run
-        exactly.  Only side-effect-free work crosses the process boundary,
-        and the bulk of it (mismatch matrix, dense per-class counts,
-        toggle/driven vectors) crosses once via shared memory; each chunk
-        pickles only the array model, its class results and key bounds.
+        Kernel counters are delta-synced into the registry once per
+        batch rather than per lookup, keeping the hot path free of
+        registry calls.
         """
-        if needed:
-            bounds = chunk_bounds(len(needed), default_chunk_size(len(needed)))
-            results = scatter_gather(
-                _integrate_class_chunk,
-                [(self, needed[lo:hi]) for lo, hi in bounds],
-                workers=workers,
-                span_prefix="array.integrate",
-            )
-            for (lo, hi), chunk in zip(bounds, results):
-                for pair, result in zip(needed[lo:hi], chunk):
-                    self._ml_cache.put(self._class_cache_key(pair), result)
-
-        # Serial-key-order cache fetches (cache counter/LRU semantics),
-        # then densify the per-key class counts so the per-chunk payload
-        # no longer carries per-key arrays.
-        n_keys = len(per_key)
-        cols = self.geometry.cols
-        per_key_classes: list[dict[tuple[int, int], object]] = []
-        dense_active = np.zeros((n_keys, cols + 1), dtype=np.int64)
-        dense_valid = np.zeros((n_keys, cols + 1), dtype=np.int64)
-        for k, (unique, counts_active, counts_valid) in enumerate(per_key):
-            driven = int(driven_all[k])
-            per_key_classes.append(
-                {
-                    (int(n), driven): self._cached_class(int(n), driven)
-                    for n, c in zip(unique, counts_active)
-                    if c
-                }
-            )
-            dense_active[k, unique] = counts_active
-            dense_valid[k, unique] = counts_valid
-
-        metas = []
-        for lo, hi in chunk_bounds(n_keys, default_chunk_size(n_keys)):
-            class_results: dict[tuple[int, int], object] = {}
-            for k in range(lo, hi):
-                class_results.update(per_key_classes[k])
-            metas.append((self, e_toggle, class_results, lo, hi))
-        chunks = scatter_gather_shared(
-            _assemble_chunk_shared,
-            {
-                "miss": miss_all,
-                "counts_active": dense_active,
-                "counts_valid": dense_valid,
-                "toggles": toggles,
-                "driven": driven_all,
-                "active": active,
-            },
-            metas,
-            workers=workers,
-            span_prefix="array.assemble",
-        )
-        return [outcome for chunk in chunks for outcome in chunk]
+        with obs.span(
+            name, rows=self.geometry.rows, cols=self.geometry.cols, **attrs
+        ) as sp:
+            m = obs.metrics()
+            eng = self.kernel
+            before = (eng.table_hits, eng.rk4_fallbacks)
+            outcomes = run()
+            if sp is not None:
+                ledger = EnergyLedger.sum(o.energy for o in outcomes)
+                sp.add_energy(ledger)
+                self._book_batch_metrics(len(outcomes), ledger)
+            if m is not None:
+                after = (eng.table_hits, eng.rk4_fallbacks)
+                for counter, prev, now in zip(
+                    ("kernels.table_hits", "kernels.rk4_fallbacks"), before, after
+                ):
+                    m.counter(counter).inc(now - prev)
+            return outcomes
 
     # -- observability booking -------------------------------------------------
 
@@ -1298,120 +1084,20 @@ class TCAMArray:
         for component, joules in ledger:
             m.counter("energy." + component).inc(joules)
 
-    def _cache_counters(self) -> tuple[int, int, int]:
-        """Trajectory-cache (hits, misses, evictions) snapshot."""
-        cache = self._ml_cache
-        return (cache.hits, cache.misses, cache.evictions)
-
-    def _book_cache_metrics(self, m, before: tuple[int, int, int]) -> None:
-        """Delta-sync cache counters accrued since the ``before`` snapshot.
-
-        Per-lookup counting would sit on the batch engine's hottest loop,
-        so the cache itself only keeps plain integer attributes and the
-        registry is reconciled once per batch here.
-        """
-        after = self._cache_counters()
-        for name, prev, now in zip(
-            ("mlcache.hits", "mlcache.misses", "mlcache.evictions"), before, after
-        ):
-            m.counter(name).inc(now - prev)
-
-    # -- trajectory cache ------------------------------------------------------
-
-    @property
-    def ml_cache(self) -> TrajectoryCache:
-        """The match-line trajectory cache (inspection/diagnostics)."""
-        return self._ml_cache
-
-    def ml_cache_stats(self) -> dict[str, float]:
-        """Hit/miss/invalidation counters of the trajectory cache."""
-        return self._ml_cache.stats()
-
-    def _class_cache_key(self, pair: tuple[int, int]) -> tuple:
-        """Cache key of one mismatch class under the current configuration.
-
-        The electrical knobs (precharge target / race trip point and the
-        evaluation window) are part of the key, so a configuration change
-        can never alias into a stale entry even before the write-path
-        flush runs.
-        """
-        n_miss, driven = pair
-        if self.sensing == "precharge":
-            return ("pre", n_miss, driven, self.precharge.target_voltage(), self.t_eval)
-        return ("race", n_miss, driven, self.race_amp.v_trip, self.t_eval)
-
-    def _fill_class_cache(self, pairs: list[tuple[int, int]]) -> None:
-        """Compute and cache the given classes, one stacked pass when possible."""
-        if not pairs:
-            return
-        with obs.span("array.integrate", n_classes=len(pairs), sensing=self.sensing):
-            if self.sensing == "precharge":
-                v_ends = self._ml_voltages_after_eval(pairs)
-                for pair, v_end in zip(pairs, v_ends):
-                    self._ml_cache.put(
-                        self._class_cache_key(pair), self._precharge_class_from_v_end(v_end)
-                    )
-            else:
-                for pair in pairs:
-                    self._ml_cache.put(
-                        self._class_cache_key(pair), self._race_class(pair[0], pair[1])
-                    )
-
-    def _cached_class(
-        self, n_miss: int, driven_cols: int
-    ) -> _PrechargeClassResult | _RaceClassResult:
-        """Cache lookup with a compute-on-miss fallback (LRU may evict
-        a just-filled class when a batch carries more distinct classes
-        than the cache bound)."""
-        key = self._class_cache_key((n_miss, driven_cols))
-        result = self._ml_cache.get(key)
-        if result is None:
-            if self.sensing == "precharge":
-                result = self._precharge_class(n_miss, driven_cols)
-            else:
-                result = self._race_class(n_miss, driven_cols)
-            self._ml_cache.put(key, result)
-        return result
-
     # -- compiled kernel -------------------------------------------------------
-
-    def enable_kernel(self, *, max_driven: int | None = None):
-        """Compile and attach the kernel search path (see :mod:`repro.kernels`).
-
-        Once enabled, :meth:`search_batch` answers mismatch classes from
-        tabulated discharge endpoints (validated against the RK4
-        reference) and assembles outcomes through fused numpy gathers,
-        and the distance APIs (:meth:`nearest_match_batch`,
-        :meth:`threshold_match_batch`, :meth:`topk_match_batch`) run on
-        the fused distance kernel; results stay bit-identical to the
-        legacy paths.  With a non-empty fault map attached,
-        :meth:`search_batch` runs the fault-aware kernel
-        (:meth:`_search_batch_faulty_kernel`), bit-identical to the
-        per-key faulty reference.  Keys driving more than ``max_driven``
-        columns fall back to the RK4 reference per key.  The scalar
-        :meth:`search` always keeps the reference path.
-
-        Args:
-            max_driven: Largest tabulated ``driven_cols`` (defaults to
-                the array width, i.e. no fallback ever triggers).
-
-        Returns:
-            The attached :class:`~repro.kernels.KernelEngine`.
-        """
-        from ..kernels import KernelEngine
-
-        self._kernel = KernelEngine(self, max_driven=max_driven)
-        self._soa = None
-        return self._kernel
-
-    def disable_kernel(self) -> None:
-        """Detach the kernel; ``search_batch`` reverts to the legacy path."""
-        self._kernel = None
-        self._soa = None
 
     @property
     def kernel(self):
-        """The attached :class:`~repro.kernels.KernelEngine`, or ``None``."""
+        """The compiled :class:`~repro.kernels.KernelEngine`, built on first use.
+
+        Its class tables depend only on the electrical configuration, so
+        one engine serves the array for its lifetime; rows compile
+        lazily (or eagerly via :meth:`~repro.kernels.KernelEngine.precompute`).
+        """
+        if self._kernel is None:
+            from ..kernels import KernelEngine
+
+            self._kernel = KernelEngine(self)
         return self._kernel
 
     def _soa_state(self):
@@ -1430,47 +1116,6 @@ class TCAMArray:
             self._soa = soa
         return soa
 
-    def _book_kernel_metrics(self, m, before: tuple[int, int]) -> None:
-        """Delta-sync kernel counters accrued since ``before`` (cf.
-        :meth:`_book_cache_metrics`)."""
-        eng = self._kernel
-        after = (eng.table_hits, eng.rk4_fallbacks)
-        for name, prev, now in zip(
-            ("kernels.table_hits", "kernels.rk4_fallbacks"), before, after
-        ):
-            m.counter(name).inc(now - prev)
-
-    def _assemble_key_legacy(
-        self,
-        miss: np.ndarray,
-        driven: int,
-        n_toggles: int,
-        e_toggle: float,
-        active: np.ndarray,
-    ) -> tuple[SearchOutcome, int]:
-        """Reference-path assembly of one key (kernel out-of-grid fallback).
-
-        Byte-for-byte the serial batch loop body: class grouping by
-        ``np.unique``, class results through the trajectory cache (RK4
-        on miss) and :meth:`_assemble_outcome`.  Returns the outcome and
-        the number of classes served, which the caller books as RK4
-        fallbacks.
-        """
-        unique, inverse = np.unique(miss, return_inverse=True)
-        counts_active = np.bincount(inverse[active], minlength=unique.size)
-        counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-        ledger = EnergyLedger()
-        ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
-        class_results = {
-            int(n): self._cached_class(int(n), driven)
-            for n, c in zip(unique, counts_active)
-            if c
-        }
-        outcome = self._assemble_outcome(
-            ledger, miss, active, unique, counts_active, counts_valid, class_results
-        )
-        return outcome, len(class_results)
-
     def _search_batch_kernel(
         self, packed: np.ndarray, active: np.ndarray, soa
     ) -> list[SearchOutcome]:
@@ -1480,13 +1125,15 @@ class TCAMArray:
         accumulation), per-(key, class) row counts from one offset
         bincount per row subset, and per-class sensing quantities from
         the compiled tables by fancy indexing.  Per-key ledger sums use
-        ``np.add.reduceat`` / ``np.maximum.reduceat``, whose strictly
-        left-to-right in-segment accumulation reproduces the legacy
-        per-class ``ledger.add`` loop bit for bit (classes appear in
-        ascending ``n_miss`` order in both).  Keys driving more columns
-        than the tabulated grid take :meth:`_assemble_key_legacy`.
+        :func:`~repro.kernels.sequential_segment_sum` /
+        ``np.maximum.reduceat``, whose strictly left-to-right in-segment
+        accumulation reproduces the reference per-class ``ledger.add``
+        loop bit for bit (classes appear in ascending ``n_miss`` order in
+        both).  Keys driving more columns than the tabulated grid take
+        the reference body (:meth:`_search_key`), booked as RK4
+        fallbacks.
         """
-        eng = self._kernel
+        eng = self.kernel
         rows, cols = self.geometry.rows, self.geometry.cols
         n_keys = packed.shape[0]
         with obs.span(
@@ -1501,7 +1148,7 @@ class TCAMArray:
             sl_delay = self.sl_settle_delay
             enc_energy = self.estimator.encode_energy()
             enc_delay = self.encoder.delay
-            # Exactly the legacy leakage expression sans the trailing
+            # Exactly the reference leakage expression sans the trailing
             # ``* cycle_time`` factor (left-associative, so the prefix
             # product is a common subexpression).
             k_leak = self.estimator.leakage_power(self.vdd)
@@ -1548,13 +1195,11 @@ class TCAMArray:
             # Out-of-grid keys: reference path, booked as RK4 fallbacks.
             in_grid = driven_all <= eng.max_driven
             fallback_idx = np.flatnonzero(~in_grid)
-            for k in fallback_idx:
-                k = int(k)
-                outcome, n_served = self._assemble_key_legacy(
-                    miss_all[k], int(driven_all[k]), int(toggles[k]), e_toggle, active
-                )
-                eng.rk4_fallbacks += n_served
-                outcomes[k] = outcome
+            for k in fallback_idx.tolist():
+                ledger = EnergyLedger()
+                ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
+                outcomes[k] = self._search_key(ledger, miss_all[k], int(driven_all[k]), active)
+                eng.rk4_fallbacks += np.unique(miss_all[k][active]).size
 
             from ..kernels import sequential_segment_sum
 
@@ -1667,7 +1312,7 @@ class TCAMArray:
         """
         from ..kernels.soa import key_planes
 
-        eng = self._kernel
+        eng = self.kernel
         fp = soa.faults
         rows, cols = self.geometry.rows, self.geometry.cols
         precharge = self.sensing == "precharge"
@@ -1880,14 +1525,21 @@ class TCAMArray:
     # -- search-line booking -------------------------------------------------
 
     def _book_searchline_energy(self, ledger: EnergyLedger, key: TernaryWord) -> None:
+        ledger.add(
+            EnergyComponent.SEARCHLINE,
+            self._key_toggles(key) * self.estimator.sl_toggle_energy(),
+        )
+
+    def _key_toggles(self, key: TernaryWord) -> int:
+        """Search-line toggles of driving ``key`` after the current drive
+        state, which ``key`` then becomes."""
         drive = drive_vector(key)
         if self._last_drive is None:
             previous = tuple(0 for _ in drive)
         else:
             previous = self._last_drive
-        toggles = count_toggles(previous, drive)
-        ledger.add(EnergyComponent.SEARCHLINE, toggles * self.estimator.sl_toggle_energy())
         self._last_drive = drive
+        return count_toggles(previous, drive)
 
     def _batch_toggles(self, packed: np.ndarray) -> np.ndarray:
         """Per-key search-line toggle counts for a stacked key batch.
@@ -2005,9 +1657,9 @@ class TCAMArray:
     ) -> SearchOutcome:
         """Book per-class energies and build the outcome for one search.
 
-        Shared verbatim by the scalar and batched paths: the only
-        difference between them is where ``class_results`` comes from
-        (direct computation vs the trajectory cache).
+        Used by the scalar reference (:meth:`_search_key`), which
+        computes ``class_results`` directly; the kernel gathers the same
+        quantities from its compiled tables instead.
         """
         rows = self.geometry.rows
         physical = np.zeros(rows, dtype=bool)
@@ -2105,12 +1757,14 @@ class TCAMArray:
 
         Only supported for precharge-style sensing.
         """
+        self._require_precharge("nearest_match()")
+        self._require_no_faults("nearest_match()")
         with obs.span(
             "array.nearest_match",
             rows=self.geometry.rows,
             cols=self.geometry.cols,
         ) as sp:
-            outcome = self._nearest_match_impl(key)
+            outcome = self._nearest_key(*self._distance_key_state(key))
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
                 sp.annotate(row=outcome.row, distance=outcome.distance)
@@ -2118,141 +1772,48 @@ class TCAMArray:
                 self._book_batch_metrics(1, outcome.energy)
             return outcome
 
-    def _nearest_match_impl(self, key: TernaryWord) -> NearestMatchOutcome:
-        self._require_precharge("nearest_match()")
-        self._require_no_faults("nearest_match()")
-        if len(key) != self.geometry.cols:
-            raise TCAMError(
-                f"key width {len(key)} does not match array cols {self.geometry.cols}"
-            )
-        key_arr = key.as_array()
-        driven_cols = int(np.count_nonzero(key_arr != int(Trit.X)))
-        miss = mismatch_counts(self._stored, key_arr)
-
-        ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key)
-
-        valid_idx = np.flatnonzero(self._valid)
-        if valid_idx.size == 0:
-            return NearestMatchOutcome(None, 0, ledger, self.sl_settle_delay)
-        best_pos = int(valid_idx[np.argmin(miss[valid_idx])])
-        best_distance = int(miss[best_pos])
-
-        v_pre = self.precharge.target_voltage()
-        # Window: long enough for the runner-up distance class to cross.
-        runner_up = best_distance + 1
-        if runner_up <= driven_cols and runner_up > 0:
-            load = MatchLineLoad(
-                capacitance=self.c_ml,
-                n_miss=runner_up,
-                n_match=max(driven_cols - runner_up, 0),
-                i_pulldown=self.cell.i_pulldown,
-                i_leak=self.cell.i_leak,
-            )
-            t_window = MatchLine(load, v_pre, self.vdd).time_to(self.sense_amp.v_ref)
-            if not np.isfinite(t_window):
-                t_window = self.t_eval
-        else:
-            t_window = self.t_eval
-
-        # Every line with miss > best fully discharges; the winner class
-        # droops only.  Restore costs follow.
-        n_losers = int(np.count_nonzero(miss[valid_idx] > best_distance))
-        n_winners = int(valid_idx.size - n_losers)
-        ledger.add(
-            EnergyComponent.ML_PRECHARGE, self.estimator.ml_precharge_energy(0.0, n_losers)
-        )
-        ledger.add(
-            EnergyComponent.ML_DISSIPATION,
-            self.estimator.ml_dissipation_energy(0.0, n_losers),
-        )
-        if best_distance == 0:
-            v_winner = self._ml_voltage_after_eval(0, driven_cols, v_pre)
-        else:
-            v_winner = 0.0  # the winner itself also discharges, just last
-            ledger.add(
-                EnergyComponent.ML_DISSIPATION,
-                self.estimator.ml_dissipation_energy(0.0, n_winners),
-            )
-        ledger.add(
-            EnergyComponent.ML_PRECHARGE,
-            self.estimator.ml_precharge_energy(v_winner, n_winners),
-        )
-        ledger.add(
-            EnergyComponent.SENSE_AMP,
-            self.estimator.sense_idle_energy(valid_idx.size),
-        )
-        ledger.add(EnergyComponent.PRIORITY_ENCODER, self.estimator.encode_energy())
-
-        delay = self.sl_settle_delay + t_window + self.encoder.delay
-        ledger.add(EnergyComponent.LEAKAGE, self.standby_power() * delay)
-        return NearestMatchOutcome(best_pos, best_distance, ledger, delay)
-
     def nearest_match_batch(self, keys: Iterable[TernaryWord]) -> list[NearestMatchOutcome]:
-        """Best-match search over a batch, sharing per-class trajectory work.
+        """Best-match search over a batch on the fused distance kernel.
 
         Equivalent to ``[nearest_match(k) for k in keys]`` outcome by
-        outcome, with the winner-class droop voltages and runner-up
-        crossing windows served from the trajectory cache (one entry per
-        distinct ``(runner_up, driven_cols)`` pair across the batch).
-        Under :meth:`enable_kernel` the batch instead runs on the fused
-        distance kernel (one SoA matmul for the whole mismatch matrix,
-        windows/droops from the compiled tables), bit-identical to this
-        reference loop.
+        outcome: one SoA matmul yields the whole mismatch matrix, and the
+        windows and winner droops come from the compiled tables
+        (:meth:`_nearest_match_batch_kernel`).
         """
         self._require_precharge("nearest_match_batch()")
         self._require_no_faults("nearest_match_batch()")
         keys = list(keys)
         if not keys:
             return []
-        with obs.span(
+        return self._traced_batch(
+            lambda: self._nearest_match_batch_kernel(self._pack_batch(keys)),
             "array.nearest_match_batch",
-            rows=self.geometry.rows,
-            cols=self.geometry.cols,
             n_keys=len(keys),
-        ) as sp:
-            m = obs.metrics()
-            cache_before = self._cache_counters() if m is not None else None
-            kernel_before = (
-                (self._kernel.table_hits, self._kernel.rk4_fallbacks)
-                if m is not None and self._kernel is not None
-                else None
-            )
-            outcomes = self._nearest_match_batch_impl(keys)
-            if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
-                sp.add_energy(ledger)
-                self._book_batch_metrics(len(keys), ledger)
-            if m is not None:
-                self._book_cache_metrics(m, cache_before)
-                if kernel_before is not None and self._kernel is not None:
-                    self._book_kernel_metrics(m, kernel_before)
-            return outcomes
+        )
 
-    def _nearest_match_batch_impl(
-        self, keys: list[TernaryWord]
-    ) -> list[NearestMatchOutcome]:
-        packed = pack_keys(keys)
-        if packed.shape[1] != self.geometry.cols:
+    def _distance_key_state(
+        self, key: TernaryWord
+    ) -> tuple[np.ndarray, int, int, float, float, np.ndarray]:
+        """Inputs of the per-key distance references for one scalar call.
+
+        The key's mismatch vector, driven-column count and search-line
+        toggles (advancing the drive state), plus the toggle energy,
+        precharge target and valid rows -- the argument prefix of
+        :meth:`_nearest_key`, :meth:`_threshold_key` and :meth:`_topk_key`.
+        """
+        if len(key) != self.geometry.cols:
             raise TCAMError(
-                f"key width {packed.shape[1]} does not match array cols "
-                f"{self.geometry.cols}"
+                f"key width {len(key)} does not match array cols {self.geometry.cols}"
             )
-        if self._kernel is not None:
-            return self._nearest_match_batch_kernel(packed, self._soa_state())
-        miss_all = mismatch_counts_batch(self._stored, packed)
-        driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-        toggles = self._batch_toggles(packed)
-        e_toggle = self.estimator.sl_toggle_energy()
-
-        valid_idx = np.flatnonzero(self._valid)
-        v_pre = self.precharge.target_voltage()
-        return [
-            self._nearest_key(
-                miss_all[k], int(driven_all[k]), int(toggles[k]), e_toggle, v_pre, valid_idx
-            )
-            for k in range(len(keys))
-        ]
+        key_arr = key.as_array()
+        return (
+            mismatch_counts(self._stored, key_arr),
+            int(np.count_nonzero(key_arr != int(Trit.X))),
+            self._key_toggles(key),
+            self.estimator.sl_toggle_energy(),
+            self.precharge.target_voltage(),
+            np.flatnonzero(self._valid),
+        )
 
     def _nearest_key(
         self,
@@ -2263,7 +1824,7 @@ class TCAMArray:
         v_pre: float,
         valid_idx: np.ndarray,
     ) -> NearestMatchOutcome:
-        """Reference per-key best-match body (legacy loop and kernel fallback)."""
+        """Reference per-key best-match body (scalar API and kernel fallback)."""
         ledger = EnergyLedger()
         ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
         if valid_idx.size == 0:
@@ -2273,7 +1834,7 @@ class TCAMArray:
 
         runner_up = best_distance + 1
         if runner_up <= driven_cols and runner_up > 0:
-            t_window = self._nearest_window_cached(runner_up, driven_cols, v_pre)
+            t_window = self._nearest_window(runner_up, driven_cols, v_pre)
         else:
             t_window = self.t_eval
 
@@ -2288,7 +1849,7 @@ class TCAMArray:
             self.estimator.ml_dissipation_energy(0.0, n_losers),
         )
         if best_distance == 0:
-            v_winner = self._cached_class(0, driven_cols).v_end
+            v_winner = self._ml_voltage_after_eval(0, driven_cols, v_pre)
         else:
             v_winner = 0.0
             ledger.add(
@@ -2309,14 +1870,9 @@ class TCAMArray:
         ledger.add(EnergyComponent.LEAKAGE, self.standby_power() * delay)
         return NearestMatchOutcome(best_pos, best_distance, ledger, delay)
 
-    def _nearest_window_cached(
-        self, runner_up: int, driven_cols: int, v_pre: float
-    ) -> float:
-        """Runner-up crossing window, memoized per ``(runner_up, driven)``."""
-        key = ("nmw", runner_up, driven_cols, v_pre, self.sense_amp.v_ref)
-        cached = self._ml_cache.get(key)
-        if cached is not None:
-            return cached
+    def _nearest_window(self, runner_up: int, driven_cols: int, v_pre: float) -> float:
+        """Time for a ``runner_up``-mismatch line to cross the reference
+        (``t_eval`` when it never does)."""
         load = MatchLineLoad(
             capacitance=self.c_ml,
             n_miss=runner_up,
@@ -2327,7 +1883,6 @@ class TCAMArray:
         t_window = MatchLine(load, v_pre, self.vdd).time_to(self.sense_amp.v_ref)
         if not np.isfinite(t_window):
             t_window = self.t_eval
-        self._ml_cache.put(key, t_window)
         return t_window
 
     # -- tolerance (threshold) search ------------------------------------------
@@ -2348,14 +1903,14 @@ class TCAMArray:
         """
         self._require_precharge("threshold_match()")
         self._require_no_faults("threshold_match()")
-        self._check_max_distance(max_distance)
+        max_distance = _check_count(max_distance, "max_distance", 0)
         with obs.span(
             "array.threshold_match",
             rows=self.geometry.rows,
             cols=self.geometry.cols,
             max_distance=max_distance,
         ) as sp:
-            outcome = self._threshold_match_batch_impl([key], max_distance)[0]
+            outcome = self._threshold_key(*self._distance_key_state(key), max_distance)
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
                 sp.annotate(n_matches=outcome.n_matches)
@@ -2366,78 +1921,23 @@ class TCAMArray:
     def threshold_match_batch(
         self, keys: Iterable[TernaryWord], max_distance: int
     ) -> list[ThresholdMatchOutcome]:
-        """Tolerance search over a batch of keys.
+        """Tolerance search over a batch on the fused distance kernel.
 
         Equivalent to ``[threshold_match(k, max_distance) for k in keys]``
-        outcome by outcome.  Under :meth:`enable_kernel` the batch runs on
-        the fused distance kernel (one SoA matmul, windows and droop
-        voltages from the compiled tables), bit-identical to the
-        reference loop.
+        outcome by outcome (:meth:`_threshold_match_batch_kernel`).
         """
         self._require_precharge("threshold_match_batch()")
         self._require_no_faults("threshold_match_batch()")
-        self._check_max_distance(max_distance)
+        max_distance = _check_count(max_distance, "max_distance", 0)
         keys = list(keys)
         if not keys:
             return []
-        with obs.span(
+        return self._traced_batch(
+            lambda: self._threshold_match_batch_kernel(self._pack_batch(keys), max_distance),
             "array.threshold_match_batch",
-            rows=self.geometry.rows,
-            cols=self.geometry.cols,
             n_keys=len(keys),
             max_distance=max_distance,
-        ) as sp:
-            m = obs.metrics()
-            cache_before = self._cache_counters() if m is not None else None
-            kernel_before = (
-                (self._kernel.table_hits, self._kernel.rk4_fallbacks)
-                if m is not None and self._kernel is not None
-                else None
-            )
-            outcomes = self._threshold_match_batch_impl(keys, max_distance)
-            if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
-                sp.add_energy(ledger)
-                self._book_batch_metrics(len(keys), ledger)
-            if m is not None:
-                self._book_cache_metrics(m, cache_before)
-                if kernel_before is not None and self._kernel is not None:
-                    self._book_kernel_metrics(m, kernel_before)
-            return outcomes
-
-    def _check_max_distance(self, max_distance: int) -> None:
-        if max_distance < 0:
-            raise TCAMError(f"max_distance must be >= 0, got {max_distance}")
-
-    def _threshold_match_batch_impl(
-        self, keys: list[TernaryWord], max_distance: int
-    ) -> list[ThresholdMatchOutcome]:
-        packed = pack_keys(keys)
-        if packed.shape[1] != self.geometry.cols:
-            raise TCAMError(
-                f"key width {packed.shape[1]} does not match array cols "
-                f"{self.geometry.cols}"
-            )
-        if self._kernel is not None:
-            return self._threshold_match_batch_kernel(packed, self._soa_state(), max_distance)
-        miss_all = mismatch_counts_batch(self._stored, packed)
-        driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-        toggles = self._batch_toggles(packed)
-        e_toggle = self.estimator.sl_toggle_energy()
-        valid_idx = np.flatnonzero(self._valid)
-        v_pre = self.precharge.target_voltage()
-        return [
-            self._threshold_key(
-                miss_all[k],
-                int(driven_all[k]),
-                int(toggles[k]),
-                e_toggle,
-                v_pre,
-                valid_idx,
-                max_distance,
-            )
-            for k in range(len(keys))
-        ]
+        )
 
     def _threshold_key(
         self,
@@ -2449,7 +1949,7 @@ class TCAMArray:
         valid_idx: np.ndarray,
         max_distance: int,
     ) -> ThresholdMatchOutcome:
-        """Reference per-key tolerance-search body (legacy loop and kernel fallback)."""
+        """Reference per-key tolerance-search body (scalar API and kernel fallback)."""
         rows = self.geometry.rows
         ledger = EnergyLedger()
         ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
@@ -2472,7 +1972,7 @@ class TCAMArray:
         # Strobe window: the first excluded class must cross the reference.
         cut = max_distance + 1
         if 0 < cut <= driven_cols:
-            t_window = self._nearest_window_cached(cut, driven_cols, v_pre)
+            t_window = self._nearest_window(cut, driven_cols, v_pre)
         else:
             t_window = self.t_eval
 
@@ -2492,7 +1992,7 @@ class TCAMArray:
         e_diss = 0.0
         classes, counts = np.unique(miss_v[within], return_counts=True)
         for n, c in zip(classes, counts):
-            r = self._cached_class(int(n), driven_cols)
+            r = self._precharge_class(int(n), driven_cols)
             e_pre += float(c) * r.e_restore
             e_diss += float(c) * r.e_diss
         ledger.add(EnergyComponent.ML_PRECHARGE, e_pre)
@@ -2527,14 +2027,14 @@ class TCAMArray:
         """
         self._require_precharge("topk_match()")
         self._require_no_faults("topk_match()")
-        self._check_k(k)
+        k = _check_count(k, "k", 1)
         with obs.span(
             "array.topk_match",
             rows=self.geometry.rows,
             cols=self.geometry.cols,
             k=k,
         ) as sp:
-            outcome = self._topk_match_batch_impl([key], k)[0]
+            outcome = self._topk_key(*self._distance_key_state(key), k)
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
                 sp.annotate(n_returned=len(outcome.rows))
@@ -2543,70 +2043,23 @@ class TCAMArray:
             return outcome
 
     def topk_match_batch(self, keys: Iterable[TernaryWord], k: int) -> list[TopKMatchOutcome]:
-        """k-nearest search over a batch of keys.
+        """k-nearest search over a batch on the fused distance kernel.
 
         Equivalent to ``[topk_match(key, k) for key in keys]`` outcome by
-        outcome.  Under :meth:`enable_kernel` the batch runs on the fused
-        distance kernel, bit-identical to the reference loop.
+        outcome (:meth:`_topk_match_batch_kernel`).
         """
         self._require_precharge("topk_match_batch()")
         self._require_no_faults("topk_match_batch()")
-        self._check_k(k)
+        k = _check_count(k, "k", 1)
         keys = list(keys)
         if not keys:
             return []
-        with obs.span(
+        return self._traced_batch(
+            lambda: self._topk_match_batch_kernel(self._pack_batch(keys), k),
             "array.topk_match_batch",
-            rows=self.geometry.rows,
-            cols=self.geometry.cols,
             n_keys=len(keys),
             k=k,
-        ) as sp:
-            m = obs.metrics()
-            cache_before = self._cache_counters() if m is not None else None
-            kernel_before = (
-                (self._kernel.table_hits, self._kernel.rk4_fallbacks)
-                if m is not None and self._kernel is not None
-                else None
-            )
-            outcomes = self._topk_match_batch_impl(keys, k)
-            if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
-                sp.add_energy(ledger)
-                self._book_batch_metrics(len(keys), ledger)
-            if m is not None:
-                self._book_cache_metrics(m, cache_before)
-                if kernel_before is not None and self._kernel is not None:
-                    self._book_kernel_metrics(m, kernel_before)
-            return outcomes
-
-    def _check_k(self, k: int) -> None:
-        if k < 1:
-            raise TCAMError(f"k must be >= 1, got {k}")
-
-    def _topk_match_batch_impl(
-        self, keys: list[TernaryWord], k: int
-    ) -> list[TopKMatchOutcome]:
-        packed = pack_keys(keys)
-        if packed.shape[1] != self.geometry.cols:
-            raise TCAMError(
-                f"key width {packed.shape[1]} does not match array cols "
-                f"{self.geometry.cols}"
-            )
-        if self._kernel is not None:
-            return self._topk_match_batch_kernel(packed, self._soa_state(), k)
-        miss_all = mismatch_counts_batch(self._stored, packed)
-        driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-        toggles = self._batch_toggles(packed)
-        e_toggle = self.estimator.sl_toggle_energy()
-        valid_idx = np.flatnonzero(self._valid)
-        v_pre = self.precharge.target_voltage()
-        return [
-            self._topk_key(
-                miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle, v_pre, valid_idx, k
-            )
-            for q in range(len(keys))
-        ]
+        )
 
     def _topk_key(
         self,
@@ -2618,7 +2071,7 @@ class TCAMArray:
         valid_idx: np.ndarray,
         k: int,
     ) -> TopKMatchOutcome:
-        """Reference per-key top-k body (legacy loop and kernel fallback)."""
+        """Reference per-key top-k body (scalar API and kernel fallback)."""
         ledger = EnergyLedger()
         ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
         if valid_idx.size == 0:
@@ -2633,7 +2086,7 @@ class TCAMArray:
         # Strobe window: the class one past the k-th winner must cross.
         cut = d_k + 1
         if 0 < cut <= driven_cols:
-            t_window = self._nearest_window_cached(cut, driven_cols, v_pre)
+            t_window = self._nearest_window(cut, driven_cols, v_pre)
         else:
             t_window = self.t_eval
 
@@ -2653,7 +2106,7 @@ class TCAMArray:
         e_diss = 0.0
         classes, counts = np.unique(miss_v[survivors], return_counts=True)
         for n, c in zip(classes, counts):
-            r = self._cached_class(int(n), driven_cols)
+            r = self._precharge_class(int(n), driven_cols)
             e_pre += float(c) * r.e_restore
             e_diss += float(c) * r.e_diss
         ledger.add(EnergyComponent.ML_PRECHARGE, e_pre)
@@ -2678,7 +2131,7 @@ class TCAMArray:
 
     # -- fused distance kernel tails -------------------------------------------
 
-    def _distance_kernel_prologue(self, packed: np.ndarray, soa):
+    def _distance_kernel_prologue(self, packed: np.ndarray):
         """Shared front half of the distance-kernel tails.
 
         One SoA matmul for the full ``(n_keys, rows)`` mismatch matrix
@@ -2686,7 +2139,7 @@ class TCAMArray:
         driven counts, sequential search-line toggle chain and the
         constant per-batch estimator values.
         """
-        miss_all = soa.mismatch_counts(packed)
+        miss_all = self._soa_state().mismatch_counts(packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
         toggles = self._batch_toggles(packed)
         e_toggle = self.estimator.sl_toggle_energy()
@@ -2708,15 +2161,13 @@ class TCAMArray:
             [est.ml_dissipation_energy(0.0, n) for n in range(n_max + 1)]
         )
 
-    def _nearest_match_batch_kernel(
-        self, packed: np.ndarray, soa
-    ) -> list[NearestMatchOutcome]:
-        """Kernel tail of :meth:`_nearest_match_batch_impl`.
+    def _nearest_match_batch_kernel(self, packed: np.ndarray) -> list[NearestMatchOutcome]:
+        """Kernel tail of :meth:`nearest_match_batch`.
 
         Winner/runner-up partitioning is vectorized over the whole
         mismatch matrix; evaluation windows come from the engine's
         crossing-time tables (:meth:`~repro.kernels.KernelEngine.window_row`,
-        the same floats :meth:`_nearest_window_cached` computes) and the
+        the same floats :meth:`_nearest_window` computes) and the
         winner droop voltages from the compiled waveform tables.  The
         per-key ledgers repeat the reference adds in the reference order,
         with the estimator's count-scaled terms memoized per distinct
@@ -2724,11 +2175,11 @@ class TCAMArray:
         columns than the tabulated grid take the reference body per key
         and book RK4 fallbacks.
         """
-        eng = self._kernel
+        eng = self.kernel
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="nearest", n_keys=n_keys) as sp:
             (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed, soa)
+                self._distance_kernel_prologue(packed)
             )
             outcomes: list[NearestMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:
@@ -2844,20 +2295,20 @@ class TCAMArray:
         ).reshape(n_keys, n_classes)
 
     def _threshold_match_batch_kernel(
-        self, packed: np.ndarray, soa, max_distance: int
+        self, packed: np.ndarray, max_distance: int
     ) -> list[ThresholdMatchOutcome]:
-        """Kernel tail of :meth:`_threshold_match_batch_impl` (cf.
+        """Kernel tail of :meth:`threshold_match_batch` (cf.
         :meth:`_nearest_match_batch_kernel`); accepted-class restore and
         dissipation come from the compiled tables through segmented
         left-to-right sums, reproducing the reference accumulation."""
         from ..kernels import sequential_segment_sum
 
-        eng = self._kernel
+        eng = self.kernel
         rows = self.geometry.rows
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="threshold", n_keys=n_keys) as sp:
             (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed, soa)
+                self._distance_kernel_prologue(packed)
             )
             outcomes: list[ThresholdMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:
@@ -2948,10 +2399,8 @@ class TCAMArray:
                 sp.annotate(fallback_keys=int(np.count_nonzero(~in_grid)))
             return outcomes
 
-    def _topk_match_batch_kernel(
-        self, packed: np.ndarray, soa, k: int
-    ) -> list[TopKMatchOutcome]:
-        """Kernel tail of :meth:`_topk_match_batch_impl`.
+    def _topk_match_batch_kernel(self, packed: np.ndarray, k: int) -> list[TopKMatchOutcome]:
+        """Kernel tail of :meth:`topk_match_batch`.
 
         Selection runs on a composite ``miss * n_valid + position`` key,
         which reproduces the reference's stable-sort tie-breaking
@@ -2959,11 +2408,11 @@ class TCAMArray:
         """
         from ..kernels import sequential_segment_sum
 
-        eng = self._kernel
+        eng = self.kernel
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="topk", n_keys=n_keys) as sp:
             (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed, soa)
+                self._distance_kernel_prologue(packed)
             )
             outcomes: list[TopKMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:

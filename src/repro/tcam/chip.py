@@ -43,7 +43,7 @@ def _search_bank_chunk_shared(views, meta):
     returned, mutated copy back in) or against the real bank under the
     in-process serial fallback -- either way the bank object that ends up
     in ``chip.banks`` saw exactly this key sequence once, so its
-    search-line drive state and trajectory cache advance as a serial
+    search-line drive state and kernel counters advance as a serial
     run's would.
     """
     bank_idx, bank, idxs = meta
@@ -323,7 +323,7 @@ class TCAMChip:
         wake / idle-leak / gating state machine is stepped through the
         keys in order before any bank is searched).  Keys routed to the
         same bank stay in their original relative order, so each bank's
-        search-line toggle chain and trajectory cache evolve exactly as
+        search-line toggle chain and kernel counters evolve exactly as
         in the serial loop -- which is what makes bank-sharding safe.
         With ``workers > 1`` each bank's subsequence runs in a worker
         process on a copy of the bank; the mutated copies are swapped

@@ -199,9 +199,10 @@ class RetrievalIndex:
             by the distance search APIs).
         bank_rows: Rows per bank (shard size).
         banks_per_chip: Banks tiled per chip.
-        use_kernel: Compile the distance kernel once and share its
-            tables across every bank.
         gating: Optional chip gating policy.
+
+    The distance kernel compiles once, on the first bank, and every
+    other bank adopts its tables.
     """
 
     def __init__(
@@ -211,7 +212,6 @@ class RetrievalIndex:
         design: str = "fefet2t",
         bank_rows: int = 256,
         banks_per_chip: int = 16,
-        use_kernel: bool = True,
         gating: GatingPolicy | None = None,
     ) -> None:
         signatures = np.asarray(signatures, dtype=np.int8)
@@ -245,15 +245,14 @@ class RetrievalIndex:
                 for _ in range(n_chips)
             ]
             self.load_energy = self._load(signatures)
-            if use_kernel:
-                donor = self._banks()[0].enable_kernel()
-                # Binary signatures drive every column, so the whole
-                # workload lives on one driven value; compile it eagerly
-                # and share the tables with every other bank.
-                donor.precompute([self.dims])
-                donor.window_row(self.dims)
-                for bank in self._banks()[1:]:
-                    bank.enable_kernel().adopt_tables(donor)
+            donor = self._banks()[0].kernel
+            # Binary signatures drive every column, so the whole workload
+            # lives on one driven value; compile it eagerly and share the
+            # tables with every other bank.
+            donor.precompute([self.dims])
+            donor.window_row(self.dims)
+            for bank in self._banks()[1:]:
+                bank.kernel.adopt_tables(donor)
 
     def _banks(self):
         return [bank for chip in self.chips for bank in chip.banks]
@@ -392,7 +391,6 @@ def run_retrieval(
     bank_rows: int = 256,
     banks_per_chip: int = 16,
     seed: int = 0,
-    use_kernel: bool = True,
 ) -> dict:
     """Build a corpus + index, sweep the tolerance, score the frontier.
 
@@ -413,7 +411,6 @@ def run_retrieval(
         design=design,
         bank_rows=bank_rows,
         banks_per_chip=banks_per_chip,
-        use_kernel=use_kernel,
     )
 
     rows, _dists, topk_stats = index.query_topk(queries, k)
@@ -446,7 +443,6 @@ def run_retrieval(
         "n_queries": int(n_queries),
         "k": int(k),
         "seed": int(seed),
-        "use_kernel": bool(use_kernel),
         "n_banks": index.n_banks,
         "n_chips": len(index.chips),
         "bank_rows": int(bank_rows),

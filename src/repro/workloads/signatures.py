@@ -190,8 +190,8 @@ class SignatureSet:
 
         All window positions go through :meth:`TCAMArray.search_batch` in
         one call; the sliding window revisits the same few mismatch
-        classes at every position, so nearly the whole scan is served
-        from the trajectory cache.
+        classes at every position, all answered from the compiled
+        kernel's class tables.
         """
         if not payload:
             return [], 0.0

@@ -52,14 +52,17 @@ def _fabric(table, n_chips, policy, **kw):
 
 @pytest.mark.parametrize("policy", DISTRIBUTOR_POLICIES)
 @pytest.mark.parametrize("n_chips", [1, 4])
-@pytest.mark.parametrize("use_kernel", [False, True])
+@pytest.mark.parametrize("scalar_reference", [False, True])
 class TestWinnerEquivalence:
     def test_winner_matches_reference(
-        self, table, keys, policy, n_chips, use_kernel
+        self, table, keys, policy, n_chips, scalar_reference
     ):
-        ref = build_reference_chip(table, use_kernel=use_kernel)
-        ref_out = ref.search_batch(keys, banks=0)
-        fabric = _fabric(table, n_chips, policy, use_kernel=use_kernel)
+        ref = build_reference_chip(table)
+        if scalar_reference:
+            ref_out = [ref.search(k, bank=0) for k in keys]
+        else:
+            ref_out = ref.search_batch(keys, banks=0)
+        fabric = _fabric(table, n_chips, policy)
         out = fabric.search_batch(keys)
         for i, (r, f) in enumerate(zip(ref_out, out)):
             assert f.rule == r.first_match, f"key {i} winner diverged"

@@ -1,8 +1,8 @@
 """Distance kernel bit-identity: nearest / threshold / top-k batch APIs.
 
-Under ``enable_kernel()`` the three distance-mode batch searches run on
-the fused distance kernel (one SoA matmul for the whole mismatch
-matrix, windows and droop voltages gathered from the compiled tables).
+The three distance-mode batch searches run on the fused distance kernel
+(one SoA matmul for the whole mismatch matrix, windows and droop
+voltages gathered from the compiled tables).
 Nothing may change: winner rows, distances, masks, delays, and every
 per-component ledger float -- *including the booking order* -- must
 equal the scalar reference loop exactly.
@@ -17,6 +17,7 @@ from repro import obs
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError, TCAMError
 from repro.faults.faultmap import FaultMap
+from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry
 from repro.tcam.trit import random_word
 
@@ -24,7 +25,7 @@ PRECHARGE = [spec.name for spec in all_designs() if spec.sensing == "precharge"]
 
 
 def _loaded_pair(design_name, rows=16, cols=24, seed=7, x_fraction=0.2):
-    """Two identically-written arrays; the second runs the kernel."""
+    """Two identically-written arrays: scalar reference, kernel batch."""
     spec = get_design(design_name)
     geo = ArrayGeometry(rows=rows, cols=cols)
     a = build_array(spec, geo)
@@ -34,7 +35,6 @@ def _loaded_pair(design_name, rows=16, cols=24, seed=7, x_fraction=0.2):
     for i, w in enumerate(words):
         a.write(i, w)
         b.write(i, w)
-    b.enable_kernel()
     return a, b
 
 
@@ -69,24 +69,12 @@ class TestNearestBatchKernel:
         assert b.kernel.table_hits > 0
         assert b.kernel.rk4_fallbacks == 0
 
-    @pytest.mark.parametrize("design", PRECHARGE)
-    def test_bit_identical_to_legacy_batch(self, design):
-        a, b = _loaded_pair(design)
-        keys = _keys(24, 16, seed=17)
-        legacy = a.nearest_match_batch(keys)
-        kernel = b.nearest_match_batch(keys)
-        for s, x in zip(legacy, kernel):
-            assert s.row == x.row
-            assert s.distance == x.distance
-            assert s.search_delay == x.search_delay
-            _assert_ledger_identical(s, x)
-
     def test_fallback_mix(self):
         """Keys past the compiled grid fall back per key, still exactly."""
         a, b = _loaded_pair("fefet2t")
         keys = _keys(24, 20, seed=23, x_fraction=0.4)
         drivens = sorted(sum(1 for t in k if int(t) != 2) for k in keys)
-        b.enable_kernel(max_driven=drivens[len(drivens) // 2])
+        b._kernel = KernelEngine(b, max_driven=drivens[len(drivens) // 2])
         scalar = [a.nearest_match(k) for k in keys]
         kernel = b.nearest_match_batch(keys)
         for s, x in zip(scalar, kernel):
@@ -124,17 +112,6 @@ class TestThresholdBatchKernel:
             assert s.search_delay == x.search_delay
             _assert_ledger_identical(s, x)
         assert b.kernel.table_hits > 0
-
-    def test_bit_identical_to_legacy_batch(self):
-        a, b = _loaded_pair("fefet2t")
-        keys = _keys(24, 12, seed=29)
-        legacy = a.threshold_match_batch(keys, 3)
-        kernel = b.threshold_match_batch(keys, 3)
-        for s, x in zip(legacy, kernel):
-            assert np.array_equal(s.match_mask, x.match_mask)
-            assert s.first_match == x.first_match
-            assert s.search_delay == x.search_delay
-            _assert_ledger_identical(s, x)
 
 
 class TestTopKBatchKernel:
@@ -174,7 +151,7 @@ class TestWindowTables:
             assert row.shape == (driven + 1,)
             assert row[0] == b.t_eval
             for n in range(1, driven + 1):
-                assert row[n] == b._nearest_window_cached(n, driven, v_pre)
+                assert row[n] == b._nearest_window(n, driven, v_pre)
 
     def test_window_row_is_read_only_and_guarded(self):
         _, b = _loaded_pair("fefet2t")
@@ -186,7 +163,7 @@ class TestWindowTables:
 
     def test_current_race_has_no_window_tables(self):
         a = build_array(get_design("fefet_cr"), ArrayGeometry(rows=4, cols=8))
-        eng = a.enable_kernel()
+        eng = a.kernel
         with pytest.raises(KernelError):
             eng.window_row(4)
 
@@ -216,6 +193,39 @@ class TestGuards:
             b.topk_match_batch([key], 2)
 
 
+class TestCountArguments:
+    """``k`` / ``max_distance`` accept Python and NumPy integers only."""
+
+    CALLS = {
+        "threshold_match": lambda a, key, v: a.threshold_match(key, v),
+        "threshold_match_batch": lambda a, key, v: a.threshold_match_batch([key], v),
+        "topk_match": lambda a, key, v: a.topk_match(key, v),
+        "topk_match_batch": lambda a, key, v: a.topk_match_batch([key], v),
+    }
+
+    @pytest.mark.parametrize("api", sorted(CALLS))
+    @pytest.mark.parametrize(
+        "value", [1.5, 2.0, float("nan"), np.float64(2.0), "2", None, True, -1]
+    )
+    def test_bad_values_raise_typed_errors(self, api, value):
+        _, b = _loaded_pair("fefet2t")
+        key = random_word(24, np.random.default_rng(0))
+        drive = b._last_drive
+        with pytest.raises(TCAMError):
+            self.CALLS[api](b, key, value)
+        assert b._last_drive == drive
+
+    @pytest.mark.parametrize("api", sorted(CALLS))
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int8(3)])
+    def test_numpy_integers_match_python_ints(self, api, value):
+        a, b = _loaded_pair("fefet2t")
+        key = random_word(24, np.random.default_rng(1))
+        ref, got = self.CALLS[api](a, key, 3), self.CALLS[api](b, key, value)
+        if api.endswith("_batch"):
+            (ref,), (got,) = ref, got
+        assert ref.to_dict() == got.to_dict()
+
+
 class TestAdoptTables:
     def _pair_of_engines(self):
         spec = get_design("fefet2t")
@@ -225,7 +235,7 @@ class TestAdoptTables:
         b = build_array(spec, geo)
         a.load([random_word(16, rng) for _ in range(8)])
         b.load([random_word(16, rng) for _ in range(8)])
-        return a, b, a.enable_kernel(), b.enable_kernel()
+        return a, b, a.kernel, b.kernel
 
     def test_tables_shared_by_reference(self):
         _, _, donor, adopter = self._pair_of_engines()
@@ -264,10 +274,10 @@ class TestAdoptTables:
         a = build_array(spec, ArrayGeometry(rows=8, cols=16))
         b = build_array(spec, ArrayGeometry(rows=8, cols=12))
         with pytest.raises(KernelError, match="electrically different"):
-            b.enable_kernel().adopt_tables(a.enable_kernel())
+            b.kernel.adopt_tables(a.kernel)
         c = build_array(get_design("cmos16t"), ArrayGeometry(rows=8, cols=16))
         with pytest.raises(KernelError, match="electrically different"):
-            c.enable_kernel().adopt_tables(a.kernel)
+            c.kernel.adopt_tables(a.kernel)
 
     def test_self_adoption_is_a_no_op(self):
         _, _, donor, _ = self._pair_of_engines()

@@ -1,7 +1,7 @@
 """Fault-aware kernel search: bit-identity with the per-key faulty reference.
 
-With a non-empty fault map attached and the kernel enabled,
-``search_batch`` runs the fault-aware kernel path.  It must return
+With a non-empty fault map attached, ``search_batch`` runs the
+fault-aware kernel path.  It must return
 exactly what calling the scalar ``search`` once per key returns (that
 goes through the per-key faulty reference): every ``SearchOutcome``
 field, every ledger item in booking order, the ``faults.*`` metric
@@ -20,6 +20,7 @@ from repro.core import build_array, get_design
 from repro.energy.accounting import EnergyLedger
 from repro.errors import TCAMError
 from repro.faults.faultmap import FaultKind, FaultMap
+from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry, HierarchicalBank, SegmentedBank, TCAMChip
 from repro.tcam.trit import TernaryWord, random_word
 
@@ -62,7 +63,7 @@ def _random_fault_map(rng, rows, cols, n_cells, n_dead, n_offset):
 
 
 def _twins(design, rows, cols, rng, x_fraction, n_words=None):
-    """A kernel-off reference array and a kernel-on array, same content."""
+    """A scalar reference array and a batch (kernel) array, same content."""
     geo = ArrayGeometry(rows=rows, cols=cols)
     ref, ker = build_array(get_design(design), geo), build_array(get_design(design), geo)
     n_words = rows if n_words is None else n_words
@@ -119,7 +120,7 @@ class TestFaultKernelEquivalence:
         fm = _random_fault_map(rng, rows, cols, sc["n_cells"], sc["n_dead"], sc["n_offset"])
         ref.attach_faults(fm.copy())
         ker.attach_faults(fm)
-        engine = ker.enable_kernel(max_driven=sc["max_driven"])
+        engine = ker._kernel = KernelEngine(ker, max_driven=sc["max_driven"])
         keys = [random_word(cols, rng, sc["key_x"]) for _ in range(sc["n_keys"])]
         mask = _mask(sc["mask"], rows, rng)
 
@@ -159,16 +160,15 @@ class TestFaultKernelEquivalence:
         fm.set_sa_offset(2, 0.05)
         ref.attach_faults(fm.copy())
         ker.attach_faults(fm)
-        engine = ker.enable_kernel()
+        engine = ker.kernel
         _assert_same([ref.search(k) for k in keys], ker.search_batch(keys))
         if design == "fefet2t":
             # An ulp of endpoint often rounds away in the energies, so also
             # check that every signature the kernel compiled is one the
-            # reference integrated (16 keys x 16 rows fit its LRU cache).
-            v_pre, t_eval = ref.precharge.target_voltage(), ref.t_eval
+            # reference integrated (its memo keeps every signature it saw).
             assert engine._fault_classes
             for sig in engine._fault_classes:
-                assert ("fpre", fm.version, sig, v_pre, t_eval) in ref.ml_cache
+                assert (fm.version, sig) in ref._fault_oracle
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_mutation_between_batches_and_detach(self, design):
@@ -178,7 +178,7 @@ class TestFaultKernelEquivalence:
         fm_ker = fm_ref.copy()
         ref.attach_faults(fm_ref)
         ker.attach_faults(fm_ker)
-        engine = ker.enable_kernel()
+        engine = ker.kernel
         keys = [random_word(16, rng, 0.15) for _ in range(20)]
         _assert_same([ref.search(k) for k in keys], ker.search_batch(keys))
 
@@ -201,21 +201,27 @@ class TestFaultKernelEquivalence:
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_workers_do_not_change_results(self, design):
+        """Faulted banks searched through the chip's process fan-out."""
         rng = np.random.default_rng(5)
-        a, b = _twins(design, 20, 12, rng, 0.25)
+        geo = ArrayGeometry(rows=10, cols=12)
+        chips = [TCAMChip(lambda: build_array(get_design(design), geo), n_banks=2)
+                 for _ in range(2)]
+        words = [random_word(12, rng, 0.25) for _ in range(20)]
         fm = _random_fault_map(rng, 20, 12, 20, 2, 3)
-        for arr in (a, b):
-            arr.attach_faults(fm.copy())
-            arr.enable_kernel()
+        for chip in chips:
+            chip.load(words)
+            chip.attach_faults(fm.copy())
         keys = [random_word(12, rng, 0.2) for _ in range(16)]
-        _assert_same(a.search_batch(keys, workers=0), b.search_batch(keys, workers=2))
+        banks = [i % 2 for i in range(16)]
+        serial = chips[0].search_batch(keys, banks, workers=0)
+        fanned = chips[1].search_batch(keys, banks, workers=2)
+        _assert_same([o.outcome for o in serial], [o.outcome for o in fanned])
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_span_sum_equals_ledger(self, design):
         rng = np.random.default_rng(7)
         _, ker = _twins(design, 20, 12, rng, 0.25)
         ker.attach_faults(_random_fault_map(rng, 20, 12, 20, 2, 3))
-        ker.enable_kernel()
         keys = [random_word(12, rng, 0.2) for _ in range(10)]
         with obs.observe() as sess:
             outcomes = ker.search_batch(keys)
@@ -227,7 +233,7 @@ class TestFaultKernelEquivalence:
 
 
 def _bank_pair(factory, rows, cols, rng):
-    ref, ker = factory(False), factory(True)
+    ref, ker = factory(), factory()
     for i in range(rows):
         word = random_word(cols, rng, 0.2)
         ref.write(i, word)
@@ -245,10 +251,8 @@ class TestFaultKernelComposites:
         geo = ArrayGeometry(rows=16, cols=16)
         rng = np.random.default_rng(11)
         factories = [
-            lambda k: SegmentedBank(spec.build_cell(), geo, 6, sensing=spec.sensing, use_kernel=k),
-            lambda k: HierarchicalBank(
-                spec.build_cell(), geo, [4, 5, 7], sensing=spec.sensing, use_kernel=k
-            ),
+            lambda: SegmentedBank(spec.build_cell(), geo, 6, sensing=spec.sensing),
+            lambda: HierarchicalBank(spec.build_cell(), geo, [4, 5, 7], sensing=spec.sensing),
         ]
         keys = [random_word(16, rng, 0.2) for _ in range(12)]
         for factory in factories:
@@ -267,13 +271,8 @@ class TestFaultKernelComposites:
         geo = ArrayGeometry(rows=12, cols=14)
         rng = np.random.default_rng(13)
 
-        def chip(kernel):
-            def bank():
-                arr = build_array(spec, geo)
-                if kernel:
-                    arr.enable_kernel()
-                return arr
-            return TCAMChip(bank, n_banks=3)
+        def chip():
+            return TCAMChip(lambda: build_array(spec, geo), n_banks=3)
 
         ref, ker = _bank_pair(chip, 36, 14, rng)
         keys = [random_word(14, rng, 0.2) for _ in range(18)]
@@ -288,13 +287,10 @@ class TestFaultKernelComposites:
 
 
 class TestMalformedFaultyBatch:
-    @pytest.mark.parametrize("kernel", [False, True])
-    def test_rejected_batch_leaves_state_untouched(self, kernel):
+    def test_rejected_batch_leaves_state_untouched(self):
         rng = np.random.default_rng(17)
         _, arr = _twins("fefet2t", 10, 8, rng, 0.2)
         arr.attach_faults(_random_fault_map(rng, 10, 8, 10, 1, 2))
-        if kernel:
-            arr.enable_kernel()
         arr.search_batch([random_word(8, rng, 0.1)])
         drive = arr._last_drive
         bad_batches = [

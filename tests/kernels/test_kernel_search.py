@@ -1,10 +1,10 @@
-"""Kernel search path: bit-identity with the legacy engine and scalar loop.
+"""Kernel search path: bit-identity with the sequential scalar loop.
 
-The compiled kernel (`enable_kernel()`) must never change a single bit of
-any outcome: match masks, first match, delays, histograms, and every
-per-component ledger float must equal both the legacy batch engine and
-the sequential scalar loop -- across designs, row masks, rewrites, fault
-maps, and the RK4 fallback mix.
+The compiled kernel behind ``search_batch`` must never change a single
+bit of any outcome: match masks, first match, delays, histograms, and
+every per-component ledger float must equal the sequential scalar loop
+-- across designs, row masks, rewrites, fault maps, and the RK4
+fallback mix.
 """
 
 from __future__ import annotations
@@ -15,24 +15,31 @@ import pytest
 from repro import obs
 from repro.core import all_designs, build_array, get_design
 from repro.faults.faultmap import FaultKind, FaultMap
+from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry
 from repro.tcam.trit import random_word
 
 SEARCHABLE = [spec.name for spec in all_designs() if spec.sensing != "nand"]
 
 
-def _loaded_trio(design_name, rows=16, cols=24, seed=7, x_fraction=0.2):
-    """Three identically-written arrays: scalar, legacy batch, kernel."""
+def _loaded_pair(design_name, rows=16, cols=24, seed=7, x_fraction=0.2):
+    """Two identically-written arrays: scalar reference, kernel batch."""
     spec = get_design(design_name)
     geo = ArrayGeometry(rows=rows, cols=cols)
-    arrays = [build_array(spec, geo) for _ in range(3)]
+    arrays = [build_array(spec, geo) for _ in range(2)]
     rng = np.random.default_rng(seed)
     words = [random_word(cols, rng, x_fraction) for _ in range(rows)]
     for i, w in enumerate(words):
         for a in arrays:
             a.write(i, w)
-    arrays[2].enable_kernel()
     return arrays
+
+
+def _reduced_grid(array, keys):
+    """Install an engine whose grid stops at the keys' median drive."""
+    drivens = [int(np.count_nonzero(k.as_array() != 2)) for k in keys]
+    array._kernel = KernelEngine(array, max_driven=int(np.median(drivens)))
+    return array._kernel
 
 
 def _keys(cols, n, seed, x_fraction=0.15):
@@ -61,84 +68,79 @@ def _assert_outcomes_identical(reference, kernel):
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("design", SEARCHABLE)
-    def test_bit_identical_to_scalar_and_legacy(self, design):
-        scalar, legacy, kernel = _loaded_trio(design)
+    def test_bit_identical_to_scalar(self, design):
+        scalar, kernel = _loaded_pair(design)
         keys = _keys(24, 24, seed=11)
-        ref_scalar = [scalar.search(k) for k in keys]
-        ref_legacy = legacy.search_batch(keys)
-        got = kernel.search_batch(keys)
-        _assert_outcomes_identical(ref_scalar, got)
-        _assert_outcomes_identical(ref_legacy, got)
+        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
         assert kernel.kernel.table_hits > 0
         assert kernel.kernel.rk4_fallbacks == 0
 
     @pytest.mark.parametrize("design", SEARCHABLE)
     def test_row_mask(self, design):
-        _, legacy, kernel = _loaded_trio(design)
+        scalar, kernel = _loaded_pair(design)
         mask = np.zeros(16, dtype=bool)
         mask[::3] = True
         keys = _keys(24, 12, seed=13)
         _assert_outcomes_identical(
-            legacy.search_batch(keys, row_mask=mask),
+            [scalar.search(k, row_mask=mask) for k in keys],
             kernel.search_batch(keys, row_mask=mask),
         )
 
     def test_all_x_keys_and_repeats(self):
         """driven == 0 classes and back-to-back repeated keys."""
-        _, legacy, kernel = _loaded_trio("fefet2t")
+        scalar, kernel = _loaded_pair("fefet2t")
         keys = _keys(24, 6, seed=29)
         keys = [keys[0], keys[0]] + keys[1:] + _keys(24, 2, seed=31, x_fraction=1.0)
-        _assert_outcomes_identical(legacy.search_batch(keys), kernel.search_batch(keys))
+        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
 
     def test_rewrite_rebuilds_snapshot(self):
         """A write between batches must be visible to the kernel path."""
-        _, legacy, kernel = _loaded_trio("fefet2t")
+        scalar, kernel = _loaded_pair("fefet2t")
         keys = _keys(24, 8, seed=17)
-        _assert_outcomes_identical(legacy.search_batch(keys), kernel.search_batch(keys))
+        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
         rng = np.random.default_rng(19)
         new_word = random_word(24, rng, x_fraction=0.1)
-        legacy.write(5, new_word)
+        scalar.write(5, new_word)
         kernel.write(5, new_word)
-        legacy.invalidate(2)
+        scalar.invalidate(2)
         kernel.invalidate(2)
-        _assert_outcomes_identical(legacy.search_batch(keys), kernel.search_batch(keys))
+        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
 
-    def test_disable_kernel_restores_legacy(self):
-        _, legacy, kernel = _loaded_trio("fefet2t")
-        keys = _keys(24, 8, seed=23)
-        kernel.disable_kernel()
-        assert kernel.kernel is None
-        _assert_outcomes_identical(legacy.search_batch(keys), kernel.search_batch(keys))
+    def test_kernel_built_on_first_use(self):
+        _, kernel = _loaded_pair("fefet2t")
+        assert kernel._kernel is None
+        engine = kernel.kernel
+        assert isinstance(engine, KernelEngine)
+        assert kernel.kernel is engine
+        kernel.search_batch(_keys(24, 4, seed=23))
+        assert kernel.kernel is engine
 
 
 class TestKernelFallback:
     def test_max_driven_mix_is_bit_identical(self):
         """In-grid keys use the tables, the rest the RK4 reference path."""
-        scalar, legacy, kernel = _loaded_trio("fefet2t")
+        scalar, kernel = _loaded_pair("fefet2t")
         keys = _keys(24, 24, seed=37, x_fraction=0.3)
-        drivens = [int(np.count_nonzero(k.as_array() != 2)) for k in keys]
-        kernel.disable_kernel()
-        engine = kernel.enable_kernel(max_driven=int(np.median(drivens)))
+        engine = _reduced_grid(kernel, keys)
         got = kernel.search_batch(keys)
         _assert_outcomes_identical([scalar.search(k) for k in keys], got)
-        _assert_outcomes_identical(legacy.search_batch(keys), got)
         assert engine.table_hits > 0
         assert engine.rk4_fallbacks > 0
 
 
 class TestKernelWithFaults:
     def test_empty_fault_map_keeps_kernel_path(self):
-        _, legacy, kernel = _loaded_trio("fefet2t")
-        for a in (legacy, kernel):
+        scalar, kernel = _loaded_pair("fefet2t")
+        for a in (scalar, kernel):
             a.attach_faults(FaultMap(16, 24))
         keys = _keys(24, 10, seed=41)
-        _assert_outcomes_identical(legacy.search_batch(keys), kernel.search_batch(keys))
+        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
         assert kernel.kernel.table_hits > 0
 
     def test_sa_offset_stays_on_kernel(self):
         """Per-row offsets re-strobe only their rows; outcomes must still
         match the scalar fault-aware loop exactly."""
-        scalar, _, kernel = _loaded_trio("fefet2t")
+        scalar, kernel = _loaded_pair("fefet2t")
         for a in (scalar, kernel):
             fm = FaultMap(16, 24)
             fm.set_sa_offset(4, 0.03)
@@ -152,7 +154,7 @@ class TestKernelWithFaults:
         assert kernel.kernel.rk4_fallbacks == fallbacks
 
     def test_cell_faults_stay_on_kernel(self):
-        scalar, _, kernel = _loaded_trio("fefet2t")
+        scalar, kernel = _loaded_pair("fefet2t")
         for a in (scalar, kernel):
             fm = FaultMap(16, 24)
             fm.set_cell(3, 7, FaultKind.STUCK_MISS)
@@ -169,11 +171,9 @@ class TestKernelWithFaults:
 
 class TestKernelMetrics:
     def test_counters_reach_registry(self):
-        _, _, kernel = _loaded_trio("fefet2t")
+        _, kernel = _loaded_pair("fefet2t")
         keys = _keys(24, 16, seed=53, x_fraction=0.3)
-        drivens = [int(np.count_nonzero(k.as_array() != 2)) for k in keys]
-        kernel.disable_kernel()
-        kernel.enable_kernel(max_driven=int(np.median(drivens)))
+        _reduced_grid(kernel, keys)
         with obs.observe() as session:
             kernel.search_batch(keys)
             snapshot = session.metrics.snapshot()
@@ -184,7 +184,7 @@ class TestKernelMetrics:
 
     def test_counters_are_deltas_per_batch(self):
         """A second observed batch books only its own increments."""
-        _, _, kernel = _loaded_trio("fefet2t")
+        _, kernel = _loaded_pair("fefet2t")
         keys = _keys(24, 8, seed=59)
         kernel.search_batch(keys)  # accrue un-observed counts first
         before = kernel.kernel.table_hits

@@ -1,11 +1,10 @@
 """Shared-memory search transport vs the serial reference, end to end.
 
-The parallel ``search_batch`` paths now ship bulk key/count arrays
-through ``multiprocessing.shared_memory`` instead of pickling them per
-chunk.  These tests pin the contract on the real search entry points:
-for 1/2/4 workers the outcomes, cache counters and drive state are
-bit-identical to the serial run, and multi-worker runs actually use the
-shm transport.
+The chip's parallel ``search_batch`` ships the packed key matrix through
+``multiprocessing.shared_memory`` instead of pickling it per bank chunk.
+These tests pin the contract on the real entry point: for 1/2/4 workers
+the outcomes are bit-identical to the serial run, and multi-worker runs
+actually use the shm transport.
 """
 
 from __future__ import annotations
@@ -19,13 +18,6 @@ from repro.tcam import ArrayGeometry, GatingPolicy, TCAMChip
 from repro.tcam.trit import random_word
 
 WORKER_COUNTS = (1, 2, 4)
-
-
-def _loaded_array(rows=16, cols=32, seed=1):
-    array = build_array(get_design("fefet2t"), ArrayGeometry(rows, cols))
-    rng = np.random.default_rng(seed)
-    array.load([random_word(cols, rng, x_fraction=0.25) for _ in range(rows)])
-    return array
 
 
 def _fresh_chip():
@@ -48,42 +40,6 @@ def _outcomes_equal(a, b) -> bool:
         and a.search_delay == b.search_delay
         and a.cycle_time == b.cycle_time
     )
-
-
-class TestArrayShmTransport:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_bit_identical_to_serial(self, workers):
-        rng = np.random.default_rng(11)
-        keys = [random_word(32, rng, x_fraction=0.2) for _ in range(25)]
-        serial_array, par_array = _loaded_array(), _loaded_array()
-        serial = serial_array.search_batch(keys)
-        par = par_array.search_batch(keys, workers=workers)
-        assert all(_outcomes_equal(a, b) for a, b in zip(serial, par))
-        assert [a.miss_histogram for a in serial] == [b.miss_histogram for b in par]
-        assert serial_array.ml_cache_stats() == par_array.ml_cache_stats()
-        assert serial_array._last_drive == par_array._last_drive
-        stats = last_payload_stats()
-        if workers > 1 and shared_memory_available():
-            assert stats["transport"] == "shm"
-            assert stats["shared_bytes"] > 0
-
-    def test_chunk_payload_excludes_bulk_counts(self):
-        """Per-chunk pickles carry metadata only, not the count planes."""
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
-        rows, cols, n_keys = 64, 48, 64
-        array = _loaded_array(rows=rows, cols=cols, seed=5)
-        rng = np.random.default_rng(7)
-        array.search_batch(
-            [random_word(cols, rng, x_fraction=0.2) for _ in range(n_keys)],
-            workers=2,
-        )
-        stats = last_payload_stats()
-        assert stats["transport"] == "shm"
-        # The dense count planes alone are n_keys x (cols+1) int64 each;
-        # they travel through the arena, not the per-chunk pickle.
-        assert stats["shared_bytes"] >= n_keys * (cols + 1) * 8
-        assert all(b < stats["shared_bytes"] for b in stats["chunk_bytes"])
 
 
 class TestChipShmTransport:

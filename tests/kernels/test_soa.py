@@ -96,7 +96,6 @@ class TestFaultPlanes:
     def test_empty_fault_map_has_no_fault_planes(self):
         array = _loaded()
         array.attach_faults(FaultMap(array.geometry.rows, array.geometry.cols))
-        array.enable_kernel()
         assert array._soa_state().faults is None
         fm = _faulted(array)
         array.attach_faults(fm)

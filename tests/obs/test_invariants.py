@@ -54,7 +54,9 @@ class TestSpanSumEqualsOutcomeLedger:
         assert root.total_energy().total == out.energy.total
 
     def test_batched_search_merged_ledger_exact(self, rng):
-        array = _loaded_array(rng)
+        seed = int(rng.integers(2**31))
+        array = _loaded_array(np.random.default_rng(seed))
+        scalar_array = _loaded_array(np.random.default_rng(seed))
         keys = [random_word(16, rng) for _ in range(12)]
         with obs.observe() as sess:
             outcomes = array.search_batch(keys)
@@ -63,6 +65,8 @@ class TestSpanSumEqualsOutcomeLedger:
         from repro.energy.accounting import EnergyLedger
 
         merged = EnergyLedger.sum(o.energy for o in outcomes)
+        scalar = EnergyLedger.sum(scalar_array.search(k).energy for k in keys)
+        assert merged.as_dict() == scalar.as_dict()
         assert root.total_energy().as_dict() == merged.as_dict()
         assert root.total_energy().total == pytest.approx(
             sum(o.energy.total for o in outcomes), rel=1e-12
@@ -134,30 +138,26 @@ class TestSpanSumEqualsOutcomeLedger:
 
 
 class TestMetricsAgreeWithInternals:
-    def test_cache_counters_match_trajectory_cache(self, rng):
+    def test_kernel_counters_match_engine(self, rng):
         array = _loaded_array(rng)
         keys = [random_word(16, rng) for _ in range(10)]
         with obs.observe() as sess:
             array.search_batch(keys)
-            array.search_batch(keys)  # second batch hits the cache
+            array.nearest_match_batch(keys)
         snap = sess.metrics.snapshot()
-        stats = array.ml_cache_stats()
-        assert snap["mlcache.hits"] == stats["hits"]
-        assert snap["mlcache.misses"] == stats["misses"]
-        assert snap["mlcache.evictions"] == stats["evictions"]
-        assert snap["mlcache.hits"] > 0
+        assert snap["kernels.table_hits"] == array.kernel.table_hits
+        assert snap["kernels.rk4_fallbacks"] == array.kernel.rk4_fallbacks
+        assert snap["kernels.table_hits"] > 0
 
-    def test_cache_counters_only_deltas_inside_session(self, rng):
+    def test_kernel_counters_only_deltas_inside_session(self, rng):
         array = _loaded_array(rng)
         keys = [random_word(16, rng) for _ in range(10)]
         array.search_batch(keys)  # unobserved traffic
-        before = array.ml_cache_stats()
+        before = array.kernel.table_hits
         with obs.observe() as sess:
             array.search_batch(keys)
         snap = sess.metrics.snapshot()
-        stats = array.ml_cache_stats()
-        assert snap["mlcache.hits"] == stats["hits"] - before["hits"]
-        assert snap["mlcache.misses"] == stats["misses"] - before["misses"]
+        assert snap["kernels.table_hits"] == array.kernel.table_hits - before
 
     def test_search_and_energy_counters(self, rng):
         array = _loaded_array(rng)
@@ -189,7 +189,6 @@ class TestMetricsAgreeWithInternals:
             array.write(0, random_word(8, rng))
         snap = sess.metrics.snapshot()
         assert snap["tcam.writes"] == 1.0
-        assert snap["mlcache.invalidations"] == 1.0
 
 
 class TestDisabledPathIsFree:

@@ -2,8 +2,9 @@
 
 The contract under test: for any worker count, the parallel layer
 produces results bit-identical to serial -- sampled MC margins, sweep
-rows, batched search outcomes (ledgers included), the trajectory-cache
-counters and the search-line drive state.
+rows, batched search outcomes (ledgers included), the per-bank kernel
+counters and the search-line drive state.  The array batch path itself
+runs in-process and is checked against the per-key scalar loop.
 """
 
 from __future__ import annotations
@@ -119,29 +120,35 @@ def _outcomes_equal(a, b) -> bool:
 
 class TestArraySearchBatchEquivalence:
     @pytest.mark.parametrize("design", ["fefet2t", "fefet_cr"])
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_outcomes_cache_and_drive_state(self, design, workers):
+    def test_outcomes_cache_and_drive_state(self, design):
+        """Outcomes and drive state equal the scalar loop's; the kernel's
+        table cache holds exactly the driven values the keys used."""
         rng = np.random.default_rng(11)
-        keys = [random_word(32, rng) for _ in range(25)]
-        serial_array, par_array = _loaded_array(design), _loaded_array(design)
-        serial = serial_array.search_batch(keys)
-        par = par_array.search_batch(keys, workers=workers)
-        assert all(_outcomes_equal(a, b) for a, b in zip(serial, par))
-        assert [a.miss_histogram for a in serial] == [b.miss_histogram for b in par]
-        assert serial_array.ml_cache_stats() == par_array.ml_cache_stats()
-        assert serial_array._last_drive == par_array._last_drive
+        keys = [random_word(32, rng, x_fraction=0.2) for _ in range(25)]
+        scalar_array, batch_array = _loaded_array(design), _loaded_array(design)
+        scalar = [scalar_array.search(k) for k in keys]
+        batch = batch_array.search_batch(keys)
+        assert all(_outcomes_equal(a, b) for a, b in zip(scalar, batch))
+        assert [a.miss_histogram for a in scalar] == [b.miss_histogram for b in batch]
+        assert scalar_array._last_drive == batch_array._last_drive
+        drivens = {int(np.count_nonzero(k.as_array() != 2)) for k in keys}
+        assert set(batch_array.kernel._rows) == drivens
 
     def test_consecutive_batches_share_cache_identically(self):
+        """A second batch reuses the first batch's compiled rows and
+        still equals the scalar loop."""
         rng = np.random.default_rng(4)
         keys_a = [random_word(32, rng) for _ in range(10)]
         keys_b = [random_word(32, rng) for _ in range(10)]
-        serial_array, par_array = _loaded_array(), _loaded_array()
-        serial_array.search_batch(keys_a)
-        par_array.search_batch(keys_a, workers=2)
-        serial = serial_array.search_batch(keys_b)
-        par = par_array.search_batch(keys_b, workers=2)
-        assert all(_outcomes_equal(a, b) for a, b in zip(serial, par))
-        assert serial_array.ml_cache_stats() == par_array.ml_cache_stats()
+        scalar_array, batch_array = _loaded_array(), _loaded_array()
+        for k in keys_a:
+            scalar_array.search(k)
+        batch_array.search_batch(keys_a)
+        built = batch_array.kernel.rows_built
+        scalar = [scalar_array.search(k) for k in keys_b]
+        batch = batch_array.search_batch(keys_b)
+        assert all(_outcomes_equal(a, b) for a, b in zip(scalar, batch))
+        assert batch_array.kernel.rows_built == built
 
 
 class TestChipSearchBatchEquivalence:
@@ -189,14 +196,12 @@ class TestChipSearchBatchEquivalence:
             assert a.latency == b.latency
             assert a.energy.as_dict() == b.energy.as_dict()
             assert np.array_equal(a.match_mask, b.match_mask)
-        # Bank-internal state advanced identically (cache hit counters and
+        # Bank-internal state advanced identically (kernel hit counters and
         # search-line drive chains are part of the contract).
         for i in range(serial_chip.n_banks):
-            assert (
-                serial_chip.banks[i].ml_cache_stats()
-                == par_chip.banks[i].ml_cache_stats()
-            )
-            assert serial_chip.banks[i]._last_drive == par_chip.banks[i]._last_drive
+            serial_bank, par_bank = serial_chip.banks[i], par_chip.banks[i]
+            assert serial_bank.kernel.table_hits == par_bank.kernel.table_hits
+            assert serial_bank._last_drive == par_bank._last_drive
         assert np.array_equal(serial_chip._powered, par_chip._powered)
 
     def test_single_bank_broadcast(self):

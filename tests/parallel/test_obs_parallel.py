@@ -4,9 +4,9 @@ Worker sessions are captured and grafted back into the parent span tree
 (one ``<prefix>.chunk[i]`` child per chunk) and worker metric registries
 merge in chunk order.  The PR-2 span-sum invariant must survive:
 
-* **array level** -- a ``array.search_batch`` root's merged tree energy
-  equals the summed outcome ledgers *exactly*, workers or not (the batch
-  span owns the summed ledger; grafted chunks carry no energy).
+* **array level** -- each bank's ``array.search_batch`` span, grafted
+  from its worker, carries exactly the summed ledgers of that bank's
+  per-key scalar searches; the grafted chunk spans own no energy.
 * **chip level** -- the root's own energy (wake + idle leakage) and each
   bank chunk's subtree are individually float-exact; the full-tree total
   matches the merged outcome ledgers up to floating-point reassociation
@@ -42,45 +42,53 @@ def _no_leaked_session():
     assert not obs.is_enabled()
 
 
-def _loaded_array(rows=16, cols=32):
-    array = build_array(get_design("fefet2t"), ArrayGeometry(rows, cols))
-    content_rng = np.random.default_rng(1)
-    array.load([random_word(cols, content_rng, x_fraction=0.25) for _ in range(rows)])
-    return array
+def _loaded_chip():
+    geo = ArrayGeometry(rows=16, cols=32)
+    chip = TCAMChip(lambda: build_array(get_design("fefet2t"), geo), n_banks=2)
+    chip.load(
+        [random_word(geo.cols, np.random.default_rng(2), x_fraction=0.2) for _ in range(32)]
+    )
+    return chip
 
 
 class TestArrayInvariantUnderWorkers:
-    def test_span_sum_equals_merged_ledgers_exactly(self):
-        array = _loaded_array()
-        keys = [random_word(32, np.random.default_rng(11)) for _ in range(18)]
+    """Array batch spans grafted back from the chip's bank workers."""
+
+    KEYS = [random_word(32, np.random.default_rng(11)) for _ in range(18)]
+    BANKS = [i % 2 for i in range(18)]
+
+    def _traced(self):
+        chip = _loaded_chip()
         with obs.observe() as sess:
-            outcomes = array.search_batch(keys, workers=2)
+            chip.search_batch(self.KEYS, self.BANKS, workers=2)
         (root,) = sess.spans
-        assert root.name == "array.search_batch"
-        merged = EnergyLedger.sum(o.energy for o in outcomes)
-        assert root.total_energy().as_dict() == merged.as_dict()
-        assert root.total_energy().total == merged.total
+        return root
+
+    def test_span_sum_equals_merged_ledgers_exactly(self):
+        array_spans = [n for _, n in self._traced().walk() if n.name == "array.search_batch"]
+        assert len(array_spans) == 2
+        scalar_chip = _loaded_chip()
+        for bank_id, sp in enumerate(array_spans):
+            bank = scalar_chip.banks[bank_id]
+            merged = EnergyLedger.sum(
+                bank.search(k).energy for k, b in zip(self.KEYS, self.BANKS) if b == bank_id
+            )
+            assert sp.total_energy().as_dict() == merged.as_dict()
+            assert sp.total_energy().total == merged.total
 
     def test_parallel_chunk_spans_carry_no_energy(self):
-        array = _loaded_array()
-        keys = [random_word(32, np.random.default_rng(11)) for _ in range(18)]
-        with obs.observe() as sess:
-            array.search_batch(keys, workers=2)
-        (root,) = sess.spans
-        chunk_spans = [c for c in root.children if ".chunk[" in c.name]
+        chunk_spans = [c for c in self._traced().children if ".chunk[" in c.name]
         assert chunk_spans, "parallel path must create chunk spans"
         for sp in chunk_spans:
-            assert sp.total_energy().total == 0.0
+            # The joules live in the grafted array spans below the chunk.
+            assert sp.energy.total == 0.0
+            assert sp.total_energy().total > 0.0
 
 
 class TestChipInvariantUnderWorkers:
     def _traced_batch(self, workers):
-        geo = ArrayGeometry(rows=16, cols=32)
-        chip = TCAMChip(lambda: build_array(get_design("fefet2t"), geo), n_banks=2)
-        chip.load(
-            [random_word(geo.cols, np.random.default_rng(2), x_fraction=0.2) for _ in range(32)]
-        )
-        keys = [random_word(geo.cols, np.random.default_rng(5)) for _ in range(12)]
+        chip = _loaded_chip()
+        keys = [random_word(32, np.random.default_rng(5)) for _ in range(12)]
         banks = [i % 2 for i in range(12)]
         with obs.observe() as sess:
             outcomes = chip.search_batch(keys, banks, idle_time=1e-7, workers=workers)
@@ -117,17 +125,17 @@ class TestMetricsUnderWorkers:
     INTEGER_METRICS = (
         "tcam.searches",
         "chip.searches",
-        "mlcache.hits",
-        "mlcache.misses",
-        "mlcache.evictions",
+        "kernels.table_hits",
+        "kernels.rk4_fallbacks",
         "mc.samples",
     )
 
     def _snapshot(self, workers):
-        array = _loaded_array()
+        chip = _loaded_chip()
         keys = [random_word(32, np.random.default_rng(7)) for _ in range(20)]
+        banks = [i % 2 for i in range(20)]
         with obs.observe() as sess:
-            array.search_batch(keys, workers=workers)
+            chip.search_batch(keys, banks, workers=workers)
         return sess.metrics.snapshot()
 
     def test_serial_vs_parallel_totals(self):
@@ -148,8 +156,8 @@ class TestMetricsUnderWorkers:
         assert names == [f"mc.margin.chunk[{i}]" for i in range(3)]
 
     def test_disabled_obs_with_workers_is_fine(self):
-        array = _loaded_array(rows=8, cols=16)
-        keys = [random_word(16, np.random.default_rng(9)) for _ in range(8)]
-        outcomes = array.search_batch(keys, workers=2)
+        chip = _loaded_chip()
+        keys = [random_word(32, np.random.default_rng(9)) for _ in range(8)]
+        outcomes = chip.search_batch(keys, [i % 2 for i in range(8)], workers=2)
         assert len(outcomes) == 8
         assert not obs.is_enabled()

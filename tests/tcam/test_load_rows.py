@@ -1,9 +1,9 @@
-"""Bulk row loading: ledger-identical to per-row writes, one flush.
+"""Bulk row loading: ledger-identical to per-row writes, one version bump.
 
 ``TCAMArray.load_rows`` (and the chip-level wrapper) must store the very
 same content, wear, valid bits and per-row write energies as a
 sequential :meth:`write` loop -- while bumping the content version once
-and flushing the trajectory cache once for the whole block.
+for the whole block.
 """
 
 from __future__ import annotations
@@ -60,32 +60,27 @@ class TestArrayLoadRows:
         _assert_same_state(a, b)
         assert ref.as_dict() == got.as_dict()
 
-    def test_single_version_bump_and_single_flush(self):
+    def test_single_version_bump_and_single_flush(self, monkeypatch):
+        """One version bump, so the kernel's SoA content snapshot is
+        flushed and rebuilt once for the whole block."""
+        from repro.kernels import SoAState
+
         a, _ = _fresh_pair("fefet2t")
         words = _words(12, 16, seed=9)
-
-        class _CountingCache:
-            # TrajectoryCache uses __slots__, so spy via a tiny proxy.
-            def __init__(self, inner):
-                self.inner = inner
-                self.flushes = 0
-
-            def get(self, key):
-                return self.inner.get(key)
-
-            def put(self, key, value):
-                self.inner.put(key, value)
-
-            def invalidate(self):
-                self.flushes += 1
-                self.inner.invalidate()
-
-        spy = _CountingCache(a._ml_cache)
-        a._ml_cache = spy
+        keys = _words(12, 3, seed=10)
+        a.search_batch(keys)
+        rebuilds = []
+        build = SoAState.from_array
+        monkeypatch.setattr(
+            SoAState, "from_array",
+            lambda *args: rebuilds.append(args) or build(*args),
+        )
         before = a._content_version
         a.load_rows(words)
         assert a._content_version == before + 1
-        assert spy.flushes == 1
+        a.search_batch(keys)
+        a.search_batch(keys)
+        assert len(rebuilds) == 1
 
     def test_bounds_and_width_errors(self):
         a, _ = _fresh_pair("fefet2t")

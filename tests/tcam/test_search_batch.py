@@ -5,8 +5,7 @@ same match masks, same first match, same per-component ledger floats,
 same delays, same histograms -- including the sequential search-line
 toggle semantics (key k toggles against key k-1).  The suite runs every
 registered design (covering both sensing styles and all cell
-technologies), masked keys, row masks, and the cache-invalidation and
-LRU-bounding behavior of the trajectory cache.
+technologies), masked keys, row masks, and writes between batches.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 
 from repro.core import all_designs, build_array, get_design
 from repro.errors import TCAMError
-from repro.tcam import ArrayGeometry, TrajectoryCache, mismatch_counts_batch, pack_keys
+from repro.tcam import ArrayGeometry, mismatch_counts_batch, pack_keys
 from repro.tcam.trit import TernaryWord, Trit, mismatch_counts, random_word, word_from_string
 
 
@@ -173,87 +172,36 @@ class TestNearestMatchBatch:
             a.nearest_match_batch([random_word(24, np.random.default_rng(0))])
 
 
-class TestTrajectoryCache:
-    def test_write_invalidates(self):
-        """A write between searches provably flushes the cache."""
-        a, _ = _loaded_pair("fefet2t")
+class TestBatchAfterWrites:
+    def test_write_between_batches(self):
+        """A write between batches is visible to the next batch."""
+        a, b = _loaded_pair("fefet2t")
         rng = np.random.default_rng(31)
         keys = [random_word(24, rng) for _ in range(8)]
-        a.search_batch(keys)
-        assert len(a.ml_cache) > 0
-        before = a.ml_cache_stats()["invalidations"]
-        a.write(0, random_word(24, rng))
-        assert len(a.ml_cache) == 0
-        assert a.ml_cache_stats()["invalidations"] == before + 1
-        # And results after the write still match a fresh scalar array.
-        spec = get_design("fefet2t")
-        fresh = build_array(spec, ArrayGeometry(rows=16, cols=24))
-        for i in range(16):
-            fresh.write(i, a.word_at(i))
-        fresh._last_drive = a._last_drive
-        _assert_outcomes_identical([fresh.search(k) for k in keys], a.search_batch(keys))
+        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
+        word = random_word(24, rng)
+        a.write(0, word)
+        b.write(0, word)
+        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
 
-    def test_invalidate_row_flushes(self):
-        a, _ = _loaded_pair("fefet2t")
-        a.search_batch([random_word(24, np.random.default_rng(0)) for _ in range(4)])
-        assert len(a.ml_cache) > 0
+    def test_invalidate_between_batches(self):
+        a, b = _loaded_pair("fefet2t")
+        keys = [random_word(24, np.random.default_rng(0)) for _ in range(4)]
+        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
         a.invalidate(2)
-        assert len(a.ml_cache) == 0
+        b.invalidate(2)
+        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
 
-    def test_second_batch_hits(self):
-        a, _ = _loaded_pair("fefet2t")
+    def test_second_batch_builds_no_rows(self):
+        """The compiled class tables survive between batches and writes."""
+        _, b = _loaded_pair("fefet2t")
         rng = np.random.default_rng(37)
         keys = [random_word(24, rng) for _ in range(16)]
-        a.search_batch(keys)
-        stats_first = a.ml_cache_stats()
-        a.search_batch(keys)
-        stats_second = a.ml_cache_stats()
-        # Second pass over the same keys computes nothing new.
-        assert stats_second["misses"] == stats_first["misses"]
-        assert stats_second["hits"] > stats_first["hits"]
-
-    def test_hit_rate_high_on_large_batch(self):
-        a, _ = _loaded_pair("fefet2t", rows=32)
-        rng = np.random.default_rng(43)
-        keys = [random_word(24, rng) for _ in range(200)]
-        a.search_batch(keys)
-        assert a.ml_cache_stats()["hit_rate"] > 0.8
-
-    def test_lru_bound_and_eviction(self):
-        cache = TrajectoryCache(maxsize=3)
-        for i in range(5):
-            cache.put(("k", i), i)
-        assert len(cache) == 3
-        assert cache.stats()["evictions"] == 2
-        assert cache.get(("k", 0)) is None  # evicted
-        assert cache.get(("k", 4)) == 4
-
-    def test_lru_recency(self):
-        cache = TrajectoryCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-
-    def test_rejects_bad_maxsize(self):
-        with pytest.raises(TCAMError):
-            TrajectoryCache(maxsize=0)
-
-    def test_contains_does_not_count(self):
-        cache = TrajectoryCache()
-        assert "x" not in cache
-        assert cache.stats()["hits"] == 0
-        assert cache.stats()["misses"] == 0
-
-    def test_batch_correct_even_with_tiny_cache(self):
-        """More distinct classes than cache slots still yields exact results."""
-        a, b = _loaded_pair("fefet2t")
-        b._ml_cache = TrajectoryCache(maxsize=2)
-        rng = np.random.default_rng(47)
-        keys = [random_word(24, rng, x_fraction=0.3) for _ in range(16)]
-        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
+        b.search_batch(keys)
+        built = b.kernel.rows_built
+        b.write(3, random_word(24, rng))
+        b.search_batch(keys)
+        assert b.kernel.rows_built == built
 
 
 class TestTernaryWordFastPath:

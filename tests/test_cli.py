@@ -68,16 +68,13 @@ class TestMonteCarlo:
         out = capsys.readouterr().out
         assert "margin mean" in out
 
-    def test_kernel_flag_leaves_margins_bit_identical(self, capsys):
-        """--kernel enables the compiled tables on the array under test;
-        margins (and the process fan-out pickling it) must not change."""
+    def test_workers_flag_leaves_margins_bit_identical(self, capsys):
+        """The sample fan-out pickles the array under test; margins must
+        not change."""
         small = ["mc", "--samples", "20", "--rows", "4", "--cols", "16", "--json"]
         assert main(small) == 0
         plain = json.loads(capsys.readouterr().out)
-        assert main(small + ["--kernel"]) == 0
-        kernel = json.loads(capsys.readouterr().out)
-        assert plain == kernel
-        assert main(small + ["--kernel", "--workers", "2"]) == 0
+        assert main(small + ["--workers", "2"]) == 0
         assert plain == json.loads(capsys.readouterr().out)
 
 
@@ -129,11 +126,15 @@ class TestDse:
             assert row["functional_errors"] == 0
 
     def test_kernel_flag_bit_identical(self, capsys):
-        main([*self.ARGS, "--json"])
-        plain = json.loads(capsys.readouterr().out)
-        main([*self.ARGS, "--kernel", "--json"])
-        kernel = json.loads(capsys.readouterr().out)
-        assert plain == kernel
+        """The CLI passes ``use_kernel=True``; the per-key scalar
+        reference (``use_kernel=False``) must produce the same record."""
+        from repro.analysis.dse import default_space, run_dse
+
+        assert main([*self.ARGS, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        space = default_space(cells=["fefet2t", "seemcam"], rows=(8,), cols=(16,))
+        ref = run_dse(space, searches=2, seed=0, use_kernel=False)
+        assert payload == {"command": "dse", "seed": 0, **json.loads(json.dumps(ref.to_dict()))}
 
 
 class TestReportValidation:
@@ -277,10 +278,20 @@ class TestFaults:
         assert "faults.campaign" in capsys.readouterr().out
 
     def test_kernel_flag_bit_identical(self, capsys):
+        """The CLI passes ``use_kernel=True``; the per-key scalar
+        reference (``use_kernel=False``) must produce the same record."""
+        from repro.analysis.faultcampaign import run_fault_campaign
+
         assert main(self._SMALL + ["--json"]) == 0
-        plain = json.loads(capsys.readouterr().out)
-        assert main(self._SMALL + ["--json", "--kernel"]) == 0
-        assert plain == json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)
+        args = build_parser().parse_args(self._SMALL)
+        ref = run_fault_campaign(
+            design=args.design, rows=args.rows, cols=args.cols,
+            densities=tuple(args.density), mode=args.mode, repair=args.repair,
+            n_spare=args.spare_rows, n_trials=args.trials, n_keys=args.keys,
+            seed=args.seed, use_kernel=False,
+        )
+        assert payload == {"command": "faults", **json.loads(json.dumps(ref.to_dict()))}
 
 
 class TestCluster:

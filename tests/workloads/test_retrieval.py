@@ -123,10 +123,20 @@ class TestRetrievalIndex:
         assert recalls == sorted(recalls)
         assert recalls[-1] == 1.0  # t = dims accepts every row
 
-    def test_kernel_and_scalar_paths_agree(self):
+    def test_kernel_and_scalar_paths_agree(self, monkeypatch):
         signatures, queries, _ = _small_setup(n_entries=120, dims=16)
-        a = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2, use_kernel=True)
-        b = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2, use_kernel=False)
+        a = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2)
+        b = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2)
+        # Route b's shard queries through the per-key scalar references.
+        for bank, _base in b._shard_rows():
+            monkeypatch.setattr(
+                bank, "topk_match_batch",
+                lambda keys, k, bank=bank: [bank.topk_match(key, k) for key in keys],
+            )
+            monkeypatch.setattr(
+                bank, "threshold_match_batch",
+                lambda keys, t, bank=bank: [bank.threshold_match(key, t) for key in keys],
+            )
         rows_a, dist_a, stats_a = a.query_topk(queries, 3)
         rows_b, dist_b, stats_b = b.query_topk(queries, 3)
         assert np.array_equal(rows_a, rows_b)
