@@ -6,7 +6,12 @@ numbers to ``BENCH_kernels.json`` at the repo root:
 * **Validation** -- for every searchable design, the tabulated discharge
   endpoints must agree with the scalar RK4 reference to ``<= 1e-9``
   relative error (:meth:`KernelEngine.validate` re-integrates every
-  tabulated class).
+  tabulated class); for every registered cell, the full class triangle
+  must agree exactly (error 0.0).
+* **Table build** -- cold build time of a batch's table rows on a
+  128x64 fefet2t array: one stacked :meth:`KernelEngine.rows` pass
+  against a per-row :meth:`KernelEngine.row` loop (rows asserted
+  bitwise equal).
 * **Fallback** -- a kernel compiled with a deliberately small
   ``max_driven`` must serve in-grid keys from the tables and route the
   rest through the RK4 reference path, with outcomes bit-identical to
@@ -26,11 +31,12 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke    # CI
     PYTHONPATH=src python benchmarks/bench_kernels.py --check    # assert
 
-``--check`` asserts the validation bound, that both the table-hit and
-RK4-fallback paths actually ran, scalar/kernel bit-identity, and zero
-mismatching faulted outcomes; these hold on any host.  The timing
-section is informational on shared runners (the kernel-vs-scalar CI
-gate lives in ``bench_perf_search``).
+``--check`` asserts the validation bounds (exactly 0.0 for every
+registered cell), that both the table-hit and RK4-fallback paths
+actually ran, scalar/kernel bit-identity, and zero mismatching faulted
+outcomes; these hold on any host.  The timing sections are
+informational on shared runners and carry no floor (the
+kernel-vs-scalar CI gate lives in ``bench_perf_search``).
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ import numpy as np
 from repro.core import all_designs, build_array, get_design
 from repro.faults.faultmap import FaultKind, FaultMap
 from repro.kernels import KernelEngine
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, TCAMArray
+from repro.tcam.cells import get_cell, list_cells
 from repro.tcam.outcome import SCHEMA_VERSION
 from repro.tcam.trit import random_word
 
@@ -113,6 +120,53 @@ def run_validation(designs: list[str], rows: int, cols: int, n_keys: int) -> lis
             }
         )
     return records
+
+
+def run_cell_validation(cells: list[str], cols: int) -> list[dict]:
+    """Full-triangle table-vs-RK4 validation per registered cell."""
+    records = []
+    for name in cells:
+        engine = TCAMArray(get_cell(name), ArrayGeometry(rows=4, cols=cols)).kernel
+        engine.precompute()
+        records.append(
+            {
+                "cell": name,
+                "cols": cols,
+                "classes_tabulated": engine.counters()["classes_tabulated"],
+                "worst_relative_error": engine.validate(rtol=1e-9),
+            }
+        )
+    return records
+
+
+def run_table_build(rows: int, cols: int, n_keys: int) -> dict:
+    """Cold build of one batch's rows: one stacked pass vs a per-row loop."""
+    keys = _keys(cols, n_keys, x_fraction=0.2, seed=SEED + 6)
+    drivens = sorted({int(np.count_nonzero(k.as_array() != 2)) for k in keys})
+    seconds = {}
+    built = {}
+    # Stacked first, so one-time warm-up costs land on it, not on the loop.
+    for mode in ("stacked", "per_row"):
+        engine = _build_loaded(DESIGN, rows, cols, SEED).kernel
+        t0 = time.perf_counter()
+        if mode == "stacked":
+            built[mode] = engine.rows(drivens)
+        else:
+            built[mode] = [engine.row(d) for d in drivens]
+        seconds[mode] = round(time.perf_counter() - t0, 4)
+    for a, b in zip(built["stacked"], built["per_row"]):
+        for name, field in vars(a).items():
+            assert np.array_equal(field, getattr(b, name)), "stacked row != per-row build"
+    return {
+        "design": DESIGN,
+        "rows": rows,
+        "cols": cols,
+        "n_rows": len(drivens),
+        "n_classes": sum(d + 1 for d in drivens),
+        "per_row_seconds": seconds["per_row"],
+        "stacked_seconds": seconds["stacked"],
+        "speedup": round(seconds["per_row"] / seconds["stacked"], 2),
+    }
 
 
 def run_fallback(rows: int, cols: int, n_keys: int) -> dict:
@@ -229,13 +283,18 @@ def run_timing(rows: int, cols: int, n_keys: int, scalar_keys: int) -> dict:
 
 def run_bench(smoke: bool) -> dict:
     searchable = [spec.name for spec in all_designs() if spec.sensing != "nand"]
+    cells = list(list_cells())
     if smoke:
         validation = run_validation([DESIGN], rows=32, cols=24, n_keys=32)
+        cell_validation = run_cell_validation(cells, cols=8)
+        table_build = run_table_build(rows=32, cols=24, n_keys=64)
         fallback = run_fallback(rows=32, cols=24, n_keys=32)
         faulted = run_faulted(rows=64, cols=32, n_keys=64)
         timing = run_timing(rows=64, cols=32, n_keys=128, scalar_keys=16)
     else:
         validation = run_validation(searchable, rows=64, cols=32, n_keys=64)
+        cell_validation = run_cell_validation(cells, cols=16)
+        table_build = run_table_build(rows=128, cols=64, n_keys=256)
         fallback = run_fallback(rows=64, cols=32, n_keys=64)
         faulted = run_faulted(rows=64, cols=32, n_keys=256)
         timing = run_timing(rows=256, cols=64, n_keys=1024, scalar_keys=64)
@@ -244,6 +303,8 @@ def run_bench(smoke: bool) -> dict:
         "design": DESIGN,
         "validation_rtol": 1e-9,
         "validation": validation,
+        "cell_validation": cell_validation,
+        "table_build": table_build,
         "fallback": fallback,
         "faulted": faulted,
         "timing": timing,
@@ -259,8 +320,9 @@ def main() -> None:
     parser.add_argument(
         "--check", action="store_true",
         help=(
-            "exit non-zero unless the validation bound holds, both the "
-            "table and RK4-fallback paths ran, kernel outcomes are "
+            "exit non-zero unless the validation bounds hold (0.0 for "
+            "every registered cell), both the table and RK4-fallback "
+            "paths ran, kernel outcomes are "
             "bit-identical to the scalar search, and faulted kernel "
             "batches equal the scalar faulty loop from the tables alone"
         ),
@@ -279,6 +341,10 @@ def main() -> None:
     if args.check:
         worst = max(v["worst_relative_error"] for v in record["validation"])
         assert worst <= 1e-9
+        for v in record["cell_validation"]:
+            assert v["worst_relative_error"] == 0.0, (
+                f"cell {v['cell']}: table diverged from the scalar RK4 reference"
+            )
         assert record["fallback"]["table_hits"] > 0
         assert record["fallback"]["rk4_fallbacks"] > 0
         for faulted in record["faulted"]:
@@ -287,7 +353,8 @@ def main() -> None:
             assert faulted["table_hits"] > 0, f"{label}: tables not used"
             assert faulted["rk4_fallbacks"] == 0, f"{label}: RK4 fallback ran"
         print(
-            f"OK: validation <= 1e-9 (worst {worst:.3e}), table and "
+            f"OK: validation <= 1e-9 (worst {worst:.3e}), every registered "
+            "cell's full triangle exact, table and "
             "fallback paths exercised, kernel bit-identical to scalar, "
             "faulted kernel batches identical to the scalar faulty loop"
         )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .. import obs
 from ..circuits.rc import discharge_waveform, discharge_waveform_batch
-from ..devices.mosfet import ekv_current_vec
+from ..devices.mosfet import ekv_current
 from ..devices.variability import VariationSpec
 from ..errors import AnalysisError
 from ..parallel import scatter_gather, spawn_seeds
@@ -238,10 +238,10 @@ class SampledFeFETArray:
         )
         n_hvt = np.count_nonzero(match_mask, axis=1).astype(float)
 
-        i_hvt_nominal = ekv_current_vec(
-            self.cell.params.v_search, self.vdd, np.array([f.vt_hvt]),
+        i_hvt_nominal = ekv_current(
+            self.cell.params.v_search, self.vdd, f.vt_hvt,
             self._beta, f.n_slope, self._phi_t, f.lambda_cl,
-        )[0]
+        )
         v_search = self.cell.params.v_search
 
         def currents(v: np.ndarray) -> np.ndarray:
@@ -251,13 +251,13 @@ class SampledFeFETArray:
             v = np.maximum(v, 0.0)
             total = np.zeros(rows)
             if vt_on.size:
-                i_on = ekv_current_vec(
+                i_on = ekv_current(
                     v_search, v[on_rows], vt_on, self._beta,
                     f.n_slope, self._phi_t, f.lambda_cl,
                 )
                 total += np.bincount(on_rows, weights=i_on, minlength=rows)
             if vt_leak.size:
-                i_lk = ekv_current_vec(
+                i_lk = ekv_current(
                     0.0, v[leak_rows], vt_leak, self._beta,
                     f.n_slope, self._phi_t, f.lambda_cl,
                 )
@@ -291,23 +291,23 @@ class SampledFeFETArray:
         if vt_on.size == 0 and vt_leak.size == 0 and n_hvt == 0:
             return True  # fully masked: the line cannot move
 
-        i_hvt_nominal = ekv_current_vec(
-            self.cell.params.v_search, self.vdd, np.array([f.vt_hvt]),
+        i_hvt_nominal = ekv_current(
+            self.cell.params.v_search, self.vdd, f.vt_hvt,
             self._beta, f.n_slope, self._phi_t, f.lambda_cl,
-        )[0]
+        )
 
         def i_total(v: float) -> float:
             total = 0.0
             if vt_on.size:
                 total += float(
-                    ekv_current_vec(
+                    ekv_current(
                         self.cell.params.v_search, v, vt_on, self._beta,
                         f.n_slope, self._phi_t, f.lambda_cl,
                     ).sum()
                 )
             if vt_leak.size:
                 total += float(
-                    ekv_current_vec(
+                    ekv_current(
                         0.0, v, vt_leak, self._beta,
                         f.n_slope, self._phi_t, f.lambda_cl,
                     ).sum()

@@ -16,7 +16,7 @@ from .rc import (
     elmore_delay,
     rc_step_response,
 )
-from .matchline import MatchLine, MatchLineLoad, MatchLineResult
+from .matchline import MatchLine, MatchLineLoad, MatchLineResult, composite_current
 from .nandstring import NANDMatchString, NANDStringParams, NANDStringResult
 from .searchline import SearchLine, SearchLineEnergy
 from .senseamp import CurrentRaceSenseAmp, SenseAmp, SenseDecision, VoltageSenseAmp
@@ -34,6 +34,7 @@ __all__ = [
     "MatchLine",
     "MatchLineLoad",
     "MatchLineResult",
+    "composite_current",
     "NANDMatchString",
     "NANDStringParams",
     "NANDStringResult",

@@ -10,6 +10,11 @@ leakage.  The resulting dynamics are a one-pole nonlinear discharge
 which this module solves exactly (quadrature) for delays and numerically
 (RK4) for waveforms.  The cell models in :mod:`repro.tcam.cells` supply the
 per-cell current functions; this module is agnostic to the technology.
+
+:func:`composite_current` is the one expression for the bracketed total.
+It is elementwise, so the same call serves one line at one voltage, one
+line over a quadrature grid, and a whole stack of lines (every class of
+a waveform-table build, every fault signature of a batch) per RK4 stage.
 """
 
 from __future__ import annotations
@@ -24,6 +29,42 @@ from ..errors import CircuitError
 from .rc import charge_energy, discharge_time, discharge_waveform
 
 CurrentOfVoltage = Callable[[float], float]
+
+
+def composite_current(
+    v: float | np.ndarray,
+    i_pulldown: Callable,
+    i_leak: Callable,
+    n_miss: int | np.ndarray,
+    n_match: int | np.ndarray,
+    weak_offsets: np.ndarray | None = None,
+    weak_mask: np.ndarray | None = None,
+) -> float | np.ndarray:
+    """Total discharge current of match lines at voltage(s) ``v`` [A].
+
+    ``n_miss * i_pulldown(v)``, plus one ``i_pulldown(v, dvt)`` per
+    weakened pull-down in ``weak_offsets`` column order, plus
+    ``n_match * i_leak(v)``, summed left to right.  ``v``, ``n_miss``
+    and ``n_match`` broadcast elementwise, so a scalar call is bit for
+    bit the matching element of a stacked one.
+
+    Args:
+        v: Line voltage(s) [V], a scalar or an ``(n,)`` array.
+        i_pulldown: Per-cell pull-down ``i(v, vt_offset=0.0)`` [A].
+        i_leak: Per-cell matched-cell leakage ``i(v)`` [A].
+        n_miss: Intact pull-downs per line.
+        n_match: Leaking matched cells per line.
+        weak_offsets: ``(n, w)`` threshold shifts of each line's
+            retention-weakened pull-downs [V], padded on the right.
+        weak_mask: ``(n, w)`` boolean mask of the real entries of
+            ``weak_offsets``; padding adds an exact ``0.0``.
+    """
+    total = n_miss * i_pulldown(v)
+    if weak_offsets is not None and weak_offsets.shape[1]:
+        weak = np.where(weak_mask, i_pulldown(v[:, np.newaxis], weak_offsets), 0.0)
+        for column in weak.T:
+            total = total + column
+    return total + n_match * i_leak(v)
 
 
 @dataclass(frozen=True)
@@ -52,14 +93,11 @@ class MatchLineLoad:
         if self.n_miss + self.n_match == 0:
             raise CircuitError("match line must carry at least one cell")
 
-    def total_current(self, v_ml: float) -> float:
-        """Total discharge current at ML voltage ``v_ml`` [A]."""
-        total = 0.0
-        if self.n_miss:
-            total += self.n_miss * self.i_pulldown(v_ml)
-        if self.n_match:
-            total += self.n_match * self.i_leak(v_ml)
-        return total
+    def total_current(self, v_ml: float | np.ndarray) -> float | np.ndarray:
+        """Total discharge current at ML voltage(s) ``v_ml`` [A]."""
+        return composite_current(
+            v_ml, self.i_pulldown, self.i_leak, self.n_miss, self.n_match
+        )
 
 
 @dataclass(frozen=True)

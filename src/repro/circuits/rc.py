@@ -124,13 +124,16 @@ def discharge_time(
     """Time for ``capacitance`` to discharge from v_start to v_stop [s].
 
     Integrates ``t = C * integral_{v_stop}^{v_start} dv / i(v)`` with the
-    composite trapezoid rule.  ``current(v)`` must be strictly positive over
-    the open interval; a non-positive current means the line can never reach
-    ``v_stop`` and ``inf`` is returned.
+    composite trapezoid rule.  ``current`` is called once, on the array of
+    quadrature voltages, and must answer elementwise (a scalar answer is a
+    constant current).  It must be strictly positive over the interval; a
+    non-positive current means the line can never reach ``v_stop`` and
+    ``inf`` is returned.
 
     Args:
         capacitance: Line capacitance [F].
-        current: Discharge current as a function of line voltage [A].
+        current: Discharge current as a function of line voltage [A],
+            evaluated on a voltage array.
         v_start: Initial (higher) voltage [V].
         v_stop: Final (lower) voltage [V].
         n_quad: Number of quadrature intervals.
@@ -142,13 +145,10 @@ def discharge_time(
     if n_quad < 2:
         raise CircuitError(f"n_quad must be >= 2, got {n_quad}")
     voltages = np.linspace(v_stop, v_start, n_quad + 1)
-    inv_i = np.empty_like(voltages)
-    for k, v in enumerate(voltages):
-        i = current(float(v))
-        if i <= 0.0:
-            return math.inf
-        inv_i[k] = 1.0 / i
-    integral = float(np.trapezoid(inv_i, voltages))
+    i = np.broadcast_to(np.asarray(current(voltages), dtype=float), voltages.shape)
+    if (i <= 0.0).any():
+        return math.inf
+    integral = float(np.trapezoid(1.0 / i, voltages))
     return capacitance * integral
 
 

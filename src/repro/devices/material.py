@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import DeviceError
 from ..units import EPSILON_0, EPS_HZO, NANO
 
@@ -88,7 +90,7 @@ class FerroMaterial:
         exponent = (self.e_activation / magnitude) ** self.merz_exponent
         if exponent > 700.0:  # exp() overflow guard; effectively never switches
             return math.inf
-        return self.tau0 * math.exp(exponent)
+        return self.tau0 * float(np.exp(exponent))
 
 
 # 1 uC/cm^2 == 1e-2 C/m^2

@@ -16,7 +16,6 @@ saturation currents keep a finite output conductance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,84 +24,80 @@ from ..errors import DeviceError
 from ..units import NANO, thermal_voltage
 
 
+_SCALAR = (int, float, np.integer, np.floating)
+
+
 def ekv_current(
-    vgs: float,
-    vds: float,
-    vt: float,
+    vgs: float | np.ndarray,
+    vds: float | np.ndarray,
+    vt: float | np.ndarray,
     beta: float,
     n_slope: float,
     phi_t: float,
     lambda_cl: float = 0.0,
-) -> float:
+) -> float | np.ndarray:
     """Drain current [A] of the smooth EKV core (NMOS convention, vds >= 0).
+
+    This is the one device-current reference of the simulator.  ``vgs``,
+    ``vds`` and ``vt`` may be real scalars or numpy arrays that
+    broadcast together; a call with three scalars returns a ``float``.
+    The transcendentals are numpy's ``exp`` / ``log1p`` ufuncs for
+    scalars and arrays alike and everything else is IEEE ``+ - * /``,
+    so a scalar call is bit for bit the matching element of an array
+    call (the cell and kernel bit-identity suites rest on this).
 
     Args:
         vgs: Gate-source voltage [V].
-        vds: Drain-source voltage [V]; must be non-negative.
+        vds: Drain-source voltage [V]; must be finite and non-negative.
         vt: Threshold voltage [V].
         beta: Transconductance factor ``kp * W / L`` [A/V^2].
         n_slope: Subthreshold slope factor (>= 1).
         phi_t: Thermal voltage kT/q [V].
         lambda_cl: Channel-length modulation [1/V].
+
+    Raises:
+        DeviceError: for a non-finite or negative ``vds`` (any element)
+            or a slope factor below 1.
     """
-    if vds < 0.0:
-        raise DeviceError(f"ekv_current expects vds >= 0, got {vds}")
+    scalar = (
+        isinstance(vds, _SCALAR) and isinstance(vgs, _SCALAR) and isinstance(vt, _SCALAR)
+    )
+    if scalar:
+        valid = 0.0 <= vds < np.inf
+    else:
+        vds = np.asarray(vds, dtype=float)
+        valid = not vds.size or (
+            np.minimum.reduce(vds, axis=None) >= 0.0
+            and np.maximum.reduce(vds, axis=None) < np.inf
+        )
+    if not valid:
+        raise DeviceError(f"ekv_current expects a finite vds >= 0, got {vds}")
     if n_slope < 1.0:
         raise DeviceError(f"slope factor must be >= 1, got {n_slope}")
     vp = (vgs - vt) / n_slope
     i_fwd = _log1pexp_sq(vp / (2.0 * phi_t))
     i_rev = _log1pexp_sq((vp - vds) / (2.0 * phi_t))
     current = 2.0 * n_slope * beta * phi_t * phi_t * (i_fwd - i_rev)
-    return current * (1.0 + lambda_cl * vds)
+    out = current * (1.0 + lambda_cl * vds)
+    return float(out) if scalar or np.ndim(out) == 0 else out
 
 
-def _log1pexp_sq(x: float) -> float:
-    """Numerically safe ``ln(1+exp(x))**2``."""
-    if x > 30.0:
-        return x * x
-    if x < -30.0:
-        return 0.0
-    v = math.log1p(math.exp(x))
-    return v * v
+def _log1pexp_sq(x):
+    """Numerically safe ``ln(1+exp(x))**2``, elementwise.
 
-
-def ekv_current_vec(
-    vgs: float,
-    vds: float | np.ndarray,
-    vt: np.ndarray,
-    beta: float,
-    n_slope: float,
-    phi_t: float,
-    lambda_cl: float = 0.0,
-) -> np.ndarray:
-    """Vectorized :func:`ekv_current` over an array of thresholds.
-
-    Used by the per-cell Monte-Carlo array simulator, where every cell in
-    a row carries its own sampled threshold.  ``vds`` may be a scalar or
-    an array broadcastable against ``vt`` (the row-batched simulator
-    evaluates every device of every match line at that line's own
-    voltage in one call).  Semantics match the scalar core exactly (the
-    test suite checks element-wise agreement).
+    Above 30 the softplus is taken as ``x`` itself, below -30 the result
+    as 0; arguments outside ``[-30, 30]`` never reach ``exp``.  A scalar
+    takes the branch its array element would take through the masks.
     """
-    if np.any(np.asarray(vds) < 0.0):
-        raise DeviceError(f"ekv_current expects vds >= 0, got {vds}")
-    if n_slope < 1.0:
-        raise DeviceError(f"slope factor must be >= 1, got {n_slope}")
-    vt_arr = np.asarray(vt, dtype=float)
-    vp = (vgs - vt_arr) / n_slope
-
-    def log1pexp_sq(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        high = x > 30.0
-        mid = (~high) & (x >= -30.0)
-        out[high] = x[high] ** 2
-        out[mid] = np.log1p(np.exp(x[mid])) ** 2
-        return out
-
-    i_fwd = log1pexp_sq(vp / (2.0 * phi_t))
-    i_rev = log1pexp_sq((vp - vds) / (2.0 * phi_t))
-    current = 2.0 * n_slope * beta * phi_t * phi_t * (i_fwd - i_rev)
-    return current * (1.0 + lambda_cl * vds)
+    if isinstance(x, float):
+        if x > 30.0:
+            return x * x
+        if x < -30.0:
+            return 0.0
+        y = np.log1p(np.exp(x))
+        return y * y
+    y = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0)) * (x >= -30.0)))
+    return y * y
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,7 @@ class MOSFET:
 
     def iv_curve(self, vgs_values: np.ndarray, vds: float) -> np.ndarray:
         """Vectorized ID(VGS) sweep at fixed VDS."""
-        return np.array([self.current(float(v), vds) for v in vgs_values])
+        return np.asarray(self.current(np.asarray(vgs_values, dtype=float), vds))
 
 
 def nmos_45nm(width: float = 90 * NANO) -> MOSFETParams:

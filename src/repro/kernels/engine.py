@@ -12,8 +12,11 @@ Precharge-style rows are derived from a :class:`WaveformTable` (the
 tabulated RK4 endpoints); current-race rows evaluate the race amp's
 closed form per class.  Both reuse the array's own per-class helpers
 (:meth:`TCAMArray._precharge_class_from_v_end` /
-:meth:`TCAMArray._race_class`), so every tabulated quantity is the
-exact object the scalar search would have computed.
+:meth:`TCAMArray._race_class_from_current`), so every tabulated quantity
+is the exact object the scalar search would have computed.  A batch asks
+for all of its rows in one :meth:`KernelEngine.rows` call, which builds
+every missing row together -- for precharge sensing in one stacked RK4
+pass -- under a ``kernels.build_rows`` span.
 
 With a fault map attached, retention-degraded rows carry pull-down
 compositions outside the class triangle.  Their sensing results are
@@ -24,19 +27,23 @@ not seen yet, and cached on the engine until the fault map changes
 Counters: ``table_hits`` counts per-key class queries served from the
 tables (fault signatures included), ``rk4_fallbacks`` counts class
 queries answered by the RK4 reference path (classes whose ``driven``
-exceeds the tabulated grid); the array delta-syncs both into the
-``MetricsRegistry`` as ``kernels.table_hits`` / ``kernels.rk4_fallbacks``
-at batch boundaries.
+exceeds the tabulated grid) and ``rows_built`` the compiled rows; the
+array delta-syncs all three into the ``MetricsRegistry`` as
+``kernels.table_hits`` / ``kernels.rk4_fallbacks`` /
+``kernels.rows_built`` at batch boundaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
+from .. import obs
+from ..circuits.matchline import composite_current
 from ..errors import KernelError
-from .waveform import WaveformTable
+from .waveform import WaveformTable, as_driven
 
 
 def sequential_segment_sum(
@@ -90,6 +97,17 @@ class RaceClassRow:
     delay: np.ndarray
 
 
+def _row_of(row_type, results: list):
+    """Stack per-class result objects into one row of flat arrays."""
+    return row_type(**{
+        f.name: np.array(
+            [getattr(r, f.name) for r in results],
+            dtype=bool if f.name == "is_match" else float,
+        )
+        for f in fields(row_type)
+    })
+
+
 class KernelEngine:
     """Compiled class tables + counters for one :class:`TCAMArray`.
 
@@ -141,57 +159,66 @@ class KernelEngine:
         """Number of ``driven`` rows compiled so far."""
         return len(self._rows)
 
-    def row(self, driven: int) -> PrechargeClassRow | RaceClassRow:
-        """Compiled sensing row for one ``driven`` value (built lazily)."""
-        if not self.in_grid(driven):
+    def _check_driven(self, driven) -> int:
+        d = as_driven(driven)
+        if not self.in_grid(d):
             raise KernelError(
-                f"driven {driven} outside compiled grid [0, {self.max_driven}]"
+                f"driven {d} outside compiled grid [0, {self.max_driven}]"
             )
-        cached = self._rows.get(driven)
-        if cached is not None:
-            return cached
+        return d
+
+    def rows(self, drivens: Iterable[int]) -> list[PrechargeClassRow | RaceClassRow]:
+        """Compiled sensing rows for several ``driven`` values.
+
+        Entry ``i`` is the row of ``drivens[i]``.  The rows not compiled
+        yet are built together under one ``kernels.build_rows`` span
+        (attributes ``n_rows``, ``n_classes``): precharge endpoints of
+        all of them integrate in one stacked RK4 pass
+        (:meth:`WaveformTable.rows`), current-race rows evaluate their
+        class currents in one array call per row.
+        """
+        ds = [self._check_driven(d) for d in drivens]
+        missing = sorted({d for d in ds if d not in self._rows})
+        if missing:
+            with obs.span(
+                "kernels.build_rows",
+                n_rows=len(missing),
+                n_classes=sum(d + 1 for d in missing),
+            ):
+                self._build(missing)
+        return [self._rows[d] for d in ds]
+
+    def row(self, driven: int) -> PrechargeClassRow | RaceClassRow:
+        """Compiled sensing row for one ``driven`` value (``rows([driven])[0]``)."""
+        return self.rows([driven])[0]
+
+    def _build(self, drivens: list[int]) -> None:
         array = self._array
-        n = driven + 1
         if array.sensing == "precharge":
-            v_ends = self.waveform.row(driven)
-            fields = {
-                name: np.empty(n)
-                for name in ("v_end", "e_restore", "e_diss", "e_sense", "t_sense", "t_restore")
-            }
-            is_match = np.empty(n, dtype=bool)
-            for k in range(n):
-                res = array._precharge_class_from_v_end(float(v_ends[k]))
-                fields["v_end"][k] = res.v_end
-                fields["e_restore"][k] = res.e_restore
-                fields["e_diss"][k] = res.e_diss
-                fields["e_sense"][k] = res.e_sense
-                fields["t_sense"][k] = res.t_sense
-                fields["t_restore"][k] = res.t_restore
-                is_match[k] = res.is_match
-            built: PrechargeClassRow | RaceClassRow = PrechargeClassRow(
-                is_match=is_match, **fields
-            )
+            for d, v_ends in zip(drivens, self.waveform.rows(drivens)):
+                results = [array._precharge_class_from_v_end(float(v)) for v in v_ends]
+                self._store(d, _row_of(PrechargeClassRow, results))
         else:
-            is_match = np.empty(n, dtype=bool)
-            energy = np.empty(n)
-            delay = np.empty(n)
-            for k in range(n):
-                res = array._race_class(k, driven)
-                is_match[k] = res.is_match
-                energy[k] = res.energy
-                delay[k] = res.delay
-            built = RaceClassRow(is_match=is_match, energy=energy, delay=delay)
+            v_trip = array.race_amp.v_trip
+            cell = array.cell
+            for d in drivens:
+                n_miss = np.arange(d + 1)
+                currents = composite_current(
+                    v_trip, cell.i_pulldown, cell.i_leak, n_miss, d - n_miss
+                )
+                results = [array._race_class_from_current(float(i)) for i in currents]
+                self._store(d, _row_of(RaceClassRow, results))
+
+    def _store(self, driven: int, built: PrechargeClassRow | RaceClassRow) -> None:
         for field in vars(built).values():
             field.setflags(write=False)
         self._rows[driven] = built
-        return built
 
     def precompute(self, drivens: "range | list[int] | None" = None) -> None:
-        """Compile rows eagerly (the whole grid by default)."""
+        """Compile rows eagerly (the whole grid by default), in one pass."""
         if drivens is None:
             drivens = range(self.max_driven + 1)
-        for d in drivens:
-            self.row(int(d))
+        self.rows(drivens)
 
     def fault_classes(self, sigs: list[tuple], fault_version: int) -> dict:
         """Sensing results of retention-degraded pull-down signatures.
@@ -227,10 +254,7 @@ class KernelEngine:
         """
         if self._array.sensing != "precharge":
             raise KernelError("window tables apply to precharge-style sensing only")
-        if not self.in_grid(driven):
-            raise KernelError(
-                f"driven {driven} outside compiled grid [0, {self.max_driven}]"
-            )
+        driven = self._check_driven(driven)
         cached = self._window_rows.get(driven)
         if cached is not None:
             return cached

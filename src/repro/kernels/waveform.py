@@ -7,16 +7,20 @@ for a fixed configuration the whole class space is a dense
 answered by lookup forever after -- the per-action-estimator-over-
 tabulated-physics move that makes architecture sweeps cheap.
 
-:class:`WaveformTable` materializes that triangle row by row (one row
-per ``driven`` value, all ``n_miss in [0, driven]`` classes stacked
-through one RK4 pass), using *exactly* the per-class current arithmetic
-of the reference integrator, so a tabulated endpoint is bit-for-bit the
-value :func:`repro.circuits.rc.discharge_waveform` would produce.  The
-RK4 integrator stays the reference path: :meth:`WaveformTable.validate`
-re-integrates tabulated classes scalar-by-scalar and checks the relative
-error against a ``<= 1e-9`` budget (in practice it is exactly zero), and
-any class outside the tabulated grid falls back to RK4 at the engine
-layer.
+:class:`WaveformTable` materializes that triangle by rows (one row per
+``driven`` value, holding every ``n_miss in [0, driven]`` class).  All
+the rows one request is missing integrate together in **one** stacked
+RK4 pass: each stage evaluates the composite line current of every
+class in one array call
+(:func:`~repro.circuits.matchline.composite_current` over the cell's
+numpy I-V).  The device model is numpy arithmetic for scalars and arrays
+alike, so a tabulated endpoint is bit-for-bit the value
+:func:`repro.circuits.rc.discharge_waveform` produces for the class
+alone.  The RK4 integrator stays the reference path:
+:meth:`WaveformTable.validate` re-integrates tabulated classes one at a
+time and checks the relative error against a ``<= 1e-9`` budget (in
+practice it is exactly zero), and any class outside the tabulated grid
+falls back to RK4 at the engine layer.
 
 Fractional mismatch queries (``n_miss`` between grid points, used by
 variability analyses where an effective pull-down strength is not an
@@ -28,12 +32,25 @@ near the knee of the discharge curve and invert the sense decision.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
+from ..circuits.matchline import composite_current
 from ..circuits.rc import discharge_waveform, discharge_waveform_batch
 from ..errors import KernelError
+
+
+def as_driven(driven) -> int:
+    """``driven`` as a Python ``int``; only integers are accepted.
+
+    Raises:
+        KernelError: for anything but a Python or NumPy integer (floats
+            and booleans included).
+    """
+    if isinstance(driven, (bool, np.bool_)) or not isinstance(driven, (int, np.integer)):
+        raise KernelError(f"driven must be an integer, got {driven!r}")
+    return int(driven)
 
 
 def _monotone_slopes(y: np.ndarray) -> np.ndarray:
@@ -79,14 +96,16 @@ class WaveformTable:
     One instance captures the electrical knobs of a precharge-style
     match line (capacitance, cell I-V callables, precharge target,
     evaluation window) and tabulates ``v(t_eval)`` for every mismatch
-    class on the ``driven x n_miss`` grid.  Rows materialize lazily (the
-    first query for a ``driven`` value integrates its whole class row in
-    one stacked RK4 pass) or eagerly via :meth:`precompute`.
+    class on the ``driven x n_miss`` grid.  Rows materialize lazily --
+    :meth:`rows` integrates every requested row not built yet in one
+    stacked RK4 pass -- or eagerly via :meth:`precompute`.
 
     Args:
         capacitance: Match-line capacitance [F].
-        i_pulldown: Per-cell mismatch pull-down current ``i(v)`` [A].
-        i_leak: Per-cell matched-cell leakage current ``i(v)`` [A].
+        i_pulldown: Per-cell mismatch pull-down current ``i(v)`` [A],
+            elementwise over a voltage array.
+        i_leak: Per-cell matched-cell leakage current ``i(v)`` [A],
+            elementwise over a voltage array.
         v_start: Precharge target the discharge starts from [V].
         t_eval: Evaluation window (strobe time) [s].
         max_driven: Largest tabulated ``driven_cols``; classes beyond it
@@ -130,6 +149,14 @@ class WaveformTable:
 
     # -- grid membership ---------------------------------------------------
 
+    def _check_driven(self, driven) -> int:
+        d = as_driven(driven)
+        if not 0 <= d <= self.max_driven:
+            raise KernelError(
+                f"driven {d} outside tabulated grid [0, {self.max_driven}]"
+            )
+        return d
+
     def in_grid(self, n_miss: int, driven: int) -> bool:
         """True when the class lies on the tabulated triangle."""
         return 0 <= driven <= self.max_driven and 0 <= n_miss <= driven
@@ -146,76 +173,54 @@ class WaveformTable:
 
     # -- construction ------------------------------------------------------
 
-    def _class_current(self, n_miss: int, n_match: int) -> Callable[[float], float]:
-        """Scalar composite current of one class (the reference arithmetic)."""
-        i_pulldown = self.i_pulldown
-        i_leak = self.i_leak
+    def rows(self, drivens: Iterable[int]) -> list[np.ndarray]:
+        """Endpoint rows ``v_end[n_miss]`` for several ``driven`` values.
 
-        def current(v: float) -> float:
-            total = 0.0
-            if n_miss:
-                total += n_miss * i_pulldown(v)
-            if n_match:
-                total += n_match * i_leak(v)
-            return total
-
-        return current
-
-    def row(self, driven: int) -> np.ndarray:
-        """Endpoint row ``v_end[n_miss]`` for one ``driven`` value.
-
-        The row has ``driven + 1`` entries (``n_miss = 0 .. driven``),
-        integrated in one stacked RK4 pass whose per-class current sums
-        replicate the reference integrator's arithmetic term for term,
-        so each entry is bitwise equal to a standalone scalar RK4 run.
-        The returned array is read-only and cached.
+        Entry ``i`` has ``drivens[i] + 1`` endpoints (``n_miss = 0 ..
+        driven``).  Every requested row not built yet integrates in one
+        stacked RK4 pass, whose stages evaluate the composite current of
+        all the missing classes in one array call; each endpoint is
+        bitwise equal to a standalone scalar RK4 run of its class.
+        Returned arrays are read-only and cached.
         """
-        if not 0 <= driven <= self.max_driven:
-            raise KernelError(
-                f"driven {driven} outside tabulated grid [0, {self.max_driven}]"
-            )
-        cached = self._rows.get(driven)
-        if cached is not None:
-            return cached
-        if driven == 0:
-            # A fully masked key drives no column: nothing can discharge
-            # the line and the endpoint is the precharge target itself.
-            out = np.array([self.v_start], dtype=float)
-        else:
-            i_pulldown = self.i_pulldown
-            i_leak = self.i_leak
-
-            def currents(v: np.ndarray) -> np.ndarray:
-                stacked = np.empty(driven + 1)
-                for k in range(driven + 1):
-                    v_k = float(v[k])
-                    n_miss = k
-                    n_match = driven - k
-                    total = 0.0
-                    if n_miss:
-                        total += n_miss * i_pulldown(v_k)
-                    if n_match:
-                        total += n_match * i_leak(v_k)
-                    stacked[k] = total
-                return stacked
-
-            out = discharge_waveform_batch(
+        ds = [self._check_driven(d) for d in drivens]
+        missing = sorted({d for d in ds if d not in self._rows})
+        # A fully masked key drives no column: nothing can discharge the
+        # line and its endpoint is the precharge target itself.
+        if 0 in missing:
+            self._store(0, np.array([self.v_start]))
+        integrate = [d for d in missing if d]
+        if integrate:
+            sizes = np.array(integrate) + 1
+            starts = np.cumsum(sizes) - sizes
+            driven = np.repeat(integrate, sizes)
+            n_miss = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+            n_match = driven - n_miss
+            i_pulldown, i_leak = self.i_pulldown, self.i_leak
+            v_end = discharge_waveform_batch(
                 self.capacitance,
-                currents,
-                np.full(driven + 1, self.v_start),
+                lambda v: composite_current(v, i_pulldown, i_leak, n_miss, n_match),
+                np.full(n_miss.size, self.v_start),
                 self._grid,
                 self.v_floor,
             )
-        out.setflags(write=False)
-        self._rows[driven] = out
-        return out
+            for d, row in zip(integrate, np.split(v_end, starts[1:])):
+                self._store(d, row)
+        return [self._rows[d] for d in ds]
+
+    def _store(self, driven: int, row: np.ndarray) -> None:
+        row.setflags(write=False)
+        self._rows[driven] = row
+
+    def row(self, driven: int) -> np.ndarray:
+        """Endpoint row for one ``driven`` value (``rows([driven])[0]``)."""
+        return self.rows([driven])[0]
 
     def precompute(self, drivens: "range | list[int] | None" = None) -> None:
-        """Materialize rows eagerly (all of them by default)."""
+        """Materialize rows eagerly (all of them by default), in one pass."""
         if drivens is None:
             drivens = range(self.max_driven + 1)
-        for d in drivens:
-            self.row(int(d))
+        self.rows(drivens)
 
     # -- queries -----------------------------------------------------------
 
@@ -238,10 +243,7 @@ class WaveformTable:
         sense reference in the wrong direction relative to its
         bracketing integer classes.
         """
-        if not 0 <= driven <= self.max_driven:
-            raise KernelError(
-                f"driven {driven} outside tabulated grid [0, {self.max_driven}]"
-            )
+        driven = self._check_driven(driven)
         if not 0.0 <= n_miss <= driven:
             raise KernelError(
                 f"fractional n_miss {n_miss} outside [0, {driven}]"
@@ -278,8 +280,9 @@ class WaveformTable:
         and compared.  Returns the worst relative error and raises when
         it exceeds ``rtol``.
 
-        The table is built through the stacked integrator's elementwise-
-        identical arithmetic, so the expected error is exactly 0.0; a
+        The table is built through the stacked integrator and the numpy
+        device model, both elementwise identical to a lone scalar class,
+        so the expected error is exactly 0.0; a
         nonzero value indicates the two integration paths diverged and
         the ``<= 1e-9`` budget bounds how far the sensing decisions
         could drift before this check fails the build.
@@ -289,14 +292,15 @@ class WaveformTable:
                 self.precompute()
             drivens = sorted(self._rows)
         worst = 0.0
-        for d in drivens:
-            row = self.row(int(d))
+        i_pulldown, i_leak = self.i_pulldown, self.i_leak
+        for d, row in zip(drivens, self.rows(drivens)):
             for n_miss in range(int(d) + 1):
-                current = self._class_current(n_miss, int(d) - n_miss)
                 reference = float(
                     discharge_waveform(
                         self.capacitance,
-                        current,
+                        lambda v, m=n_miss: composite_current(
+                            v, i_pulldown, i_leak, m, d - m
+                        ),
                         self.v_start,
                         self._grid,
                         self.v_floor,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..circuits.matchline import MatchLine, MatchLineLoad
+from ..circuits.matchline import MatchLine, MatchLineLoad, composite_current
 from ..circuits.precharge import FullSwingPrecharge, PrechargeScheme
 from ..circuits.rc import discharge_waveform_batch
 from ..circuits.searchline import SearchLine, count_toggles
@@ -723,22 +723,19 @@ class TCAMArray:
         element integrates exactly as it would alone.
         """
         v_pre = self.precharge.target_voltage()
-        i_pulldown = self.cell.i_pulldown
-        i_leak = self.cell.i_leak
+        n_strong, weak, n_leak = zip(*sigs)
+        lengths = np.array([len(w) for w in weak])
+        # Weak shifts left-aligned in an (n, width) matrix, row-major.
+        mask = np.arange(lengths.max()) < lengths[:, np.newaxis]
+        offsets = np.zeros(mask.shape)
+        offsets[mask] = [dvt for w in weak for dvt in w]
+        n_strong, n_leak = np.array(n_strong), np.array(n_leak)
+        i_pulldown, i_leak = self.cell.i_pulldown, self.cell.i_leak
 
         def currents(v: np.ndarray) -> np.ndarray:
-            stacked = np.empty(len(sigs))
-            for k, (n_strong, offsets, n_leak) in enumerate(sigs):
-                v_k = float(v[k])
-                total = 0.0
-                if n_strong:
-                    total += n_strong * i_pulldown(v_k)
-                for dvt in offsets:
-                    total += i_pulldown(v_k, dvt)
-                if n_leak:
-                    total += n_leak * i_leak(v_k)
-                stacked[k] = total
-            return stacked
+            return composite_current(
+                v, i_pulldown, i_leak, n_strong, n_leak, offsets, mask
+            )
 
         with obs.span("array.integrate_faulty", n_classes=len(sigs)):
             grid = np.linspace(0.0, self.t_eval, 65)
@@ -953,20 +950,20 @@ class TCAMArray:
 
         Rows group by mismatch count (one ``np.unique`` covers both the
         sensing classes over the active rows and the histogram over the
-        valid rows); each active class is sensed once by RK4.  The
-        kernel runs this body for keys outside its compiled grid.
+        valid rows); the active classes are sensed once each, precharge
+        ones by one stacked RK4 pass (elementwise identical to
+        integrating each class alone).  The kernel runs this body for
+        keys outside its compiled grid.
         """
         unique, inverse = np.unique(miss, return_inverse=True)
         counts_active = np.bincount(inverse[active], minlength=unique.size)
         counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-        sense_class = (
-            self._precharge_class if self.sensing == "precharge" else self._race_class
-        )
-        class_results = {
-            int(n): sense_class(int(n), driven_cols)
-            for n, c in zip(unique, counts_active)
-            if c
-        }
+        sensed = [int(n) for n, c in zip(unique, counts_active) if c]
+        if self.sensing == "precharge":
+            results = self._precharge_classes(sensed, driven_cols)
+        else:
+            results = [self._race_class(n, driven_cols) for n in sensed]
+        class_results = dict(zip(sensed, results))
         return self._assemble_outcome(
             ledger, miss, active, unique, counts_active, counts_valid, class_results
         )
@@ -1042,16 +1039,18 @@ class TCAMArray:
         ) as sp:
             m = obs.metrics()
             eng = self.kernel
-            before = (eng.table_hits, eng.rk4_fallbacks)
+            before = (eng.table_hits, eng.rk4_fallbacks, eng.rows_built)
             outcomes = run()
             if sp is not None:
                 ledger = EnergyLedger.sum(o.energy for o in outcomes)
                 sp.add_energy(ledger)
                 self._book_batch_metrics(len(outcomes), ledger)
             if m is not None:
-                after = (eng.table_hits, eng.rk4_fallbacks)
+                after = (eng.table_hits, eng.rk4_fallbacks, eng.rows_built)
                 for counter, prev, now in zip(
-                    ("kernels.table_hits", "kernels.rk4_fallbacks"), before, after
+                    ("kernels.table_hits", "kernels.rk4_fallbacks", "kernels.rows_built"),
+                    before,
+                    after,
                 ):
                     m.counter(counter).inc(now - prev)
             return outcomes
@@ -1205,9 +1204,9 @@ class TCAMArray:
 
             idx = np.flatnonzero(in_grid)
             av = active & self._valid
-            for d in np.unique(driven_all[idx]):
+            ds = np.unique(driven_all[idx]).tolist()
+            for d, row in zip(ds, eng.rows(ds)):
                 grp = idx[driven_all[idx] == d]
-                row = eng.row(int(d))
                 ca = counts_active[grp]
                 kk, nn = np.nonzero(ca)  # row-major: per key, ascending class
                 eng.table_hits += int(kk.size)
@@ -1371,9 +1370,9 @@ class TCAMArray:
             else:
                 e_race = np.zeros((n_in, ns))
             if ns:
-                for d in np.unique(driven):
+                ds = np.unique(driven).tolist()
+                for d, row in zip(ds, eng.rows(ds)):
                     g = np.flatnonzero(driven == d)
-                    row = eng.row(int(d))
                     c = n_pull[g]
                     is_match[g] = row.is_match[c]
                     if precharge:
@@ -1567,43 +1566,28 @@ class TCAMArray:
 
         All classes are integrated in one stacked RK4 pass (elementwise
         identical to integrating each class alone), so the cost of the
-        Python-level step loop is shared across the whole class set.
+        Python-level step loop is shared across the whole class set.  A
+        fully masked class (``driven == 0``) cannot discharge and stays
+        at the precharge target.
         """
         v_pre = self.precharge.target_voltage()
-        out = [v_pre] * len(pairs)
-        loads: list[tuple[int, int, int]] = []  # (output index, n_miss, n_match)
-        for j, (n_miss, driven_cols) in enumerate(pairs):
-            n_match = driven_cols - n_miss
-            if n_miss < 0 or n_match < 0:
-                raise TCAMError("inconsistent mismatch accounting")
-            if n_miss + n_match == 0:
-                continue  # fully masked key: nothing can discharge the line
-            loads.append((j, n_miss, n_match))
-        if not loads:
-            return out
-
-        i_pulldown = self.cell.i_pulldown
-        i_leak = self.cell.i_leak
-
-        def currents(v: np.ndarray) -> np.ndarray:
-            stacked = np.empty(len(loads))
-            for k, (_, n_miss, n_match) in enumerate(loads):
-                v_k = float(v[k])
-                total = 0.0
-                if n_miss:
-                    total += n_miss * i_pulldown(v_k)
-                if n_match:
-                    total += n_match * i_leak(v_k)
-                stacked[k] = total
-            return stacked
-
-        grid = np.linspace(0.0, self.t_eval, 65)
-        v_end = discharge_waveform_batch(
-            self.c_ml, currents, np.full(len(loads), v_pre), grid
-        )
-        for k, (j, _, _) in enumerate(loads):
-            out[j] = float(v_end[k])
-        return out
+        n_miss, driven = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        n_match = driven - n_miss
+        if (n_miss < 0).any() or (n_match < 0).any():
+            raise TCAMError("inconsistent mismatch accounting")
+        out = np.full(n_miss.size, v_pre)
+        live = driven > 0
+        if live.any():
+            n_miss, n_match = n_miss[live], n_match[live]
+            i_pulldown, i_leak = self.cell.i_pulldown, self.cell.i_leak
+            grid = np.linspace(0.0, self.t_eval, 65)
+            out[live] = discharge_waveform_batch(
+                self.c_ml,
+                lambda v: composite_current(v, i_pulldown, i_leak, n_miss, n_match),
+                np.full(n_miss.size, v_pre),
+                grid,
+            )
+        return out.tolist()
 
     def _ml_voltage_after_eval(self, n_miss: int, driven_cols: int, v_pre: float) -> float:
         """Strobe-time ML voltage of one mismatch class (``v_pre`` must be
@@ -1611,10 +1595,13 @@ class TCAMArray:
         clarity in the characterization helpers)."""
         return self._ml_voltages_after_eval([(n_miss, driven_cols)])[0]
 
-    def _precharge_class(self, n_miss: int, driven_cols: int) -> _PrechargeClassResult:
-        """Full sensing result of one precharge-style mismatch class."""
-        v_end = self._ml_voltages_after_eval([(n_miss, driven_cols)])[0]
-        return self._precharge_class_from_v_end(v_end)
+    def _precharge_classes(
+        self, n_misses: Iterable[int], driven_cols: int
+    ) -> list[_PrechargeClassResult]:
+        """Full sensing results of precharge classes sharing ``driven_cols``
+        (one stacked RK4 pass)."""
+        v_ends = self._ml_voltages_after_eval([(int(n), driven_cols) for n in n_misses])
+        return [self._precharge_class_from_v_end(v) for v in v_ends]
 
     def _precharge_class_from_v_end(self, v_end: float) -> _PrechargeClassResult:
         decision = self.estimator.sense(v_end)
@@ -1632,12 +1619,17 @@ class TCAMArray:
 
     def _race_class(self, n_miss: int, driven_cols: int) -> _RaceClassResult:
         """Sensing result of one current-race mismatch class."""
-        race = self.race_amp
-        v_trip = race.v_trip
-        n_match = driven_cols - int(n_miss)
-        i_total = int(n_miss) * self.cell.i_pulldown(v_trip) + n_match * self.cell.i_leak(
-            v_trip
+        i_total = composite_current(
+            self.race_amp.v_trip,
+            self.cell.i_pulldown,
+            self.cell.i_leak,
+            int(n_miss),
+            driven_cols - int(n_miss),
         )
+        return self._race_class_from_current(i_total)
+
+    def _race_class_from_current(self, i_total: float) -> _RaceClassResult:
+        """Race-amp result of a line drawing ``i_total`` at the trip point."""
         decision = self.estimator.race(i_total)
         return _RaceClassResult(
             is_match=decision.is_match, energy=decision.energy, delay=decision.delay
@@ -1991,8 +1983,7 @@ class TCAMArray:
         e_pre = 0.0
         e_diss = 0.0
         classes, counts = np.unique(miss_v[within], return_counts=True)
-        for n, c in zip(classes, counts):
-            r = self._precharge_class(int(n), driven_cols)
+        for c, r in zip(counts, self._precharge_classes(classes, driven_cols)):
             e_pre += float(c) * r.e_restore
             e_diss += float(c) * r.e_diss
         ledger.add(EnergyComponent.ML_PRECHARGE, e_pre)
@@ -2105,8 +2096,7 @@ class TCAMArray:
         e_pre = 0.0
         e_diss = 0.0
         classes, counts = np.unique(miss_v[survivors], return_counts=True)
-        for n, c in zip(classes, counts):
-            r = self._precharge_class(int(n), driven_cols)
+        for c, r in zip(counts, self._precharge_classes(classes, driven_cols)):
             e_pre += float(c) * r.e_restore
             e_diss += float(c) * r.e_diss
         ledger.add(EnergyComponent.ML_PRECHARGE, e_pre)
@@ -2222,14 +2212,13 @@ class TCAMArray:
                 # one pass (entries beyond each row's triangle are masked
                 # off by the ``ru <= d`` window condition below).
                 d_arr = driven_all[idx]
-                ds = np.unique(d_arr)
-                maxd = int(ds[-1])
+                ds = np.unique(d_arr).tolist()
+                maxd = ds[-1]
                 win_tab = np.full((maxd + 1, maxd + 2), self.t_eval)
                 rest0 = np.empty(maxd + 1)
-                for d in ds:
-                    d = int(d)
+                for d, row in zip(ds, eng.rows(ds)):
                     win_tab[d, : d + 1] = eng.window_row(d)
-                    rest0[d] = eng.row(d).e_restore[0]
+                    rest0[d] = row.e_restore[0]
                 eng.table_hits += int(idx.size)
                 bd = best_d[idx]
                 nl = n_losers[idx]
@@ -2350,11 +2339,10 @@ class TCAMArray:
                 eng.rk4_fallbacks += 1
 
             idx = np.flatnonzero(in_grid)
-            for d in np.unique(driven_all[idx]):
-                d = int(d)
+            ds = np.unique(driven_all[idx]).tolist()
+            for d, vrow in zip(ds, eng.rows(ds)):
                 grp = idx[driven_all[idx] == d]
                 wrow = eng.window_row(d)
-                vrow = eng.row(d)
                 eng.table_hits += int(grp.size)
                 t_window = float(wrow[cut]) if cut <= d else self.t_eval
                 delay = (sl_delay + t_window) + enc_delay
@@ -2459,11 +2447,10 @@ class TCAMArray:
             idx = np.flatnonzero(in_grid)
             n_classes = self.geometry.cols + 1
             class_grid = np.arange(n_classes)
-            for d in np.unique(driven_all[idx]):
-                d = int(d)
+            ds = np.unique(driven_all[idx]).tolist()
+            for d, vrow in zip(ds, eng.rows(ds)):
                 grp = idx[driven_all[idx] == d]
                 wrow = eng.window_row(d)
-                vrow = eng.row(d)
                 eng.table_hits += int(grp.size)
                 dk = d_k[grp]
                 ru = dk + 1
@@ -2521,10 +2508,8 @@ class TCAMArray:
         """
         if self.sensing != "precharge":
             raise TCAMError("sense_margin() applies to precharge-style sensing only")
-        v_pre = self.precharge.target_voltage()
         cols = self.geometry.cols
-        v_match = self._ml_voltage_after_eval(0, cols, v_pre)
-        v_miss = self._ml_voltage_after_eval(1, cols, v_pre)
+        v_match, v_miss = self._ml_voltages_after_eval([(0, cols), (1, cols)])
         return v_match - v_miss
 
     def standby_power(self) -> float:

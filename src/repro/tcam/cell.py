@@ -14,6 +14,11 @@ matrix and asks the descriptor only for physics:
 Keeping descriptors stateless lets a 1024 x 128 array share one descriptor
 instead of instantiating 131k device objects, while Monte-Carlo runs can
 still derate currents per row through the ``vt_offset`` hooks.
+
+The compare-path currents take a scalar or an array of match-line
+voltages (and offsets) and evaluate elementwise through the numpy
+device model, so one call covers every line of a stacked discharge and a
+scalar call is bit for bit the matching element of an array call.
 """
 
 from __future__ import annotations
@@ -21,8 +26,28 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import TCAMError
 from .trit import Trit
+
+
+#: A scalar or an elementwise numpy array (voltages, offsets, currents).
+FloatOrArray = float | np.ndarray
+
+
+def ml_drain_bias(v_ml: FloatOrArray) -> FloatOrArray:
+    """Match-line voltage as a compare path's drain bias, elementwise.
+
+    Clamps ``v <= 0`` to ``0.0``.  Every compare path conducts exactly
+    0 A at zero drain bias (the EKV forward and reverse terms cancel, a
+    resistive branch carries ``0 / R``), so a cell current evaluated at
+    this bias is 0 for a line at or below ground with no branch per
+    element.  NaN stays NaN, which the device model rejects.
+    """
+    if isinstance(v_ml, float) and v_ml > 0.0:
+        return v_ml  # what np.maximum returns for it, without the ufunc call
+    return np.maximum(v_ml, 0.0)
 
 
 @dataclass(frozen=True)
@@ -87,18 +112,23 @@ class CellDescriptor(abc.ABC):
     # -- compare-path currents -------------------------------------------------
 
     @abc.abstractmethod
-    def i_pulldown(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_pulldown(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Pull-down current of one *mismatching* cell at ML voltage [A].
 
+        Elementwise over array arguments (see the module docstring); 0
+        wherever ``v_ml <= 0``.
+
         Args:
-            v_ml: Instantaneous match-line voltage [V].
-            vt_offset: Threshold shift of the conducting device [V]
-                (Monte-Carlo hook; positive weakens the pull-down).
+            v_ml: Instantaneous match-line voltage(s) [V].
+            vt_offset: Threshold shift(s) of the conducting device [V]
+                (Monte-Carlo and retention hook; positive weakens the
+                pull-down).  Broadcasts against ``v_ml``.
         """
 
     @abc.abstractmethod
-    def i_leak(self, v_ml: float, vt_offset: float = 0.0) -> float:
-        """Leakage of one *matching* cell at ML voltage [A]."""
+    def i_leak(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
+        """Leakage of one *matching* cell at ML voltage(s) [A]; elementwise
+        like :meth:`i_pulldown`."""
 
     # -- write path ----------------------------------------------------------
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...devices.mosfet import MOSFET, MOSFETParams, nmos_45nm
+from ...devices.mosfet import MOSFET, MOSFETParams, ekv_current, nmos_45nm
 from ...errors import TCAMError
 from ...units import NANO, thermal_voltage
-from ..cell import CellDescriptor, WriteCost
+from ..cell import CellDescriptor, FloatOrArray, WriteCost, ml_drain_bias
 from ..trit import Trit
 
 
@@ -100,20 +100,16 @@ class CMOS16TCell(CellDescriptor):
 
     # -- compare path -----------------------------------------------------------
 
-    def i_pulldown(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_pulldown(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Series compare stack with both gates at VDD.
 
         The two-device stack is folded into one EKV device with beta/2.
         """
-        if v_ml < 0.0:
-            return 0.0
-        from ...devices.mosfet import ekv_current
-
         p = self.params.compare_nmos
         beta_stack = self._nmos.beta / 2.0
         return ekv_current(
             self.params.vdd,
-            v_ml,
+            ml_drain_bias(v_ml),
             p.vt0 + vt_offset,
             beta_stack,
             p.n_slope,
@@ -121,16 +117,12 @@ class CMOS16TCell(CellDescriptor):
             p.lambda_cl,
         )
 
-    def i_leak(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_leak(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Off-stack subthreshold leakage (one off device dominates)."""
-        if v_ml <= 0.0:
-            return 0.0
-        from ...devices.mosfet import ekv_current
-
         p = self.params.compare_nmos
         return 0.5 * ekv_current(
             0.0,
-            v_ml,
+            ml_drain_bias(v_ml),
             p.vt0 + vt_offset,
             self._nmos.beta,
             p.n_slope,

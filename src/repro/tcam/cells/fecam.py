@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from ...devices.mosfet import ekv_current
 from ...errors import TCAMError
 from ...units import thermal_voltage
-from ..cell import CellDescriptor, WriteCost
+from ..cell import CellDescriptor, FloatOrArray, WriteCost, ml_drain_bias
 from ..trit import Trit
 from .fefet2t import FeFET2TCell, FeFET2TCellParams
 
@@ -130,11 +130,11 @@ class FeCAMCell(CellDescriptor):
 
     # -- compare path -----------------------------------------------------------
 
-    def _current(self, vgs: float, vds: float, vt: float) -> float:
+    def _current(self, vgs: float, vds: FloatOrArray, vt: FloatOrArray) -> FloatOrArray:
         f = self.params.base.fefet
         return ekv_current(vgs, vds, vt, self._beta, f.n_slope, self._phi_t, f.lambda_cl)
 
-    def i_pulldown(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_pulldown(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Boundary mismatch: gate ``half_window`` past threshold [A].
 
         A searched value just outside the acceptance window overdrives
@@ -142,22 +142,18 @@ class FeCAMCell(CellDescriptor):
         discharge an out-of-window search produces (farther mismatches
         discharge faster, so this is the margin-setting case).
         """
-        if v_ml <= 0.0:
-            return 0.0
         vt_eff = self.params.base.v_search - self.params.half_window + vt_offset
-        return self._current(self.params.base.v_search, v_ml, vt_eff)
+        return self._current(self.params.base.v_search, ml_drain_bias(v_ml), vt_eff)
 
-    def i_leak(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_leak(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Boundary match: gate ``half_window`` below threshold [A].
 
         The worst matching cell sits a half-window under conduction --
         subthreshold, but far closer to it than a digital HVT device.
         This is the analog cell's defining margin cost.
         """
-        if v_ml <= 0.0:
-            return 0.0
         vt_eff = self.params.base.v_search + self.params.half_window + vt_offset
-        return self._current(self.params.base.v_search, v_ml, vt_eff)
+        return self._current(self.params.base.v_search, ml_drain_bias(v_ml), vt_eff)
 
     # -- write path ----------------------------------------------------------
 

@@ -33,7 +33,7 @@ from ...devices.fefet import FeFETParams
 from ...devices.mosfet import ekv_current
 from ...errors import TCAMError
 from ...units import NANO, thermal_voltage
-from ..cell import CellDescriptor, WriteCost
+from ..cell import CellDescriptor, FloatOrArray, WriteCost, ml_drain_bias
 from ..trit import Trit
 
 
@@ -127,27 +127,26 @@ class FeFET2TCell(CellDescriptor):
 
     # -- compare path -----------------------------------------------------------
 
-    def _current(self, vgs: float, vds: float, vt: float) -> float:
+    def _current(self, vgs: float, vds: FloatOrArray, vt: FloatOrArray) -> FloatOrArray:
         f = self.params.fefet
         return ekv_current(vgs, vds, vt, self._beta, f.n_slope, self._phi_t, f.lambda_cl)
 
-    def i_pulldown(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_pulldown(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Mismatch: the driven device is in the LVT state."""
-        if v_ml <= 0.0:
-            return 0.0
-        return self._current(self.params.v_search, v_ml, self.params.fefet.vt_lvt + vt_offset)
+        return self._current(
+            self.params.v_search, ml_drain_bias(v_ml), self.params.fefet.vt_lvt + vt_offset
+        )
 
-    def i_leak(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_leak(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Match: a driven HVT device plus an undriven LVT device leak.
 
         Both subthreshold paths are summed; the undriven-LVT term dominates
         because its threshold is only ``vt_lvt`` above a grounded gate.
         """
-        if v_ml <= 0.0:
-            return 0.0
+        v = ml_drain_bias(v_ml)
         f = self.params.fefet
-        i_driven_hvt = self._current(self.params.v_search, v_ml, f.vt_hvt + vt_offset)
-        i_undriven_lvt = self._current(0.0, v_ml, f.vt_lvt + vt_offset)
+        i_driven_hvt = self._current(self.params.v_search, v, f.vt_hvt + vt_offset)
+        i_undriven_lvt = self._current(0.0, v, f.vt_lvt + vt_offset)
         return i_driven_hvt + i_undriven_lvt
 
     # -- write path ----------------------------------------------------------

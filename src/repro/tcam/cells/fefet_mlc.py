@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from ...devices.mosfet import ekv_current
 from ...errors import TCAMError
 from ...units import thermal_voltage
-from ..cell import CellDescriptor, WriteCost
+from ..cell import CellDescriptor, FloatOrArray, WriteCost, ml_drain_bias
 from ..trit import Trit
 from .fefet2t import FeFET2TCellParams
 
@@ -153,7 +153,7 @@ class MLCFeFETCell(CellDescriptor):
         """Cell area [F^2] -- MLC adds no devices."""
         return self.params.base.area_f2
 
-    def i_pulldown(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_pulldown(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Mismatch current at full programming strength [A].
 
         The exact-match array senses every mismatching cell at the
@@ -162,7 +162,7 @@ class MLCFeFETCell(CellDescriptor):
         """
         return self.i_pulldown_level(v_ml, self.params.n_levels, vt_offset)
 
-    def i_leak(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_leak(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Matching-cell leakage (binary HVT path, level-independent) [A]."""
         return self._binary.i_leak(v_ml, vt_offset)
 
@@ -187,15 +187,16 @@ class MLCFeFETCell(CellDescriptor):
         self._check_level(level)
         return self._level_vts[level]
 
-    def i_pulldown_level(self, v_ml: float, level: int, vt_offset: float = 0.0) -> float:
-        """Mismatch current of a cell programmed at ``level`` [A]."""
+    def i_pulldown_level(
+        self, v_ml: FloatOrArray, level: int, vt_offset: FloatOrArray = 0.0
+    ) -> FloatOrArray:
+        """Mismatch current of a cell programmed at ``level`` [A]
+        (elementwise over ``v_ml`` / ``vt_offset``, 0 for ``v_ml <= 0``)."""
         self._check_level(level)
-        if v_ml <= 0.0:
-            return 0.0
         f = self.params.base.fefet
         return ekv_current(
             self.params.base.v_search,
-            v_ml,
+            ml_drain_bias(v_ml),
             self.vt_at_level(level) + vt_offset,
             self._beta,
             f.n_slope,

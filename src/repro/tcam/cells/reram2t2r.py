@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...devices.mosfet import MOSFET, MOSFETParams, nmos_45nm
+import numpy as np
+
+from ...devices.mosfet import MOSFET, MOSFETParams, ekv_current, nmos_45nm
 from ...devices.resistive import ReRAMParams
 from ...errors import TCAMError
-from ...units import NANO
-from ..cell import CellDescriptor, WriteCost
+from ...units import NANO, thermal_voltage
+from ..cell import CellDescriptor, FloatOrArray, WriteCost, ml_drain_bias
 from ..trit import Trit
 
 
@@ -99,28 +101,22 @@ class ReRAM2T2RCell(CellDescriptor):
 
     # -- compare path -----------------------------------------------------------
 
-    def i_pulldown(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_pulldown(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Driven mismatching branch: ML through LRS + access transistor.
 
         The current is resistor-limited but cannot exceed the transistor's
         saturation current; ``vt_offset`` derates the latter.
         """
-        if v_ml <= 0.0:
-            return 0.0
-        i_resistive = v_ml / (self.params.rram.r_lrs + self._r_access)
-        i_sat = self._sat_current(v_ml, vt_offset)
-        return min(i_resistive, i_sat)
+        v = ml_drain_bias(v_ml)
+        i_resistive = v / (self.params.rram.r_lrs + self._r_access)
+        i_sat = self._sat_current(v, vt_offset)
+        return np.minimum(i_resistive, i_sat)
 
-    def i_leak(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_leak(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Driven matching branch leaks through the HRS element."""
-        if v_ml <= 0.0:
-            return 0.0
-        return v_ml / (self.params.rram.r_hrs + self._r_access)
+        return ml_drain_bias(v_ml) / (self.params.rram.r_hrs + self._r_access)
 
-    def _sat_current(self, v_ml: float, vt_offset: float) -> float:
-        from ...devices.mosfet import ekv_current
-        from ...units import thermal_voltage
-
+    def _sat_current(self, v_ml: FloatOrArray, vt_offset: FloatOrArray) -> FloatOrArray:
         p = self.params.access_nmos
         return ekv_current(
             self.params.vdd,

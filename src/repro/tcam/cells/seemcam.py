@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from ...errors import TCAMError
-from ..cell import WriteCost
+from ..cell import FloatOrArray, WriteCost
 from ..trit import Trit
 from .fefet2t import FeFET2TCellParams
 from .fefet_mlc import MLCFeFETCell, MLCFeFETCellParams
@@ -108,7 +108,7 @@ class SEEMCAMCell(MLCFeFETCell):
 
     # -- compare path -----------------------------------------------------------
 
-    def i_pulldown(self, v_ml: float, vt_offset: float = 0.0) -> float:
+    def i_pulldown(self, v_ml: FloatOrArray, vt_offset: FloatOrArray = 0.0) -> FloatOrArray:
         """Worst-case mismatch current: the adjacent-level step [A].
 
         With calibrated placement level ``w`` conducts ``w/L`` of the

@@ -24,8 +24,9 @@ def _load(n_miss: int, n_match: int) -> MatchLineLoad:
         capacitance=C_ML,
         n_miss=n_miss,
         n_match=n_match,
-        i_pulldown=lambda v: I_PD if v > 0 else 0.0,
-        i_leak=lambda v: I_LK if v > 0 else 0.0,
+        # Cell currents answer elementwise over a voltage array.
+        i_pulldown=lambda v: np.where(np.asarray(v) > 0, I_PD, 0.0),
+        i_leak=lambda v: np.where(np.asarray(v) > 0, I_LK, 0.0),
     )
 
 

@@ -155,7 +155,7 @@ class TestDischargeWaveform:
         c = 8e-15
 
         def current(v: float) -> float:
-            return 2e-6 * max(v, 0.0) / 0.9 + 1e-6
+            return 2e-6 * np.maximum(v, 0.0) / 0.9 + 1e-6
 
         t_cross = discharge_time(c, current, 0.9, 0.45)
         t = np.linspace(0.0, 2 * t_cross, 400)

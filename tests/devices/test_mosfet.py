@@ -26,6 +26,45 @@ class TestEkvCore:
         with pytest.raises(DeviceError):
             ekv_current(0.9, 0.5, 0.42, 1e-3, 0.9, PHI_T)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vds(self, bad):
+        with pytest.raises(DeviceError):
+            ekv_current(1.1, bad, 0.42, 1e-3, 1.25, PHI_T)
+        with pytest.raises(DeviceError):
+            ekv_current(1.1, np.array([0.3, bad, 0.6]), 0.42, 1e-3, 1.25, PHI_T)
+
+    def test_rejects_negative_vds_in_array(self):
+        with pytest.raises(DeviceError):
+            ekv_current(0.9, np.array([0.5, -1e-12]), 0.42, 1e-3, 1.25, PHI_T)
+
+    def test_scalar_call_returns_float(self):
+        assert type(ekv_current(0.9, 0.5, 0.42, 1e-3, 1.25, PHI_T)) is float
+        out = ekv_current(0.9, np.array([0.5]), 0.42, 1e-3, 1.25, PHI_T)
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+
+    @given(
+        vgs=st.floats(min_value=-0.5, max_value=1.5),
+        vt=st.floats(min_value=-0.2, max_value=1.8),
+        vds=st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=70),
+        lam=st.sampled_from([0.0, 0.08]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_call_is_array_element_bitwise(self, vgs, vt, vds, lam):
+        """One reference: a scalar call is exactly one element of an array call."""
+        arr = ekv_current(vgs, np.array(vds), vt, 1e-3, 1.3, PHI_T, lam)
+        for k, v in enumerate(vds):
+            assert ekv_current(vgs, v, vt, 1e-3, 1.3, PHI_T, lam) == arr[k]
+
+    def test_softplus_cutoffs(self):
+        """Beyond +-30 thermal units the forward term is x**2 / 0 exactly."""
+        phi = 0.025
+        # vp / (2 phi) = 40: saturated forward term; reverse term at -40.
+        x = 2.0 / (2.0 * phi)
+        i = ekv_current(2.0, 4.0, 0.0, 1.0, 1.0, phi)
+        assert i == 2.0 * phi * phi * (x * x)
+        # Far below threshold both terms vanish: exactly zero current.
+        assert ekv_current(-2.0, 0.5, 0.42, 1.0, 1.0, phi) == 0.0
+
     @given(
         vgs=st.floats(min_value=0.0, max_value=1.2),
         vds=st.floats(min_value=0.0, max_value=1.2),
