@@ -24,6 +24,10 @@ numbers to ``BENCH_kernels.json`` at the repo root:
 * **Timing** -- warm-table kernel batch throughput on the
   ``bench_perf_search`` configuration, outcomes checked against the
   scalar search on a key prefix.
+* **Assembly** -- warm ``search_batch`` on a 128x64 fefet2t array with
+  every table row prebuilt, so the time is the batch's outcome assembly
+  (mismatch matmul, dense per-class sums, ledgers); every outcome,
+  ledger booking order included, checked against the scalar search.
 
 Run directly::
 
@@ -34,7 +38,8 @@ Run directly::
 ``--check`` asserts the validation bounds (exactly 0.0 for every
 registered cell), that both the table-hit and RK4-fallback paths
 actually ran, scalar/kernel bit-identity, and zero mismatching faulted
-outcomes; these hold on any host.  The timing sections are
+outcomes, and an assembly batch identical to the scalar search key
+for key; these hold on any host.  The timing sections are
 informational on shared runners and carry no floor (the
 kernel-vs-scalar CI gate lives in ``bench_perf_search``).
 """
@@ -281,6 +286,38 @@ def run_timing(rows: int, cols: int, n_keys: int, scalar_keys: int) -> dict:
     }
 
 
+def run_assembly(rows: int, cols: int, n_keys: int) -> dict:
+    """Warm batch with every table row prebuilt, checked key for key
+    (ledger booking order included) against the scalar search."""
+    scalar_array = _build_loaded(DESIGN, rows, cols, SEED)
+    kernel_array = _build_loaded(DESIGN, rows, cols, SEED)
+    keys = _keys(cols, n_keys, x_fraction=0.2, seed=SEED + 7)
+    engine = kernel_array.kernel
+    engine.precompute(sorted({int(np.count_nonzero(k.as_array() != 2)) for k in keys}))
+    # One-key warm-up builds the content snapshot; the scalar side
+    # searches the same key so both start from the same search-line drive.
+    kernel_array.search_batch(keys[-1:])
+    scalar_array.search(keys[-1])
+    built = engine.rows_built
+
+    t0 = time.perf_counter()
+    kernel = kernel_array.search_batch(keys)
+    t_kernel = time.perf_counter() - t0
+
+    scalar = [scalar_array.search(k) for k in keys]
+    assert engine.rows_built == built, "assembly batch built table rows"
+    return {
+        "design": DESIGN,
+        "rows": rows,
+        "cols": cols,
+        "n_keys": n_keys,
+        "warm_seconds": round(t_kernel, 4),
+        "keys_per_sec": round(n_keys / t_kernel, 2),
+        "checked_keys": len(scalar),
+        "mismatching_outcomes": sum(not _same(a, b) for a, b in zip(scalar, kernel)),
+    }
+
+
 def run_bench(smoke: bool) -> dict:
     searchable = [spec.name for spec in all_designs() if spec.sensing != "nand"]
     cells = list(list_cells())
@@ -291,6 +328,7 @@ def run_bench(smoke: bool) -> dict:
         fallback = run_fallback(rows=32, cols=24, n_keys=32)
         faulted = run_faulted(rows=64, cols=32, n_keys=64)
         timing = run_timing(rows=64, cols=32, n_keys=128, scalar_keys=16)
+        assembly = run_assembly(rows=32, cols=24, n_keys=128)
     else:
         validation = run_validation(searchable, rows=64, cols=32, n_keys=64)
         cell_validation = run_cell_validation(cells, cols=16)
@@ -298,6 +336,7 @@ def run_bench(smoke: bool) -> dict:
         fallback = run_fallback(rows=64, cols=32, n_keys=64)
         faulted = run_faulted(rows=64, cols=32, n_keys=256)
         timing = run_timing(rows=256, cols=64, n_keys=1024, scalar_keys=64)
+        assembly = run_assembly(rows=128, cols=64, n_keys=4096)
     return {
         "schema_version": SCHEMA_VERSION,
         "design": DESIGN,
@@ -308,6 +347,7 @@ def run_bench(smoke: bool) -> dict:
         "fallback": fallback,
         "faulted": faulted,
         "timing": timing,
+        "assembly": assembly,
     }
 
 
@@ -323,8 +363,9 @@ def main() -> None:
             "exit non-zero unless the validation bounds hold (0.0 for "
             "every registered cell), both the table and RK4-fallback "
             "paths ran, kernel outcomes are "
-            "bit-identical to the scalar search, and faulted kernel "
-            "batches equal the scalar faulty loop from the tables alone"
+            "bit-identical to the scalar search, faulted kernel "
+            "batches equal the scalar faulty loop from the tables alone, "
+            "and the warm assembly batch equals the scalar search"
         ),
     )
     parser.add_argument(
@@ -352,11 +393,15 @@ def main() -> None:
             assert faulted["mismatching_outcomes"] == 0, f"{label}: outcomes diverged"
             assert faulted["table_hits"] > 0, f"{label}: tables not used"
             assert faulted["rk4_fallbacks"] == 0, f"{label}: RK4 fallback ran"
+        assembly = record["assembly"]
+        assert assembly["checked_keys"] == assembly["n_keys"]
+        assert assembly["mismatching_outcomes"] == 0, "assembly batch diverged from scalar"
         print(
             f"OK: validation <= 1e-9 (worst {worst:.3e}), every registered "
             "cell's full triangle exact, table and "
             "fallback paths exercised, kernel bit-identical to scalar, "
-            "faulted kernel batches identical to the scalar faulty loop"
+            "faulted kernel batches identical to the scalar faulty loop, "
+            "assembly batch identical to the scalar search"
         )
 
 

@@ -9,6 +9,7 @@ of one.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable, Iterator, Mapping
 
 from ..errors import ReproError
@@ -74,7 +75,7 @@ class EnergyLedger:
         Raises:
             ReproError: for negative or non-finite energy.
         """
-        if not joules >= 0.0:  # also catches NaN
+        if not 0.0 <= joules < math.inf:  # also catches NaN
             raise ReproError(f"energy must be non-negative and finite, got {joules}")
         key = self._key(component)
         self._entries[key] = self._entries.get(key, 0.0) + joules
@@ -127,9 +128,15 @@ class EnergyLedger:
         return {k: v / total for k, v in self.breakdown().items()}
 
     def merge(self, other: "EnergyLedger") -> None:
-        """Add every component of ``other`` into this ledger."""
+        """Add every component of ``other`` into this ledger.
+
+        ``other``'s entries were validated and normalized when they were
+        booked, so they accumulate directly (the same float sums
+        :meth:`add` would form).
+        """
+        entries = self._entries
         for name, joules in other._entries.items():
-            self.add(name, joules)
+            entries[name] = entries.get(name, 0.0) + joules
 
     def scaled(self, factor: float) -> "EnergyLedger":
         """Return a new ledger with every entry multiplied by ``factor``."""

@@ -7,6 +7,11 @@ electrical configuration, :class:`SoAState` re-expresses the stored
 trits as contiguous planes so batch mismatch counting is one matmul,
 and :class:`KernelEngine` stitches both into flat per-class sensing
 tables the vectorized ``TCAMArray.search_batch`` path gathers from.
+Every batch tail adds its per-key energies up the same way: a dense
+``(keys, classes)`` term matrix reduced by :func:`class_sums`, a
+strictly left-to-right ``np.cumsum`` whose zero-count classes add
+exactly ``0.0`` -- bit for bit the scalar path's per-class
+``ledger.add`` loop.
 
 Every ``TCAMArray`` builds its engine on first use (``array.kernel``)
 and answers all four ``*_batch`` operations from it; the scalar
@@ -15,12 +20,7 @@ tables validate against it to ``<= 1e-9`` relative error and
 out-of-grid classes automatically fall back to it.  See DESIGN.md §11.
 """
 
-from .engine import (
-    KernelEngine,
-    PrechargeClassRow,
-    RaceClassRow,
-    sequential_segment_sum,
-)
+from .engine import KernelEngine, PrechargeClassRow, RaceClassRow, class_sums
 from .soa import SoAState
 from .waveform import WaveformTable
 
@@ -30,5 +30,5 @@ __all__ = [
     "RaceClassRow",
     "SoAState",
     "WaveformTable",
-    "sequential_segment_sum",
+    "class_sums",
 ]

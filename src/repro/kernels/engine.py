@@ -46,29 +46,14 @@ from ..errors import KernelError
 from .waveform import WaveformTable, as_driven
 
 
-def sequential_segment_sum(
-    flat: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """Per-segment sums with strictly left-to-right accumulation.
-
-    ``np.add.reduceat`` switches to unrolled/pairwise accumulation for
-    longer segments, which is *not* bit-identical to the sequential
-    ``acc = acc + x`` loop the reference ledger performs.  This helper
-    accumulates round-robin instead -- round ``r`` adds the ``r``-th
-    element of every still-open segment in one vectorized gather -- so
-    each segment's sum is exactly ``((0.0 + x0) + x1) + ...`` while the
-    Python-level loop count is the *longest* segment, not the total
-    element count.
-    """
-    acc = np.zeros(starts.size)
-    pos = np.array(starts, dtype=np.intp)
-    ends = np.asarray(ends, dtype=np.intp)
-    open_idx = np.flatnonzero(pos < ends)
-    while open_idx.size:
-        acc[open_idx] += flat[pos[open_idx]]
-        pos[open_idx] += 1
-        open_idx = open_idx[pos[open_idx] < ends[open_idx]]
-    return acc
+def class_sums(terms: np.ndarray) -> np.ndarray:
+    """Per-row sums of a dense ``(keys, classes)`` term matrix, strictly
+    left to right (``np.cumsum`` accumulates sequentially, unlike the
+    pairwise ``np.sum`` / ``np.add.reduceat``), so with the absent
+    classes' terms at exactly ``0.0`` each row's sum is bit for bit the
+    reference's per-class ``acc = acc + x`` loop over its present
+    classes.  ``terms`` needs at least one column."""
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..energy.estimator import ArrayEstimator
 from ..errors import TCAMError
 from ..faults.faultmap import FaultKind, FaultMap
+from ..kernels.engine import class_sums
 from .area import TECH_45NM, TechNode, cell_dimensions
 from .cell import CellDescriptor
 from .outcome import BaseOutcome
@@ -60,6 +61,7 @@ _DISS = EnergyComponent.ML_DISSIPATION.value
 _SA = EnergyComponent.SENSE_AMP.value
 _ENC = EnergyComponent.PRIORITY_ENCODER.value
 _LEAK = EnergyComponent.LEAKAGE.value
+_RACE = EnergyComponent.RACE_SOURCE.value
 
 # Ledger component -> per-phase child span of one traced search.  Every
 # component a search can book appears here, so a traced span tree carries
@@ -73,6 +75,16 @@ _SPAN_ENERGY_GROUPS = {
     EnergyComponent.PRIORITY_ENCODER.value: "array.encode",
     EnergyComponent.LEAKAGE.value: "array.standby",
 }
+
+
+def _histograms(counts: np.ndarray) -> list[dict[int, int]]:
+    """Per-key ``{mismatch_count: row_count}`` dicts of a dense
+    ``(keys, classes)`` count matrix: classes ascending, empty ones left
+    out, as the reference histogram lists them."""
+    kk, nn = np.nonzero(counts)  # row-major: per key, ascending class
+    bounds = np.searchsorted(kk, np.arange(counts.shape[0] + 1)).tolist()
+    classes, cnts = nn.tolist(), counts[kk, nn].tolist()
+    return [dict(zip(classes[lo:hi], cnts[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _check_count(value, name: str, minimum: int) -> int:
@@ -558,6 +570,7 @@ class TCAMArray:
         from the estimator's 3x3 ``(old, new)`` transition table
         gathered over the block.
         """
+        start_row = _check_count(start_row, "load_rows start_row", 0)
         words = list(words)
         n_rows = len(words)
         if start_row + n_rows > self.geometry.rows:
@@ -575,7 +588,6 @@ class TCAMArray:
                     f"{self.geometry.cols}"
                 )
         self._content_version += 1
-        cols = self.geometry.cols
         new = np.stack([w.as_array() for w in words])
         block = slice(start_row, start_row + n_rows)
         old = self._stored[block]
@@ -584,11 +596,7 @@ class TCAMArray:
         for o in range(3):
             for t in range(3):
                 e_tab[o, t] = self.estimator.write_cost(Trit(o), Trit(t)).energy
-        cell_e = e_tab[old, new]
-        from ..kernels import sequential_segment_sum
-
-        starts = np.arange(n_rows, dtype=np.int64) * cols
-        row_e = sequential_segment_sum(cell_e.ravel(), starts, starts + cols)
+        row_e = class_sums(e_tab[old, new])
         changed = old != new
         total_changed = int(np.count_nonzero(changed))
         self._write_counts[block][changed] += 1
@@ -1121,14 +1129,19 @@ class TCAMArray:
         """Kernel tail of :meth:`_search_batch_impl`: fused numpy assembly.
 
         Mismatch counts come from the SoA matmul (exact integer float32
-        accumulation), per-(key, class) row counts from one offset
+        accumulation), dense per-(key, class) row counts from one offset
         bincount per row subset, and per-class sensing quantities from
-        the compiled tables by fancy indexing.  Per-key ledger sums use
-        :func:`~repro.kernels.sequential_segment_sum` /
-        ``np.maximum.reduceat``, whose strictly left-to-right in-segment
-        accumulation reproduces the reference per-class ``ledger.add``
-        loop bit for bit (classes appear in ascending ``n_miss`` order in
-        both).  Keys driving more columns than the tabulated grid take
+        the compiled tables.  Per driven width ``d`` the keys' energies
+        are one dense ``(keys, d + 1)`` count x energy matrix per
+        component summed by :func:`~repro.kernels.class_sums`: strictly
+        left to right in ascending ``n_miss`` order, with absent classes
+        adding exactly ``0.0``, it reproduces the reference per-class
+        ``ledger.add`` loop bit for bit.  Strobe and restore delays are
+        masked maxima with ``initial=0.0``, the reference's
+        ``max(0.0, ...)``.  Ledgers are built pre-booked
+        (``EnergyLedger._from_booked``) in the reference booking order
+        SL -> precharge/dissipation/sense (or race) -> encoder ->
+        leakage.  Keys driving more columns than the tabulated grid take
         the reference body (:meth:`_search_key`), booked as RK4
         fallbacks.
         """
@@ -1172,21 +1185,18 @@ class TCAMArray:
                 search_delay = sl_delay + t_sense + enc_delay
                 cycle_time = sl_delay + t_cycle
                 leak = k_leak * cycle_time
+                sl_l = (toggles.astype(np.float64) * e_toggle).tolist()
+                hists = _histograms(counts_valid)
                 for k in range(n_keys):
-                    ledger = EnergyLedger()
-                    ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                    ledger.add(EnergyComponent.PRIORITY_ENCODER, enc_energy)
-                    ledger.add(EnergyComponent.LEAKAGE, leak)
-                    nz = np.flatnonzero(counts_valid[k])
                     outcomes[k] = SearchOutcome(
                         match_mask=np.zeros(rows, dtype=bool),
                         first_match=None,
-                        energy=ledger,
+                        energy=EnergyLedger._from_booked(
+                            {_SL: sl_l[k], _ENC: enc_energy, _LEAK: leak}
+                        ),
                         search_delay=search_delay,
                         cycle_time=cycle_time,
-                        miss_histogram={
-                            int(n): int(counts_valid[k, n]) for n in nz
-                        },
+                        miss_histogram=hists[k],
                         functional_errors=0,
                     )
                 return outcomes
@@ -1200,79 +1210,66 @@ class TCAMArray:
                 outcomes[k] = self._search_key(ledger, miss_all[k], int(driven_all[k]), active)
                 eng.rk4_fallbacks += np.unique(miss_all[k][active]).size
 
-            from ..kernels import sequential_segment_sum
-
+            precharge = self.sensing == "precharge"
+            if not precharge:
+                cutoff = self.race_amp.cutoff_time(self.c_ml)
+                sd_race = sl_delay + cutoff + enc_delay
+                ct_race = sl_delay + 1.2 * cutoff
+                leak_race = k_leak * ct_race
             idx = np.flatnonzero(in_grid)
             av = active & self._valid
             ds = np.unique(driven_all[idx]).tolist()
             for d, row in zip(ds, eng.rows(ds)):
                 grp = idx[driven_all[idx] == d]
-                ca = counts_active[grp]
-                kk, nn = np.nonzero(ca)  # row-major: per key, ascending class
-                eng.table_hits += int(kk.size)
-                cnt = ca[kk, nn].astype(np.float64)
-                bounds = np.searchsorted(kk, np.arange(grp.size + 1))
-                seg, seg_ends = bounds[:-1], bounds[1:]
-                if self.sensing == "precharge":
-                    e_pre = sequential_segment_sum(cnt * row.e_restore[nn], seg, seg_ends)
-                    e_diss = sequential_segment_sum(cnt * row.e_diss[nn], seg, seg_ends)
-                    e_sa = sequential_segment_sum(cnt * row.e_sense[nn], seg, seg_ends)
-                    # Max reductions are order-independent selections, so
-                    # reduceat is exact here.
-                    t_sa = np.maximum.reduceat(row.t_sense[nn], seg)
-                    t_res = np.maximum.reduceat(row.t_restore[nn], seg)
+                # A driven-``d`` key meets classes 0..d only.
+                ca = counts_active[grp, : d + 1]
+                present = ca > 0
+                eng.table_hits += int(np.count_nonzero(present))
+                cnt = ca.astype(np.float64)
+                sl_l = (toggles[grp].astype(np.float64) * e_toggle).tolist()
+                if precharge:
+                    e_pre = class_sums(cnt * row.e_restore).tolist()
+                    e_diss = class_sums(cnt * row.e_diss).tolist()
+                    e_sa = class_sums(cnt * row.e_sense).tolist()
+                    # ``initial=0.0`` is the reference's ``max(0.0, ...)``.
+                    t_sa = np.where(present, row.t_sense, 0.0).max(axis=1, initial=0.0)
+                    t_res = np.where(present, row.t_restore, 0.0).max(axis=1, initial=0.0)
                     t_sense = self.t_eval + t_sa
                     t_cycle = t_sense + t_res
-                    search_delay = sl_delay + t_sense + enc_delay
+                    search_delay = (sl_delay + t_sense + enc_delay).tolist()
                     cycle_time = sl_delay + t_cycle
-                    leak = k_leak * cycle_time
+                    leak = (k_leak * cycle_time).tolist()
+                    cycle_time = cycle_time.tolist()
+                    ledgers = [
+                        {_SL: sl, _PRE: pre, _DISS: diss, _SA: sa, _ENC: enc_energy, _LEAK: lk}
+                        for sl, pre, diss, sa, lk in zip(sl_l, e_pre, e_diss, e_sa, leak)
+                    ]
                 else:
-                    e_race = sequential_segment_sum(cnt * row.energy[nn], seg, seg_ends)
-                    cutoff = self.race_amp.cutoff_time(self.c_ml)
-                    t_cycle_s = 1.2 * cutoff
-                    search_delay_s = sl_delay + cutoff + enc_delay
-                    cycle_time_s = sl_delay + t_cycle_s
-                    leak_s = k_leak * cycle_time_s
+                    e_race = class_sums(cnt * row.energy).tolist()
+                    search_delay = [sd_race] * grp.size
+                    cycle_time = [ct_race] * grp.size
+                    ledgers = [
+                        {_SL: sl, _RACE: race, _ENC: enc_energy, _LEAK: leak_race}
+                        for sl, race in zip(sl_l, e_race)
+                    ]
 
                 miss_grp = miss_all[grp]
                 eff = row.is_match[miss_grp] & av[np.newaxis, :]
                 logical = (miss_grp == 0) & av[np.newaxis, :]
-                errors = np.count_nonzero(eff != logical, axis=1)
-                has_match = eff.any(axis=1)
-                firsts = np.argmax(eff, axis=1)
+                errors = np.count_nonzero(eff != logical, axis=1).tolist()
+                firsts = np.where(eff.any(axis=1), np.argmax(eff, axis=1), -1).tolist()
+                hists = _histograms(counts_valid[grp])
 
-                cv = counts_valid[grp]
-                kv, nv = np.nonzero(cv)
-                cvals = cv[kv, nv]
-                hist_bounds = np.searchsorted(kv, np.arange(grp.size + 1))
-
-                for i, k in enumerate(grp):
-                    k = int(k)
-                    ledger = EnergyLedger()
-                    ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                    if self.sensing == "precharge":
-                        ledger.add(EnergyComponent.ML_PRECHARGE, float(e_pre[i]))
-                        ledger.add(EnergyComponent.ML_DISSIPATION, float(e_diss[i]))
-                        ledger.add(EnergyComponent.SENSE_AMP, float(e_sa[i]))
-                        sd = float(search_delay[i])
-                        ct = float(cycle_time[i])
-                        lk = float(leak[i])
-                    else:
-                        ledger.add(EnergyComponent.RACE_SOURCE, float(e_race[i]))
-                        sd, ct, lk = search_delay_s, cycle_time_s, leak_s
-                    ledger.add(EnergyComponent.PRIORITY_ENCODER, enc_energy)
-                    ledger.add(EnergyComponent.LEAKAGE, lk)
-                    lo, hi = int(hist_bounds[i]), int(hist_bounds[i + 1])
+                for i, k in enumerate(grp.tolist()):
+                    first = firsts[i]
                     outcomes[k] = SearchOutcome(
                         match_mask=eff[i].copy(),
-                        first_match=int(firsts[i]) if has_match[i] else None,
-                        energy=ledger,
-                        search_delay=sd,
-                        cycle_time=ct,
-                        miss_histogram={
-                            int(n): int(c) for n, c in zip(nv[lo:hi], cvals[lo:hi])
-                        },
-                        functional_errors=int(errors[i]),
+                        first_match=first if first >= 0 else None,
+                        energy=EnergyLedger._from_booked(ledgers[i]),
+                        search_delay=search_delay[i],
+                        cycle_time=cycle_time[i],
+                        miss_histogram=hists[i],
+                        functional_errors=errors[i],
                     )
             if sp is not None:
                 sp.annotate(
@@ -1303,8 +1300,8 @@ class TCAMArray:
           through the estimator with the offset; dead rows are not
           sensed;
         * per-component energies accumulate strictly left to right along
-          the sensed rows (``np.cumsum``), as the reference's per-row
-          ``ledger.add`` loop does.
+          the sensed rows (:func:`~repro.kernels.class_sums`), as the
+          reference's per-row ``ledger.add`` loop does.
 
         Keys driving more columns than the compiled grid run the
         reference per key, booked as RK4 fallbacks.
@@ -1435,9 +1432,9 @@ class TCAMArray:
                     t_sense = self.t_eval + np.maximum(t_sa.max(axis=1), 0.0)
                     t_cycle = t_sense + np.maximum(t_res.max(axis=1), 0.0)
                     booked = [
-                        (EnergyComponent.ML_PRECHARGE, np.cumsum(e_pre, axis=1)[:, -1]),
-                        (EnergyComponent.ML_DISSIPATION, np.cumsum(e_diss, axis=1)[:, -1]),
-                        (EnergyComponent.SENSE_AMP, np.cumsum(e_sa, axis=1)[:, -1]),
+                        (EnergyComponent.ML_PRECHARGE, class_sums(e_pre)),
+                        (EnergyComponent.ML_DISSIPATION, class_sums(e_diss)),
+                        (EnergyComponent.SENSE_AMP, class_sums(e_sa)),
                     ]
                 else:
                     t_sense = t_cycle = np.full(n_in, self.t_eval)
@@ -1446,7 +1443,7 @@ class TCAMArray:
                 cutoff = self.race_amp.cutoff_time(self.c_ml)
                 t_sense = np.full(n_in, cutoff)
                 t_cycle = np.full(n_in, 1.2 * cutoff)
-                booked = [(EnergyComponent.RACE_SOURCE, np.cumsum(e_race, axis=1)[:, -1])]
+                booked = [(EnergyComponent.RACE_SOURCE, class_sums(e_race))]
             else:
                 t_sense = t_cycle = np.full(n_in, self.race_amp.t_window)
                 booked = []
@@ -1465,15 +1462,7 @@ class TCAMArray:
             errors = np.count_nonzero(effective != logical, axis=1)
             has_match = effective.any(axis=1)
             firsts = np.argmax(effective, axis=1)
-            hist_offsets = miss_eff_all[idx][:, valid] + (
-                np.arange(n_in) * (cols + 1)
-            )[:, np.newaxis]
-            hist = np.bincount(
-                hist_offsets.ravel(), minlength=n_in * (cols + 1)
-            ).reshape(n_in, cols + 1)
-            hk, hn = np.nonzero(hist)
-            hc = hist[hk, hn]
-            hist_bounds = np.searchsorted(hk, np.arange(n_in + 1))
+            hists = _histograms(self._valid_class_counts(miss_eff_all[idx][:, valid]))
 
             outcomes: list[SearchOutcome | None] = [None] * n_keys
             for i, k in enumerate(idx.tolist()):
@@ -1483,16 +1472,13 @@ class TCAMArray:
                     ledger.add(comp, e[i])
                 ledger.add(EnergyComponent.PRIORITY_ENCODER, enc_energy)
                 ledger.add(EnergyComponent.LEAKAGE, leak[i])
-                lo, hi = int(hist_bounds[i]), int(hist_bounds[i + 1])
                 outcomes[k] = SearchOutcome(
                     match_mask=effective[i].copy(),
                     first_match=int(firsts[i]) if has_match[i] else None,
                     energy=ledger,
                     search_delay=search_delay[i],
                     cycle_time=cycle_time[i],
-                    miss_histogram={
-                        int(n): int(c) for n, c in zip(hn[lo:hi], hc[lo:hi])
-                    },
+                    miss_histogram=hists[i],
                     functional_errors=int(errors[i]),
                 )
             m = obs.metrics()
@@ -2288,10 +2274,10 @@ class TCAMArray:
     ) -> list[ThresholdMatchOutcome]:
         """Kernel tail of :meth:`threshold_match_batch` (cf.
         :meth:`_nearest_match_batch_kernel`); accepted-class restore and
-        dissipation come from the compiled tables through segmented
-        left-to-right sums, reproducing the reference accumulation."""
-        from ..kernels import sequential_segment_sum
-
+        dissipation are dense ``(keys, accepted classes)`` count x table
+        products summed left to right by
+        :func:`~repro.kernels.class_sums`, reproducing the reference's
+        per-class accumulation (zero-count classes add exactly ``0.0``)."""
         eng = self.kernel
         rows = self.geometry.rows
         n_keys = packed.shape[0]
@@ -2349,13 +2335,10 @@ class TCAMArray:
                 leak = k_leak * delay
                 # Accepted classes are exactly the first ``cut`` columns of
                 # the class histogram (miss <= driven bounds the rest out).
-                cv = counts_valid[grp][:, : min(cut, d + 1)]
-                kk, nn = np.nonzero(cv)  # row-major: per key, ascending class
-                cnt = cv[kk, nn].astype(np.float64)
-                bounds = np.searchsorted(kk, np.arange(grp.size + 1))
-                seg, seg_ends = bounds[:-1], bounds[1:]
-                e_pre = sequential_segment_sum(cnt * vrow.e_restore[nn], seg, seg_ends)
-                e_diss = sequential_segment_sum(cnt * vrow.e_diss[nn], seg, seg_ends)
+                n_acc = min(cut, d + 1)
+                cnt = counts_valid[grp, :n_acc].astype(np.float64)
+                e_pre = class_sums(cnt * vrow.e_restore[:n_acc])
+                e_diss = class_sums(cnt * vrow.e_diss[:n_acc])
                 nl = n_losers[grp]
                 pre_losers = nl.astype(np.float64) * r0
                 # Reference booking folds to one elementwise sum per
@@ -2394,8 +2377,6 @@ class TCAMArray:
         which reproduces the reference's stable-sort tie-breaking
         (ascending distance, then row index) under ``argpartition``.
         """
-        from ..kernels import sequential_segment_sum
-
         eng = self.kernel
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="topk", n_keys=n_keys) as sp:
@@ -2445,8 +2426,6 @@ class TCAMArray:
                 eng.rk4_fallbacks += 1
 
             idx = np.flatnonzero(in_grid)
-            n_classes = self.geometry.cols + 1
-            class_grid = np.arange(n_classes)
             ds = np.unique(driven_all[idx]).tolist()
             for d, vrow in zip(ds, eng.rows(ds)):
                 grp = idx[driven_all[idx] == d]
@@ -2458,14 +2437,11 @@ class TCAMArray:
                 delays = (sl_delay + t_window) + float(n_take) * enc_delay
                 leak = k_leak * delays
                 # Surviving classes: miss <= d_k, zeroed out per key.
-                cv = counts_valid[grp] * (class_grid[np.newaxis, :] <= dk[:, np.newaxis])
-                cv = cv[:, : d + 1]
-                kk, nn = np.nonzero(cv)
-                cnt = cv[kk, nn].astype(np.float64)
-                bounds = np.searchsorted(kk, np.arange(grp.size + 1))
-                seg, seg_ends = bounds[:-1], bounds[1:]
-                e_pre = sequential_segment_sum(cnt * vrow.e_restore[nn], seg, seg_ends)
-                e_diss = sequential_segment_sum(cnt * vrow.e_diss[nn], seg, seg_ends)
+                cnt = np.where(
+                    np.arange(d + 1) <= dk[:, np.newaxis], counts_valid[grp, : d + 1], 0
+                ).astype(np.float64)
+                e_pre = class_sums(cnt * vrow.e_restore)
+                e_diss = class_sums(cnt * vrow.e_diss)
                 nl = n_losers[grp]
                 pre_losers = nl.astype(np.float64) * r0
                 enc_total = float(n_take) * enc_e

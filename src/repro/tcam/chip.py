@@ -28,7 +28,7 @@ from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..errors import CapacityError, TCAMError
 from ..faults.faultmap import FaultMap
 from ..parallel import scatter_gather_shared
-from .array import SearchOutcome, TCAMArray
+from .array import SearchOutcome, TCAMArray, _check_count
 from .outcome import BaseOutcome
 from .trit import TernaryWord, pack_keys
 
@@ -195,6 +195,7 @@ class TCAMChip:
         one per row) -- the corpus-load path for the retrieval workload.
         Banks without a bulk path fall back to per-row writes.
         """
+        start_row = _check_count(start_row, "load_rows start_row", 0)
         if start_row + len(words) > self.rows_total:
             raise CapacityError(
                 f"{len(words)} words at row {start_row} do not fit in "

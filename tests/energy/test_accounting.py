@@ -43,6 +43,26 @@ class TestLedgerBasics:
         with pytest.raises(ReproError):
             EnergyLedger().add("x", math.nan)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_rejects_infinite(self, bad):
+        led = EnergyLedger({"x": 1.0})
+        with pytest.raises(ReproError, match="finite"):
+            led.add("x", bad)
+        with pytest.raises(ReproError, match="finite"):
+            EnergyLedger({"x": bad})
+        assert led.as_dict() == {"x": 1.0}
+
+    def test_merge_is_add_per_component(self):
+        """merge accumulates the booked floats exactly as add would, in
+        the target's booking order with new components appended."""
+        a = EnergyLedger({"sl": 0.1, "sa": 0.2})
+        b = EnergyLedger({"sa": 0.7, "leakage": 0.3})
+        ref = EnergyLedger({"sl": 0.1, "sa": 0.2})
+        for name, joules in b:
+            ref.add(name, joules)
+        a.merge(b)
+        assert list(a) == list(ref)
+
     def test_breakdown_sorted_descending(self):
         led = EnergyLedger({"a": 1.0, "b": 3.0, "c": 2.0})
         assert list(led.breakdown()) == ["b", "c", "a"]

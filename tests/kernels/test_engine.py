@@ -1,4 +1,4 @@
-"""KernelEngine: compiled class rows, counters, sequential reductions."""
+"""KernelEngine: compiled class rows, counters, the dense class sum."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError
-from repro.kernels import KernelEngine, PrechargeClassRow, RaceClassRow, sequential_segment_sum
+from repro.kernels import KernelEngine, PrechargeClassRow, RaceClassRow, class_sums
 from repro.tcam import ArrayGeometry
 
 SEARCHABLE = [spec.name for spec in all_designs() if spec.sensing != "nand"]
@@ -17,29 +17,55 @@ def _array(design="fefet2t", rows=8, cols=12):
     return build_array(get_design(design), ArrayGeometry(rows=rows, cols=cols))
 
 
-class TestSequentialSegmentSum:
+def _left_to_right(counts, energies):
+    """The reference per-class booking: ``acc = acc + n * e`` over the
+    present classes only, in ascending class order."""
+    acc = 0.0
+    for n, e in zip(counts, energies):
+        if n:
+            acc = acc + float(n) * e
+    return acc
+
+
+class TestClassSums:
     def test_matches_left_to_right_loop_bitwise(self):
         """The whole point: bitwise equality with sequential accumulation."""
         rng = np.random.default_rng(42)
         # Wildly mixed magnitudes make pairwise vs sequential summation
         # visibly different at the ULP level.
-        flat = rng.uniform(1e-30, 1.0, size=200) * 10.0 ** rng.integers(-15, 15, size=200)
-        starts = np.array([0, 3, 3, 50, 120])
-        ends = np.array([3, 3, 50, 120, 200])
-        got = sequential_segment_sum(flat, starts, ends)
-        for i, (lo, hi) in enumerate(zip(starts, ends)):
+        terms = rng.uniform(1e-30, 1.0, size=(5, 40)) * 10.0 ** rng.integers(-15, 15, size=(5, 40))
+        got = class_sums(terms)
+        for i, row in enumerate(terms):
             acc = 0.0
-            for x in flat[lo:hi]:
+            for x in row:
                 acc = acc + x
-            assert got[i] == acc, f"segment {i} diverged from sequential sum"
+            assert got[i] == acc, f"row {i} diverged from sequential sum"
 
-    def test_empty_segments_are_zero(self):
-        got = sequential_segment_sum(np.array([1.0, 2.0]), np.array([1, 2]), np.array([1, 2]))
-        assert np.array_equal(got, [0.0, 0.0])
+    def test_pairwise_trap(self):
+        """Zero-count classes interleaved with mixed-magnitude ones: the
+        dense sum equals the reference loop that skips them, bit for bit,
+        while numpy's pairwise reductions do not on the same data."""
+        rng = np.random.default_rng(7)
+        n_keys, n_classes = 64, 24
+        energies = 10.0 ** rng.uniform(-30.0, 15.0, size=n_classes)
+        counts = rng.integers(1, 200, size=(n_keys, n_classes))
+        counts[:, 1::3] = 0  # every third class absent for every key
+        counts[rng.random((n_keys, n_classes)) < 0.2] = 0
+        terms = counts.astype(np.float64) * energies
+        got = class_sums(terms)
+        ref = np.array([_left_to_right(c, energies) for c in counts])
+        assert np.array_equal(got, ref)
+        pairwise = np.sum(terms, axis=1)
+        reduceat = np.add.reduceat(terms.ravel(), np.arange(n_keys) * n_classes)
+        assert np.any(pairwise != ref), "np.sum happened to be sequential: no teeth"
+        assert np.any(reduceat != ref), "np.add.reduceat happened to be sequential: no teeth"
 
-    def test_no_segments(self):
-        got = sequential_segment_sum(np.array([1.0]), np.array([], dtype=int), np.array([], dtype=int))
-        assert got.size == 0
+    def test_all_zero_rows_are_zero(self):
+        got = class_sums(np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+        assert np.array_equal(got, [0.0, 2.0])
+
+    def test_no_rows(self):
+        assert class_sums(np.zeros((0, 5))).size == 0
 
 
 class TestEngineRows:

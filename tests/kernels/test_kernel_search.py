@@ -64,6 +64,9 @@ def _assert_outcomes_identical(reference, kernel):
             # numbers, not merely close ones.
             assert b_breakdown[component] == value, component
         assert s.energy.total == b.energy.total
+        # Booking order and the sorted breakdown's item order, too.
+        assert list(s.energy) == list(b.energy)
+        assert list(s_breakdown.items()) == list(b_breakdown.items())
 
 
 class TestKernelEquivalence:
@@ -114,6 +117,39 @@ class TestKernelEquivalence:
         assert kernel.kernel is engine
         kernel.search_batch(_keys(24, 4, seed=23))
         assert kernel.kernel is engine
+
+
+_BOOKING = {
+    "precharge": ["sl", "ml_precharge", "ml_dissipation", "sa", "priority_encoder", "leakage"],
+    "current_race": ["sl", "race_source", "priority_encoder", "leakage"],
+}
+
+
+class TestLedgerOrder:
+    @pytest.mark.parametrize("design", ["fefet2t", "fefet_cr"])
+    @pytest.mark.parametrize("mask", ["none", "partial", "all_false"])
+    def test_booking_order_matches_scalar(self, design, mask):
+        """Pre-booked kernel ledgers list their components in the
+        reference's booking order, for both sensing styles, including
+        the no-row-sensed branch and out-of-grid fallback keys."""
+        scalar, kernel = _loaded_pair(design)
+        row_mask = {
+            "none": None,
+            "partial": np.arange(16) % 3 == 0,
+            "all_false": np.zeros(16, dtype=bool),
+        }[mask]
+        keys = _keys(24, 16, seed=43, x_fraction=0.3)
+        _reduced_grid(kernel, keys)
+        got = kernel.search_batch(keys, row_mask=row_mask)
+        ref = [scalar.search(k, row_mask=row_mask) for k in keys]
+        _assert_outcomes_identical(ref, got)
+        expected = (
+            ["sl", "priority_encoder", "leakage"]
+            if mask == "all_false"
+            else _BOOKING[kernel.sensing]
+        )
+        for outcome in got:
+            assert list(outcome.energy.components()) == expected
 
 
 class TestKernelFallback:

@@ -154,3 +154,45 @@ class TestChipLoadRows:
             chip.load_rows(_words(12, 25, seed=23))
         with pytest.raises(CapacityError):
             chip.load_rows(_words(12, 4, seed=23), start_row=22)
+
+
+def _loaded_array():
+    a, _ = _fresh_pair("fefet2t", rows=4, cols=12)
+    a.load_rows(_words(12, 4, seed=29))
+    return a
+
+
+def _loaded_chip():
+    spec = get_design("fefet2t")
+    geo = ArrayGeometry(rows=4, cols=12)
+    chip = TCAMChip(lambda: build_array(spec, geo), n_banks=2)
+    chip.load_rows(_words(12, 8, seed=31))
+    return chip
+
+
+def _banks(target):
+    return target.banks if isinstance(target, TCAMChip) else [target]
+
+
+class TestStartRowValidation:
+    @pytest.mark.parametrize("make", [_loaded_array, _loaded_chip], ids=["array", "chip"])
+    @pytest.mark.parametrize(
+        "start_row", [-1, -4, np.int64(-2), 2.0, np.float64(1.0), True, False, None, "1"]
+    )
+    def test_rejected_without_touching_content(self, make, start_row):
+        target = make()
+        banks = _banks(target)
+        versions = [b._content_version for b in banks]
+        stored = [b.stored_matrix().copy() for b in banks]
+        with pytest.raises(TCAMError, match="load_rows"):
+            target.load_rows(_words(12, 1, seed=37), start_row=start_row)
+        assert [b._content_version for b in banks] == versions
+        for b, before in zip(banks, stored):
+            assert np.array_equal(b.stored_matrix(), before)
+
+    @pytest.mark.parametrize("make", [_loaded_array, _loaded_chip], ids=["array", "chip"])
+    def test_numpy_integer_accepted(self, make):
+        target = make()
+        word = _words(12, 1, seed=41)[0]
+        target.load_rows([word], start_row=np.int64(1))
+        assert np.array_equal(_banks(target)[0].stored_matrix()[1], word.as_array())
