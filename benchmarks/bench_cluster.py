@@ -59,7 +59,7 @@ CHURN_UPDATES_SMOKE = 50
 POLICIES = ("hash", "range", "replicated")
 
 
-def run_bench(smoke: bool, workers: int = 0) -> dict:
+def run_bench(smoke: bool) -> dict:
     record = run_cluster_campaign(
         design=DESIGN,
         n_rules=N_RULES_SMOKE if smoke else N_RULES,
@@ -72,7 +72,6 @@ def run_bench(smoke: bool, workers: int = 0) -> dict:
         churn_updates=CHURN_UPDATES_SMOKE if smoke else CHURN_UPDATES,
         wear_density=0.02,
         seed=SEED,
-        workers=workers,
     )
     by_policy = {
         name: sorted(
@@ -151,16 +150,12 @@ def main() -> None:
              "integrity, growing broadcast energy)",
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="process count for the shard fan-out (results identical)",
-    )
-    parser.add_argument(
         "--output", type=pathlib.Path, default=REPO_ROOT / "BENCH_cluster.json",
         help="where to write the JSON record (full runs only)",
     )
     args = parser.parse_args()
 
-    record = run_bench(smoke=args.smoke, workers=args.workers)
+    record = run_bench(smoke=args.smoke)
     print(json.dumps(record["summary"], indent=2))
     if not args.smoke:
         args.output.write_text(json.dumps(record, indent=2) + "\n")

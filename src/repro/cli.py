@@ -25,8 +25,9 @@ additionally writes the trace as JSON lines.
 
 Batched searches always run on the arrays' compiled kernel
 (bit-identical to the scalar reference); ``--workers`` sets the process
-fan-out on the commands that have one (``mc``, ``faults``, ``serve``
-with ``--banks > 1``, ``dse``, ``cluster``).
+fan-out on the commands whose payloads are worth a process (``mc``,
+``faults``, ``dse``).  ``serve`` and ``cluster`` search their banks and
+shards in-process.
 """
 
 from __future__ import annotations
@@ -443,7 +444,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         chip.load(
             [random_word(args.cols, rng) for _ in range(args.rows * args.banks)]
         )
-        backend = ChipBackend(chip, workers=args.workers)
+        backend = ChipBackend(chip)
     else:
         array = build_array(spec, ArrayGeometry(args.rows, args.cols))
         array.load([random_word(args.cols, rng) for _ in range(args.rows)])
@@ -642,7 +643,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         churn_updates=args.churn,
         wear_density=args.wear_density,
         seed=args.seed,
-        workers=args.workers,
     )
     if args.json:
         _emit_json({"command": "cluster", **record})
@@ -952,7 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
             _shape_flags(rows=32, cols=32),
             _service_flags(),
             _seed_flags(),
-            _workers_flags("the bank fan-out (with --banks > 1)"),
             _json_flags(),
         ],
     )
@@ -1040,7 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             _design_flags("fefet2t"),
             _seed_flags(),
-            _workers_flags("the shard fan-out"),
             _json_flags("a table"),
         ],
     )

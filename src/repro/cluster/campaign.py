@@ -56,16 +56,15 @@ class FabricBackend:
     backend protocol (bank indices are the distributor's business, so
     the trace's bank column is ignored)."""
 
-    def __init__(self, fabric: TCAMFabric, workers: int = 0) -> None:
+    def __init__(self, fabric: TCAMFabric) -> None:
         self.fabric = fabric
-        self.workers = workers
 
     @property
     def cols(self) -> int:
         return self.fabric.table.width
 
     def search_batch(self, keys, banks):
-        return self.fabric.search_batch(list(keys), workers=self.workers)
+        return self.fabric.search_batch(list(keys))
 
 
 class FabricServiceModel(ServiceModel):
@@ -168,7 +167,6 @@ def _run_point(
     churn_updates: int,
     wear_density: float,
     seed: int,
-    workers: int,
 ) -> ClusterScalePoint:
     fabric = TCAMFabric(
         table,
@@ -186,14 +184,12 @@ def _run_point(
     # a probe batch through the fabric service model itself, so the
     # measured throughput reads as capacity at every chip count.
     model = FabricServiceModel()
-    probe = fabric.search_batch(
-        _probe_keys(cols, max(16, max_batch // 2), seed + 11), workers=workers
-    )
+    probe = fabric.search_batch(_probe_keys(cols, max(16, max_batch // 2), seed + 11))
     capacity = len(probe) / model.batch_service_time(probe)
     rate = rate_factor * capacity
 
     trace = ARRIVAL_PROCESSES[process](n_requests, rate, cols, seed=seed + 1)
-    backend = FabricBackend(fabric, workers=workers)
+    backend = FabricBackend(fabric)
     base_offered, base_probes = (
         fabric.queries_offered,
         fabric.probes_issued,
@@ -218,7 +214,7 @@ def _run_point(
     # Energy split: link + distribution share of the serving energy,
     # read from a fresh probe batch (the service report folds dispatch
     # overhead in, which is neither link nor array physics).
-    split = fabric.search_batch(_probe_keys(cols, 8, seed + 12), workers=workers)
+    split = fabric.search_batch(_probe_keys(cols, 8, seed + 12))
     probe_sum = EnergyLedger.sum(o.energy for o in split)
     link_fraction = (
         probe_sum.get(LINK_COMPONENT) + probe_sum.get(DISTRIBUTION_COMPONENT)
@@ -232,7 +228,7 @@ def _run_point(
     )
     churn_report = engine.apply(updates)
     integrity_keys = _probe_keys(cols, 32, seed + 13)
-    answers = fabric.search_batch(integrity_keys, workers=workers)
+    answers = fabric.search_batch(integrity_keys)
     churn_integrity = all(
         out.rule == logical_winner(fabric.rule_words, key)
         for out, key in zip(answers, integrity_keys)
@@ -244,7 +240,7 @@ def _run_point(
     wear_report = age_and_repair(
         fabric, density=wear_density, seed=seed + 3, mode="wear"
     )
-    post = fabric.search_batch(integrity_keys, workers=workers)
+    post = fabric.search_batch(integrity_keys)
     accuracy = sum(
         out.rule == logical_winner(fabric.rule_words, key)
         for out, key in zip(post, integrity_keys)
@@ -304,7 +300,6 @@ def run_cluster_campaign(
     churn_updates: int = 120,
     wear_density: float = 0.02,
     seed: int = 0,
-    workers: int = 0,
 ) -> dict:
     """Sweep chip counts x policies; returns the JSON-ready record."""
     if topology not in TOPOLOGIES:
@@ -338,7 +333,6 @@ def run_cluster_campaign(
                         churn_updates=churn_updates,
                         wear_density=wear_density,
                         seed=seed,
-                        workers=workers,
                     )
                 )
     return {

@@ -42,26 +42,12 @@ from .. import obs
 from ..core import build_array, get_design
 from ..energy.accounting import EnergyLedger
 from ..errors import CapacityError, ClusterError
-from ..parallel import scatter_gather
 from ..tcam import ArrayGeometry
 from ..tcam.chip import GatingPolicy, TCAMChip
 from ..tcam.outcome import BaseOutcome
 from ..tcam.trit import TernaryWord
 from .distributor import Distributor, Placement, RuleTable, get_distributor
 from .interconnect import Interconnect, LinkModel
-
-
-def _probe_chip(payload):
-    """Search every probed bank of one chip for one key subsequence.
-
-    Module-level and pure over its payload so :func:`scatter_gather`
-    can fan chips out across processes; the mutated chip comes back in
-    the result for the caller to swap in (identical to the serial path
-    where the chip mutates in place and is returned unchanged).
-    """
-    chip, keys, banks = payload
-    per_bank = {b: chip.search_batch(keys, banks=b) for b in banks}
-    return chip, per_bank
 
 
 @dataclass(frozen=True)
@@ -307,13 +293,11 @@ class TCAMFabric:
 
     # -- search -------------------------------------------------------
 
-    def search(self, key: TernaryWord, workers: int = 0) -> FabricSearchOutcome:
+    def search(self, key: TernaryWord) -> FabricSearchOutcome:
         """Search one key (see :meth:`search_batch`)."""
-        return self.search_batch([key], workers=workers)[0]
+        return self.search_batch([key])[0]
 
-    def search_batch(
-        self, keys, workers: int = 0
-    ) -> list[FabricSearchOutcome]:
+    def search_batch(self, keys) -> list[FabricSearchOutcome]:
         """Search a key batch across the fabric.
 
         Keys routed to the same shard keep their relative order, so
@@ -325,10 +309,6 @@ class TCAMFabric:
 
         Args:
             keys: Search keys (table width).
-            workers: Process count for the shard fan-out
-                (:func:`~repro.parallel.scatter_gather`); ``<= 1``
-                probes shards in-process.  Results are worker-count
-                invariant.
         """
         keys = list(keys)
         for i, key in enumerate(keys):
@@ -357,7 +337,7 @@ class TCAMFabric:
             matched: list[set[int]] = [set() for _ in range(n)]
 
             self._probe_round(keys, probes, matched, acc_energy, acc_delay,
-                              acc_shards, workers)
+                              acc_shards)
             best = [min(m) if m else None for m in matched]
 
             fallback = [False] * n
@@ -378,7 +358,7 @@ class TCAMFabric:
                 ]
                 fallback = [bool(e) for e in extra]
                 self._probe_round(keys, extra, matched, acc_energy, acc_delay,
-                                  acc_shards, workers)
+                                  acc_shards)
                 best = [min(m) if m else None for m in matched]
 
             link_ledger = EnergyLedger()
@@ -444,35 +424,28 @@ class TCAMFabric:
             return outcomes
 
     def _probe_round(
-        self, keys, probes, matched, acc_energy, acc_delay, acc_shards, workers
+        self, keys, probes, matched, acc_energy, acc_delay, acc_shards
     ) -> None:
         """Run one probe round and fold the shard verdicts into the
-        per-key accumulators (in place)."""
+        per-key accumulators (in place).
+
+        Chips are probed in ascending index order; each probed chip
+        searches its key subsequence once per occupied bank.
+        """
         by_chip: dict[int, list[int]] = {}
         for i, shards in enumerate(probes):
             for s in shards:
                 by_chip.setdefault(s, []).append(i)
 
-        payloads = []
+        rows = self.bank_rows
         for s in sorted(by_chip):
             banks = self.occupied_banks(s)
             if not banks:
                 continue  # an empty shard cannot match and is not probed
-            payloads.append((s, by_chip[s], banks))
-        if not payloads:
-            return
-        results = scatter_gather(
-            _probe_chip,
-            [
-                (self.chips[s], [keys[i] for i in idxs], banks)
-                for s, idxs, banks in payloads
-            ],
-            workers=workers,
-            span_prefix="cluster.shard",
-        )
-        rows = self.bank_rows
-        for (s, idxs, banks), (chip, per_bank) in zip(payloads, results):
-            self.chips[s] = chip
+            idxs = by_chip[s]
+            chip = self.chips[s]
+            chip_keys = [keys[i] for i in idxs]
+            per_bank = {b: chip.search_batch(chip_keys, banks=b) for b in banks}
             mapped = self.row_rule[s]
             for pos, i in enumerate(idxs):
                 shard_delay = 0.0

@@ -10,66 +10,26 @@ boundary.  Falls back to in-process serial execution whenever
 ``workers <= 1``, the function/payloads do not pickle, or the pool
 cannot start.  See DESIGN.md §8.
 
-Two transports move chunk data (§11.4): pickle (:func:`scatter_gather`)
-copies each chunk's payload whole, while :func:`scatter_gather_shared`
-places bulk arrays in ``multiprocessing.shared_memory`` segments once
-and pickles only per-chunk metadata.  Worker pools are kept warm across
-calls (:func:`shutdown_pools` tears them down) and every fan-out records
-what crossed the process boundary (:func:`last_payload_stats`).
+One transport moves chunk data: :func:`scatter_gather` pickles each
+chunk's payload whole.  Its callers are the fan-outs whose payloads are
+worth a process -- margin and array Monte-Carlo, parameter sweeps (and
+so design-space exploration) and the fault campaign.  Worker pools are
+kept warm across calls; :func:`shutdown_pools` tears them down and runs
+at interpreter exit.
 """
 
 import atexit
 
-from . import executor as _executor
-from . import shm as _shm
-from .executor import (
-    available_cpus,
-    last_payload_stats,
-    map_chunks,
-    resolve_workers,
-    scatter_gather,
-    scatter_gather_shared,
-    shutdown_pools,
-)
-from .seeding import DEFAULT_CHUNKS, chunk_bounds, default_chunk_size, spawn_seeds
-from .shm import ShmSpec, SharedArena, attached, shared_memory_available
+from .executor import available_cpus, resolve_workers, scatter_gather, shutdown_pools
+from .seeding import chunk_bounds, spawn_seeds
 
-
-def _parallel_atexit() -> None:
-    """Ordered interpreter-shutdown teardown for the whole layer.
-
-    One hook instead of two so the order is explicit rather than an
-    accident of module import order: first drain and shut down the warm
-    worker pools (``wait=True`` -- in-flight chunks may still be
-    attaching shared segments), and only then unlink whatever shared-
-    memory arenas are left.  The reverse order unlinks segments while
-    workers can still call ``SharedMemory(name=...)`` on them, which
-    raises ``FileNotFoundError`` in the worker and kills the chunk --
-    exactly what a long-lived serving process must not hit on exit.
-
-    Looked up through the module attributes (not closed-over function
-    objects) so tests can monkeypatch and assert the call order.
-    """
-    _executor.shutdown_pools(wait=True)
-    _shm._cleanup_arenas()
-
-
-atexit.register(_parallel_atexit)
+atexit.register(shutdown_pools, wait=True)
 
 __all__ = [
-    "DEFAULT_CHUNKS",
-    "SharedArena",
-    "ShmSpec",
-    "attached",
     "available_cpus",
     "chunk_bounds",
-    "default_chunk_size",
-    "last_payload_stats",
-    "map_chunks",
     "resolve_workers",
     "scatter_gather",
-    "scatter_gather_shared",
-    "shared_memory_available",
     "shutdown_pools",
     "spawn_seeds",
 ]

@@ -17,12 +17,6 @@ import numpy as np
 
 from ..errors import ParallelError
 
-#: Default number of chunks a work list is split into when the caller does
-#: not pin a chunk size.  Fixed (rather than derived from the worker
-#: count) so the partitioning -- and therefore the per-chunk random
-#: streams -- never depend on how much hardware happens to be available.
-DEFAULT_CHUNKS = 16
-
 
 def spawn_seeds(
     seed: int | np.random.SeedSequence, n: int
@@ -59,10 +53,3 @@ def chunk_bounds(n_items: int, chunk_size: int) -> list[tuple[int, int]]:
     if chunk_size < 1:
         raise ParallelError(f"chunk size must be >= 1, got {chunk_size}")
     return [(lo, min(lo + chunk_size, n_items)) for lo in range(0, n_items, chunk_size)]
-
-
-def default_chunk_size(n_items: int) -> int:
-    """Chunk size targeting :data:`DEFAULT_CHUNKS` chunks (at least 1 each)."""
-    if n_items < 0:
-        raise ParallelError(f"item count must be non-negative, got {n_items}")
-    return max(1, -(-n_items // DEFAULT_CHUNKS))

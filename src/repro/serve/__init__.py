@@ -9,7 +9,7 @@ dispatches, bounded-queue admission control
 booked with its modeled queue wait, batch service time and energy
 share.  The deterministic modeled-time core
 (:mod:`~repro.serve.engine`) makes runs bit-reproducible for any
-asyncio scheduling and any worker count; ``benchmarks/bench_service.py``
+asyncio scheduling; ``benchmarks/bench_service.py``
 sweeps offered load x policy into the throughput / tail-latency /
 energy frontier.
 """

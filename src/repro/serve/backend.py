@@ -84,9 +84,8 @@ class ArrayBackend:
 class ChipBackend:
     """Serve one :class:`~repro.tcam.chip.TCAMChip`, honoring bank routing."""
 
-    def __init__(self, chip, workers: int = 0) -> None:
+    def __init__(self, chip) -> None:
         self.chip = chip
-        self.workers = workers
 
     @property
     def cols(self) -> int:
@@ -97,7 +96,7 @@ class ChipBackend:
         self, keys: Sequence[TernaryWord], banks: Sequence[int]
     ) -> list[BaseOutcome]:
         """Search ``keys`` in order, each routed to its bank."""
-        return self.chip.search_batch(list(keys), list(banks), workers=self.workers)
+        return self.chip.search_batch(list(keys), list(banks))
 
 
 def request_energy(

@@ -20,8 +20,7 @@ That is the whole reproducibility argument of the serving layer:
    graceful-shutdown guarantee.
 
 Same trace + same policy + same hardware seed therefore yields the same
-per-request latency and energy records for any asyncio scheduling and
-any ``search_batch`` worker count.
+per-request latency and energy records for any asyncio scheduling.
 """
 
 from __future__ import annotations

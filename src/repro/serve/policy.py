@@ -4,8 +4,8 @@ A policy answers one question per admitted request: *how long may this
 request wait for companions before its batch must dispatch?*  The
 engine freezes the answer at admission time (``deadline = arrival +
 wait_budget()``), so a batch's dispatch time is a pure function of the
-arrival trace and the policy -- never of asyncio scheduling or worker
-count.  Dispatch fires at the earliest of:
+arrival trace and the policy -- never of asyncio scheduling.  Dispatch
+fires at the earliest of:
 
 * the head-of-queue request's frozen deadline,
 * the moment the queue holds ``max_batch`` requests,

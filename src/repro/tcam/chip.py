@@ -18,6 +18,8 @@ non-volatile standby story dominates total energy.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -27,33 +29,22 @@ from .. import obs
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..errors import CapacityError, TCAMError
 from ..faults.faultmap import FaultMap
-from ..parallel import scatter_gather_shared
 from .array import SearchOutcome, TCAMArray, _check_count
 from .outcome import BaseOutcome
-from .trit import TernaryWord, pack_keys
+from .trit import TernaryWord
 
 
-def _search_bank_chunk_shared(views, meta):
-    """Search one bank's key subsequence (shared-transport worker fn).
-
-    The whole batch's packed key matrix is shared once; each bank's
-    chunk pickles only the bank model plus its key indices and rebuilds
-    the :class:`TernaryWord` objects from the shared rows.  Runs against
-    a pickled copy of the bank in a worker process (the parent swaps the
-    returned, mutated copy back in) or against the real bank under the
-    in-process serial fallback -- either way the bank object that ends up
-    in ``chip.banks`` saw exactly this key sequence once, so its
-    search-line drive state and kernel counters advance as a serial
-    run's would.
-    """
-    bank_idx, bank, idxs = meta
-    packed = views["keys"]
-    keys = [TernaryWord(np.asarray(packed[i], dtype=np.int8)) for i in idxs]
-    if hasattr(bank, "search_batch"):
-        outcomes = bank.search_batch(keys)
-    else:
-        outcomes = [bank.search(key) for key in keys]
-    return bank_idx, bank, outcomes
+def _check_idle_time(idle_time, api: str) -> None:
+    """Raise :class:`TCAMError` naming ``api`` unless ``idle_time`` is a
+    finite real number >= 0."""
+    if (
+        isinstance(idle_time, bool)
+        or not isinstance(idle_time, numbers.Real)
+        or not (math.isfinite(idle_time) and idle_time >= 0.0)
+    ):
+        raise TCAMError(
+            f"{api} idle_time must be a finite number >= 0, got {idle_time!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -244,6 +235,13 @@ class TCAMChip:
 
     # ------------------------------------------------------------------
 
+    def _check_bank(self, bank, api: str) -> int:
+        """``bank`` as a Python int index, or :class:`TCAMError` naming ``api``."""
+        bank = _check_count(bank, f"{api} bank", 0)
+        if bank >= self.n_banks:
+            raise TCAMError(f"{api} bank {bank} outside [0, {self.n_banks})")
+        return bank
+
     def _wake(self, bank_idx: int, ledger: EnergyLedger) -> float:
         """Power a gated bank up; return the added latency."""
         if self._powered[bank_idx]:
@@ -268,8 +266,8 @@ class TCAMChip:
             idle_time: Wall-clock time since the previous chip operation
                 [s]; ungated banks leak over it.
         """
-        if not 0 <= bank < self.n_banks:
-            raise TCAMError(f"bank {bank} outside [0, {self.n_banks})")
+        bank = self._check_bank(bank, "search")
+        _check_idle_time(idle_time, "search")
         with obs.span("chip.search", bank=bank, n_banks=self.n_banks) as sp:
             ledger = EnergyLedger()
             extra_latency = self._wake(bank, ledger)
@@ -315,9 +313,8 @@ class TCAMChip:
         keys: Iterable[TernaryWord],
         banks: int | Sequence[int],
         idle_time: float = 0.0,
-        workers: int = 0,
     ) -> list[ChipSearchOutcome]:
-        """Search many keys, sharding the work across banks.
+        """Search many keys, each on its bank.
 
         Produces the :class:`ChipSearchOutcome` sequence a serial loop of
         :meth:`search` calls would (same ledgers, rows and latencies; the
@@ -325,31 +322,25 @@ class TCAMChip:
         keys in order before any bank is searched).  Keys routed to the
         same bank stay in their original relative order, so each bank's
         search-line toggle chain and kernel counters evolve exactly as
-        in the serial loop -- which is what makes bank-sharding safe.
-        With ``workers > 1`` each bank's subsequence runs in a worker
-        process on a copy of the bank; the mutated copies are swapped
-        back in afterwards.
+        in the serial loop; each bank then takes its keys in one
+        ``search_batch`` call, banks in ascending index order.
 
         Args:
             keys: Search keys (bank-width).
             banks: Bank index per key, or one index for the whole batch.
             idle_time: Idle window accounted before each search [s], as
                 in :meth:`search`.
-            workers: Process count for the bank fan-out; ``<= 1`` runs
-                the banks in-process.
         """
         keys = list(keys)
-        if isinstance(banks, (int, np.integer)):
-            bank_ids = [int(banks)] * len(keys)
+        if isinstance(banks, Iterable):
+            bank_ids = [self._check_bank(b, "search_batch") for b in banks]
         else:
-            bank_ids = [int(b) for b in banks]
+            bank_ids = [self._check_bank(banks, "search_batch")] * len(keys)
         if len(bank_ids) != len(keys):
             raise TCAMError(
-                f"{len(bank_ids)} bank indices for {len(keys)} keys"
+                f"search_batch: {len(bank_ids)} bank indices for {len(keys)} keys"
             )
-        for b in bank_ids:
-            if not 0 <= b < self.n_banks:
-                raise TCAMError(f"bank {b} outside [0, {self.n_banks})")
+        _check_idle_time(idle_time, "search_batch")
         if not keys:
             return []
 
@@ -378,27 +369,20 @@ class TCAMChip:
                     for component, joules in ledger:
                         m.counter("energy." + component).inc(joules)
 
-            # Group keys by bank, preserving per-bank key order.  The
-            # packed key matrix is shared once across every bank chunk;
-            # each chunk's pickled payload is the bank model + indices.
+            # Each bank searches its own key subsequence, in key order.
             by_bank: dict[int, list[int]] = {}
             for i, b in enumerate(bank_ids):
                 by_bank.setdefault(b, []).append(i)
-            metas = [
-                (b, self.banks[b], idxs) for b, idxs in sorted(by_bank.items())
-            ]
-            results = scatter_gather_shared(
-                _search_bank_chunk_shared,
-                {"keys": pack_keys(keys)},
-                metas,
-                workers=workers,
-                span_prefix="chip.bank",
-            )
-
             per_key: list[SearchOutcome | None] = [None] * len(keys)
-            for b, bank_obj, outcomes in results:
-                self.banks[b] = bank_obj
-                for i, outcome in zip(by_bank[b], outcomes):
+            for b in sorted(by_bank):
+                idxs = by_bank[b]
+                bank = self.banks[b]
+                bank_keys = [keys[i] for i in idxs]
+                if hasattr(bank, "search_batch"):
+                    outcomes = bank.search_batch(bank_keys)
+                else:
+                    outcomes = [bank.search(key) for key in bank_keys]
+                for i, outcome in zip(idxs, outcomes):
                     per_key[i] = outcome
 
             chip_outcomes: list[ChipSearchOutcome] = []

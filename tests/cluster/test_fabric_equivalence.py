@@ -120,18 +120,6 @@ class TestSingleChipLedgerEquality:
             assert d == r.energy.as_dict()
 
 
-class TestWorkerInvariance:
-    def test_parallel_fanout_bit_identical(self, table, keys):
-        serial = _fabric(table, 4, "range").search_batch(keys, workers=0)
-        fanned = _fabric(table, 4, "range").search_batch(keys, workers=2)
-        for s, p in zip(serial, fanned):
-            assert p.rule == s.rule
-            assert p.matched_rules == s.matched_rules
-            assert p.energy.as_dict() == s.energy.as_dict()
-            assert p.latency == s.latency
-            assert p.cycle == s.cycle
-
-
 class TestSpanSumInvariant:
     def test_span_tree_energy_matches_outcomes(self, table, keys):
         fabric = _fabric(table, 4, "hash")

@@ -200,24 +200,6 @@ class TestFaultKernelEquivalence:
         assert engine.table_hits > hits
 
     @pytest.mark.parametrize("design", DESIGNS)
-    def test_workers_do_not_change_results(self, design):
-        """Faulted banks searched through the chip's process fan-out."""
-        rng = np.random.default_rng(5)
-        geo = ArrayGeometry(rows=10, cols=12)
-        chips = [TCAMChip(lambda: build_array(get_design(design), geo), n_banks=2)
-                 for _ in range(2)]
-        words = [random_word(12, rng, 0.25) for _ in range(20)]
-        fm = _random_fault_map(rng, 20, 12, 20, 2, 3)
-        for chip in chips:
-            chip.load(words)
-            chip.attach_faults(fm.copy())
-        keys = [random_word(12, rng, 0.2) for _ in range(16)]
-        banks = [i % 2 for i in range(16)]
-        serial = chips[0].search_batch(keys, banks, workers=0)
-        fanned = chips[1].search_batch(keys, banks, workers=2)
-        _assert_same([o.outcome for o in serial], [o.outcome for o in fanned])
-
-    @pytest.mark.parametrize("design", DESIGNS)
     def test_span_sum_equals_ledger(self, design):
         rng = np.random.default_rng(7)
         _, ker = _twins(design, 20, 12, rng, 0.25)
@@ -265,8 +247,7 @@ class TestFaultKernelComposites:
                 assert r.search_delay == g.search_delay
 
     @pytest.mark.parametrize("design", DESIGNS)
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_chip(self, design, workers):
+    def test_chip(self, design):
         spec = get_design(design)
         geo = ArrayGeometry(rows=12, cols=14)
         rng = np.random.default_rng(13)
@@ -278,7 +259,7 @@ class TestFaultKernelComposites:
         keys = [random_word(14, rng, 0.2) for _ in range(18)]
         banks = [int(b) for b in rng.integers(3, size=len(keys))]
         expected = [ref.search(k, bank=b) for k, b in zip(keys, banks)]
-        got = ker.search_batch(keys, banks, workers=workers)
+        got = ker.search_batch(keys, banks)
         for r, g in zip(expected, got):
             assert (r.bank, r.row, r.latency) == (g.bank, g.row, g.latency)
             assert list(r.energy) == list(g.energy)

@@ -9,12 +9,12 @@ from repro import obs
 from repro.errors import ParallelError
 from repro.parallel import (
     chunk_bounds,
-    default_chunk_size,
-    map_chunks,
     resolve_workers,
     scatter_gather,
+    shutdown_pools,
     spawn_seeds,
 )
+from repro.parallel.executor import _get_pool
 
 
 @pytest.fixture(autouse=True)
@@ -29,10 +29,6 @@ def _square(x: int) -> int:
     return x * x
 
 
-def _sum_chunk(items: list[int]) -> list[int]:
-    return [i + 1 for i in items]
-
-
 def _traced_square(x: int) -> int:
     m = obs.metrics()
     if m is not None:
@@ -43,6 +39,13 @@ def _traced_square(x: int) -> int:
 
 def _boom(x: int) -> int:
     raise ValueError(f"boom at {x}")
+
+
+def _slow_identity(i: int) -> int:
+    import time
+
+    time.sleep(0.05)
+    return i
 
 
 class TestChunkBounds:
@@ -67,13 +70,6 @@ class TestChunkBounds:
             chunk_bounds(-1, 4)
         with pytest.raises(ParallelError):
             chunk_bounds(10, 0)
-
-    def test_default_chunk_size(self):
-        assert default_chunk_size(0) == 1
-        assert default_chunk_size(5) == 1
-        assert default_chunk_size(160) == 10
-        with pytest.raises(ParallelError):
-            default_chunk_size(-1)
 
 
 class TestSpawnSeeds:
@@ -135,23 +131,6 @@ class TestScatterGather:
             scatter_gather(_boom, [1], workers=1)
 
 
-class TestMapChunks:
-    def test_concatenates_in_order(self):
-        items = list(range(23))
-        out = map_chunks(_sum_chunk, items, workers=2, chunk_size=5)
-        assert out == [i + 1 for i in items]
-
-    def test_workers_do_not_change_result(self):
-        items = list(range(40))
-        results = {
-            w: map_chunks(_sum_chunk, items, workers=w, chunk_size=7) for w in (1, 2, 4)
-        }
-        assert results[1] == results[2] == results[4]
-
-    def test_empty(self):
-        assert map_chunks(_sum_chunk, [], workers=4) == []
-
-
 class TestObservabilityCapture:
     def test_chunk_spans_and_grafted_children(self):
         with obs.observe() as sess:
@@ -171,3 +150,34 @@ class TestObservabilityCapture:
 
     def test_no_session_is_fine(self):
         assert scatter_gather(_traced_square, [3], workers=2) == [9]
+
+
+class TestWarmPools:
+    def test_pool_is_reused_across_calls(self):
+        pool = _get_pool(2)
+        assert _get_pool(2) is pool
+        scatter_gather(_square, [1, 2, 3], workers=2)
+        assert _get_pool(2) is pool, "scatter/gather must not rebuild the warm pool"
+
+    def test_shutdown_pools_wait_drains_inflight_work(self):
+        """shutdown_pools(wait=True) returns only after queued chunks ran."""
+        pool = _get_pool(2)
+        futures = [pool.submit(_slow_identity, i) for i in range(4)]
+        shutdown_pools(wait=True)
+        assert all(f.done() for f in futures)
+        assert sorted(f.result() for f in futures) == [0, 1, 2, 3]
+
+    def test_interpreter_shutdown_drains_pools(self, monkeypatch):
+        """The package's one atexit hook is shutdown_pools(wait=True)."""
+        import atexit
+        import importlib
+
+        import repro.parallel as parallel
+
+        calls: list = []
+        monkeypatch.setattr(
+            atexit, "register", lambda fn, *args, **kwargs: calls.append((fn, args, kwargs))
+        )
+        importlib.reload(parallel)
+        assert calls == [(shutdown_pools, (), {"wait": True})]
+

@@ -1,20 +1,22 @@
-"""Observability invariants under process parallelism.
+"""Observability invariants on the in-process chip tree and under
+process parallelism.
 
-Worker sessions are captured and grafted back into the parent span tree
-(one ``<prefix>.chunk[i]`` child per chunk) and worker metric registries
-merge in chunk order.  The PR-2 span-sum invariant must survive:
+The span-sum invariant must hold in both settings:
 
-* **array level** -- each bank's ``array.search_batch`` span, grafted
-  from its worker, carries exactly the summed ledgers of that bank's
-  per-key scalar searches; the grafted chunk spans own no energy.
+* **array level** -- each bank's ``array.search_batch`` span, a direct
+  child of ``chip.search_batch``, carries exactly the summed ledgers of
+  that bank's per-key scalar searches.
 * **chip level** -- the root's own energy (wake + idle leakage) and each
-  bank chunk's subtree are individually float-exact; the full-tree total
+  bank's subtree are individually float-exact; the full-tree total
   matches the merged outcome ledgers up to floating-point reassociation
   only (the tree groups joules per bank, the outcome merge per key), so
   equality is asserted per component at 1e-12 relative tolerance with an
   identical component set.
-* **metrics** -- integer-valued counters match serial exactly; energy
-  counters match to 1e-12 (same reassociation caveat).
+* **worker fan-out** -- worker sessions are grafted back into the parent
+  span tree (one ``<prefix>.chunk[i]`` child per chunk) and own no
+  energy; worker metric registries merge in chunk order, so integer
+  counters match serial exactly and energy counters to 1e-12 (same
+  reassociation caveat).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import pytest
 from repro import obs
 from repro.analysis import run_margin_mc
 from repro.analysis import montecarlo as mc_mod
+from repro.analysis.faultcampaign import run_fault_campaign
 from repro.core import build_array, get_design
 from repro.devices.variability import NOMINAL_VARIATION
 from repro.energy.accounting import EnergyLedger
@@ -51,8 +54,23 @@ def _loaded_chip():
     return chip
 
 
+#: A small fault campaign on the kernel batch path: its trials fan out
+#: through ``scatter_gather`` and every search books energy into spans.
+FAULT_CAMPAIGN = dict(
+    design="fefet2t",
+    rows=12,
+    cols=12,
+    densities=(0.0, 0.05),
+    n_spare=2,
+    n_trials=2,
+    n_keys=6,
+    seed=424242,
+    use_kernel=True,
+)
+
+
 class TestArrayInvariantUnderWorkers:
-    """Array batch spans grafted back from the chip's bank workers."""
+    """Array batch spans nested under the chip, and grafted chunk spans."""
 
     KEYS = [random_word(32, np.random.default_rng(11)) for _ in range(18)]
     BANKS = [i % 2 for i in range(18)]
@@ -60,12 +78,13 @@ class TestArrayInvariantUnderWorkers:
     def _traced(self):
         chip = _loaded_chip()
         with obs.observe() as sess:
-            chip.search_batch(self.KEYS, self.BANKS, workers=2)
+            chip.search_batch(self.KEYS, self.BANKS)
         (root,) = sess.spans
         return root
 
     def test_span_sum_equals_merged_ledgers_exactly(self):
-        array_spans = [n for _, n in self._traced().walk() if n.name == "array.search_batch"]
+        root = self._traced()
+        array_spans = [c for c in root.children if c.name == "array.search_batch"]
         assert len(array_spans) == 2
         scalar_chip = _loaded_chip()
         for bank_id, sp in enumerate(array_spans):
@@ -77,27 +96,29 @@ class TestArrayInvariantUnderWorkers:
             assert sp.total_energy().total == merged.total
 
     def test_parallel_chunk_spans_carry_no_energy(self):
-        chunk_spans = [c for c in self._traced().children if ".chunk[" in c.name]
-        assert chunk_spans, "parallel path must create chunk spans"
+        with obs.observe() as sess:
+            run_fault_campaign(**FAULT_CAMPAIGN, workers=2)
+        (root,) = sess.spans
+        chunk_spans = [c for c in root.children if ".chunk[" in c.name]
+        assert len(chunk_spans) == FAULT_CAMPAIGN["n_trials"]
         for sp in chunk_spans:
             # The joules live in the grafted array spans below the chunk.
             assert sp.energy.total == 0.0
             assert sp.total_energy().total > 0.0
 
 
-class TestChipInvariantUnderWorkers:
-    def _traced_batch(self, workers):
+class TestChipInvariant:
+    def _traced_batch(self):
         chip = _loaded_chip()
         keys = [random_word(32, np.random.default_rng(5)) for _ in range(12)]
         banks = [i % 2 for i in range(12)]
         with obs.observe() as sess:
-            outcomes = chip.search_batch(keys, banks, idle_time=1e-7, workers=workers)
+            outcomes = chip.search_batch(keys, banks, idle_time=1e-7)
         (root,) = sess.spans
         return root, outcomes, banks
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_root_total_matches_merged_ledgers(self, workers):
-        root, outcomes, banks = self._traced_batch(workers)
+    def test_root_total_matches_merged_ledgers(self):
+        root, outcomes, banks = self._traced_batch()
         assert root.name == "chip.search_batch"
         merged = EnergyLedger.sum(o.energy for o in outcomes).as_dict()
         total = root.total_energy().as_dict()
@@ -106,41 +127,40 @@ class TestChipInvariantUnderWorkers:
         for component, joules in merged.items():
             assert math.isclose(total[component], joules, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_each_bank_chunk_exact(self, workers):
-        root, outcomes, banks = self._traced_batch(workers)
-        chunks = [c for c in root.children if c.name.startswith("chip.bank.chunk[")]
-        assert len(chunks) == 2
-        # Chunks are ordered by bank id; each subtree must reproduce the
-        # summed bank-level outcome ledgers of that bank exactly.
-        for bank_id, chunk in enumerate(chunks):
+    def test_each_bank_subtree_exact(self):
+        root, outcomes, banks = self._traced_batch()
+        bank_spans = [c for c in root.children if c.name == "array.search_batch"]
+        assert [c.name for c in root.children] == ["array.search_batch"] * 2
+        # Banks are searched in index order; each subtree must reproduce
+        # the summed bank-level outcome ledgers of that bank exactly.
+        for bank_id, sp in enumerate(bank_spans):
             bank_outcomes = [
                 o.outcome for o, b in zip(outcomes, banks) if b == bank_id
             ]
             expected = EnergyLedger.sum(o.energy for o in bank_outcomes)
-            assert chunk.total_energy().as_dict() == expected.as_dict()
+            assert sp.total_energy().as_dict() == expected.as_dict()
 
 
 class TestMetricsUnderWorkers:
     INTEGER_METRICS = (
         "tcam.searches",
-        "chip.searches",
+        "faults.trials",
+        "faults.searches",
         "kernels.table_hits",
         "kernels.rk4_fallbacks",
-        "mc.samples",
     )
 
     def _snapshot(self, workers):
-        chip = _loaded_chip()
-        keys = [random_word(32, np.random.default_rng(7)) for _ in range(20)]
-        banks = [i % 2 for i in range(20)]
         with obs.observe() as sess:
-            chip.search_batch(keys, banks, workers=workers)
+            run_fault_campaign(**FAULT_CAMPAIGN, workers=workers)
         return sess.metrics.snapshot()
 
     def test_serial_vs_parallel_totals(self):
         serial = self._snapshot(1)
         par = self._snapshot(2)
+        assert set(par) == set(serial)
+        assert set(self.INTEGER_METRICS) <= set(serial)
+        assert any(name.startswith("energy.") for name in serial)
         for name in serial:
             if name in self.INTEGER_METRICS:
                 assert par[name] == serial[name], name
@@ -156,8 +176,6 @@ class TestMetricsUnderWorkers:
         assert names == [f"mc.margin.chunk[{i}]" for i in range(3)]
 
     def test_disabled_obs_with_workers_is_fine(self):
-        chip = _loaded_chip()
-        keys = [random_word(32, np.random.default_rng(9)) for _ in range(8)]
-        outcomes = chip.search_batch(keys, [i % 2 for i in range(8)], workers=2)
-        assert len(outcomes) == 8
+        result = run_fault_campaign(**FAULT_CAMPAIGN, workers=2)
+        assert len(result.points) == len(FAULT_CAMPAIGN["densities"])
         assert not obs.is_enabled()

@@ -37,14 +37,14 @@ def _backend() -> ArrayBackend:
     return ArrayBackend(array)
 
 
-def _chip_backend(workers: int = 0) -> ChipBackend:
+def _chip_backend() -> ChipBackend:
     def bank():
         return build_array(get_design("fefet2t"), ArrayGeometry(rows=8, cols=COLS))
 
     chip = TCAMChip(bank, n_banks=2)
     rng = np.random.default_rng(42)
     chip.load([random_word(COLS, rng) for _ in range(16)])
-    return ChipBackend(chip, workers=workers)
+    return ChipBackend(chip)
 
 
 class TestBitReproducibility:
@@ -71,16 +71,6 @@ class TestBitReproducibility:
         )
         assert sync.rejected == conc.rejected > 0
         assert sync.to_dict(include_records=True) == conc.to_dict(include_records=True)
-
-    def test_worker_count_does_not_change_records(self):
-        """The chip backend's bank fan-out worker count is a pure
-        execution detail -- records must be bit-identical."""
-        trace = poisson_trace(120, rate=5e6, cols=COLS, seed=3, n_banks=2)
-        serial = run_trace(_chip_backend(workers=1), trace, make_policy("adaptive"))
-        parallel = run_trace(_chip_backend(workers=2), trace, make_policy("adaptive"))
-        assert serial.to_dict(include_records=True) == parallel.to_dict(
-            include_records=True
-        )
 
     def test_repeated_runs_identical(self):
         trace = mmpp_trace(100, rate=3e6, cols=COLS, seed=9)

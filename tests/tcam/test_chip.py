@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import build_array, get_design
@@ -68,6 +69,74 @@ class TestAddressing:
         chip = _chip()
         with pytest.raises(TCAMError):
             chip.search(random_word(16, rng), bank=4)
+
+
+def _call_search(chip, key, bank, idle_time=0.0):
+    return chip.search(key, bank=bank, idle_time=idle_time)
+
+
+def _call_search_batch(chip, key, bank, idle_time=0.0):
+    # A valid bank 0 first: the bad index must be caught before any wake.
+    return chip.search_batch([key, key], [0, bank], idle_time=idle_time)
+
+
+def _call_search_batch_broadcast(chip, key, bank, idle_time=0.0):
+    return chip.search_batch([key, key], bank, idle_time=idle_time)
+
+
+CALLERS = {
+    "search": _call_search,
+    "search_batch": _call_search_batch,
+    "search_batch_broadcast": _call_search_batch_broadcast,
+}
+
+
+def _api(caller: str) -> str:
+    return "search" if caller == "search" else "search_batch"
+
+
+class TestBankAndIdleValidation:
+    """Malformed bank indices and idle windows raise a TCAMError naming
+    the API before the gating state machine moves."""
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize(
+        "bank", [True, False, 1.7, 1.0, np.float64(1.0), "1", None, -1, 4, np.int64(4)],
+        ids=repr,
+    )
+    def test_bad_bank_rejected_without_waking(self, caller, bank, rng):
+        chip = _chip(gated=True)
+        powered = chip._powered.copy()
+        with pytest.raises(TCAMError, match=rf"\b{_api(caller)}\b"):
+            CALLERS[caller](chip, random_word(16, rng), bank)
+        assert np.array_equal(chip._powered, powered)
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize(
+        "idle_time", [-1.0, float("nan"), float("inf"), -np.inf, True, "1e-9", None],
+        ids=repr,
+    )
+    def test_bad_idle_time_rejected_without_waking(self, caller, idle_time, rng):
+        chip = _chip(gated=True)
+        powered = chip._powered.copy()
+        with pytest.raises(TCAMError, match=rf"\b{_api(caller)}\b.*idle_time"):
+            CALLERS[caller](chip, random_word(16, rng), 1, idle_time)
+        assert np.array_equal(chip._powered, powered)
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize(
+        ("bank", "idle_time"),
+        [(1, 0), (np.int64(1), 1e-9), (np.uint8(1), np.float32(1e-9))],
+        ids=repr,
+    )
+    def test_integer_banks_and_finite_idle_times_accepted(
+        self, caller, bank, idle_time, rng
+    ):
+        chip = _chip(gated=True)
+        out = CALLERS[caller](chip, random_word(16, rng), bank, idle_time)
+        result = out if caller == "search" else out[-1]
+        assert result.bank == 1 and type(result.bank) is int
+        assert bool(chip._powered[1])
 
 
 class TestGating:

@@ -317,11 +317,14 @@ class TestCluster:
             assert point["churn_integrity"]
             assert point["throughput"] > 0.0
 
-    def test_workers_flag_bit_identical(self, capsys):
-        assert main(self._SMALL + ["--json"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(self._SMALL + ["--json", "--workers", "2"]) == 0
-        assert serial == json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize("command", ["cluster", "serve"])
+    def test_no_workers_flag(self, command, capsys):
+        """Shards and banks are searched in-process: no fan-out flag."""
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--workers" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main([command, "--workers", "2"])
 
     def test_traceable(self, capsys):
         from repro import obs
