@@ -28,6 +28,11 @@ numbers to ``BENCH_kernels.json`` at the repo root:
   every table row prebuilt, so the time is the batch's outcome assembly
   (mismatch matmul, dense per-class sums, ledgers); every outcome,
   ledger booking order included, checked against the scalar search.
+* **Write** -- microseconds per ``TCAMArray.write`` of a 64-column row
+  for every registered cell: the per-cell ``write_cost`` loop the array
+  used to run against the tabled path (one gather over the estimator's
+  3x3 ``(old, new)`` table); every write's ledger, latency, changed-cell
+  count and the final content and wear checked equal.
 
 Run directly::
 
@@ -38,8 +43,9 @@ Run directly::
 ``--check`` asserts the validation bounds (exactly 0.0 for every
 registered cell), that both the table-hit and RK4-fallback paths
 actually ran, scalar/kernel bit-identity, and zero mismatching faulted
-outcomes, and an assembly batch identical to the scalar search key
-for key; these hold on any host.  The timing sections are
+outcomes, an assembly batch identical to the scalar search key
+for key, and tabled writes identical to the per-cell loop; these hold
+on any host.  The timing sections are
 informational on shared runners and carry no floor (the
 kernel-vs-scalar CI gate lives in ``bench_perf_search``).
 """
@@ -54,12 +60,14 @@ import time
 import numpy as np
 
 from repro.core import all_designs, build_array, get_design
+from repro.energy.accounting import EnergyComponent, EnergyLedger
 from repro.faults.faultmap import FaultKind, FaultMap
 from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry, TCAMArray
 from repro.tcam.cells import get_cell, list_cells
+from repro.tcam.array import WriteOutcome
 from repro.tcam.outcome import SCHEMA_VERSION
-from repro.tcam.trit import random_word
+from repro.tcam.trit import Trit, random_word
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DESIGN = "fefet2t"  # precharge-style sensing, same as bench_perf_search
@@ -318,6 +326,66 @@ def run_assembly(rows: int, cols: int, n_keys: int) -> dict:
     }
 
 
+def _per_cell_write(array: TCAMArray, row: int, word) -> WriteOutcome:
+    """The per-cell write loop the tabled path replaced: one
+    ``estimator.write_cost`` call and one ``ledger.add`` per cell."""
+    ledger = EnergyLedger()
+    latency = 0.0
+    changed = 0
+    new = word.as_array()
+    for col in range(array.cols):
+        old_trit = Trit(int(array._stored[row, col]))
+        new_trit = Trit(int(new[col]))
+        cost = array.estimator.write_cost(old_trit, new_trit)
+        ledger.add(EnergyComponent.WRITE, cost.energy)
+        latency = max(latency, cost.latency)
+        if old_trit is not new_trit:
+            changed += 1
+            array._write_counts[row, col] += 1
+    array._stored[row] = new
+    array._valid[row] = True
+    array._content_version += 1
+    return WriteOutcome(row=row, energy=ledger, latency=latency, cells_changed=changed)
+
+
+def run_write(cells: list[str], rows: int, cols: int, n_writes: int) -> list[dict]:
+    """Per-cell loop vs tabled ``write`` per registered cell, checked
+    write for write."""
+    records = []
+    for name in cells:
+        geo = ArrayGeometry(rows=rows, cols=cols)
+        reference, tabled = TCAMArray(get_cell(name), geo), TCAMArray(get_cell(name), geo)
+        tabled.estimator.write_table()  # the one-time table build stays out of the timing
+        rng = np.random.default_rng(SEED + 8)
+        writes = [(i % rows, random_word(cols, rng, x_fraction=0.3)) for i in range(n_writes)]
+        t0 = time.perf_counter()
+        expected = [_per_cell_write(reference, row, word) for row, word in writes]
+        t_loop = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        got = [tabled.write(row, word) for row, word in writes]
+        t_tabled = time.perf_counter() - t0
+        mismatches = sum(
+            (list(a.energy), a.latency, a.cells_changed)
+            != (list(b.energy), b.latency, b.cells_changed)
+            for a, b in zip(expected, got)
+        )
+        same_state = np.array_equal(
+            reference.stored_matrix(), tabled.stored_matrix()
+        ) and np.array_equal(reference.wear_counts(), tabled.wear_counts())
+        records.append(
+            {
+                "cell": name,
+                "cols": cols,
+                "n_writes": n_writes,
+                "per_cell_us": round(t_loop / n_writes * 1e6, 2),
+                "tabled_us": round(t_tabled / n_writes * 1e6, 2),
+                "speedup": round(t_loop / t_tabled, 2),
+                "mismatching_writes": mismatches + (not same_state),
+            }
+        )
+    return records
+
+
 def run_bench(smoke: bool) -> dict:
     searchable = [spec.name for spec in all_designs() if spec.sensing != "nand"]
     cells = list(list_cells())
@@ -329,6 +397,7 @@ def run_bench(smoke: bool) -> dict:
         faulted = run_faulted(rows=64, cols=32, n_keys=64)
         timing = run_timing(rows=64, cols=32, n_keys=128, scalar_keys=16)
         assembly = run_assembly(rows=32, cols=24, n_keys=128)
+        write = run_write(cells, rows=16, cols=64, n_writes=64)
     else:
         validation = run_validation(searchable, rows=64, cols=32, n_keys=64)
         cell_validation = run_cell_validation(cells, cols=16)
@@ -337,6 +406,7 @@ def run_bench(smoke: bool) -> dict:
         faulted = run_faulted(rows=64, cols=32, n_keys=256)
         timing = run_timing(rows=256, cols=64, n_keys=1024, scalar_keys=64)
         assembly = run_assembly(rows=128, cols=64, n_keys=4096)
+        write = run_write(cells, rows=64, cols=64, n_writes=2048)
     return {
         "schema_version": SCHEMA_VERSION,
         "design": DESIGN,
@@ -348,6 +418,7 @@ def run_bench(smoke: bool) -> dict:
         "faulted": faulted,
         "timing": timing,
         "assembly": assembly,
+        "write": write,
     }
 
 
@@ -365,7 +436,8 @@ def main() -> None:
             "paths ran, kernel outcomes are "
             "bit-identical to the scalar search, faulted kernel "
             "batches equal the scalar faulty loop from the tables alone, "
-            "and the warm assembly batch equals the scalar search"
+            "the warm assembly batch equals the scalar search, and "
+            "tabled writes equal the per-cell write loop"
         ),
     )
     parser.add_argument(
@@ -396,12 +468,17 @@ def main() -> None:
         assembly = record["assembly"]
         assert assembly["checked_keys"] == assembly["n_keys"]
         assert assembly["mismatching_outcomes"] == 0, "assembly batch diverged from scalar"
+        for w in record["write"]:
+            assert w["mismatching_writes"] == 0, (
+                f"cell {w['cell']}: tabled write diverged from the per-cell loop"
+            )
         print(
             f"OK: validation <= 1e-9 (worst {worst:.3e}), every registered "
             "cell's full triangle exact, table and "
             "fallback paths exercised, kernel bit-identical to scalar, "
             "faulted kernel batches identical to the scalar faulty loop, "
-            "assembly batch identical to the scalar search"
+            "assembly batch identical to the scalar search, tabled writes "
+            "identical to the per-cell loop"
         )
 
 

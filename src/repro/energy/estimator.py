@@ -26,6 +26,10 @@ Three layers:
   path is bit-identical to the legacy accounting -- enforced by
   ``tests/energy/test_estimator_equivalence.py``.
 
+Every estimator with a ``write`` action also serves that action as one
+cached 3x3 ``(old, new)`` table (:meth:`EnergyEstimator.write_table`),
+which every array write path gathers from.
+
 Action vocabulary of the array estimator:
 
 =================== ========================= ==========================
@@ -45,8 +49,11 @@ action              parameters                prices
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import replace
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import ReproError
 
@@ -64,9 +71,9 @@ class EstimatorError(ReproError):
 class EnergyEstimator(abc.ABC):
     """Abstract per-action energy / leakage / area estimator.
 
-    Concrete estimators are cheap, stateless views over electrical
-    models; they may be constructed freely and compared by the numbers
-    they return.
+    Concrete estimators are cheap views over electrical models; they
+    may be constructed freely and compared by the numbers they return.
+    Their only state is the cache behind :meth:`write_table`.
     """
 
     @property
@@ -93,6 +100,41 @@ class EnergyEstimator(abc.ABC):
     @abc.abstractmethod
     def area_f2(self) -> float:
         """Area in squared feature sizes [F^2]."""
+
+    def write_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``write`` action priced over all nine ``(old, new)`` trit
+        transitions: read-only 3x3 energy [J] and latency [s] tables,
+        indexed by the trits' integer codes.
+
+        Built once from nine ``self.write_cost`` calls (so a subclass
+        that overrides ``write_cost`` is honoured) and cached on the
+        estimator.
+
+        Raises:
+            EstimatorError: when the estimator has no ``write`` action.
+            ReproError: unless every entry is finite and >= 0 -- the
+                check :meth:`EnergyLedger.add` makes on each booking.
+        """
+        tables = getattr(self, "_write_tables", None)
+        if tables is None:
+            if "write" not in self.actions():
+                raise self._unknown("write")
+            from ..tcam.trit import Trit  # runtime import: tcam imports this module
+
+            costs = [self.write_cost(Trit(o), Trit(t)) for o in range(3) for t in range(3)]
+            tables = []
+            for quantity in ("energy", "latency"):
+                values = [getattr(c, quantity) for c in costs]
+                if not all(0.0 <= v < math.inf for v in values):  # NaN fails too
+                    raise ReproError(
+                        f"estimator {self.name!r}: write {quantity} must be "
+                        f"non-negative and finite, got {values}"
+                    )
+                table = np.array(values, dtype=np.float64).reshape(3, 3)
+                table.flags.writeable = False
+                tables.append(table)
+            tables = self._write_tables = tuple(tables)
+        return tables
 
     def _unknown(self, action: str) -> EstimatorError:
         return EstimatorError(

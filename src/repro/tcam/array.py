@@ -97,6 +97,53 @@ def _check_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _check_row(row, rows: int, api: str) -> int:
+    """``row`` as a Python int index below ``rows``, or :class:`TCAMError`
+    naming ``api`` (non-integers, bools and negatives included)."""
+    row = _check_count(row, f"{api} row", 0)
+    if row >= rows:
+        raise TCAMError(f"{api} row {row} outside [0, {rows})")
+    return row
+
+
+def _check_widths(words: Sequence[TernaryWord], cols: int) -> None:
+    """Raise :class:`TCAMError` unless every word is ``cols`` trits wide."""
+    for word in words:
+        if len(word) != cols:
+            raise TCAMError(f"word width {len(word)} does not match array cols {cols}")
+
+
+def _stack_words(words: Sequence[TernaryWord], cols: int) -> np.ndarray:
+    """The ``(len(words), cols)`` trit-code block of ``words``, after
+    :func:`_check_widths`."""
+    _check_widths(words, cols)
+    return np.array([word.as_array() for word in words])
+
+
+def _price_rows(
+    estimator, old: np.ndarray, new: np.ndarray
+) -> tuple[EnergyLedger, float, np.ndarray]:
+    """Price storing the trit block ``new`` over ``old`` (both rows x cols).
+
+    Every cell's cost is gathered from the estimator's cached ``(old,
+    new)`` tables (:meth:`~repro.energy.estimator.EnergyEstimator.write_table`,
+    which raises on an invalid price), so nothing is stored until this
+    returns.  Each row's cells are summed left to right
+    (:func:`~repro.kernels.class_sums`) and the row sums accumulate left
+    to right into one WRITE entry: the float a per-cell ``ledger.add``
+    loop over the block books.
+
+    Returns:
+        ``(ledger, latency, changed)``: the slowest cell's latency
+        (``max(0.0, ...)``) and the per-cell ``old != new`` mask.
+    """
+    e_tab, t_tab = estimator.write_table()
+    transition = old * np.int8(3) + new  # flat (old, new) index into the 3x3 tables
+    ledger = EnergyLedger()
+    ledger.add(EnergyComponent.WRITE, float(np.cumsum(class_sums(e_tab.take(transition)))[-1]))
+    return ledger, max(0.0, float(t_tab.take(transition).max())), old != new
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Physical shape of an array.
@@ -485,16 +532,11 @@ class TCAMArray:
 
     def word_at(self, row: int) -> TernaryWord:
         """The stored word at ``row``."""
-        self._check_row(row)
-        return TernaryWord(self._stored[row])
+        return TernaryWord(self._stored[_check_row(row, self.geometry.rows, "word_at")])
 
     def valid_mask(self) -> np.ndarray:
         """Copy of the per-row valid bits."""
         return self._valid.copy()
-
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.geometry.rows:
-            raise TCAMError(f"row {row} outside [0, {self.geometry.rows})")
 
     # ------------------------------------------------------------------
     # Write path
@@ -503,36 +545,17 @@ class TCAMArray:
     def write(self, row: int, word: TernaryWord) -> WriteOutcome:
         """Store ``word`` at ``row``, paying per-cell transition costs.
 
-        Every write moves the content version, so the next batch
-        re-packs the kernel's content planes; the compiled class tables
-        depend only on the electrical configuration and survive.
+        The costs come from the estimator's cached ``(old, new)``
+        transition tables (:meth:`_store_rows` on a one-row block).  The
+        row and the width are validated before anything moves.  Every
+        write moves the content version once, so the next batch re-packs
+        the kernel's content planes; the compiled class tables depend
+        only on the electrical configuration and survive.
         """
-        self._check_row(row)
-        self._content_version += 1
-        if len(word) != self.geometry.cols:
-            raise TCAMError(
-                f"word width {len(word)} does not match array cols {self.geometry.cols}"
-            )
-        ledger = EnergyLedger()
-        latency = 0.0
-        changed = 0
-        new = word.as_array()
-        for col in range(self.geometry.cols):
-            old_trit = Trit(int(self._stored[row, col]))
-            new_trit = Trit(int(new[col]))
-            cost = self.estimator.write_cost(old_trit, new_trit)
-            ledger.add(EnergyComponent.WRITE, cost.energy)
-            latency = max(latency, cost.latency)
-            if old_trit is not new_trit:
-                changed += 1
-                self._write_counts[row, col] += 1
-        self._stored[row] = new
-        self._valid[row] = True
-        m = obs.metrics()
-        if m is not None:
-            m.counter("tcam.writes").inc()
-            m.counter("tcam.cells_changed").inc(changed)
-            m.counter("energy.write").inc(ledger.total)
+        row = _check_row(row, self.geometry.rows, "write")
+        ledger, latency, changed = self._store_rows(
+            row, _stack_words([word], self.geometry.cols)
+        )
         return WriteOutcome(row=row, energy=ledger, latency=latency, cells_changed=changed)
 
     def invalidate(self, row: int) -> None:
@@ -540,76 +563,62 @@ class TCAMArray:
 
         Moves the content version, like :meth:`write`.
         """
-        self._check_row(row)
+        row = _check_row(row, self.geometry.rows, "invalidate")
         self._content_version += 1
         self._stored[row] = int(Trit.X)
         self._valid[row] = False
 
-    def load(self, words: list[TernaryWord], start_row: int = 0) -> EnergyLedger:
-        """Write a batch of words into consecutive rows; return total energy."""
-        if start_row + len(words) > self.geometry.rows:
-            raise TCAMError(
-                f"cannot load {len(words)} words at row {start_row} into "
-                f"{self.geometry.rows} rows"
-            )
-        ledger = EnergyLedger()
-        for offset, word in enumerate(words):
-            ledger.merge(self.write(start_row + offset, word).energy)
-        return ledger
+    def load(self, words: Sequence[TernaryWord], start_row: int = 0) -> EnergyLedger:
+        """Write a batch of words into consecutive rows; the same call as
+        :meth:`load_rows`."""
+        return self.load_rows(words, start_row)
 
     def load_rows(
         self, words: Sequence[TernaryWord], start_row: int = 0
     ) -> EnergyLedger:
         """Bulk-write ``words`` into consecutive rows with one version bump.
 
-        Ledger-identical to :meth:`load` (the same per-cell transition
-        costs accumulate in the same row-major order), but
-        ``_content_version`` moves once for the whole corpus instead of
-        once per row -- the difference between one SoA rebuild and 100k
-        of them when a retrieval corpus loads.  The per-cell costs come
-        from the estimator's 3x3 ``(old, new)`` transition table
-        gathered over the block.
+        The whole block is validated before any row is stored, then
+        priced in one gather over the estimator's ``(old, new)``
+        transition tables (:meth:`_store_rows`).  The WRITE entry is the
+        float a :meth:`write` loop over the same rows books in its
+        merged ledger, row sums added in row order.  ``_content_version``
+        moves once for the whole corpus instead of once per row -- the
+        difference between one SoA rebuild and 100k of them when a
+        retrieval corpus loads.
         """
         start_row = _check_count(start_row, "load_rows start_row", 0)
         words = list(words)
-        n_rows = len(words)
-        if start_row + n_rows > self.geometry.rows:
+        if start_row + len(words) > self.geometry.rows:
             raise TCAMError(
-                f"cannot load {n_rows} words at row {start_row} into "
+                f"cannot load {len(words)} words at row {start_row} into "
                 f"{self.geometry.rows} rows"
             )
-        ledger = EnergyLedger()
-        if n_rows == 0:
-            return ledger
-        for word in words:
-            if len(word) != self.geometry.cols:
-                raise TCAMError(
-                    f"word width {len(word)} does not match array cols "
-                    f"{self.geometry.cols}"
-                )
-        self._content_version += 1
-        new = np.stack([w.as_array() for w in words])
-        block = slice(start_row, start_row + n_rows)
+        if not words:
+            return EnergyLedger()
+        return self._store_rows(start_row, _stack_words(words, self.geometry.cols))[0]
+
+    def _store_rows(self, start_row: int, new: np.ndarray) -> tuple[EnergyLedger, float, int]:
+        """Store the validated trit block ``new`` at ``start_row``.
+
+        Prices the block (:func:`_price_rows`), then moves the content
+        version once and updates wear, content and valid bits from
+        ``old != new``.  Returns ``(ledger, latency, cells_changed)``.
+        """
+        block = slice(start_row, start_row + len(new))
         old = self._stored[block]
-        # The estimator prices only nine distinct trit transitions.
-        e_tab = np.empty((3, 3), dtype=np.float64)
-        for o in range(3):
-            for t in range(3):
-                e_tab[o, t] = self.estimator.write_cost(Trit(o), Trit(t)).energy
-        row_e = class_sums(e_tab[old, new])
-        changed = old != new
-        total_changed = int(np.count_nonzero(changed))
+        ledger, latency, changed = _price_rows(self.estimator, old, new)
+        n_changed = int(np.count_nonzero(changed))
+        self._content_version += 1
         self._write_counts[block][changed] += 1
         self._stored[block] = new
         self._valid[block] = True
-        for e in row_e:
-            ledger.add(EnergyComponent.WRITE, float(e))
         m = obs.metrics()
         if m is not None:
-            m.counter("tcam.writes").inc(n_rows)
-            m.counter("tcam.cells_changed").inc(total_changed)
+            m.counter("tcam.writes").inc(len(new))
+            m.counter("tcam.cells_changed").inc(n_changed)
             m.counter("energy.write").inc(ledger.total)
-        return ledger
+        return ledger, latency, n_changed
 
     # ------------------------------------------------------------------
     # Fault injection

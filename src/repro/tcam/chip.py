@@ -29,7 +29,7 @@ from .. import obs
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..errors import CapacityError, TCAMError
 from ..faults.faultmap import FaultMap
-from .array import SearchOutcome, TCAMArray, _check_count
+from .array import SearchOutcome, TCAMArray, _check_count, _check_widths
 from .outcome import BaseOutcome
 from .trit import TernaryWord
 
@@ -166,25 +166,20 @@ class TCAMChip:
         return ledger
 
     def load(self, words: list[TernaryWord]) -> EnergyLedger:
-        """Fill the chip row-major with ``words``."""
-        if len(words) > self.rows_total:
-            raise CapacityError(
-                f"{len(words)} words do not fit in {self.rows_total} chip rows"
-            )
-        ledger = EnergyLedger()
-        for row, word in enumerate(words):
-            ledger.merge(self.write(row, word))
-        return ledger
+        """Fill the chip row-major with ``words``; :meth:`load_rows` from
+        row 0."""
+        return self.load_rows(words)
 
     def load_rows(self, words: list[TernaryWord], start_row: int = 0) -> EnergyLedger:
         """Bulk-fill chip rows row-major with one wake + one flush per bank.
 
         Ledger-identical to a :meth:`write` loop over the same rows, but
         each touched bank wakes once and takes its whole block through
-        the bank's bulk path (:meth:`TCAMArray.load_rows`: one trajectory
-        -cache flush and one content-version bump per bank instead of
-        one per row) -- the corpus-load path for the retrieval workload.
-        Banks without a bulk path fall back to per-row writes.
+        the bank's bulk path (:meth:`TCAMArray.load_rows`: one
+        content-version bump per bank instead of one per row) -- the
+        corpus-load path for the retrieval workload.  Banks without a
+        bulk path fall back to per-row writes.  Every word's width is
+        checked before any bank wakes or stores a row.
         """
         start_row = _check_count(start_row, "load_rows start_row", 0)
         if start_row + len(words) > self.rows_total:
@@ -192,6 +187,7 @@ class TCAMChip:
                 f"{len(words)} words at row {start_row} do not fit in "
                 f"{self.rows_total} chip rows"
             )
+        _check_widths(words, self.geometry.cols)
         ledger = EnergyLedger()
         rows = self.geometry.rows
         pos = 0

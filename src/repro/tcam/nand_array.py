@@ -36,9 +36,18 @@ from ..circuits.nandstring import NANDMatchString, NANDStringParams
 from ..circuits.searchline import SearchLine, count_toggles
 from ..circuits.wire import M4_WIRE, WireModel
 from ..energy.accounting import EnergyComponent, EnergyLedger
+from ..energy.estimator import CellEstimator
 from ..errors import TCAMError
 from .area import cell_dimensions
-from .array import ArrayGeometry, SearchOutcome, WriteOutcome
+from .array import (
+    ArrayGeometry,
+    SearchOutcome,
+    WriteOutcome,
+    _check_row,
+    _check_widths,
+    _price_rows,
+    _stack_words,
+)
 from .cells.fefet2t import FeFET2TCell, FeFET2TCellParams
 from .priority import PriorityEncoder
 from .trit import TernaryWord, Trit, mismatch_counts, nand_drive_vector
@@ -106,6 +115,7 @@ class NANDTCAMArray:
         self.vdd = vdd if vdd is not None else geometry.node.vdd_nominal
         self.cell_params = cell_params if cell_params is not None else FeFET2TCellParams()
         self.cell = FeFET2TCell(self.cell_params)
+        self._write_estimator = CellEstimator(self.cell)
         self.electricals = nand_cell_electricals(self.cell_params)
 
         self._stored = np.full(
@@ -142,40 +152,29 @@ class NANDTCAMArray:
     # Storage (shares the NOR array's conventions)
     # ------------------------------------------------------------------
 
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.geometry.rows:
-            raise TCAMError(f"row {row} outside [0, {self.geometry.rows})")
-
     def write(self, row: int, word: TernaryWord) -> WriteOutcome:
-        """Store ``word`` at ``row`` (same contract as the NOR array)."""
-        self._check_row(row)
-        if len(word) != self.geometry.cols:
-            raise TCAMError(
-                f"word width {len(word)} does not match array cols {self.geometry.cols}"
-            )
-        ledger = EnergyLedger()
-        latency = 0.0
-        changed = 0
-        new = word.as_array()
-        for col in range(self.geometry.cols):
-            old_trit = Trit(int(self._stored[row, col]))
-            new_trit = Trit(int(new[col]))
-            cost = self.cell.write_cost(old_trit, new_trit)
-            ledger.add(EnergyComponent.WRITE, cost.energy)
-            latency = max(latency, cost.latency)
-            if old_trit is not new_trit:
-                changed += 1
-        self._stored[row] = new
+        """Store ``word`` at ``row`` (same contract as the NOR array),
+        priced from the cell's cached ``(old, new)`` transition tables."""
+        row = _check_row(row, self.geometry.rows, "write")
+        new = _stack_words([word], self.geometry.cols)
+        ledger, latency, changed = _price_rows(
+            self._write_estimator, self._stored[row : row + 1], new
+        )
+        self._stored[row] = new[0]
         self._valid[row] = True
-        return WriteOutcome(row=row, energy=ledger, latency=latency, cells_changed=changed)
+        return WriteOutcome(
+            row=row, energy=ledger, latency=latency, cells_changed=int(np.count_nonzero(changed))
+        )
 
     def load(self, words: list[TernaryWord], start_row: int = 0) -> EnergyLedger:
-        """Write a batch of words into consecutive rows."""
+        """Write a batch of words into consecutive rows (every width is
+        checked before the first row is stored)."""
         if start_row + len(words) > self.geometry.rows:
             raise TCAMError(
                 f"cannot load {len(words)} words at row {start_row} into "
                 f"{self.geometry.rows} rows"
             )
+        _check_widths(words, self.geometry.cols)
         ledger = EnergyLedger()
         for offset, word in enumerate(words):
             ledger.merge(self.write(start_row + offset, word).energy)
@@ -183,12 +182,11 @@ class NANDTCAMArray:
 
     def word_at(self, row: int) -> TernaryWord:
         """The stored word at ``row``."""
-        self._check_row(row)
-        return TernaryWord(self._stored[row])
+        return TernaryWord(self._stored[_check_row(row, self.geometry.rows, "word_at")])
 
     def invalidate(self, row: int) -> None:
         """Remove ``row`` from match participation (erase to all-X)."""
-        self._check_row(row)
+        row = _check_row(row, self.geometry.rows, "invalidate")
         self._stored[row] = int(Trit.X)
         self._valid[row] = False
 

@@ -22,9 +22,10 @@ import numpy as np
 from ..circuits.rc import discharge_time
 from ..circuits.wire import M2_WIRE
 from ..energy.accounting import EnergyComponent, EnergyLedger
+from ..energy.estimator import CellEstimator
 from ..errors import TCAMError
 from .area import cell_dimensions
-from .array import ArrayGeometry
+from .array import ArrayGeometry, _check_row, _price_rows, _stack_words
 from .cells.fefet_mlc import MLCFeFETCell
 from .trit import TernaryWord, Trit
 
@@ -68,6 +69,7 @@ class WeightedTCAMArray:
     ) -> None:
         self.geometry = geometry
         self.cell = cell if cell is not None else MLCFeFETCell()
+        self._write_estimator = CellEstimator(self.cell)
         self.vdd = vdd if vdd is not None else geometry.node.vdd_nominal
         self.v_sense = v_sense if v_sense is not None else 0.5 * self.vdd
         if not 0.0 < self.v_sense < self.vdd:
@@ -96,12 +98,8 @@ class WeightedTCAMArray:
             weights: Integer strength levels in ``[1, n_levels]``, one per
                 column (weights of X cells are ignored but validated).
         """
-        if not 0 <= row < self.geometry.rows:
-            raise TCAMError(f"row {row} outside [0, {self.geometry.rows})")
-        if len(word) != self.geometry.cols:
-            raise TCAMError(
-                f"word width {len(word)} does not match cols {self.geometry.cols}"
-            )
+        row = _check_row(row, self.geometry.rows, "write")
+        new = _stack_words([word], self.geometry.cols)
         w = np.asarray(weights)
         if w.shape != (self.geometry.cols,):
             raise TCAMError(
@@ -111,22 +109,15 @@ class WeightedTCAMArray:
             raise TCAMError(
                 f"weights must lie in [1, {self.cell.n_levels}]"
             )
-        ledger = EnergyLedger()
-        new = word.as_array()
-        for col in range(self.geometry.cols):
-            cost = self.cell.write_cost(
-                Trit(int(self._stored[row, col])), Trit(int(new[col]))
-            )
-            ledger.add(EnergyComponent.WRITE, cost.energy)
-        self._stored[row] = new
+        ledger = _price_rows(self._write_estimator, self._stored[row : row + 1], new)[0]
+        self._stored[row] = new[0]
         self._weights[row] = w.astype(np.int16)
         self._valid[row] = True
         return ledger
 
     def weighted_distance(self, row: int, key: TernaryWord) -> int:
         """Software oracle: sum of weights over mismatching columns."""
-        if not 0 <= row < self.geometry.rows:
-            raise TCAMError(f"row {row} outside [0, {self.geometry.rows})")
+        row = _check_row(row, self.geometry.rows, "weighted_distance")
         key_arr = key.as_array()
         stored = self._stored[row]
         x = int(Trit.X)

@@ -3,7 +3,8 @@
 ``TCAMArray.load_rows`` (and the chip-level wrapper) must store the very
 same content, wear, valid bits and per-row write energies as a
 sequential :meth:`write` loop -- while bumping the content version once
-for the whole block.
+for the whole block.  ``load`` delegates to ``load_rows`` on both the
+array and the chip, so the oracle here is an explicit ``write`` loop.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import all_designs, build_array, get_design
+from repro.energy.accounting import EnergyLedger
 from repro.errors import CapacityError, TCAMError
 from repro.tcam import ArrayGeometry
 from repro.tcam.chip import GatingPolicy, TCAMChip
@@ -31,6 +33,16 @@ def _words(cols, n, seed, x_fraction=0.25):
     return [random_word(cols, rng, x_fraction) for _ in range(n)]
 
 
+def _write_loop(target, words, start_row=0):
+    """The per-row oracle: one ``write`` per word, ledgers merged in row
+    order (arrays return a ``WriteOutcome``, chips a ledger)."""
+    ledger = EnergyLedger()
+    for offset, word in enumerate(words):
+        out = target.write(start_row + offset, word)
+        ledger.merge(getattr(out, "energy", out))
+    return ledger
+
+
 def _assert_same_state(a, b):
     assert np.array_equal(a.stored_matrix(), b.stored_matrix())
     assert np.array_equal(a.valid_mask(), b.valid_mask())
@@ -42,7 +54,7 @@ class TestArrayLoadRows:
     def test_ledger_identical_to_write_loop(self, design):
         a, b = _fresh_pair(design)
         words = _words(12, 16, seed=3)
-        ref = a.load(words)
+        ref = _write_loop(a, words)
         got = b.load_rows(words)
         _assert_same_state(a, b)
         assert list(ref.as_dict()) == list(got.as_dict())
@@ -52,10 +64,10 @@ class TestArrayLoadRows:
     def test_overwrite_at_offset(self):
         a, b = _fresh_pair("fefet2t")
         base = _words(12, 16, seed=5)
-        a.load(base)
-        b.load(base)
+        _write_loop(a, base)
+        b.load_rows(base)
         words = _words(12, 6, seed=7)
-        ref = a.load(words, start_row=4)
+        ref = _write_loop(a, words, start_row=4)
         got = b.load_rows(words, start_row=4)
         _assert_same_state(a, b)
         assert ref.as_dict() == got.as_dict()
@@ -117,7 +129,7 @@ class TestChipLoadRows:
     def test_ledger_identical_to_write_loop_across_banks(self):
         ref_chip, bulk_chip = self._chip_pair()
         words = _words(12, 20, seed=13)  # spans 2.5 banks
-        ref = ref_chip.load(words)
+        ref = _write_loop(ref_chip, words)
         got = bulk_chip.load_rows(words)
         for ra, rb in zip(ref_chip.banks, bulk_chip.banks):
             _assert_same_state(ra, rb)
@@ -128,11 +140,7 @@ class TestChipLoadRows:
         ref_chip, bulk_chip = self._chip_pair()
         words = _words(12, 10, seed=17)
         start = 5  # rows 5..14 touch banks 0 and 1
-        from repro.energy.accounting import EnergyLedger
-
-        ref_ledger = EnergyLedger()
-        for i, w in enumerate(words):
-            ref_ledger.merge(ref_chip.write(start + i, w))
+        ref_ledger = _write_loop(ref_chip, words, start_row=start)
         got = bulk_chip.load_rows(words, start_row=start)
         for ra, rb in zip(ref_chip.banks, bulk_chip.banks):
             _assert_same_state(ra, rb)
@@ -144,7 +152,7 @@ class TestChipLoadRows:
         )
         ref_chip, bulk_chip = self._chip_pair(gating=gating)
         words = _words(12, 20, seed=19)
-        ref = ref_chip.load(words)
+        ref = _write_loop(ref_chip, words)
         got = bulk_chip.load_rows(words)
         assert ref.as_dict() == got.as_dict()
 
