@@ -45,6 +45,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ClusterError
 from ..tcam.trit import TernaryWord, Trit
 
@@ -52,14 +54,20 @@ from ..tcam.trit import TernaryWord, Trit
 DISTRIBUTOR_POLICIES = ("hash", "range", "replicated")
 
 
-def rule_fingerprint(word: TernaryWord) -> int:
+def _codes(word: TernaryWord | np.ndarray) -> np.ndarray:
+    """The int8 trit codes of a word, or of a key row of a trit block."""
+    return word.as_array() if isinstance(word, TernaryWord) else word
+
+
+def rule_fingerprint(word: TernaryWord | np.ndarray) -> int:
     """Stable content hash of a ternary word (CRC-32 of trit codes).
 
-    Deterministic across processes and runs -- the property that makes
-    hash placement reproducible and lets a live add land on the same
-    shard the bulk loader would have picked.
+    ``word`` may also be one int8 row of a trit block, which hashes as
+    the equal word does.  Deterministic across processes and runs --
+    the property that makes hash placement reproducible and lets a live
+    add land on the same shard the bulk loader would have picked.
     """
-    return zlib.crc32(word.as_array().tobytes())
+    return zlib.crc32(_codes(word).tobytes())
 
 
 @dataclass(frozen=True)
@@ -127,14 +135,14 @@ class Placement:
         return sum(len(r) for r in self.replicas) / len(self.replicas)
 
 
-def _routing_interval(word: TernaryWord, route_bits: int) -> tuple[int, int]:
+def _routing_interval(word: TernaryWord | np.ndarray, route_bits: int) -> tuple[int, int]:
     """Value interval ``[lo, hi]`` covered by the leading routing trits.
 
     An X in a routing column matches both bit values, so it contributes
     0 to the low end and 1 to the high end.
     """
     lo = hi = 0
-    arr = word.as_array()
+    arr = _codes(word)
     for b in range(route_bits):
         trit = int(arr[b])
         lo <<= 1
@@ -160,9 +168,12 @@ class Distributor:
         raise NotImplementedError
 
     def probe_shards(
-        self, key: TernaryWord, placement: Placement
+        self, key: TernaryWord | np.ndarray, placement: Placement
     ) -> tuple[int, ...]:
-        """Shards a key probes in the first round."""
+        """Shards a key probes in the first round.
+
+        The fabric passes each key as one int8 row of its trit block.
+        """
         raise NotImplementedError
 
     def needs_fallback(

@@ -41,11 +41,11 @@ import numpy as np
 from .. import obs
 from ..core import build_array, get_design
 from ..energy.accounting import EnergyLedger
-from ..errors import CapacityError, ClusterError
+from ..errors import CapacityError, ClusterError, TCAMError
 from ..tcam import ArrayGeometry
 from ..tcam.chip import GatingPolicy, TCAMChip
 from ..tcam.outcome import BaseOutcome
-from ..tcam.trit import TernaryWord
+from ..tcam.trit import TernaryWord, trit_block
 from .distributor import Distributor, Placement, RuleTable, get_distributor
 from .interconnect import Interconnect, LinkModel
 
@@ -308,17 +308,21 @@ class TCAMFabric:
         ledgers included, once the link components are stripped.
 
         Args:
-            keys: Search keys (table width).
+            keys: Search keys of the table's width: an ``(n, width)``
+                matrix of trit codes or a sequence of
+                :class:`~repro.tcam.trit.TernaryWord`, validated whole
+                before any chip is probed.
+
+        Raises:
+            ClusterError: on a malformed key block.
         """
-        keys = list(keys)
-        for i, key in enumerate(keys):
-            if len(key) != self.table.width:
-                raise ClusterError(
-                    f"key {i} width {len(key)} != table width {self.table.width}"
-                )
-        if not keys:
+        try:
+            block = trit_block(keys, self.table.width, "TCAMFabric.search_batch")
+        except TCAMError as exc:
+            raise ClusterError(str(exc)) from None
+        n = len(block)
+        if not n:
             return []
-        n = len(keys)
 
         with obs.span(
             "cluster.search_batch",
@@ -329,14 +333,14 @@ class TCAMFabric:
         ) as sp:
             probes: list[tuple[int, ...]] = [
                 tuple(self.distributor.probe_shards(k, self.placement))
-                for k in keys
+                for k in block
             ]
             acc_energy = [EnergyLedger() for _ in range(n)]
             acc_delay = [0.0] * n
             acc_shards: list[dict[int, float]] = [dict() for _ in range(n)]
             matched: list[set[int]] = [set() for _ in range(n)]
 
-            self._probe_round(keys, probes, matched, acc_energy, acc_delay,
+            self._probe_round(block, probes, matched, acc_energy, acc_delay,
                               acc_shards)
             best = [min(m) if m else None for m in matched]
 
@@ -357,7 +361,7 @@ class TCAMFabric:
                     for i in range(n)
                 ]
                 fallback = [bool(e) for e in extra]
-                self._probe_round(keys, extra, matched, acc_energy, acc_delay,
+                self._probe_round(block, extra, matched, acc_energy, acc_delay,
                                   acc_shards)
                 best = [min(m) if m else None for m in matched]
 
@@ -424,13 +428,13 @@ class TCAMFabric:
             return outcomes
 
     def _probe_round(
-        self, keys, probes, matched, acc_energy, acc_delay, acc_shards
+        self, block, probes, matched, acc_energy, acc_delay, acc_shards
     ) -> None:
         """Run one probe round and fold the shard verdicts into the
         per-key accumulators (in place).
 
         Chips are probed in ascending index order; each probed chip
-        searches its key subsequence once per occupied bank.
+        searches its rows of the key ``block`` once per occupied bank.
         """
         by_chip: dict[int, list[int]] = {}
         for i, shards in enumerate(probes):
@@ -444,7 +448,7 @@ class TCAMFabric:
                 continue  # an empty shard cannot match and is not probed
             idxs = by_chip[s]
             chip = self.chips[s]
-            chip_keys = [keys[i] for i in idxs]
+            chip_keys = block[idxs]
             per_bank = {b: chip.search_batch(chip_keys, banks=b) for b in banks}
             mapped = self.row_rule[s]
             for pos, i in enumerate(idxs):

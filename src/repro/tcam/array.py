@@ -46,9 +46,8 @@ from .trit import (
     TernaryWord,
     Trit,
     drive_matrix,
-    drive_vector,
     mismatch_counts,
-    pack_keys,
+    trit_block,
 )
 
 _SENSING_STYLES = ("precharge", "current_race")
@@ -104,20 +103,6 @@ def _check_row(row, rows: int, api: str) -> int:
     if row >= rows:
         raise TCAMError(f"{api} row {row} outside [0, {rows})")
     return row
-
-
-def _check_widths(words: Sequence[TernaryWord], cols: int) -> None:
-    """Raise :class:`TCAMError` unless every word is ``cols`` trits wide."""
-    for word in words:
-        if len(word) != cols:
-            raise TCAMError(f"word width {len(word)} does not match array cols {cols}")
-
-
-def _stack_words(words: Sequence[TernaryWord], cols: int) -> np.ndarray:
-    """The ``(len(words), cols)`` trit-code block of ``words``, after
-    :func:`_check_widths`."""
-    _check_widths(words, cols)
-    return np.array([word.as_array() for word in words])
 
 
 def _price_rows(
@@ -554,7 +539,7 @@ class TCAMArray:
         """
         row = _check_row(row, self.geometry.rows, "write")
         ledger, latency, changed = self._store_rows(
-            row, _stack_words([word], self.geometry.cols)
+            row, trit_block([word], self.geometry.cols, "write")
         )
         return WriteOutcome(row=row, energy=ledger, latency=latency, cells_changed=changed)
 
@@ -568,16 +553,16 @@ class TCAMArray:
         self._stored[row] = int(Trit.X)
         self._valid[row] = False
 
-    def load(self, words: Sequence[TernaryWord], start_row: int = 0) -> EnergyLedger:
+    def load(self, words, start_row: int = 0) -> EnergyLedger:
         """Write a batch of words into consecutive rows; the same call as
         :meth:`load_rows`."""
         return self.load_rows(words, start_row)
 
-    def load_rows(
-        self, words: Sequence[TernaryWord], start_row: int = 0
-    ) -> EnergyLedger:
+    def load_rows(self, words, start_row: int = 0) -> EnergyLedger:
         """Bulk-write ``words`` into consecutive rows with one version bump.
 
+        ``words`` is an ``(n, cols)`` matrix of trit codes or a sequence
+        of :class:`TernaryWord` (:func:`~repro.tcam.trit.trit_block`).
         The whole block is validated before any row is stored, then
         priced in one gather over the estimator's ``(old, new)``
         transition tables (:meth:`_store_rows`).  The WRITE entry is the
@@ -588,15 +573,15 @@ class TCAMArray:
         retrieval corpus loads.
         """
         start_row = _check_count(start_row, "load_rows start_row", 0)
-        words = list(words)
-        if start_row + len(words) > self.geometry.rows:
+        block = trit_block(words, self.geometry.cols, "load_rows")
+        if start_row + len(block) > self.geometry.rows:
             raise TCAMError(
-                f"cannot load {len(words)} words at row {start_row} into "
+                f"cannot load {len(block)} words at row {start_row} into "
                 f"{self.geometry.rows} rows"
             )
-        if not words:
+        if not len(block):
             return EnergyLedger()
-        return self._store_rows(start_row, _stack_words(words, self.geometry.cols))[0]
+        return self._store_rows(start_row, block)[0]
 
     def _store_rows(self, start_row: int, new: np.ndarray) -> tuple[EnergyLedger, float, int]:
         """Store the validated trit block ``new`` at ``start_row``.
@@ -761,8 +746,9 @@ class TCAMArray:
             )
         return [self._precharge_class_from_v_end(float(v_end)) for v_end in v_ends]
 
-    def _search_impl_faulty(self, key: TernaryWord, active: np.ndarray) -> SearchOutcome:
-        """One search with the attached (non-empty) fault map injected.
+    def _search_impl_faulty(self, key_arr: np.ndarray, active: np.ndarray) -> SearchOutcome:
+        """One search of the validated trit codes ``key_arr`` with the
+        attached (non-empty) fault map injected.
 
         Healthy-composition rows reuse the nominal per-class machinery
         (a row with ``n`` intact pull-downs is electrically a nominal
@@ -774,7 +760,6 @@ class TCAMArray:
         counted, including writes a ``STUCK_TRIT`` cell swallowed.
         """
         fm = self._faults
-        key_arr = key.as_array()
         x = int(Trit.X)
         driven = key_arr != x
         driven_cols = int(np.count_nonzero(driven))
@@ -785,7 +770,7 @@ class TCAMArray:
         sensed = active & ~fm.dead_rows
 
         ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key)
+        self._book_searchline_energy(ledger, key_arr)
 
         rows = self.geometry.rows
         physical = np.zeros(rows, dtype=bool)
@@ -903,7 +888,9 @@ class TCAMArray:
     # Search path
     # ------------------------------------------------------------------
 
-    def search(self, key: TernaryWord, row_mask: np.ndarray | None = None) -> SearchOutcome:
+    def search(
+        self, key: TernaryWord | np.ndarray, row_mask: np.ndarray | None = None
+    ) -> SearchOutcome:
         """Execute one search and account its energy and timing.
 
         When an observability session is active, the search is traced as
@@ -911,7 +898,8 @@ class TCAMArray:
         slices of the returned ledger (see :data:`_SPAN_ENERGY_GROUPS`).
 
         Args:
-            key: Search key (may contain X columns, which are masked).
+            key: Search key (may contain X columns, which are masked): a
+                :class:`TernaryWord` or a 1-D row of trit codes.
             row_mask: Optional per-row evaluation mask.  Rows outside the
                 mask are not precharged, not sensed and cannot match --
                 the selective-precharge mechanism used by
@@ -928,21 +916,15 @@ class TCAMArray:
                 self._book_search_span(sp, outcome, n_searches=1)
             return outcome
 
-    def _search_impl(
-        self, key: TernaryWord, row_mask: np.ndarray | None = None
-    ) -> SearchOutcome:
-        if len(key) != self.geometry.cols:
-            raise TCAMError(
-                f"key width {len(key)} does not match array cols {self.geometry.cols}"
-            )
+    def _search_impl(self, key, row_mask: np.ndarray | None = None) -> SearchOutcome:
+        key_arr = trit_block([key], self.geometry.cols, "search")[0]
         active = self._active_rows(row_mask)
         if self._fault_injection_active():
-            return self._search_impl_faulty(key, active)
-        key_arr = key.as_array()
+            return self._search_impl_faulty(key_arr, active)
         driven_cols = int(np.count_nonzero(key_arr != int(Trit.X)))
         miss = mismatch_counts(self._stored, key_arr)
         ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key)
+        self._book_searchline_energy(ledger, key_arr)
         return self._search_key(ledger, miss, driven_cols, active)
 
     def _active_rows(self, row_mask: np.ndarray | None) -> np.ndarray:
@@ -985,11 +967,7 @@ class TCAMArray:
             ledger, miss, active, unique, counts_active, counts_valid, class_results
         )
 
-    def search_batch(
-        self,
-        keys: Iterable[TernaryWord],
-        row_mask: np.ndarray | None = None,
-    ) -> list[SearchOutcome]:
+    def search_batch(self, keys, row_mask: np.ndarray | None = None) -> list[SearchOutcome]:
         """Execute many searches on the compiled kernel.
 
         Produces exactly the :class:`SearchOutcome` sequence that calling
@@ -1002,47 +980,38 @@ class TCAMArray:
         batch runs the fault-aware kernel
         (:meth:`_search_batch_faulty_kernel`).
 
-        The whole batch (key widths, ``row_mask`` shape) is validated
-        before any key is searched, so a rejected batch leaves the
-        search-line drive state and the metrics untouched.
+        The whole batch (key codes and widths, ``row_mask`` shape) is
+        validated before any key is searched, so a rejected batch leaves
+        the search-line drive state and the metrics untouched.
 
         Args:
-            keys: Search keys, all of the array's width.
+            keys: Search keys of the array's width: an ``(n, cols)``
+                matrix of trit codes or a sequence of
+                :class:`TernaryWord` (:func:`~repro.tcam.trit.trit_block`).
             row_mask: Optional per-row evaluation mask applied to every
                 key in the batch (as in :meth:`search`).
         """
-        keys = list(keys)
-        if not keys:
+        packed = trit_block(keys, self.geometry.cols, "search_batch")
+        if not len(packed):
             return []
         return self._traced_batch(
-            lambda: self._search_batch_impl(keys, row_mask),
+            lambda: self._search_batch_impl(packed, row_mask),
             "array.search_batch",
             sensing=self.sensing,
-            n_keys=len(keys),
+            n_keys=len(packed),
         )
 
     def _search_batch_impl(
-        self, keys: list[TernaryWord], row_mask: np.ndarray | None = None
+        self, packed: np.ndarray, row_mask: np.ndarray | None = None
     ) -> list[SearchOutcome]:
-        # Validate the whole batch before any key touches array state
+        # Validate the row mask before any key touches array state
         # (search-line drive, caches, metrics).
-        packed = self._pack_batch(keys)
         active = self._active_rows(row_mask)
         faulty = self._fault_injection_active()
         soa = self._soa_state()
         if faulty:
-            return self._search_batch_faulty_kernel(keys, packed, active, soa)
+            return self._search_batch_faulty_kernel(packed, active, soa)
         return self._search_batch_kernel(packed, active, soa)
-
-    def _pack_batch(self, keys: list[TernaryWord]) -> np.ndarray:
-        """Stack a key batch, rejecting it whole on a width mismatch."""
-        packed = pack_keys(keys)
-        if packed.shape[1] != self.geometry.cols:
-            raise TCAMError(
-                f"key width {packed.shape[1]} does not match array cols "
-                f"{self.geometry.cols}"
-            )
-        return packed
 
     def _traced_batch(self, run: Callable[[], list], name: str, **attrs) -> list:
         """Run one batch under its span and book search and kernel metrics.
@@ -1288,7 +1257,7 @@ class TCAMArray:
             return outcomes
 
     def _search_batch_faulty_kernel(
-        self, keys: list[TernaryWord], packed: np.ndarray, active: np.ndarray, soa
+        self, packed: np.ndarray, active: np.ndarray, soa
     ) -> list[SearchOutcome]:
         """Fault-aware kernel tail of :meth:`_search_batch_impl`.
 
@@ -1505,7 +1474,7 @@ class TCAMArray:
                     self._last_drive = (
                         prev_drive if k == 0 else tuple(int(c) for c in drives[k - 1])
                     )
-                    outcomes[k] = self._search_impl_faulty(keys[k], active)
+                    outcomes[k] = self._search_impl_faulty(packed[k], active)
                     eng.rk4_fallbacks += np.unique(n_pull_all[k, sensed_idx]).size
                 self._last_drive = final_drive
             if sp is not None:
@@ -1518,16 +1487,16 @@ class TCAMArray:
 
     # -- search-line booking -------------------------------------------------
 
-    def _book_searchline_energy(self, ledger: EnergyLedger, key: TernaryWord) -> None:
+    def _book_searchline_energy(self, ledger: EnergyLedger, key_arr: np.ndarray) -> None:
         ledger.add(
             EnergyComponent.SEARCHLINE,
-            self._key_toggles(key) * self.estimator.sl_toggle_energy(),
+            self._key_toggles(key_arr) * self.estimator.sl_toggle_energy(),
         )
 
-    def _key_toggles(self, key: TernaryWord) -> int:
-        """Search-line toggles of driving ``key`` after the current drive
-        state, which ``key`` then becomes."""
-        drive = drive_vector(key)
+    def _key_toggles(self, key_arr: np.ndarray) -> int:
+        """Search-line toggles of driving the trit codes ``key_arr`` after
+        the current drive state, which the key then becomes."""
+        drive = tuple(drive_matrix(key_arr).tolist())
         if self._last_drive is None:
             previous = tuple(0 for _ in drive)
         else:
@@ -1730,7 +1699,7 @@ class TCAMArray:
                 f"{api} does not support fault injection; detach the fault map first"
             )
 
-    def nearest_match(self, key: TernaryWord) -> NearestMatchOutcome:
+    def nearest_match(self, key: TernaryWord | np.ndarray) -> NearestMatchOutcome:
         """Best-match search: the row with the fewest mismatching cells.
 
         Physically this is time-domain sensing: every match line is
@@ -1751,7 +1720,7 @@ class TCAMArray:
             rows=self.geometry.rows,
             cols=self.geometry.cols,
         ) as sp:
-            outcome = self._nearest_key(*self._distance_key_state(key))
+            outcome = self._nearest_key(*self._distance_key_state(key, "nearest_match"))
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
                 sp.annotate(row=outcome.row, distance=outcome.distance)
@@ -1759,7 +1728,7 @@ class TCAMArray:
                 self._book_batch_metrics(1, outcome.energy)
             return outcome
 
-    def nearest_match_batch(self, keys: Iterable[TernaryWord]) -> list[NearestMatchOutcome]:
+    def nearest_match_batch(self, keys) -> list[NearestMatchOutcome]:
         """Best-match search over a batch on the fused distance kernel.
 
         Equivalent to ``[nearest_match(k) for k in keys]`` outcome by
@@ -1769,17 +1738,17 @@ class TCAMArray:
         """
         self._require_precharge("nearest_match_batch()")
         self._require_no_faults("nearest_match_batch()")
-        keys = list(keys)
-        if not keys:
+        packed = trit_block(keys, self.geometry.cols, "nearest_match_batch")
+        if not len(packed):
             return []
         return self._traced_batch(
-            lambda: self._nearest_match_batch_kernel(self._pack_batch(keys)),
+            lambda: self._nearest_match_batch_kernel(packed),
             "array.nearest_match_batch",
-            n_keys=len(keys),
+            n_keys=len(packed),
         )
 
     def _distance_key_state(
-        self, key: TernaryWord
+        self, key, api: str
     ) -> tuple[np.ndarray, int, int, float, float, np.ndarray]:
         """Inputs of the per-key distance references for one scalar call.
 
@@ -1788,15 +1757,11 @@ class TCAMArray:
         precharge target and valid rows -- the argument prefix of
         :meth:`_nearest_key`, :meth:`_threshold_key` and :meth:`_topk_key`.
         """
-        if len(key) != self.geometry.cols:
-            raise TCAMError(
-                f"key width {len(key)} does not match array cols {self.geometry.cols}"
-            )
-        key_arr = key.as_array()
+        key_arr = trit_block([key], self.geometry.cols, api)[0]
         return (
             mismatch_counts(self._stored, key_arr),
             int(np.count_nonzero(key_arr != int(Trit.X))),
-            self._key_toggles(key),
+            self._key_toggles(key_arr),
             self.estimator.sl_toggle_energy(),
             self.precharge.target_voltage(),
             np.flatnonzero(self._valid),
@@ -1874,7 +1839,9 @@ class TCAMArray:
 
     # -- tolerance (threshold) search ------------------------------------------
 
-    def threshold_match(self, key: TernaryWord, max_distance: int) -> ThresholdMatchOutcome:
+    def threshold_match(
+        self, key: TernaryWord | np.ndarray, max_distance: int
+    ) -> ThresholdMatchOutcome:
         """Tolerance search: every row within ``max_distance`` mismatches.
 
         TAP-CAM-style approximate matching: the sense strobe is delayed
@@ -1897,7 +1864,9 @@ class TCAMArray:
             cols=self.geometry.cols,
             max_distance=max_distance,
         ) as sp:
-            outcome = self._threshold_key(*self._distance_key_state(key), max_distance)
+            outcome = self._threshold_key(
+                *self._distance_key_state(key, "threshold_match"), max_distance
+            )
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
                 sp.annotate(n_matches=outcome.n_matches)
@@ -1905,9 +1874,7 @@ class TCAMArray:
                 self._book_batch_metrics(1, outcome.energy)
             return outcome
 
-    def threshold_match_batch(
-        self, keys: Iterable[TernaryWord], max_distance: int
-    ) -> list[ThresholdMatchOutcome]:
+    def threshold_match_batch(self, keys, max_distance: int) -> list[ThresholdMatchOutcome]:
         """Tolerance search over a batch on the fused distance kernel.
 
         Equivalent to ``[threshold_match(k, max_distance) for k in keys]``
@@ -1916,13 +1883,13 @@ class TCAMArray:
         self._require_precharge("threshold_match_batch()")
         self._require_no_faults("threshold_match_batch()")
         max_distance = _check_count(max_distance, "max_distance", 0)
-        keys = list(keys)
-        if not keys:
+        packed = trit_block(keys, self.geometry.cols, "threshold_match_batch")
+        if not len(packed):
             return []
         return self._traced_batch(
-            lambda: self._threshold_match_batch_kernel(self._pack_batch(keys), max_distance),
+            lambda: self._threshold_match_batch_kernel(packed, max_distance),
             "array.threshold_match_batch",
-            n_keys=len(keys),
+            n_keys=len(packed),
             max_distance=max_distance,
         )
 
@@ -2001,7 +1968,7 @@ class TCAMArray:
 
     # -- k-nearest (top-k) search ----------------------------------------------
 
-    def topk_match(self, key: TernaryWord, k: int) -> TopKMatchOutcome:
+    def topk_match(self, key: TernaryWord | np.ndarray, k: int) -> TopKMatchOutcome:
         """k-nearest search: the ``k`` rows with the fewest mismatches.
 
         Time-domain sensing as in :meth:`nearest_match`, with the strobe
@@ -2020,7 +1987,7 @@ class TCAMArray:
             cols=self.geometry.cols,
             k=k,
         ) as sp:
-            outcome = self._topk_key(*self._distance_key_state(key), k)
+            outcome = self._topk_key(*self._distance_key_state(key, "topk_match"), k)
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
                 sp.annotate(n_returned=len(outcome.rows))
@@ -2028,7 +1995,7 @@ class TCAMArray:
                 self._book_batch_metrics(1, outcome.energy)
             return outcome
 
-    def topk_match_batch(self, keys: Iterable[TernaryWord], k: int) -> list[TopKMatchOutcome]:
+    def topk_match_batch(self, keys, k: int) -> list[TopKMatchOutcome]:
         """k-nearest search over a batch on the fused distance kernel.
 
         Equivalent to ``[topk_match(key, k) for key in keys]`` outcome by
@@ -2037,13 +2004,13 @@ class TCAMArray:
         self._require_precharge("topk_match_batch()")
         self._require_no_faults("topk_match_batch()")
         k = _check_count(k, "k", 1)
-        keys = list(keys)
-        if not keys:
+        packed = trit_block(keys, self.geometry.cols, "topk_match_batch")
+        if not len(packed):
             return []
         return self._traced_batch(
-            lambda: self._topk_match_batch_kernel(self._pack_batch(keys), k),
+            lambda: self._topk_match_batch_kernel(packed, k),
             "array.topk_match_batch",
-            n_keys=len(keys),
+            n_keys=len(packed),
             k=k,
         )
 

@@ -29,9 +29,9 @@ from .. import obs
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..errors import CapacityError, TCAMError
 from ..faults.faultmap import FaultMap
-from .array import SearchOutcome, TCAMArray, _check_count, _check_widths
+from .array import SearchOutcome, TCAMArray, _check_count
 from .outcome import BaseOutcome
-from .trit import TernaryWord
+from .trit import TernaryWord, trit_block
 
 
 def _check_idle_time(idle_time, api: str) -> None:
@@ -45,6 +45,13 @@ def _check_idle_time(idle_time, api: str) -> None:
         raise TCAMError(
             f"{api} idle_time must be a finite number >= 0, got {idle_time!r}"
         )
+
+
+def _write_energy(bank, row: int, word: TernaryWord) -> EnergyLedger:
+    """The ledger of ``bank.write``: arrays return a ``WriteOutcome``,
+    segmented and hierarchical banks a bare ledger."""
+    out = bank.write(row, word)
+    return out if isinstance(out, EnergyLedger) else out.energy
 
 
 @dataclass(frozen=True)
@@ -162,47 +169,49 @@ class TCAMChip:
         bank_idx, local_row = self._split(global_row)
         ledger = EnergyLedger()
         self._wake(bank_idx, ledger)
-        ledger.merge(self.banks[bank_idx].write(local_row, word).energy)
+        ledger.merge(_write_energy(self.banks[bank_idx], local_row, word))
         return ledger
 
-    def load(self, words: list[TernaryWord]) -> EnergyLedger:
+    def load(self, words) -> EnergyLedger:
         """Fill the chip row-major with ``words``; :meth:`load_rows` from
         row 0."""
         return self.load_rows(words)
 
-    def load_rows(self, words: list[TernaryWord], start_row: int = 0) -> EnergyLedger:
+    def load_rows(self, words, start_row: int = 0) -> EnergyLedger:
         """Bulk-fill chip rows row-major with one wake + one flush per bank.
 
-        Ledger-identical to a :meth:`write` loop over the same rows, but
-        each touched bank wakes once and takes its whole block through
-        the bank's bulk path (:meth:`TCAMArray.load_rows`: one
+        ``words`` is an ``(n, cols)`` matrix of trit codes or a sequence
+        of :class:`TernaryWord`, validated whole
+        (:func:`~repro.tcam.trit.trit_block`) before any bank wakes or
+        stores a row.  Ledger-identical to a :meth:`write` loop over the
+        same rows, but each touched bank wakes once and takes its slice
+        of the block through :meth:`TCAMArray.load_rows` (one
         content-version bump per bank instead of one per row) -- the
-        corpus-load path for the retrieval workload.  Banks without a
-        bulk path fall back to per-row writes.  Every word's width is
-        checked before any bank wakes or stores a row.
+        corpus-load path for the retrieval workload.  Other banks take
+        per-row writes of words built from their own rows.
         """
         start_row = _check_count(start_row, "load_rows start_row", 0)
-        if start_row + len(words) > self.rows_total:
+        block = trit_block(words, self.geometry.cols, "TCAMChip.load_rows")
+        n = len(block)
+        if start_row + n > self.rows_total:
             raise CapacityError(
-                f"{len(words)} words at row {start_row} do not fit in "
+                f"{n} words at row {start_row} do not fit in "
                 f"{self.rows_total} chip rows"
             )
-        _check_widths(words, self.geometry.cols)
         ledger = EnergyLedger()
         rows = self.geometry.rows
         pos = 0
-        while pos < len(words):
+        while pos < n:
             bank_idx, local_row = divmod(start_row + pos, rows)
-            n_block = min(rows - local_row, len(words) - pos)
-            block = words[pos : pos + n_block]
+            n_block = min(rows - local_row, n - pos)
+            part = block[pos : pos + n_block]
             self._wake(bank_idx, ledger)
             bank = self.banks[bank_idx]
-            bulk = getattr(bank, "load_rows", None)
-            if bulk is not None:
-                ledger.merge(bulk(block, start_row=local_row))
+            if isinstance(bank, TCAMArray):
+                ledger.merge(bank.load_rows(part, start_row=local_row))
             else:
-                for offset, word in enumerate(block):
-                    ledger.merge(bank.write(local_row + offset, word).energy)
+                for offset, codes in enumerate(part):
+                    ledger.merge(_write_energy(bank, local_row + offset, TernaryWord(codes)))
             pos += n_block
         return ledger
 
@@ -306,7 +315,7 @@ class TCAMChip:
 
     def search_batch(
         self,
-        keys: Iterable[TernaryWord],
+        keys,
         banks: int | Sequence[int],
         idle_time: float = 0.0,
     ) -> list[ChipSearchOutcome]:
@@ -321,28 +330,32 @@ class TCAMChip:
         in the serial loop; each bank then takes its keys in one
         ``search_batch`` call, banks in ascending index order.
 
+        The whole batch (key codes and widths, bank indices, idle time)
+        is validated before any bank state moves.
+
         Args:
-            keys: Search keys (bank-width).
+            keys: Search keys (bank-width): an ``(n, cols)`` matrix of
+                trit codes or a sequence of :class:`TernaryWord`
+                (:func:`~repro.tcam.trit.trit_block`).
             banks: Bank index per key, or one index for the whole batch.
             idle_time: Idle window accounted before each search [s], as
                 in :meth:`search`.
         """
-        keys = list(keys)
+        block = trit_block(keys, self.geometry.cols, "TCAMChip.search_batch")
+        n = len(block)
         if isinstance(banks, Iterable):
             bank_ids = [self._check_bank(b, "search_batch") for b in banks]
         else:
-            bank_ids = [self._check_bank(banks, "search_batch")] * len(keys)
-        if len(bank_ids) != len(keys):
+            bank_ids = [self._check_bank(banks, "search_batch")] * n
+        if len(bank_ids) != n:
             raise TCAMError(
-                f"search_batch: {len(bank_ids)} bank indices for {len(keys)} keys"
+                f"search_batch: {len(bank_ids)} bank indices for {n} keys"
             )
         _check_idle_time(idle_time, "search_batch")
-        if not keys:
+        if not n:
             return []
 
-        with obs.span(
-            "chip.search_batch", n_keys=len(keys), n_banks=self.n_banks
-        ) as sp:
+        with obs.span("chip.search_batch", n_keys=n, n_banks=self.n_banks) as sp:
             m = obs.metrics()
             # Step the wake / idle-leak / gating state machine through the
             # batch in key order -- it only reads and writes the powered
@@ -369,15 +382,15 @@ class TCAMChip:
             by_bank: dict[int, list[int]] = {}
             for i, b in enumerate(bank_ids):
                 by_bank.setdefault(b, []).append(i)
-            per_key: list[SearchOutcome | None] = [None] * len(keys)
+            per_key: list[SearchOutcome | None] = [None] * n
             for b in sorted(by_bank):
                 idxs = by_bank[b]
                 bank = self.banks[b]
-                bank_keys = [keys[i] for i in idxs]
-                if hasattr(bank, "search_batch"):
-                    outcomes = bank.search_batch(bank_keys)
+                bank_block = block[idxs]
+                if isinstance(bank, TCAMArray):
+                    outcomes = bank.search_batch(bank_block)
                 else:
-                    outcomes = [bank.search(key) for key in bank_keys]
+                    outcomes = [bank.search(TernaryWord(codes)) for codes in bank_block]
                 for i, outcome in zip(idxs, outcomes):
                     per_key[i] = outcome
 

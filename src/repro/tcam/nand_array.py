@@ -43,14 +43,13 @@ from .array import (
     ArrayGeometry,
     SearchOutcome,
     WriteOutcome,
+    _check_count,
     _check_row,
-    _check_widths,
     _price_rows,
-    _stack_words,
 )
 from .cells.fefet2t import FeFET2TCell, FeFET2TCellParams
 from .priority import PriorityEncoder
-from .trit import TernaryWord, Trit, mismatch_counts, nand_drive_vector
+from .trit import TernaryWord, Trit, mismatch_counts, nand_drive_vector, trit_block
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,10 @@ class NANDTCAMArray:
         """Store ``word`` at ``row`` (same contract as the NOR array),
         priced from the cell's cached ``(old, new)`` transition tables."""
         row = _check_row(row, self.geometry.rows, "write")
-        new = _stack_words([word], self.geometry.cols)
+        return self._store(row, trit_block([word], self.geometry.cols, "write"))
+
+    def _store(self, row: int, new: np.ndarray) -> WriteOutcome:
+        """Price and store the validated one-row block ``new`` at ``row``."""
         ledger, latency, changed = _price_rows(
             self._write_estimator, self._stored[row : row + 1], new
         )
@@ -166,18 +168,21 @@ class NANDTCAMArray:
             row=row, energy=ledger, latency=latency, cells_changed=int(np.count_nonzero(changed))
         )
 
-    def load(self, words: list[TernaryWord], start_row: int = 0) -> EnergyLedger:
-        """Write a batch of words into consecutive rows (every width is
-        checked before the first row is stored)."""
-        if start_row + len(words) > self.geometry.rows:
+    def load(self, words, start_row: int = 0) -> EnergyLedger:
+        """Write a batch of words into consecutive rows; ``words`` is a
+        trit block or a sequence of words
+        (:func:`~repro.tcam.trit.trit_block`), validated whole before the
+        first row is stored."""
+        start_row = _check_count(start_row, "load start_row", 0)
+        block = trit_block(words, self.geometry.cols, "load")
+        if start_row + len(block) > self.geometry.rows:
             raise TCAMError(
-                f"cannot load {len(words)} words at row {start_row} into "
+                f"cannot load {len(block)} words at row {start_row} into "
                 f"{self.geometry.rows} rows"
             )
-        _check_widths(words, self.geometry.cols)
         ledger = EnergyLedger()
-        for offset, word in enumerate(words):
-            ledger.merge(self.write(start_row + offset, word).energy)
+        for offset in range(len(block)):
+            ledger.merge(self._store(start_row + offset, block[offset : offset + 1]).energy)
         return ledger
 
     def word_at(self, row: int) -> TernaryWord:

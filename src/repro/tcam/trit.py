@@ -24,7 +24,28 @@ import numpy as np
 from ..errors import TCAMError
 
 
-_TRIT_CODES = np.array([0, 1, 2], dtype=np.int8)
+#: numpy dtype kinds that can hold trit codes: bool, signed, unsigned, float.
+_CODE_KINDS = "biuf"
+
+
+def _check_codes(codes: np.ndarray, api: str) -> None:
+    """Raise :class:`TCAMError` naming ``api`` unless every entry of
+    ``codes`` is one of the integers 0, 1, 2.
+
+    The test runs on the caller's dtype, before any int8 cast could wrap
+    257 to 1 or truncate 0.5 to 0.  An int8 block is accepted by one
+    reduction: viewed as uint8, every negative code is >= 128.
+    """
+    if codes.dtype == np.int8 and (codes.size == 0 or codes.view(np.uint8).max() <= 2):
+        return
+    ok = (codes >= 0) & (codes <= 2)
+    if codes.dtype.kind == "f":
+        ok &= codes == np.trunc(codes)
+    if not ok.all():
+        raise TCAMError(
+            f"{api}: invalid trit value {codes[~ok][0].item()!r}; "
+            "trit codes are the integers 0, 1 and 2 (X)"
+        )
 
 
 class Trit(enum.IntEnum):
@@ -74,25 +95,16 @@ class TernaryWord(Sequence[Trit]):
     __slots__ = ("_data",)
 
     def __init__(self, trits: Iterable[Trit | int]) -> None:
-        if isinstance(trits, np.ndarray) and trits.dtype == np.int8 and trits.ndim == 1:
-            # Fast path for the hot workload constructors: one vectorized
-            # validation instead of a per-trit Python loop.
-            if trits.size == 0:
-                raise TCAMError("a ternary word must have at least one trit")
-            if not np.isin(trits, _TRIT_CODES).all():
-                bad = trits[~np.isin(trits, _TRIT_CODES)][0]
-                raise TCAMError(f"invalid trit value {bad!r}")
-            self._data = trits.copy()
-        else:
-            values = []
-            for t in trits:
-                v = int(t)
-                if v not in (0, 1, 2):
-                    raise TCAMError(f"invalid trit value {t!r}")
-                values.append(v)
-            if not values:
-                raise TCAMError("a ternary word must have at least one trit")
-            self._data = np.array(values, dtype=np.int8)
+        codes = trits if isinstance(trits, np.ndarray) else np.array(list(trits))
+        if codes.ndim != 1 or codes.dtype.kind not in _CODE_KINDS:
+            raise TCAMError(
+                f"TernaryWord: expected a 1-D sequence of trit codes, got "
+                f"shape {codes.shape} dtype {codes.dtype}"
+            )
+        if codes.size == 0:
+            raise TCAMError("a ternary word must have at least one trit")
+        _check_codes(codes, "TernaryWord")
+        self._data = codes.astype(np.int8)  # always a private copy
         self._data.setflags(write=False)
 
     # -- Sequence protocol ------------------------------------------------
@@ -179,24 +191,72 @@ def mismatch_counts(stored: np.ndarray, key: np.ndarray) -> np.ndarray:
     return np.count_nonzero(relevant & differs, axis=1)
 
 
+def _pack_words(words: list, cols: int | None, api: str) -> np.ndarray:
+    """Stack ``TernaryWord`` s into one ``(n, cols)`` int8 block.
+
+    ``cols=None`` takes the first word's width.  Raises
+    :class:`TCAMError` naming ``api`` on an element that is not a word
+    or on a width mismatch.
+    """
+    for i, word in enumerate(words):
+        if not isinstance(word, TernaryWord):
+            raise TCAMError(f"{api}: element {i} is {word!r}, not a TernaryWord")
+    arrays = [w.as_array() for w in words]
+    if cols is None:
+        cols = len(arrays[0])
+    for a in arrays:
+        if len(a) != cols:
+            raise TCAMError(f"{api}: word width {len(a)} does not match {cols} cols")
+    # concatenate + reshape beats np.stack ~3x on large batches of small
+    # per-key vectors (one bulk copy instead of per-array axis insertion).
+    return np.concatenate(arrays).reshape(len(arrays), cols)
+
+
 def pack_keys(keys: Iterable[TernaryWord]) -> np.ndarray:
     """Stack search keys into one ``(n_keys, cols)`` int8 matrix.
 
     All keys must share a width; the batched search engine compares the
     whole stack against the stored matrix in one broadcasted pass.
     """
-    arrays = [k.as_array() for k in keys]
-    if not arrays:
+    words = list(keys)
+    if not words:
         raise TCAMError("a key batch must contain at least one key")
-    width = arrays[0].shape[0]
-    for a in arrays[1:]:
-        if a.shape[0] != width:
-            raise TCAMError(
-                f"all keys in a batch must share a width; got {a.shape[0]} vs {width}"
-            )
-    # concatenate + reshape beats np.stack ~3x on large batches of small
-    # per-key vectors (one bulk copy instead of per-array axis insertion).
-    return np.concatenate(arrays).reshape(len(arrays), width)
+    return _pack_words(words, None, "pack_keys")
+
+
+def trit_block(data, cols: int, api: str) -> np.ndarray:
+    """The validated ``(n, cols)`` int8 block of trit codes in ``data``.
+
+    ``data`` is a 2-D integer (or integral float) array-like of trit
+    codes, or an iterable of :class:`TernaryWord` -- packed once by
+    :func:`pack_keys`'s concatenate.  Codes are checked in one
+    vectorised pass on the caller's dtype, before the int8 cast; words
+    were checked when they were built.  An empty iterable gives a
+    ``(0, cols)`` block.
+
+    Raises:
+        TCAMError: naming ``api`` when ``data`` is not 2-D, is not
+            ``cols`` wide, holds a non-integral value or a code outside
+            {0, 1, 2}, or mixes words with other elements.
+    """
+    if not isinstance(data, np.ndarray):
+        data = list(data)
+        if not data:
+            return np.empty((0, cols), dtype=np.int8)
+        if any(isinstance(w, TernaryWord) for w in data):
+            return _pack_words(data, cols, api)
+        try:
+            data = np.asarray(data)
+        except (TypeError, ValueError) as exc:
+            raise TCAMError(f"{api}: not a block of trit codes ({exc})") from None
+    if data.dtype.kind not in _CODE_KINDS:
+        raise TCAMError(f"{api}: trit codes must be integers, got dtype {data.dtype}")
+    if data.ndim != 2:
+        raise TCAMError(f"{api}: a trit block must be 2-D (n, {cols}), got shape {data.shape}")
+    if data.shape[1] != cols:
+        raise TCAMError(f"{api}: word width {data.shape[1]} does not match {cols} cols")
+    _check_codes(data, api)
+    return np.ascontiguousarray(data, dtype=np.int8)
 
 
 def mismatch_counts_batch(stored: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -25,9 +25,9 @@ from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..energy.estimator import CellEstimator
 from ..errors import TCAMError
 from .area import cell_dimensions
-from .array import ArrayGeometry, _check_row, _price_rows, _stack_words
+from .array import ArrayGeometry, _check_row, _price_rows
 from .cells.fefet_mlc import MLCFeFETCell
-from .trit import TernaryWord, Trit
+from .trit import TernaryWord, Trit, trit_block
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class WeightedTCAMArray:
                 column (weights of X cells are ignored but validated).
         """
         row = _check_row(row, self.geometry.rows, "write")
-        new = _stack_words([word], self.geometry.cols)
+        new = trit_block([word], self.geometry.cols, "write")
         w = np.asarray(weights)
         if w.shape != (self.geometry.cols,):
             raise TCAMError(

@@ -38,10 +38,10 @@ import numpy as np
 
 from .. import obs
 from ..core import build_array, get_design
-from ..errors import WorkloadError
+from ..errors import TCAMError, WorkloadError
 from ..tcam import ArrayGeometry
 from ..tcam.chip import GatingPolicy, TCAMChip
-from ..tcam.trit import TernaryWord
+from ..tcam.trit import trit_block
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,15 @@ class QueryStats:
     latency_max: float
 
 
+def _block(data, cols: int, what: str) -> np.ndarray:
+    """:func:`~repro.tcam.trit.trit_block` of ``data``, raising
+    :class:`WorkloadError` instead of ``TCAMError``."""
+    try:
+        return trit_block(data, cols, f"RetrievalIndex {what}")
+    except TCAMError as exc:
+        raise WorkloadError(str(exc)) from None
+
+
 def _stats(n_queries: int, energy: np.ndarray, latency: np.ndarray) -> QueryStats:
     return QueryStats(
         n_queries=n_queries,
@@ -193,8 +202,9 @@ class RetrievalIndex:
     """Binary signatures sharded row-major across identical TCAM banks.
 
     Args:
-        signatures: ``(n_entries, dims)`` binary matrix (int, values in
-            {0, 1}); row ``i`` becomes chip-global row ``i``.
+        signatures: Non-empty ``(n_entries, dims)`` binary matrix
+            (integer values in {0, 1}); row ``i`` becomes chip-global
+            row ``i``.
         design: Design registry key (precharge-style sensing required
             by the distance search APIs).
         bank_rows: Rows per bank (shard size).
@@ -214,10 +224,14 @@ class RetrievalIndex:
         banks_per_chip: int = 16,
         gating: GatingPolicy | None = None,
     ) -> None:
-        signatures = np.asarray(signatures, dtype=np.int8)
-        if signatures.ndim != 2:
-            raise WorkloadError(f"signatures must be 2-D, got {signatures.shape}")
-        if signatures.size and not np.isin(signatures, (0, 1)).all():
+        signatures = np.asarray(signatures)
+        if signatures.ndim != 2 or not signatures.shape[0]:
+            raise WorkloadError(
+                f"signatures must be a non-empty (n, dims) matrix, got shape "
+                f"{signatures.shape}"
+            )
+        signatures = _block(signatures, signatures.shape[1], "signatures")
+        if signatures.max() > 1:
             raise WorkloadError("signatures must be binary (0/1)")
         self.n_entries, self.dims = signatures.shape
         self.design = design
@@ -266,20 +280,17 @@ class RetrievalIndex:
         from ..energy.accounting import EnergyLedger
 
         ledger = EnergyLedger()
-        rows_per_chip = self.chips[0].rows_total if self.chips else 0
+        rows_per_chip = self.chips[0].rows_total
         for c, chip in enumerate(self.chips):
-            block = signatures[c * rows_per_chip : (c + 1) * rows_per_chip]
-            words = [TernaryWord(row) for row in block]
-            ledger.merge(chip.load_rows(words))
+            ledger.merge(chip.load_rows(signatures[c * rows_per_chip : (c + 1) * rows_per_chip]))
         return ledger
 
-    def _keys(self, queries: np.ndarray) -> list[TernaryWord]:
-        queries = np.asarray(queries, dtype=np.int8)
-        if queries.ndim != 2 or queries.shape[1] != self.dims:
-            raise WorkloadError(
-                f"queries must be (n, {self.dims}), got {queries.shape}"
-            )
-        return [TernaryWord(row) for row in queries]
+    def _keys(self, queries: np.ndarray) -> np.ndarray:
+        """The validated ``(n, dims)`` trit block of a non-empty query batch."""
+        keys = _block(queries, self.dims, "queries")
+        if not len(keys):
+            raise WorkloadError("a query batch needs at least one query")
+        return keys
 
     def _shard_rows(self):
         """Yield ``(bank, global_row_base)`` over every *active* shard."""
