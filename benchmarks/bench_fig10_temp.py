@@ -9,11 +9,10 @@ switched-capacitance terms barely move.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.analysis.throughput import characterize
 from repro.devices.temperature import TemperatureModel
 from repro.reporting.series import FigureSeries
-from repro.tcam import ArrayGeometry, TCAMArray, random_word
+from repro.tcam import ArrayGeometry, TCAMArray
 from repro.tcam.cells.fefet2t import FeFET2TCell, FeFET2TCellParams
 from repro.units import celsius_to_kelvin
 
@@ -37,13 +36,8 @@ def array_at(celsius: float) -> TCAMArray:
 
 def measure(celsius: float) -> tuple[float, float]:
     array = array_at(celsius)
-    rng = np.random.default_rng(101)
-    array.load([random_word(GEO.cols, rng, x_fraction=0.3) for _ in range(GEO.rows)])
-    margin = array.sense_margin()
-    energy = sum(
-        array.search(random_word(GEO.cols, rng)).energy_total for _ in range(3)
-    ) / 3.0
-    return margin, energy
+    energy = characterize(array, 3, seed=101).energy_per_search
+    return array.sense_margin(), energy
 
 
 def build_figures() -> tuple[FigureSeries, FigureSeries]:

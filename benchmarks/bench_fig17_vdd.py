@@ -11,11 +11,10 @@ driven from a separate (boosted) search-line supply.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.analysis.throughput import characterize
 from repro.core import build_array, get_design
 from repro.reporting.series import FigureSeries
-from repro.tcam import ArrayGeometry, random_word
+from repro.tcam import ArrayGeometry
 
 EXPERIMENT_ID = "R-F17_vdd"
 GEO = ArrayGeometry(rows=32, cols=64)
@@ -26,17 +25,10 @@ N_SEARCHES = 4
 
 def measure(design: str, vdd: float) -> tuple[float, float, float]:
     """(energy/search, search delay, margin) at one supply."""
-    rng = np.random.default_rng(171)
     array = build_array(get_design(design), GEO, vdd=vdd)
-    array.load([random_word(GEO.cols, rng, x_fraction=0.3) for _ in range(GEO.rows)])
-    energy = 0.0
-    delay = 0.0
-    for _ in range(N_SEARCHES):
-        out = array.search(random_word(GEO.cols, rng))
-        assert out.functional_errors == 0, (design, vdd)
-        energy += out.energy_total
-        delay = max(delay, out.search_delay)
-    return energy / N_SEARCHES, delay, array.sense_margin()
+    report = characterize(array, N_SEARCHES, seed=171)
+    assert report.functional_errors == 0, (design, vdd)
+    return report.energy_per_search, report.search_delay, array.sense_margin()
 
 
 def build_figures():

@@ -8,11 +8,10 @@ drift -- while the ordering between designs holds at every width.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.analysis.throughput import characterize
 from repro.core import all_designs, build_array
 from repro.reporting.series import FigureSeries
-from repro.tcam import ArrayGeometry, random_word
+from repro.tcam import ArrayGeometry
 
 EXPERIMENT_ID = "R-F3_wordwidth"
 WIDTHS = (8, 16, 32, 64, 128, 256)
@@ -21,16 +20,10 @@ N_SEARCHES = 4
 
 
 def energy_per_bit(spec, cols: int) -> float:
-    rng = np.random.default_rng(100 + cols)
-    geo = ArrayGeometry(ROWS, cols)
-    array = build_array(spec, geo)
-    array.load([random_word(cols, rng, x_fraction=0.3) for _ in range(ROWS)])
-    total = 0.0
-    for _ in range(N_SEARCHES):
-        out = array.search(random_word(cols, rng))
-        assert out.functional_errors == 0
-        total += out.energy_total
-    return total / N_SEARCHES / (ROWS * cols)
+    array = build_array(spec, ArrayGeometry(ROWS, cols))
+    report = characterize(array, N_SEARCHES, seed=100 + cols)
+    assert report.functional_errors == 0
+    return report.energy_per_search / (ROWS * cols)
 
 
 def build_figure() -> FigureSeries:

@@ -32,6 +32,7 @@ def build_table():
     for spec in all_designs():
         array = build_array(spec, GEO)
         report = characterize(array)
+        assert report.functional_errors == 0, spec.name
         reports[spec.name] = report
         table.add_row(
             spec.name,

@@ -187,10 +187,15 @@ def evaluate_point(
         searches: Random search keys.
         seed: Workload seed (per-point stream derived from it).
         x_fraction: Don't-care density of the stored words.
-        use_kernel: Answer the keys with the array's compiled-kernel
-            batch path where it has one; ``False`` runs the per-key
+        use_kernel: Answer the keys in one ``search_batch`` call (the
+            path :func:`run_dse` takes); ``False`` runs the per-key
             scalar reference (bit-identical).
+
+    Raises:
+        AnalysisError: when ``searches`` < 1.
     """
+    if searches < 1:
+        raise AnalysisError(f"evaluate_point: searches must be >= 1, got {searches}")
     cell, array = _build(point)
     rng = np.random.default_rng(point.seed_key(seed))
     words = [
@@ -203,7 +208,7 @@ def evaluate_point(
     delay = 0.0
     cycle = 0.0
     errors = 0
-    if use_kernel and hasattr(array, "search_batch"):
+    if use_kernel:
         outcomes = array.search_batch(keys)
     else:
         outcomes = [array.search(key) for key in keys]
@@ -316,9 +321,11 @@ def run_dse(
     searches: int = 8,
     seed: int = 0,
     workers: int = 0,
-    use_kernel: bool = False,
 ) -> DSEResult:
     """Evaluate a design space and reduce it to the Pareto frontier.
+
+    Every point answers its keys in one ``search_batch`` call
+    (bit-identical to :func:`evaluate_point`'s per-key default).
 
     Args:
         points: The coordinates to evaluate (see :func:`default_space`).
@@ -326,16 +333,18 @@ def run_dse(
         seed: Workload seed; each point derives its own stream from it.
         workers: Process count for the point fan-out (serial by default;
             rows are identical at every worker count).
-        use_kernel: Compiled-waveform batch answering where supported.
+
+    Raises:
+        AnalysisError: on an empty space or ``searches`` < 1.
     """
     if not points:
         raise AnalysisError("the design space is empty")
+    if searches < 1:
+        raise AnalysisError(f"run_dse: searches must be >= 1, got {searches}")
     sweep = Sweep(
         knob="point",
         values=list(points),
-        evaluate=partial(
-            evaluate_point, searches=searches, seed=seed, use_kernel=use_kernel
-        ),
+        evaluate=partial(evaluate_point, searches=searches, seed=seed, use_kernel=True),
     )
     result = sweep.run(workers=workers)
     rows = tuple({k: v for k, v in row.items() if k != "point"} for row in result.rows)

@@ -15,7 +15,9 @@ Structure of one campaign:
   fault set at a lower density is a subset of the set at a higher one,
   so per-trial error counts are monotone in density by construction.
 * Each **density point** of a trial compares golden vs fault-injected
-  searches row by row (false matches / false misses over all
+  searches -- each instance answers the trial's keys in one
+  ``search_batch`` call, a faulted one on the fault-aware kernel that
+  is bit-identical to the per-key faulty reference -- row by row (false matches / false misses over all
   ``keys x rows`` decisions, search-energy delta), applies the repair
   policy to a fresh faulty instance and measures post-repair yield:
   the fraction of keys whose matched row set -- relocated through the
@@ -212,20 +214,6 @@ def _fresh_instance(
     return array
 
 
-def _searches(array: TCAMArray, keys: list[TernaryWord], use_kernel: bool) -> list:
-    """Per-key outcomes, via the compiled kernel when ``use_kernel``.
-
-    ``search_batch`` is bit-identical to the scalar loop (a faulted
-    array runs the fault-aware kernel, checked against the per-key
-    faulty reference that the scalar loop runs), so both paths produce
-    the same counts and joules.  Arrays without a batch path (NAND
-    strings) always run the scalar loop.
-    """
-    if use_kernel and hasattr(array, "search_batch"):
-        return array.search_batch(list(keys))
-    return [array.search(k) for k in keys]
-
-
 def _fault_trial(
     payload: tuple[
         str,
@@ -236,7 +224,6 @@ def _fault_trial(
         str,
         str,
         int,
-        bool,
         np.random.SeedSequence,
     ],
 ) -> list[dict]:
@@ -254,7 +241,6 @@ def _fault_trial(
         mode,
         repair,
         n_keys,
-        use_kernel,
         seed_seq,
     ) = payload
     rng = np.random.default_rng(seed_seq)
@@ -266,7 +252,7 @@ def _fault_trial(
     plan = campaign.draw(
         mode, rng, wear_counts=golden.wear_counts() if mode == "wear" else None
     )
-    golden_outs = _searches(golden, keys, use_kernel)
+    golden_outs = golden.search_batch(keys)
     golden_sets = [
         frozenset(int(r) for r in np.flatnonzero(o.match_mask)) for o in golden_outs
     ]
@@ -281,7 +267,7 @@ def _fault_trial(
         false_match = 0
         false_miss = 0
         faulty_energy = 0.0
-        for gold, out in zip(golden_outs, _searches(faulty, keys, use_kernel)):
+        for gold, out in zip(golden_outs, faulty.search_batch(keys)):
             false_match += int(np.count_nonzero(out.match_mask & ~gold.match_mask))
             false_miss += int(np.count_nonzero(gold.match_mask & ~out.match_mask))
             faulty_energy += out.energy.total
@@ -290,7 +276,7 @@ def _fault_trial(
         repaired.attach_faults(fault_map.copy())
         report = get_policy(repair, n_spare=n_spare).repair(repaired, repaired.faults)
         yield_keys = 0
-        for gold_set, out in zip(golden_sets, _searches(repaired, keys, use_kernel)):
+        for gold_set, out in zip(golden_sets, repaired.search_batch(keys)):
             want = {report.row_map.get(r, r) for r in gold_set}
             got = set(int(r) for r in np.flatnonzero(out.match_mask))
             yield_keys += want == got
@@ -325,7 +311,6 @@ def run_fault_campaign(
     n_keys: int = 24,
     seed: int = 20260805,
     workers: int = 0,
-    use_kernel: bool = False,
 ) -> FaultCampaignResult:
     """Sweep fault density; measure error rates, energy delta and yield.
 
@@ -348,9 +333,6 @@ def run_fault_campaign(
         n_keys: Search keys per trial (critical corners + random fill).
         seed: Root seed; trials draw from its spawned children.
         workers: Process count for the trial fan-out; ``<= 1`` serial.
-        use_kernel: Answer searches with the compiled kernel's batch
-            path on designs that have one; ``False`` runs the per-key
-            scalar reference (bit-identical results).
 
     Raises:
         AnalysisError: on an empty/invalid sweep configuration.
@@ -397,7 +379,7 @@ def run_fault_campaign(
             m.counter("faults.trials").inc(n_trials)
         seeds = spawn_seeds(seed, n_trials)
         payloads = [
-            (design, rows, cols, n_spare, densities, mode, repair, n_keys, bool(use_kernel), s)
+            (design, rows, cols, n_spare, densities, mode, repair, n_keys, s)
             for s in seeds
         ]
         per_trial = scatter_gather(

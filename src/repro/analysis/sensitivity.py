@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from ..errors import AnalysisError
 from ..tcam.array import ArrayGeometry, TCAMArray
 from ..tcam.cells.fefet2t import FeFET2TCell, FeFET2TCellParams
-from ..tcam.trit import random_word
+from .throughput import characterize
 
 Metric = Callable[[TCAMArray], float]
 
@@ -62,20 +60,11 @@ def _build_array(cell_params: FeFET2TCellParams, geometry: ArrayGeometry) -> TCA
 
 
 def default_energy_metric(geometry: ArrayGeometry, n_searches: int = 3, seed: int = 5) -> Metric:
-    """Mean search energy on a fixed random workload [J]."""
+    """Mean search energy on a fixed random workload [J]
+    (:func:`~repro.analysis.throughput.characterize`)."""
 
     def metric(array: TCAMArray) -> float:
-        rng = np.random.default_rng(seed)
-        words = [
-            random_word(geometry.cols, rng, x_fraction=0.3)
-            for _ in range(geometry.rows)
-        ]
-        array.load(words)
-        return (
-            sum(array.search(random_word(geometry.cols, rng)).energy_total
-                for _ in range(n_searches))
-            / n_searches
-        )
+        return characterize(array, n_searches, seed=seed).energy_per_search
 
     return metric
 

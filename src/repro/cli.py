@@ -152,11 +152,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         delay = 0.0
         cycle = 0.0
         errors = 0
-        if hasattr(array, "search_batch"):
-            outcomes = array.search_batch(keys)
-        else:  # NAND-string arrays have no batched engine
-            outcomes = [array.search(key) for key in keys]
-        for out in outcomes:
+        for out in array.search_batch(keys):
             ledger.merge(out.energy)
             delay = max(delay, out.search_delay)
             cycle = max(cycle, out.cycle_time)
@@ -388,7 +384,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         n_keys=args.keys,
         seed=args.seed,
         workers=args.workers,
-        use_kernel=True,
     )
     if args.json:
         _emit_json({"command": "faults", **result.to_dict()})
@@ -493,7 +488,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         searches=args.searches,
         seed=args.seed,
         workers=args.workers,
-        use_kernel=True,
     )
     if args.json:
         _emit_json({"command": "dse", "seed": args.seed, **result.to_dict()})
@@ -752,6 +746,14 @@ def _design_flags(
     return parent
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an int >= 1 (a bad value exits with a usage error)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _shape_flags(rows: int, cols: int) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--rows", type=int, default=rows)
@@ -824,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
             _json_flags("a table"),
         ],
     )
-    compare.add_argument("--searches", type=int, default=8)
+    compare.add_argument("--searches", type=_positive_int, default=8)
     compare.add_argument("--x-fraction", type=float, default=0.3)
     compare.set_defaults(func=_cmd_compare)
 
@@ -1005,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--segments", type=int, action="append", default=None, metavar="K",
         help="probe-column segmentation; repeat for a sweep (default: 0 = off)",
     )
-    dse.add_argument("--searches", type=int, default=8)
+    dse.add_argument("--searches", type=_positive_int, default=8)
     dse.set_defaults(func=_cmd_dse)
 
     retrieval = sub.add_parser(

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..analysis.montecarlo import run_margin_mc
+from ..analysis.throughput import characterize
 from ..devices.variability import NOMINAL_VARIATION
 from ..errors import DesignError
 from ..tcam.array import ArrayGeometry
-from ..tcam.trit import random_word
 from .designs import all_designs, build_array
 
 
@@ -100,26 +98,12 @@ class Recommendation:
 
 
 def _evaluate(spec, profile: WorkloadProfile, n_searches: int, seed: int) -> Candidate:
-    geometry = ArrayGeometry(profile.rows, profile.cols)
-    array = build_array(spec, geometry)
-    rng = np.random.default_rng(seed)
-    array.load(
-        [random_word(profile.cols, rng, x_fraction=profile.x_fraction)
-         for _ in range(profile.rows)]
-    )
-
-    energy = 0.0
-    delay = 0.0
-    errors = 0
-    for _ in range(n_searches):
-        out = array.search(random_word(profile.cols, rng))
-        energy += out.energy_total
-        delay = max(delay, out.search_delay)
-        errors += out.functional_errors
-    dynamic = energy / n_searches
+    array = build_array(spec, ArrayGeometry(profile.rows, profile.cols))
+    report = characterize(array, n_searches, profile.x_fraction, seed)
+    delay = report.search_delay
     # Standby amortization over the idle interval at the profile's rate.
     interval = 1.0 / profile.searches_per_second
-    total = dynamic + array.standby_power() * max(interval - delay, 0.0)
+    total = report.energy_per_search + array.standby_power() * max(interval - delay, 0.0)
 
     meets_latency = delay <= profile.max_latency
     meets_robustness = True
@@ -128,7 +112,7 @@ def _evaluate(spec, profile: WorkloadProfile, n_searches: int, seed: int) -> Can
         meets_robustness = mc.failure_rate == 0.0
 
     reason = None
-    if errors:
+    if report.functional_errors:
         reason = "nominal functional errors"
     elif profile.nonvolatile_required and not array.cell.nonvolatile:
         reason = "volatile storage"
@@ -152,9 +136,12 @@ def advise(
     """Measure every design against the profile and recommend the best.
 
     Raises:
-        DesignError: when no design satisfies the profile's constraints
-            (the message lists each exclusion reason).
+        DesignError: when ``n_searches`` < 1, or when no design satisfies
+            the profile's constraints (the message lists each exclusion
+            reason).
     """
+    if n_searches < 1:
+        raise DesignError(f"n_searches must be >= 1, got {n_searches}")
     candidates = [
         _evaluate(spec, profile, n_searches, seed) for spec in all_designs()
     ]

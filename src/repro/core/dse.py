@@ -6,7 +6,8 @@ The explored axes:
 * ML swing for the precharge FeFET designs (Design LV's knob),
 * supply voltage.
 
-Each point is evaluated on the canonical random workload for energy per
+Each point is evaluated on the canonical random workload
+(:func:`~repro.analysis.throughput.characterize`) for energy per
 search, search delay and sense margin (robustness proxy).  The Pareto
 front minimizes energy and delay while maximizing margin.
 """
@@ -15,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ..analysis.throughput import characterize
 from ..errors import DesignError
 from ..tcam.array import ArrayGeometry
-from ..tcam.trit import random_word
 from .designs import DesignSpec, all_designs, build_array
 
 
@@ -85,46 +84,29 @@ def _evaluate(
     seed: int,
 ) -> DesignPoint:
     array = build_array(spec, geometry, vdd=vdd, ml_swing=v_ml)
-    rng = np.random.default_rng(seed)
-    rows, cols = geometry.rows, geometry.cols
-    array.load([random_word(cols, rng, x_fraction=0.3) for _ in range(rows)])
-
-    total = 0.0
-    delay = 0.0
-    errors = 0
-    for _ in range(n_searches):
-        out = array.search(random_word(cols, rng))
-        total += out.energy_total
-        delay = max(delay, out.search_delay)
-        errors += out.functional_errors
-
-    if spec.sensing == "precharge":
-        margin = array.sense_margin()
-    elif spec.sensing == "nand":
-        # NAND margin: separation between a broken string (stays high) and
-        # a conducting string (discharged) at the strobe.
-        match = array._string.evaluate(0, array.v_sense, array.t_eval)
-        broken = array._string.evaluate(1, array.v_sense, array.t_eval)
-        margin = broken.v_end - match.v_end
-    else:
+    report = characterize(array, n_searches, seed=seed)
+    if spec.sensing == "current_race":
         # Race margin: timing slack of a matching line against the window,
         # expressed as the extra trip-point voltage it could have absorbed.
         race = array.race_amp
-        i_leak_total = cols * array.cell.i_leak(race.v_trip)
+        i_leak_total = geometry.cols * array.cell.i_leak(race.v_trip)
         net = race.i_race - i_leak_total
         if net <= 0.0:
             margin = 0.0
         else:
             v_reach = net * race.t_window / array.c_ml
             margin = max(v_reach - race.v_trip, 0.0)
+    else:
+        # Precharge: ML swing margin; NAND: broken vs conducting string.
+        margin = array.sense_margin()
     return DesignPoint(
         design=spec.name,
         v_ml=v_ml,
         vdd=vdd,
-        energy_per_search=total / n_searches,
-        search_delay=delay,
+        energy_per_search=report.energy_per_search,
+        search_delay=report.search_delay,
         margin=margin,
-        functional=errors == 0,
+        functional=report.functional_errors == 0,
     )
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.throughput import characterize
 from ..errors import DesignError
 from ..tcam.array import ArrayGeometry, TCAMArray
-from ..tcam.trit import random_word
 from .designs import DesignSpec, build_array
 
 
@@ -55,18 +55,8 @@ def _canonical_search_energy(array: TCAMArray, n_searches: int = 8) -> float:
     The workload (30% X stored patterns, fully specified keys, miss-
     dominated) is seeded so every design sees identical traffic.
     """
-    rng = np.random.default_rng(_CANONICAL_SEED)
-    rows, cols = array.geometry.rows, array.geometry.cols
-    words = [random_word(cols, rng, x_fraction=0.3) for _ in range(rows)]
-    array.load(words)
-    total = 0.0
-    errors = 0
-    for _ in range(n_searches):
-        key = random_word(cols, rng)
-        out = array.search(key)
-        total += out.energy_total
-        errors += out.functional_errors
-    return total / n_searches if errors == 0 else float("inf")
+    report = characterize(array, n_searches, seed=_CANONICAL_SEED)
+    return report.energy_per_search if report.functional_errors == 0 else float("inf")
 
 
 def margin_at_vml(

@@ -28,7 +28,7 @@ from ..faults.faultmap import FaultMap
 from .array import ArrayGeometry, SearchOutcome, TCAMArray
 from .cell import CellDescriptor
 from .outcome import BaseOutcome
-from .trit import TernaryWord
+from .trit import TernaryWord, trit_block
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,15 @@ class SegmentedBank:
 
     # ------------------------------------------------------------------
 
-    def search(self, key: TernaryWord) -> SegmentedSearchOutcome:
+    def search(self, key: TernaryWord | np.ndarray) -> SegmentedSearchOutcome:
         """Two-stage search with exact selective-precharge accounting.
 
+        ``key`` is a :class:`TernaryWord` or a 1-D row of trit codes.
         Traced as a ``bank.search`` span whose ``bank.stage1`` /
         ``bank.stage2`` children wrap the stage arrays' own spans, so the
         tree's merged energy reproduces the outcome ledger exactly.
         """
+        key = trit_block([key], self.geometry.cols, "search")[0]
         with obs.span(
             "bank.search", rows=self.geometry.rows, cols=self.geometry.cols
         ) as sp:
@@ -167,11 +169,7 @@ class SegmentedBank:
                 )
             return outcome
 
-    def _search_impl(self, key: TernaryWord) -> SegmentedSearchOutcome:
-        if len(key) != self.geometry.cols:
-            raise TCAMError(
-                f"key width {len(key)} does not match bank cols {self.geometry.cols}"
-            )
+    def _search_impl(self, key: np.ndarray) -> SegmentedSearchOutcome:
         with obs.span("bank.stage1", probe_cols=self.probe_cols):
             out1 = self.stage1.search(key[: self.probe_cols])
         survivors = out1.match_mask
@@ -202,13 +200,19 @@ class SegmentedBank:
             stage2_skipped=False,
         )
 
-    def search_batch(self, keys: list[TernaryWord]) -> list[SegmentedSearchOutcome]:
-        """Per-key loop: the stages share no cross-key work to batch.
+    def search_batch(self, keys) -> list[SegmentedSearchOutcome]:
+        """Search many keys: a per-key loop over :meth:`search`.
 
-        Exists so chip-level bank sharding can treat segmented and flat
-        banks uniformly.
+        The stages share no cross-key work to batch.  This is the array
+        contract's batch entry: :meth:`TCAMChip.search_batch
+        <repro.tcam.chip.TCAMChip.search_batch>` hands every bank its
+        slice of the key block through it.  ``keys`` (an ``(n, cols)``
+        matrix of trit codes or a sequence of :class:`TernaryWord`) is
+        validated whole (:func:`~repro.tcam.trit.trit_block`) before the
+        first key moves either stage's search-line drive state.
         """
-        return [self.search(key) for key in keys]
+        block = trit_block(keys, self.geometry.cols, "search_batch")
+        return [self.search(key) for key in block]
 
     def reference_outcome(self, key: TernaryWord) -> SearchOutcome:
         """Search an equivalent *flat* array for the A/B comparison.
@@ -289,7 +293,7 @@ class HierarchicalBank:
         """Hierarchy depth."""
         return len(self.stages)
 
-    def _slice(self, word: TernaryWord, stage: int) -> TernaryWord:
+    def _slice(self, word, stage: int):
         lo, hi = int(self._bounds[stage]), int(self._bounds[stage + 1])
         return word[lo:hi]
 
@@ -340,12 +344,14 @@ class HierarchicalBank:
         """Remove the defect maps from every stage array."""
         self.attach_faults(None)
 
-    def search(self, key: TernaryWord) -> SegmentedSearchOutcome:
+    def search(self, key: TernaryWord | np.ndarray) -> SegmentedSearchOutcome:
         """N-stage search with exact selective-precharge accounting.
 
+        ``key`` is a :class:`TernaryWord` or a 1-D row of trit codes.
         Traced as a ``bank.search`` span with one ``bank.stage<i>``
         child per evaluated stage.
         """
+        key = trit_block([key], self.geometry.cols, "search")[0]
         with obs.span(
             "bank.search",
             rows=self.geometry.rows,
@@ -361,15 +367,14 @@ class HierarchicalBank:
                 )
             return outcome
 
-    def search_batch(self, keys: list[TernaryWord]) -> list[SegmentedSearchOutcome]:
-        """Per-key loop: the stages share no cross-key work to batch."""
-        return [self.search(key) for key in keys]
+    def search_batch(self, keys) -> list[SegmentedSearchOutcome]:
+        """Search many keys: a per-key loop over :meth:`search`, with the
+        same contract as :meth:`SegmentedBank.search_batch` (whole-batch
+        validation first; the chip relies on it)."""
+        block = trit_block(keys, self.geometry.cols, "search_batch")
+        return [self.search(key) for key in block]
 
-    def _search_impl(self, key: TernaryWord) -> SegmentedSearchOutcome:
-        if len(key) != self.geometry.cols:
-            raise TCAMError(
-                f"key width {len(key)} does not match bank cols {self.geometry.cols}"
-            )
+    def _search_impl(self, key: np.ndarray) -> SegmentedSearchOutcome:
         survivors = np.ones(self.geometry.rows, dtype=bool)
         ledger = EnergyLedger()
         delay = 0.0

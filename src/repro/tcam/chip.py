@@ -328,7 +328,10 @@ class TCAMChip:
         same bank stay in their original relative order, so each bank's
         search-line toggle chain and kernel counters evolve exactly as
         in the serial loop; each bank then takes its keys in one
-        ``search_batch`` call, banks in ascending index order.
+        ``search_batch`` call with its slice of the key block, banks in
+        ascending index order.  Every bank type answers that call
+        (:class:`TCAMArray` on its compiled kernel, the segmented and
+        hierarchical banks key by key).
 
         The whole batch (key codes and widths, bank indices, idle time)
         is validated before any bank state moves.
@@ -385,13 +388,7 @@ class TCAMChip:
             per_key: list[SearchOutcome | None] = [None] * n
             for b in sorted(by_bank):
                 idxs = by_bank[b]
-                bank = self.banks[b]
-                bank_block = block[idxs]
-                if isinstance(bank, TCAMArray):
-                    outcomes = bank.search_batch(bank_block)
-                else:
-                    outcomes = [bank.search(TernaryWord(codes)) for codes in bank_block]
-                for i, outcome in zip(idxs, outcomes):
+                for i, outcome in zip(idxs, self.banks[b].search_batch(block[idxs])):
                     per_key[i] = outcome
 
             chip_outcomes: list[ChipSearchOutcome] = []

@@ -204,23 +204,20 @@ class NANDTCAMArray:
         """Search-line settling delay [s]."""
         return self.search_line.settle_delay(self._sl_r_driver)
 
-    def search(self, key: TernaryWord) -> SearchOutcome:
+    def search(self, key: TernaryWord | np.ndarray) -> SearchOutcome:
         """One NAND search with energy/delay accounting.
 
         A search-X column raises *both* lines (every cell conducts), so the
         mismatch count from the shared ternary algebra -- where X on either
-        side matches -- carries over unchanged.
+        side matches -- carries over unchanged.  ``key`` is a
+        :class:`TernaryWord` or a 1-D row of trit codes.
         """
-        if len(key) != self.geometry.cols:
-            raise TCAMError(
-                f"key width {len(key)} does not match array cols {self.geometry.cols}"
-            )
-        key_arr = key.as_array()
+        key_arr = trit_block([key], self.geometry.cols, "search")[0]
         miss = mismatch_counts(self._stored, key_arr)
         logical_match = (miss == 0) & self._valid
 
         ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key)
+        self._book_searchline_energy(ledger, key_arr)
 
         physical = np.zeros(self.geometry.rows, dtype=bool)
         unique, counts = np.unique(miss, return_counts=True)
@@ -267,8 +264,17 @@ class NANDTCAMArray:
             functional_errors=errors,
         )
 
-    def _book_searchline_energy(self, ledger: EnergyLedger, key: TernaryWord) -> None:
-        drive = nand_drive_vector(key)
+    def search_batch(self, keys) -> list[SearchOutcome]:
+        """Search many keys (a trit block or a sequence of words): a
+        per-key loop over :meth:`search`, as the series strings share no
+        cross-key work.  The whole batch is validated
+        (:func:`~repro.tcam.trit.trit_block`) before the first key moves
+        the search-line drive state."""
+        block = trit_block(keys, self.geometry.cols, "search_batch")
+        return [self.search(key) for key in block]
+
+    def _book_searchline_energy(self, ledger: EnergyLedger, key_arr: np.ndarray) -> None:
+        drive = nand_drive_vector(key_arr)
         previous = self._last_drive if self._last_drive is not None else tuple(
             0 for _ in drive
         )
@@ -278,6 +284,13 @@ class NANDTCAMArray:
             toggles * self.search_line.toggle_energy(self.cell.v_search),
         )
         self._last_drive = drive
+
+    def sense_margin(self) -> float:
+        """Strobe-time separation [V] between a broken string (one miss,
+        stays high) and a conducting one (full match, discharged)."""
+        match = self._string.evaluate(0, self.v_sense, self.t_eval)
+        broken = self._string.evaluate(1, self.v_sense, self.t_eval)
+        return broken.v_end - match.v_end
 
     def match_delay(self) -> float:
         """Full-match string discharge time to the sense threshold [s]."""

@@ -406,6 +406,7 @@ def nand_sl_drive(search_trit: Trit) -> tuple[int, int]:
     return (1, 1)
 
 
-def nand_drive_vector(key: TernaryWord) -> tuple[int, ...]:
-    """Packed (SL, SLB) drive for a NAND search key."""
-    return tuple(sl * 2 + slb for sl, slb in (nand_sl_drive(t) for t in key))
+def nand_drive_vector(key: TernaryWord | np.ndarray) -> tuple[int, ...]:
+    """Packed (SL, SLB) drive for a NAND search key (a word or a code row)."""
+    codes = key.as_array() if isinstance(key, TernaryWord) else np.asarray(key)
+    return tuple(np.array([2, 1, 3])[codes].tolist())  # nand_sl_drive per code

@@ -75,6 +75,24 @@ class TestEvaluatePoint:
         kernel = evaluate_point(point, searches=4, use_kernel=True)
         assert plain == kernel
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            DesignPoint("fefet2t", 8, 16, segments=4),
+            DesignPoint("fefet2t", 8, 16, sensing="current_race"),
+            DesignPoint("fecam", 8, 16),
+        ],
+        ids=lambda p: p.label(),
+    )
+    def test_batch_path_is_bit_identical_everywhere(self, point):
+        assert evaluate_point(point, searches=3) == evaluate_point(
+            point, searches=3, use_kernel=True
+        )
+
+    def test_rejects_zero_searches(self):
+        with pytest.raises(AnalysisError, match="evaluate_point: searches"):
+            evaluate_point(DesignPoint("fefet2t", 8, 16), searches=0)
+
     def test_current_race_with_segments_rejected(self):
         bad = DesignPoint("fefet2t", 8, 16, segments=4, sensing="current_race")
         with pytest.raises(AnalysisError):
@@ -107,6 +125,10 @@ class TestRunDSE:
     def test_empty_space_rejected(self):
         with pytest.raises(AnalysisError):
             run_dse([])
+
+    def test_zero_searches_rejected_up_front(self):
+        with pytest.raises(AnalysisError, match="run_dse: searches must be >= 1"):
+            run_dse(self.SPACE, searches=0)
 
     def test_frontier_is_subset_of_cloud(self):
         result = run_dse(self.SPACE, searches=2)

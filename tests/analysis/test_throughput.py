@@ -7,7 +7,9 @@ import pytest
 from repro.analysis.throughput import ThroughputReport, characterize
 from repro.core import build_array, get_design
 from repro.errors import AnalysisError
-from repro.tcam import ArrayGeometry
+from repro.circuits.senseamp import VoltageSenseAmp
+from repro.tcam import ArrayGeometry, TCAMArray
+from repro.tcam.cells import FeFET2TCell
 
 GEO = ArrayGeometry(16, 32)
 
@@ -42,3 +44,38 @@ class TestCharacterize:
     def test_rejects_zero_searches(self):
         with pytest.raises(AnalysisError):
             characterize(build_array(get_design("fefet2t"), GEO), n_searches=0)
+
+
+class TestCanonicalEvaluator:
+    """``characterize`` answers its keys in one ``search_batch`` call."""
+
+    def test_equals_per_key_reference(self, any_design, per_key_search):
+        fast = characterize(build_array(any_design, GEO), n_searches=3, seed=[7, 1])
+        with per_key_search():
+            ref = characterize(build_array(any_design, GEO), n_searches=3, seed=[7, 1])
+        assert fast == ref
+        assert fast.functional_errors == 0
+
+    def test_seed_key_list_is_a_seed(self):
+        def run(seed):
+            return characterize(build_array(get_design("fefet2t"), GEO), 2, seed=seed)
+
+        assert run([3, 4]) == run([3, 4])
+        assert run([3, 4]) != run([4, 3])
+
+    def test_counts_functional_errors_instead_of_raising(self, per_key_search):
+        """A strobe long before any line discharges reads every row as a
+        match: the report carries the mis-sensed rows."""
+
+        def broken():
+            return TCAMArray(
+                FeFET2TCell(),
+                GEO,
+                sense_amp=VoltageSenseAmp(v_ref=0.45, offset=-0.449),
+                t_eval=1e-12,
+            )
+
+        report = characterize(broken(), n_searches=3)
+        assert report.functional_errors > 0
+        with per_key_search():
+            assert characterize(broken(), n_searches=3) == report

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import all_designs, build_array, get_design
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, TCAMArray
 from repro.tcam.cells import get_cell
 
 
@@ -44,3 +46,24 @@ def any_design(request):
 def fefet_array(small_geometry):
     """A small plain FeFET array."""
     return build_array(get_design("fefet2t"), small_geometry)
+
+
+def _per_key_search_batch(self, keys, *args):
+    """The per-key scalar reference of ``TCAMArray.search_batch``."""
+    return [self.search(key, *args) for key in keys]
+
+
+@pytest.fixture
+def per_key_search(monkeypatch):
+    """A context manager inside which every ``TCAMArray.search_batch``
+    is answered by a per-key scalar ``search`` loop: the reference the
+    batch paths must equal bit for bit.  (The NAND array's
+    ``search_batch`` already is that loop.)"""
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as m:
+            m.setattr(TCAMArray, "search_batch", _per_key_search_batch)
+            yield
+
+    return patched

@@ -72,6 +72,21 @@ class TestAdvise:
         best_slow = slow.best.total_energy_per_search
         assert best_slow > best_fast  # idle leakage amortizes in
 
+    def test_rejects_zero_searches(self):
+        with pytest.raises(DesignError, match="n_searches"):
+            advise(_profile(), n_searches=0)
+
+    def test_equals_per_key_reference(self, per_key_search):
+        """Every design answers its keys in one ``search_batch`` call; the
+        per-key scalar loop gives the same recommendation.  (The margin
+        MC is off: it reads no search outcome and dominates run time.)"""
+        profile = _profile(rows=8, cols=16, require_failure_free_mc=False)
+        fast = advise(profile, n_searches=3)
+        with per_key_search():
+            ref = advise(profile, n_searches=3)
+        assert fast == ref
+        assert len(ref.candidates) == 6
+
     def test_candidate_feasible_property(self):
         ok = Candidate("x", 1.0, 1.0, True, True, None)
         bad = Candidate("x", 1.0, 1.0, False, True, "latency")

@@ -86,3 +86,13 @@ class TestExplore:
     def test_rejects_bad_n_searches(self):
         with pytest.raises(DesignError):
             explore(GEO, n_searches=0)
+
+    def test_equals_per_key_reference(self, result, per_key_search):
+        """Every design (LV swings and NAND included) answers its keys in
+        one ``search_batch`` call; the per-key scalar loop gives the same
+        points and front."""
+        with per_key_search():
+            ref = explore(GEO, ml_swings=(0.5, 0.9), n_searches=3)
+        assert result.points == ref.points
+        assert result.front == ref.front
+        assert {p.design for p in ref.points} >= {"fefet_nand", "fefet2t_lv", "fefet_cr"}

@@ -61,13 +61,13 @@ class TestCampaignResults:
         again = run_fault_campaign(**CONFIG, workers=0)
         assert result.to_dict() == again.to_dict()
 
-    def test_kernel_engine_bit_identical(self, result):
-        """use_kernel routes searches through the compiled batch engine;
-        every count and joule must be unchanged, serial or parallel."""
-        kernel = run_fault_campaign(**CONFIG, workers=0, use_kernel=True)
-        assert result.to_dict() == kernel.to_dict()
-        kernel_par = run_fault_campaign(**CONFIG, workers=2, use_kernel=True)
-        assert result.to_dict() == kernel_par.to_dict()
+    def test_kernel_engine_bit_identical(self, result, per_key_search):
+        """Trials answer their keys through the compiled batch engine;
+        the per-key scalar ``search`` loop (the healthy and the faulty
+        reference) must give every count and joule unchanged."""
+        with per_key_search():
+            reference = run_fault_campaign(**CONFIG, workers=0)
+        assert result.to_dict() == reference.to_dict()
 
 
 class TestCampaignModes:

@@ -65,7 +65,6 @@ FAULT_CAMPAIGN = dict(
     n_trials=2,
     n_keys=6,
     seed=424242,
-    use_kernel=True,
 )
 
 

@@ -51,6 +51,20 @@ class TestCompare:
         assert data_lines
         assert all(line.rstrip().endswith("0") for line in data_lines)
 
+    def test_json_matches_per_key_reference(self, capsys, per_key_search):
+        args = ["compare", "--rows", "8", "--cols", "16", "--searches", "3", "--json"]
+        assert main(args) == 0
+        batch = json.loads(capsys.readouterr().out)
+        with per_key_search():
+            assert main(args) == 0
+        assert batch == json.loads(capsys.readouterr().out)
+        assert len(batch["designs"]) == 6
+
+    def test_zero_searches_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compare", "--rows", "8", "--cols", "16", "--searches", "0"])
+        assert "--searches: must be >= 1" in capsys.readouterr().err
+
 
 class TestMargin:
     def test_reports_margin(self, capsys):
@@ -125,16 +139,24 @@ class TestDse:
         for row in payload["frontier"]:
             assert row["functional_errors"] == 0
 
-    def test_kernel_flag_bit_identical(self, capsys):
-        """The CLI passes ``use_kernel=True``; the per-key scalar
-        reference (``use_kernel=False``) must produce the same record."""
-        from repro.analysis.dse import default_space, run_dse
+    def test_matches_per_key_reference(self, capsys):
+        """Every point the CLI sweeps equals ``evaluate_point``'s per-key
+        scalar default, and the frontier is reduced from those rows."""
+        from repro.analysis.dse import default_space, evaluate_point, pareto_frontier
 
         assert main([*self.ARGS, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         space = default_space(cells=["fefet2t", "seemcam"], rows=(8,), cols=(16,))
-        ref = run_dse(space, searches=2, seed=0, use_kernel=False)
-        assert payload == {"command": "dse", "seed": 0, **json.loads(json.dumps(ref.to_dict()))}
+        ref = [evaluate_point(p, searches=2, seed=0) for p in space]
+        assert payload["points"] == json.loads(json.dumps(ref))
+        clean = [row for row in ref if row["functional_errors"] == 0]
+        frontier = [clean[i] for i in pareto_frontier(clean)]
+        assert payload["frontier"] == json.loads(json.dumps(frontier))
+
+    def test_zero_searches_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit):
+            main([*self.ARGS[:-1], "0"])
+        assert "--searches: must be >= 1" in capsys.readouterr().err
 
 
 class TestReportValidation:
@@ -277,20 +299,21 @@ class TestFaults:
         assert not obs.is_enabled()
         assert "faults.campaign" in capsys.readouterr().out
 
-    def test_kernel_flag_bit_identical(self, capsys):
-        """The CLI passes ``use_kernel=True``; the per-key scalar
-        reference (``use_kernel=False``) must produce the same record."""
+    def test_matches_per_key_reference(self, capsys, per_key_search):
+        """The CLI's campaign answers searches in batches; the per-key
+        scalar ``search`` loop must produce the same record."""
         from repro.analysis.faultcampaign import run_fault_campaign
 
         assert main(self._SMALL + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         args = build_parser().parse_args(self._SMALL)
-        ref = run_fault_campaign(
-            design=args.design, rows=args.rows, cols=args.cols,
-            densities=tuple(args.density), mode=args.mode, repair=args.repair,
-            n_spare=args.spare_rows, n_trials=args.trials, n_keys=args.keys,
-            seed=args.seed, use_kernel=False,
-        )
+        with per_key_search():
+            ref = run_fault_campaign(
+                design=args.design, rows=args.rows, cols=args.cols,
+                densities=tuple(args.density), mode=args.mode, repair=args.repair,
+                n_spare=args.spare_rows, n_trials=args.trials, n_keys=args.keys,
+                seed=args.seed,
+            )
         assert payload == {"command": "faults", **json.loads(json.dumps(ref.to_dict()))}
 
 
