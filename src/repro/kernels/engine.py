@@ -119,6 +119,7 @@ class KernelEngine:
         self.rk4_fallbacks = 0
         self._rows: dict[int, PrechargeClassRow | RaceClassRow] = {}
         self._window_rows: dict[int, np.ndarray] = {}
+        self._diss0: dict[int, np.ndarray] = {}
         self._fault_version: int | None = None
         self._fault_classes: dict[tuple, object] = {}
         if array.sensing == "precharge":
@@ -264,6 +265,24 @@ class KernelEngine:
         self._window_rows[driven] = out
         return out
 
+    def diss0_table(self, n_max: int) -> np.ndarray:
+        """Full-discharge dissipation per line count, tabulated 0..n_max.
+
+        Entry ``n`` is exactly ``estimator.ml_dissipation_energy(0.0, n)``
+        (same call, same float), so the distance kernels gather
+        count-scaled dissipation terms instead of calling the estimator
+        per count.  Built once per ``n_max`` (the array's valid-row
+        count) and cached with the class tables.
+        """
+        cached = self._diss0.get(n_max)
+        if cached is not None:
+            return cached
+        est = self._array.estimator
+        out = np.array([est.ml_dissipation_energy(0.0, n) for n in range(n_max + 1)])
+        out.setflags(write=False)
+        self._diss0[n_max] = out
+        return out
+
     def _electrical_signature(self) -> tuple:
         """The parameters the compiled tables depend on (and nothing else)."""
         array = self._array
@@ -313,6 +332,7 @@ class KernelEngine:
             )
         self._rows = donor._rows
         self._window_rows = donor._window_rows
+        self._diss0 = donor._diss0
         self.waveform = donor.waveform
 
     # -- validation / diagnostics -----------------------------------------

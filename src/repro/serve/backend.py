@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ..energy.accounting import EnergyLedger
 from ..errors import ServeError
-from ..tcam.outcome import BaseOutcome
+from ..tcam.outcome import BaseOutcome, BatchColumns, as_batch
 from ..tcam.trit import TernaryWord
 
 #: Free-form :class:`EnergyLedger` component the per-batch dispatch
@@ -56,7 +56,7 @@ class ServiceModel:
         the fixed overhead plus the sum of per-search cycle times
         (cycle time includes match-line restore where applicable).
         """
-        return self.t_overhead + sum(o.cycle_time for o in outcomes)
+        return self.t_overhead + sum(as_batch(outcomes).cycle_times())
 
 
 class ArrayBackend:
@@ -76,8 +76,10 @@ class ArrayBackend:
 
     def search_batch(
         self, keys: Sequence[TernaryWord], banks: Sequence[int]
-    ) -> list[BaseOutcome]:
-        """Search ``keys`` in order; ``banks`` is ignored (single array)."""
+    ) -> BatchColumns:
+        """Search ``keys`` in order; ``banks`` is ignored (single array).
+        The array's :class:`~repro.tcam.batch.SearchBatch` comes back
+        as it is, so the engine reads its columns."""
         return self.array.search_batch(list(keys))
 
 
@@ -102,7 +104,13 @@ class ChipBackend:
 def request_energy(
     outcome: BaseOutcome, model: ServiceModel, batch_size: int
 ) -> EnergyLedger:
-    """Per-request energy: own search + an even share of batch overhead."""
+    """Per-request energy: own search + an even share of batch overhead.
+
+    The engine charges each request this ledger's ``total``, read from
+    the batch's columns
+    (:meth:`~repro.tcam.outcome.BatchColumns.energy_totals` with the
+    share as ``extra``) instead of building the ledger.
+    """
     ledger = EnergyLedger()
     ledger.merge(outcome.energy)
     if model.e_overhead:

@@ -32,9 +32,10 @@ from typing import Any
 
 from .. import obs
 from ..errors import ServeError
+from ..tcam.outcome import as_batch
 from ..tcam.trit import TernaryWord
 from .admission import AdmissionControl
-from .backend import DISPATCH_COMPONENT, ServiceModel, request_energy
+from .backend import DISPATCH_COMPONENT, ServiceModel
 from .policy import BatchPolicy
 
 
@@ -228,31 +229,30 @@ class ServeEngine:
         with obs.span(
             "serve.batch", batch_id=self._batch_id, batch_size=size
         ) as sp:
-            outcomes = self.backend.search_batch(
-                [r.key for r in batch], [r.bank for r in batch]
+            outcomes = as_batch(
+                self.backend.search_batch([r.key for r in batch], [r.bank for r in batch])
             )
             service = self.model.batch_service_time(outcomes)
             finish = when + service
-            records = []
-            for req, outcome in zip(batch, outcomes):
-                ledger = request_energy(outcome, self.model, size)
-                records.append(
-                    RequestRecord(
-                        seq=req.seq,
-                        arrival=req.arrival,
-                        dispatch=when,
-                        finish=finish,
-                        batch_id=self._batch_id,
-                        batch_size=size,
-                        matched=outcome.first_match is not None,
-                        row=(
-                            None
-                            if outcome.first_match is None
-                            else int(outcome.first_match)
-                        ),
-                        energy=ledger.total,
-                    )
+            # Column reads: ``request_energy(outcome, model, size).total``
+            # per request without a per-request ledger.
+            share = self.model.e_overhead / size if self.model.e_overhead else None
+            records = [
+                RequestRecord(
+                    seq=req.seq,
+                    arrival=req.arrival,
+                    dispatch=when,
+                    finish=finish,
+                    batch_id=self._batch_id,
+                    batch_size=size,
+                    matched=row is not None,
+                    row=row,
+                    energy=energy,
                 )
+                for req, row, energy in zip(
+                    batch, outcomes.first_rows(), outcomes.energy_totals(share)
+                )
+            ]
             if sp is not None:
                 # The backend's own instrumentation (array/chip search
                 # spans) hangs off this span and carries the physics

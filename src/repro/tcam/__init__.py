@@ -8,6 +8,7 @@ The layer stack:
   2-FeFET, and the two energy-aware FeFET variants),
 * :mod:`.array` -- a rows x cols array executing searches and writes with
   full energy/delay accounting,
+* :mod:`.batch` -- search results: one key's outcome, a batch's columns,
 * :mod:`.bank` -- segmented/hierarchical search built from arrays,
 * :mod:`.priority` -- match reduction (priority encoding),
 * :mod:`.area` -- lambda-rule area estimates.
@@ -21,7 +22,7 @@ from .trit import (
     random_word,
     word_from_string,
 )
-from .outcome import BaseOutcome
+from .outcome import BaseOutcome, as_batch
 from .cell import CellDescriptor, WriteCost
 from .area import TechNode, TECH_45NM, cell_dimensions
 from .array import (
@@ -31,6 +32,7 @@ from .array import (
     TCAMArray,
     WriteOutcome,
 )
+from .batch import SearchBatch
 from .bank import HierarchicalBank, SegmentedBank, SegmentedSearchOutcome
 from .nand_array import NANDTCAMArray
 from .weighted import DistanceSearchOutcome, WeightedTCAMArray
@@ -54,6 +56,8 @@ __all__ = [
     "TCAMArray",
     "ArrayGeometry",
     "SearchOutcome",
+    "SearchBatch",
+    "as_batch",
     "NearestMatchOutcome",
     "WriteOutcome",
     "SegmentedBank",

@@ -35,12 +35,13 @@ from ..circuits.senseamp import CurrentRaceSenseAmp, VoltageSenseAmp
 from ..circuits.wire import M2_WIRE, M4_WIRE, WireModel
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..energy.estimator import ArrayEstimator
-from ..errors import TCAMError
+from ..errors import ReproError, TCAMError
 from ..faults.faultmap import FaultKind, FaultMap
 from ..kernels.engine import class_sums
 from .area import TECH_45NM, TechNode, cell_dimensions
 from .cell import CellDescriptor
-from .outcome import BaseOutcome
+from .batch import SearchBatch, SearchOutcome
+from .outcome import BaseOutcome, as_batch
 from .priority import PriorityEncoder
 from .trit import (
     TernaryWord,
@@ -74,16 +75,6 @@ _SPAN_ENERGY_GROUPS = {
     EnergyComponent.PRIORITY_ENCODER.value: "array.encode",
     EnergyComponent.LEAKAGE.value: "array.standby",
 }
-
-
-def _histograms(counts: np.ndarray) -> list[dict[int, int]]:
-    """Per-key ``{mismatch_count: row_count}`` dicts of a dense
-    ``(keys, classes)`` count matrix: classes ascending, empty ones left
-    out, as the reference histogram lists them."""
-    kk, nn = np.nonzero(counts)  # row-major: per key, ascending class
-    bounds = np.searchsorted(kk, np.arange(counts.shape[0] + 1)).tolist()
-    classes, cnts = nn.tolist(), counts[kk, nn].tolist()
-    return [dict(zip(classes[lo:hi], cnts[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _check_count(value, name: str, minimum: int) -> int:
@@ -146,37 +137,6 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise TCAMError(f"array must be at least 1x1, got {self.rows}x{self.cols}")
-
-
-@dataclass(frozen=True)
-class SearchOutcome(BaseOutcome):
-    """Everything one search returns.
-
-    Attributes:
-        match_mask: Per-row physical match verdicts (invalid rows masked).
-        first_match: Lowest matching row index, or ``None``.
-        energy: Per-component energy ledger for this search [J].
-        search_delay: Key-to-result latency [s].
-        cycle_time: Minimum time before the next search can issue [s]
-            (includes ML restore for precharge-style sensing).
-        miss_histogram: ``{mismatch_count: row_count}`` over valid rows.
-        functional_errors: Rows whose physical verdict disagrees with the
-            logical ternary match (0 in a healthy design).
-    """
-
-    match_mask: np.ndarray
-    first_match: int | None
-    energy: EnergyLedger
-    search_delay: float
-    cycle_time: float
-    miss_histogram: dict[int, int]
-    functional_errors: int
-
-    def _extra_dict(self) -> dict:
-        return {
-            "miss_histogram": {int(k): int(v) for k, v in self.miss_histogram.items()},
-            "functional_errors": int(self.functional_errors),
-        }
 
 
 @dataclass(frozen=True)
@@ -967,11 +927,15 @@ class TCAMArray:
             ledger, miss, active, unique, counts_active, counts_valid, class_results
         )
 
-    def search_batch(self, keys, row_mask: np.ndarray | None = None) -> list[SearchOutcome]:
+    def search_batch(
+        self, keys, row_mask: np.ndarray | None = None
+    ) -> SearchBatch | list[SearchOutcome]:
         """Execute many searches on the compiled kernel.
 
-        Produces exactly the :class:`SearchOutcome` sequence that calling
-        :meth:`search` once per key would (including the sequential
+        Returns a :class:`SearchBatch` (``[]`` for no keys): columns of
+        the results that, indexed or iterated, are exactly the
+        :class:`SearchOutcome` sequence that calling :meth:`search` once
+        per key would produce (including the sequential
         search-line toggle semantics: the first key toggles against the
         array's current drive state and each subsequent key against its
         predecessor), but mismatch counts come from one SoA matmul and
@@ -1003,7 +967,7 @@ class TCAMArray:
 
     def _search_batch_impl(
         self, packed: np.ndarray, row_mask: np.ndarray | None = None
-    ) -> list[SearchOutcome]:
+    ) -> SearchBatch:
         # Validate the row mask before any key touches array state
         # (search-line drive, caches, metrics).
         active = self._active_rows(row_mask)
@@ -1013,12 +977,15 @@ class TCAMArray:
             return self._search_batch_faulty_kernel(packed, active, soa)
         return self._search_batch_kernel(packed, active, soa)
 
-    def _traced_batch(self, run: Callable[[], list], name: str, **attrs) -> list:
+    def _traced_batch(self, run: Callable[[], Sequence], name: str, **attrs) -> Sequence:
         """Run one batch under its span and book search and kernel metrics.
 
-        Kernel counters are delta-synced into the registry once per
-        batch rather than per lookup, keeping the hot path free of
-        registry calls.
+        The span's energy is the batch's merged ledger
+        (:meth:`~repro.tcam.outcome.BatchColumns.energy_ledger`), which a
+        :class:`SearchBatch` forms from its columns without building an
+        outcome.  Kernel counters are delta-synced into the registry
+        once per batch rather than per lookup, keeping the hot path free
+        of registry calls.
         """
         with obs.span(
             name, rows=self.geometry.rows, cols=self.geometry.cols, **attrs
@@ -1028,7 +995,7 @@ class TCAMArray:
             before = (eng.table_hits, eng.rk4_fallbacks, eng.rows_built)
             outcomes = run()
             if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
+                ledger = as_batch(outcomes).energy_ledger()
                 sp.add_energy(ledger)
                 self._book_batch_metrics(len(outcomes), ledger)
             if m is not None:
@@ -1103,25 +1070,29 @@ class TCAMArray:
 
     def _search_batch_kernel(
         self, packed: np.ndarray, active: np.ndarray, soa
-    ) -> list[SearchOutcome]:
-        """Kernel tail of :meth:`_search_batch_impl`: fused numpy assembly.
+    ) -> SearchBatch:
+        """Kernel tail of :meth:`_search_batch_impl`: one fused numpy pass.
 
         Mismatch counts come from the SoA matmul (exact integer float32
         accumulation), dense per-(key, class) row counts from one offset
         bincount per row subset, and per-class sensing quantities from
-        the compiled tables.  Per driven width ``d`` the keys' energies
-        are one dense ``(keys, d + 1)`` count x energy matrix per
-        component summed by :func:`~repro.kernels.class_sums`: strictly
-        left to right in ascending ``n_miss`` order, with absent classes
-        adding exactly ``0.0``, it reproduces the reference per-class
+        the compiled tables.  The batch's compiled rows are stacked into
+        width-``cols + 1`` tables padded with ``0.0`` energy, ``0.0``
+        time and no match, and every key gathers its own ``driven`` row
+        from them, so the whole batch is one pass whatever its widths.
+        A driven-``d`` key meets classes ``0..d`` only, so the padding
+        only ever meets zero row counts.  Each component's per-key sum is
+        one dense ``(keys, cols + 1)`` count x energy matrix summed by
+        :func:`~repro.kernels.class_sums`: strictly left to right in
+        ascending ``n_miss`` order, with absent and padded classes adding
+        exactly ``0.0``, it reproduces the reference per-class
         ``ledger.add`` loop bit for bit.  Strobe and restore delays are
         masked maxima with ``initial=0.0``, the reference's
-        ``max(0.0, ...)``.  Ledgers are built pre-booked
-        (``EnergyLedger._from_booked``) in the reference booking order
-        SL -> precharge/dissipation/sense (or race) -> encoder ->
-        leakage.  Keys driving more columns than the tabulated grid take
-        the reference body (:meth:`_search_key`), booked as RK4
-        fallbacks.
+        ``max(0.0, ...)``.  The energy columns follow the reference
+        booking order SL -> precharge/dissipation/sense (or race) ->
+        encoder -> leakage.  Keys driving more columns than the
+        tabulated grid take the reference body (:meth:`_search_key`),
+        booked as RK4 fallbacks, and keep its outcome.
         """
         eng = self.kernel
         rows, cols = self.geometry.rows, self.geometry.cols
@@ -1133,10 +1104,10 @@ class TCAMArray:
             driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
             toggles = self._batch_toggles(packed)
             e_toggle = self.estimator.sl_toggle_energy()
-            outcomes: list[SearchOutcome | None] = [None] * n_keys
-            any_active = bool(np.any(active))
+            # int * float == float64(int) * float bit for bit (exact ints).
+            sl_e = toggles.astype(np.float64) * e_toggle
             sl_delay = self.sl_settle_delay
-            enc_energy = self.estimator.encode_energy()
+            enc_energy = np.full(n_keys, self.estimator.encode_energy())
             enc_delay = self.encoder.delay
             # Exactly the reference leakage expression sans the trailing
             # ``* cycle_time`` factor (left-associative, so the prefix
@@ -1154,111 +1125,99 @@ class TCAMArray:
                 offsets[:, self._valid].ravel(), minlength=n_keys * n_classes
             ).reshape(n_keys, n_classes)
 
-            if not any_active:
+            if not active.any():
                 # No row is sensed: only SL, encoder and leakage book.
                 if self.sensing == "precharge":
                     t_sense = t_cycle = self.t_eval
                 else:
                     t_sense = t_cycle = self.race_amp.t_window
-                search_delay = sl_delay + t_sense + enc_delay
                 cycle_time = sl_delay + t_cycle
-                leak = k_leak * cycle_time
-                sl_l = (toggles.astype(np.float64) * e_toggle).tolist()
-                hists = _histograms(counts_valid)
-                for k in range(n_keys):
-                    outcomes[k] = SearchOutcome(
-                        match_mask=np.zeros(rows, dtype=bool),
-                        first_match=None,
-                        energy=EnergyLedger._from_booked(
-                            {_SL: sl_l[k], _ENC: enc_energy, _LEAK: leak}
-                        ),
-                        search_delay=search_delay,
-                        cycle_time=cycle_time,
-                        miss_histogram=hists[k],
-                        functional_errors=0,
-                    )
-                return outcomes
+                return SearchBatch(
+                    match_mask=np.zeros((n_keys, rows), dtype=bool),
+                    first_match=np.full(n_keys, -1),
+                    components=(_SL, _ENC, _LEAK),
+                    energy=np.column_stack(
+                        (sl_e, enc_energy, np.full(n_keys, k_leak * cycle_time))
+                    ),
+                    search_delay=np.full(n_keys, sl_delay + t_sense + enc_delay),
+                    cycle_time=np.full(n_keys, cycle_time),
+                    functional_errors=np.zeros(n_keys, dtype=np.int64),
+                    class_counts=counts_valid,
+                )
 
             # Out-of-grid keys: reference path, booked as RK4 fallbacks.
             in_grid = driven_all <= eng.max_driven
-            fallback_idx = np.flatnonzero(~in_grid)
-            for k in fallback_idx.tolist():
+            fallbacks = {}
+            for k in np.flatnonzero(~in_grid).tolist():
                 ledger = EnergyLedger()
                 ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                outcomes[k] = self._search_key(ledger, miss_all[k], int(driven_all[k]), active)
+                fallbacks[k] = self._search_key(ledger, miss_all[k], int(driven_all[k]), active)
                 eng.rk4_fallbacks += np.unique(miss_all[k][active]).size
 
-            precharge = self.sensing == "precharge"
-            if not precharge:
+            # One padded table per field: entry ``j`` is the compiled row
+            # of the ``j``-th driven width in the batch, the last entry
+            # (all padding) serves the out-of-grid keys, whose gathered
+            # values their reference outcomes replace.
+            ds = np.unique(driven_all[in_grid]).tolist()
+            compiled = eng.rows(ds)
+            which = np.full(cols + 1, len(ds))
+            which[ds] = np.arange(len(ds))
+            t = which[driven_all]
+
+            def table(field: str, dtype=np.float64) -> np.ndarray:
+                tab = np.zeros((len(ds) + 1, n_classes), dtype=dtype)
+                for j, row in enumerate(compiled):
+                    v = getattr(row, field)
+                    tab[j, : v.size] = v
+                return tab
+
+            def gather(field: str) -> np.ndarray:
+                return table(field)[t]
+
+            present = counts_active > 0
+            eng.table_hits += int(np.count_nonzero(present[in_grid]))
+            cnt = counts_active.astype(np.float64)
+            if self.sensing == "precharge":
+                # ``initial=0.0`` is the reference's ``max(0.0, ...)``.
+                t_sa = np.where(present, gather("t_sense"), 0.0).max(axis=1, initial=0.0)
+                t_res = np.where(present, gather("t_restore"), 0.0).max(axis=1, initial=0.0)
+                t_sense = self.t_eval + t_sa
+                search_delay = sl_delay + t_sense + enc_delay
+                cycle_time = sl_delay + (t_sense + t_res)
+                components = (_SL, _PRE, _DISS, _SA, _ENC, _LEAK)
+                sensed = [
+                    class_sums(cnt * gather(field))
+                    for field in ("e_restore", "e_diss", "e_sense")
+                ]
+            else:
                 cutoff = self.race_amp.cutoff_time(self.c_ml)
-                sd_race = sl_delay + cutoff + enc_delay
-                ct_race = sl_delay + 1.2 * cutoff
-                leak_race = k_leak * ct_race
-            idx = np.flatnonzero(in_grid)
+                search_delay = np.full(n_keys, sl_delay + cutoff + enc_delay)
+                cycle_time = np.full(n_keys, sl_delay + 1.2 * cutoff)
+                components = (_SL, _RACE, _ENC, _LEAK)
+                sensed = [class_sums(cnt * gather("energy"))]
+
             av = active & self._valid
-            ds = np.unique(driven_all[idx]).tolist()
-            for d, row in zip(ds, eng.rows(ds)):
-                grp = idx[driven_all[idx] == d]
-                # A driven-``d`` key meets classes 0..d only.
-                ca = counts_active[grp, : d + 1]
-                present = ca > 0
-                eng.table_hits += int(np.count_nonzero(present))
-                cnt = ca.astype(np.float64)
-                sl_l = (toggles[grp].astype(np.float64) * e_toggle).tolist()
-                if precharge:
-                    e_pre = class_sums(cnt * row.e_restore).tolist()
-                    e_diss = class_sums(cnt * row.e_diss).tolist()
-                    e_sa = class_sums(cnt * row.e_sense).tolist()
-                    # ``initial=0.0`` is the reference's ``max(0.0, ...)``.
-                    t_sa = np.where(present, row.t_sense, 0.0).max(axis=1, initial=0.0)
-                    t_res = np.where(present, row.t_restore, 0.0).max(axis=1, initial=0.0)
-                    t_sense = self.t_eval + t_sa
-                    t_cycle = t_sense + t_res
-                    search_delay = (sl_delay + t_sense + enc_delay).tolist()
-                    cycle_time = sl_delay + t_cycle
-                    leak = (k_leak * cycle_time).tolist()
-                    cycle_time = cycle_time.tolist()
-                    ledgers = [
-                        {_SL: sl, _PRE: pre, _DISS: diss, _SA: sa, _ENC: enc_energy, _LEAK: lk}
-                        for sl, pre, diss, sa, lk in zip(sl_l, e_pre, e_diss, e_sa, leak)
-                    ]
-                else:
-                    e_race = class_sums(cnt * row.energy).tolist()
-                    search_delay = [sd_race] * grp.size
-                    cycle_time = [ct_race] * grp.size
-                    ledgers = [
-                        {_SL: sl, _RACE: race, _ENC: enc_energy, _LEAK: leak_race}
-                        for sl, race in zip(sl_l, e_race)
-                    ]
-
-                miss_grp = miss_all[grp]
-                eff = row.is_match[miss_grp] & av[np.newaxis, :]
-                logical = (miss_grp == 0) & av[np.newaxis, :]
-                errors = np.count_nonzero(eff != logical, axis=1).tolist()
-                firsts = np.where(eff.any(axis=1), np.argmax(eff, axis=1), -1).tolist()
-                hists = _histograms(counts_valid[grp])
-
-                for i, k in enumerate(grp.tolist()):
-                    first = firsts[i]
-                    outcomes[k] = SearchOutcome(
-                        match_mask=eff[i].copy(),
-                        first_match=first if first >= 0 else None,
-                        energy=EnergyLedger._from_booked(ledgers[i]),
-                        search_delay=search_delay[i],
-                        cycle_time=cycle_time[i],
-                        miss_histogram=hists[i],
-                        functional_errors=errors[i],
-                    )
+            eff = table("is_match", bool)[t[:, np.newaxis], miss_all]
+            eff &= av
+            logical = (miss_all == 0) & av
+            batch = SearchBatch(
+                match_mask=eff,
+                first_match=np.where(eff.any(axis=1), np.argmax(eff, axis=1), -1),
+                components=components,
+                energy=np.column_stack((sl_e, *sensed, enc_energy, k_leak * cycle_time)),
+                search_delay=search_delay,
+                cycle_time=cycle_time,
+                functional_errors=np.count_nonzero(eff != logical, axis=1),
+                class_counts=counts_valid,
+                precomputed=fallbacks,
+            )
             if sp is not None:
-                sp.annotate(
-                    fallback_keys=int(fallback_idx.size),
-                    rows_built=eng.rows_built,
-                )
-            return outcomes
+                sp.annotate(fallback_keys=len(fallbacks), rows_built=eng.rows_built)
+            return batch
 
     def _search_batch_faulty_kernel(
         self, packed: np.ndarray, active: np.ndarray, soa
-    ) -> list[SearchOutcome]:
+    ) -> SearchBatch:
         """Fault-aware kernel tail of :meth:`_search_batch_impl`.
 
         Bit-identical, ledger booking order included, to calling
@@ -1402,35 +1361,39 @@ class TCAMArray:
                     is_match[i, j] = dec.is_match
                     e_race[i, j] = dec.energy
 
-            # Per-key reductions, in the reference's booking order.
+            # Per-key columns, in the reference's booking order.
             sl_delay = self.sl_settle_delay
             enc_delay = self.encoder.delay
             if precharge:
                 if ns:
                     t_sense = self.t_eval + np.maximum(t_sa.max(axis=1), 0.0)
                     t_cycle = t_sense + np.maximum(t_res.max(axis=1), 0.0)
-                    booked = [
-                        (EnergyComponent.ML_PRECHARGE, class_sums(e_pre)),
-                        (EnergyComponent.ML_DISSIPATION, class_sums(e_diss)),
-                        (EnergyComponent.SENSE_AMP, class_sums(e_sa)),
-                    ]
+                    booked = {_PRE: class_sums(e_pre), _DISS: class_sums(e_diss), _SA: class_sums(e_sa)}
                 else:
                     t_sense = t_cycle = np.full(n_in, self.t_eval)
-                    booked = []
+                    booked = {}
             elif ns:
                 cutoff = self.race_amp.cutoff_time(self.c_ml)
                 t_sense = np.full(n_in, cutoff)
                 t_cycle = np.full(n_in, 1.2 * cutoff)
-                booked = [(EnergyComponent.RACE_SOURCE, class_sums(e_race))]
+                booked = {_RACE: class_sums(e_race)}
             else:
                 t_sense = t_cycle = np.full(n_in, self.race_amp.t_window)
-                booked = []
-            search_delay = (sl_delay + t_sense + enc_delay).tolist()
+                booked = {}
             cycle_time = sl_delay + t_cycle
-            leak = (self.estimator.leakage_power(self.vdd) * cycle_time).tolist()
-            cycle_time = cycle_time.tolist()
-            booked = [(comp, e.tolist()) for comp, e in booked]
-            enc_energy = self.estimator.encode_energy()
+            energy = np.column_stack((
+                toggles[idx].astype(np.float64) * e_toggle,
+                *booked.values(),
+                np.full(n_in, self.estimator.encode_energy()),
+                self.estimator.leakage_power(self.vdd) * cycle_time,
+            ))
+            # The reference books through ``EnergyLedger.add``, which
+            # rejects negative and non-finite energy.
+            bad = ~((energy >= 0.0) & (energy < np.inf))
+            if bad.any():
+                raise ReproError(
+                    f"energy must be non-negative and finite, got {energy[bad][0]}"
+                )
 
             valid = self._valid
             effective = np.zeros((n_in, rows), dtype=bool)
@@ -1438,27 +1401,6 @@ class TCAMArray:
             effective &= valid
             logical = (miss_all[idx] == 0) & (valid & active)
             errors = np.count_nonzero(effective != logical, axis=1)
-            has_match = effective.any(axis=1)
-            firsts = np.argmax(effective, axis=1)
-            hists = _histograms(self._valid_class_counts(miss_eff_all[idx][:, valid]))
-
-            outcomes: list[SearchOutcome | None] = [None] * n_keys
-            for i, k in enumerate(idx.tolist()):
-                ledger = EnergyLedger()
-                ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                for comp, e in booked:
-                    ledger.add(comp, e[i])
-                ledger.add(EnergyComponent.PRIORITY_ENCODER, enc_energy)
-                ledger.add(EnergyComponent.LEAKAGE, leak[i])
-                outcomes[k] = SearchOutcome(
-                    match_mask=effective[i].copy(),
-                    first_match=int(firsts[i]) if has_match[i] else None,
-                    energy=ledger,
-                    search_delay=search_delay[i],
-                    cycle_time=cycle_time[i],
-                    miss_histogram=hists[i],
-                    functional_errors=int(errors[i]),
-                )
             m = obs.metrics()
             if m is not None and n_in:
                 m.counter("faults.searches").inc(n_in)
@@ -1467,6 +1409,7 @@ class TCAMArray:
             # Out-of-grid keys: the reference, replayed against the drive
             # state each key saw in sequence, booked as RK4 fallbacks.
             fallback_idx = np.flatnonzero(driven_all > eng.max_driven)
+            fallbacks = {}
             if fallback_idx.size:
                 final_drive = self._last_drive
                 drives = drive_matrix(packed)
@@ -1474,16 +1417,38 @@ class TCAMArray:
                     self._last_drive = (
                         prev_drive if k == 0 else tuple(int(c) for c in drives[k - 1])
                     )
-                    outcomes[k] = self._search_impl_faulty(packed[k], active)
+                    fallbacks[k] = self._search_impl_faulty(packed[k], active)
                     eng.rk4_fallbacks += np.unique(n_pull_all[k, sensed_idx]).size
                 self._last_drive = final_drive
+
+            def column(values: np.ndarray) -> np.ndarray:
+                """``values`` of the in-grid keys at their batch positions."""
+                if n_in == n_keys:
+                    return values
+                out = np.zeros((n_keys, *values.shape[1:]), dtype=values.dtype)
+                out[idx] = values
+                return out
+
+            batch = SearchBatch(
+                match_mask=column(effective),
+                first_match=column(
+                    np.where(effective.any(axis=1), np.argmax(effective, axis=1), -1)
+                ),
+                components=(_SL, *booked, _ENC, _LEAK),
+                energy=column(energy),
+                search_delay=column(sl_delay + t_sense + enc_delay),
+                cycle_time=column(cycle_time),
+                functional_errors=column(errors),
+                class_counts=self._valid_class_counts(miss_eff_all[:, valid]),
+                precomputed=fallbacks,
+            )
             if sp is not None:
                 sp.annotate(
                     fallback_keys=int(fallback_idx.size),
                     fault_signatures=len(distinct),
                     rows_built=eng.rows_built,
                 )
-            return outcomes
+            return batch
 
     # -- search-line booking -------------------------------------------------
 
@@ -2101,18 +2066,6 @@ class TCAMArray:
         v_pre = self.precharge.target_voltage()
         return miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre
 
-    def _diss0_table(self, n_max: int) -> np.ndarray:
-        """Full-discharge dissipation per line count, tabulated 0..n_max.
-
-        Entry ``n`` is exactly ``estimator.ml_dissipation_energy(0.0, n)``
-        (same call, same float), so the kernels can gather count-scaled
-        dissipation terms instead of memoizing per distinct count.
-        """
-        est = self.estimator
-        return np.array(
-            [est.ml_dissipation_energy(0.0, n) for n in range(n_max + 1)]
-        )
-
     def _nearest_match_batch_kernel(self, packed: np.ndarray) -> list[NearestMatchOutcome]:
         """Kernel tail of :meth:`nearest_match_batch`.
 
@@ -2156,7 +2109,7 @@ class TCAMArray:
             enc_delay = self.encoder.delay
             sl_delay = self.sl_settle_delay
             k_leak = self.standby_power()
-            diss_tab = self._diss0_table(int(valid_idx.size))
+            diss_tab = eng.diss0_table(int(valid_idx.size))
 
             in_grid = driven_all <= eng.max_driven
             for q in np.flatnonzero(~in_grid):
@@ -2279,6 +2232,11 @@ class TCAMArray:
             miss_v = miss_all[:, valid_idx]
             within = miss_v <= max_distance
             n_match = np.count_nonzero(within, axis=1)
+            # Match masks over all rows, and the priority encoder's
+            # lowest-index winner of each: the first accepted valid row.
+            masks = np.zeros((n_keys, rows), dtype=bool)
+            masks[:, valid_idx] = within
+            firsts = np.where(n_match > 0, valid_idx[np.argmax(within, axis=1)], -1).tolist()
             n_losers = valid_idx.size - n_match
             counts_valid = self._valid_class_counts(miss_v)
             cut = max_distance + 1
@@ -2289,7 +2247,7 @@ class TCAMArray:
             enc_delay = self.encoder.delay
             sl_delay = self.sl_settle_delay
             k_leak = self.standby_power()
-            diss_tab = self._diss0_table(int(valid_idx.size))
+            diss_tab = eng.diss0_table(int(valid_idx.size))
 
             in_grid = driven_all <= eng.max_driven
             for q in np.flatnonzero(~in_grid):
@@ -2332,11 +2290,9 @@ class TCAMArray:
                         _ENC: enc_e,
                         _LEAK: leak,
                     })
-                    mask = np.zeros(rows, dtype=bool)
-                    mask[valid_idx[within[q]]] = True
                     outcomes[q] = ThresholdMatchOutcome(
-                        match_mask=mask,
-                        first_match=self.encoder.encode(mask),
+                        match_mask=masks[q].copy(),
+                        first_match=firsts[q] if firsts[q] >= 0 else None,
                         n_matches=nm_l[i],
                         max_distance=max_distance,
                         energy=ledger,
@@ -2390,7 +2346,7 @@ class TCAMArray:
             enc_delay = self.encoder.delay
             sl_delay = self.sl_settle_delay
             k_leak = self.standby_power()
-            diss_tab = self._diss0_table(n_valid)
+            diss_tab = eng.diss0_table(n_valid)
 
             in_grid = driven_all <= eng.max_driven
             for q in np.flatnonzero(~in_grid):

@@ -113,6 +113,11 @@ class SegmentedBank:
             ledger.merge(self.write(start_row + offset, word))
         return ledger
 
+    def standby_power(self) -> float:
+        """Bank standby power [W]: every cell of both segment arrays
+        leaks, probe then tail."""
+        return self.stage1.standby_power() + self.stage2.standby_power()
+
     def word_at(self, row: int) -> TernaryWord:
         """Reassemble the stored word at ``row``."""
         left = self.stage1.word_at(row)
@@ -314,6 +319,15 @@ class HierarchicalBank:
         for offset, word in enumerate(words):
             ledger.merge(self.write(start_row + offset, word))
         return ledger
+
+    def standby_power(self) -> float:
+        """Bank standby power [W]: the stage arrays' standby powers added
+        left to right (a plain loop; builtin ``sum`` compensates rounding
+        on Python 3.12)."""
+        total = 0.0
+        for stage in self.stages:
+            total += stage.standby_power()
+        return total
 
     def word_at(self, row: int) -> TernaryWord:
         """Reassemble the stored word at ``row``."""

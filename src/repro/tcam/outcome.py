@@ -18,6 +18,12 @@ canonical name is not already a dataclass field they add a delegating
 property.  :meth:`BaseOutcome.to_dict` renders the canonical surface
 plus each type's extra fields as one JSON-ready dict -- the single
 serialization used by the trace exporter and the CLI ``--json`` mode.
+
+A batch of outcomes has a read surface of its own, :class:`BatchColumns`:
+per-key first rows, energy totals and cycle times, and the merged
+ledger.  :class:`~repro.tcam.batch.SearchBatch` answers it from its
+columns without building a per-key outcome; :func:`as_batch` gives any
+other outcome list the same methods.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
+
+from ..energy.accounting import EnergyLedger
 
 #: Version of the serialized outcome format emitted by
 #: :meth:`BaseOutcome.to_dict` (and hence every CLI ``--json`` payload
@@ -79,3 +87,50 @@ def mask_to_list(mask: np.ndarray | None) -> list[bool] | None:
     if mask is None:
         return None
     return [bool(m) for m in mask]
+
+
+class BatchColumns:
+    """Whole-batch read surface shared by every batch of outcomes.
+
+    These defaults read the outcomes one by one;
+    :class:`~repro.tcam.batch.SearchBatch` overrides them with reads of
+    its columns that return the same values.
+    """
+
+    __slots__ = ()
+
+    def first_rows(self) -> list[int | None]:
+        """Each key's winning row as a Python int, or ``None``."""
+        return [None if o.first_match is None else int(o.first_match) for o in self]
+
+    def energy_totals(self, extra: float | None = None) -> list[float]:
+        """Each key's total energy [J]: builtin ``sum`` over its booked
+        values in booking order, then ``extra`` when given.
+
+        That is ``EnergyLedger.total`` of the ledger with ``extra``
+        booked last under a component of its own, on every Python
+        version: 3.12's ``sum`` compensates rounding, so a total formed
+        any other way (a numpy row sum, ``sum(...) + extra``) can differ
+        in the last bit.
+        """
+        tail = () if extra is None else (extra,)
+        return [sum((*(j for _, j in o.energy), *tail)) for o in self]
+
+    def cycle_times(self) -> list[float]:
+        """Each key's cycle time [s]."""
+        return [o.cycle_time for o in self]
+
+    def energy_ledger(self) -> EnergyLedger:
+        """The batch's ledgers merged in key order (``EnergyLedger.sum``)."""
+        return EnergyLedger.sum(o.energy for o in self)
+
+
+class OutcomeList(BatchColumns, list):
+    """A plain list of outcomes with the :class:`BatchColumns` reads."""
+
+
+def as_batch(outcomes) -> BatchColumns:
+    """``outcomes`` with the :class:`BatchColumns` reads: a
+    :class:`~repro.tcam.batch.SearchBatch` as it is, any other sequence
+    of outcomes as an :class:`OutcomeList`."""
+    return outcomes if isinstance(outcomes, BatchColumns) else OutcomeList(outcomes)

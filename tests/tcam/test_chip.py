@@ -8,7 +8,8 @@ import pytest
 from repro.core import build_array, get_design
 from repro.energy import EnergyComponent
 from repro.errors import CapacityError, TCAMError
-from repro.tcam import ArrayGeometry, random_word
+from repro.tcam import ArrayGeometry, HierarchicalBank, SegmentedBank, random_word
+from repro.tcam.cells import FeFET2TCell
 from repro.tcam.chip import GatingPolicy, TCAMChip
 
 GEO = ArrayGeometry(rows=8, cols=16)
@@ -199,3 +200,54 @@ class TestDutyCycleCrossover:
         fefet = TCAMChip(_fefet_bank, n_banks=4)
         cmos = TCAMChip(_cmos_bank, n_banks=4)
         assert cmos.standby_power() > fefet.standby_power()
+
+
+def _segmented_bank():
+    return SegmentedBank(FeFET2TCell(), GEO, probe_cols=4)
+
+
+def _hierarchical_bank():
+    return HierarchicalBank(FeFET2TCell(), GEO, segment_cols=[3, 5, 8])
+
+
+class TestSegmentedBankStandby:
+    """Chips of segmented and hierarchical banks book idle leakage: the
+    bank's standby power is its stage arrays' standby powers added left
+    to right, i.e. every cell of the bank leaks."""
+
+    BANKS = [_segmented_bank, _hierarchical_bank]
+
+    @pytest.mark.parametrize("make", BANKS)
+    def test_bank_standby_is_stage_sum(self, make):
+        bank = make()
+        stages = [bank.stage1, bank.stage2] if isinstance(bank, SegmentedBank) else bank.stages
+        total = 0.0
+        for stage in stages:
+            total += stage.standby_power()
+        assert bank.standby_power() == total
+        assert bank.standby_power() == pytest.approx(_fefet_bank().standby_power(), rel=1e-12)
+
+    @pytest.mark.parametrize("make", BANKS)
+    def test_chip_idle_leakage(self, make, rng):
+        chip = TCAMChip(make, n_banks=3)
+        assert chip.standby_power() == 3 * chip.banks[0].standby_power()
+        key = random_word(16, rng)
+        idle, busy = TCAMChip(make, n_banks=3), TCAMChip(make, n_banks=3)
+        out_idle = idle.search(key, bank=1, idle_time=1e-6)
+        out_busy = busy.search(key, bank=1)
+        extra = out_idle.energy.get(EnergyComponent.LEAKAGE) - out_busy.energy.get(
+            EnergyComponent.LEAKAGE
+        )
+        assert extra == pytest.approx(chip.standby_power() * 1e-6, rel=1e-9)
+        assert chip.energy_per_search_at_rate(1e3) > chip.energy_per_search_at_rate(1e8)
+
+    @pytest.mark.parametrize("make", BANKS)
+    def test_batch_idle_equals_serial_loop(self, make, rng):
+        gating = GatingPolicy(gate_idle_banks=True)
+        ref = TCAMChip(make, n_banks=3, gating=gating)
+        got = TCAMChip(make, n_banks=3, gating=gating)
+        keys = [random_word(16, rng, 0.3) for _ in range(7)]
+        banks = [0, 2, 2, 1, 0, 1, 2]
+        serial = [ref.search(k, b, idle_time=2e-7) for k, b in zip(keys, banks)]
+        batch = got.search_batch(keys, banks, idle_time=2e-7)
+        assert [o.to_dict() for o in serial] == [o.to_dict() for o in batch]

@@ -367,10 +367,9 @@ class TestChipBlockEquivalence:
         assert _chip_state(ref) == _chip_state(got)
         keys = _words(11, seed=15)
         banks = [int(b) for b in np.random.default_rng(16).integers(0, 3, size=11)]
-        idle = 0.0 if kind == "segmented" else 1e-6  # segmented banks model no leakage
         _assert_outcomes_equal(
-            ref.search_batch(keys, banks, idle_time=idle),
-            got.search_batch(pack_keys(keys), banks, idle_time=idle),
+            ref.search_batch(keys, banks, idle_time=1e-6),
+            got.search_batch(pack_keys(keys), banks, idle_time=1e-6),
         )
         assert _chip_state(ref) == _chip_state(got)
 
