@@ -20,6 +20,10 @@ The gates ``--check`` asserts:
   includes the multi-bit (``seemcam``) and analog (``fecam``) cells:
   density-for-accuracy trades survive the reduction instead of being
   ranked away.
+* **Worker-count equivalence** -- with ``--workers N`` > 1 the space is
+  run serially as well, and the points and frontier must be equal: the
+  signature-grouped worker payloads change where tables are compiled,
+  never the rows.
 
 Run directly::
 
@@ -51,7 +55,9 @@ COLS = (16, 32)
 SEGMENTS = (0, 4)
 VDDS = (0.7, 0.9, 1.1)
 
-ROWS_SMOKE = (16,)
+#: Two row counts, so that points share an electrical signature and the
+#: worker-count gate sees multi-point payloads.
+ROWS_SMOKE = (8, 16)
 COLS_SMOKE = (16,)
 SEGMENTS_SMOKE = (0,)
 VDDS_SMOKE = (0.7, 0.9)
@@ -138,6 +144,17 @@ def check(record: dict) -> None:
     )
 
 
+def check_matches_serial(record: dict, serial: dict, workers: int) -> None:
+    """Assert a parallel record's rows equal the serial run's."""
+    assert record["points"] == serial["points"], (
+        f"points differ between workers={workers} and a serial run"
+    )
+    assert record["frontier"] == serial["frontier"], (
+        f"frontier differs between workers={workers} and a serial run"
+    )
+    print(f"OK: points and frontier at workers={workers} equal the serial run")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -148,7 +165,8 @@ def main() -> None:
         "--check", action="store_true",
         help="exit non-zero unless the frontier gates hold "
              "(sanity, frontier hygiene, >= 5-cell coverage incl. "
-             "seemcam and fecam)",
+             "seemcam and fecam; with --workers > 1 also equality with a "
+             "serial run)",
     )
     parser.add_argument(
         "--workers", type=int, default=0,
@@ -167,6 +185,8 @@ def main() -> None:
         print(f"wrote {args.output}")
     if args.check:
         check(record)
+        if args.workers > 1:
+            check_matches_serial(record, run_bench(smoke=args.smoke), args.workers)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ interface, so the design space becomes a plain cross-product:
     {cell} x {rows} x {cols} x {segmentation} x {sensing} x {VDD}
 
 :func:`run_dse` evaluates each :class:`DesignPoint` on a common random
-workload (through the parallel :class:`~repro.analysis.sweep.Sweep`
-engine) and reduces the cloud to its four-objective Pareto frontier:
+workload (fanned out through :func:`~repro.parallel.scatter_gather`)
+and reduces the cloud to its four-objective Pareto frontier:
 minimize energy per stored bit, search delay and area per stored bit,
 maximize match accuracy.  Multi-bit (``seemcam``) and analog (``fecam``)
 cells make the accuracy axis meaningful -- they buy density with
@@ -18,6 +18,12 @@ single-objective ranking.
 Points that produce functional errors on the workload stay in the
 report (the error count is part of the story -- analog windows stop
 working at some word width) but are excluded from the frontier.
+
+Within one :func:`run_dse` call, flat arrays with equal electrical
+signatures (:meth:`~repro.kernels.KernelEngine.adopt_tables`) share
+one set of compiled kernel tables.  Row count is not part of the
+signature, so a sweep over row counts compiles each table once.  The
+sharing pool lives for that one call: nothing is cached across runs.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ import numpy as np
 
 from ..circuits.senseamp import CurrentRaceSenseAmp
 from ..errors import AnalysisError
+from ..parallel import resolve_workers, scatter_gather
 from ..tcam.array import ArrayGeometry, TCAMArray
 from ..tcam.bank import SegmentedBank
 from ..tcam.cells import get_cell, list_cells
 from ..tcam.trit import Trit, random_word
-from .sweep import Sweep
 
 #: Objectives minimized / maximized by the frontier reduction.  The
 #: search path contributes energy/delay/area, the write path its own
@@ -51,6 +57,9 @@ MINIMIZE = (
 )
 MAXIMIZE = ("accuracy",)
 
+#: Sensing styles a :class:`DesignPoint` may name.
+SENSING = ("precharge", "current_race")
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -64,6 +73,10 @@ class DesignPoint:
             0 disables segmentation.
         sensing: ``"precharge"`` or ``"current_race"``.
         vdd: Supply override [V]; ``None`` uses the node nominal.
+
+    A point is checked where it is used, not where it is made (making
+    one stays as cheap as a tuple): :func:`run_dse` checks every point
+    before it builds any, and :func:`evaluate_point` checks its own.
     """
 
     cell: str
@@ -146,14 +159,40 @@ def default_space(
     return tuple(points)
 
 
+def _validate(point: DesignPoint, api: str) -> None:
+    """Reject a malformed point before anything is built from it.
+
+    Raises:
+        AnalysisError: naming ``api`` and the point, for an unregistered
+            cell, an unknown sensing style, ``rows`` or ``cols`` < 1,
+            ``segments`` outside ``[0, cols)``, or segmentation combined
+            with current-race sensing.
+    """
+    where = f"{api}: {point.label()}"
+    if point.cell not in list_cells():
+        raise AnalysisError(
+            f"{where}: unknown cell {point.cell!r}; registered: {', '.join(list_cells())}"
+        )
+    if point.sensing not in SENSING:
+        raise AnalysisError(
+            f"{where}: sensing must be one of {SENSING}, got {point.sensing!r}"
+        )
+    if point.rows < 1 or point.cols < 1:
+        raise AnalysisError(f"{where}: rows and cols must be >= 1")
+    if not 0 <= point.segments < point.cols:
+        raise AnalysisError(
+            f"{where}: segments must be in [0, {point.cols}), got {point.segments}"
+        )
+    if point.segments and point.sensing == "current_race":
+        raise AnalysisError(f"{where}: segmentation composes with precharge sensing only")
+
+
 def _build(point: DesignPoint):
-    """Instantiate the array (or segmented bank) for one design point."""
+    """Instantiate the array (or segmented bank) for a validated point."""
     geometry = ArrayGeometry(point.rows, point.cols)
     supply = point.vdd if point.vdd is not None else geometry.node.vdd_nominal
     cell = get_cell(point.cell, vdd=point.vdd)
     if point.sensing == "current_race":
-        if point.segments:
-            raise AnalysisError("segmentation composes with precharge sensing only")
         return cell, TCAMArray(
             cell,
             geometry,
@@ -174,6 +213,8 @@ def evaluate_point(
     seed: int = 0,
     x_fraction: float = 0.3,
     use_kernel: bool = False,
+    *,
+    tables: dict | None = None,
 ) -> dict:
     """Measure one design point on a common random workload.
 
@@ -190,13 +231,22 @@ def evaluate_point(
         use_kernel: Answer the keys in one ``search_batch`` call (the
             path :func:`run_dse` takes); ``False`` runs the per-key
             scalar reference (bit-identical).
+        tables: :func:`run_dse` plumbing, not a user option: the run's
+            pool of kernel engines keyed by electrical signature.  A
+            flat array adopts the tables of the pooled engine with its
+            signature, or becomes that signature's donor.  Segmented
+            banks do not take part.
 
     Raises:
-        AnalysisError: when ``searches`` < 1.
+        AnalysisError: when ``searches`` < 1 or the point is malformed.
     """
     if searches < 1:
         raise AnalysisError(f"evaluate_point: searches must be >= 1, got {searches}")
+    _validate(point, "evaluate_point")
     cell, array = _build(point)
+    if tables is not None and isinstance(array, TCAMArray):
+        engine = array.kernel
+        engine.adopt_tables(tables.setdefault(engine._electrical_signature(), engine))
     rng = np.random.default_rng(point.seed_key(seed))
     words = [
         random_word(point.cols, rng, x_fraction=x_fraction)
@@ -316,6 +366,40 @@ class DSEResult:
         }
 
 
+def _signature_groups(points: Sequence[DesignPoint]) -> list[list[int]]:
+    """Point indices grouped by the electrical signature of their tables.
+
+    Each point is built once here, in the parent, so that every point of
+    one signature lands in one worker payload.  Segmented banks share no
+    tables and stand alone.
+    """
+    groups: dict[object, list[int]] = {}
+    for i, point in enumerate(points):
+        _, array = _build(point)
+        key = array.kernel._electrical_signature() if isinstance(array, TCAMArray) else i
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _evaluate_group(payload: tuple) -> list[dict]:
+    """Evaluate a payload's points against one fresh table pool (pure worker fn).
+
+    A failure names its point: with payloads running out of order across
+    processes, progress output no longer tells which point broke.
+    """
+    evaluate, points = payload
+    tables: dict = {}
+    rows = []
+    for point in points:
+        try:
+            rows.append(evaluate(point, tables=tables))
+        except Exception as exc:
+            raise AnalysisError(
+                f"run_dse: evaluation failed at {point.label()}: {exc}"
+            ) from exc
+    return rows
+
+
 def run_dse(
     points: Sequence[DesignPoint],
     searches: int = 8,
@@ -325,7 +409,11 @@ def run_dse(
     """Evaluate a design space and reduce it to the Pareto frontier.
 
     Every point answers its keys in one ``search_batch`` call
-    (bit-identical to :func:`evaluate_point`'s per-key default).
+    (bit-identical to :func:`evaluate_point`'s per-key default).  Flat
+    arrays with one electrical signature compile their kernel tables
+    once per call and share them; with ``workers`` > 1 every point of a
+    signature goes into one payload, so each process compiles the
+    tables of its own signatures only.
 
     Args:
         points: The coordinates to evaluate (see :func:`default_space`).
@@ -335,19 +423,32 @@ def run_dse(
             rows are identical at every worker count).
 
     Raises:
-        AnalysisError: on an empty space or ``searches`` < 1.
+        AnalysisError: on an empty space, ``searches`` < 1 or a
+            malformed point, before any point is built.
     """
+    points = list(points)
     if not points:
         raise AnalysisError("the design space is empty")
     if searches < 1:
         raise AnalysisError(f"run_dse: searches must be >= 1, got {searches}")
-    sweep = Sweep(
-        knob="point",
-        values=list(points),
-        evaluate=partial(evaluate_point, searches=searches, seed=seed, use_kernel=True),
+    for point in points:
+        _validate(point, "run_dse")
+    evaluate = partial(evaluate_point, searches=searches, seed=seed, use_kernel=True)
+    groups = (
+        _signature_groups(points)
+        if resolve_workers(workers) > 1
+        else [list(range(len(points)))]
     )
-    result = sweep.run(workers=workers)
-    rows = tuple({k: v for k, v in row.items() if k != "point"} for row in result.rows)
+    per_group = scatter_gather(
+        _evaluate_group,
+        [(evaluate, [points[i] for i in group]) for group in groups],
+        workers=workers,
+        span_prefix="dse",
+    )
+    placed: dict[int, dict] = {}
+    for group, group_rows in zip(groups, per_group):
+        placed.update(zip(group, group_rows))
+    rows = tuple(placed[i] for i in range(len(points)))
     functional = [i for i, row in enumerate(rows) if row["functional_errors"] == 0]
     frontier_of_functional = pareto_frontier([rows[i] for i in functional])
     return DSEResult(

@@ -754,6 +754,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an int >= 0 (a bad value exits with a usage error)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _shape_flags(rows: int, cols: int) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--rows", type=int, default=rows)
@@ -992,11 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="cell registry key; repeat to restrict (default: every cell)",
     )
     dse.add_argument(
-        "--rows", type=int, action="append", default=None, metavar="N",
+        "--rows", type=_positive_int, action="append", default=None, metavar="N",
         help="row count; repeat for a sweep (default: 32)",
     )
     dse.add_argument(
-        "--cols", type=int, action="append", default=None, metavar="N",
+        "--cols", type=_positive_int, action="append", default=None, metavar="N",
         help="column count; repeat for a sweep (default: 16 32)",
     )
     dse.add_argument(
@@ -1004,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="supply voltage; repeat for a sweep (default: node nominal)",
     )
     dse.add_argument(
-        "--segments", type=int, action="append", default=None, metavar="K",
+        "--segments", type=_non_negative_int, action="append", default=None, metavar="K",
         help="probe-column segmentation; repeat for a sweep (default: 0 = off)",
     )
     dse.add_argument("--searches", type=_positive_int, default=8)

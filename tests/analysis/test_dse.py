@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.analysis.dse import (
     MAXIMIZE,
     MINIMIZE,
     DesignPoint,
+    _build,
     default_space,
     evaluate_point,
     pareto_frontier,
@@ -44,6 +46,51 @@ class TestSpaceConstruction:
         assert a.seed_key(3) == b.seed_key(3)
         assert a.seed_key(3) != c.seed_key(3)
         assert a.seed_key(3) != a.seed_key(4)
+
+
+MALFORMED = [
+    (DesignPoint("fefet2t", 8, 8, sensing="bogus"), "sensing must be one of"),
+    (DesignPoint("bogus", 8, 8), "unknown cell 'bogus'"),
+    (DesignPoint("fefet2t", 0, 8), "rows and cols must be >= 1"),
+    (DesignPoint("fefet2t", 8, 0), "rows and cols must be >= 1"),
+    (DesignPoint("fefet2t", -1, 8), "rows and cols must be >= 1"),
+    (DesignPoint("fefet2t", 8, 8, segments=-1), r"segments must be in \[0, 8\)"),
+    (DesignPoint("fefet2t", 8, 8, segments=8), r"segments must be in \[0, 8\)"),
+    (DesignPoint("fefet2t", 8, 8, segments=9), r"segments must be in \[0, 8\)"),
+]
+
+#: ``evaluate_point`` rejects the segmented current-race point too; that
+#: case is ``TestEvaluatePoint::test_current_race_with_segments_rejected``.
+REJECTED_BY_RUN = [
+    *MALFORMED,
+    (
+        DesignPoint("fefet2t", 8, 16, segments=4, sensing="current_race"),
+        "precharge sensing only",
+    ),
+]
+
+
+class TestDesignPointValidation:
+    @pytest.mark.parametrize(
+        "point, message", MALFORMED, ids=[p.label() for p, _ in MALFORMED]
+    )
+    def test_evaluate_point_rejects(self, point, message):
+        with pytest.raises(AnalysisError, match=f"evaluate_point: .*{message}"):
+            evaluate_point(point, searches=1)
+
+    @pytest.mark.parametrize(
+        "point, message", REJECTED_BY_RUN, ids=[p.label() for p, _ in REJECTED_BY_RUN]
+    )
+    def test_run_dse_rejects_before_any_point(self, monkeypatch, point, message):
+        import repro.analysis.dse as dse_mod
+
+        calls = []
+        monkeypatch.setattr(
+            dse_mod, "evaluate_point", lambda p, **kw: calls.append(p)
+        )
+        with pytest.raises(AnalysisError, match=f"run_dse: .*{message}"):
+            dse_mod.run_dse([DesignPoint("fefet2t", 8, 16), point], searches=1)
+        assert calls == []
 
 
 class TestEvaluatePoint:
@@ -176,3 +223,57 @@ class TestRunDSE:
         assert payload["n_points"] == len(self.SPACE)
         assert payload["frontier_size"] == len(result.frontier_indices)
         assert set(payload["frontier_cells"]) <= {"fefet2t", "seemcam"}
+
+
+class TestTableSharing:
+    """One compiled table set per electrical signature within a run."""
+
+    SPACE = default_space(
+        cells=["fefet2t", "seemcam"], rows=(8, 16), cols=(16,), segments=(0,)
+    )
+
+    @staticmethod
+    def precharge_signatures(space) -> set:
+        sigs = set()
+        for point in space:
+            _, array = _build(point)
+            if point.sensing == "precharge":
+                sigs.add(array.kernel._electrical_signature())
+        return sigs
+
+    def test_one_integration_per_signature_per_run(self):
+        n_sigs = len(self.precharge_signatures(self.SPACE))
+        # Row count is not in the signature, so points do share here.
+        assert n_sigs == 2 < sum(p.sensing == "precharge" for p in self.SPACE)
+        for _ in range(2):  # a second run starts cold again
+            with obs.observe() as session:
+                run_dse(self.SPACE, searches=2)
+            snap = session.metrics.snapshot()
+            assert snap["rk4.batched_integrations"] == float(n_sigs)
+
+    def test_pool_is_keyed_by_signature(self):
+        tables: dict = {}
+        for point in self.SPACE:
+            evaluate_point(point, searches=1, use_kernel=True, tables=tables)
+        assert len(tables) == 4  # two cells x two sensing styles
+        evaluate_point(
+            DesignPoint("fefet2t", 8, 16, segments=4),
+            searches=1,
+            use_kernel=True,
+            tables=tables,
+        )
+        assert len(tables) == 4  # segmented banks do not take part
+        for sig, engine in tables.items():
+            assert engine._electrical_signature() == sig
+
+    def test_shared_points_equal_unshared_and_scalar(self):
+        result = run_dse(self.SPACE, searches=2)
+        for point, row in zip(self.SPACE, result.points):
+            assert row == evaluate_point(point, searches=2, use_kernel=True)
+            assert row == evaluate_point(point, searches=2)
+
+    def test_worker_counts_agree(self):
+        serial = run_dse(self.SPACE, searches=2, workers=0)
+        parallel = run_dse(self.SPACE, searches=2, workers=2)
+        assert serial.points == parallel.points
+        assert serial.frontier_indices == parallel.frontier_indices

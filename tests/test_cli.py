@@ -158,6 +158,20 @@ class TestDse:
             main([*self.ARGS[:-1], "0"])
         assert "--searches: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--rows", "0", "--rows: must be >= 1"),
+            ("--cols", "0", "--cols: must be >= 1"),
+            ("--segments", "-1", "--segments: must be >= 0"),
+        ],
+    )
+    def test_bad_geometry_is_a_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["dse", "--cell", "fefet2t", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestReportValidation:
     def test_report_rejects_unknown_schema(self, tmp_path, capsys):
