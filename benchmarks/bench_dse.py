@@ -22,8 +22,8 @@ The gates ``--check`` asserts:
   ranked away.
 * **Worker-count equivalence** -- with ``--workers N`` > 1 the space is
   run serially as well, and the points and frontier must be equal: the
-  signature-grouped worker payloads change where tables are compiled,
-  never the rows.
+  grouped worker payloads change where tables are compiled, never the
+  rows.
 
 Run directly::
 

@@ -19,11 +19,12 @@ Points that produce functional errors on the workload stay in the
 report (the error count is part of the story -- analog windows stop
 working at some word width) but are excluded from the frontier.
 
-Within one :func:`run_dse` call, flat arrays with equal electrical
+Within one :func:`run_dse` payload, flat arrays with equal electrical
 signatures (:meth:`~repro.kernels.KernelEngine.adopt_tables`) share
 one set of compiled kernel tables.  Row count is not part of the
-signature, so a sweep over row counts compiles each table once.  The
-sharing pool lives for that one call: nothing is cached across runs.
+signature, so a serial sweep over row counts compiles each table once.
+The sharing pool lives for that one payload: nothing is cached across
+runs.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from ..circuits.senseamp import CurrentRaceSenseAmp
 from ..errors import AnalysisError
 from ..parallel import resolve_workers, scatter_gather
-from ..tcam.array import ArrayGeometry, TCAMArray
+from ..tcam.array import SENSING_STYLES, ArrayGeometry, TCAMArray
 from ..tcam.bank import SegmentedBank
 from ..tcam.cells import get_cell, list_cells
 from ..tcam.trit import Trit, random_word
@@ -56,9 +57,6 @@ MINIMIZE = (
     "write_latency",
 )
 MAXIMIZE = ("accuracy",)
-
-#: Sensing styles a :class:`DesignPoint` may name.
-SENSING = ("precharge", "current_race")
 
 
 @dataclass(frozen=True)
@@ -173,9 +171,9 @@ def _validate(point: DesignPoint, api: str) -> None:
         raise AnalysisError(
             f"{where}: unknown cell {point.cell!r}; registered: {', '.join(list_cells())}"
         )
-    if point.sensing not in SENSING:
+    if point.sensing not in SENSING_STYLES:
         raise AnalysisError(
-            f"{where}: sensing must be one of {SENSING}, got {point.sensing!r}"
+            f"{where}: sensing must be one of {SENSING_STYLES}, got {point.sensing!r}"
         )
     if point.rows < 1 or point.cols < 1:
         raise AnalysisError(f"{where}: rows and cols must be >= 1")
@@ -366,23 +364,30 @@ class DSEResult:
         }
 
 
-def _signature_groups(points: Sequence[DesignPoint]) -> list[list[int]]:
-    """Point indices grouped by the electrical signature of their tables.
+def _payloads(points: Sequence[DesignPoint], workers: int) -> list[list[int]]:
+    """Point indices per worker payload; each payload gets one table pool.
 
-    Each point is built once here, in the parent, so that every point of
-    one signature lands in one worker payload.  Segmented banks share no
-    tables and stand alone.
+    Flat points with equal ``(cell, cols, sensing, vdd)`` build arrays
+    with equal electrical signatures (row count is not part of one), so
+    they share a payload; a segmented point stands alone.  The key only
+    decides where tables get compiled: each payload's pool is keyed by
+    the real signature.  A group larger than an even share of the space
+    (``ceil(len(points) / workers)`` points) is split into pieces of
+    that size, so a sweep over row counts still keeps every worker busy;
+    each piece compiles its own tables.
     """
     groups: dict[object, list[int]] = {}
-    for i, point in enumerate(points):
-        _, array = _build(point)
-        key = array.kernel._electrical_signature() if isinstance(array, TCAMArray) else i
+    for i, p in enumerate(points):
+        key = i if p.segments else (p.cell, p.cols, p.sensing, p.vdd)
         groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    share = -(-len(points) // resolve_workers(workers))
+    return [g[lo : lo + share] for g in groups.values() for lo in range(0, len(g), share)]
 
 
 def _evaluate_group(payload: tuple) -> list[dict]:
     """Evaluate a payload's points against one fresh table pool (pure worker fn).
+
+    The pool dies with the payload, so its donor arrays do not outlive it.
 
     A failure names its point: with payloads running out of order across
     processes, progress output no longer tells which point broke.
@@ -411,9 +416,9 @@ def run_dse(
     Every point answers its keys in one ``search_batch`` call
     (bit-identical to :func:`evaluate_point`'s per-key default).  Flat
     arrays with one electrical signature compile their kernel tables
-    once per call and share them; with ``workers`` > 1 every point of a
-    signature goes into one payload, so each process compiles the
-    tables of its own signatures only.
+    once per payload and share them; a payload holds every point of one
+    signature unless that is more than an even share of the space at
+    ``workers`` processes (see :func:`_payloads`).
 
     Args:
         points: The coordinates to evaluate (see :func:`default_space`).
@@ -434,20 +439,16 @@ def run_dse(
     for point in points:
         _validate(point, "run_dse")
     evaluate = partial(evaluate_point, searches=searches, seed=seed, use_kernel=True)
-    groups = (
-        _signature_groups(points)
-        if resolve_workers(workers) > 1
-        else [list(range(len(points)))]
-    )
-    per_group = scatter_gather(
+    payloads = _payloads(points, workers)
+    per_payload = scatter_gather(
         _evaluate_group,
-        [(evaluate, [points[i] for i in group]) for group in groups],
+        [(evaluate, [points[i] for i in idx]) for idx in payloads],
         workers=workers,
         span_prefix="dse",
     )
     placed: dict[int, dict] = {}
-    for group, group_rows in zip(groups, per_group):
-        placed.update(zip(group, group_rows))
+    for idx, payload_rows in zip(payloads, per_payload):
+        placed.update(zip(idx, payload_rows))
     rows = tuple(placed[i] for i in range(len(points)))
     functional = [i for i, row in enumerate(rows) if row["functional_errors"] == 0]
     frontier_of_functional = pareto_frontier([rows[i] for i in functional])

@@ -51,7 +51,7 @@ from .trit import (
     trit_block,
 )
 
-_SENSING_STYLES = ("precharge", "current_race")
+SENSING_STYLES = ("precharge", "current_race")
 
 # Canonical component keys, pre-resolved for the distance-kernel ledger
 # assembly (EnergyLedger._from_booked takes plain strings).
@@ -349,8 +349,8 @@ class TCAMArray:
         encoder: PriorityEncoder | None = None,
         estimator: "Callable[[TCAMArray], ArrayEstimator] | None" = None,
     ) -> None:
-        if sensing not in _SENSING_STYLES:
-            raise TCAMError(f"sensing must be one of {_SENSING_STYLES}, got {sensing!r}")
+        if sensing not in SENSING_STYLES:
+            raise TCAMError(f"sensing must be one of {SENSING_STYLES}, got {sensing!r}")
         self.cell = cell
         self.geometry = geometry
         self.sensing = sensing

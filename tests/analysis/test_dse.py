@@ -10,6 +10,7 @@ from repro.analysis.dse import (
     MINIMIZE,
     DesignPoint,
     _build,
+    _payloads,
     default_space,
     evaluate_point,
     pareto_frontier,
@@ -17,6 +18,12 @@ from repro.analysis.dse import (
 )
 from repro.errors import AnalysisError
 from repro.tcam.cells import list_cells
+
+#: Two row counts, so that points share an electrical signature (row
+#: count is not part of one) and payloads hold more than one point.
+SHARED_SPACE = default_space(
+    cells=["fefet2t", "seemcam"], rows=(8, 16), cols=(16,), segments=(0,)
+)
 
 
 class TestSpaceConstruction:
@@ -184,10 +191,11 @@ class TestRunDSE:
             assert result.points[idx] in result.frontier
 
     def test_rows_identical_across_worker_counts(self):
-        serial = run_dse(self.SPACE, searches=2, workers=0)
-        parallel = run_dse(self.SPACE, searches=2, workers=2)
-        assert serial.points == parallel.points
-        assert serial.frontier_indices == parallel.frontier_indices
+        for space in (self.SPACE, SHARED_SPACE):
+            serial = run_dse(space, searches=2, workers=0)
+            parallel = run_dse(space, searches=2, workers=2)
+            assert serial.points == parallel.points
+            assert serial.frontier_indices == parallel.frontier_indices
 
     def test_error_points_reported_but_not_on_frontier(self, monkeypatch):
         # A functionally broken point stays in the cloud with its error
@@ -228,9 +236,7 @@ class TestRunDSE:
 class TestTableSharing:
     """One compiled table set per electrical signature within a run."""
 
-    SPACE = default_space(
-        cells=["fefet2t", "seemcam"], rows=(8, 16), cols=(16,), segments=(0,)
-    )
+    SPACE = SHARED_SPACE
 
     @staticmethod
     def precharge_signatures(space) -> set:
@@ -272,8 +278,25 @@ class TestTableSharing:
             assert row == evaluate_point(point, searches=2, use_kernel=True)
             assert row == evaluate_point(point, searches=2)
 
-    def test_worker_counts_agree(self):
-        serial = run_dse(self.SPACE, searches=2, workers=0)
-        parallel = run_dse(self.SPACE, searches=2, workers=2)
-        assert serial.points == parallel.points
-        assert serial.frontier_indices == parallel.frontier_indices
+    def test_payloads_group_by_signature_and_split_to_keep_workers_busy(self):
+        # Serial: one payload per (cell, cols, sensing, vdd), rows 8 and 16.
+        payloads = _payloads(self.SPACE, 0)
+        assert len(payloads) == 4
+        for idx in payloads:
+            assert [self.SPACE[i].rows for i in idx] == [8, 16]
+        # A group larger than an even share of the space is split.
+        sweep = [DesignPoint("fefet2t", rows, 16) for rows in (8, 16, 32, 64)]
+        assert _payloads(sweep, 0) == [[0, 1, 2, 3]]
+        assert _payloads(sweep, 2) == [[0, 1], [2, 3]]
+        assert _payloads(sweep, 8) == [[0], [1], [2], [3]]
+        # A segmented point stands alone.
+        seg = [DesignPoint("fefet2t", rows, 16, segments=4) for rows in (8, 16)]
+        assert _payloads(seg, 0) == [[0], [1]]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_integration_per_payload(self, workers):
+        sweep = [DesignPoint("fefet2t", rows, 16) for rows in (8, 16, 32, 64)]
+        with obs.observe() as session:
+            run_dse(sweep, searches=2, workers=workers)
+        snap = session.metrics.snapshot()
+        assert snap["rk4.batched_integrations"] == float(len(_payloads(sweep, workers)))
