@@ -15,19 +15,20 @@ numbers to ``BENCH_kernels.json`` at the repo root:
 * **Fallback** -- a kernel compiled with a deliberately small
   ``max_driven`` must serve in-grid keys from the tables and route the
   rest through the RK4 reference path, with outcomes bit-identical to
-  the per-key scalar search either way.
+  the per-key reference (:func:`repro.tcam.reference.search`) either
+  way.
 * **Faulted arrays** -- on a 64x32 array carrying every fault kind
   (stuck-match, stuck-miss, stuck-trit, retention, dead rows, SA
-  offsets), the fault-aware kernel batch must equal the per-key scalar
-  faulty search outcome for outcome, for both sensing styles, with the
-  tables serving it and no RK4 fallback.
+  offsets), the fault-aware kernel batch must equal the per-key
+  reference faulty search outcome for outcome, for both sensing styles,
+  with the tables serving it and no RK4 fallback.
 * **Timing** -- warm-table kernel batch throughput on the
   ``bench_perf_search`` configuration, outcomes checked against the
-  scalar search on a key prefix.
+  per-key reference on a key prefix.
 * **Assembly** -- warm ``search_batch`` on a 128x64 fefet2t array with
   every table row prebuilt, so the time is the batch's outcome assembly
   (mismatch matmul, dense per-class sums, ledgers); every outcome,
-  ledger booking order included, checked against the scalar search.
+  ledger booking order included, checked against the per-key reference.
 * **Write** -- microseconds per ``TCAMArray.write`` of a 64-column row
   for every registered cell: the per-cell ``write_cost`` loop the array
   used to run against the tabled path (one gather over the estimator's
@@ -63,7 +64,7 @@ from repro.core import all_designs, build_array, get_design
 from repro.energy.accounting import EnergyComponent, EnergyLedger
 from repro.faults.faultmap import FaultKind, FaultMap
 from repro.kernels import KernelEngine
-from repro.tcam import ArrayGeometry, TCAMArray
+from repro.tcam import ArrayGeometry, TCAMArray, reference
 from repro.tcam.cells import get_cell, list_cells
 from repro.tcam.array import WriteOutcome
 from repro.tcam.outcome import SCHEMA_VERSION
@@ -194,7 +195,7 @@ def run_fallback(rows: int, cols: int, n_keys: int) -> dict:
         kernel_array, max_driven=int(np.median(drivens))
     )
 
-    scalar = [scalar_array.search(k) for k in keys]
+    scalar = [reference.search(scalar_array, k) for k in keys]
     kernel = kernel_array.search_batch(keys)
     _assert_identical(scalar, kernel, "fallback batch")
     assert engine.table_hits > 0, "no key was served from the tables"
@@ -230,22 +231,22 @@ def run_faulted(rows: int, cols: int, n_keys: int) -> list[dict]:
     """
     records = []
     for design in FAULT_DESIGNS:
-        reference = _build_loaded(design, rows, cols, SEED)
+        ref_array = _build_loaded(design, rows, cols, SEED)
         kernel_array = _build_loaded(design, rows, cols, SEED)
         fm = _every_fault_kind(rows, cols, SEED + 4)
-        reference.attach_faults(fm.copy())
+        ref_array.attach_faults(fm.copy())
         kernel_array.attach_faults(fm)
         engine = kernel_array.kernel
         # Half the keys are stored words, so faults can flip real matches.
         keys = _keys(cols, n_keys - n_keys // 2, x_fraction=0.2, seed=SEED + 5)
-        keys += [reference.word_at((3 * i) % rows) for i in range(n_keys // 2)]
+        keys += [ref_array.word_at((3 * i) % rows) for i in range(n_keys // 2)]
 
         # The first pass builds tables and integrates fault classes on
         # both sides; the second pass is warm.
         seconds, mismatches = [], 0
         for _ in range(2):
             t0 = time.perf_counter()
-            expected = [reference.search(k) for k in keys]
+            expected = [reference.search(ref_array, k) for k in keys]
             t_loop = time.perf_counter() - t0
             t0 = time.perf_counter()
             got = kernel_array.search_batch(keys)
@@ -283,7 +284,7 @@ def run_timing(rows: int, cols: int, n_keys: int, scalar_keys: int) -> dict:
     kernel = kernel_array.search_batch(keys)
     t_kernel = time.perf_counter() - t0
 
-    scalar = [scalar_array.search(k) for k in keys[:scalar_keys]]
+    scalar = [reference.search(scalar_array, k) for k in keys[:scalar_keys]]
     _assert_identical(scalar, kernel, "timing batch")
     return {
         "rows": rows,
@@ -305,14 +306,14 @@ def run_assembly(rows: int, cols: int, n_keys: int) -> dict:
     # One-key warm-up builds the content snapshot; the scalar side
     # searches the same key so both start from the same search-line drive.
     kernel_array.search_batch(keys[-1:])
-    scalar_array.search(keys[-1])
+    reference.search(scalar_array, keys[-1])
     built = engine.rows_built
 
     t0 = time.perf_counter()
     kernel = kernel_array.search_batch(keys)
     t_kernel = time.perf_counter() - t0
 
-    scalar = [scalar_array.search(k) for k in keys]
+    scalar = [reference.search(scalar_array, k) for k in keys]
     assert engine.rows_built == built, "assembly batch built table rows"
     return {
         "design": DESIGN,

@@ -1,6 +1,9 @@
 """Search-throughput microbenchmark: scalar loop vs the compiled kernel.
 
-Measures keys/sec of the per-key ``TCAMArray.search()`` loop against
+Measures keys/sec of the per-key reference loop
+(:func:`repro.tcam.reference.search`, the RK4 body that also answered
+the public scalar ``TCAMArray.search()`` before scalar calls became
+one-key batches) against
 ``TCAMArray.search_batch()`` (the compiled kernel) on a 256x64 precharge
 array with 1024 random keys (the configuration the perf target is
 stated against), and writes the numbers to ``BENCH_search.json`` at the
@@ -33,7 +36,7 @@ import numpy as np
 
 from repro import obs
 from repro.core import build_array, get_design
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, reference
 from repro.tcam.outcome import SCHEMA_VERSION
 from repro.tcam.trit import random_word
 
@@ -79,7 +82,7 @@ def run_bench(
     keys = [random_word(cols, rng, x_fraction=0.0) for _ in range(n_keys)]
 
     t0 = time.perf_counter()
-    scalar_outcomes = [scalar_array.search(k) for k in keys[:scalar_keys]]
+    scalar_outcomes = [reference.search(scalar_array, k) for k in keys[:scalar_keys]]
     t_scalar = time.perf_counter() - t0
     scalar_rate = scalar_keys / t_scalar
 

@@ -12,7 +12,9 @@ bulk load into the banks, kernel table compile) under ``host_time``:
 simulator time, not a modelled figure.
 
 Also times ``nearest_match_batch`` (the distance kernel) against the
-per-key scalar ``nearest_match`` loop at the standing perf-target
+per-key reference loop (:func:`repro.tcam.reference.nearest_match`, the
+body the public scalar ``nearest_match`` ran before scalar calls became
+one-key batches) at the standing perf-target
 configuration (256x64 array, 1024 keys, the same shape
 ``bench_perf_search.py`` gates on) and asserts outcome identity, so the
 distance kernel has its own regression gate.
@@ -40,7 +42,7 @@ import time
 import numpy as np
 
 from repro.core import build_array, get_design
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, reference
 from repro.tcam.outcome import SCHEMA_VERSION
 from repro.tcam.trit import random_word
 from repro.workloads.retrieval import (
@@ -68,7 +70,7 @@ def _build_loaded(rows: int, cols: int, rng: np.random.Generator):
 def bench_nearest_kernel(
     n_keys: int = GATE_KEYS, scalar_keys: int = 128, repeats: int = 5
 ) -> dict:
-    """Kernel ``nearest_match_batch`` vs the scalar ``nearest_match`` loop.
+    """Kernel ``nearest_match_batch`` vs the per-key reference loop.
 
     The scalar loop is timed once on the first ``scalar_keys`` keys (its
     keys/sec extrapolates from that subset, on which outcome identity is
@@ -89,7 +91,7 @@ def bench_nearest_kernel(
     keys = [random_word(GATE_COLS, key_rng, x_fraction=0.2) for _ in range(n_keys)]
 
     t0 = time.perf_counter()
-    ref = [scalar.nearest_match(k) for k in keys[:scalar_keys]]
+    ref = [reference.nearest_match(scalar, k) for k in keys[:scalar_keys]]
     t_scalar = time.perf_counter() - t0
 
     t0 = time.perf_counter()

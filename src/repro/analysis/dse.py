@@ -39,6 +39,7 @@ import numpy as np
 from ..circuits.senseamp import CurrentRaceSenseAmp
 from ..errors import AnalysisError
 from ..parallel import resolve_workers, scatter_gather
+from ..tcam import reference
 from ..tcam.array import SENSING_STYLES, ArrayGeometry, TCAMArray
 from ..tcam.bank import SegmentedBank
 from ..tcam.cells import get_cell, list_cells
@@ -227,8 +228,11 @@ def evaluate_point(
         seed: Workload seed (per-point stream derived from it).
         x_fraction: Don't-care density of the stored words.
         use_kernel: Answer the keys in one ``search_batch`` call (the
-            path :func:`run_dse` takes); ``False`` runs the per-key
-            scalar reference (bit-identical).
+            path :func:`run_dse` takes); ``False`` answers them one by
+            one on the per-key reference -- a flat array through
+            :func:`repro.tcam.reference.search`, a segmented bank
+            through its own ``search`` -- bit-identical, and the oracle
+            the kernel path is checked against.
         tables: :func:`run_dse` plumbing, not a user option: the run's
             pool of kernel engines keyed by electrical signature.  A
             flat array adopts the tables of the pooled engine with its
@@ -258,6 +262,8 @@ def evaluate_point(
     errors = 0
     if use_kernel:
         outcomes = array.search_batch(keys)
+    elif isinstance(array, TCAMArray):
+        outcomes = [reference.search(array, key) for key in keys]
     else:
         outcomes = [array.search(key) for key in keys]
     for out in outcomes:

@@ -23,8 +23,8 @@ registry (the compiled kernel's ``kernels.*`` counters included) are
 printed after the command's own output, and ``--trace-out PATH``
 additionally writes the trace as JSON lines.
 
-Batched searches always run on the arrays' compiled kernel
-(bit-identical to the scalar reference); ``--workers`` sets the process
+Searches always run on the arrays' compiled kernel
+(bit-identical to the per-key reference); ``--workers`` sets the process
 fan-out on the commands whose payloads are worth a process (``mc``,
 ``faults``, ``dse``).  ``serve`` and ``cluster`` search their banks and
 shards in-process.
@@ -47,6 +47,7 @@ from .core import all_designs, build_array, get_design
 from .core.ml_voltage import margin_at_vml
 from .devices.variability import NOMINAL_VARIATION
 from .energy.accounting import EnergyLedger
+from .errors import ReproError
 from .reporting.table import Table
 from .tcam import ArrayGeometry
 from .tcam.cells import all_cell_specs
@@ -1111,10 +1112,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error (:class:`~repro.errors.ReproError`, e.g. an unknown
+    design or cell name) ends the command with one ``repro: error:
+    <message>`` line on stderr and exit code 1; malformed flags exit 2
+    through argparse.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

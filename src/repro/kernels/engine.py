@@ -1,7 +1,8 @@
 """Compiled per-class sensing tables for one array.
 
-The scalar reference search integrates each mismatch class it meets by
-RK4, per search.  The kernel engine instead compiles the *entire* class
+The per-key reference search (:mod:`repro.tcam.reference`) integrates
+each mismatch class it meets by RK4, per search.  The kernel engine
+instead compiles the *entire* class
 triangle of the array's electrical configuration into flat per-``driven`` rows of
 sensing results -- match verdicts, restore/dissipation/sense energies,
 strobe and restore delays -- that survive writes (content never enters
@@ -13,7 +14,7 @@ tabulated RK4 endpoints); current-race rows evaluate the race amp's
 closed form per class.  Both reuse the array's own per-class helpers
 (:meth:`TCAMArray._precharge_class_from_v_end` /
 :meth:`TCAMArray._race_class_from_current`), so every tabulated quantity
-is the exact object the scalar search would have computed.  A batch asks
+is the exact object the per-key reference would have computed.  A batch asks
 for all of its rows in one :meth:`KernelEngine.rows` call, which builds
 every missing row together -- for precharge sensing in one stacked RK4
 pass -- under a ``kernels.build_rows`` span.
@@ -232,7 +233,7 @@ class KernelEngine:
 
         Entry ``n`` is the time for an ``n``-mismatch line (of ``driven``
         driven columns) to cross the sense reference -- float for float
-        the value ``TCAMArray._nearest_window`` computes, with
+        the value ``repro.tcam.reference._nearest_window`` computes, with
         non-finite crossings clamped to ``t_eval``.  Entry 0 (a full
         match never crosses) is ``t_eval``.  The distance kernel gathers
         nearest/threshold/top-k strobe windows from these rows instead

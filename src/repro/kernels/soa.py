@@ -1,7 +1,7 @@
 """Structure-of-arrays snapshot of a TCAM array's stored state.
 
 The array keeps the stored trits as one ``(rows, cols)`` int8 matrix,
-and the scalar reference counts mismatches with a broadcast compare
+and the per-key reference counts mismatches with a broadcast compare
 over it (``mismatch_counts_batch`` does the same over a
 ``(n_keys, rows, cols)`` boolean cube).  The kernel path re-expresses the
 same content as two contiguous *trit planes* -- ``plane0[r, c] = 1``

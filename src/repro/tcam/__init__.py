@@ -8,6 +8,8 @@ The layer stack:
   2-FeFET, and the two energy-aware FeFET variants),
 * :mod:`.array` -- a rows x cols array executing searches and writes with
   full energy/delay accounting,
+* :mod:`.reference` -- the per-key reference bodies of the array's
+  searches, kept as the test oracle of the compiled kernel,
 * :mod:`.batch` -- search results: one key's outcome, a batch's columns,
 * :mod:`.bank` -- segmented/hierarchical search built from arrays,
 * :mod:`.priority` -- match reduction (priority encoding),

@@ -5,8 +5,9 @@ given cell technology and executes the two TCAM operations:
 
 * :meth:`TCAMArray.search` -- parallel compare of a key against every row.
   Rows are grouped by their mismatch count (all rows with ``n`` conducting
-  cells share identical match-line dynamics), each group's ML trajectory is
-  integrated once, and the per-component energies are booked into an
+  cells share identical match-line dynamics), each group's sensing result
+  is gathered from the compiled per-class tables, and the per-component
+  energies are booked into an
   :class:`~repro.energy.accounting.EnergyLedger`.
 * :meth:`TCAMArray.write` -- replace one stored word, paying the cell
   technology's per-trit transition costs.
@@ -21,7 +22,7 @@ injection tests and the Monte-Carlo yield analysis).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +31,13 @@ from .. import obs
 from ..circuits.matchline import MatchLine, MatchLineLoad, composite_current
 from ..circuits.precharge import FullSwingPrecharge, PrechargeScheme
 from ..circuits.rc import discharge_waveform_batch
-from ..circuits.searchline import SearchLine, count_toggles
+from ..circuits.searchline import SearchLine
 from ..circuits.senseamp import CurrentRaceSenseAmp, VoltageSenseAmp
 from ..circuits.wire import M2_WIRE, M4_WIRE, WireModel
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..energy.estimator import ArrayEstimator
 from ..errors import ReproError, TCAMError
-from ..faults.faultmap import FaultKind, FaultMap
+from ..faults.faultmap import FaultMap
 from ..kernels.engine import class_sums
 from .area import TECH_45NM, TechNode, cell_dimensions
 from .cell import CellDescriptor
@@ -47,7 +48,6 @@ from .trit import (
     TernaryWord,
     Trit,
     drive_matrix,
-    mismatch_counts,
     trit_block,
 )
 
@@ -145,8 +145,8 @@ class _PrechargeClassResult:
 
     One instance covers every row sharing ``(n_miss, driven_cols)``: the
     trajectory endpoint, the sense decision derived from it and the
-    per-line restore costs.  These are exactly the quantities the scalar
-    search recomputes per class per search; the compiled kernel
+    per-line restore costs.  These are exactly the quantities the per-key
+    reference recomputes per class per search; the compiled kernel
     tabulates them once per electrical configuration.
     """
 
@@ -326,11 +326,12 @@ class TCAMArray:
             the historical inline accounting).  Pass a factory to study
             alternative cost models without touching the physics.
 
-    The scalar operations (:meth:`search`, :meth:`nearest_match`,
-    :meth:`threshold_match`, :meth:`topk_match`) run the per-key
-    reference bodies; their ``*_batch`` counterparts run the compiled
-    kernel (:attr:`kernel`, see :mod:`repro.kernels`) and are
-    bit-identical to a loop over the scalar calls.
+    Every search runs on the compiled kernel (:attr:`kernel`, see
+    :mod:`repro.kernels`): the scalar operations (:meth:`search`,
+    :meth:`nearest_match`, :meth:`threshold_match`, :meth:`topk_match`)
+    are one-key calls of their ``*_batch`` counterparts, and all of them
+    are bit-identical to a loop over the per-key reference functions of
+    :mod:`repro.tcam.reference`.
     """
 
     def __init__(
@@ -366,10 +367,10 @@ class TCAMArray:
         self._faults: FaultMap | None = None
         self._faults_seen_version = -1
         self._faults_empty = True
-        # The scalar faulty search's memo of fault-signature results,
-        # keyed by (fault-map version, signature) and dropped whenever
-        # the attached map changes (see _fault_precharge_results).
-        self._fault_oracle: dict[tuple, _PrechargeClassResult] = {}
+        # The per-key reference's memo of fault-signature results for one
+        # fault map at one version: (map, version, {signature: result}),
+        # kept by repro.tcam.reference._fault_memo.
+        self._fault_oracle: tuple | None = None
         # Compiled-kernel state: the engine compiles per-class sensing
         # tables that survive writes; the SoA snapshot tracks stored
         # content through this version counter (bumped by every write /
@@ -576,13 +577,12 @@ class TCAMArray:
         pull-down composition feeds the same RK4 integration healthy
         rows use), so faults manifest as wrong *sensed* decisions, not
         output bit-flips.  An **empty** map is equivalent to no map:
-        the search path taken is the ordinary one, bit for bit.  Batches
-        take the fault-aware kernel; the per-key
-        :meth:`_search_impl_faulty` stays the reference.
+        the search path taken is the ordinary one, bit for bit.  Searches
+        take the fault-aware kernel; the per-key faulty body in
+        :mod:`repro.tcam.reference` is its test oracle.
 
         Attaching (and any later mutation of the attached map, detected
-        through :attr:`FaultMap.version`) moves the content version and
-        drops the scalar path's fault-signature memo.
+        through :attr:`FaultMap.version`) moves the content version.
 
         Args:
             faults: The defect map (array-shaped), or ``None`` to detach.
@@ -602,7 +602,6 @@ class TCAMArray:
         else:
             self._faults_seen_version = faults.version
             self._faults_empty = faults.is_empty()
-        self._fault_oracle = {}
         self._content_version += 1
 
     def detach_faults(self) -> None:
@@ -618,63 +617,17 @@ class TCAMArray:
         """True when a non-empty fault map must shape the next search.
 
         Re-inspects the attached map when its version counter moved
-        (in-place mutation after attach), moving the content version and
-        dropping the fault-signature memo once per such change.
+        (in-place mutation after attach), moving the content version once
+        per such change.
         """
         fm = self._faults
         if fm is None:
             return False
         if fm.version != self._faults_seen_version:
-            self._fault_oracle = {}
             self._content_version += 1
             self._faults_seen_version = fm.version
             self._faults_empty = fm.is_empty()
         return not self._faults_empty
-
-    def _fault_row_composition(
-        self, key_arr: np.ndarray, driven: np.ndarray, eff_stored: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell pull-down / weakened-pull-down masks under faults.
-
-        A cell pulls its match line down when it (a) mismatches on the
-        hardware's effective content and its pull-down path is intact
-        (not ``STUCK_MATCH``), or (b) is ``STUCK_MISS`` and its column
-        is driven.  ``RETENTION`` pull-downs conduct through a shifted
-        threshold (the ``weak`` mask).
-        """
-        kind = self._faults.kind
-        x = int(Trit.X)
-        mism = (
-            driven[np.newaxis, :]
-            & (eff_stored != x)
-            & (eff_stored != key_arr[np.newaxis, :])
-        )
-        pulldown = (mism & (kind != int(FaultKind.STUCK_MATCH))) | (
-            (kind == int(FaultKind.STUCK_MISS)) & driven[np.newaxis, :]
-        )
-        weak = pulldown & (kind == int(FaultKind.RETENTION))
-        return pulldown, weak
-
-    def _fault_precharge_results(
-        self, sigs: set[tuple]
-    ) -> dict[tuple, _PrechargeClassResult]:
-        """Sensing results of the retention-degraded fault classes.
-
-        One signature ``(n_strong, weak_offsets, n_leak)`` covers every
-        row sharing that pull-down composition; all missing signatures
-        integrate in one stacked pass (:meth:`_fault_sig_classes`) and
-        are memoised in the array's own ``_fault_oracle`` under keys
-        carrying the fault-map version -- independent of the kernel's
-        :meth:`~repro.kernels.KernelEngine.fault_classes`, so the
-        reference never reads kernel state.
-        """
-        memo = self._fault_oracle
-        fm_version = self._faults.version
-        missing = [sig for sig in sigs if (fm_version, sig) not in memo]
-        if missing:
-            for sig, result in zip(missing, self._fault_sig_classes(missing)):
-                memo[(fm_version, sig)] = result
-        return {sig: memo[(fm_version, sig)] for sig in sigs}
 
     def _fault_sig_classes(self, sigs: list[tuple]) -> list[_PrechargeClassResult]:
         """Integrate retention-degraded signatures in one stacked RK4 pass.
@@ -706,144 +659,6 @@ class TCAMArray:
             )
         return [self._precharge_class_from_v_end(float(v_end)) for v_end in v_ends]
 
-    def _search_impl_faulty(self, key_arr: np.ndarray, active: np.ndarray) -> SearchOutcome:
-        """One search of the validated trit codes ``key_arr`` with the
-        attached (non-empty) fault map injected.
-
-        Healthy-composition rows reuse the nominal per-class machinery
-        (a row with ``n`` intact pull-downs is electrically a nominal
-        ``n``-mismatch row); retention-degraded rows integrate their own
-        composite-current classes; per-row SA offsets shift the strobe;
-        dead rows drop out of sensing entirely (no precharge, no energy,
-        no match).  The logical oracle for ``functional_errors`` is the
-        *intended* content -- so every divergence a fault causes is
-        counted, including writes a ``STUCK_TRIT`` cell swallowed.
-        """
-        fm = self._faults
-        x = int(Trit.X)
-        driven = key_arr != x
-        driven_cols = int(np.count_nonzero(driven))
-        eff_stored = fm.effective_stored(self._stored)
-        pulldown, weak = self._fault_row_composition(key_arr, driven, eff_stored)
-        n_pull = pulldown.sum(axis=1)
-        n_weak = weak.sum(axis=1)
-        sensed = active & ~fm.dead_rows
-
-        ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key_arr)
-
-        rows = self.geometry.rows
-        physical = np.zeros(rows, dtype=bool)
-
-        # Fault-class signature of every retention-degraded sensed row.
-        weak_sigs: dict[int, tuple] = {}
-        for r in np.flatnonzero(sensed & (n_weak > 0)):
-            r = int(r)
-            offsets = tuple(sorted(float(v) for v in fm.value[r][weak[r]]))
-            weak_sigs[r] = (
-                int(n_pull[r] - n_weak[r]),
-                offsets,
-                int(driven_cols - n_pull[r]),
-            )
-
-        any_sensed = bool(np.any(sensed))
-        if self.sensing == "precharge":
-            # Nominal classes integrate in one stacked pass (elementwise
-            # identical to integrating each alone).
-            nominal = np.unique(n_pull[sensed & (n_weak == 0)]).tolist()
-            v_ends = self._ml_voltages_after_eval([(n, driven_cols) for n in nominal])
-            class_results = {
-                n: self._precharge_class_from_v_end(v) for n, v in zip(nominal, v_ends)
-            }
-            sig_results = self._fault_precharge_results(set(weak_sigs.values()))
-            t_sa_max = 0.0
-            t_restore_max = 0.0
-            if any_sensed:
-                for r in np.flatnonzero(sensed):
-                    r = int(r)
-                    res = (
-                        sig_results[weak_sigs[r]]
-                        if r in weak_sigs
-                        else class_results[int(n_pull[r])]
-                    )
-                    offset = float(fm.sa_offset[r])
-                    if offset == 0.0:
-                        physical[r] = res.is_match
-                        t_sa = res.t_sense
-                        e_sense = res.e_sense
-                    else:
-                        decision = self.estimator.sense(res.v_end, offset)
-                        physical[r] = decision.is_match
-                        t_sa = decision.delay
-                        e_sense = decision.energy
-                    ledger.add(EnergyComponent.ML_PRECHARGE, res.e_restore)
-                    ledger.add(EnergyComponent.ML_DISSIPATION, res.e_diss)
-                    ledger.add(EnergyComponent.SENSE_AMP, e_sense)
-                    t_sa_max = max(t_sa_max, t_sa)
-                    t_restore_max = max(t_restore_max, res.t_restore)
-                t_sense = self.t_eval + t_sa_max
-                t_cycle = t_sense + t_restore_max
-            else:
-                t_sense = self.t_eval
-                t_cycle = self.t_eval
-        else:
-            if any_sensed:
-                v_trip = self.race_amp.v_trip
-                i_pd0 = self.cell.i_pulldown(v_trip)
-                i_lk0 = self.cell.i_leak(v_trip)
-                for r in np.flatnonzero(sensed):
-                    r = int(r)
-                    n_strong = int(n_pull[r] - n_weak[r])
-                    i_total = n_strong * i_pd0 + (driven_cols - int(n_pull[r])) * i_lk0
-                    if n_weak[r]:
-                        for dvt in fm.value[r][weak[r]]:
-                            i_total += self.cell.i_pulldown(v_trip, float(dvt))
-                    offset = float(fm.sa_offset[r])
-                    decision = self.estimator.race(i_total, offset)
-                    physical[r] = decision.is_match
-                    ledger.add(EnergyComponent.RACE_SOURCE, decision.energy)
-                cutoff = self.race_amp.cutoff_time(self.c_ml)
-                t_sense = cutoff
-                t_cycle = 1.2 * cutoff
-            else:
-                t_sense = self.race_amp.t_window
-                t_cycle = self.race_amp.t_window
-
-        ledger.add(EnergyComponent.PRIORITY_ENCODER, self.estimator.encode_energy())
-        effective = physical & self._valid
-        first = self.encoder.encode(effective)
-
-        search_delay = self.sl_settle_delay + t_sense + self.encoder.delay
-        cycle_time = self.sl_settle_delay + t_cycle
-
-        leak = self.estimator.leakage_power(self.vdd) * cycle_time
-        ledger.add(EnergyComponent.LEAKAGE, leak)
-
-        # Histogram over the hardware's effective content; the error
-        # oracle over the intended content and the caller's full mask
-        # (a matching word on a dead row is a functional error).
-        miss_eff = mismatch_counts(eff_stored, key_arr)
-        unique, inverse = np.unique(miss_eff, return_inverse=True)
-        counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-        histogram = {int(n): int(c) for n, c in zip(unique, counts_valid) if c}
-        logical_match = (
-            (mismatch_counts(self._stored, key_arr) == 0) & self._valid & active
-        )
-        errors = int(np.count_nonzero(effective != logical_match))
-        m = obs.metrics()
-        if m is not None:
-            m.counter("faults.searches").inc()
-            m.counter("faults.functional_errors").inc(errors)
-        return SearchOutcome(
-            match_mask=effective,
-            first_match=first,
-            energy=ledger,
-            search_delay=search_delay,
-            cycle_time=cycle_time,
-            miss_histogram=histogram,
-            functional_errors=errors,
-        )
-
     # ------------------------------------------------------------------
     # Search path
     # ------------------------------------------------------------------
@@ -853,9 +668,13 @@ class TCAMArray:
     ) -> SearchOutcome:
         """Execute one search and account its energy and timing.
 
-        When an observability session is active, the search is traced as
-        an ``array.search`` span whose per-phase children carry exact
-        slices of the returned ledger (see :data:`_SPAN_ENERGY_GROUPS`).
+        A one-key :meth:`search_batch`: the key and ``row_mask`` are
+        validated before any state moves, then the key runs through the
+        compiled kernel, bit-identical to the per-key reference
+        (:func:`repro.tcam.reference.search`).  When an observability
+        session is active, the search is traced as an ``array.search``
+        span whose per-phase children carry exact slices of the returned
+        ledger (see :data:`_SPAN_ENERGY_GROUPS`).
 
         Args:
             key: Search key (may contain X columns, which are masked): a
@@ -865,67 +684,26 @@ class TCAMArray:
                 the selective-precharge mechanism used by
                 :class:`~repro.tcam.bank.SegmentedBank`.
         """
-        with obs.span(
-            "array.search",
-            rows=self.geometry.rows,
-            cols=self.geometry.cols,
+        packed = trit_block([key], self.geometry.cols, "search")
+        active = self._active_rows(row_mask, "search")
+        return self._traced(
+            lambda: self._search_batch_impl(packed, active),
+            "search",
+            one_key=True,
             sensing=self.sensing,
-        ) as sp:
-            outcome = self._search_impl(key, row_mask)
-            if sp is not None:
-                self._book_search_span(sp, outcome, n_searches=1)
-            return outcome
+        )[0]
 
-    def _search_impl(self, key, row_mask: np.ndarray | None = None) -> SearchOutcome:
-        key_arr = trit_block([key], self.geometry.cols, "search")[0]
-        active = self._active_rows(row_mask)
-        if self._fault_injection_active():
-            return self._search_impl_faulty(key_arr, active)
-        driven_cols = int(np.count_nonzero(key_arr != int(Trit.X)))
-        miss = mismatch_counts(self._stored, key_arr)
-        ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key_arr)
-        return self._search_key(ledger, miss, driven_cols, active)
-
-    def _active_rows(self, row_mask: np.ndarray | None) -> np.ndarray:
-        """The per-row evaluation mask, validated (all rows by default)."""
+    def _active_rows(self, row_mask: np.ndarray | None, api: str) -> np.ndarray:
+        """The per-row evaluation mask, validated (all rows by default);
+        ``api`` names the caller in the error."""
         if row_mask is None:
             return np.ones(self.geometry.rows, dtype=bool)
         active = np.asarray(row_mask, dtype=bool)
         if active.shape != (self.geometry.rows,):
             raise TCAMError(
-                f"row_mask must have shape ({self.geometry.rows},), got {active.shape}"
+                f"{api} row_mask must have shape ({self.geometry.rows},), got {active.shape}"
             )
         return active
-
-    def _search_key(
-        self,
-        ledger: EnergyLedger,
-        miss: np.ndarray,
-        driven_cols: int,
-        active: np.ndarray,
-    ) -> SearchOutcome:
-        """Reference body of one healthy search, after the SL booking.
-
-        Rows group by mismatch count (one ``np.unique`` covers both the
-        sensing classes over the active rows and the histogram over the
-        valid rows); the active classes are sensed once each, precharge
-        ones by one stacked RK4 pass (elementwise identical to
-        integrating each class alone).  The kernel runs this body for
-        keys outside its compiled grid.
-        """
-        unique, inverse = np.unique(miss, return_inverse=True)
-        counts_active = np.bincount(inverse[active], minlength=unique.size)
-        counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-        sensed = [int(n) for n, c in zip(unique, counts_active) if c]
-        if self.sensing == "precharge":
-            results = self._precharge_classes(sensed, driven_cols)
-        else:
-            results = [self._race_class(n, driven_cols) for n in sensed]
-        class_results = dict(zip(sensed, results))
-        return self._assemble_outcome(
-            ledger, miss, active, unique, counts_active, counts_valid, class_results
-        )
 
     def search_batch(
         self, keys, row_mask: np.ndarray | None = None
@@ -934,14 +712,14 @@ class TCAMArray:
 
         Returns a :class:`SearchBatch` (``[]`` for no keys): columns of
         the results that, indexed or iterated, are exactly the
-        :class:`SearchOutcome` sequence that calling :meth:`search` once
-        per key would produce (including the sequential
-        search-line toggle semantics: the first key toggles against the
-        array's current drive state and each subsequent key against its
-        predecessor), but mismatch counts come from one SoA matmul and
-        per-class sensing results from the compiled tables
-        (:meth:`_search_batch_kernel`).  With a non-empty fault map the
-        batch runs the fault-aware kernel
+        :class:`SearchOutcome` sequence the per-key reference
+        (:func:`repro.tcam.reference.search`) produces key by key
+        (including the sequential search-line toggle semantics: the first
+        key toggles against the array's current drive state and each
+        subsequent key against its predecessor), but mismatch counts come
+        from one SoA matmul and per-class sensing results from the
+        compiled tables (:meth:`_search_batch_kernel`).  With a non-empty
+        fault map the batch runs the fault-aware kernel
         (:meth:`_search_batch_faulty_kernel`).
 
         The whole batch (key codes and widths, ``row_mask`` shape) is
@@ -958,45 +736,59 @@ class TCAMArray:
         packed = trit_block(keys, self.geometry.cols, "search_batch")
         if not len(packed):
             return []
-        return self._traced_batch(
-            lambda: self._search_batch_impl(packed, row_mask),
-            "array.search_batch",
+        active = self._active_rows(row_mask, "search_batch")
+        return self._traced(
+            lambda: self._search_batch_impl(packed, active),
+            "search_batch",
             sensing=self.sensing,
             n_keys=len(packed),
         )
 
-    def _search_batch_impl(
-        self, packed: np.ndarray, row_mask: np.ndarray | None = None
-    ) -> SearchBatch:
-        # Validate the row mask before any key touches array state
-        # (search-line drive, caches, metrics).
-        active = self._active_rows(row_mask)
+    def _search_batch_impl(self, packed: np.ndarray, active: np.ndarray) -> SearchBatch:
+        """The kernel tail for validated keys and row mask: the
+        fault-aware one while a non-empty fault map is attached."""
         faulty = self._fault_injection_active()
         soa = self._soa_state()
         if faulty:
             return self._search_batch_faulty_kernel(packed, active, soa)
         return self._search_batch_kernel(packed, active, soa)
 
-    def _traced_batch(self, run: Callable[[], Sequence], name: str, **attrs) -> Sequence:
-        """Run one batch under its span and book search and kernel metrics.
+    # -- observability booking -------------------------------------------------
 
-        The span's energy is the batch's merged ledger
+    def _traced(
+        self, run: Callable[[], Sequence], api: str, one_key: bool = False, **attrs
+    ) -> Sequence:
+        """Run a kernel tail under the ``array.<api>`` span and book
+        search and kernel metrics.
+
+        A scalar call (``one_key``) is a one-key batch whose span keeps
+        the scalar shape: the outcome's delay, its first match, and one
+        child per phase holding an exact slice of the outcome ledger
+        (:meth:`~repro.obs.span.Span.split_energy`, which only reads the
+        ledger).  A batch span holds the merged ledger
         (:meth:`~repro.tcam.outcome.BatchColumns.energy_ledger`), which a
         :class:`SearchBatch` forms from its columns without building an
-        outcome.  Kernel counters are delta-synced into the registry
-        once per batch rather than per lookup, keeping the hot path free
-        of registry calls.
+        outcome.  Kernel counters are delta-synced into the registry once
+        per call rather than per lookup, keeping the hot path free of
+        registry calls.
         """
         with obs.span(
-            name, rows=self.geometry.rows, cols=self.geometry.cols, **attrs
+            "array." + api, rows=self.geometry.rows, cols=self.geometry.cols, **attrs
         ) as sp:
             m = obs.metrics()
             eng = self.kernel
             before = (eng.table_hits, eng.rk4_fallbacks, eng.rows_built)
             outcomes = run()
             if sp is not None:
-                ledger = as_batch(outcomes).energy_ledger()
-                sp.add_energy(ledger)
+                if one_key:
+                    outcome = outcomes[0]
+                    ledger = outcome.energy
+                    sp.set_delay(outcome.search_delay)
+                    sp.annotate(first_match=outcome.first_match)
+                    sp.split_energy(ledger, _SPAN_ENERGY_GROUPS)
+                else:
+                    ledger = as_batch(outcomes).energy_ledger()
+                    sp.add_energy(ledger)
                 self._book_batch_metrics(len(outcomes), ledger)
             if m is not None:
                 after = (eng.table_hits, eng.rk4_fallbacks, eng.rows_built)
@@ -1007,23 +799,6 @@ class TCAMArray:
                 ):
                     m.counter(counter).inc(now - prev)
             return outcomes
-
-    # -- observability booking -------------------------------------------------
-
-    def _book_search_span(self, sp, outcome: SearchOutcome, n_searches: int) -> None:
-        """Annotate a finished search's span and bump the search metrics.
-
-        The outcome ledger is *read only*: per-phase child spans receive
-        fresh slice ledgers (see :meth:`~repro.obs.span.Span.split_energy`),
-        so tracing can never perturb the returned accounting.
-        """
-        sp.set_delay(outcome.search_delay)
-        sp.annotate(
-            first_match=outcome.first_match,
-            functional_errors=outcome.functional_errors,
-        )
-        sp.split_energy(outcome.energy, _SPAN_ENERGY_GROUPS)
-        self._book_batch_metrics(n_searches, outcome.energy)
 
     def _book_batch_metrics(self, n_searches: int, ledger: EnergyLedger) -> None:
         """Count searches and attribute joules per component."""
@@ -1091,8 +866,9 @@ class TCAMArray:
         ``max(0.0, ...)``.  The energy columns follow the reference
         booking order SL -> precharge/dissipation/sense (or race) ->
         encoder -> leakage.  Keys driving more columns than the
-        tabulated grid take the reference body (:meth:`_search_key`),
-        booked as RK4 fallbacks, and keep its outcome.
+        tabulated grid take the reference body
+        (:func:`repro.tcam.reference._search_key`), booked as RK4
+        fallbacks, and keep its outcome.
         """
         eng = self.kernel
         rows, cols = self.geometry.rows, self.geometry.cols
@@ -1151,7 +927,9 @@ class TCAMArray:
             for k in np.flatnonzero(~in_grid).tolist():
                 ledger = EnergyLedger()
                 ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                fallbacks[k] = self._search_key(ledger, miss_all[k], int(driven_all[k]), active)
+                fallbacks[k] = reference._search_key(
+                    self, ledger, miss_all[k], int(driven_all[k]), active
+                )
                 eng.rk4_fallbacks += np.unique(miss_all[k][active]).size
 
             # One padded table per field: entry ``j`` is the compiled row
@@ -1220,8 +998,9 @@ class TCAMArray:
     ) -> SearchBatch:
         """Fault-aware kernel tail of :meth:`_search_batch_impl`.
 
-        Bit-identical, ledger booking order included, to calling
-        :meth:`_search_impl_faulty` (the reference) once per key:
+        Bit-identical, ledger booking order included, to calling the
+        per-key faulty reference
+        (:func:`repro.tcam.reference._search_impl_faulty`) once per key:
 
         * per-row pull-down, effective and intended mismatch counts come
           from one matmul over the snapshot's :class:`FaultPlanes`;
@@ -1417,7 +1196,7 @@ class TCAMArray:
                     self._last_drive = (
                         prev_drive if k == 0 else tuple(int(c) for c in drives[k - 1])
                     )
-                    fallbacks[k] = self._search_impl_faulty(packed[k], active)
+                    fallbacks[k] = reference._search_impl_faulty(self, packed[k], active)
                     eng.rk4_fallbacks += np.unique(n_pull_all[k, sensed_idx]).size
                 self._last_drive = final_drive
 
@@ -1451,23 +1230,6 @@ class TCAMArray:
             return batch
 
     # -- search-line booking -------------------------------------------------
-
-    def _book_searchline_energy(self, ledger: EnergyLedger, key_arr: np.ndarray) -> None:
-        ledger.add(
-            EnergyComponent.SEARCHLINE,
-            self._key_toggles(key_arr) * self.estimator.sl_toggle_energy(),
-        )
-
-    def _key_toggles(self, key_arr: np.ndarray) -> int:
-        """Search-line toggles of driving the trit codes ``key_arr`` after
-        the current drive state, which the key then becomes."""
-        drive = tuple(drive_matrix(key_arr).tolist())
-        if self._last_drive is None:
-            previous = tuple(0 for _ in drive)
-        else:
-            previous = self._last_drive
-        self._last_drive = drive
-        return count_toggles(previous, drive)
 
     def _batch_toggles(self, packed: np.ndarray) -> np.ndarray:
         """Per-key search-line toggle counts for a stacked key batch.
@@ -1518,20 +1280,6 @@ class TCAMArray:
             )
         return out.tolist()
 
-    def _ml_voltage_after_eval(self, n_miss: int, driven_cols: int, v_pre: float) -> float:
-        """Strobe-time ML voltage of one mismatch class (``v_pre`` must be
-        the active precharge target; kept as an argument for call-site
-        clarity in the characterization helpers)."""
-        return self._ml_voltages_after_eval([(n_miss, driven_cols)])[0]
-
-    def _precharge_classes(
-        self, n_misses: Iterable[int], driven_cols: int
-    ) -> list[_PrechargeClassResult]:
-        """Full sensing results of precharge classes sharing ``driven_cols``
-        (one stacked RK4 pass)."""
-        v_ends = self._ml_voltages_after_eval([(int(n), driven_cols) for n in n_misses])
-        return [self._precharge_class_from_v_end(v) for v in v_ends]
-
     def _precharge_class_from_v_end(self, v_end: float) -> _PrechargeClassResult:
         decision = self.estimator.sense(v_end)
         e_restore = self.estimator.ml_precharge_energy(v_end)
@@ -1546,17 +1294,6 @@ class TCAMArray:
             t_restore=self.precharge.restore_time(self.c_ml, v_end),
         )
 
-    def _race_class(self, n_miss: int, driven_cols: int) -> _RaceClassResult:
-        """Sensing result of one current-race mismatch class."""
-        i_total = composite_current(
-            self.race_amp.v_trip,
-            self.cell.i_pulldown,
-            self.cell.i_leak,
-            int(n_miss),
-            driven_cols - int(n_miss),
-        )
-        return self._race_class_from_current(i_total)
-
     def _race_class_from_current(self, i_total: float) -> _RaceClassResult:
         """Race-amp result of a line drawing ``i_total`` at the trip point."""
         decision = self.estimator.race(i_total)
@@ -1564,105 +1301,28 @@ class TCAMArray:
             is_match=decision.is_match, energy=decision.energy, delay=decision.delay
         )
 
-    # -- outcome assembly ------------------------------------------------------
-
-    def _assemble_outcome(
-        self,
-        ledger: EnergyLedger,
-        miss: np.ndarray,
-        active: np.ndarray,
-        unique: np.ndarray,
-        counts_active: np.ndarray,
-        counts_valid: np.ndarray,
-        class_results: dict[int, _PrechargeClassResult | _RaceClassResult],
-    ) -> SearchOutcome:
-        """Book per-class energies and build the outcome for one search.
-
-        Used by the scalar reference (:meth:`_search_key`), which
-        computes ``class_results`` directly; the kernel gathers the same
-        quantities from its compiled tables instead.
-        """
-        rows = self.geometry.rows
-        physical = np.zeros(rows, dtype=bool)
-        any_active = bool(np.any(active))
-
-        if self.sensing == "precharge":
-            t_sa_max = 0.0
-            t_restore_max = 0.0
-            if any_active:
-                for n, n_rows in zip(unique, counts_active):
-                    if not n_rows:
-                        continue
-                    r = class_results[int(n)]
-                    physical[active & (miss == n)] = r.is_match
-                    ledger.add(EnergyComponent.ML_PRECHARGE, float(n_rows) * r.e_restore)
-                    ledger.add(EnergyComponent.ML_DISSIPATION, float(n_rows) * r.e_diss)
-                    ledger.add(EnergyComponent.SENSE_AMP, float(n_rows) * r.e_sense)
-                    t_sa_max = max(t_sa_max, r.t_sense)
-                    t_restore_max = max(t_restore_max, r.t_restore)
-                t_sense = self.t_eval + t_sa_max
-                t_cycle = t_sense + t_restore_max
-            else:
-                t_sense = self.t_eval
-                t_cycle = self.t_eval
-        else:
-            if any_active:
-                for n, n_rows in zip(unique, counts_active):
-                    if not n_rows:
-                        continue
-                    r = class_results[int(n)]
-                    physical[active & (miss == n)] = r.is_match
-                    ledger.add(EnergyComponent.RACE_SOURCE, float(n_rows) * r.energy)
-                # Matched lines were charged to the trip point and reset to
-                # ground; the reset burns stored charge but draws nothing new.
-                cutoff = self.race_amp.cutoff_time(self.c_ml)
-                t_sense = cutoff
-                t_cycle = 1.2 * cutoff  # reset phase
-            else:
-                t_sense = self.race_amp.t_window
-                t_cycle = self.race_amp.t_window
-
-        # Priority encoding --------------------------------------------------
-        ledger.add(EnergyComponent.PRIORITY_ENCODER, self.estimator.encode_energy())
-        effective = physical & self._valid
-        first = self.encoder.encode(effective)
-
-        search_delay = self.sl_settle_delay + t_sense + self.encoder.delay
-        cycle_time = self.sl_settle_delay + t_cycle
-
-        # Standby leakage over the cycle ----------------------------------------
-        leak = self.estimator.leakage_power(self.vdd) * cycle_time
-        ledger.add(EnergyComponent.LEAKAGE, leak)
-
-        logical_match = (miss == 0) & self._valid & active
-        histogram = {int(n): int(c) for n, c in zip(unique, counts_valid) if c}
-        errors = int(np.count_nonzero(effective != logical_match))
-        return SearchOutcome(
-            match_mask=effective,
-            first_match=first,
-            energy=ledger,
-            search_delay=search_delay,
-            cycle_time=cycle_time,
-            miss_histogram=histogram,
-            functional_errors=errors,
-        )
-
     # ------------------------------------------------------------------
     # Approximate search (associative-memory mode, used by the HDC and
     # retrieval workloads)
     # ------------------------------------------------------------------
 
-    def _require_precharge(self, api: str) -> None:
-        """Shared sensing-mode guard; ``api`` names the calling method."""
-        if self.sensing != "precharge":
-            raise TCAMError(f"{api} requires precharge-style sensing")
+    def _require_distance_mode(self, api: str) -> None:
+        """Guard shared by the distance searches; ``api`` names the caller.
 
-    def _require_no_faults(self, api: str) -> None:
-        """Shared fault-injection guard; ``api`` names the calling method."""
+        They sense in the time domain, so they need precharge-style
+        sensing, and they do not model fault injection.
+        """
+        if self.sensing != "precharge":
+            raise TCAMError(f"{api}() requires precharge-style sensing")
         if self._fault_injection_active():
             raise TCAMError(
-                f"{api} does not support fault injection; detach the fault map first"
+                f"{api}() does not support fault injection; detach the fault map first"
             )
+
+    def _distance_keys(self, keys, api: str) -> np.ndarray:
+        """The packed keys of a distance search, after its mode guard."""
+        self._require_distance_mode(api)
+        return trit_block(keys, self.geometry.cols, api)
 
     def nearest_match(self, key: TernaryWord | np.ndarray) -> NearestMatchOutcome:
         """Best-match search: the row with the fewest mismatching cells.
@@ -1676,133 +1336,32 @@ class TCAMArray:
         discharges -- which is why associative-memory mode costs more per
         search than exact-match mode.
 
-        Only supported for precharge-style sensing.
+        A one-key :meth:`nearest_match_batch`, traced as an
+        ``array.nearest_match`` span.  Only supported for precharge-style
+        sensing.
         """
-        self._require_precharge("nearest_match()")
-        self._require_no_faults("nearest_match()")
-        with obs.span(
-            "array.nearest_match",
-            rows=self.geometry.rows,
-            cols=self.geometry.cols,
-        ) as sp:
-            outcome = self._nearest_key(*self._distance_key_state(key, "nearest_match"))
-            if sp is not None:
-                sp.set_delay(outcome.search_delay)
-                sp.annotate(row=outcome.row, distance=outcome.distance)
-                sp.split_energy(outcome.energy, _SPAN_ENERGY_GROUPS)
-                self._book_batch_metrics(1, outcome.energy)
-            return outcome
+        packed = self._distance_keys([key], "nearest_match")
+        return self._traced(
+            lambda: self._nearest_match_batch_kernel(packed), "nearest_match", one_key=True
+        )[0]
 
     def nearest_match_batch(self, keys) -> list[NearestMatchOutcome]:
         """Best-match search over a batch on the fused distance kernel.
 
-        Equivalent to ``[nearest_match(k) for k in keys]`` outcome by
-        outcome: one SoA matmul yields the whole mismatch matrix, and the
-        windows and winner droops come from the compiled tables
+        Outcome by outcome what the per-key reference
+        (:func:`repro.tcam.reference.nearest_match`) returns key by key:
+        one SoA matmul yields the whole mismatch matrix, and the windows
+        and winner droops come from the compiled tables
         (:meth:`_nearest_match_batch_kernel`).
         """
-        self._require_precharge("nearest_match_batch()")
-        self._require_no_faults("nearest_match_batch()")
-        packed = trit_block(keys, self.geometry.cols, "nearest_match_batch")
+        packed = self._distance_keys(keys, "nearest_match_batch")
         if not len(packed):
             return []
-        return self._traced_batch(
+        return self._traced(
             lambda: self._nearest_match_batch_kernel(packed),
-            "array.nearest_match_batch",
+            "nearest_match_batch",
             n_keys=len(packed),
         )
-
-    def _distance_key_state(
-        self, key, api: str
-    ) -> tuple[np.ndarray, int, int, float, float, np.ndarray]:
-        """Inputs of the per-key distance references for one scalar call.
-
-        The key's mismatch vector, driven-column count and search-line
-        toggles (advancing the drive state), plus the toggle energy,
-        precharge target and valid rows -- the argument prefix of
-        :meth:`_nearest_key`, :meth:`_threshold_key` and :meth:`_topk_key`.
-        """
-        key_arr = trit_block([key], self.geometry.cols, api)[0]
-        return (
-            mismatch_counts(self._stored, key_arr),
-            int(np.count_nonzero(key_arr != int(Trit.X))),
-            self._key_toggles(key_arr),
-            self.estimator.sl_toggle_energy(),
-            self.precharge.target_voltage(),
-            np.flatnonzero(self._valid),
-        )
-
-    def _nearest_key(
-        self,
-        miss: np.ndarray,
-        driven_cols: int,
-        n_toggles: int,
-        e_toggle: float,
-        v_pre: float,
-        valid_idx: np.ndarray,
-    ) -> NearestMatchOutcome:
-        """Reference per-key best-match body (scalar API and kernel fallback)."""
-        ledger = EnergyLedger()
-        ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
-        if valid_idx.size == 0:
-            return NearestMatchOutcome(None, 0, ledger, self.sl_settle_delay)
-        best_pos = int(valid_idx[np.argmin(miss[valid_idx])])
-        best_distance = int(miss[best_pos])
-
-        runner_up = best_distance + 1
-        if runner_up <= driven_cols and runner_up > 0:
-            t_window = self._nearest_window(runner_up, driven_cols, v_pre)
-        else:
-            t_window = self.t_eval
-
-        n_losers = int(np.count_nonzero(miss[valid_idx] > best_distance))
-        n_winners = int(valid_idx.size - n_losers)
-        ledger.add(
-            EnergyComponent.ML_PRECHARGE,
-            self.estimator.ml_precharge_energy(0.0, n_losers),
-        )
-        ledger.add(
-            EnergyComponent.ML_DISSIPATION,
-            self.estimator.ml_dissipation_energy(0.0, n_losers),
-        )
-        if best_distance == 0:
-            v_winner = self._ml_voltage_after_eval(0, driven_cols, v_pre)
-        else:
-            v_winner = 0.0
-            ledger.add(
-                EnergyComponent.ML_DISSIPATION,
-                self.estimator.ml_dissipation_energy(0.0, n_winners),
-            )
-        ledger.add(
-            EnergyComponent.ML_PRECHARGE,
-            self.estimator.ml_precharge_energy(v_winner, n_winners),
-        )
-        ledger.add(
-            EnergyComponent.SENSE_AMP,
-            self.estimator.sense_idle_energy(valid_idx.size),
-        )
-        ledger.add(EnergyComponent.PRIORITY_ENCODER, self.estimator.encode_energy())
-
-        delay = self.sl_settle_delay + t_window + self.encoder.delay
-        ledger.add(EnergyComponent.LEAKAGE, self.standby_power() * delay)
-        return NearestMatchOutcome(best_pos, best_distance, ledger, delay)
-
-    def _nearest_window(self, runner_up: int, driven_cols: int, v_pre: float) -> float:
-        """Time for a ``runner_up``-mismatch line to cross the reference
-        (``t_eval`` when it never does)."""
-        load = MatchLineLoad(
-            capacitance=self.c_ml,
-            n_miss=runner_up,
-            n_match=max(driven_cols - runner_up, 0),
-            i_pulldown=self.cell.i_pulldown,
-            i_leak=self.cell.i_leak,
-        )
-        t_window = MatchLine(load, v_pre, self.vdd).time_to(self.sense_amp.v_ref)
-        if not np.isfinite(t_window):
-            t_window = self.t_eval
-        return t_window
-
-    # -- tolerance (threshold) search ------------------------------------------
 
     def threshold_match(
         self, key: TernaryWord | np.ndarray, max_distance: int
@@ -1818,120 +1377,36 @@ class TCAMArray:
         swing books -- which is what makes a tolerance probe cheaper per
         query than an exact-match :meth:`search` scan.
 
-        Only supported for precharge-style sensing.
+        A one-key :meth:`threshold_match_batch`, traced as an
+        ``array.threshold_match`` span.  Only supported for
+        precharge-style sensing.
         """
-        self._require_precharge("threshold_match()")
-        self._require_no_faults("threshold_match()")
-        max_distance = _check_count(max_distance, "max_distance", 0)
-        with obs.span(
-            "array.threshold_match",
-            rows=self.geometry.rows,
-            cols=self.geometry.cols,
+        packed = self._distance_keys([key], "threshold_match")
+        max_distance = _check_count(max_distance, "threshold_match max_distance", 0)
+        return self._traced(
+            lambda: self._threshold_match_batch_kernel(packed, max_distance),
+            "threshold_match",
+            one_key=True,
             max_distance=max_distance,
-        ) as sp:
-            outcome = self._threshold_key(
-                *self._distance_key_state(key, "threshold_match"), max_distance
-            )
-            if sp is not None:
-                sp.set_delay(outcome.search_delay)
-                sp.annotate(n_matches=outcome.n_matches)
-                sp.split_energy(outcome.energy, _SPAN_ENERGY_GROUPS)
-                self._book_batch_metrics(1, outcome.energy)
-            return outcome
+        )[0]
 
     def threshold_match_batch(self, keys, max_distance: int) -> list[ThresholdMatchOutcome]:
         """Tolerance search over a batch on the fused distance kernel.
 
-        Equivalent to ``[threshold_match(k, max_distance) for k in keys]``
-        outcome by outcome (:meth:`_threshold_match_batch_kernel`).
+        Outcome by outcome what the per-key reference
+        (:func:`repro.tcam.reference.threshold_match`) returns key by key
+        (:meth:`_threshold_match_batch_kernel`).
         """
-        self._require_precharge("threshold_match_batch()")
-        self._require_no_faults("threshold_match_batch()")
-        max_distance = _check_count(max_distance, "max_distance", 0)
-        packed = trit_block(keys, self.geometry.cols, "threshold_match_batch")
+        packed = self._distance_keys(keys, "threshold_match_batch")
+        max_distance = _check_count(max_distance, "threshold_match_batch max_distance", 0)
         if not len(packed):
             return []
-        return self._traced_batch(
+        return self._traced(
             lambda: self._threshold_match_batch_kernel(packed, max_distance),
-            "array.threshold_match_batch",
+            "threshold_match_batch",
             n_keys=len(packed),
             max_distance=max_distance,
         )
-
-    def _threshold_key(
-        self,
-        miss: np.ndarray,
-        driven_cols: int,
-        n_toggles: int,
-        e_toggle: float,
-        v_pre: float,
-        valid_idx: np.ndarray,
-        max_distance: int,
-    ) -> ThresholdMatchOutcome:
-        """Reference per-key tolerance-search body (scalar API and kernel fallback)."""
-        rows = self.geometry.rows
-        ledger = EnergyLedger()
-        ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
-        if valid_idx.size == 0:
-            return ThresholdMatchOutcome(
-                match_mask=np.zeros(rows, dtype=bool),
-                first_match=None,
-                n_matches=0,
-                max_distance=max_distance,
-                energy=ledger,
-                search_delay=self.sl_settle_delay,
-            )
-        miss_v = miss[valid_idx]
-        within = miss_v <= max_distance
-        mask = np.zeros(rows, dtype=bool)
-        mask[valid_idx[within]] = True
-        n_matches = int(np.count_nonzero(within))
-        n_losers = int(valid_idx.size - n_matches)
-
-        # Strobe window: the first excluded class must cross the reference.
-        cut = max_distance + 1
-        if 0 < cut <= driven_cols:
-            t_window = self._nearest_window(cut, driven_cols, v_pre)
-        else:
-            t_window = self.t_eval
-
-        ledger.add(
-            EnergyComponent.ML_PRECHARGE,
-            self.estimator.ml_precharge_energy(0.0, n_losers),
-        )
-        ledger.add(
-            EnergyComponent.ML_DISSIPATION,
-            self.estimator.ml_dissipation_energy(0.0, n_losers),
-        )
-        # Accepted rows droop to their class endpoints; each accepted
-        # class books restore and dissipation, accumulated in ascending
-        # n_miss order into one add per component (= the kernel's
-        # segmented sums, bit for bit).
-        e_pre = 0.0
-        e_diss = 0.0
-        classes, counts = np.unique(miss_v[within], return_counts=True)
-        for c, r in zip(counts, self._precharge_classes(classes, driven_cols)):
-            e_pre += float(c) * r.e_restore
-            e_diss += float(c) * r.e_diss
-        ledger.add(EnergyComponent.ML_PRECHARGE, e_pre)
-        ledger.add(EnergyComponent.ML_DISSIPATION, e_diss)
-        ledger.add(
-            EnergyComponent.SENSE_AMP,
-            self.estimator.sense_idle_energy(valid_idx.size),
-        )
-        ledger.add(EnergyComponent.PRIORITY_ENCODER, self.estimator.encode_energy())
-        delay = self.sl_settle_delay + t_window + self.encoder.delay
-        ledger.add(EnergyComponent.LEAKAGE, self.standby_power() * delay)
-        return ThresholdMatchOutcome(
-            match_mask=mask,
-            first_match=self.encoder.encode(mask),
-            n_matches=n_matches,
-            max_distance=max_distance,
-            energy=ledger,
-            search_delay=delay,
-        )
-
-    # -- k-nearest (top-k) search ----------------------------------------------
 
     def topk_match(self, key: TernaryWord | np.ndarray, k: int) -> TopKMatchOutcome:
         """k-nearest search: the ``k`` rows with the fewest mismatches.
@@ -1941,121 +1416,54 @@ class TCAMArray:
         reference; the priority encoder then drains the k winners
         sequentially (ascending distance, ties broken by row index).
 
-        Only supported for precharge-style sensing.
+        A one-key :meth:`topk_match_batch`, traced as an
+        ``array.topk_match`` span.  Only supported for precharge-style
+        sensing.
         """
-        self._require_precharge("topk_match()")
-        self._require_no_faults("topk_match()")
-        k = _check_count(k, "k", 1)
-        with obs.span(
-            "array.topk_match",
-            rows=self.geometry.rows,
-            cols=self.geometry.cols,
-            k=k,
-        ) as sp:
-            outcome = self._topk_key(*self._distance_key_state(key, "topk_match"), k)
-            if sp is not None:
-                sp.set_delay(outcome.search_delay)
-                sp.annotate(n_returned=len(outcome.rows))
-                sp.split_energy(outcome.energy, _SPAN_ENERGY_GROUPS)
-                self._book_batch_metrics(1, outcome.energy)
-            return outcome
+        packed = self._distance_keys([key], "topk_match")
+        k = _check_count(k, "topk_match k", 1)
+        return self._traced(
+            lambda: self._topk_match_batch_kernel(packed, k), "topk_match", one_key=True, k=k
+        )[0]
 
     def topk_match_batch(self, keys, k: int) -> list[TopKMatchOutcome]:
         """k-nearest search over a batch on the fused distance kernel.
 
-        Equivalent to ``[topk_match(key, k) for key in keys]`` outcome by
-        outcome (:meth:`_topk_match_batch_kernel`).
+        Outcome by outcome what the per-key reference
+        (:func:`repro.tcam.reference.topk_match`) returns key by key
+        (:meth:`_topk_match_batch_kernel`).
         """
-        self._require_precharge("topk_match_batch()")
-        self._require_no_faults("topk_match_batch()")
-        k = _check_count(k, "k", 1)
-        packed = trit_block(keys, self.geometry.cols, "topk_match_batch")
+        packed = self._distance_keys(keys, "topk_match_batch")
+        k = _check_count(k, "topk_match_batch k", 1)
         if not len(packed):
             return []
-        return self._traced_batch(
+        return self._traced(
             lambda: self._topk_match_batch_kernel(packed, k),
-            "array.topk_match_batch",
+            "topk_match_batch",
             n_keys=len(packed),
             k=k,
         )
 
-    def _topk_key(
-        self,
-        miss: np.ndarray,
-        driven_cols: int,
-        n_toggles: int,
-        e_toggle: float,
-        v_pre: float,
-        valid_idx: np.ndarray,
-        k: int,
-    ) -> TopKMatchOutcome:
-        """Reference per-key top-k body (scalar API and kernel fallback)."""
-        ledger = EnergyLedger()
-        ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
-        if valid_idx.size == 0:
-            return TopKMatchOutcome((), (), k, ledger, self.sl_settle_delay)
-        miss_v = miss[valid_idx]
-        n_take = min(k, int(valid_idx.size))
-        order = np.argsort(miss_v, kind="stable")[:n_take]
-        sel_rows = valid_idx[order]
-        sel_dist = miss_v[order]
-        d_k = int(sel_dist[-1])
-
-        # Strobe window: the class one past the k-th winner must cross.
-        cut = d_k + 1
-        if 0 < cut <= driven_cols:
-            t_window = self._nearest_window(cut, driven_cols, v_pre)
-        else:
-            t_window = self.t_eval
-
-        # Every class deeper than the k-th winner fully discharges; the
-        # surviving classes droop to their endpoints.
-        survivors = miss_v <= d_k
-        n_losers = int(valid_idx.size - np.count_nonzero(survivors))
-        ledger.add(
-            EnergyComponent.ML_PRECHARGE,
-            self.estimator.ml_precharge_energy(0.0, n_losers),
-        )
-        ledger.add(
-            EnergyComponent.ML_DISSIPATION,
-            self.estimator.ml_dissipation_energy(0.0, n_losers),
-        )
-        e_pre = 0.0
-        e_diss = 0.0
-        classes, counts = np.unique(miss_v[survivors], return_counts=True)
-        for c, r in zip(counts, self._precharge_classes(classes, driven_cols)):
-            e_pre += float(c) * r.e_restore
-            e_diss += float(c) * r.e_diss
-        ledger.add(EnergyComponent.ML_PRECHARGE, e_pre)
-        ledger.add(EnergyComponent.ML_DISSIPATION, e_diss)
-        ledger.add(
-            EnergyComponent.SENSE_AMP,
-            self.estimator.sense_idle_energy(valid_idx.size),
-        )
-        ledger.add(
-            EnergyComponent.PRIORITY_ENCODER,
-            float(n_take) * self.estimator.encode_energy(),
-        )
-        delay = self.sl_settle_delay + t_window + float(n_take) * self.encoder.delay
-        ledger.add(EnergyComponent.LEAKAGE, self.standby_power() * delay)
-        return TopKMatchOutcome(
-            rows=tuple(int(r) for r in sel_rows),
-            distances=tuple(int(d) for d in sel_dist),
-            k=k,
-            energy=ledger,
-            search_delay=delay,
-        )
-
     # -- fused distance kernel tails -------------------------------------------
 
-    def _distance_kernel_prologue(self, packed: np.ndarray):
+    def _distance_kernel_prologue(self, packed: np.ndarray, body: Callable, *extra):
         """Shared front half of the distance-kernel tails.
 
         One SoA matmul for the full ``(n_keys, rows)`` mismatch matrix
         (bit-identical to the broadcast reference), plus the per-key
-        driven counts, sequential search-line toggle chain and the
-        constant per-batch estimator values.
+        driven counts and sequential search-line toggle chain.  Keys the
+        tables do not serve take the per-key reference ``body`` (one of
+        :mod:`repro.tcam.reference`'s ``_*_key``, given ``extra`` after
+        the key state): every key when the array holds no valid row
+        (the reference then books the search lines only), else the keys
+        driving more columns than the compiled grid, booked as RK4
+        fallbacks.
+
+        Returns ``(outcomes, idx, miss_all, driven_all, sl_e,
+        valid_idx)``: the outcome list with the reference entries filled
+        in, and ``idx``, the keys left for the tables.
         """
+        eng = self.kernel
         miss_all = self._soa_state().mismatch_counts(packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
         toggles = self._batch_toggles(packed)
@@ -2064,7 +1472,16 @@ class TCAMArray:
         sl_e = toggles.astype(np.float64) * e_toggle
         valid_idx = np.flatnonzero(self._valid)
         v_pre = self.precharge.target_voltage()
-        return miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre
+        tabled = (driven_all <= eng.max_driven) & (valid_idx.size > 0)
+        outcomes = [None] * len(packed)
+        for q in np.flatnonzero(~tabled).tolist():
+            outcomes[q] = body(
+                self, miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle, v_pre,
+                valid_idx, *extra,
+            )
+        if valid_idx.size:
+            eng.rk4_fallbacks += len(packed) - int(np.count_nonzero(tabled))
+        return outcomes, np.flatnonzero(tabled), miss_all, driven_all, sl_e, valid_idx
 
     def _nearest_match_batch_kernel(self, packed: np.ndarray) -> list[NearestMatchOutcome]:
         """Kernel tail of :meth:`nearest_match_batch`.
@@ -2072,7 +1489,8 @@ class TCAMArray:
         Winner/runner-up partitioning is vectorized over the whole
         mismatch matrix; evaluation windows come from the engine's
         crossing-time tables (:meth:`~repro.kernels.KernelEngine.window_row`,
-        the same floats :meth:`_nearest_window` computes) and the
+        the same floats :func:`repro.tcam.reference._nearest_window`
+        computes) and the
         winner droop voltages from the compiled waveform tables.  The
         per-key ledgers repeat the reference adds in the reference order,
         with the estimator's count-scaled terms memoized per distinct
@@ -2083,17 +1501,10 @@ class TCAMArray:
         eng = self.kernel
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="nearest", n_keys=n_keys) as sp:
-            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed)
+            outcomes, idx, miss_all, driven_all, sl_e, valid_idx = (
+                self._distance_kernel_prologue(packed, reference._nearest_key)
             )
-            outcomes: list[NearestMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:
-                for q in range(n_keys):
-                    ledger = EnergyLedger()
-                    ledger.add(EnergyComponent.SEARCHLINE, float(sl_e[q]))
-                    outcomes[q] = NearestMatchOutcome(
-                        None, 0, ledger, self.sl_settle_delay
-                    )
                 return outcomes
 
             miss_v = miss_all[:, valid_idx]
@@ -2111,16 +1522,6 @@ class TCAMArray:
             k_leak = self.standby_power()
             diss_tab = eng.diss0_table(int(valid_idx.size))
 
-            in_grid = driven_all <= eng.max_driven
-            for q in np.flatnonzero(~in_grid):
-                q = int(q)
-                outcomes[q] = self._nearest_key(
-                    miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle,
-                    v_pre, valid_idx,
-                )
-                eng.rk4_fallbacks += 1
-
-            idx = np.flatnonzero(in_grid)
             if idx.size:
                 # Pad the per-driven crossing-time rows and winner restore
                 # energies into dense tables so the whole batch gathers in
@@ -2185,7 +1586,7 @@ class TCAMArray:
                 for q, out in zip(idx.tolist(), assembled):
                     outcomes[q] = out
             if sp is not None:
-                sp.annotate(fallback_keys=int(np.count_nonzero(~in_grid)))
+                sp.annotate(fallback_keys=n_keys - idx.size)
             return outcomes
 
     def _valid_class_counts(self, miss_v: np.ndarray) -> np.ndarray:
@@ -2211,22 +1612,10 @@ class TCAMArray:
         rows = self.geometry.rows
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="threshold", n_keys=n_keys) as sp:
-            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed)
+            outcomes, idx, miss_all, driven_all, sl_e, valid_idx = (
+                self._distance_kernel_prologue(packed, reference._threshold_key, max_distance)
             )
-            outcomes: list[ThresholdMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:
-                for q in range(n_keys):
-                    ledger = EnergyLedger()
-                    ledger.add(EnergyComponent.SEARCHLINE, float(sl_e[q]))
-                    outcomes[q] = ThresholdMatchOutcome(
-                        match_mask=np.zeros(rows, dtype=bool),
-                        first_match=None,
-                        n_matches=0,
-                        max_distance=max_distance,
-                        energy=ledger,
-                        search_delay=self.sl_settle_delay,
-                    )
                 return outcomes
 
             miss_v = miss_all[:, valid_idx]
@@ -2249,16 +1638,6 @@ class TCAMArray:
             k_leak = self.standby_power()
             diss_tab = eng.diss0_table(int(valid_idx.size))
 
-            in_grid = driven_all <= eng.max_driven
-            for q in np.flatnonzero(~in_grid):
-                q = int(q)
-                outcomes[q] = self._threshold_key(
-                    miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle,
-                    v_pre, valid_idx, max_distance,
-                )
-                eng.rk4_fallbacks += 1
-
-            idx = np.flatnonzero(in_grid)
             ds = np.unique(driven_all[idx]).tolist()
             for d, vrow in zip(ds, eng.rows(ds)):
                 grp = idx[driven_all[idx] == d]
@@ -2299,7 +1678,7 @@ class TCAMArray:
                         search_delay=delay,
                     )
             if sp is not None:
-                sp.annotate(fallback_keys=int(np.count_nonzero(~in_grid)))
+                sp.annotate(fallback_keys=n_keys - idx.size)
             return outcomes
 
     def _topk_match_batch_kernel(self, packed: np.ndarray, k: int) -> list[TopKMatchOutcome]:
@@ -2312,15 +1691,10 @@ class TCAMArray:
         eng = self.kernel
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="topk", n_keys=n_keys) as sp:
-            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed)
+            outcomes, idx, miss_all, driven_all, sl_e, valid_idx = (
+                self._distance_kernel_prologue(packed, reference._topk_key, k)
             )
-            outcomes: list[TopKMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:
-                for q in range(n_keys):
-                    ledger = EnergyLedger()
-                    ledger.add(EnergyComponent.SEARCHLINE, float(sl_e[q]))
-                    outcomes[q] = TopKMatchOutcome((), (), k, ledger, self.sl_settle_delay)
                 return outcomes
 
             n_valid = int(valid_idx.size)
@@ -2348,16 +1722,6 @@ class TCAMArray:
             k_leak = self.standby_power()
             diss_tab = eng.diss0_table(n_valid)
 
-            in_grid = driven_all <= eng.max_driven
-            for q in np.flatnonzero(~in_grid):
-                q = int(q)
-                outcomes[q] = self._topk_key(
-                    miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle,
-                    v_pre, valid_idx, k,
-                )
-                eng.rk4_fallbacks += 1
-
-            idx = np.flatnonzero(in_grid)
             ds = np.unique(driven_all[idx]).tolist()
             for d, vrow in zip(ds, eng.rows(ds)):
                 grp = idx[driven_all[idx] == d]
@@ -2402,7 +1766,7 @@ class TCAMArray:
                         search_delay=delays_l[i],
                     )
             if sp is not None:
-                sp.annotate(fallback_keys=int(np.count_nonzero(~in_grid)))
+                sp.annotate(fallback_keys=n_keys - idx.size)
             return outcomes
 
     # ------------------------------------------------------------------
@@ -2484,3 +1848,8 @@ class TCAMArray:
             raise TCAMError(f"endurance must be positive, got {endurance_cycles}")
         worst = float(self._write_counts.max())
         return max(1.0 - worst / endurance_cycles, 0.0)
+
+
+# The per-key reference builds this module's outcome types, so it binds
+# after them; the kernel tails call it for keys outside their grid.
+from . import reference  # noqa: E402

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import all_designs, build_array, get_design
-from repro.tcam import ArrayGeometry, TCAMArray
+from repro.tcam import ArrayGeometry, TCAMArray, reference
 from repro.tcam.cells import get_cell
 
 
@@ -48,22 +48,33 @@ def fefet_array(small_geometry):
     return build_array(get_design("fefet2t"), small_geometry)
 
 
-def _per_key_search_batch(self, keys, *args):
-    """The per-key scalar reference of ``TCAMArray.search_batch``."""
-    return [self.search(key, *args) for key in keys]
+def _per_key_loop(scalar):
+    """A ``*_batch`` method answering its keys one by one with ``scalar``."""
+
+    def batch(self, keys, *args, **kwargs):
+        return [scalar(self, key, *args, **kwargs) for key in keys]
+
+    return batch
+
+
+_SEARCHES = ("search", "nearest_match", "threshold_match", "topk_match")
 
 
 @pytest.fixture
 def per_key_search(monkeypatch):
-    """A context manager inside which every ``TCAMArray.search_batch``
-    is answered by a per-key scalar ``search`` loop: the reference the
-    batch paths must equal bit for bit.  (The NAND array's
-    ``search_batch`` already is that loop.)"""
+    """A context manager inside which every ``TCAMArray`` search, scalar
+    or batch, exact or distance, is answered by the per-key reference
+    functions of :mod:`repro.tcam.reference`: the oracle the kernel paths
+    must equal bit for bit.  (The NAND array's ``search_batch`` already
+    is a per-key loop over its own scalar ``search``.)"""
 
     @contextlib.contextmanager
     def patched():
         with monkeypatch.context() as m:
-            m.setattr(TCAMArray, "search_batch", _per_key_search_batch)
+            for name in _SEARCHES:
+                scalar = getattr(reference, name)
+                m.setattr(TCAMArray, name, scalar)
+                m.setattr(TCAMArray, name + "_batch", _per_key_loop(scalar))
             yield
 
     return patched

@@ -22,7 +22,7 @@ from repro import obs
 from repro.core import build_array, get_design
 from repro.errors import TCAMError
 from repro.faults import FaultKind, FaultMap
-from repro.tcam import ArrayGeometry, TCAMArray, TCAMChip
+from repro.tcam import ArrayGeometry, TCAMArray, TCAMChip, reference
 from repro.tcam.bank import HierarchicalBank, SegmentedBank
 from repro.tcam.cells import FeFET2TCell
 from repro.tcam.trit import TernaryWord, Trit, random_word
@@ -243,7 +243,7 @@ class TestDamageLocality:
         scalar_arr.attach_faults(fm.copy())
         batched = batch_arr.search_batch(keys)
         for key, b in zip(keys, batched):
-            assert _outcome_tuple(scalar_arr.search(key)) == _outcome_tuple(b)
+            assert _outcome_tuple(reference.search(scalar_arr, key)) == _outcome_tuple(b)
 
     def test_map_mutation_invalidates_cached_trajectories(self):
         words = _uniform_words(0)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_array, get_design
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, reference
 from repro.tcam.trit import random_word
 
 
@@ -72,13 +72,20 @@ def test_batch_equals_per_key_scalar(sc):
         "all_false": np.zeros(rows, dtype=bool),
     }[sc["mask"]]
 
-    _assert_same([ref.search(k, row_mask=mask) for k in keys], batch.search_batch(keys, mask))
+    _assert_same(
+        [reference.search(ref, k, row_mask=mask) for k in keys], batch.search_batch(keys, mask)
+    )
     if ref.sensing == "precharge":
         k, t = sc["k"], sc["max_distance"]
-        _assert_same([ref.nearest_match(q) for q in keys], batch.nearest_match_batch(keys))
         _assert_same(
-            [ref.threshold_match(q, t) for q in keys], batch.threshold_match_batch(keys, t)
+            [reference.nearest_match(ref, q) for q in keys], batch.nearest_match_batch(keys)
         )
-        _assert_same([ref.topk_match(q, k) for q in keys], batch.topk_match_batch(keys, k))
+        _assert_same(
+            [reference.threshold_match(ref, q, t) for q in keys],
+            batch.threshold_match_batch(keys, t),
+        )
+        _assert_same(
+            [reference.topk_match(ref, q, k) for q in keys], batch.topk_match_batch(keys, k)
+        )
     assert ref._last_drive == batch._last_drive
     assert batch.kernel.rk4_fallbacks == 0

@@ -18,7 +18,7 @@ from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError, TCAMError
 from repro.faults.faultmap import FaultMap
 from repro.kernels import KernelEngine
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, reference
 from repro.tcam.trit import random_word
 
 PRECHARGE = [spec.name for spec in all_designs() if spec.sensing == "precharge"]
@@ -58,7 +58,7 @@ class TestNearestBatchKernel:
     def test_bit_identical_to_scalar(self, design):
         a, b = _loaded_pair(design)
         keys = _keys(24, 16, seed=13)
-        scalar = [a.nearest_match(k) for k in keys]
+        scalar = [reference.nearest_match(a, k) for k in keys]
         kernel = b.nearest_match_batch(keys)
         assert len(scalar) == len(kernel)
         for s, x in zip(scalar, kernel):
@@ -75,7 +75,7 @@ class TestNearestBatchKernel:
         keys = _keys(24, 20, seed=23, x_fraction=0.4)
         drivens = sorted(sum(1 for t in k if int(t) != 2) for k in keys)
         b._kernel = KernelEngine(b, max_driven=drivens[len(drivens) // 2])
-        scalar = [a.nearest_match(k) for k in keys]
+        scalar = [reference.nearest_match(a, k) for k in keys]
         kernel = b.nearest_match_batch(keys)
         for s, x in zip(scalar, kernel):
             assert s.row == x.row
@@ -101,7 +101,7 @@ class TestThresholdBatchKernel:
     def test_bit_identical_to_scalar(self, design, max_distance):
         a, b = _loaded_pair(design)
         keys = _keys(24, 12, seed=19)
-        scalar = [a.threshold_match(k, max_distance) for k in keys]
+        scalar = [reference.threshold_match(a, k, max_distance) for k in keys]
         kernel = b.threshold_match_batch(keys, max_distance)
         assert len(scalar) == len(kernel)
         for s, x in zip(scalar, kernel):
@@ -120,7 +120,7 @@ class TestTopKBatchKernel:
     def test_bit_identical_to_scalar(self, design, k):
         a, b = _loaded_pair(design)
         keys = _keys(24, 12, seed=31)
-        scalar = [a.topk_match(key, k) for key in keys]
+        scalar = [reference.topk_match(a, key, k) for key in keys]
         kernel = b.topk_match_batch(keys, k)
         assert len(scalar) == len(kernel)
         for s, x in zip(scalar, kernel):
@@ -151,7 +151,7 @@ class TestWindowTables:
             assert row.shape == (driven + 1,)
             assert row[0] == b.t_eval
             for n in range(1, driven + 1):
-                assert row[n] == b._nearest_window(n, driven, v_pre)
+                assert row[n] == reference._nearest_window(b, n, driven, v_pre)
 
     def test_window_row_is_read_only_and_guarded(self):
         _, b = _loaded_pair("fefet2t")
@@ -259,7 +259,7 @@ class TestAdoptTables:
         spec = get_design("fefet2t")
         c = build_array(spec, ArrayGeometry(rows=8, cols=16))
         c.load([b.word_at(r) for r in range(8)])
-        ref = [c.nearest_match(k) for k in keys]
+        ref = [reference.nearest_match(c, k) for k in keys]
         kernel = b.nearest_match_batch(keys)
         for r, x in zip(ref, kernel):
             assert r.row == x.row

@@ -8,7 +8,7 @@ import pytest
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError
 from repro.kernels import KernelEngine, PrechargeClassRow, RaceClassRow, class_sums
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, reference
 
 SEARCHABLE = [spec.name for spec in all_designs() if spec.sensing != "nand"]
 
@@ -91,7 +91,7 @@ class TestEngineRows:
                     assert row.t_restore[n_miss] == ref.t_restore
                 else:
                     assert isinstance(row, RaceClassRow)
-                    ref = array._race_class(n_miss, driven)
+                    ref = reference._race_class(array, n_miss, driven)
                     assert bool(row.is_match[n_miss]) == ref.is_match
                     assert row.energy[n_miss] == ref.energy
                     assert row.delay[n_miss] == ref.delay

@@ -1,11 +1,11 @@
 """Fault-aware kernel search: bit-identity with the per-key faulty reference.
 
 With a non-empty fault map attached, ``search_batch`` runs the
-fault-aware kernel path.  It must return
-exactly what calling the scalar ``search`` once per key returns (that
-goes through the per-key faulty reference): every ``SearchOutcome``
-field, every ledger item in booking order, the ``faults.*`` metric
-totals, and the search-line drive state left behind.
+fault-aware kernel path.  It must return exactly what the per-key
+reference (``repro.tcam.reference.search``, which runs the faulty body)
+returns key by key: every ``SearchOutcome`` field, every ledger item in
+booking order, the ``faults.*`` metric totals, and the search-line drive
+state left behind.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.energy.accounting import EnergyLedger
 from repro.errors import TCAMError
 from repro.faults.faultmap import FaultKind, FaultMap
 from repro.kernels import KernelEngine
-from repro.tcam import ArrayGeometry, HierarchicalBank, SegmentedBank, TCAMChip
+from repro.tcam import ArrayGeometry, HierarchicalBank, SegmentedBank, TCAMChip, reference
 from repro.tcam.trit import TernaryWord, random_word
 
 DESIGNS = ("fefet2t", "fefet_cr")  # one precharge, one current-race design
@@ -125,7 +125,7 @@ class TestFaultKernelEquivalence:
         mask = _mask(sc["mask"], rows, rng)
 
         with obs.observe() as s_ref:
-            expected = [ref.search(k, row_mask=mask) for k in keys]
+            expected = [reference.search(ref, k, row_mask=mask) for k in keys]
             ref_metrics = _faults_metrics(s_ref.metrics.snapshot())
         with obs.observe() as s_ker:
             got = ker.search_batch(keys, row_mask=mask)
@@ -161,14 +161,15 @@ class TestFaultKernelEquivalence:
         ref.attach_faults(fm.copy())
         ker.attach_faults(fm)
         engine = ker.kernel
-        _assert_same([ref.search(k) for k in keys], ker.search_batch(keys))
+        _assert_same([reference.search(ref, k) for k in keys], ker.search_batch(keys))
         if design == "fefet2t":
             # An ulp of endpoint often rounds away in the energies, so also
             # check that every signature the kernel compiled is one the
             # reference integrated (its memo keeps every signature it saw).
             assert engine._fault_classes
+            memo = reference._fault_memo(ref)
             for sig in engine._fault_classes:
-                assert (fm.version, sig) in ref._fault_oracle
+                assert sig in memo
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_mutation_between_batches_and_detach(self, design):
@@ -180,7 +181,7 @@ class TestFaultKernelEquivalence:
         ker.attach_faults(fm_ker)
         engine = ker.kernel
         keys = [random_word(16, rng, 0.15) for _ in range(20)]
-        _assert_same([ref.search(k) for k in keys], ker.search_batch(keys))
+        _assert_same([reference.search(ref, k) for k in keys], ker.search_batch(keys))
 
         # In-place mutation bumps the map version: the next batch must see it.
         for fm in (fm_ref, fm_ker):
@@ -188,14 +189,14 @@ class TestFaultKernelEquivalence:
             fm.set_cell(6, 2, FaultKind.STUCK_MISS)
             fm.set_dead_row(7, False)
             fm.set_sa_offset(8, 0.2)
-        _assert_same([ref.search(k) for k in keys], ker.search_batch(keys))
+        _assert_same([reference.search(ref, k) for k in keys], ker.search_batch(keys))
         assert ker._soa_state().faults.version == fm_ker.version
 
         # Detached, the batch is the nominal kernel again.
         ref.detach_faults()
         ker.detach_faults()
         hits = engine.table_hits
-        _assert_same([ref.search(k) for k in keys], ker.search_batch(keys))
+        _assert_same([reference.search(ref, k) for k in keys], ker.search_batch(keys))
         assert ker._soa_state().faults is None
         assert engine.table_hits > hits
 
@@ -228,7 +229,7 @@ def _bank_pair(factory, rows, cols, rng):
 
 class TestFaultKernelComposites:
     @pytest.mark.parametrize("design", DESIGNS)
-    def test_segmented_and_hierarchical_banks(self, design):
+    def test_segmented_and_hierarchical_banks(self, design, per_key_search):
         spec = get_design(design)
         geo = ArrayGeometry(rows=16, cols=16)
         rng = np.random.default_rng(11)
@@ -239,7 +240,8 @@ class TestFaultKernelComposites:
         keys = [random_word(16, rng, 0.2) for _ in range(12)]
         for factory in factories:
             ref, ker = _bank_pair(factory, 16, 16, rng)
-            expected = [ref.search(k) for k in keys]
+            with per_key_search():
+                expected = [ref.search(k) for k in keys]
             got = ker.search_batch(keys)
             for r, g in zip(expected, got):
                 assert r.first_match == g.first_match
@@ -247,7 +249,7 @@ class TestFaultKernelComposites:
                 assert r.search_delay == g.search_delay
 
     @pytest.mark.parametrize("design", DESIGNS)
-    def test_chip(self, design):
+    def test_chip(self, design, per_key_search):
         spec = get_design(design)
         geo = ArrayGeometry(rows=12, cols=14)
         rng = np.random.default_rng(13)
@@ -258,7 +260,8 @@ class TestFaultKernelComposites:
         ref, ker = _bank_pair(chip, 36, 14, rng)
         keys = [random_word(14, rng, 0.2) for _ in range(18)]
         banks = [int(b) for b in rng.integers(3, size=len(keys))]
-        expected = [ref.search(k, bank=b) for k, b in zip(keys, banks)]
+        with per_key_search():
+            expected = [ref.search(k, bank=b) for k, b in zip(keys, banks)]
         got = ker.search_batch(keys, banks)
         for r, g in zip(expected, got):
             assert (r.bank, r.row, r.latency) == (g.bank, g.row, g.latency)

@@ -1,10 +1,10 @@
-"""Kernel search path: bit-identity with the sequential scalar loop.
+"""Kernel search path: bit-identity with the per-key reference loop.
 
 The compiled kernel behind ``search_batch`` must never change a single
 bit of any outcome: match masks, first match, delays, histograms, and
-every per-component ledger float must equal the sequential scalar loop
--- across designs, row masks, rewrites, fault maps, and the RK4
-fallback mix.
+every per-component ledger float must equal a sequential loop over
+``repro.tcam.reference.search`` -- across designs, row masks, rewrites,
+fault maps, and the RK4 fallback mix.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro import obs
 from repro.core import all_designs, build_array, get_design
 from repro.faults.faultmap import FaultKind, FaultMap
 from repro.kernels import KernelEngine
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, reference
 from repro.tcam.trit import random_word
 
 SEARCHABLE = [spec.name for spec in all_designs() if spec.sensing != "nand"]
@@ -74,7 +74,9 @@ class TestKernelEquivalence:
     def test_bit_identical_to_scalar(self, design):
         scalar, kernel = _loaded_pair(design)
         keys = _keys(24, 24, seed=11)
-        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
+        _assert_outcomes_identical(
+            [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
+        )
         assert kernel.kernel.table_hits > 0
         assert kernel.kernel.rk4_fallbacks == 0
 
@@ -85,7 +87,7 @@ class TestKernelEquivalence:
         mask[::3] = True
         keys = _keys(24, 12, seed=13)
         _assert_outcomes_identical(
-            [scalar.search(k, row_mask=mask) for k in keys],
+            [reference.search(scalar, k, row_mask=mask) for k in keys],
             kernel.search_batch(keys, row_mask=mask),
         )
 
@@ -94,20 +96,26 @@ class TestKernelEquivalence:
         scalar, kernel = _loaded_pair("fefet2t")
         keys = _keys(24, 6, seed=29)
         keys = [keys[0], keys[0]] + keys[1:] + _keys(24, 2, seed=31, x_fraction=1.0)
-        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
+        _assert_outcomes_identical(
+            [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
+        )
 
     def test_rewrite_rebuilds_snapshot(self):
         """A write between batches must be visible to the kernel path."""
         scalar, kernel = _loaded_pair("fefet2t")
         keys = _keys(24, 8, seed=17)
-        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
+        _assert_outcomes_identical(
+            [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
+        )
         rng = np.random.default_rng(19)
         new_word = random_word(24, rng, x_fraction=0.1)
         scalar.write(5, new_word)
         kernel.write(5, new_word)
         scalar.invalidate(2)
         kernel.invalidate(2)
-        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
+        _assert_outcomes_identical(
+            [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
+        )
 
     def test_kernel_built_on_first_use(self):
         _, kernel = _loaded_pair("fefet2t")
@@ -141,7 +149,7 @@ class TestLedgerOrder:
         keys = _keys(24, 16, seed=43, x_fraction=0.3)
         _reduced_grid(kernel, keys)
         got = kernel.search_batch(keys, row_mask=row_mask)
-        ref = [scalar.search(k, row_mask=row_mask) for k in keys]
+        ref = [reference.search(scalar, k, row_mask=row_mask) for k in keys]
         _assert_outcomes_identical(ref, got)
         expected = (
             ["sl", "priority_encoder", "leakage"]
@@ -159,7 +167,7 @@ class TestKernelFallback:
         keys = _keys(24, 24, seed=37, x_fraction=0.3)
         engine = _reduced_grid(kernel, keys)
         got = kernel.search_batch(keys)
-        _assert_outcomes_identical([scalar.search(k) for k in keys], got)
+        _assert_outcomes_identical([reference.search(scalar, k) for k in keys], got)
         assert engine.table_hits > 0
         assert engine.rk4_fallbacks > 0
 
@@ -170,7 +178,9 @@ class TestKernelWithFaults:
         for a in (scalar, kernel):
             a.attach_faults(FaultMap(16, 24))
         keys = _keys(24, 10, seed=41)
-        _assert_outcomes_identical([scalar.search(k) for k in keys], kernel.search_batch(keys))
+        _assert_outcomes_identical(
+            [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
+        )
         assert kernel.kernel.table_hits > 0
 
     def test_sa_offset_stays_on_kernel(self):
@@ -184,7 +194,7 @@ class TestKernelWithFaults:
         keys = _keys(24, 10, seed=43)
         hits, fallbacks = kernel.kernel.table_hits, kernel.kernel.rk4_fallbacks
         _assert_outcomes_identical(
-            [scalar.search(k) for k in keys], kernel.search_batch(keys)
+            [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
         )
         assert kernel.kernel.table_hits > hits
         assert kernel.kernel.rk4_fallbacks == fallbacks
@@ -199,7 +209,7 @@ class TestKernelWithFaults:
         keys = _keys(24, 10, seed=47)
         hits, fallbacks = kernel.kernel.table_hits, kernel.kernel.rk4_fallbacks
         _assert_outcomes_identical(
-            [scalar.search(k) for k in keys], kernel.search_batch(keys)
+            [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
         )
         assert kernel.kernel.table_hits > hits
         assert kernel.kernel.rk4_fallbacks == fallbacks

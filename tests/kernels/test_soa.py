@@ -10,7 +10,7 @@ from repro.errors import KernelError
 from repro.faults.faultmap import FaultKind, FaultMap
 from repro.kernels import SoAState
 from repro.kernels.soa import key_planes
-from repro.tcam import ArrayGeometry, mismatch_counts_batch, pack_keys
+from repro.tcam import ArrayGeometry, mismatch_counts_batch, pack_keys, reference
 from repro.tcam.trit import random_word
 
 
@@ -87,7 +87,7 @@ class TestFaultPlanes:
         wk, wi = planes.weak_cells(packed)
         for k, key in enumerate(keys):
             key_arr = key.as_array()
-            pull, weak = array._fault_row_composition(key_arr, key_arr != 2, eff)
+            pull, weak = reference._fault_row_composition(array, key_arr, key_arr != 2, eff)
             assert np.array_equal(n_pull[k], pull.sum(axis=1))
             mine = np.zeros_like(weak)
             mine[planes.ret_row[wi[wk == k]], planes.ret_col[wi[wk == k]]] = True

@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.core import build_array, get_design
-from repro.tcam import ArrayGeometry, BaseOutcome, TCAMArray, TCAMChip
+from repro.tcam import ArrayGeometry, BaseOutcome, TCAMArray, TCAMChip, reference
 from repro.tcam.bank import HierarchicalBank, SegmentedBank
 from repro.tcam.cells import FeFET2TCell
 from repro.tcam.chip import GatingPolicy
@@ -65,7 +65,7 @@ class TestSpanSumEqualsOutcomeLedger:
         from repro.energy.accounting import EnergyLedger
 
         merged = EnergyLedger.sum(o.energy for o in outcomes)
-        scalar = EnergyLedger.sum(scalar_array.search(k).energy for k in keys)
+        scalar = EnergyLedger.sum(reference.search(scalar_array, k).energy for k in keys)
         assert merged.as_dict() == scalar.as_dict()
         assert root.total_energy().as_dict() == merged.as_dict()
         assert root.total_energy().total == pytest.approx(

@@ -17,7 +17,7 @@ from repro.analysis import montecarlo as mc_mod
 from repro.core import build_array, get_design
 from repro.devices.variability import NOMINAL_VARIATION
 from repro.errors import AnalysisError
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, reference
 from repro.tcam.chip import GatingPolicy, TCAMChip
 from repro.tcam.trit import random_word
 
@@ -126,7 +126,7 @@ class TestArraySearchBatchEquivalence:
         rng = np.random.default_rng(11)
         keys = [random_word(32, rng, x_fraction=0.2) for _ in range(25)]
         scalar_array, batch_array = _loaded_array(design), _loaded_array(design)
-        scalar = [scalar_array.search(k) for k in keys]
+        scalar = [reference.search(scalar_array, k) for k in keys]
         batch = batch_array.search_batch(keys)
         assert all(_outcomes_equal(a, b) for a, b in zip(scalar, batch))
         assert [a.miss_histogram for a in scalar] == [b.miss_histogram for b in batch]
@@ -142,10 +142,10 @@ class TestArraySearchBatchEquivalence:
         keys_b = [random_word(32, rng) for _ in range(10)]
         scalar_array, batch_array = _loaded_array(), _loaded_array()
         for k in keys_a:
-            scalar_array.search(k)
+            reference.search(scalar_array, k)
         batch_array.search_batch(keys_a)
         built = batch_array.kernel.rows_built
-        scalar = [scalar_array.search(k) for k in keys_b]
+        scalar = [reference.search(scalar_array, k) for k in keys_b]
         batch = batch_array.search_batch(keys_b)
         assert all(_outcomes_equal(a, b) for a, b in zip(scalar, batch))
         assert batch_array.kernel.rows_built == built
@@ -171,14 +171,15 @@ class TestChipSearchBatchEquivalence:
         banks = [int(b) for b in np.random.default_rng(4).integers(0, 3, size=n)]
         return keys, banks
 
-    def test_batch_equals_scalar_loop_exactly(self):
+    def test_batch_equals_scalar_loop_exactly(self, per_key_search):
         keys, banks = self._workload()
         scalar_chip, batch_chip, loop_chip = (
             self._fresh_chip(), self._fresh_chip(), self._fresh_chip()
         )
-        scalar = [
-            scalar_chip.search(k, b, idle_time=1e-6) for k, b in zip(keys, banks)
-        ]
+        with per_key_search():
+            scalar = [
+                scalar_chip.search(k, b, idle_time=1e-6) for k, b in zip(keys, banks)
+            ]
         batch = batch_chip.search_batch(keys, banks, idle_time=1e-6)
         for k, b in zip(keys, banks):
             loop_chip.search_batch([k], b, idle_time=1e-6)

@@ -242,12 +242,13 @@ class TestSegmentedBankStandby:
         assert chip.energy_per_search_at_rate(1e3) > chip.energy_per_search_at_rate(1e8)
 
     @pytest.mark.parametrize("make", BANKS)
-    def test_batch_idle_equals_serial_loop(self, make, rng):
+    def test_batch_idle_equals_serial_loop(self, make, rng, per_key_search):
         gating = GatingPolicy(gate_idle_banks=True)
         ref = TCAMChip(make, n_banks=3, gating=gating)
         got = TCAMChip(make, n_banks=3, gating=gating)
         keys = [random_word(16, rng, 0.3) for _ in range(7)]
         banks = [0, 2, 2, 1, 0, 1, 2]
-        serial = [ref.search(k, b, idle_time=2e-7) for k, b in zip(keys, banks)]
+        with per_key_search():
+            serial = [ref.search(k, b, idle_time=2e-7) for k, b in zip(keys, banks)]
         batch = got.search_batch(keys, banks, idle_time=2e-7)
         assert [o.to_dict() for o in serial] == [o.to_dict() for o in batch]

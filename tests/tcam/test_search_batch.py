@@ -1,6 +1,7 @@
-"""Equivalence suite: the batched search engine vs sequential scalar search.
+"""Equivalence suite: the batched search engine vs the per-key reference.
 
-The batch path must be *bit-identical* to calling ``search()`` key by key:
+The batch path must be *bit-identical* to calling the per-key reference
+(``repro.tcam.reference.search``) key by key:
 same match masks, same first match, same per-component ledger floats,
 same delays, same histograms -- including the sequential search-line
 toggle semantics (key k toggles against key k-1).  The suite runs every
@@ -15,12 +16,12 @@ import pytest
 
 from repro.core import all_designs, build_array, get_design
 from repro.errors import TCAMError
-from repro.tcam import ArrayGeometry, mismatch_counts_batch, pack_keys
+from repro.tcam import ArrayGeometry, mismatch_counts_batch, pack_keys, reference
 from repro.tcam.trit import TernaryWord, Trit, mismatch_counts, random_word, word_from_string
 
 
 def _loaded_pair(design_name, rows=16, cols=24, seed=7, x_fraction=0.2):
-    """Two identically-written arrays (one for scalar, one for batch)."""
+    """Two identically-written arrays (one for the reference, one for batch)."""
     spec = get_design(design_name)
     geo = ArrayGeometry(rows=rows, cols=cols)
     a = build_array(spec, geo)
@@ -62,7 +63,7 @@ class TestBatchEquivalence:
         a, b = _loaded_pair(design)
         rng = np.random.default_rng(11)
         keys = [random_word(24, rng, x_fraction=0.15) for _ in range(24)]
-        scalar = [a.search(k) for k in keys]
+        scalar = [reference.search(a, k) for k in keys]
         batch = b.search_batch(keys)
         _assert_outcomes_identical(scalar, batch)
 
@@ -74,27 +75,27 @@ class TestBatchEquivalence:
         keys = [random_word(24, rng) for _ in range(6)]
         # Repeat a key back-to-back: zero toggles on the repeat.
         keys = [keys[0], keys[0]] + keys[1:]
-        scalar = [a.search(k) for k in keys]
+        scalar = [reference.search(a, k) for k in keys]
         batch = b.search_batch(keys)
         _assert_outcomes_identical(scalar, batch)
         assert a._last_drive == b._last_drive
         # And a follow-up scalar search on each array still agrees.
         follow = random_word(24, np.random.default_rng(5))
-        _assert_outcomes_identical([a.search(follow)], [b.search(follow)])
+        _assert_outcomes_identical([reference.search(a, follow)], [b.search(follow)])
 
     def test_masked_keys(self):
         a, b = _loaded_pair("fefet2t")
         rng = np.random.default_rng(23)
         keys = [random_word(24, rng, x_fraction=0.6) for _ in range(12)]
         keys.append(TernaryWord(np.full(24, int(Trit.X), dtype=np.int8)))  # all-X
-        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
+        _assert_outcomes_identical([reference.search(a, k) for k in keys], b.search_batch(keys))
 
     def test_row_mask(self):
         a, b = _loaded_pair("cmos16t")
         rng = np.random.default_rng(29)
         mask = rng.random(16) < 0.5
         keys = [random_word(24, rng) for _ in range(8)]
-        scalar = [a.search(k, row_mask=mask) for k in keys]
+        scalar = [reference.search(a, k, row_mask=mask) for k in keys]
         batch = b.search_batch(keys, row_mask=mask)
         _assert_outcomes_identical(scalar, batch)
 
@@ -102,7 +103,7 @@ class TestBatchEquivalence:
         a, b = _loaded_pair("fefet2t")
         mask = np.zeros(16, dtype=bool)
         keys = [random_word(24, np.random.default_rng(1)) for _ in range(3)]
-        scalar = [a.search(k, row_mask=mask) for k in keys]
+        scalar = [reference.search(a, k, row_mask=mask) for k in keys]
         batch = b.search_batch(keys, row_mask=mask)
         _assert_outcomes_identical(scalar, batch)
 
@@ -117,7 +118,7 @@ class TestBatchEquivalence:
             a.write(i, w)
             b.write(i, w)
         keys = [random_word(16, rng) for _ in range(6)]
-        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
+        _assert_outcomes_identical([reference.search(a, k) for k in keys], b.search_batch(keys))
 
     def test_empty_batch(self):
         a, _ = _loaded_pair("fefet2t")
@@ -139,7 +140,7 @@ class TestBatchEquivalence:
         a, b = _loaded_pair("fefet2t")
         rng = np.random.default_rng(41)
         keys = [random_word(24, rng) for _ in range(9)]
-        scalar = [a.search(k) for k in keys]
+        scalar = [reference.search(a, k) for k in keys]
         mixed = [b.search(keys[0])] + b.search_batch(keys[1:5]) + [
             b.search(keys[5])
         ] + b.search_batch(keys[6:])
@@ -152,7 +153,7 @@ class TestNearestMatchBatch:
         a, b = _loaded_pair(design)
         rng = np.random.default_rng(13)
         keys = [random_word(24, rng, x_fraction=0.1) for _ in range(10)]
-        scalar = [a.nearest_match(k) for k in keys]
+        scalar = [reference.nearest_match(a, k) for k in keys]
         batch = b.nearest_match_batch(keys)
         for s, x in zip(scalar, batch):
             assert s.row == x.row
@@ -178,19 +179,19 @@ class TestBatchAfterWrites:
         a, b = _loaded_pair("fefet2t")
         rng = np.random.default_rng(31)
         keys = [random_word(24, rng) for _ in range(8)]
-        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
+        _assert_outcomes_identical([reference.search(a, k) for k in keys], b.search_batch(keys))
         word = random_word(24, rng)
         a.write(0, word)
         b.write(0, word)
-        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
+        _assert_outcomes_identical([reference.search(a, k) for k in keys], b.search_batch(keys))
 
     def test_invalidate_between_batches(self):
         a, b = _loaded_pair("fefet2t")
         keys = [random_word(24, np.random.default_rng(0)) for _ in range(4)]
-        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
+        _assert_outcomes_identical([reference.search(a, k) for k in keys], b.search_batch(keys))
         a.invalidate(2)
         b.invalidate(2)
-        _assert_outcomes_identical([a.search(k) for k in keys], b.search_batch(keys))
+        _assert_outcomes_identical([reference.search(a, k) for k in keys], b.search_batch(keys))
 
     def test_second_batch_builds_no_rows(self):
         """The compiled class tables survive between batches and writes."""
@@ -256,7 +257,7 @@ class TestPackHelpers:
 
 
 class TestWorkloadBatchAPIs:
-    def test_packetclass_batch_equals_scalar(self):
+    def test_packetclass_batch_equals_scalar(self, per_key_search):
         from repro.workloads.packetclass import (
             RULE_BITS,
             random_packets,
@@ -271,13 +272,14 @@ class TestWorkloadBatchAPIs:
         ruleset.deploy(a)
         ruleset.deploy(b)
         packets = random_packets(ruleset, 10, rng)
-        scalar = [ruleset.classify_tcam(a, p) for p in packets]
+        with per_key_search():
+            scalar = [ruleset.classify_tcam(a, p) for p in packets]
         batch = ruleset.classify_tcam_batch(b, packets)
         for (r_s, o_s), (r_b, o_b) in zip(scalar, batch):
             assert r_s == r_b
             assert o_s.energy.total == o_b.energy.total
 
-    def test_iproute_batch_equals_scalar(self):
+    def test_iproute_batch_equals_scalar(self, per_key_search):
         from repro.workloads.iproute import (
             ADDRESS_BITS,
             synthetic_routing_table,
@@ -292,13 +294,14 @@ class TestWorkloadBatchAPIs:
         table.deploy(a)
         table.deploy(b)
         addresses = trace_addresses(table, 10, rng)
-        scalar = [table.lookup_tcam(a, addr) for addr in addresses]
+        with per_key_search():
+            scalar = [table.lookup_tcam(a, addr) for addr in addresses]
         batch = table.lookup_tcam_batch(b, addresses)
         for (r_s, o_s), (r_b, o_b) in zip(scalar, batch):
             assert r_s == r_b
             assert o_s.energy.total == o_b.energy.total
 
-    def test_hdc_batch_equals_scalar(self):
+    def test_hdc_batch_equals_scalar(self, per_key_search):
         from repro.workloads.hdc import HDCMemory
 
         rng = np.random.default_rng(25)
@@ -311,7 +314,8 @@ class TestWorkloadBatchAPIs:
             mem_a.train_class(label, examples)
             mem_b.train_class(label, examples)
         queries = rng.integers(0, 2, size=(6, 32)).astype(np.int8)
-        scalar = [mem_a.classify(q) for q in queries]
+        with per_key_search():
+            scalar = [mem_a.classify(q) for q in queries]
         batch = mem_b.classify_batch(queries)
         for s, x in zip(scalar, batch):
             assert s.label == x.label

@@ -34,7 +34,7 @@ from repro.serve import (
     serve_trace,
 )
 from repro.serve.backend import request_energy
-from repro.tcam import ArrayGeometry, TCAMChip
+from repro.tcam import ArrayGeometry, TCAMChip, reference
 from repro.tcam.batch import SearchBatch
 from repro.tcam.outcome import OutcomeList, as_batch
 from repro.tcam.trit import random_word
@@ -127,7 +127,7 @@ class TestColumnsAgree:
             # body and keep its outcome.
             got._kernel = KernelEngine(got, max_driven=COLS - 3)
         batch = got.search_batch(keys)
-        _assert_agree([ref.search(k) for k in keys], batch)
+        _assert_agree([reference.search(ref, k) for k in keys], batch)
         if grid == "reduced":
             assert batch._precomputed
             assert got.kernel.rk4_fallbacks > 0
@@ -143,7 +143,7 @@ class TestColumnsAgree:
             got.attach_faults(fm)
         mask = np.zeros(ROWS, dtype=bool)
         keys = _keys(6, seed=4)
-        _assert_agree([ref.search(k, mask) for k in keys], got.search_batch(keys, mask))
+        _assert_agree([reference.search(ref, k, mask) for k in keys], got.search_batch(keys, mask))
 
     def test_span_energy_is_merged_ledger(self):
         """The batch span books the columns' merged ledger: exactly
@@ -165,7 +165,7 @@ class TestColumnsAgree:
     def test_lists_get_the_same_reads(self):
         ref, got = _twins("fefet_cr")
         keys = _keys(5, seed=6)
-        listed = as_batch([ref.search(k) for k in keys])
+        listed = as_batch([reference.search(ref, k) for k in keys])
         batch = got.search_batch(keys)
         assert isinstance(listed, OutcomeList)
         assert as_batch(batch) is batch

@@ -173,15 +173,34 @@ class TestDse:
         assert message in capsys.readouterr().err
 
 
+class TestLibraryErrors:
+    """A ``ReproError`` ends a command with one typed line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["compare", "--design", "bogus", "--rows", "8", "--cols", "16"], "bogus"),
+            (["dse", "--cell", "bogus"], "bogus"),
+        ],
+        ids=["compare-design", "dse-cell"],
+    )
+    def test_unknown_name_is_one_error_line(self, capsys, argv, bad):
+        assert main(argv) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert f"'{bad}'" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestReportValidation:
     def test_report_rejects_unknown_schema(self, tmp_path, capsys):
         (tmp_path / "BENCH_bad.json").write_text('{"schema_version": 999}')
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="unknown schema_version"):
-            main(["report", "--bench-dir", str(tmp_path),
-                  "--output-dir", str(tmp_path / "out"),
-                  "--out", str(tmp_path / "REPORT.md")])
+        code = main(["report", "--bench-dir", str(tmp_path),
+                     "--output-dir", str(tmp_path / "out"),
+                     "--out", str(tmp_path / "REPORT.md")])
+        assert code != 0
+        assert "unknown schema_version" in capsys.readouterr().err
 
     def test_report_counts_validated_artifacts(self, tmp_path, capsys):
         (tmp_path / "BENCH_ok.json").write_text('{"schema_version": 1}')

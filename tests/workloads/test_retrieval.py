@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.tcam import reference
 from repro.workloads.retrieval import (
     CorpusConfig,
     RetrievalIndex,
@@ -127,15 +128,17 @@ class TestRetrievalIndex:
         signatures, queries, _ = _small_setup(n_entries=120, dims=16)
         a = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2)
         b = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2)
-        # Route b's shard queries through the per-key scalar references.
+        # Route b's shard queries through the per-key reference functions.
         for bank, _base in b._shard_rows():
             monkeypatch.setattr(
                 bank, "topk_match_batch",
-                lambda keys, k, bank=bank: [bank.topk_match(key, k) for key in keys],
+                lambda keys, k, bank=bank: [reference.topk_match(bank, key, k) for key in keys],
             )
             monkeypatch.setattr(
                 bank, "threshold_match_batch",
-                lambda keys, t, bank=bank: [bank.threshold_match(key, t) for key in keys],
+                lambda keys, t, bank=bank: [
+                    reference.threshold_match(bank, key, t) for key in keys
+                ],
             )
         rows_a, dist_a, stats_a = a.query_topk(queries, 3)
         rows_b, dist_b, stats_b = b.query_topk(queries, 3)
