@@ -304,29 +304,33 @@ def evaluate_point(
     }
 
 
+def dominates(
+    b, a, minimize: Sequence[str] = MINIMIZE, maximize: Sequence[str] = MAXIMIZE
+) -> bool:
+    """Pareto dominance of mapping ``b`` over mapping ``a``.
+
+    ``b`` dominates ``a`` when it is no worse on every objective (the
+    ``minimize`` and ``maximize`` keys) and strictly better on at least
+    one.
+    """
+    no_worse = all(b[m] <= a[m] for m in minimize) and all(b[m] >= a[m] for m in maximize)
+    strictly = any(b[m] < a[m] for m in minimize) or any(b[m] > a[m] for m in maximize)
+    return no_worse and strictly
+
+
 def pareto_frontier(
     rows: Sequence[dict],
     minimize: Sequence[str] = MINIMIZE,
     maximize: Sequence[str] = MAXIMIZE,
 ) -> tuple[int, ...]:
-    """Indices of the non-dominated rows.
-
-    Row ``b`` dominates row ``a`` when it is no worse on every
-    objective and strictly better on at least one.
-    """
-
-    def dominates(b: dict, a: dict) -> bool:
-        no_worse = all(b[m] <= a[m] for m in minimize) and all(
-            b[m] >= a[m] for m in maximize
-        )
-        strictly = any(b[m] < a[m] for m in minimize) or any(
-            b[m] > a[m] for m in maximize
-        )
-        return no_worse and strictly
-
+    """Indices of the rows no other row :func:`dominates`."""
     keep = []
     for i, row in enumerate(rows):
-        if not any(dominates(other, row) for j, other in enumerate(rows) if j != i):
+        if not any(
+            dominates(other, row, minimize, maximize)
+            for j, other in enumerate(rows)
+            if j != i
+        ):
             keep.append(i)
     return tuple(keep)
 

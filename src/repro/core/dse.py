@@ -16,10 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis.dse import dominates as _dominates
 from ..analysis.throughput import characterize
 from ..errors import DesignError
 from ..tcam.array import ArrayGeometry
 from .designs import DesignSpec, all_designs, build_array
+
+_MINIMIZE = ("energy_per_search", "search_delay")
+_MAXIMIZE = ("margin",)
 
 
 @dataclass(frozen=True)
@@ -46,20 +50,15 @@ class DesignPoint:
     functional: bool
 
     def dominates(self, other: "DesignPoint") -> bool:
-        """Pareto dominance: no worse on all three axes, better on one."""
+        """Pareto dominance: no worse on all three axes, better on one.
+
+        A functional point dominates a non-functional one; otherwise the
+        shared rule (:func:`repro.analysis.dse.dominates`) decides on
+        energy and delay (minimized) and margin (maximized).
+        """
         if not (self.functional and other.functional):
             return self.functional and not other.functional
-        no_worse = (
-            self.energy_per_search <= other.energy_per_search
-            and self.search_delay <= other.search_delay
-            and self.margin >= other.margin
-        )
-        strictly_better = (
-            self.energy_per_search < other.energy_per_search
-            or self.search_delay < other.search_delay
-            or self.margin > other.margin
-        )
-        return no_worse and strictly_better
+        return _dominates(vars(self), vars(other), _MINIMIZE, _MAXIMIZE)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,18 @@
 """Segmented (hierarchical) search -- selective precharge at bank level.
 
-The match line of a ``cols``-wide word is split into a short *probe*
-segment and a long *tail* segment.  Stage 1 searches the probe columns on
-every row; only rows that survive stage 1 have their tail segment
-precharged and evaluated in stage 2.  Because a random probe of ``s``
-specified columns eliminates all but ~``2^-s`` of the rows, the expensive
-tail MLs are almost never exercised -- this is the segmentation /
-selective-precharge technique of DESIGN.md (#2) and the ablation table
-R-T2.
+The match line of a ``cols``-wide word is split into consecutive
+segments.  Stage 1 searches its columns on every row; each later stage
+precharges and evaluates only the rows that survived every earlier
+stage.  Because a random probe of ``s`` specified columns eliminates all
+but ~``2^-s`` of the rows, the expensive tail MLs are almost never
+exercised -- this is the segmentation / selective-precharge technique of
+DESIGN.md (#2) and the ablation table R-T2.
 
-The implementation composes two :class:`~repro.tcam.array.TCAMArray`
-instances over a shared logical address space and passes stage-1 survivors
-as the ``row_mask`` of stage 2, so the energy accounting is exact rather
-than a scaling approximation.
+:class:`HierarchicalBank` composes one :class:`~repro.tcam.array.TCAMArray`
+per segment over a shared logical address space and passes the running
+survivors as the ``row_mask`` of the next stage, so the energy accounting
+is exact rather than a scaling approximation.  :class:`SegmentedBank` is
+its two-stage form: a short *probe* segment and a long *tail*.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .. import obs
 from ..energy.accounting import EnergyLedger
 from ..errors import TCAMError
 from ..faults.faultmap import FaultMap
-from .array import ArrayGeometry, SearchOutcome, TCAMArray
+from .array import ArrayGeometry, SearchOutcome, TCAMArray, _check_count, _check_row
 from .cell import CellDescriptor
 from .outcome import BaseOutcome
 from .trit import TernaryWord, trit_block
@@ -33,16 +33,17 @@ from .trit import TernaryWord, trit_block
 
 @dataclass(frozen=True)
 class SegmentedSearchOutcome(BaseOutcome):
-    """Result of a two-stage segmented search.
+    """Result of a staged (segmented) search.
 
     Attributes:
         match_mask: Final per-row verdicts.
         first_match: Lowest matching row, or ``None``.
-        energy: Merged two-stage ledger.
-        search_delay: Serial stage-1 + stage-2 latency [s].
+        energy: The evaluated stages' ledgers merged in stage order.
+        search_delay: Serial latency of the evaluated stages [s].
         cycle_time: Serial cycle time [s].
-        survivors_stage1: Rows that passed the probe segment.
-        stage2_skipped: True when stage 2 was skipped (no survivors).
+        survivors_stage1: Rows that passed the first segment.
+        stage2_skipped: True when early termination skipped the
+            remaining stages (no survivors).
     """
 
     match_mask: np.ndarray
@@ -60,188 +61,6 @@ class SegmentedSearchOutcome(BaseOutcome):
         }
 
 
-class SegmentedBank:
-    """A TCAM bank with a two-segment match line.
-
-    Args:
-        cell: Cell technology (shared by both segments).
-        geometry: Logical shape (rows x total cols).
-        probe_cols: Width of the stage-1 probe segment.
-        early_terminate: Skip stage 2 entirely when stage 1 leaves no
-            survivors (technique #3).
-        array_kwargs: Extra keyword arguments forwarded to both
-            :class:`TCAMArray` constructors (sensing style, precharge
-            scheme, ...).
-    """
-
-    def __init__(
-        self,
-        cell: CellDescriptor,
-        geometry: ArrayGeometry,
-        probe_cols: int,
-        early_terminate: bool = True,
-        **array_kwargs,
-    ) -> None:
-        if not 0 < probe_cols < geometry.cols:
-            raise TCAMError(
-                f"probe_cols must be in (0, {geometry.cols}), got {probe_cols}"
-            )
-        self.geometry = geometry
-        self.probe_cols = probe_cols
-        self.early_terminate = early_terminate
-        probe_geo = ArrayGeometry(geometry.rows, probe_cols, geometry.node)
-        tail_geo = ArrayGeometry(geometry.rows, geometry.cols - probe_cols, geometry.node)
-        self.stage1 = TCAMArray(cell, probe_geo, **array_kwargs)
-        self.stage2 = TCAMArray(cell, tail_geo, **array_kwargs)
-
-    # ------------------------------------------------------------------
-
-    def write(self, row: int, word: TernaryWord) -> EnergyLedger:
-        """Write one full-width word across both segments."""
-        if len(word) != self.geometry.cols:
-            raise TCAMError(
-                f"word width {len(word)} does not match bank cols {self.geometry.cols}"
-            )
-        out1 = self.stage1.write(row, word[: self.probe_cols])
-        out2 = self.stage2.write(row, word[self.probe_cols :])
-        return out1.energy + out2.energy
-
-    def load(self, words: list[TernaryWord], start_row: int = 0) -> EnergyLedger:
-        """Write a batch of words into consecutive rows."""
-        ledger = EnergyLedger()
-        for offset, word in enumerate(words):
-            ledger.merge(self.write(start_row + offset, word))
-        return ledger
-
-    def standby_power(self) -> float:
-        """Bank standby power [W]: every cell of both segment arrays
-        leaks, probe then tail."""
-        return self.stage1.standby_power() + self.stage2.standby_power()
-
-    def word_at(self, row: int) -> TernaryWord:
-        """Reassemble the stored word at ``row``."""
-        left = self.stage1.word_at(row)
-        right = self.stage2.word_at(row)
-        return TernaryWord(list(left) + list(right))
-
-    def attach_faults(self, faults: FaultMap | None) -> None:
-        """Attach a bank-shaped defect map, projected onto both stages.
-
-        The map covers the *logical* word (``rows x cols``); its column
-        split follows the probe/tail partition, and row-level faults
-        (dead rows, SA offsets) replicate into both stage arrays -- a
-        broken match line takes out the whole logical row.
-        """
-        if faults is None:
-            self.stage1.detach_faults()
-            self.stage2.detach_faults()
-            return
-        if (faults.rows, faults.cols) != (self.geometry.rows, self.geometry.cols):
-            raise TCAMError(
-                f"fault map {faults.rows}x{faults.cols} does not match bank "
-                f"{self.geometry.rows}x{self.geometry.cols}"
-            )
-        probe, tail = faults.split_cols(
-            [self.probe_cols, self.geometry.cols - self.probe_cols]
-        )
-        self.stage1.attach_faults(probe)
-        self.stage2.attach_faults(tail)
-
-    def detach_faults(self) -> None:
-        """Remove the defect maps from both stage arrays."""
-        self.attach_faults(None)
-
-    # ------------------------------------------------------------------
-
-    def search(self, key: TernaryWord | np.ndarray) -> SegmentedSearchOutcome:
-        """Two-stage search with exact selective-precharge accounting.
-
-        ``key`` is a :class:`TernaryWord` or a 1-D row of trit codes.
-        Traced as a ``bank.search`` span whose ``bank.stage1`` /
-        ``bank.stage2`` children wrap the stage arrays' own spans, so the
-        tree's merged energy reproduces the outcome ledger exactly.
-        """
-        key = trit_block([key], self.geometry.cols, "search")[0]
-        with obs.span(
-            "bank.search", rows=self.geometry.rows, cols=self.geometry.cols
-        ) as sp:
-            outcome = self._search_impl(key)
-            if sp is not None:
-                sp.set_delay(outcome.search_delay)
-                sp.annotate(
-                    survivors_stage1=outcome.survivors_stage1,
-                    stage2_skipped=outcome.stage2_skipped,
-                )
-            return outcome
-
-    def _search_impl(self, key: np.ndarray) -> SegmentedSearchOutcome:
-        with obs.span("bank.stage1", probe_cols=self.probe_cols):
-            out1 = self.stage1.search(key[: self.probe_cols])
-        survivors = out1.match_mask
-        n_survivors = int(np.count_nonzero(survivors))
-
-        if n_survivors == 0 and self.early_terminate:
-            return SegmentedSearchOutcome(
-                match_mask=np.zeros(self.geometry.rows, dtype=bool),
-                first_match=None,
-                energy=out1.energy,
-                search_delay=out1.search_delay,
-                cycle_time=out1.cycle_time,
-                survivors_stage1=0,
-                stage2_skipped=True,
-            )
-
-        with obs.span("bank.stage2", survivors=n_survivors):
-            out2 = self.stage2.search(key[self.probe_cols :], row_mask=survivors)
-        final = survivors & out2.match_mask
-        first = _first_true(final)
-        return SegmentedSearchOutcome(
-            match_mask=final,
-            first_match=first,
-            energy=out1.energy + out2.energy,
-            search_delay=out1.search_delay + out2.search_delay,
-            cycle_time=out1.cycle_time + out2.cycle_time,
-            survivors_stage1=n_survivors,
-            stage2_skipped=False,
-        )
-
-    def search_batch(self, keys) -> list[SegmentedSearchOutcome]:
-        """Search many keys: a per-key loop over :meth:`search`.
-
-        The stages share no cross-key work to batch.  This is the array
-        contract's batch entry: :meth:`TCAMChip.search_batch
-        <repro.tcam.chip.TCAMChip.search_batch>` hands every bank its
-        slice of the key block through it.  ``keys`` (an ``(n, cols)``
-        matrix of trit codes or a sequence of :class:`TernaryWord`) is
-        validated whole (:func:`~repro.tcam.trit.trit_block`) before the
-        first key moves either stage's search-line drive state.
-        """
-        block = trit_block(keys, self.geometry.cols, "search_batch")
-        return [self.search(key) for key in block]
-
-    def reference_outcome(self, key: TernaryWord) -> SearchOutcome:
-        """Search an equivalent *flat* array for the A/B comparison.
-
-        Builds (lazily, once) a flat array with the same contents and
-        searches it, so benches can report segmented-vs-flat energy on
-        identical state.
-        """
-        flat = getattr(self, "_flat_reference", None)
-        if flat is None:
-            flat = TCAMArray(self.stage1.cell, self.geometry)
-            stored1 = self.stage1.stored_matrix()
-            stored2 = self.stage2.stored_matrix()
-            valid = self.stage1.valid_mask()
-            for row in range(self.geometry.rows):
-                if valid[row]:
-                    word = TernaryWord(
-                        np.concatenate([stored1[row], stored2[row]])
-                    )
-                    flat.write(row, word)
-            self._flat_reference = flat
-        return flat.search(key)
-
-
 def _first_true(mask: np.ndarray) -> int | None:
     hits = np.flatnonzero(mask)
     if hits.size == 0:
@@ -250,7 +69,7 @@ def _first_true(mask: np.ndarray) -> int | None:
 
 
 class HierarchicalBank:
-    """N-stage generalization of the segmented bank.
+    """A TCAM bank with an N-segment match line.
 
     Columns are partitioned into ``segment_cols`` consecutive groups; each
     stage evaluates only the rows that survived every earlier stage (via
@@ -303,21 +122,43 @@ class HierarchicalBank:
         return word[lo:hi]
 
     def write(self, row: int, word: TernaryWord) -> EnergyLedger:
-        """Write one full-width word across every segment."""
-        if len(word) != self.geometry.cols:
-            raise TCAMError(
-                f"word width {len(word)} does not match bank cols {self.geometry.cols}"
-            )
+        """Write one full-width word across every segment.
+
+        ``word`` is a :class:`TernaryWord` or a 1-D row of trit codes;
+        it and ``row`` are validated before any stage stores a cell.
+        """
+        row = _check_row(row, self.geometry.rows, "write")
+        return self._write_row(row, trit_block([word], self.geometry.cols, "write")[0])
+
+    def _write_row(self, row: int, codes: np.ndarray) -> EnergyLedger:
+        """Store the validated code row at ``row``, stage by stage; the
+        stage ledgers merged in stage order."""
         ledger = EnergyLedger()
         for stage_idx, stage in enumerate(self.stages):
-            ledger.merge(stage.write(row, self._slice(word, stage_idx)).energy)
+            ledger.merge(stage.write(row, self._slice(codes, stage_idx)).energy)
         return ledger
 
-    def load(self, words: list[TernaryWord], start_row: int = 0) -> EnergyLedger:
-        """Write a batch of words into consecutive rows."""
+    def load(self, words, start_row: int = 0) -> EnergyLedger:
+        """Write a batch of words into consecutive rows.
+
+        The array contract: ``words`` is an ``(n, cols)`` matrix of trit
+        codes or a sequence of :class:`TernaryWord`
+        (:func:`~repro.tcam.trit.trit_block`).  The block, ``start_row``
+        and the capacity are validated before any stage stores a row.
+        The rows are then written one by one, stage by stage, and the
+        returned ledger is the one a :meth:`write` loop over the same
+        rows merges, row ledgers in row order.
+        """
+        start_row = _check_count(start_row, "load start_row", 0)
+        block = trit_block(words, self.geometry.cols, "load")
+        if start_row + len(block) > self.geometry.rows:
+            raise TCAMError(
+                f"cannot load {len(block)} words at row {start_row} into "
+                f"{self.geometry.rows} rows"
+            )
         ledger = EnergyLedger()
-        for offset, word in enumerate(words):
-            ledger.merge(self.write(start_row + offset, word))
+        for offset, codes in enumerate(block):
+            ledger.merge(self._write_row(start_row + offset, codes))
         return ledger
 
     def standby_power(self) -> float:
@@ -339,8 +180,10 @@ class HierarchicalBank:
     def attach_faults(self, faults: FaultMap | None) -> None:
         """Attach a bank-shaped defect map, one column slice per stage.
 
-        Row-level faults replicate into every stage array, as in
-        :meth:`SegmentedBank.attach_faults`.
+        The map covers the *logical* word (``rows x cols``); its column
+        split follows the segment partition, and row-level faults (dead
+        rows, SA offsets) replicate into every stage array -- a broken
+        match line takes out the whole logical row.
         """
         if faults is None:
             for stage in self.stages:
@@ -382,9 +225,16 @@ class HierarchicalBank:
             return outcome
 
     def search_batch(self, keys) -> list[SegmentedSearchOutcome]:
-        """Search many keys: a per-key loop over :meth:`search`, with the
-        same contract as :meth:`SegmentedBank.search_batch` (whole-batch
-        validation first; the chip relies on it)."""
+        """Search many keys: a per-key loop over :meth:`search`.
+
+        The stages share no cross-key work to batch.  This is the array
+        contract's batch entry: :meth:`TCAMChip.search_batch
+        <repro.tcam.chip.TCAMChip.search_batch>` hands every bank its
+        slice of the key block through it.  ``keys`` (an ``(n, cols)``
+        matrix of trit codes or a sequence of :class:`TernaryWord`) is
+        validated whole (:func:`~repro.tcam.trit.trit_block`) before the
+        first key moves any stage's search-line drive state.
+        """
         block = trit_block(keys, self.geometry.cols, "search_batch")
         return [self.search(key) for key in block]
 
@@ -416,3 +266,64 @@ class HierarchicalBank:
             survivors_stage1=survivors_after_first,
             stage2_skipped=skipped,
         )
+
+    def reference_outcome(self, key: TernaryWord) -> SearchOutcome:
+        """Search an equivalent *flat* array for the A/B comparison.
+
+        Builds (lazily, once) a flat array with the same contents and
+        searches it, so benches can report segmented-vs-flat energy on
+        identical state.
+        """
+        flat = getattr(self, "_flat_reference", None)
+        if flat is None:
+            flat = TCAMArray(self.stages[0].cell, self.geometry)
+            stored = np.concatenate([stage.stored_matrix() for stage in self.stages], axis=1)
+            valid = self.stages[0].valid_mask()
+            for row in range(self.geometry.rows):
+                if valid[row]:
+                    flat.write(row, TernaryWord(stored[row]))
+            self._flat_reference = flat
+        return flat.search(key)
+
+
+class SegmentedBank(HierarchicalBank):
+    """A TCAM bank with a two-segment match line: a hierarchy of depth 2.
+
+    Args:
+        cell: Cell technology (shared by both segments).
+        geometry: Logical shape (rows x total cols).
+        probe_cols: Width of the stage-1 probe segment.
+        early_terminate: Skip stage 2 entirely when stage 1 leaves no
+            survivors (technique #3).
+        array_kwargs: Extra keyword arguments forwarded to both
+            :class:`TCAMArray` constructors (sensing style, precharge
+            scheme, ...).
+    """
+
+    def __init__(
+        self,
+        cell: CellDescriptor,
+        geometry: ArrayGeometry,
+        probe_cols: int,
+        early_terminate: bool = True,
+        **array_kwargs,
+    ) -> None:
+        if not 0 < probe_cols < geometry.cols:
+            raise TCAMError(
+                f"probe_cols must be in (0, {geometry.cols}), got {probe_cols}"
+            )
+        super().__init__(
+            cell, geometry, [probe_cols, geometry.cols - probe_cols], early_terminate,
+            **array_kwargs,
+        )
+        self.probe_cols = probe_cols
+
+    @property
+    def stage1(self) -> TCAMArray:
+        """The probe-segment array (``stages[0]``)."""
+        return self.stages[0]
+
+    @property
+    def stage2(self) -> TCAMArray:
+        """The tail-segment array (``stages[1]``)."""
+        return self.stages[1]

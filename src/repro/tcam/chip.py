@@ -29,7 +29,7 @@ from .. import obs
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..errors import CapacityError, TCAMError
 from ..faults.faultmap import FaultMap
-from .array import SearchOutcome, TCAMArray, _check_count
+from .array import SearchOutcome, _check_count
 from .outcome import BaseOutcome
 from .trit import TernaryWord, trit_block
 
@@ -178,17 +178,22 @@ class TCAMChip:
         return self.load_rows(words)
 
     def load_rows(self, words, start_row: int = 0) -> EnergyLedger:
-        """Bulk-fill chip rows row-major with one wake + one flush per bank.
+        """Bulk-fill chip rows row-major with one wake + one load per bank.
 
         ``words`` is an ``(n, cols)`` matrix of trit codes or a sequence
         of :class:`TernaryWord`, validated whole
         (:func:`~repro.tcam.trit.trit_block`) before any bank wakes or
-        stores a row.  Ledger-identical to a :meth:`write` loop over the
-        same rows, but each touched bank wakes once and takes its slice
-        of the block through :meth:`TCAMArray.load_rows` (one
+        stores a row.  Each touched bank wakes once and takes its slice
+        of the block through its own ``load`` (for an array, one
         content-version bump per bank instead of one per row) -- the
-        corpus-load path for the retrieval workload.  Other banks take
-        per-row writes of words built from their own rows.
+        corpus-load path for the retrieval workload.
+
+        The ledger contract: each bank's ledger equals the bank's own
+        ``write`` loop over its rows, and the chip merges the bank
+        ledgers (after each bank's wake) in bank order.  This is not, in
+        general, float-identical to one chip-level :meth:`write` loop,
+        which adds every row's ledger into one running sum: the per-bank
+        partial sums round differently in the last place.
         """
         start_row = _check_count(start_row, "load_rows start_row", 0)
         block = trit_block(words, self.geometry.cols, "TCAMChip.load_rows")
@@ -204,14 +209,8 @@ class TCAMChip:
         while pos < n:
             bank_idx, local_row = divmod(start_row + pos, rows)
             n_block = min(rows - local_row, n - pos)
-            part = block[pos : pos + n_block]
             self._wake(bank_idx, ledger)
-            bank = self.banks[bank_idx]
-            if isinstance(bank, TCAMArray):
-                ledger.merge(bank.load_rows(part, start_row=local_row))
-            else:
-                for offset, codes in enumerate(part):
-                    ledger.merge(_write_energy(bank, local_row + offset, TernaryWord(codes)))
+            ledger.merge(self.banks[bank_idx].load(block[pos : pos + n_block], start_row=local_row))
             pos += n_block
         return ledger
 

@@ -220,9 +220,8 @@ class TestSegmentedBankStandby:
     @pytest.mark.parametrize("make", BANKS)
     def test_bank_standby_is_stage_sum(self, make):
         bank = make()
-        stages = [bank.stage1, bank.stage2] if isinstance(bank, SegmentedBank) else bank.stages
         total = 0.0
-        for stage in stages:
+        for stage in bank.stages:
             total += stage.standby_power()
         assert bank.standby_power() == total
         assert bank.standby_power() == pytest.approx(_fefet_bank().standby_power(), rel=1e-12)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core import all_designs, build_array, get_design
-from repro.energy.accounting import EnergyLedger
+from repro.energy.accounting import EnergyComponent, EnergyLedger
 from repro.errors import CapacityError, TCAMError
-from repro.tcam import ArrayGeometry
+from repro.tcam import ArrayGeometry, HierarchicalBank, NANDTCAMArray, SegmentedBank
 from repro.tcam.chip import GatingPolicy, TCAMChip
 from repro.tcam.trit import random_word
 
@@ -204,3 +204,56 @@ class TestStartRowValidation:
         word = _words(12, 1, seed=41)[0]
         target.load_rows([word], start_row=np.int64(1))
         assert np.array_equal(_banks(target)[0].stored_matrix()[1], word.as_array())
+
+
+def _bank_factory(kind, design, geo):
+    spec = get_design(design)
+    if kind == "array":
+        return lambda: build_array(spec, geo)
+    if kind == "nand":
+        return lambda: NANDTCAMArray(geo)
+    if kind == "segmented":
+        return lambda: SegmentedBank(spec.build_cell(), geo, 5, sensing=spec.sensing)
+    return lambda: HierarchicalBank(spec.build_cell(), geo, [3, 5, 8], sensing=spec.sensing)
+
+
+class TestChipLoadContract:
+    """``TCAMChip.load_rows`` books, for each touched bank in bank order,
+    the bank's wake and then that bank's own ``write`` loop ledger over
+    its rows (row ledgers merged in row order).  This is the contract for
+    every bank type; it is not one chip-level ``write`` loop, whose single
+    running sum rounds differently."""
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+    @pytest.mark.parametrize(
+        "kind,design",
+        [(kind, design) for kind in ("array", "segmented", "hierarchical")
+         for design in ("fefet2t", "cmos16t")] + [("nand", "fefet_nand")],
+    )
+    def test_bank_ledgers_merged_in_bank_order(self, kind, design, gated):
+        geo = ArrayGeometry(rows=8, cols=16)
+        gating = GatingPolicy(gate_idle_banks=gated, wakeup_energy=2e-12)
+        start = 2
+        for seed in range(8):
+            ref, got = (
+                TCAMChip(_bank_factory(kind, design, geo), n_banks=3, gating=gating)
+                for _ in range(2)
+            )
+            words = _words(16, 20, seed=seed, x_fraction=0.3)
+            expected = EnergyLedger()
+            for bank_idx, bank in enumerate(ref.banks):
+                lo = max(bank_idx * 8, start)
+                hi = min((bank_idx + 1) * 8, start + len(words))
+                if gated:
+                    expected.add(EnergyComponent.CLOCK, gating.wakeup_energy)
+                bank_ledger = EnergyLedger()
+                for row in range(lo, hi):
+                    out = bank.write(row - bank_idx * 8, words[row - start])
+                    bank_ledger.merge(getattr(out, "energy", out))
+                expected.merge(bank_ledger)
+            ledger = got.load_rows(words, start_row=start)
+            assert list(ledger) == list(expected), seed
+            for rb, gb in zip(ref.banks, got.banks):
+                for ra, ga in zip(getattr(rb, "stages", [rb]), getattr(gb, "stages", [gb])):
+                    assert np.array_equal(ra.stored_matrix(), ga.stored_matrix())
+                    assert np.array_equal(ra.valid_mask(), ga.valid_mask())

@@ -47,11 +47,7 @@ def _keys(n, seed):
 
 def _drive_states(target):
     """Search-line drive state of every array inside ``target``."""
-    if isinstance(target, SegmentedBank):
-        return [target.stage1._last_drive, target.stage2._last_drive]
-    if isinstance(target, HierarchicalBank):
-        return [stage._last_drive for stage in target.stages]
-    return [target._last_drive]
+    return [array._last_drive for array in getattr(target, "stages", [target])]
 
 
 def _assert_equal(ref, got):

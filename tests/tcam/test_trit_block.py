@@ -346,7 +346,7 @@ def _chip_state(chip):
     """Gating state plus every bank array's content and drive state."""
     arrays = []
     for bank in chip.banks:
-        arrays += [bank.stage1, bank.stage2] if isinstance(bank, SegmentedBank) else [bank]
+        arrays += getattr(bank, "stages", [bank])
     return chip._powered.tolist(), [
         (a.stored_matrix().tolist(), a.valid_mask().tolist(),
          getattr(a, "_content_version", None), getattr(a, "_last_drive", None))

@@ -21,6 +21,7 @@ from repro.energy.estimator import ArrayEstimator, CellEstimator
 from repro.errors import ReproError, TCAMError
 from repro.tcam import ArrayGeometry, TCAMArray
 from repro.tcam.array import WriteOutcome
+from repro.tcam.bank import HierarchicalBank, SegmentedBank
 from repro.tcam.cell import WriteCost
 from repro.tcam.cells import get_cell, list_cells
 from repro.tcam.chip import GatingPolicy, TCAMChip
@@ -285,3 +286,65 @@ class TestAtomicLoad:
             assert bank._content_version == 0
             assert not bank.valid_mask().any()
             assert (bank.stored_matrix() == int(Trit.X)).all()
+
+
+def _bank(kind):
+    geo = ArrayGeometry(ROWS, COLS)
+    if kind == "segmented":
+        return SegmentedBank(get_cell("fefet2t"), geo, probe_cols=5)
+    return HierarchicalBank(get_cell("fefet2t"), geo, [3, 5, 8])
+
+
+def _stage_state(bank):
+    return [
+        (s.stored_matrix().tolist(), s.valid_mask().tolist(), s.wear_counts().tolist(),
+         s._content_version)
+        for s in bank.stages
+    ]
+
+
+BAD_LOADS = {
+    "width": lambda: ([_word(), random_word(COLS - 10, np.random.default_rng(10))], 0),
+    "capacity": lambda: (_words(ROWS + 1, seed=13), 0),
+    "start-past-end": lambda: (_words(2, seed=13), ROWS - 1),
+    "bool-start": lambda: ([_word()], True),
+    "float-start": lambda: ([_word()], 1.0),
+}
+
+
+class TestAtomicBankLoad:
+    """A staged bank validates the whole block, ``start_row`` and the
+    capacity before any stage stores a row."""
+
+    @pytest.mark.parametrize("kind", ["segmented", "hierarchical"])
+    @pytest.mark.parametrize("bad", list(BAD_LOADS))
+    def test_bank_load_rejects_the_block_whole(self, kind, bad):
+        bank = _bank(kind)
+        bank.load(_words(3, seed=9), start_row=2)
+        before = _stage_state(bank)
+        words, start_row = BAD_LOADS[bad]()
+        with pytest.raises(TCAMError, match="load"):
+            bank.load(words, start_row=start_row)
+        assert _stage_state(bank) == before
+
+    @pytest.mark.parametrize("kind", ["segmented", "hierarchical"])
+    def test_load_takes_a_trit_block(self, kind):
+        words = _words(ROWS - 1, seed=15)
+        by_word, by_block = _bank(kind), _bank(kind)
+        ledger = by_word.load(words, start_row=np.int64(1))
+        block = np.stack([w.as_array() for w in words]).astype(np.int64)
+        assert _same_ledger(ledger, by_block.load(block, start_row=1))
+        assert _stage_state(by_word) == _stage_state(by_block)
+
+    @pytest.mark.parametrize("kind", ["segmented", "hierarchical"])
+    @pytest.mark.parametrize("bad_index", [1, ROWS + 1], ids=["first-bank", "second-bank"])
+    def test_gated_chip_load_rejects_the_block_whole(self, kind, bad_index):
+        chip = TCAMChip(lambda: _bank(kind), n_banks=2, gating=GatingPolicy(gate_idle_banks=True))
+        words = _words(ROWS + 3, seed=11)
+        words[bad_index] = random_word(COLS - 1, np.random.default_rng(12))
+        powered = chip._powered.copy()
+        before = [_stage_state(bank) for bank in chip.banks]
+        with pytest.raises(TCAMError):
+            chip.load(words)
+        assert np.array_equal(chip._powered, powered)
+        assert [_stage_state(bank) for bank in chip.banks] == before
