@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..circuits.rc import discharge_waveform, discharge_waveform_batch
+from ..circuits.rc import discharge_waveform_batch
 from ..devices.mosfet import ekv_current
 from ..devices.variability import VariationSpec
 from ..errors import AnalysisError
@@ -159,57 +159,18 @@ class SampledFeFETArray:
 
     # ------------------------------------------------------------------
 
-    def _row_currents(self, row: int, key_arr: np.ndarray):
-        """Per-device thresholds loading one row's match line.
-
-        Returns:
-            ``(vt_conducting, vt_leak_lvt, n_hvt_leak)``: thresholds of the
-            driven-LVT (mismatch) devices, thresholds of the undriven-LVT
-            devices of matching cells (the dominant leak path, each with
-            its own sampled offset), and the count of driven-HVT devices
-            (kept at the nominal subthreshold level).
-        """
-        f = self.cell.params.fefet
-        stored = self._stored[row]
-        x = int(Trit.X)
-        driven = key_arr != x
-        specific = stored != x
-
-        # Device A conducts when search==0 and stored==1 (A is LVT);
-        # device B when search==1 and stored==0.
-        miss_a = driven & specific & (key_arr == 0) & (stored == 1)
-        miss_b = driven & specific & (key_arr == 1) & (stored == 0)
-        vts = []
-        if miss_a.any():
-            vts.append(f.vt_lvt + self._dvt[row, miss_a, 0])
-        if miss_b.any():
-            vts.append(f.vt_lvt + self._dvt[row, miss_b, 1])
-        vt_conducting = np.concatenate(vts) if vts else np.empty(0)
-
-        # Matching specified cells: the undriven LVT device (A for stored
-        # 1, B for stored 0) leaks at VGS = 0 with its own offset.
-        match_mask = driven & ~(miss_a | miss_b)
-        leak = []
-        m1 = match_mask & specific & (stored == 1)
-        m0 = match_mask & specific & (stored == 0)
-        if m1.any():
-            leak.append(f.vt_lvt + self._dvt[row, m1, 0])
-        if m0.any():
-            leak.append(f.vt_lvt + self._dvt[row, m0, 1])
-        vt_leak_lvt = np.concatenate(leak) if leak else np.empty(0)
-        n_hvt_leak = int(np.count_nonzero(match_mask))
-        return vt_conducting, vt_leak_lvt, n_hvt_leak
-
     def _physical_row_decisions(self, key_arr: np.ndarray) -> np.ndarray:
         """Strobe decisions of every row against one key, in one stacked pass.
 
-        The row-wise counterpart of :meth:`_physical_row_decision`: all
-        rows' device ensembles are flattened into single threshold arrays
-        carrying their row ids, every RK4 step evaluates the EKV model
-        once over all devices of all match lines (each at its own line
-        voltage), and per-line currents come back via one ``bincount``.
-        Numerically equivalent to the per-row loop up to floating-point
-        summation order.
+        All rows' device ensembles are flattened into single threshold
+        arrays carrying their row ids, every RK4 step evaluates the EKV
+        model once over all devices of all match lines (each at its own
+        line voltage), and per-line currents come back via one
+        ``bincount``.  Each line carries its driven-LVT (mismatch)
+        devices, the undriven LVT device of every matching specified cell
+        (the dominant leak path, with its own sampled offset) and the
+        driven HVT devices of its matching cells at the nominal
+        subthreshold level.
         """
         f = self.cell.params.fefet
         rows = self.geometry.rows
@@ -218,6 +179,8 @@ class SampledFeFETArray:
         driven = key_arr != x
         specific = stored != x
 
+        # Device A conducts when search==0 and stored==1 (A is LVT);
+        # device B when search==1 and stored==0.
         miss_a = driven[np.newaxis, :] & specific & (key_arr == 0)[np.newaxis, :] & (stored == 1)
         miss_b = driven[np.newaxis, :] & specific & (key_arr == 1)[np.newaxis, :] & (stored == 0)
         match_mask = driven[np.newaxis, :] & ~(miss_a | miss_b)
@@ -281,44 +244,6 @@ class SampledFeFETArray:
         loaded[leak_rows] = True
         decisions[~loaded & (n_hvt == 0)] = True
         return decisions
-
-    def _physical_row_decision(self, row: int, key_arr: np.ndarray) -> bool:
-        """Reference per-row decision (the row-batched path above is the
-        production one; this stays as the directly-auditable original)."""
-        f = self.cell.params.fefet
-        vt_on, vt_leak, n_hvt = self._row_currents(row, key_arr)
-
-        if vt_on.size == 0 and vt_leak.size == 0 and n_hvt == 0:
-            return True  # fully masked: the line cannot move
-
-        i_hvt_nominal = ekv_current(
-            self.cell.params.v_search, self.vdd, f.vt_hvt,
-            self._beta, f.n_slope, self._phi_t, f.lambda_cl,
-        )
-
-        def i_total(v: float) -> float:
-            total = 0.0
-            if vt_on.size:
-                total += float(
-                    ekv_current(
-                        self.cell.params.v_search, v, vt_on, self._beta,
-                        f.n_slope, self._phi_t, f.lambda_cl,
-                    ).sum()
-                )
-            if vt_leak.size:
-                total += float(
-                    ekv_current(
-                        0.0, v, vt_leak, self._beta,
-                        f.n_slope, self._phi_t, f.lambda_cl,
-                    ).sum()
-                )
-            if n_hvt:
-                total += n_hvt * i_hvt_nominal * (v / self.vdd if v < self.vdd else 1.0)
-            return total
-
-        grid = np.linspace(0.0, self.t_eval, 33)
-        v_end = float(discharge_waveform(self.c_ml, i_total, self.vdd, grid)[-1])
-        return v_end > self.v_sense + self._sa_offset[row]
 
     def run_campaign(self, keys: list[TernaryWord]) -> ArrayMCResult:
         """Search every key; measure disagreements with the ternary oracle."""

@@ -21,13 +21,6 @@ alone.  The RK4 integrator stays the reference path:
 time and checks the relative error against a ``<= 1e-9`` budget (in
 practice it is exactly zero), and any class outside the tabulated grid
 falls back to RK4 at the engine layer.
-
-Fractional mismatch queries (``n_miss`` between grid points, used by
-variability analyses where an effective pull-down strength is not an
-integer) are answered by monotone piecewise-cubic interpolation
-(Fritsch-Carlson limited slopes), which preserves the monotone decay of
-``v_end`` versus ``n_miss`` -- an ordinary cubic spline can overshoot
-near the knee of the discharge curve and invert the sense decision.
 """
 
 from __future__ import annotations
@@ -51,43 +44,6 @@ def as_driven(driven) -> int:
     if isinstance(driven, (bool, np.bool_)) or not isinstance(driven, (int, np.integer)):
         raise KernelError(f"driven must be an integer, got {driven!r}")
     return int(driven)
-
-
-def _monotone_slopes(y: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson tangents for unit-spaced knots.
-
-    Interior tangents are the harmonic mean of the adjacent secants
-    (zero across a local extremum), endpoints use the one-sided secant
-    limited to three times its neighbour -- the standard construction
-    that keeps the piecewise-cubic Hermite interpolant monotone on every
-    interval where the data are monotone.
-    """
-    n = y.size
-    m = np.zeros(n)
-    if n < 2:
-        return m
-    d = np.diff(y)  # secants on a unit grid
-    if n == 2:
-        m[:] = d[0]
-        return m
-    left, right = d[:-1], d[1:]
-    same_sign = (left * right) > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        harmonic = 2.0 * left * right / (left + right)
-    m[1:-1] = np.where(same_sign, harmonic, 0.0)
-    m[0] = _limit_endpoint(d[0], m[1])
-    m[-1] = _limit_endpoint(d[-1], m[-2])
-    return m
-
-
-def _limit_endpoint(secant: float, interior: float) -> float:
-    """One-sided endpoint tangent with the Fritsch-Carlson limiter."""
-    tangent = (3.0 * secant - interior) / 2.0
-    if secant == 0.0 or tangent * secant < 0.0:
-        return 0.0
-    if abs(tangent) > 3.0 * abs(secant):
-        return 3.0 * secant
-    return float(tangent)
 
 
 class WaveformTable:
@@ -145,7 +101,6 @@ class WaveformTable:
         self.v_floor = v_floor
         self._grid = np.linspace(0.0, t_eval, self.n_steps)
         self._rows: dict[int, np.ndarray] = {}
-        self._slopes: dict[int, np.ndarray] = {}
 
     # -- grid membership ---------------------------------------------------
 
@@ -233,37 +188,6 @@ class WaveformTable:
                 f"RK4 fallback"
             )
         return float(self.row(driven)[n_miss])
-
-    def v_end_interp(self, n_miss: float, driven: int) -> float:
-        """Endpoint for a *fractional* mismatch count [V].
-
-        Monotone piecewise-cubic (Fritsch-Carlson) interpolation along
-        the ``n_miss`` axis of one row: exact on the knots, monotone
-        between them, so an interpolated endpoint can never cross the
-        sense reference in the wrong direction relative to its
-        bracketing integer classes.
-        """
-        driven = self._check_driven(driven)
-        if not 0.0 <= n_miss <= driven:
-            raise KernelError(
-                f"fractional n_miss {n_miss} outside [0, {driven}]"
-            )
-        row = self.row(driven)
-        if n_miss == int(n_miss):
-            return float(row[int(n_miss)])
-        slopes = self._slopes.get(driven)
-        if slopes is None:
-            slopes = _monotone_slopes(row)
-            self._slopes[driven] = slopes
-        i = int(np.floor(n_miss))
-        t = n_miss - i
-        y0, y1 = float(row[i]), float(row[i + 1])
-        m0, m1 = float(slopes[i]), float(slopes[i + 1])
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        return h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
 
     # -- validation --------------------------------------------------------
 

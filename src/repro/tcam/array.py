@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,6 +167,25 @@ class _RaceClassResult:
     is_match: bool
     energy: float
     delay: float
+
+
+class _DistanceBatch(NamedTuple):
+    """What the distance-kernel tails share: the keys the tables serve
+    (``idx``), the ``(keys, valid rows)`` mismatch matrix, per-key driven
+    counts and search-line energies, and the estimator terms."""
+
+    idx: np.ndarray
+    miss_v: np.ndarray
+    driven: np.ndarray
+    sl_e: np.ndarray
+    valid_idx: np.ndarray
+    r0: float
+    e_sa: float
+    enc_e: float
+    enc_delay: float
+    sl_delay: float
+    k_leak: float
+    diss_tab: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -1459,17 +1479,16 @@ class TCAMArray:
         driving more columns than the compiled grid, booked as RK4
         fallbacks.
 
-        Returns ``(outcomes, idx, miss_all, driven_all, sl_e,
-        valid_idx)``: the outcome list with the reference entries filled
-        in, and ``idx``, the keys left for the tables.
+        Returns ``(outcomes, st)``: the outcome list with the reference
+        entries filled in, and ``None`` when no row is valid, else the
+        :class:`_DistanceBatch` the tails share (the estimator terms are
+        the reference's calls, made once).
         """
         eng = self.kernel
         miss_all = self._soa_state().mismatch_counts(packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
         toggles = self._batch_toggles(packed)
         e_toggle = self.estimator.sl_toggle_energy()
-        # int * float == float64(int) * float bit for bit (exact ints).
-        sl_e = toggles.astype(np.float64) * e_toggle
         valid_idx = np.flatnonzero(self._valid)
         v_pre = self.precharge.target_voltage()
         tabled = (driven_all <= eng.max_driven) & (valid_idx.size > 0)
@@ -1479,9 +1498,26 @@ class TCAMArray:
                 self, miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle, v_pre,
                 valid_idx, *extra,
             )
-        if valid_idx.size:
-            eng.rk4_fallbacks += len(packed) - int(np.count_nonzero(tabled))
-        return outcomes, np.flatnonzero(tabled), miss_all, driven_all, sl_e, valid_idx
+        if not valid_idx.size:
+            return outcomes, None
+        eng.rk4_fallbacks += len(packed) - int(np.count_nonzero(tabled))
+        n_valid = int(valid_idx.size)
+        est = self.estimator
+        return outcomes, _DistanceBatch(
+            idx=np.flatnonzero(tabled),
+            miss_v=miss_all[:, valid_idx],
+            driven=driven_all,
+            # int * float == float64(int) * float bit for bit (exact ints).
+            sl_e=toggles.astype(np.float64) * e_toggle,
+            valid_idx=valid_idx,
+            r0=est.ml_precharge_energy(0.0, 1),
+            e_sa=est.sense_idle_energy(n_valid),
+            enc_e=est.encode_energy(),
+            enc_delay=self.encoder.delay,
+            sl_delay=self.sl_settle_delay,
+            k_leak=self.standby_power(),
+            diss_tab=eng.diss0_table(n_valid),
+        )
 
     def _nearest_match_batch_kernel(self, packed: np.ndarray) -> list[NearestMatchOutcome]:
         """Kernel tail of :meth:`nearest_match_batch`.
@@ -1501,33 +1537,22 @@ class TCAMArray:
         eng = self.kernel
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="nearest", n_keys=n_keys) as sp:
-            outcomes, idx, miss_all, driven_all, sl_e, valid_idx = (
-                self._distance_kernel_prologue(packed, reference._nearest_key)
-            )
-            if valid_idx.size == 0:
+            outcomes, st = self._distance_kernel_prologue(packed, reference._nearest_key)
+            if st is None:
                 return outcomes
-
-            miss_v = miss_all[:, valid_idx]
-            best_j = np.argmin(miss_v, axis=1)
-            best_pos = valid_idx[best_j]
-            best_d = np.take_along_axis(miss_v, best_j[:, np.newaxis], axis=1)[:, 0]
-            n_losers = np.count_nonzero(miss_v > best_d[:, np.newaxis], axis=1)
-            n_winners = valid_idx.size - n_losers
-
-            r0 = self.estimator.ml_precharge_energy(0.0, 1)
-            e_sa = self.estimator.sense_idle_energy(int(valid_idx.size))
-            enc_e = self.estimator.encode_energy()
-            enc_delay = self.encoder.delay
-            sl_delay = self.sl_settle_delay
-            k_leak = self.standby_power()
-            diss_tab = eng.diss0_table(int(valid_idx.size))
+            idx = st.idx
+            best_j = np.argmin(st.miss_v, axis=1)
+            best_pos = st.valid_idx[best_j]
+            best_d = np.take_along_axis(st.miss_v, best_j[:, np.newaxis], axis=1)[:, 0]
+            n_losers = np.count_nonzero(st.miss_v > best_d[:, np.newaxis], axis=1)
+            n_winners = st.valid_idx.size - n_losers
 
             if idx.size:
                 # Pad the per-driven crossing-time rows and winner restore
                 # energies into dense tables so the whole batch gathers in
                 # one pass (entries beyond each row's triangle are masked
                 # off by the ``ru <= d`` window condition below).
-                d_arr = driven_all[idx]
+                d_arr = st.driven[idx]
                 ds = np.unique(d_arr).tolist()
                 maxd = ds[-1]
                 win_tab = np.full((maxd + 1, maxd + 2), self.t_eval)
@@ -1545,11 +1570,11 @@ class TCAMArray:
                     win_tab[d_arr, np.minimum(ru, d_arr)],
                     self.t_eval,
                 )
-                delays = (sl_delay + t_window) + enc_delay
-                leak = k_leak * delays
-                pre_losers = nl.astype(np.float64) * r0
+                delays = (st.sl_delay + t_window) + st.enc_delay
+                leak = st.k_leak * delays
+                pre_losers = nl.astype(np.float64) * st.r0
                 pre_winners = nw.astype(np.float64) * np.where(
-                    bd == 0, rest0[d_arr], r0
+                    bd == 0, rest0[d_arr], st.r0
                 )
                 # Component totals, vectorized with the reference operand
                 # grouping: two precharge adds fold to one elementwise sum
@@ -1557,7 +1582,7 @@ class TCAMArray:
                 # only added for distance > 0 (x + 0.0 == x for x >= 0.0).
                 pre_tot = (pre_losers + pre_winners).tolist()
                 diss_tot = (
-                    diss_tab[nl] + np.where(bd != 0, diss_tab[nw], 0.0)
+                    st.diss_tab[nl] + np.where(bd != 0, st.diss_tab[nw], 0.0)
                 ).tolist()
                 assembled = [
                     NearestMatchOutcome(
@@ -1567,8 +1592,8 @@ class TCAMArray:
                             _SL: sl,
                             _PRE: pre,
                             _DISS: dis,
-                            _SA: e_sa,
-                            _ENC: enc_e,
+                            _SA: st.e_sa,
+                            _ENC: st.enc_e,
                             _LEAK: lk,
                         }),
                         dl,
@@ -1576,7 +1601,7 @@ class TCAMArray:
                     for pos, dist, sl, pre, dis, lk, dl in zip(
                         best_pos[idx].tolist(),
                         bd.tolist(),
-                        sl_e[idx].tolist(),
+                        st.sl_e[idx].tolist(),
                         pre_tot,
                         diss_tot,
                         leak.tolist(),
@@ -1602,103 +1627,51 @@ class TCAMArray:
     def _threshold_match_batch_kernel(
         self, packed: np.ndarray, max_distance: int
     ) -> list[ThresholdMatchOutcome]:
-        """Kernel tail of :meth:`threshold_match_batch` (cf.
-        :meth:`_nearest_match_batch_kernel`); accepted-class restore and
-        dissipation are dense ``(keys, accepted classes)`` count x table
-        products summed left to right by
-        :func:`~repro.kernels.class_sums`, reproducing the reference's
-        per-class accumulation (zero-count classes add exactly ``0.0``)."""
-        eng = self.kernel
-        rows = self.geometry.rows
+        """Kernel tail of :meth:`threshold_match_batch`: the rows within
+        ``max_distance`` are accepted, one encoder drain
+        (:meth:`_accepted_kernel_tail` books them)."""
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="threshold", n_keys=n_keys) as sp:
-            outcomes, idx, miss_all, driven_all, sl_e, valid_idx = (
-                self._distance_kernel_prologue(packed, reference._threshold_key, max_distance)
+            outcomes, st = self._distance_kernel_prologue(
+                packed, reference._threshold_key, max_distance
             )
-            if valid_idx.size == 0:
+            if st is None:
                 return outcomes
-
-            miss_v = miss_all[:, valid_idx]
-            within = miss_v <= max_distance
+            within = st.miss_v <= max_distance
             n_match = np.count_nonzero(within, axis=1)
             # Match masks over all rows, and the priority encoder's
             # lowest-index winner of each: the first accepted valid row.
-            masks = np.zeros((n_keys, rows), dtype=bool)
-            masks[:, valid_idx] = within
-            firsts = np.where(n_match > 0, valid_idx[np.argmax(within, axis=1)], -1).tolist()
-            n_losers = valid_idx.size - n_match
-            counts_valid = self._valid_class_counts(miss_v)
-            cut = max_distance + 1
-
-            r0 = self.estimator.ml_precharge_energy(0.0, 1)
-            e_sa = self.estimator.sense_idle_energy(int(valid_idx.size))
-            enc_e = self.estimator.encode_energy()
-            enc_delay = self.encoder.delay
-            sl_delay = self.sl_settle_delay
-            k_leak = self.standby_power()
-            diss_tab = eng.diss0_table(int(valid_idx.size))
-
-            ds = np.unique(driven_all[idx]).tolist()
-            for d, vrow in zip(ds, eng.rows(ds)):
-                grp = idx[driven_all[idx] == d]
-                wrow = eng.window_row(d)
-                eng.table_hits += int(grp.size)
-                t_window = float(wrow[cut]) if cut <= d else self.t_eval
-                delay = (sl_delay + t_window) + enc_delay
-                leak = k_leak * delay
-                # Accepted classes are exactly the first ``cut`` columns of
-                # the class histogram (miss <= driven bounds the rest out).
-                n_acc = min(cut, d + 1)
-                cnt = counts_valid[grp, :n_acc].astype(np.float64)
-                e_pre = class_sums(cnt * vrow.e_restore[:n_acc])
-                e_diss = class_sums(cnt * vrow.e_diss[:n_acc])
-                nl = n_losers[grp]
-                pre_losers = nl.astype(np.float64) * r0
-                # Reference booking folds to one elementwise sum per
-                # component: (0.0 + losers) + accepted == losers + accepted.
-                pre_tot = (pre_losers + e_pre).tolist()
-                diss_tot = (diss_tab[nl] + e_diss).tolist()
-                sl_l = sl_e[grp].tolist()
-                nm_l = n_match[grp].tolist()
-                for i, q in enumerate(grp.tolist()):
-                    ledger = EnergyLedger._from_booked({
-                        _SL: sl_l[i],
-                        _PRE: pre_tot[i],
-                        _DISS: diss_tot[i],
-                        _SA: e_sa,
-                        _ENC: enc_e,
-                        _LEAK: leak,
-                    })
-                    outcomes[q] = ThresholdMatchOutcome(
-                        match_mask=masks[q].copy(),
-                        first_match=firsts[q] if firsts[q] >= 0 else None,
-                        n_matches=nm_l[i],
-                        max_distance=max_distance,
-                        energy=ledger,
-                        search_delay=delay,
-                    )
+            masks = np.zeros((n_keys, self.geometry.rows), dtype=bool)
+            masks[:, st.valid_idx] = within
+            firsts = np.where(n_match > 0, st.valid_idx[np.argmax(within, axis=1)], -1)
+            firsts = [f if f >= 0 else None for f in firsts.tolist()]
+            n_match = n_match.tolist()
+            self._accepted_kernel_tail(
+                outcomes, st, within, np.full(n_keys, max_distance), 1,
+                lambda q, ledger, delay: ThresholdMatchOutcome(
+                    masks[q].copy(), firsts[q], n_match[q], max_distance, ledger, delay
+                ),
+            )
             if sp is not None:
-                sp.annotate(fallback_keys=n_keys - idx.size)
+                sp.annotate(fallback_keys=n_keys - st.idx.size)
             return outcomes
 
     def _topk_match_batch_kernel(self, packed: np.ndarray, k: int) -> list[TopKMatchOutcome]:
-        """Kernel tail of :meth:`topk_match_batch`.
+        """Kernel tail of :meth:`topk_match_batch`: the classes up to the
+        k-th winner's are accepted, one encoder drain per winner
+        (:meth:`_accepted_kernel_tail` books them).
 
         Selection runs on a composite ``miss * n_valid + position`` key,
         which reproduces the reference's stable-sort tie-breaking
         (ascending distance, then row index) under ``argpartition``.
         """
-        eng = self.kernel
         n_keys = packed.shape[0]
         with obs.span("array.distance_kernel", mode="topk", n_keys=n_keys) as sp:
-            outcomes, idx, miss_all, driven_all, sl_e, valid_idx = (
-                self._distance_kernel_prologue(packed, reference._topk_key, k)
-            )
-            if valid_idx.size == 0:
+            outcomes, st = self._distance_kernel_prologue(packed, reference._topk_key, k)
+            if st is None:
                 return outcomes
-
-            n_valid = int(valid_idx.size)
-            miss_v = miss_all[:, valid_idx]
+            miss_v = st.miss_v
+            n_valid = int(st.valid_idx.size)
             comp = miss_v * np.int64(n_valid) + np.arange(n_valid, dtype=np.int64)
             n_take = min(k, n_valid)
             if n_take < n_valid:
@@ -1708,66 +1681,81 @@ class TCAMArray:
                 sel_j = np.take_along_axis(part, order, axis=1)
             else:
                 sel_j = np.argsort(comp, axis=1)
-            sel_rows = valid_idx[sel_j]
             sel_dist = np.take_along_axis(miss_v, sel_j, axis=1)
             d_k = sel_dist[:, -1]
-            n_losers = np.count_nonzero(miss_v > d_k[:, np.newaxis], axis=1)
-            counts_valid = self._valid_class_counts(miss_v)
-
-            r0 = self.estimator.ml_precharge_energy(0.0, 1)
-            e_sa = self.estimator.sense_idle_energy(n_valid)
-            enc_e = self.estimator.encode_energy()
-            enc_delay = self.encoder.delay
-            sl_delay = self.sl_settle_delay
-            k_leak = self.standby_power()
-            diss_tab = eng.diss0_table(n_valid)
-
-            ds = np.unique(driven_all[idx]).tolist()
-            for d, vrow in zip(ds, eng.rows(ds)):
-                grp = idx[driven_all[idx] == d]
-                wrow = eng.window_row(d)
-                eng.table_hits += int(grp.size)
-                dk = d_k[grp]
-                ru = dk + 1
-                t_window = np.where(ru <= d, wrow[np.minimum(ru, d)], self.t_eval)
-                delays = (sl_delay + t_window) + float(n_take) * enc_delay
-                leak = k_leak * delays
-                # Surviving classes: miss <= d_k, zeroed out per key.
-                cnt = np.where(
-                    np.arange(d + 1) <= dk[:, np.newaxis], counts_valid[grp, : d + 1], 0
-                ).astype(np.float64)
-                e_pre = class_sums(cnt * vrow.e_restore)
-                e_diss = class_sums(cnt * vrow.e_diss)
-                nl = n_losers[grp]
-                pre_losers = nl.astype(np.float64) * r0
-                enc_total = float(n_take) * enc_e
-                # Component totals folded as in the nearest kernel.
-                pre_tot = (pre_losers + e_pre).tolist()
-                diss_tot = (diss_tab[nl] + e_diss).tolist()
-                sl_l = sl_e[grp].tolist()
-                leak_l = leak.tolist()
-                delays_l = delays.tolist()
-                rows_l = sel_rows[grp].tolist()
-                dist_l = sel_dist[grp].tolist()
-                for i, q in enumerate(grp.tolist()):
-                    ledger = EnergyLedger._from_booked({
-                        _SL: sl_l[i],
-                        _PRE: pre_tot[i],
-                        _DISS: diss_tot[i],
-                        _SA: e_sa,
-                        _ENC: enc_total,
-                        _LEAK: leak_l[i],
-                    })
-                    outcomes[q] = TopKMatchOutcome(
-                        rows=tuple(rows_l[i]),
-                        distances=tuple(dist_l[i]),
-                        k=k,
-                        energy=ledger,
-                        search_delay=delays_l[i],
-                    )
+            sel_rows = st.valid_idx[sel_j].tolist()
+            sel_dist_l = sel_dist.tolist()
+            self._accepted_kernel_tail(
+                outcomes, st, miss_v <= d_k[:, np.newaxis], d_k, n_take,
+                lambda q, ledger, delay: TopKMatchOutcome(
+                    tuple(sel_rows[q]), tuple(sel_dist_l[q]), k, ledger, delay
+                ),
+            )
             if sp is not None:
-                sp.annotate(fallback_keys=n_keys - idx.size)
+                sp.annotate(fallback_keys=n_keys - st.idx.size)
             return outcomes
+
+    def _accepted_kernel_tail(
+        self, outcomes: list, st: _DistanceBatch, accepted: np.ndarray, last: np.ndarray,
+        n_enc: int, make: Callable[[int, EnergyLedger, float], BaseOutcome],
+    ) -> None:
+        """Book the tabled keys of a tolerance or top-k batch: the kernel
+        twin of :func:`repro.tcam.reference._book_accepted`.
+
+        ``accepted`` marks each key's accepted valid rows (every class up
+        to the key's ``last`` class) and ``n_enc`` is the priority
+        encoder's drain count.  Rejected rows fully discharge; the strobe
+        waits for class ``last + 1`` to cross.  Accepted-class restore
+        and dissipation are dense ``(keys, classes)`` count x table
+        products over the first ``min(max cut, d + 1)`` classes, the
+        classes at or past each key's cut zeroed, summed left to right by
+        :func:`~repro.kernels.class_sums`: the reference's per-class
+        accumulation (zero-count classes add exactly ``0.0``).  The
+        per-key component totals fold as in the nearest kernel.
+        ``make(q, ledger, delay)`` builds key ``q``'s outcome.
+        """
+        eng = self.kernel
+        idx = st.idx
+        n_losers = st.valid_idx.size - np.count_nonzero(accepted, axis=1)
+        counts_valid = self._valid_class_counts(st.miss_v)
+        cut = last + 1
+        enc_e = float(n_enc) * st.enc_e
+        enc_delay = float(n_enc) * st.enc_delay
+        driven = st.driven[idx]
+        ds = np.unique(driven).tolist()
+        for d, vrow in zip(ds, eng.rows(ds)):
+            grp = idx[driven == d]
+            wrow = eng.window_row(d)
+            eng.table_hits += int(grp.size)
+            cut_g = cut[grp]
+            t_window = np.where(cut_g <= d, wrow[np.minimum(cut_g, d)], self.t_eval)
+            delays = (st.sl_delay + t_window) + enc_delay
+            leak = st.k_leak * delays
+            # Accepted classes lie in the first ``cut`` columns of the
+            # class histogram (miss <= driven bounds the rest out).
+            n_acc = min(int(cut_g.max()), d + 1)
+            cnt = np.where(
+                np.arange(n_acc) < cut_g[:, np.newaxis], counts_valid[grp, :n_acc], 0
+            ).astype(np.float64)
+            e_pre = class_sums(cnt * vrow.e_restore[:n_acc])
+            e_diss = class_sums(cnt * vrow.e_diss[:n_acc])
+            nl = n_losers[grp]
+            # Reference booking folds to one elementwise sum per
+            # component: (0.0 + losers) + accepted == losers + accepted.
+            pre_tot = (nl.astype(np.float64) * st.r0 + e_pre).tolist()
+            diss_tot = (st.diss_tab[nl] + e_diss).tolist()
+            for q, sl, pre, dis, lk, dl in zip(
+                grp.tolist(), st.sl_e[grp].tolist(), pre_tot, diss_tot,
+                leak.tolist(), delays.tolist(),
+            ):
+                outcomes[q] = make(q, EnergyLedger._from_booked({
+                    _SL: sl,
+                    _PRE: pre,
+                    _DISS: dis,
+                    _SA: st.e_sa,
+                    _ENC: enc_e,
+                    _LEAK: lk,
+                }), dl)
 
     # ------------------------------------------------------------------
     # Static characterization helpers (used by benches and analyses)

@@ -25,7 +25,7 @@ from .. import obs
 from ..energy.accounting import EnergyLedger
 from ..errors import TCAMError
 from ..faults.faultmap import FaultMap
-from .array import ArrayGeometry, SearchOutcome, TCAMArray, _check_count, _check_row
+from .array import ArrayGeometry, TCAMArray, _check_count, _check_row
 from .cell import CellDescriptor
 from .outcome import BaseOutcome
 from .trit import TernaryWord, trit_block
@@ -266,24 +266,6 @@ class HierarchicalBank:
             survivors_stage1=survivors_after_first,
             stage2_skipped=skipped,
         )
-
-    def reference_outcome(self, key: TernaryWord) -> SearchOutcome:
-        """Search an equivalent *flat* array for the A/B comparison.
-
-        Builds (lazily, once) a flat array with the same contents and
-        searches it, so benches can report segmented-vs-flat energy on
-        identical state.
-        """
-        flat = getattr(self, "_flat_reference", None)
-        if flat is None:
-            flat = TCAMArray(self.stages[0].cell, self.geometry)
-            stored = np.concatenate([stage.stored_matrix() for stage in self.stages], axis=1)
-            valid = self.stages[0].valid_mask()
-            for row in range(self.geometry.rows):
-                if valid[row]:
-                    flat.write(row, TernaryWord(stored[row]))
-            self._flat_reference = flat
-        return flat.search(key)
 
 
 class SegmentedBank(HierarchicalBank):

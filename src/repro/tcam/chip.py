@@ -263,8 +263,15 @@ class TCAMChip:
     def search(self, key: TernaryWord, bank: int, idle_time: float = 0.0) -> ChipSearchOutcome:
         """Search one bank; account idle-bank leakage over ``idle_time``.
 
+        A one-key :meth:`search_batch`: the bank, the idle time and the
+        key are validated before the gating state moves, and the search
+        is traced as a ``chip.search`` span (attributes ``bank``,
+        ``n_banks``, ``row``, ``wakeup``; the outcome's latency as its
+        delay).
+
         Args:
-            key: Search key (bank-width).
+            key: Search key (bank-width): a :class:`TernaryWord` or a
+                1-D row of trit codes.
             bank: Bank index to search (bank-selection is the caller's
                 profile/hash decision).
             idle_time: Wall-clock time since the previous chip operation
@@ -272,45 +279,10 @@ class TCAMChip:
         """
         bank = self._check_bank(bank, "search")
         _check_idle_time(idle_time, "search")
-        with obs.span("chip.search", bank=bank, n_banks=self.n_banks) as sp:
-            ledger = EnergyLedger()
-            extra_latency = self._wake(bank, ledger)
-
-            # Idle leakage of every powered bank over the idle window.
-            if idle_time > 0.0:
-                powered = int(np.count_nonzero(self._powered))
-                leak_power = self.banks[0].standby_power()
-                ledger.add(EnergyComponent.LEAKAGE, powered * leak_power * idle_time)
-
-            if sp is not None:
-                # Wake + idle overhead is this span's own energy; the bank
-                # search nested below contributes the rest, so the tree's
-                # merged total reproduces the outcome ledger exactly.
-                sp.add_energy(ledger)
-                m = obs.metrics()
-                if m is not None:
-                    m.counter("chip.searches").inc()
-                    for component, joules in ledger:
-                        m.counter("energy." + component).inc(joules)
-
-            outcome = self.banks[bank].search(key)
-            ledger.merge(outcome.energy)
-            self._sleep_idle(bank)
-
-            row = None
-            if outcome.first_match is not None:
-                row = bank * self.geometry.rows + outcome.first_match
-            result = ChipSearchOutcome(
-                bank=bank,
-                row=row,
-                outcome=outcome,
-                energy=ledger,
-                latency=outcome.search_delay + extra_latency,
-            )
-            if sp is not None:
-                sp.set_delay(result.latency)
-                sp.annotate(row=result.row, wakeup=extra_latency > 0.0)
-            return result
+        block = trit_block([key], self.geometry.cols, "TCAMChip.search")
+        return self._search_block(
+            block, [bank], idle_time, "chip.search", one_key=True, bank=bank
+        )[0]
 
     def search_batch(
         self,
@@ -320,17 +292,17 @@ class TCAMChip:
     ) -> list[ChipSearchOutcome]:
         """Search many keys, each on its bank.
 
-        Produces the :class:`ChipSearchOutcome` sequence a serial loop of
-        :meth:`search` calls would (same ledgers, rows and latencies; the
-        wake / idle-leak / gating state machine is stepped through the
-        keys in order before any bank is searched).  Keys routed to the
-        same bank stay in their original relative order, so each bank's
-        search-line toggle chain and kernel counters evolve exactly as
-        in the serial loop; each bank then takes its keys in one
-        ``search_batch`` call with its slice of the key block, banks in
-        ascending index order.  Every bank type answers that call
-        (:class:`TCAMArray` on its compiled kernel, the segmented and
-        hierarchical banks key by key).
+        The wake / idle-leak / gating state machine is stepped through
+        the keys in order before any bank is searched, so each key books
+        the wake-up and idle leakage the chip state at its turn implies.
+        Keys routed to the same bank stay in their original relative
+        order, so each bank's search-line toggle chain and kernel
+        counters evolve as they would key by key; each bank then takes
+        its keys in one ``search_batch`` call with its slice of the key
+        block, banks in ascending index order.  Every bank type answers
+        that call (:class:`TCAMArray` on its compiled kernel, the
+        segmented and hierarchical banks key by key).  Traced as a
+        ``chip.search_batch`` span.
 
         The whole batch (key codes and widths, bank indices, idle time)
         is validated before any bank state moves.
@@ -357,7 +329,22 @@ class TCAMChip:
         if not n:
             return []
 
-        with obs.span("chip.search_batch", n_keys=n, n_banks=self.n_banks) as sp:
+        return self._search_block(block, bank_ids, idle_time, "chip.search_batch", n_keys=n)
+
+    def _search_block(
+        self, block: np.ndarray, bank_ids: list[int], idle_time: float, span: str,
+        one_key: bool = False, **attrs,
+    ) -> list[ChipSearchOutcome]:
+        """Search validated keys, each on its bank, under a ``span`` span.
+
+        Each key's wake + idle-leakage overhead ledger is the span's own
+        energy; the bank searches nested below contribute the rest, so
+        the tree's merged total reproduces the outcome ledgers exactly.
+        A one-key span (``one_key``) keeps the scalar shape: the
+        outcome's latency as its delay, annotated with the global ``row``
+        and ``wakeup``; a batch span is annotated with ``banks_touched``.
+        """
+        with obs.span(span, **attrs, n_banks=self.n_banks) as sp:
             m = obs.metrics()
             # Step the wake / idle-leak / gating state machine through the
             # batch in key order -- it only reads and writes the powered
@@ -384,7 +371,7 @@ class TCAMChip:
             by_bank: dict[int, list[int]] = {}
             for i, b in enumerate(bank_ids):
                 by_bank.setdefault(b, []).append(i)
-            per_key: list[SearchOutcome | None] = [None] * n
+            per_key: list[SearchOutcome | None] = [None] * len(bank_ids)
             for b in sorted(by_bank):
                 idxs = by_bank[b]
                 for i, outcome in zip(idxs, self.banks[b].search_batch(block[idxs])):
@@ -407,7 +394,10 @@ class TCAMChip:
                         latency=outcome.search_delay + extras[i],
                     )
                 )
-            if sp is not None:
+            if sp is not None and one_key:
+                sp.set_delay(chip_outcomes[0].latency)
+                sp.annotate(row=chip_outcomes[0].row, wakeup=extras[0] > 0.0)
+            elif sp is not None:
                 sp.annotate(banks_touched=len(by_bank))
             return chip_outcomes
 

@@ -479,7 +479,9 @@ def _book_accepted(
     endpoints; each accepted class books restore and dissipation,
     accumulated in ascending ``n_miss`` order into one add per component
     (= the kernel's segmented sums, bit for bit).  The priority encoder
-    drains ``n_enc`` winners.
+    drains ``n_enc`` winners.  The kernel twin, shared by the tolerance
+    and top-k batches, is
+    :meth:`~repro.tcam.array.TCAMArray._accepted_kernel_tail`.
     """
     est = array.estimator
     n_losers = int(miss_v.size - np.count_nonzero(accepted))

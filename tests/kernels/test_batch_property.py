@@ -6,7 +6,9 @@ empty arrays, and ``k`` beyond the row count, each ``*_batch`` call
 call (the per-key reference) returns -- every outcome field, every
 ledger component in booking order -- and leave the same search-line
 drive state behind.  Search runs both sensing styles; the distance
-operations need precharge sensing.
+operations need precharge sensing and run on three precharge cells:
+the full-swing FeFET, the low-voltage FeFET (clamped precharge target)
+and the 16T CMOS cell (supply-riding).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def scenarios(draw):
     rows = draw(st.integers(1, 12))
     cols = draw(st.integers(1, 12))
     return {
-        "design": draw(st.sampled_from(["fefet2t", "fefet_cr"])),
+        "design": draw(st.sampled_from(["fefet2t", "fefet2t_lv", "cmos16t", "fefet_cr"])),
         "rows": rows,
         "cols": cols,
         "seed": draw(st.integers(0, 2**31 - 1)),

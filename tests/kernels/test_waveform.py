@@ -105,26 +105,3 @@ class TestValidation:
         row.setflags(write=False)
         with pytest.raises(KernelError):
             table.validate(rtol=1e-9)
-
-
-class TestInterpolation:
-    def test_integer_queries_hit_table_exactly(self):
-        _, table = _table_for("fefet2t")
-        for n in range(9):
-            assert table.v_end_interp(float(n), 8) == table.v_end(n, 8)
-
-    def test_fractional_queries_are_monotone(self):
-        """More mismatches discharge harder: interpolant must not overshoot."""
-        _, table = _table_for("fefet2t")
-        driven = 10
-        grid = [table.v_end(n, driven) for n in range(driven + 1)]
-        for n in range(driven):
-            lo, hi = sorted((grid[n], grid[n + 1]))
-            for frac in (0.25, 0.5, 0.75):
-                v = table.v_end_interp(n + frac, driven)
-                assert lo <= v <= hi
-        # And the interpolant is (non-strictly) decreasing along a fine
-        # sweep, matching the physical decay of v_end with n_miss.
-        xs = np.linspace(0.0, driven, 101)
-        vs = np.array([table.v_end_interp(float(x), driven) for x in xs])
-        assert np.all(np.diff(vs) <= 1e-12)

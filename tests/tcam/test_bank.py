@@ -7,17 +7,35 @@ import pytest
 
 from repro.energy import EnergyComponent
 from repro.errors import TCAMError
-from repro.tcam import ArrayGeometry, SegmentedBank, random_word, word_from_string
+from repro.tcam import (
+    ArrayGeometry,
+    SegmentedBank,
+    TCAMArray,
+    TernaryWord,
+    random_word,
+    word_from_string,
+)
 from repro.tcam.cells import FeFET2TCell
 
 
-def _bank(rows=16, cols=32, probe=8, early=True):
+def _bank(rows=16, cols=32, probe=8, early=True, **array_kwargs):
     return SegmentedBank(
         FeFET2TCell(),
         ArrayGeometry(rows, cols),
         probe_cols=probe,
         early_terminate=early,
+        **array_kwargs,
     )
+
+
+def _flat_twin(bank, **array_kwargs):
+    """A flat array holding the bank's current content, built with the
+    array kwargs the bank was built with: the segmented-vs-flat A/B."""
+    flat = TCAMArray(bank.stages[0].cell, bank.geometry, **array_kwargs)
+    stored = np.concatenate([stage.stored_matrix() for stage in bank.stages], axis=1)
+    for row in np.flatnonzero(bank.stages[0].valid_mask()).tolist():
+        flat.write(row, TernaryWord(stored[row]))
+    return flat
 
 
 def _loaded_bank(rows=16, cols=32, probe=8, seed=1, x_fraction=0.3, early=True):
@@ -88,7 +106,7 @@ class TestSelectivePrechargeEnergy:
         bank, words, rng = _loaded_bank(rows=32, cols=64, probe=12, x_fraction=0.0)
         key = random_word(64, rng)
         seg = bank.search(key)
-        flat = bank.reference_outcome(key)
+        flat = _flat_twin(bank).search(key)
         assert seg.energy.get(EnergyComponent.ML_PRECHARGE) < 0.7 * flat.energy.get(
             EnergyComponent.ML_PRECHARGE
         )
@@ -122,5 +140,5 @@ class TestSelectivePrechargeEnergy:
     def test_serial_stages_add_delay(self):
         bank, words, rng = _loaded_bank(x_fraction=0.0)
         seg = bank.search(words[0])  # guarantees survivors -> two stages
-        flat = bank.reference_outcome(words[0])
+        flat = _flat_twin(bank).search(words[0])
         assert seg.search_delay > flat.search_delay

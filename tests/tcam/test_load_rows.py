@@ -4,7 +4,9 @@
 same content, wear, valid bits and per-row write energies as a
 sequential :meth:`write` loop -- while bumping the content version once
 for the whole block.  ``load`` delegates to ``load_rows`` on both the
-array and the chip, so the oracle here is an explicit ``write`` loop.
+array and the chip, so the oracle here is an explicit ``write`` loop:
+per array, and per bank for a chip (each touched bank's wake, then its
+own loop, merged in bank order).
 """
 
 from __future__ import annotations
@@ -40,6 +42,23 @@ def _write_loop(target, words, start_row=0):
     for offset, word in enumerate(words):
         out = target.write(start_row + offset, word)
         ledger.merge(getattr(out, "energy", out))
+    return ledger
+
+
+def _bank_write_loops(chip, words, start_row=0):
+    """The chip ``load_rows`` ledger contract: for each touched bank in
+    bank order, the bank's wake and then the bank's own :func:`_write_loop`
+    over its rows, merged into one chip ledger."""
+    rows = chip.geometry.rows
+    ledger = EnergyLedger()
+    pos = 0
+    while pos < len(words):
+        bank_idx, local_row = divmod(start_row + pos, rows)
+        n_block = min(rows - local_row, len(words) - pos)
+        chip._wake(bank_idx, ledger)
+        bank = chip.banks[bank_idx]
+        ledger.merge(_write_loop(bank, words[pos : pos + n_block], start_row=local_row))
+        pos += n_block
     return ledger
 
 
@@ -127,9 +146,11 @@ class TestChipLoadRows:
         )
 
     def test_ledger_identical_to_write_loop_across_banks(self):
+        # Each bank's ledger is that bank's own write loop, merged in bank
+        # order; one chip-level write loop rounds differently in general.
         ref_chip, bulk_chip = self._chip_pair()
         words = _words(12, 20, seed=13)  # spans 2.5 banks
-        ref = _write_loop(ref_chip, words)
+        ref = _bank_write_loops(ref_chip, words)
         got = bulk_chip.load_rows(words)
         for ra, rb in zip(ref_chip.banks, bulk_chip.banks):
             _assert_same_state(ra, rb)
@@ -140,7 +161,7 @@ class TestChipLoadRows:
         ref_chip, bulk_chip = self._chip_pair()
         words = _words(12, 10, seed=17)
         start = 5  # rows 5..14 touch banks 0 and 1
-        ref_ledger = _write_loop(ref_chip, words, start_row=start)
+        ref_ledger = _bank_write_loops(ref_chip, words, start_row=start)
         got = bulk_chip.load_rows(words, start_row=start)
         for ra, rb in zip(ref_chip.banks, bulk_chip.banks):
             _assert_same_state(ra, rb)
@@ -152,7 +173,7 @@ class TestChipLoadRows:
         )
         ref_chip, bulk_chip = self._chip_pair(gating=gating)
         words = _words(12, 20, seed=19)
-        ref = _write_loop(ref_chip, words)
+        ref = _bank_write_loops(ref_chip, words)
         got = bulk_chip.load_rows(words)
         assert ref.as_dict() == got.as_dict()
 

@@ -384,6 +384,7 @@ class TestChipBlockEquivalence:
         chip = TCAMChip(_chip_factory("array"), n_banks=3,
                         gating=GatingPolicy(gate_idle_banks=True))
         chip.load_rows(_words(20, seed=17))
+        chip.search(_words(1, seed=19)[0], bank=0)  # gate banks 1 and 2
         before = _chip_state(chip)
         block = pack_keys(_words(6, seed=18)).astype(np.int64)
         block[5, 0] = 257  # the last key, on the last bank searched
@@ -391,6 +392,8 @@ class TestChipBlockEquivalence:
             chip.search_batch(block, [0, 1, 2, 0, 1, 2])
         with pytest.raises(TCAMError):
             chip.load_rows(block)
+        with pytest.raises(TCAMError, match="TCAMChip.search"):
+            chip.search(block[5], bank=2)
         assert _chip_state(chip) == before
 
 
