@@ -1,4 +1,4 @@
-"""Compiled-kernel benchmark: table validation, fallback path, speedup.
+"""Compiled-kernel benchmark: table validation, table build, speedup.
 
 Exercises the three contracts of :mod:`repro.kernels` and records the
 numbers to ``BENCH_kernels.json`` at the repo root:
@@ -12,16 +12,11 @@ numbers to ``BENCH_kernels.json`` at the repo root:
   128x64 fefet2t array: one stacked :meth:`KernelEngine.rows` pass
   against a per-row :meth:`KernelEngine.row` loop (rows asserted
   bitwise equal).
-* **Fallback** -- a kernel compiled with a deliberately small
-  ``max_driven`` must serve in-grid keys from the tables and route the
-  rest through the RK4 reference path, with outcomes bit-identical to
-  the per-key reference (:func:`repro.tcam.reference.search`) either
-  way.
 * **Faulted arrays** -- on a 64x32 array carrying every fault kind
   (stuck-match, stuck-miss, stuck-trit, retention, dead rows, SA
   offsets), the fault-aware kernel batch must equal the per-key
   reference faulty search outcome for outcome, for both sensing styles,
-  with the tables serving it and no RK4 fallback.
+  with the tables serving it.
 * **Timing** -- warm-table kernel batch throughput on the
   ``bench_perf_search`` configuration, outcomes checked against the
   per-key reference on a key prefix.
@@ -42,9 +37,8 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_kernels.py --check    # assert
 
 ``--check`` asserts the validation bounds (exactly 0.0 for every
-registered cell), that both the table-hit and RK4-fallback paths
-actually ran, scalar/kernel bit-identity, and zero mismatching faulted
-outcomes, an assembly batch identical to the scalar search key
+registered cell), scalar/kernel bit-identity, and zero mismatching
+faulted outcomes with the tables serving them, an assembly batch identical to the scalar search key
 for key, and tabled writes identical to the per-cell loop; these hold
 on any host.  The timing sections are
 informational on shared runners and carry no floor (the
@@ -63,7 +57,7 @@ import numpy as np
 from repro.core import all_designs, build_array, get_design
 from repro.energy.accounting import EnergyComponent, EnergyLedger
 from repro.faults.faultmap import FaultKind, FaultMap
-from repro.kernels import KernelEngine
+from repro.kernels.engine import VALIDATION_RTOL
 from repro.tcam import ArrayGeometry, TCAMArray, reference
 from repro.tcam.cells import get_cell, list_cells
 from repro.tcam.array import WriteOutcome
@@ -122,8 +116,8 @@ def run_validation(designs: list[str], rows: int, cols: int, n_keys: int) -> lis
         engine = array.kernel
         keys = _keys(cols, n_keys, x_fraction=0.3, seed=SEED + 1)
         array.search_batch(keys)  # builds the rows this workload touches
-        worst = engine.validate(rtol=1e-9)  # raises KernelError over budget
-        assert worst <= 1e-9, f"{design}: validation error {worst} over budget"
+        worst = engine.validate()  # raises KernelError over budget
+        assert worst <= VALIDATION_RTOL, f"{design}: validation error {worst} over budget"
         records.append(
             {
                 "design": design,
@@ -147,7 +141,7 @@ def run_cell_validation(cells: list[str], cols: int) -> list[dict]:
                 "cell": name,
                 "cols": cols,
                 "classes_tabulated": engine.counters()["classes_tabulated"],
-                "worst_relative_error": engine.validate(rtol=1e-9),
+                "worst_relative_error": engine.validate(),
             }
         )
     return records
@@ -180,30 +174,6 @@ def run_table_build(rows: int, cols: int, n_keys: int) -> dict:
         "per_row_seconds": seconds["per_row"],
         "stacked_seconds": seconds["stacked"],
         "speedup": round(seconds["per_row"] / seconds["stacked"], 2),
-    }
-
-
-def run_fallback(rows: int, cols: int, n_keys: int) -> dict:
-    """Mixed table/RK4 batch: both paths must run and stay bit-identical."""
-    scalar_array = _build_loaded(DESIGN, rows, cols, SEED)
-    kernel_array = _build_loaded(DESIGN, rows, cols, SEED)
-    # Keys carry ~30% X columns, so driven_cols spreads around 0.7*cols;
-    # capping the grid near the middle of that spread forces a mix.
-    keys = _keys(cols, n_keys, x_fraction=0.3, seed=SEED + 2)
-    drivens = [int(np.count_nonzero(k.as_array() != 2)) for k in keys]
-    engine = kernel_array._kernel = KernelEngine(
-        kernel_array, max_driven=int(np.median(drivens))
-    )
-
-    scalar = [reference.search(scalar_array, k) for k in keys]
-    kernel = kernel_array.search_batch(keys)
-    _assert_identical(scalar, kernel, "fallback batch")
-    assert engine.table_hits > 0, "no key was served from the tables"
-    assert engine.rk4_fallbacks > 0, "no key exercised the RK4 fallback"
-    return {
-        "max_driven": engine.max_driven,
-        "table_hits": engine.table_hits,
-        "rk4_fallbacks": engine.rk4_fallbacks,
     }
 
 
@@ -263,7 +233,6 @@ def run_faulted(rows: int, cols: int, n_keys: int) -> list[dict]:
                 "functional_errors": sum(o.functional_errors for o in expected),
                 "mismatching_outcomes": mismatches,
                 "table_hits": engine.table_hits,
-                "rk4_fallbacks": engine.rk4_fallbacks,
                 "faulty_loop_seconds": {"cold": seconds[0][0], "warm": seconds[1][0]},
                 "fault_kernel_seconds": {"cold": seconds[0][1], "warm": seconds[1][1]},
             }
@@ -394,7 +363,6 @@ def run_bench(smoke: bool) -> dict:
         validation = run_validation([DESIGN], rows=32, cols=24, n_keys=32)
         cell_validation = run_cell_validation(cells, cols=8)
         table_build = run_table_build(rows=32, cols=24, n_keys=64)
-        fallback = run_fallback(rows=32, cols=24, n_keys=32)
         faulted = run_faulted(rows=64, cols=32, n_keys=64)
         timing = run_timing(rows=64, cols=32, n_keys=128, scalar_keys=16)
         assembly = run_assembly(rows=32, cols=24, n_keys=128)
@@ -403,7 +371,6 @@ def run_bench(smoke: bool) -> dict:
         validation = run_validation(searchable, rows=64, cols=32, n_keys=64)
         cell_validation = run_cell_validation(cells, cols=16)
         table_build = run_table_build(rows=128, cols=64, n_keys=256)
-        fallback = run_fallback(rows=64, cols=32, n_keys=64)
         faulted = run_faulted(rows=64, cols=32, n_keys=256)
         timing = run_timing(rows=256, cols=64, n_keys=1024, scalar_keys=64)
         assembly = run_assembly(rows=128, cols=64, n_keys=4096)
@@ -411,11 +378,10 @@ def run_bench(smoke: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "design": DESIGN,
-        "validation_rtol": 1e-9,
+        "validation_rtol": VALIDATION_RTOL,
         "validation": validation,
         "cell_validation": cell_validation,
         "table_build": table_build,
-        "fallback": fallback,
         "faulted": faulted,
         "timing": timing,
         "assembly": assembly,
@@ -433,8 +399,7 @@ def main() -> None:
         "--check", action="store_true",
         help=(
             "exit non-zero unless the validation bounds hold (0.0 for "
-            "every registered cell), both the table and RK4-fallback "
-            "paths ran, kernel outcomes are "
+            "every registered cell), kernel outcomes are "
             "bit-identical to the scalar search, faulted kernel "
             "batches equal the scalar faulty loop from the tables alone, "
             "the warm assembly batch equals the scalar search, and "
@@ -454,18 +419,15 @@ def main() -> None:
         print(f"wrote {args.output}")
     if args.check:
         worst = max(v["worst_relative_error"] for v in record["validation"])
-        assert worst <= 1e-9
+        assert worst <= VALIDATION_RTOL
         for v in record["cell_validation"]:
             assert v["worst_relative_error"] == 0.0, (
                 f"cell {v['cell']}: table diverged from the scalar RK4 reference"
             )
-        assert record["fallback"]["table_hits"] > 0
-        assert record["fallback"]["rk4_fallbacks"] > 0
         for faulted in record["faulted"]:
             label = f"faulted {faulted['design']}"
             assert faulted["mismatching_outcomes"] == 0, f"{label}: outcomes diverged"
             assert faulted["table_hits"] > 0, f"{label}: tables not used"
-            assert faulted["rk4_fallbacks"] == 0, f"{label}: RK4 fallback ran"
         assembly = record["assembly"]
         assert assembly["checked_keys"] == assembly["n_keys"]
         assert assembly["mismatching_outcomes"] == 0, "assembly batch diverged from scalar"
@@ -475,8 +437,7 @@ def main() -> None:
             )
         print(
             f"OK: validation <= 1e-9 (worst {worst:.3e}), every registered "
-            "cell's full triangle exact, table and "
-            "fallback paths exercised, kernel bit-identical to scalar, "
+            "cell's full triangle exact, kernel bit-identical to scalar, "
             "faulted kernel batches identical to the scalar faulty loop, "
             "assembly batch identical to the scalar search, tabled writes "
             "identical to the per-cell loop"

@@ -117,9 +117,8 @@ def run_bench(
         "kernel_keys_per_sec": round(kernel_rate, 2),
         "kernel_seconds": round(t_kernel, 4),
         "kernel_speedup_vs_scalar": round(kernel_rate / scalar_rate, 2),
-        "kernel_validation_error": engine.validate(rtol=1e-9),
+        "kernel_validation_error": engine.validate(),
         "kernel_table_hits": engine.table_hits,
-        "kernel_rk4_fallbacks": engine.rk4_fallbacks,
     }
 
 

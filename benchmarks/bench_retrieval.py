@@ -87,7 +87,7 @@ def bench_nearest_kernel(
     kernel = _build_loaded(GATE_ROWS, GATE_COLS, rng)
     engine = kernel.kernel
     engine.precompute()
-    for d in range(engine.max_driven + 1):
+    for d in range(GATE_COLS + 1):
         engine.window_row(d)
 
     key_rng = np.random.default_rng(SEED + 1)

@@ -2,22 +2,24 @@
 
 The per-key reference search (:mod:`repro.tcam.reference`) integrates
 each mismatch class it meets by RK4, per search.  The kernel engine
-instead compiles the *entire* class
-triangle of the array's electrical configuration into flat per-``driven`` rows of
-sensing results -- match verdicts, restore/dissipation/sense energies,
-strobe and restore delays -- that survive writes (content never enters
-the class physics) and can be gathered with fancy indexing by the
-vectorized batch path.
+instead compiles the class triangle of the array's electrical
+configuration -- every ``(n_miss, driven)`` with ``0 <= n_miss <=
+driven <= cols`` -- into flat per-``driven`` rows of sensing results
+(match verdicts, restore/dissipation/sense energies, strobe and restore
+delays) that survive writes (content never enters the class physics)
+and can be gathered with fancy indexing by the vectorized batch path.
 
-Precharge-style rows are derived from a :class:`WaveformTable` (the
-tabulated RK4 endpoints); current-race rows evaluate the race amp's
-closed form per class.  Both reuse the array's own per-class helpers
-(:meth:`TCAMArray._precharge_class_from_v_end` /
-:meth:`TCAMArray._race_class_from_current`), so every tabulated quantity
-is the exact object the per-key reference would have computed.  A batch asks
-for all of its rows in one :meth:`KernelEngine.rows` call, which builds
-every missing row together -- for precharge sensing in one stacked RK4
-pass -- under a ``kernels.build_rows`` span.
+Rows are built by the array's own class helpers: precharge endpoints
+by its stacked integrator (:meth:`TCAMArray._ml_voltages_after_eval`)
+and :meth:`TCAMArray._precharge_class_from_v_end`, current-race rows by
+the race amp's closed form (:meth:`TCAMArray._race_class_from_current`),
+so every tabulated quantity is the exact object the per-key reference
+would have computed.  A batch asks for all of its rows in one
+:meth:`KernelEngine.rows` call, which builds every missing row together
+-- for precharge sensing in one stacked RK4 pass -- under a
+``kernels.build_rows`` span.  :meth:`KernelEngine.validate` re-integrates
+the compiled precharge classes one at a time with the scalar RK4
+integrator.
 
 With a fault map attached, retention-degraded rows carry pull-down
 compositions outside the class triangle.  Their sensing results are
@@ -26,12 +28,9 @@ not seen yet, and cached on the engine until the fault map changes
 (:meth:`KernelEngine.fault_classes`).
 
 Counters: ``table_hits`` counts per-key class queries served from the
-tables (fault signatures included), ``rk4_fallbacks`` counts class
-queries answered by the RK4 reference path (classes whose ``driven``
-exceeds the tabulated grid) and ``rows_built`` the compiled rows; the
-array delta-syncs all three into the ``MetricsRegistry`` as
-``kernels.table_hits`` / ``kernels.rk4_fallbacks`` /
-``kernels.rows_built`` at batch boundaries.
+tables (fault signatures included) and ``rows_built`` the compiled
+rows; the array delta-syncs both into the ``MetricsRegistry`` as
+``kernels.table_hits`` / ``kernels.rows_built`` at batch boundaries.
 """
 
 from __future__ import annotations
@@ -43,8 +42,23 @@ import numpy as np
 
 from .. import obs
 from ..circuits.matchline import composite_current
+from ..circuits.rc import discharge_waveform
 from ..errors import KernelError
-from .waveform import WaveformTable, as_driven
+
+# Relative-error budget of :meth:`KernelEngine.validate`.
+VALIDATION_RTOL = 1e-9
+
+
+def as_driven(driven) -> int:
+    """``driven`` as a Python ``int``; only integers are accepted.
+
+    Raises:
+        KernelError: for anything but a Python or NumPy integer (floats
+            and booleans included).
+    """
+    if isinstance(driven, (bool, np.bool_)) or not isinstance(driven, (int, np.integer)):
+        raise KernelError(f"driven must be an integer, got {driven!r}")
+    return int(driven)
 
 
 def class_sums(terms: np.ndarray) -> np.ndarray:
@@ -97,49 +111,29 @@ def _row_of(row_type, results: list):
 class KernelEngine:
     """Compiled class tables + counters for one :class:`TCAMArray`.
 
+    The tables span the full class triangle of the array's width: every
+    ``driven`` in ``[0, cols]`` and every ``n_miss`` in ``[0, driven]``.
+
     Args:
         array: The owning array (its electrical configuration is fixed
             at construction, so the tables never need invalidation).
-        max_driven: Largest tabulated ``driven_cols``; ``None`` tabulates
-            the full triangle up to the array width.  Batches containing
-            keys that drive more columns fall back to the RK4 reference
-            path for those keys.
     """
 
-    def __init__(self, array, *, max_driven: int | None = None) -> None:
-        cols = array.geometry.cols
-        if max_driven is None:
-            max_driven = cols
-        if not 0 <= max_driven <= cols:
-            raise KernelError(
-                f"max_driven must be in [0, {cols}], got {max_driven}"
-            )
+    # Every class of the array's width is tabulated, so no class query
+    # leaves the tables.  Kept as a constant for the host-time tracer
+    # (benchmarks/perf/tracer.py), its only reader.
+    rk4_fallbacks = 0
+
+    def __init__(self, array) -> None:
         self._array = array
-        self.max_driven = int(max_driven)
         self.table_hits = 0
-        self.rk4_fallbacks = 0
         self._rows: dict[int, PrechargeClassRow | RaceClassRow] = {}
         self._window_rows: dict[int, np.ndarray] = {}
         self._diss0: dict[int, np.ndarray] = {}
         self._fault_version: int | None = None
         self._fault_classes: dict[tuple, object] = {}
-        if array.sensing == "precharge":
-            self.waveform: WaveformTable | None = WaveformTable(
-                array.c_ml,
-                array.cell.i_pulldown,
-                array.cell.i_leak,
-                array.precharge.target_voltage(),
-                array.t_eval,
-                max_driven=self.max_driven,
-            )
-        else:
-            self.waveform = None
 
     # -- table access ------------------------------------------------------
-
-    def in_grid(self, driven: int) -> bool:
-        """True when every class of this ``driven`` value is tabulated."""
-        return 0 <= driven <= self.max_driven
 
     @property
     def rows_built(self) -> int:
@@ -148,10 +142,9 @@ class KernelEngine:
 
     def _check_driven(self, driven) -> int:
         d = as_driven(driven)
-        if not self.in_grid(d):
-            raise KernelError(
-                f"driven {d} outside compiled grid [0, {self.max_driven}]"
-            )
+        cols = self._array.geometry.cols
+        if not 0 <= d <= cols:
+            raise KernelError(f"driven {d} outside the class triangle [0, {cols}]")
         return d
 
     def rows(self, drivens: Iterable[int]) -> list[PrechargeClassRow | RaceClassRow]:
@@ -161,8 +154,8 @@ class KernelEngine:
         yet are built together under one ``kernels.build_rows`` span
         (attributes ``n_rows``, ``n_classes``): precharge endpoints of
         all of them integrate in one stacked RK4 pass
-        (:meth:`WaveformTable.rows`), current-race rows evaluate their
-        class currents in one array call per row.
+        (:meth:`TCAMArray._ml_voltages_after_eval`), current-race rows
+        evaluate their class currents in one array call.
         """
         ds = [self._check_driven(d) for d in drivens]
         missing = sorted({d for d in ds if d not in self._rows})
@@ -180,31 +173,36 @@ class KernelEngine:
         return self.rows([driven])[0]
 
     def _build(self, drivens: list[int]) -> None:
+        """Compile the rows of ``drivens`` (sorted, distinct) in one pass
+        over their stacked ``(n_miss, driven)`` classes."""
         array = self._array
+        sizes = np.array(drivens) + 1
+        starts = np.cumsum(sizes) - sizes
+        driven = np.repeat(drivens, sizes)
+        n_miss = np.arange(driven.size) - np.repeat(starts, sizes)
         if array.sensing == "precharge":
-            for d, v_ends in zip(drivens, self.waveform.rows(drivens)):
-                results = [array._precharge_class_from_v_end(float(v)) for v in v_ends]
-                self._store(d, _row_of(PrechargeClassRow, results))
+            row_type = PrechargeClassRow
+            results = [
+                array._precharge_class_from_v_end(v)
+                for v in array._ml_voltages_after_eval(n_miss, driven)
+            ]
         else:
-            v_trip = array.race_amp.v_trip
+            row_type = RaceClassRow
             cell = array.cell
-            for d in drivens:
-                n_miss = np.arange(d + 1)
-                currents = composite_current(
-                    v_trip, cell.i_pulldown, cell.i_leak, n_miss, d - n_miss
-                )
-                results = [array._race_class_from_current(float(i)) for i in currents]
-                self._store(d, _row_of(RaceClassRow, results))
-
-    def _store(self, driven: int, built: PrechargeClassRow | RaceClassRow) -> None:
-        for field in vars(built).values():
-            field.setflags(write=False)
-        self._rows[driven] = built
+            currents = composite_current(
+                array.race_amp.v_trip, cell.i_pulldown, cell.i_leak, n_miss, driven - n_miss
+            )
+            results = [array._race_class_from_current(float(i)) for i in currents]
+        for d, lo in zip(drivens, starts.tolist()):
+            built = _row_of(row_type, results[lo : lo + d + 1])
+            for field in vars(built).values():
+                field.setflags(write=False)
+            self._rows[d] = built
 
     def precompute(self, drivens: "range | list[int] | None" = None) -> None:
-        """Compile rows eagerly (the whole grid by default), in one pass."""
+        """Compile rows eagerly (the whole triangle by default), in one pass."""
         if drivens is None:
-            drivens = range(self.max_driven + 1)
+            drivens = range(self._array.geometry.cols + 1)
         self.rows(drivens)
 
     def fault_classes(self, sigs: list[tuple], fault_version: int) -> dict:
@@ -290,7 +288,6 @@ class KernelEngine:
         cell = array.cell
         sig = (
             array.sensing,
-            self.max_driven,
             array.geometry.cols,
             float(array.c_ml),
             # The pull-down / leakage curves are fully determined by the
@@ -316,12 +313,12 @@ class KernelEngine:
         index) can compile the triangle once and serve every bank from
         it.  The caches are shared *by reference*: a row lazily built
         through any adopting engine becomes visible to all of them.
-        Hit/fallback counters stay per-engine.
+        Hit counters stay per-engine.
 
         Raises:
             KernelError: if the two arrays differ in any parameter the
-                tables are derived from (sensing style, grid bound,
-                geometry, ML load, cell currents, timing, voltages).
+                tables are derived from (sensing style, geometry, ML load,
+                cell currents, timing, voltages).
         """
         if donor is self:
             return
@@ -334,31 +331,60 @@ class KernelEngine:
         self._rows = donor._rows
         self._window_rows = donor._window_rows
         self._diss0 = donor._diss0
-        self.waveform = donor.waveform
 
     # -- validation / diagnostics -----------------------------------------
 
-    def validate(self, rtol: float = 1e-9) -> float:
-        """Validate the waveform table against the scalar RK4 reference.
+    def validate(self) -> float:
+        """Check the compiled precharge classes against the scalar RK4 reference.
 
-        Returns the worst relative endpoint error (see
-        :meth:`WaveformTable.validate`); current-race tables have no
-        integration step and trivially validate at 0.0.
+        Every class ``(n, d)`` of every compiled precharge row (of the
+        full triangle when no row is compiled yet) is re-integrated alone
+        with :func:`~repro.circuits.rc.discharge_waveform` and compared
+        with ``row.v_end[n]``.  Returns the worst relative error and
+        raises :class:`KernelError` when it exceeds
+        :data:`VALIDATION_RTOL`.  The stacked integrator and the numpy
+        device model are elementwise identical to a lone scalar class,
+        so the expected error is exactly 0.0; the budget bounds how far
+        the sensing decisions could drift before the check fails.
+        Current-race rows have no integration step and validate at 0.0.
         """
-        if self.waveform is None:
+        array = self._array
+        if array.sensing != "precharge":
             return 0.0
-        drivens = sorted(
-            d for d in self._rows if isinstance(self._rows[d], PrechargeClassRow)
-        )
-        return self.waveform.validate(rtol=rtol, drivens=drivens or None)
+        if not self._rows:
+            self.precompute()
+        cell = array.cell
+        v_pre = array.precharge.target_voltage()
+        grid = array._eval_grid()
+        worst = 0.0
+        for d, row in sorted(self._rows.items()):
+            for n_miss, got in enumerate(row.v_end.tolist()):
+                expected = float(
+                    discharge_waveform(
+                        array.c_ml,
+                        lambda v, m=n_miss: composite_current(
+                            v, cell.i_pulldown, cell.i_leak, m, d - m
+                        ),
+                        v_pre,
+                        grid,
+                    )[-1]
+                )
+                worst = max(worst, abs(got - expected) / max(abs(expected), 1e-30))
+        if worst > VALIDATION_RTOL:
+            raise KernelError(
+                f"compiled tables diverged from the RK4 reference: worst "
+                f"relative error {worst:.3e} exceeds {VALIDATION_RTOL:.1e}"
+            )
+        return worst
 
     def counters(self) -> dict[str, int]:
-        """Snapshot of the hit/fallback/build counters."""
+        """Snapshot of the hit/build counters."""
         return {
             "table_hits": self.table_hits,
-            "rk4_fallbacks": self.rk4_fallbacks,
             "rows_built": self.rows_built,
-            "classes_tabulated": (
-                self.waveform.classes_tabulated if self.waveform is not None else 0
+            "classes_tabulated": sum(
+                row.v_end.size
+                for row in self._rows.values()
+                if isinstance(row, PrechargeClassRow)
             ),
         }

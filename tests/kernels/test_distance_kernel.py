@@ -17,7 +17,6 @@ from repro import obs
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError, TCAMError
 from repro.faults.faultmap import FaultMap
-from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry, reference
 from repro.tcam.trit import random_word
 
@@ -67,23 +66,6 @@ class TestNearestBatchKernel:
             assert s.search_delay == x.search_delay
             _assert_ledger_identical(s, x)
         assert b.kernel.table_hits > 0
-        assert b.kernel.rk4_fallbacks == 0
-
-    def test_fallback_mix(self):
-        """Keys past the compiled grid fall back per key, still exactly."""
-        a, b = _loaded_pair("fefet2t")
-        keys = _keys(24, 20, seed=23, x_fraction=0.4)
-        drivens = sorted(sum(1 for t in k if int(t) != 2) for k in keys)
-        b._kernel = KernelEngine(b, max_driven=drivens[len(drivens) // 2])
-        scalar = [reference.nearest_match(a, k) for k in keys]
-        kernel = b.nearest_match_batch(keys)
-        for s, x in zip(scalar, kernel):
-            assert s.row == x.row
-            assert s.distance == x.distance
-            assert s.search_delay == x.search_delay
-            _assert_ledger_identical(s, x)
-        assert b.kernel.table_hits > 0
-        assert b.kernel.rk4_fallbacks > 0
 
     def test_counters_delta_sync_to_metrics(self):
         _, b = _loaded_pair("fefet2t")
@@ -244,7 +226,6 @@ class TestAdoptTables:
         adopter.adopt_tables(donor)
         assert adopter._rows is donor._rows
         assert adopter._window_rows is donor._window_rows
-        assert adopter.waveform is donor.waveform
         assert adopter.rows_built == donor.rows_built
         # Lazy builds through the adopter land in the shared cache.
         adopter.row(6)

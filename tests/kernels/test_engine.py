@@ -71,17 +71,15 @@ class TestClassSums:
 class TestEngineRows:
     @pytest.mark.parametrize("design", SEARCHABLE)
     def test_rows_match_array_class_helpers(self, design):
-        """Every tabulated field equals the legacy per-class result."""
+        """Every tabulated field equals the reference per-class result."""
         array = _array(design)
-        engine = KernelEngine(array, max_driven=8)
-        for driven in (0, 3, 8):
+        engine = KernelEngine(array)
+        for driven in (0, 3, 8, 12):
             row = engine.row(driven)
-            for n_miss in range(driven + 1):
-                if array.sensing == "precharge":
-                    assert isinstance(row, PrechargeClassRow)
-                    ref = array._precharge_class_from_v_end(
-                        engine.waveform.v_end(n_miss, driven)
-                    )
+            if array.sensing == "precharge":
+                assert isinstance(row, PrechargeClassRow)
+                refs = reference._precharge_classes(array, range(driven + 1), driven)
+                for n_miss, ref in enumerate(refs):
                     assert row.v_end[n_miss] == ref.v_end
                     assert bool(row.is_match[n_miss]) == ref.is_match
                     assert row.e_restore[n_miss] == ref.e_restore
@@ -89,43 +87,43 @@ class TestEngineRows:
                     assert row.e_sense[n_miss] == ref.e_sense
                     assert row.t_sense[n_miss] == ref.t_sense
                     assert row.t_restore[n_miss] == ref.t_restore
-                else:
-                    assert isinstance(row, RaceClassRow)
+            else:
+                assert isinstance(row, RaceClassRow)
+                for n_miss in range(driven + 1):
                     ref = reference._race_class(array, n_miss, driven)
                     assert bool(row.is_match[n_miss]) == ref.is_match
                     assert row.energy[n_miss] == ref.energy
                     assert row.delay[n_miss] == ref.delay
 
     def test_rows_cached_and_read_only(self):
-        engine = KernelEngine(_array(), max_driven=6)
+        engine = KernelEngine(_array())
         row = engine.row(4)
         assert engine.row(4) is row
         assert engine.rows_built == 1
         with pytest.raises(ValueError):
             row.e_sense[0] = 1.0
 
-    def test_bad_max_driven_raises(self):
-        with pytest.raises(KernelError):
-            KernelEngine(_array(cols=12), max_driven=13)
-        with pytest.raises(KernelError):
-            KernelEngine(_array(), max_driven=-1)
-
     def test_out_of_grid_row_raises(self):
-        engine = KernelEngine(_array(), max_driven=5)
-        assert engine.in_grid(5) and not engine.in_grid(6)
-        with pytest.raises(KernelError):
-            engine.row(6)
+        """``driven`` past the array width (or negative) is a typed error,
+        and a batch of rows holding one builds none of them."""
+        engine = KernelEngine(_array(cols=12))
+        for bad in (13, -1):
+            with pytest.raises(KernelError, match="class triangle"):
+                engine.rows([3, bad])
+        assert engine.rows_built == 0
+        assert engine.row(12).v_end.size == 13
 
     @pytest.mark.parametrize("design", SEARCHABLE)
     def test_validate_within_budget(self, design):
-        engine = KernelEngine(_array(design), max_driven=6)
+        engine = KernelEngine(_array(design))
         engine.precompute()
-        assert engine.validate(rtol=1e-9) == 0.0
+        assert engine.validate() == 0.0
 
     def test_counters_snapshot(self):
-        engine = KernelEngine(_array(), max_driven=4)
+        engine = KernelEngine(_array(cols=4))
         engine.precompute()
-        counters = engine.counters()
-        assert counters["rows_built"] == 5
-        assert counters["table_hits"] == 0
-        assert counters["rk4_fallbacks"] == 0
+        assert engine.counters() == {
+            "table_hits": 0,
+            "rows_built": 5,
+            "classes_tabulated": 15,
+        }

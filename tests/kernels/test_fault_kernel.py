@@ -20,7 +20,6 @@ from repro.core import build_array, get_design
 from repro.energy.accounting import EnergyLedger
 from repro.errors import TCAMError
 from repro.faults.faultmap import FaultKind, FaultMap
-from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry, HierarchicalBank, SegmentedBank, TCAMChip, reference
 from repro.tcam.trit import TernaryWord, random_word
 
@@ -91,7 +90,6 @@ def scenarios(draw):
         "n_offset": draw(st.integers(0, rows // 2)),
         "mask": draw(st.sampled_from(["none", "random", "all_false", "all_true"])),
         "n_keys": draw(st.integers(1, 12)),
-        "max_driven": draw(st.one_of(st.none(), st.integers(0, cols))),
     }
 
 
@@ -120,7 +118,6 @@ class TestFaultKernelEquivalence:
         fm = _random_fault_map(rng, rows, cols, sc["n_cells"], sc["n_dead"], sc["n_offset"])
         ref.attach_faults(fm.copy())
         ker.attach_faults(fm)
-        engine = ker._kernel = KernelEngine(ker, max_driven=sc["max_driven"])
         keys = [random_word(cols, rng, sc["key_x"]) for _ in range(sc["n_keys"])]
         mask = _mask(sc["mask"], rows, rng)
 
@@ -137,8 +134,6 @@ class TestFaultKernelEquivalence:
             float(sum(o.functional_errors for o in expected)),
         )
         assert ref._last_drive == ker._last_drive
-        if sc["max_driven"] is None:
-            assert engine.rk4_fallbacks == 0
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_weak_current_summation_order(self, design):

@@ -3,8 +3,8 @@
 The compiled kernel behind ``search_batch`` must never change a single
 bit of any outcome: match masks, first match, delays, histograms, and
 every per-component ledger float must equal a sequential loop over
-``repro.tcam.reference.search`` -- across designs, row masks, rewrites,
-fault maps, and the RK4 fallback mix.
+``repro.tcam.reference.search`` -- across designs, row masks, rewrites
+and fault maps.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ def _loaded_pair(design_name, rows=16, cols=24, seed=7, x_fraction=0.2):
         for a in arrays:
             a.write(i, w)
     return arrays
-
-
-def _reduced_grid(array, keys):
-    """Install an engine whose grid stops at the keys' median drive."""
-    drivens = [int(np.count_nonzero(k.as_array() != 2)) for k in keys]
-    array._kernel = KernelEngine(array, max_driven=int(np.median(drivens)))
-    return array._kernel
 
 
 def _keys(cols, n, seed, x_fraction=0.15):
@@ -78,7 +71,6 @@ class TestKernelEquivalence:
             [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
         )
         assert kernel.kernel.table_hits > 0
-        assert kernel.kernel.rk4_fallbacks == 0
 
     @pytest.mark.parametrize("design", SEARCHABLE)
     def test_row_mask(self, design):
@@ -139,7 +131,7 @@ class TestLedgerOrder:
     def test_booking_order_matches_scalar(self, design, mask):
         """Pre-booked kernel ledgers list their components in the
         reference's booking order, for both sensing styles, including
-        the no-row-sensed branch and out-of-grid fallback keys."""
+        the no-row-sensed branch."""
         scalar, kernel = _loaded_pair(design)
         row_mask = {
             "none": None,
@@ -147,7 +139,6 @@ class TestLedgerOrder:
             "all_false": np.zeros(16, dtype=bool),
         }[mask]
         keys = _keys(24, 16, seed=43, x_fraction=0.3)
-        _reduced_grid(kernel, keys)
         got = kernel.search_batch(keys, row_mask=row_mask)
         ref = [reference.search(scalar, k, row_mask=row_mask) for k in keys]
         _assert_outcomes_identical(ref, got)
@@ -158,18 +149,6 @@ class TestLedgerOrder:
         )
         for outcome in got:
             assert list(outcome.energy.components()) == expected
-
-
-class TestKernelFallback:
-    def test_max_driven_mix_is_bit_identical(self):
-        """In-grid keys use the tables, the rest the RK4 reference path."""
-        scalar, kernel = _loaded_pair("fefet2t")
-        keys = _keys(24, 24, seed=37, x_fraction=0.3)
-        engine = _reduced_grid(kernel, keys)
-        got = kernel.search_batch(keys)
-        _assert_outcomes_identical([reference.search(scalar, k) for k in keys], got)
-        assert engine.table_hits > 0
-        assert engine.rk4_fallbacks > 0
 
 
 class TestKernelWithFaults:
@@ -192,12 +171,11 @@ class TestKernelWithFaults:
             fm.set_sa_offset(4, 0.03)
             a.attach_faults(fm)
         keys = _keys(24, 10, seed=43)
-        hits, fallbacks = kernel.kernel.table_hits, kernel.kernel.rk4_fallbacks
+        hits = kernel.kernel.table_hits
         _assert_outcomes_identical(
             [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
         )
         assert kernel.kernel.table_hits > hits
-        assert kernel.kernel.rk4_fallbacks == fallbacks
 
     def test_cell_faults_stay_on_kernel(self):
         scalar, kernel = _loaded_pair("fefet2t")
@@ -207,26 +185,24 @@ class TestKernelWithFaults:
             fm.set_dead_row(9)
             a.attach_faults(fm)
         keys = _keys(24, 10, seed=47)
-        hits, fallbacks = kernel.kernel.table_hits, kernel.kernel.rk4_fallbacks
+        hits = kernel.kernel.table_hits
         _assert_outcomes_identical(
             [reference.search(scalar, k) for k in keys], kernel.search_batch(keys)
         )
         assert kernel.kernel.table_hits > hits
-        assert kernel.kernel.rk4_fallbacks == fallbacks
 
 
 class TestKernelMetrics:
     def test_counters_reach_registry(self):
         _, kernel = _loaded_pair("fefet2t")
         keys = _keys(24, 16, seed=53, x_fraction=0.3)
-        _reduced_grid(kernel, keys)
         with obs.observe() as session:
             kernel.search_batch(keys)
             snapshot = session.metrics.snapshot()
         assert snapshot["kernels.table_hits"] == kernel.kernel.table_hits
-        assert snapshot["kernels.rk4_fallbacks"] == kernel.kernel.rk4_fallbacks
+        assert snapshot["kernels.rows_built"] == kernel.kernel.rows_built
         assert snapshot["kernels.table_hits"] > 0
-        assert snapshot["kernels.rk4_fallbacks"] > 0
+        assert "kernels.rk4_fallbacks" not in snapshot
 
     def test_counters_are_deltas_per_batch(self):
         """A second observed batch books only its own increments."""

@@ -28,10 +28,8 @@ class TestTypedDriven:
             lambda eng, d: eng.row(d),
             lambda eng, d: eng.rows([1, d]),
             lambda eng, d: eng.window_row(d),
-            lambda eng, d: eng.waveform.row(d),
-            lambda eng, d: eng.waveform.rows([d]),
         ],
-        ids=["engine.row", "engine.rows", "engine.window_row", "table.row", "table.rows"],
+        ids=["engine.row", "engine.rows", "engine.window_row"],
     )
     def test_non_integer_driven_raises_kernel_error(self, call, bad):
         engine = KernelEngine(_array())

@@ -146,7 +146,7 @@ class TestMetricsAgreeWithInternals:
             array.nearest_match_batch(keys)
         snap = sess.metrics.snapshot()
         assert snap["kernels.table_hits"] == array.kernel.table_hits
-        assert snap["kernels.rk4_fallbacks"] == array.kernel.rk4_fallbacks
+        assert snap["kernels.rows_built"] == array.kernel.rows_built
         assert snap["kernels.table_hits"] > 0
 
     def test_kernel_counters_only_deltas_inside_session(self, rng):

@@ -146,7 +146,6 @@ class TestMetricsUnderWorkers:
         "faults.trials",
         "faults.searches",
         "kernels.table_hits",
-        "kernels.rk4_fallbacks",
     )
 
     def _snapshot(self, workers):

@@ -208,6 +208,14 @@ class TestSearchEnergy:
         with pytest.raises(TCAMError):
             arr.search(random_word(16, rng), row_mask=np.ones(3, dtype=bool))
 
+    def test_empty_batch_checks_row_mask(self):
+        """A zero-key block still validates its mask; a good one gives []."""
+        arr, _, _ = _loaded_array()
+        no_keys = np.zeros((0, 16), dtype=np.int8)
+        with pytest.raises(TCAMError, match="search_batch row_mask"):
+            arr.search_batch(no_keys, row_mask=np.ones(3, dtype=bool))
+        assert arr.search_batch(no_keys, row_mask=np.ones(arr.geometry.rows, bool)) == []
+
     def test_leakage_scales_with_cycle_time(self):
         arr, words, rng = _loaded_array()
         out = arr.search(random_word(16, rng))

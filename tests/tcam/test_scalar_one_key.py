@@ -6,7 +6,8 @@ kernel tail.  They must equal the per-key reference functions of
 :mod:`repro.tcam.reference` in every outcome field and in the ledger
 booking order, and leave the same search-line drive state behind, for
 every registered cell, both sensing styles, healthy and faulted arrays,
-an all-false row mask and keys outside the compiled grid.  A traced
+an all-false row mask, and class tables compiled up front ("full") or
+on demand ("reduced").  A traced
 one-key call keeps its span name and per-phase energy children, whose
 sum is the outcome ledger.  Malformed input raises a ``TCAMError``
 naming the scalar API and moves no state.
@@ -20,7 +21,6 @@ import pytest
 from repro import obs
 from repro.errors import TCAMError
 from repro.faults.faultmap import FaultKind, FaultMap
-from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry, TCAMArray, reference
 from repro.tcam.array import _SPAN_ENERGY_GROUPS, SENSING_STYLES
 from repro.tcam.cells import get_cell, list_cells
@@ -64,9 +64,10 @@ def _twins(cell, sensing, faulty, grid):
         fm = _faults(np.random.default_rng(3))
         ref.attach_faults(fm.copy())
         got.attach_faults(fm)
-    if grid == "reduced":
-        # Keys driving more columns than the grid take the reference body.
-        got._kernel = KernelEngine(got, max_driven=COLS - 4)
+    if grid == "full":
+        # The whole class triangle compiled before the first search; a
+        # "reduced" kernel compiles only the rows its keys need.
+        got.kernel.precompute()
     return ref, got
 
 
@@ -90,8 +91,7 @@ class TestOneKeyEqualsReference:
         for key in _keys(ref):
             _assert_same(reference.search(ref, key, row_mask), got.search(key, row_mask))
             assert ref._last_drive == got._last_drive
-        if grid == "reduced" and mask == "none":
-            assert got.kernel.rk4_fallbacks > 0
+        assert (got.kernel.rows_built == COLS + 1) == (grid == "full")
 
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("grid", ["full", "reduced"])
@@ -102,6 +102,7 @@ class TestOneKeyEqualsReference:
             _assert_same(reference.threshold_match(ref, key, 2), got.threshold_match(key, 2))
             _assert_same(reference.topk_match(ref, key, 3), got.topk_match(key, 3))
             assert ref._last_drive == got._last_drive
+        assert (got.kernel.rows_built == COLS + 1) == (grid == "full")
 
     def test_interleaves_with_batches(self):
         """Scalar calls thread the drive state through batches."""
@@ -206,7 +207,7 @@ class TestMalformedScalarInput:
         array = make()
         array.search_batch(_keys(array, 3))  # a drive state and counters to keep
         eng = array.kernel
-        counters = (eng.table_hits, eng.rk4_fallbacks, eng.rows_built)
+        counters = (eng.table_hits, eng.rows_built)
         drive = array._last_drive
         with obs.observe() as sess:
             with pytest.raises(TCAMError, match=rf"\b{api}\b") as exc:
@@ -214,5 +215,5 @@ class TestMalformedScalarInput:
             searches = sess.metrics.snapshot().get("tcam.searches", 0.0)
         assert f"{api}_batch" not in str(exc.value)
         assert array._last_drive == drive
-        assert (eng.table_hits, eng.rk4_fallbacks, eng.rows_built) == counters
+        assert (eng.table_hits, eng.rows_built) == counters
         assert searches == 0.0

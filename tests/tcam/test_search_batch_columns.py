@@ -6,9 +6,9 @@ the per-key results that, indexed or iterated, are the per-key scalar
 ``energy_totals``, ``cycle_times``, ``energy_ledger``), the raw columns,
 the materialised outcomes and the scalar reference must all agree, bit
 for bit and in booking order, across precharge and current-race
-sensing, healthy and faulty arrays, out-of-grid fallback keys and an
-all-false row mask.  The serving engine reads the columns, so its
-records must equal the per-key reference's too.
+sensing, healthy and faulty arrays, class tables compiled up front or
+on demand, and an all-false row mask.  The serving engine reads the
+columns, so its records must equal the per-key reference's too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro import obs
 from repro.core import build_array, get_design
 from repro.energy.accounting import EnergyLedger
 from repro.faults.faultmap import FaultKind, FaultMap
-from repro.kernels import KernelEngine
 from repro.serve import (
     ArrayBackend,
     ChipBackend,
@@ -122,15 +121,13 @@ class TestColumnsAgree:
             fm = _faults(np.random.default_rng(2))
             ref.attach_faults(fm)
             got.attach_faults(fm)
-        if grid == "reduced":
-            # Keys driving more columns than the grid take the reference
-            # body and keep its outcome.
-            got._kernel = KernelEngine(got, max_driven=COLS - 3)
+        if grid == "full":
+            # The whole class triangle compiled up front; a "reduced"
+            # kernel compiles only the rows the batch needs.
+            got.kernel.precompute()
         batch = got.search_batch(keys)
         _assert_agree([reference.search(ref, k) for k in keys], batch)
-        if grid == "reduced":
-            assert batch._precomputed
-            assert got.kernel.rk4_fallbacks > 0
+        assert (got.kernel.rows_built == COLS + 1) == (grid == "full")
         assert ref._last_drive == got._last_drive
 
     @pytest.mark.parametrize("design", DESIGNS)

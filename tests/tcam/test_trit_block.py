@@ -22,7 +22,6 @@ from repro.cluster import RuleTable, TCAMFabric
 from repro.core import build_array, get_design
 from repro.errors import ClusterError, TCAMError
 from repro.faults.faultmap import FaultKind, FaultMap
-from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry, SegmentedBank
 from repro.tcam.cells import FeFET2TCell
 from repro.tcam.chip import GatingPolicy, TCAMChip
@@ -210,14 +209,12 @@ class TestTernaryWordStrict:
 # ---------------------------------------------------------------------------
 
 
-def _twin_arrays(design, rows=12, seed=5, max_driven=None):
+def _twin_arrays(design, rows=12, seed=5):
     geo = ArrayGeometry(rows=rows, cols=COLS)
     spec = get_design(design)
     twins = build_array(spec, geo), build_array(spec, geo)
     for a in twins:
         a.load_rows(_words(rows, seed))
-        if max_driven is not None:
-            a._kernel = KernelEngine(a, max_driven=max_driven)
     return twins
 
 
@@ -236,19 +233,18 @@ class TestArrayBlockEquivalence:
     @pytest.mark.parametrize("form", ["int8", "int64", "float", "lists"])
     @pytest.mark.parametrize("call", sorted(BATCH_CALLS))
     def test_batch_calls(self, call, form):
-        ref, got = _twin_arrays("fefet2t", max_driven=7)
+        ref, got = _twin_arrays("fefet2t")
         for seed in (6, 7):  # two batches: the drive state threads across calls
             words = _words(9, seed)
             out_ref = BATCH_CALLS[call](ref, words)
             out_got = BATCH_CALLS[call](got, _block_forms(words)[form])
             _assert_outcomes_equal(out_ref, out_got)
             assert _array_state(ref) == _array_state(got)
-        assert ref.kernel.rk4_fallbacks == got.kernel.rk4_fallbacks > 0
-        assert ref.kernel.table_hits == got.kernel.table_hits
+        assert ref.kernel.table_hits == got.kernel.table_hits > 0
 
     @pytest.mark.parametrize("sensing_design", ["fefet2t", "fefet_cr"])
-    def test_faulty_kernel_with_fallbacks(self, sensing_design):
-        ref, got = _twin_arrays(sensing_design, max_driven=6)
+    def test_faulty_kernel(self, sensing_design):
+        ref, got = _twin_arrays(sensing_design)
         rng = np.random.default_rng(8)
         for a in (ref, got):
             fm = FaultMap(a.geometry.rows, COLS)
@@ -260,7 +256,7 @@ class TestArrayBlockEquivalence:
         words = [random_word(COLS, rng, 0.1) for _ in range(10)]
         _assert_outcomes_equal(ref.search_batch(words), got.search_batch(pack_keys(words)))
         assert _array_state(ref) == _array_state(got)
-        assert ref.kernel.rk4_fallbacks == got.kernel.rk4_fallbacks > 0
+        assert ref.kernel.table_hits == got.kernel.table_hits > 0
 
     @pytest.mark.parametrize("form", ["int8", "int64", "float", "lists"])
     def test_load_rows_and_load(self, form):
@@ -315,7 +311,7 @@ class TestArrayBlockEquivalence:
         else:
             block[4, 3] = bad_value
         before = _array_state(array)
-        counters = (array.kernel.table_hits, array.kernel.rk4_fallbacks)
+        counters = (array.kernel.table_hits, array.kernel.rows_built)
         with obs.observe() as session:
             with pytest.raises(TCAMError):
                 if call == "write":
@@ -326,7 +322,7 @@ class TestArrayBlockEquivalence:
                     BATCH_CALLS[call](array, block)
             assert session.metrics.snapshot() == obs.MetricsRegistry().snapshot()
         assert _array_state(array) == before
-        assert (array.kernel.table_hits, array.kernel.rk4_fallbacks) == counters
+        assert (array.kernel.table_hits, array.kernel.rows_built) == counters
 
 
 # ---------------------------------------------------------------------------
