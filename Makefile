@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-kernels bench-parallel bench-faults bench-service bench-dse bench-retrieval bench-cluster report examples clean
+.PHONY: install test bench bench-kernels bench-faults bench-service bench-dse bench-retrieval bench-cluster report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -15,9 +15,6 @@ bench:
 
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_kernels.py --check
-
-bench-parallel:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_parallel.py --check
 
 bench-faults:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fig19_faults.py --check

@@ -10,8 +10,9 @@ Each sample draws:
   per-cell draws,
 * a sense-amplifier input offset.
 
-The sampled corner is pushed through the same deterministic margin
-primitive as the nominal analysis, so the MC distribution is consistent
+Every sampled corner integrates exactly as the deterministic margin
+primitive (:func:`~.margin.worst_case_margin`, the per-sample test
+oracle) would integrate it alone, so the MC distribution is consistent
 with the nominal numbers by construction.
 """
 
@@ -21,17 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
+from ..circuits.matchline import composite_current
 from ..devices.variability import VariationSpec
 from ..errors import AnalysisError
-from ..parallel import chunk_bounds, scatter_gather, spawn_seeds
+from ..parallel import chunk_bounds, spawn_seeds
 from ..tcam.array import TCAMArray
 from ..units import thermal_voltage
-from .margin import MarginAnalysis, worst_case_margin
 
-#: Samples per Monte-Carlo chunk.  Fixed (never derived from the worker
-#: count) so the chunk partition -- and the per-chunk seed children
-#: spawned from the root seed -- are identical for serial and any-N
-#: parallel runs, which is what makes the sampled margins bit-identical.
+#: Samples per Monte-Carlo chunk.  Each chunk draws from its own seed
+#: child of the root seed, so this constant fixes the random stream: the
+#: sampled margins depend on it, not on how the chunks are integrated.
 MC_CHUNK_SAMPLES = 256
 
 
@@ -60,6 +61,17 @@ class MonteCarloResult:
         if not 0.0 <= q <= 100.0:
             raise AnalysisError(f"percentile must be in [0, 100], got {q}")
         return float(np.percentile(self.margins, q))
+
+
+def check_count(value, name: str) -> int:
+    """``value`` as an int >= 1, or :class:`AnalysisError` naming ``name``
+    when it is not a Python/NumPy integer (bools and floats included) or
+    below 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise AnalysisError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise AnalysisError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def _leak_scale_factor(
@@ -91,42 +103,57 @@ def _leak_scale_factor(
 
 
 def _sample_chunk(
-    payload: tuple[TCAMArray, VariationSpec, np.random.SeedSequence, int, float, float],
+    array: TCAMArray,
+    spec: VariationSpec,
+    seed_seq: np.random.SeedSequence,
+    count: int,
+    n_slope: float,
+    temperature_k: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw and evaluate one chunk of margin samples (pure worker fn).
+    """Draw and evaluate one chunk of margin samples.
 
-    The chunk's random stream comes entirely from its own seed child, so
-    the samples are independent of which process runs the chunk.
+    Each sample draws, in this order, its critical pull-down offset, its
+    match-side leakage factor and its sense-amplifier offset.  The match
+    and 1-miss corners of every sample then integrate in one stacked
+    pass through the array's own line integrator; each line is bit for
+    bit the scalar :func:`~.margin.worst_case_margin` evaluation of its
+    sample.
     """
-    array, spec, seed_seq, count, n_slope, temperature_k = payload
     rng = np.random.default_rng(seed_seq)
     cols = array.geometry.cols
     v_pre = array.precharge.target_voltage()
-    v_ref = array.sense_amp.v_ref
-
-    margins = np.empty(count)
-    failures = np.zeros(count, dtype=bool)
+    dvt_pd = np.zeros(count)
+    leak_scale = np.empty(count)
+    sa_off = np.zeros(count)
     for k in range(count):
         # Positive offset on the critical pull-down weakens it (bad);
         # the draw is two-sided, matching physical mismatch.
-        dvt_pd = float(rng.normal(0.0, spec.sigma_vt_fefet)) if spec.sigma_vt_fefet else 0.0
-        leak_scale = _leak_scale_factor(spec, cols, n_slope, temperature_k, rng)
-        sa_off = float(rng.normal(0.0, spec.sa_offset_sigma)) if spec.sa_offset_sigma else 0.0
+        if spec.sigma_vt_fefet:
+            dvt_pd[k] = rng.normal(0.0, spec.sigma_vt_fefet)
+        leak_scale[k] = _leak_scale_factor(spec, cols, n_slope, temperature_k, rng)
+        if spec.sa_offset_sigma:
+            sa_off[k] = rng.normal(0.0, spec.sa_offset_sigma)
+    v_sense = np.minimum(np.maximum(array.sense_amp.v_ref + sa_off, 1e-3), v_pre - 1e-3)
 
-        corner: MarginAnalysis = worst_case_margin(
-            array.cell,
-            array.c_ml,
-            cols,
-            v_pre,
-            array.vdd,
-            min(max(v_ref + sa_off, 1e-3), v_pre - 1e-3),
-            array.t_eval,
-            pulldown_vt_offset=dvt_pd,
-            leak_scale=leak_scale,
-        )
-        margins[k] = corner.margin
-        failures[k] = not corner.functional
-    return margins, failures
+    # Lines [0, count) are the match corners, [count, 2 * count) the
+    # 1-miss corners of the same samples.
+    dvt = np.concatenate([dvt_pd, dvt_pd])
+    leak = np.concatenate([leak_scale, leak_scale])
+    n_miss = np.repeat([0, 1], count)
+    n_match = cols - n_miss
+    cell = array.cell
+    v_end = array._integrate_lines(
+        lambda v: composite_current(
+            v,
+            lambda u: cell.i_pulldown(u, vt_offset=dvt),
+            lambda u: leak * cell.i_leak(u),
+            n_miss,
+            n_match,
+        ),
+        2 * count,
+    )
+    v_match, v_miss = v_end[:count], v_end[count:]
+    return v_match - v_miss, ~((v_match > v_sense) & (v_miss < v_sense))
 
 
 def run_margin_mc(
@@ -136,13 +163,13 @@ def run_margin_mc(
     seed: int = 2021,
     n_slope: float = 1.35,
     temperature_k: float = 300.0,
-    workers: int = 0,
 ) -> MonteCarloResult:
     """Sample the match / 1-mismatch margin of a precharge-style array.
 
     Samples are drawn in fixed-size chunks (:data:`MC_CHUNK_SAMPLES`),
-    each from its own ``SeedSequence`` child of ``seed``, so the result
-    is bit-identical for any ``workers`` value.
+    each from its own ``SeedSequence`` child of ``seed``, and each chunk
+    integrates all its sample corners in one stacked pass.  Under an
+    observability session the run is one ``mc.margin`` span.
 
     Args:
         array: The array configuration under test (cell, c_ml, t_eval,
@@ -152,26 +179,22 @@ def run_margin_mc(
         seed: RNG seed.
         n_slope: Subthreshold slope factor used for the leakage statistics.
         temperature_k: Temperature for the leakage statistics [K].
-        workers: Process count for chunk fan-out; ``<= 1`` runs serially.
 
     Raises:
-        AnalysisError: for current-race arrays (different failure model)
-            or invalid sample counts.
+        AnalysisError: for current-race and NAND arrays (different
+            failure models) or a sample count that is not an integer >= 1.
     """
-    if array.sensing != "precharge":
+    if not isinstance(array, TCAMArray) or array.sensing != "precharge":
         raise AnalysisError("margin MC applies to precharge-style sensing")
-    if n_samples < 1:
-        raise AnalysisError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = check_count(n_samples, "run_margin_mc: n_samples")
 
     bounds = chunk_bounds(n_samples, MC_CHUNK_SAMPLES)
     seeds = spawn_seeds(seed, len(bounds))
-    payloads = [
-        (array, spec, seeds[i], hi - lo, n_slope, temperature_k)
-        for i, (lo, hi) in enumerate(bounds)
-    ]
-    chunks = scatter_gather(
-        _sample_chunk, payloads, workers=workers, span_prefix="mc.margin"
-    )
+    with obs.span("mc.margin", n_samples=n_samples, chunks=len(bounds)):
+        chunks = [
+            _sample_chunk(array, spec, s, hi - lo, n_slope, temperature_k)
+            for s, (lo, hi) in zip(seeds, bounds)
+        ]
     margins = np.concatenate([c[0] for c in chunks])
     failures = np.concatenate([c[1] for c in chunks])
 

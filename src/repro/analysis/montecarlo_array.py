@@ -27,11 +27,12 @@ from ..circuits.rc import discharge_waveform_batch
 from ..devices.mosfet import ekv_current
 from ..devices.variability import VariationSpec
 from ..errors import AnalysisError
-from ..parallel import scatter_gather, spawn_seeds
+from ..parallel import spawn_seeds
 from ..tcam.array import ArrayGeometry
 from ..tcam.cells.fefet2t import FeFET2TCell
-from ..tcam.trit import TernaryWord, Trit, mismatch_counts
+from ..tcam.trit import TernaryWord, Trit, mismatch_counts_batch, trit_block
 from ..units import thermal_voltage
+from .montecarlo import check_count
 
 
 @dataclass(frozen=True)
@@ -159,47 +160,57 @@ class SampledFeFETArray:
 
     # ------------------------------------------------------------------
 
-    def _physical_row_decisions(self, key_arr: np.ndarray) -> np.ndarray:
-        """Strobe decisions of every row against one key, in one stacked pass.
+    def _physical_row_decisions(self, block: np.ndarray) -> np.ndarray:
+        """Strobe decisions of every row against every key, in one stacked pass.
 
-        All rows' device ensembles are flattened into single threshold
-        arrays carrying their row ids, every RK4 step evaluates the EKV
-        model once over all devices of all match lines (each at its own
-        line voltage), and per-line currents come back via one
-        ``bincount``.  Each line carries its driven-LVT (mismatch)
-        devices, the undriven LVT device of every matching specified cell
-        (the dominant leak path, with its own sampled offset) and the
-        driven HVT devices of its matching cells at the nominal
-        subthreshold level.
+        ``block`` is a ``(keys, cols)`` matrix of trit codes.  Line
+        ``key * rows + row`` is one row searched by one key.  All lines'
+        device ensembles are flattened into single threshold arrays
+        carrying their line ids, every RK4 step evaluates the EKV model
+        once over all devices of all lines (each at its own line
+        voltage), and per-line currents come back via one ``bincount``.
+        Each line carries its driven-LVT (mismatch) devices, the
+        undriven LVT device of every matching specified cell (the
+        dominant leak path, with its own sampled offset) and the driven
+        HVT devices of its matching cells at the nominal subthreshold
+        level.  Within a line, devices keep the one-key order (A devices,
+        then B devices, each by column), so stacking more keys leaves
+        every line's current sums unchanged.
+
+        Returns:
+            ``(keys, rows)`` boolean decisions (True reads as a match).
         """
         f = self.cell.params.fefet
+        n_keys = block.shape[0]
         rows = self.geometry.rows
-        stored = self._stored
+        n_lines = n_keys * rows
+        stored = self._stored[np.newaxis, :, :]
+        keys = block[:, np.newaxis, :]
         x = int(Trit.X)
-        driven = key_arr != x
+        driven = keys != x
         specific = stored != x
 
         # Device A conducts when search==0 and stored==1 (A is LVT);
         # device B when search==1 and stored==0.
-        miss_a = driven[np.newaxis, :] & specific & (key_arr == 0)[np.newaxis, :] & (stored == 1)
-        miss_b = driven[np.newaxis, :] & specific & (key_arr == 1)[np.newaxis, :] & (stored == 0)
-        match_mask = driven[np.newaxis, :] & ~(miss_a | miss_b)
+        miss_a = driven & specific & (keys == 0) & (stored == 1)
+        miss_b = driven & specific & (keys == 1) & (stored == 0)
+        match_mask = driven & ~(miss_a | miss_b)
         m1 = match_mask & specific & (stored == 1)
         m0 = match_mask & specific & (stored == 0)
 
-        rows_a, cols_a = np.nonzero(miss_a)
-        rows_b, cols_b = np.nonzero(miss_b)
-        on_rows = np.concatenate([rows_a, rows_b])
-        vt_on = f.vt_lvt + np.concatenate(
-            [self._dvt[rows_a, cols_a, 0], self._dvt[rows_b, cols_b, 1]]
-        )
-        rows_1, cols_1 = np.nonzero(m1)
-        rows_0, cols_0 = np.nonzero(m0)
-        leak_rows = np.concatenate([rows_1, rows_0])
-        vt_leak = f.vt_lvt + np.concatenate(
-            [self._dvt[rows_1, cols_1, 0], self._dvt[rows_0, cols_0, 1]]
-        )
-        n_hvt = np.count_nonzero(match_mask, axis=1).astype(float)
+        def devices(mask_a, mask_b):
+            """Line ids and sampled offsets of the A then B devices."""
+            key_a, rows_a, cols_a = np.nonzero(mask_a)
+            key_b, rows_b, cols_b = np.nonzero(mask_b)
+            lines = np.concatenate([key_a * rows + rows_a, key_b * rows + rows_b])
+            dvt = np.concatenate(
+                [self._dvt[rows_a, cols_a, 0], self._dvt[rows_b, cols_b, 1]]
+            )
+            return lines, f.vt_lvt + dvt
+
+        on_lines, vt_on = devices(miss_a, miss_b)
+        leak_lines, vt_leak = devices(m1, m0)
+        n_hvt = np.count_nonzero(match_mask, axis=2).astype(float).ravel()
 
         i_hvt_nominal = ekv_current(
             self.cell.params.v_search, self.vdd, f.vt_hvt,
@@ -212,89 +223,73 @@ class SampledFeFETArray:
             # off by the integrator; clamp them so the EKV model never
             # sees a negative vds.
             v = np.maximum(v, 0.0)
-            total = np.zeros(rows)
+            total = np.zeros(n_lines)
             if vt_on.size:
                 i_on = ekv_current(
-                    v_search, v[on_rows], vt_on, self._beta,
+                    v_search, v[on_lines], vt_on, self._beta,
                     f.n_slope, self._phi_t, f.lambda_cl,
                 )
-                total += np.bincount(on_rows, weights=i_on, minlength=rows)
+                total += np.bincount(on_lines, weights=i_on, minlength=n_lines)
             if vt_leak.size:
                 i_lk = ekv_current(
-                    0.0, v[leak_rows], vt_leak, self._beta,
+                    0.0, v[leak_lines], vt_leak, self._beta,
                     f.n_slope, self._phi_t, f.lambda_cl,
                 )
-                total += np.bincount(leak_rows, weights=i_lk, minlength=rows)
+                total += np.bincount(leak_lines, weights=i_lk, minlength=n_lines)
             total += n_hvt * i_hvt_nominal * np.where(v < self.vdd, v / self.vdd, 1.0)
             return total
 
-        with obs.span("mc.row_batch", rows=rows):
+        with obs.span("mc.row_batch", keys=n_keys, rows=rows):
             m = obs.metrics()
             if m is not None:
-                m.counter("mc.row_decisions").inc(rows)
-                m.histogram("mc.rows_per_batch").observe(rows)
+                m.counter("mc.row_decisions").inc(n_lines)
+                m.histogram("mc.rows_per_batch").observe(n_lines)
             grid = np.linspace(0.0, self.t_eval, 33)
             v_end = discharge_waveform_batch(
-                self.c_ml, currents, np.full(rows, self.vdd), grid
+                self.c_ml, currents, np.full(n_lines, self.vdd), grid
             )
-        decisions = v_end > self.v_sense + self._sa_offset
+        decisions = v_end > self.v_sense + np.tile(self._sa_offset, n_keys)
         # Fully masked lines cannot move and always read as a match.
-        loaded = np.zeros(rows, dtype=bool)
-        loaded[on_rows] = True
-        loaded[leak_rows] = True
+        loaded = np.zeros(n_lines, dtype=bool)
+        loaded[on_lines] = True
+        loaded[leak_lines] = True
         decisions[~loaded & (n_hvt == 0)] = True
-        return decisions
+        return decisions.reshape(n_keys, rows)
 
     def run_campaign(self, keys: list[TernaryWord]) -> ArrayMCResult:
-        """Search every key; measure disagreements with the ternary oracle."""
-        if not keys:
+        """Search every key; measure disagreements with the ternary oracle.
+
+        Every key is checked for width before any line integrates, and
+        the whole campaign integrates in one stacked pass.
+
+        Raises:
+            AnalysisError: for an empty campaign.
+            TCAMError: for a key whose width is not the array's.
+        """
+        block = trit_block(keys, self.geometry.cols, "SampledFeFETArray.run_campaign")
+        if not len(block):
             raise AnalysisError("campaign needs at least one key")
         rows = self.geometry.rows
-        wrong_rows = 0
-        wrong_searches = 0
-        by_distance: dict[int, int] = {}
         with obs.span(
-            "mc.campaign", n_keys=len(keys), rows=rows, cols=self.geometry.cols
+            "mc.campaign", n_keys=len(block), rows=rows, cols=self.geometry.cols
         ) as sp:
             m = obs.metrics()
             if m is not None:
-                m.counter("mc.samples").inc(len(keys))
-            for key in keys:
-                key_arr = key.as_array()
-                distances = mismatch_counts(self._stored, key_arr)
-                physical = self._physical_row_decisions(key_arr)
-                wrong = physical != (distances == 0)
-                n_wrong = int(np.count_nonzero(wrong))
-                wrong_rows += n_wrong
-                wrong_searches += bool(n_wrong)
-                for d in distances[wrong]:
-                    by_distance[int(d)] = by_distance.get(int(d), 0) + 1
+                m.counter("mc.samples").inc(len(block))
+            distances = mismatch_counts_batch(self._stored, block)
+            wrong = self._physical_row_decisions(block) != (distances == 0)
+            wrong_rows = int(np.count_nonzero(wrong))
+            wrong_searches = int(np.count_nonzero(wrong.any(axis=1)))
             if sp is not None:
                 sp.annotate(wrong_rows=wrong_rows, wrong_searches=wrong_searches)
+        by_distance = np.unique(distances[wrong], return_counts=True)
         return ArrayMCResult(
-            n_searches=len(keys),
-            n_row_decisions=len(keys) * rows,
+            n_searches=len(block),
+            n_row_decisions=len(block) * rows,
             wrong_rows=wrong_rows,
             wrong_searches=wrong_searches,
-            errors_by_distance=dict(sorted(by_distance.items())),
+            errors_by_distance={int(d): int(n) for d, n in zip(*by_distance)},
         )
-
-
-def _instance_campaign(
-    payload: tuple[
-        ArrayGeometry,
-        VariationSpec,
-        np.random.SeedSequence,
-        list[TernaryWord],
-        list[TernaryWord],
-        float,
-    ],
-) -> ArrayMCResult:
-    """Build, load and exercise one sampled array instance (pure worker fn)."""
-    geometry, spec, seed_seq, words, keys, vdd = payload
-    array = SampledFeFETArray(geometry, spec, np.random.default_rng(seed_seq), vdd=vdd)
-    array.load(words)
-    return array.run_campaign(keys)
 
 
 def run_array_mc(
@@ -305,14 +300,13 @@ def run_array_mc(
     n_instances: int = 8,
     seed: int = 2021,
     vdd: float = 0.9,
-    workers: int = 0,
 ) -> ArrayMCResult:
     """Measure error rates over many independently sampled array instances.
 
     Each instance draws its own per-cell threshold offsets from its own
-    ``SeedSequence`` child of ``seed`` and runs the full key campaign, so
-    instances are independent trials and the aggregate is bit-identical
-    for any ``workers`` value.
+    ``SeedSequence`` child of ``seed`` and runs the full key campaign
+    (one stacked pass), so instances are independent trials.  Under an
+    observability session the run is one ``mc.array`` span.
 
     Args:
         geometry: Array shape shared by every instance.
@@ -323,18 +317,19 @@ def run_array_mc(
         n_instances: Independent sampled-array trials.
         seed: Root RNG seed for the per-instance draws.
         vdd: Supply / precharge voltage [V].
-        workers: Process count for instance fan-out; ``<= 1`` runs serially.
 
     Raises:
-        AnalysisError: for a non-positive instance count.
+        AnalysisError: for an instance count that is not an integer >= 1.
     """
-    if n_instances < 1:
-        raise AnalysisError(f"n_instances must be >= 1, got {n_instances}")
-    seeds = spawn_seeds(seed, n_instances)
-    payloads = [(geometry, spec, s, words, keys, vdd) for s in seeds]
-    results = scatter_gather(
-        _instance_campaign, payloads, workers=workers, span_prefix="mc.array"
-    )
+    n_instances = check_count(n_instances, "run_array_mc: n_instances")
+    results = []
+    with obs.span("mc.array", n_instances=n_instances):
+        for seed_seq in spawn_seeds(seed, n_instances):
+            array = SampledFeFETArray(
+                geometry, spec, np.random.default_rng(seed_seq), vdd=vdd
+            )
+            array.load(words)
+            results.append(array.run_campaign(keys))
     by_distance: dict[int, int] = {}
     for r in results:
         for d, n in r.errors_by_distance.items():

@@ -8,29 +8,12 @@ tabulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..errors import AnalysisError
-from ..parallel import scatter_gather
 
 MetricFn = Callable[[Any], dict[str, float]]
-
-
-def _evaluate_point(payload: tuple[MetricFn, str, Any]) -> dict[str, float]:
-    """Evaluate one knob point (pure worker fn).
-
-    Any evaluator exception is wrapped so the failing knob value is
-    named -- with points running out of order across processes, "which
-    value broke it" is no longer inferable from progress output.
-    """
-    evaluate, knob, value = payload
-    try:
-        return evaluate(value)
-    except Exception as exc:
-        raise AnalysisError(
-            f"sweep evaluator failed at {knob}={value!r}: {exc}"
-        ) from exc
 
 
 @dataclass(frozen=True)
@@ -77,25 +60,22 @@ class Sweep:
     knob: str
     values: Iterable[Any]
     evaluate: MetricFn
-    _results: list[dict[str, Any]] = field(default_factory=list, init=False)
 
-    def run(self, workers: int = 0) -> SweepResult:
-        """Evaluate every point and return the collected rows.
+    def run(self) -> SweepResult:
+        """Evaluate every point in order and return the collected rows.
 
-        Args:
-            workers: Process count for evaluating knob points
-                concurrently; ``<= 1`` (the default) runs serially.
-                Evaluators must be pure for the rows to be identical
-                across worker counts (they always are for the figure
-                benches, which rebuild their design per point).
+        Raises:
+            AnalysisError: naming the knob value whose evaluator raised,
+                or a knob value the evaluator echoed back changed.
         """
-        values = list(self.values)
-        payloads = [(self.evaluate, self.knob, v) for v in values]
-        metrics_per_point = scatter_gather(
-            _evaluate_point, payloads, workers=workers, span_prefix="sweep"
-        )
         rows = []
-        for value, metrics in zip(values, metrics_per_point):
+        for value in self.values:
+            try:
+                metrics = self.evaluate(value)
+            except Exception as exc:
+                raise AnalysisError(
+                    f"sweep evaluator failed at {self.knob}={value!r}: {exc}"
+                ) from exc
             if self.knob in metrics and metrics[self.knob] != value:
                 raise AnalysisError(
                     f"evaluator returned conflicting value for knob {self.knob!r}"
@@ -103,5 +83,4 @@ class Sweep:
             row = {self.knob: value}
             row.update(metrics)
             rows.append(row)
-        self._results = rows
         return SweepResult(knob=self.knob, rows=tuple(rows))

@@ -25,9 +25,9 @@ additionally writes the trace as JSON lines.
 
 Searches always run on the arrays' compiled kernel
 (bit-identical to the per-key reference); ``--workers`` sets the process
-fan-out on the commands whose payloads are worth a process (``mc``,
-``faults``, ``dse``).  ``serve`` and ``cluster`` search their banks and
-shards in-process.
+fan-out on the commands whose payloads are worth a process (``faults``,
+``dse``).  ``mc`` integrates each sample chunk in one stacked pass, and
+``serve`` and ``cluster`` search their banks and shards in-process.
 """
 
 from __future__ import annotations
@@ -226,9 +226,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     spec = get_design(args.design)
     array = build_array(spec, ArrayGeometry(args.rows, args.cols))
     variation = NOMINAL_VARIATION.scaled(args.sigma_scale)
-    mc = run_margin_mc(
-        array, variation, n_samples=args.samples, seed=args.seed, workers=args.workers
-    )
+    mc = run_margin_mc(array, variation, n_samples=args.samples, seed=args.seed)
     if args.json:
         _emit_json(
             {
@@ -858,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
             _design_flags("fefet2t"),
             _shape_flags(rows=16, cols=64),
             _seed_flags(),
-            _workers_flags("the sample chunks"),
             _json_flags(),
         ],
     )

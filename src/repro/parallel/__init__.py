@@ -12,21 +12,21 @@ cannot start.  See DESIGN.md §8.
 
 One transport moves chunk data: :func:`scatter_gather` pickles each
 chunk's payload whole.  Its callers are the fan-outs whose payloads are
-worth a process -- margin and array Monte-Carlo, parameter sweeps (and
-so design-space exploration) and the fault campaign.  Worker pools are
-kept warm across calls; :func:`shutdown_pools` tears them down and runs
-at interpreter exit.
+worth a process: design-space exploration (``run_dse``) and the fault
+campaign.  The chunk seeding (:func:`chunk_bounds`, :func:`spawn_seeds`)
+also fixes the random streams of the in-process Monte-Carlo runs.
+Worker pools are kept warm across calls; :func:`shutdown_pools` tears
+them down and runs at interpreter exit.
 """
 
 import atexit
 
-from .executor import available_cpus, resolve_workers, scatter_gather, shutdown_pools
+from .executor import resolve_workers, scatter_gather, shutdown_pools
 from .seeding import chunk_bounds, spawn_seeds
 
 atexit.register(shutdown_pools, wait=True)
 
 __all__ = [
-    "available_cpus",
     "chunk_bounds",
     "resolve_workers",
     "scatter_gather",

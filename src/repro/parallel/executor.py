@@ -35,7 +35,6 @@ Each chunk's payload is pickled whole.
 
 from __future__ import annotations
 
-import os
 import pickle
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -48,14 +47,6 @@ from ..obs.span import Span
 
 _P = TypeVar("_P")
 _R = TypeVar("_R")
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def resolve_workers(workers: int | None) -> int:

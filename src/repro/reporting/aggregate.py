@@ -35,7 +35,6 @@ KNOWN_BENCH_ARTIFACTS: dict[str, int] = {
     "BENCH_dse.json": 1,
     "BENCH_faults.json": 1,
     "BENCH_kernels.json": 1,
-    "BENCH_parallel.json": 1,
     "BENCH_retrieval.json": 1,
     "BENCH_search.json": 1,
     "BENCH_service.json": 1,

@@ -5,13 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.montecarlo_array import (
+    ArrayMCResult,
     SampledFeFETArray,
     critical_keys,
 )
 from repro.devices.mosfet import ekv_current
-from repro.devices.variability import NOMINAL_VARIATION, NO_VARIATION
-from repro.errors import AnalysisError
+from repro.devices.variability import NOMINAL_VARIATION, NO_VARIATION, VariationSpec
+from repro.errors import AnalysisError, TCAMError
 from repro.tcam import ArrayGeometry, random_word
 from repro.units import thermal_voltage
 
@@ -114,3 +116,74 @@ class TestSampledArray:
         array = SampledFeFETArray(GEO, NO_VARIATION, np.random.default_rng(0))
         with pytest.raises(AnalysisError):
             array.run_campaign([])
+
+
+#: Corners for the stacking checks: nominal, a scaled-up corner where
+#: threshold offsets flip decisions, and one whose SA offsets (0.25 V)
+#: alone flip them, so a line strobed against another row's offset shows.
+CORNERS = {
+    "nominal": NOMINAL_VARIATION,
+    "sigma-x10": NOMINAL_VARIATION.scaled(10.0),
+    "sa-offset": VariationSpec(sigma_vt_fefet=0.0, sa_offset_sigma=0.25),
+}
+
+
+def _sampled(spec, rows, cols, seed=3):
+    rng = np.random.default_rng(rows * cols)
+    words = [random_word(cols, rng, x_fraction=0.2) for _ in range(rows)]
+    keys = critical_keys(words, rng, per_word=2)
+    keys.append(random_word(cols, rng, x_fraction=0.5))
+    array = SampledFeFETArray(ArrayGeometry(rows, cols), spec, np.random.default_rng(seed))
+    array.load(words[:-1])  # one row left unloaded: all X, a fully masked line
+    return array, keys
+
+
+class TestStackedCampaign:
+    """A block campaign equals its keys run as one-key blocks."""
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    @pytest.mark.parametrize("rows, cols", [(8, 16), (16, 32)])
+    def test_block_equals_one_key_blocks(self, corner, rows, cols):
+        array, keys = _sampled(CORNERS[corner], rows, cols)
+        block = np.array([k.as_array() for k in keys])
+        stacked = array._physical_row_decisions(block)
+        one_key = np.vstack(
+            [array._physical_row_decisions(block[i : i + 1]) for i in range(len(keys))]
+        )
+        assert np.array_equal(stacked, one_key)
+
+        result = array.run_campaign(keys)
+        singles = [array.run_campaign([k]) for k in keys]
+        by_distance: dict[int, int] = {}
+        for r in singles:
+            for d, n in r.errors_by_distance.items():
+                by_distance[d] = by_distance.get(d, 0) + n
+        assert result == ArrayMCResult(
+            n_searches=len(keys),
+            n_row_decisions=len(keys) * rows,
+            wrong_rows=sum(r.wrong_rows for r in singles),
+            wrong_searches=sum(r.wrong_searches for r in singles),
+            errors_by_distance=dict(sorted(by_distance.items())),
+        )
+        if corner != "nominal":
+            assert result.wrong_rows > 0
+
+    def test_key_widths_checked_before_any_integration(self):
+        array, keys = _sampled(NOMINAL_VARIATION, 8, 16)
+        bad = keys + [random_word(12, np.random.default_rng(1))]
+        with obs.observe() as sess:
+            with pytest.raises(TCAMError, match="run_campaign"):
+                array.run_campaign(bad)
+        assert "rk4.batched_integrations" not in sess.metrics.snapshot()
+
+    def test_one_row_batch_per_campaign(self):
+        array, keys = _sampled(NOMINAL_VARIATION, 8, 16)
+        with obs.observe() as sess:
+            array.run_campaign(keys)
+        (root,) = sess.spans
+        assert [c.name for c in root.children] == ["mc.row_batch"]
+        assert root.children[0].attrs == {"keys": len(keys), "rows": 8}
+        snap = sess.metrics.snapshot()
+        assert snap["rk4.batched_integrations"] == 1
+        assert snap["mc.row_decisions"] == len(keys) * 8
+        assert snap["mc.rows_per_batch"]["max"] == len(keys) * 8

@@ -72,11 +72,6 @@ class TestSweepErrorPaths:
         with pytest.raises(AnalysisError, match=r"bias=-3.*negative knob"):
             sweep.run()
 
-    def test_evaluator_exception_names_value_with_workers(self):
-        sweep = Sweep(knob="bias", values=[1, -3, 2], evaluate=_fail_on_negative)
-        with pytest.raises(AnalysisError, match=r"bias=-3.*negative knob"):
-            sweep.run(workers=2)
-
     def test_evaluator_exception_preserves_cause_serially(self):
         sweep = Sweep(knob="bias", values=[-1], evaluate=_fail_on_negative)
         with pytest.raises(AnalysisError) as excinfo:

@@ -1,16 +1,26 @@
-"""KernelEngine: compiled class rows, counters, the dense class sum."""
+"""KernelEngine: compiled class rows, counters, validation, the dense class sum.
+
+Every precharge ``v_end`` endpoint must equal a lone scalar RK4 run
+(:func:`repro.circuits.rc.discharge_waveform`) of its class bit for bit,
+every other row field the reference per-class result; rows compile
+lazily and stay cached and read-only, and :meth:`KernelEngine.validate`
+catches a corrupted endpoint.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.circuits.rc import discharge_waveform
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError
 from repro.kernels import KernelEngine, PrechargeClassRow, RaceClassRow, class_sums
 from repro.tcam import ArrayGeometry, reference
+from repro.tcam.trit import random_word
 
 SEARCHABLE = [spec.name for spec in all_designs() if spec.sensing != "nand"]
+PRECHARGE = [spec.name for spec in all_designs() if spec.sensing == "precharge"]
 
 
 def _array(design="fefet2t", rows=8, cols=12):
@@ -95,13 +105,49 @@ class TestEngineRows:
                     assert row.energy[n_miss] == ref.energy
                     assert row.delay[n_miss] == ref.delay
 
+    @pytest.mark.parametrize("design", PRECHARGE)
+    def test_endpoints_match_scalar_rk4_exactly(self, design):
+        """Every compiled endpoint equals a lone scalar RK4 run bitwise."""
+        array = _array(design, rows=4)
+        engine = array.kernel
+        t_grid = np.linspace(0.0, array.t_eval, 65)
+        for driven in (0, 1, 5, 12):
+            v_ends = engine.row(driven).v_end
+            assert v_ends.shape == (driven + 1,)
+            for n_miss in range(driven + 1):
+                n_match = driven - n_miss
+
+                def current(v, n_miss=n_miss, n_match=n_match):
+                    total = 0.0
+                    if n_miss:
+                        total += n_miss * array.cell.i_pulldown(v)
+                    if n_match:
+                        total += n_match * array.cell.i_leak(v)
+                    return total
+
+                if driven == 0:
+                    expected = array.precharge.target_voltage()
+                else:
+                    expected = float(
+                        discharge_waveform(
+                            array.c_ml,
+                            current,
+                            array.precharge.target_voltage(),
+                            t_grid,
+                        )[-1]
+                    )
+                assert v_ends[n_miss] == expected
+
     def test_rows_cached_and_read_only(self):
         engine = KernelEngine(_array())
+        assert engine.rows_built == 0
         row = engine.row(4)
         assert engine.row(4) is row
         assert engine.rows_built == 1
         with pytest.raises(ValueError):
             row.e_sense[0] = 1.0
+        with pytest.raises(ValueError):
+            row.v_end[0] = 0.0
 
     def test_out_of_grid_row_raises(self):
         """``driven`` past the array width (or negative) is a typed error,
@@ -112,12 +158,39 @@ class TestEngineRows:
                 engine.rows([3, bad])
         assert engine.rows_built == 0
         assert engine.row(12).v_end.size == 13
+        for bad in (engine.row, engine.window_row):
+            with pytest.raises(KernelError):
+                bad(13)
 
     @pytest.mark.parametrize("design", SEARCHABLE)
     def test_validate_within_budget(self, design):
-        engine = KernelEngine(_array(design))
+        """The rows a search batch compiled validate exactly, without
+        compiling the rest of the triangle; so does the whole triangle.
+        The rows are built through the stacked integrator, which is
+        elementwise identical to the scalar reference, so the error is
+        not merely within budget but exactly zero."""
+        array = _array(design, cols=8)
+        rng = np.random.default_rng(1)
+        array.load([random_word(8, rng) for _ in range(8)])
+        array.search_batch([random_word(8, rng, x_fraction=x) for x in (0.0, 0.5)])
+        engine = array.kernel
+        built = engine.rows_built
+        assert 0 < built < 9
+        assert engine.validate() == 0.0
+        assert engine.rows_built == built
         engine.precompute()
         assert engine.validate() == 0.0
+
+    def test_validate_raises_over_budget(self):
+        engine = KernelEngine(_array(cols=6))
+        engine.precompute([3])
+        # Corrupt one compiled endpoint; validation must catch it.
+        v_end = engine.row(3).v_end
+        v_end.setflags(write=True)
+        v_end[1] *= 1.0 + 1e-6
+        v_end.setflags(write=False)
+        with pytest.raises(KernelError, match="diverged"):
+            engine.validate()
 
     def test_counters_snapshot(self):
         engine = KernelEngine(_array(cols=4))

@@ -1,10 +1,10 @@
-"""Serial vs N-worker bit-identity for every parallelized consumer.
+"""In-process batch paths against their per-key loops.
 
-The contract under test: for any worker count, the parallel layer
-produces results bit-identical to serial -- sampled MC margins and sweep
-rows.  The array and chip batch paths run in-process and are checked
-against the per-key scalar loop, ledgers, kernel counters and the
-search-line drive state included.
+The array and chip batch paths run in-process and are checked against
+the per-key scalar loop, ledgers, kernel counters and the search-line
+drive state included.  (Worker-count independence is checked where a
+``workers=`` fan-out remains: ``tests/analysis/test_dse.py`` and the
+fault-campaign tests.)
 """
 
 from __future__ import annotations
@@ -12,93 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import Sweep, critical_keys, run_array_mc, run_margin_mc
-from repro.analysis import montecarlo as mc_mod
 from repro.core import build_array, get_design
-from repro.devices.variability import NOMINAL_VARIATION
-from repro.errors import AnalysisError
 from repro.tcam import ArrayGeometry, reference
 from repro.tcam.chip import GatingPolicy, TCAMChip
 from repro.tcam.trit import random_word
-
-WORKER_COUNTS = (2, 4)
-
-
-def _eval_square(v):
-    return {"y": float(v) ** 2}
-
-
-def _eval_fail_at_two(v):
-    if v == 2:
-        raise ValueError("deliberate")
-    return {"y": float(v)}
-
-
-class TestMonteCarloEquivalence:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_margin_mc_bit_identical(self, workers, monkeypatch):
-        # Small chunks so a small sample count still spans many chunks.
-        monkeypatch.setattr(mc_mod, "MC_CHUNK_SAMPLES", 16)
-        array = build_array(get_design("fefet2t"), ArrayGeometry(8, 16))
-        serial = run_margin_mc(array, NOMINAL_VARIATION, n_samples=70, seed=7, workers=1)
-        par = run_margin_mc(array, NOMINAL_VARIATION, n_samples=70, seed=7, workers=workers)
-        assert np.array_equal(serial.margins, par.margins)
-        assert np.array_equal(serial.failures, par.failures)
-        assert serial.failure_rate == par.failure_rate
-        assert serial.margin_mean == par.margin_mean
-        assert serial.margin_sigma == par.margin_sigma
-
-    def test_margin_mc_independent_of_chunk_boundary_only_workers(self, monkeypatch):
-        # Same chunk size, different worker counts: identical streams.
-        monkeypatch.setattr(mc_mod, "MC_CHUNK_SAMPLES", 16)
-        array = build_array(get_design("fefet2t"), ArrayGeometry(8, 16))
-        runs = [
-            run_margin_mc(array, NOMINAL_VARIATION, n_samples=50, seed=3, workers=w)
-            for w in (1, 2, 4)
-        ]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].margins, other.margins)
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_array_mc_bit_identical(self, workers):
-        geo = ArrayGeometry(rows=8, cols=16)
-        rng = np.random.default_rng(9)
-        words = [random_word(geo.cols, rng, x_fraction=0.2) for _ in range(geo.rows)]
-        keys = critical_keys(words, rng, per_word=2)
-        serial = run_array_mc(
-            geo, NOMINAL_VARIATION, words, keys, n_instances=3, seed=5, workers=1
-        )
-        par = run_array_mc(
-            geo, NOMINAL_VARIATION, words, keys, n_instances=3, seed=5, workers=workers
-        )
-        assert serial == par
-
-
-class TestSweepEquivalence:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_rows_identical(self, workers):
-        serial = Sweep(knob="v", values=[0.5, 0.7, 0.9, 1.1], evaluate=_eval_square).run()
-        par = Sweep(knob="v", values=[0.5, 0.7, 0.9, 1.1], evaluate=_eval_square).run(
-            workers=workers
-        )
-        assert serial.rows == par.rows
-        assert serial.knob == par.knob
-
-    def test_lambda_evaluator_still_works_with_workers(self):
-        # Unpicklable evaluators silently fall back to the serial path.
-        sweep = Sweep(knob="n", values=[1, 2, 3], evaluate=lambda n: {"y": n * 3.0})
-        assert sweep.run(workers=4).column("y") == [3.0, 6.0, 9.0]
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_evaluator_exception_names_knob_value(self, workers):
-        sweep = Sweep(knob="freq", values=[1, 2, 3], evaluate=_eval_fail_at_two)
-        with pytest.raises(AnalysisError, match=r"freq=2.*deliberate"):
-            sweep.run(workers=workers)
-
-    def test_knob_conflict_detected_with_workers(self):
-        sweep = Sweep(knob="n", values=[1], evaluate=lambda n: {"n": 99})
-        with pytest.raises(AnalysisError, match="conflicting"):
-            sweep.run(workers=2)
 
 
 def _loaded_array(design="fefet2t", rows=16, cols=32):

@@ -27,11 +27,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.analysis import run_margin_mc
-from repro.analysis import montecarlo as mc_mod
 from repro.analysis.faultcampaign import run_fault_campaign
 from repro.core import build_array, get_design
-from repro.devices.variability import NOMINAL_VARIATION
 from repro.energy.accounting import EnergyLedger
 from repro.tcam import ArrayGeometry
 from repro.tcam.chip import TCAMChip
@@ -165,13 +162,18 @@ class TestMetricsUnderWorkers:
             elif name.startswith("energy."):
                 assert math.isclose(par[name], serial[name], rel_tol=1e-12), name
 
-    def test_mc_chunk_spans_and_metrics(self, monkeypatch):
-        monkeypatch.setattr(mc_mod, "MC_CHUNK_SAMPLES", 16)
-        array = build_array(get_design("fefet2t"), ArrayGeometry(8, 16))
+    def test_fault_trial_chunk_spans_and_metrics(self):
+        """One grafted ``faults.trial.chunk[i]`` span per trial under the
+        campaign root, and the workers' searches reach the parent's
+        metrics."""
         with obs.observe() as sess:
-            run_margin_mc(array, NOMINAL_VARIATION, n_samples=40, seed=3, workers=2)
-        names = [sp.name for sp in sess.spans]
-        assert names == [f"mc.margin.chunk[{i}]" for i in range(3)]
+            run_fault_campaign(**FAULT_CAMPAIGN, workers=2)
+        (root,) = sess.spans
+        names = [sp.name for sp in root.children]
+        assert names == [
+            f"faults.trial.chunk[{i}]" for i in range(FAULT_CAMPAIGN["n_trials"])
+        ]
+        assert sess.metrics.snapshot()["faults.trials"] == FAULT_CAMPAIGN["n_trials"]
 
     def test_disabled_obs_with_workers_is_fine(self):
         result = run_fault_campaign(**FAULT_CAMPAIGN, workers=2)
