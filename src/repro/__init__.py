@@ -24,7 +24,6 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from .config import SimConfig, default_config
 from .errors import (
     AnalysisError,
     CapacityError,
@@ -65,8 +64,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "SimConfig",
-    "default_config",
     # errors
     "ReproError",
     "DeviceError",

@@ -36,7 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..circuits.senseamp import CurrentRaceSenseAmp
 from ..errors import AnalysisError
 from ..parallel import resolve_workers, scatter_gather
 from ..tcam import reference
@@ -192,13 +191,7 @@ def _build(point: DesignPoint):
     supply = point.vdd if point.vdd is not None else geometry.node.vdd_nominal
     cell = get_cell(point.cell, vdd=point.vdd)
     if point.sensing == "current_race":
-        return cell, TCAMArray(
-            cell,
-            geometry,
-            sensing="current_race",
-            vdd=supply,
-            race_amp=CurrentRaceSenseAmp(vdd=supply),
-        )
+        return cell, TCAMArray(cell, geometry, sensing="current_race", vdd=supply)
     if point.segments:
         return cell, SegmentedBank(
             cell, geometry, probe_cols=point.segments, vdd=supply

@@ -22,6 +22,11 @@ Structure of one campaign:
   policy to a fresh faulty instance and measures post-repair yield:
   the fraction of keys whose matched row set -- relocated through the
   repair's ``row_map`` where applicable -- equals the golden set.
+* Every instance of a trial is electrically identical to its golden
+  instance and adopts the golden kernel tables
+  (:meth:`~repro.kernels.KernelEngine.adopt_tables`), so a trial
+  compiles each driven row once and integrates each fault signature
+  once, across all of its densities and repairs.
 * Trials fan out over :func:`repro.parallel.scatter_gather` and are
   aggregated in payload order, so campaign results are bit-identical
   for any worker count.
@@ -263,6 +268,7 @@ def _fault_trial(
         fault_map = plan.at_density(density)
 
         faulty = _fresh_instance(design, rows, cols, words, rewrites)
+        faulty.kernel.adopt_tables(golden.kernel)
         faulty.attach_faults(fault_map)
         false_match = 0
         false_miss = 0
@@ -273,6 +279,7 @@ def _fault_trial(
             faulty_energy += out.energy.total
 
         repaired = _fresh_instance(design, rows, cols, words, rewrites)
+        repaired.kernel.adopt_tables(golden.kernel)
         repaired.attach_faults(fault_map.copy())
         report = get_policy(repair, n_spare=n_spare).repair(repaired, repaired.faults)
         yield_keys = 0

@@ -148,15 +148,21 @@ class SampledFeFETArray:
         self.t_eval = t_eval if t_eval is not None else nominal.t_eval
 
     def load(self, words: list[TernaryWord]) -> None:
-        """Store words row-major (no energy accounting at this level)."""
-        if len(words) > self.geometry.rows:
+        """Store words row-major (no energy accounting at this level).
+
+        The whole block is validated before any row is stored.
+
+        Raises:
+            TCAMError: for a word whose width is not the array's.
+            AnalysisError: for more words than rows.
+        """
+        block = trit_block(words, self.geometry.cols, "SampledFeFETArray.load")
+        if len(block) > self.geometry.rows:
             raise AnalysisError(
-                f"{len(words)} words exceed {self.geometry.rows} rows"
+                f"SampledFeFETArray.load: {len(block)} words exceed "
+                f"{self.geometry.rows} rows"
             )
-        for row, word in enumerate(words):
-            if len(word) != self.geometry.cols:
-                raise AnalysisError("word width mismatch")
-            self._stored[row] = word.as_array()
+        self._stored[: len(block)] = block
 
     # ------------------------------------------------------------------
 

@@ -116,7 +116,7 @@ def _cmd_designs(args: argparse.Namespace) -> int:
         columns=["key", "cell", "sensing", "description"],
     )
     for spec in all_designs():
-        table.add_row(spec.name, spec.cell_name or "-", spec.sensing, spec.description)
+        table.add_row(spec.name, spec.cell_name, spec.sensing, spec.description)
     print(table)
     cell_table = Table(
         title="Registered TCAM cells",

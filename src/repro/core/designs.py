@@ -21,14 +21,12 @@ live :class:`~repro.tcam.array.TCAMArray` for a given geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from ..circuits.precharge import ClampedPrecharge, FullSwingPrecharge
-from ..circuits.senseamp import CurrentRaceSenseAmp, VoltageSenseAmp
+from ..circuits.precharge import ClampedPrecharge
 from ..errors import DesignError
 from ..tcam.array import ArrayGeometry, TCAMArray
 from ..tcam.cell import CellDescriptor
-from ..tcam.cells import CMOS16TCell, FeFET2TCell, ReRAM2T2RCell, get_cell
+from ..tcam.cells import get_cell
 
 DEFAULT_LV_SWING = 0.55
 """Default clamped ML swing of Design LV [V].
@@ -46,8 +44,9 @@ class DesignSpec:
     Attributes:
         name: Registry key.
         display_name: Human-readable label for tables.
-        cell_factory: Builds the cell descriptor.
-        sensing: ``"precharge"`` or ``"current_race"``.
+        cell_name: Registry key of the design's cell in
+            :mod:`repro.tcam.cells`.
+        sensing: ``"precharge"``, ``"current_race"`` or ``"nand"``.
         ml_swing: Absolute match-line swing [V] for precharge sensing;
             ``None`` means full VDD.
         is_proposed: True for the paper's energy-aware designs.
@@ -56,22 +55,14 @@ class DesignSpec:
 
     name: str
     display_name: str
-    cell_factory: Callable[[], CellDescriptor]
+    cell_name: str
     sensing: str
     ml_swing: float | None
     is_proposed: bool
     description: str
 
-    @property
-    def cell_name(self) -> str | None:
-        """Registry key of the design's cell in :mod:`repro.tcam.cells`.
-
-        ``None`` for designs built on an unregistered custom factory.
-        """
-        return _FACTORY_CELL_NAMES.get(self.cell_factory)
-
     def build_cell(self, vdd: float | None = None) -> CellDescriptor:
-        """Instantiate a fresh cell descriptor.
+        """Instantiate a fresh cell descriptor from the cell registry.
 
         Args:
             vdd: Array supply [V].  CMOS and ReRAM compare gates ride the
@@ -79,20 +70,8 @@ class DesignSpec:
                 the FeFET cell's search gates run from a separate
                 (boosted) search-line supply and ignore it.
         """
-        name = _FACTORY_CELL_NAMES.get(self.cell_factory)
-        if name is not None:
-            return get_cell(name, vdd=vdd)
-        return self.cell_factory()
+        return get_cell(self.cell_name, vdd=vdd)
 
-
-# Factory class -> cell-registry key: design specs predate the cell
-# registry and carry classes; the supply-aware construction itself is
-# the registry's job (one lookup surface -- see repro.tcam.cells).
-_FACTORY_CELL_NAMES: dict[Callable[[], CellDescriptor], str] = {
-    CMOS16TCell: "cmos16t",
-    ReRAM2T2RCell: "reram2t2r",
-    FeFET2TCell: "fefet2t",
-}
 
 _REGISTRY: dict[str, DesignSpec] = {}
 
@@ -108,7 +87,7 @@ CMOS_16T = _register(
     DesignSpec(
         name="cmos16t",
         display_name="CMOS 16T",
-        cell_factory=CMOS16TCell,
+        cell_name="cmos16t",
         sensing="precharge",
         ml_swing=None,
         is_proposed=False,
@@ -120,7 +99,7 @@ RERAM_2T2R = _register(
     DesignSpec(
         name="reram2t2r",
         display_name="ReRAM 2T-2R",
-        cell_factory=ReRAM2T2RCell,
+        cell_name="reram2t2r",
         sensing="precharge",
         ml_swing=None,
         is_proposed=False,
@@ -132,7 +111,7 @@ FEFET_2T = _register(
     DesignSpec(
         name="fefet2t",
         display_name="FeFET 2T",
-        cell_factory=FeFET2TCell,
+        cell_name="fefet2t",
         sensing="precharge",
         ml_swing=None,
         is_proposed=False,
@@ -144,7 +123,7 @@ FEFET_2T_LV = _register(
     DesignSpec(
         name="fefet2t_lv",
         display_name="FeFET 2T + LV (proposed)",
-        cell_factory=FeFET2TCell,
+        cell_name="fefet2t",
         sensing="precharge",
         ml_swing=DEFAULT_LV_SWING,
         is_proposed=True,
@@ -156,7 +135,7 @@ FEFET_CR = _register(
     DesignSpec(
         name="fefet_cr",
         display_name="FeFET 2T + CR (proposed)",
-        cell_factory=FeFET2TCell,
+        cell_name="fefet2t",
         sensing="current_race",
         ml_swing=None,
         is_proposed=True,
@@ -168,7 +147,7 @@ FEFET_NAND = _register(
     DesignSpec(
         name="fefet_nand",
         display_name="FeFET NAND (extension)",
-        cell_factory=FeFET2TCell,
+        cell_name="fefet2t",
         sensing="nand",
         ml_swing=None,
         is_proposed=True,
@@ -212,6 +191,10 @@ def build_array(
 ) -> TCAMArray:
     """Instantiate a live array for a design.
 
+    The array derives its own sensing chain (full-swing precharge, an SA
+    at half the precharge target, a race amp at the supply); a design
+    only adds its clamped precharge when it sets an ML swing.
+
     Args:
         spec: The design to build.
         geometry: Array shape.
@@ -232,34 +215,16 @@ def build_array(
 
         return NANDTCAMArray(geometry, vdd=supply, t_eval=t_eval)
 
-    cell = spec.build_cell(vdd=supply)
-
-    if spec.sensing == "current_race":
-        if ml_swing is not None:
-            raise DesignError("current-race designs have no ML swing to set")
-        return TCAMArray(
-            cell,
-            geometry,
-            sensing="current_race",
-            vdd=supply,
-            race_amp=CurrentRaceSenseAmp(vdd=supply),
-        )
-
+    if spec.sensing == "current_race" and ml_swing is not None:
+        raise DesignError("current-race designs have no ML swing to set")
     swing = ml_swing if ml_swing is not None else spec.ml_swing
-    if swing is None:
-        precharge = FullSwingPrecharge(supply)
-    else:
-        if not 0.0 < swing <= supply:
-            raise DesignError(f"ML swing {swing} V outside (0, vdd={supply}] V")
-        precharge = ClampedPrecharge(vdd=supply, v_target=swing)
-    v_pre = precharge.target_voltage()
-    sense_amp = VoltageSenseAmp(v_ref=0.5 * v_pre, vdd=supply)
+    if swing is not None and not 0.0 < swing <= supply:
+        raise DesignError(f"ML swing {swing} V outside (0, vdd={supply}] V")
     return TCAMArray(
-        cell,
+        spec.build_cell(vdd=supply),
         geometry,
-        sensing="precharge",
+        sensing=spec.sensing,
         vdd=supply,
-        precharge=precharge,
-        sense_amp=sense_amp,
+        precharge=None if swing is None else ClampedPrecharge(vdd=supply, v_target=swing),
         t_eval=t_eval,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..errors import DesignError
 from ..tcam.array import ArrayGeometry, TCAMArray
 from ..tcam.bank import SegmentedBank
-from .designs import DEFAULT_LV_SWING, get_design
+from .designs import get_design
 
 
 @dataclass(frozen=True)
@@ -57,31 +57,25 @@ class TechniqueSet:
     def build(self, geometry: ArrayGeometry) -> TCAMArray | SegmentedBank:
         """Instantiate a runnable FeFET array/bank with these techniques."""
         spec = get_design("fefet2t_lv" if self.low_voltage_ml else "fefet2t")
-        swing = DEFAULT_LV_SWING if self.low_voltage_ml else None
         if not self.segmentation:
             from .designs import build_array
 
-            return build_array(spec, geometry, ml_swing=swing)
+            return build_array(spec, geometry)
         if self.probe_cols >= geometry.cols:
             raise DesignError(
                 f"probe width {self.probe_cols} must be below cols {geometry.cols}"
             )
-        from ..circuits.precharge import ClampedPrecharge, FullSwingPrecharge
-        from ..circuits.senseamp import VoltageSenseAmp
+        from ..circuits.precharge import ClampedPrecharge
 
-        vdd = geometry.node.vdd_nominal
-        if swing is None:
-            precharge = FullSwingPrecharge(vdd)
-        else:
-            precharge = ClampedPrecharge(vdd=vdd, v_target=swing)
-        v_pre = precharge.target_voltage()
+        precharge = None
+        if spec.ml_swing is not None:
+            precharge = ClampedPrecharge(vdd=geometry.node.vdd_nominal, v_target=spec.ml_swing)
         return SegmentedBank(
             spec.build_cell(),
             geometry,
             probe_cols=self.probe_cols,
             early_terminate=self.early_termination,
             precharge=precharge,
-            sense_amp=VoltageSenseAmp(v_ref=0.5 * v_pre, vdd=vdd),
         )
 
 

@@ -1,8 +1,7 @@
-"""Energy accounting: ledgers, breakdowns, estimators and power integration."""
+"""Energy accounting: ledgers, breakdowns and estimators."""
 
 from .accounting import EnergyComponent, EnergyLedger
 from .estimator import ArrayEstimator, CellEstimator, EnergyEstimator, EstimatorError
-from .power import leakage_energy, switching_energy
 
 __all__ = [
     "EnergyComponent",
@@ -11,6 +10,4 @@ __all__ = [
     "CellEstimator",
     "ArrayEstimator",
     "EstimatorError",
-    "switching_energy",
-    "leakage_energy",
 ]

@@ -22,10 +22,15 @@ the compiled precharge classes one at a time with the scalar RK4
 integrator.
 
 With a fault map attached, retention-degraded rows carry pull-down
-compositions outside the class triangle.  Their sensing results are
-compiled on demand, one stacked RK4 pass per batch for the signatures
-not seen yet, and cached on the engine until the fault map changes
-(:meth:`KernelEngine.fault_classes`).
+compositions outside the class triangle.  A signature ``(n_strong,
+weak_offsets, n_leak)`` is a per-cell threshold shift, i.e. one more
+electrical state of the line, so its sensing result depends on the
+signature and the electrical configuration alone -- never on which
+fault map produced it.  Results are compiled on demand, one stacked
+RK4 pass per batch for the signatures not seen yet, and cached by
+signature next to the class rows (:meth:`KernelEngine.fault_classes`):
+the cache survives writes and fault-map changes, and engines that
+adopt each other's tables share it.
 
 Counters: ``table_hits`` counts per-key class queries served from the
 tables (fault signatures included) and ``rows_built`` the compiled
@@ -130,7 +135,6 @@ class KernelEngine:
         self._rows: dict[int, PrechargeClassRow | RaceClassRow] = {}
         self._window_rows: dict[int, np.ndarray] = {}
         self._diss0: dict[int, np.ndarray] = {}
-        self._fault_version: int | None = None
         self._fault_classes: dict[tuple, object] = {}
 
     # -- table access ------------------------------------------------------
@@ -205,21 +209,18 @@ class KernelEngine:
             drivens = range(self._array.geometry.cols + 1)
         self.rows(drivens)
 
-    def fault_classes(self, sigs: list[tuple], fault_version: int) -> dict:
+    def fault_classes(self, sigs: list[tuple]) -> dict:
         """Sensing results of retention-degraded pull-down signatures.
 
         A signature ``(n_strong, weak_offsets, n_leak)`` fixes a row's
         discharge (its sorted weak Vt shifts included), so its result is
         the exact object the per-key faulty search computes for it.  The
         missing signatures integrate in one stacked RK4 pass through the
-        array's own fault-class integrator.  Results are electrical, not
-        content, so they survive writes; the cache is dropped when the
-        fault map's version moves, which bounds it to one map's
-        signatures.  Precharge sensing only.
+        array's own fault-class integrator.  Like the class rows, results
+        are electrical: they survive writes and fault-map changes (a
+        signature already carries every Vt shift it depends on), and
+        adopting engines share them.  Precharge sensing only.
         """
-        if fault_version != self._fault_version:
-            self._fault_classes = {}
-            self._fault_version = fault_version
         cache = self._fault_classes
         missing = [sig for sig in sigs if sig not in cache]
         if missing:
@@ -309,11 +310,13 @@ class KernelEngine:
 
         The class tables depend only on the array's electrical
         configuration, never on its contents -- so a fleet of identical
-        banks (a :class:`~repro.tcam.chip.TCAMChip`, a sharded retrieval
-        index) can compile the triangle once and serve every bank from
-        it.  The caches are shared *by reference*: a row lazily built
-        through any adopting engine becomes visible to all of them.
-        Hit counters stay per-engine.
+        banks (the banks of a :class:`~repro.cluster.fabric.TCAMFabric`,
+        a sharded retrieval index, the instances of a fault-campaign
+        trial) can compile the triangle once and serve every bank from it.  The caches -- class
+        rows, distance windows, dissipation tables and fault signatures --
+        are shared *by reference*: an entry lazily built through any
+        adopting engine becomes visible to all of them.  Hit counters
+        stay per-engine.
 
         Raises:
             KernelError: if the two arrays differ in any parameter the
@@ -331,6 +334,7 @@ class KernelEngine:
         self._rows = donor._rows
         self._window_rows = donor._window_rows
         self._diss0 = donor._diss0
+        self._fault_classes = donor._fault_classes
 
     # -- validation / diagnostics -----------------------------------------
 

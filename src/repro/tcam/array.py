@@ -1096,7 +1096,7 @@ class TCAMArray:
             offset_cols = np.flatnonzero(fp.sa_offset[sensed_idx] != 0.0)
             if precharge:
                 if distinct:
-                    found = eng.fault_classes(distinct, fp.version)
+                    found = eng.fault_classes(distinct)
                     res = [found[sig] for sig in distinct]
                     for name, plane in (
                         ("is_match", is_match), ("v_end", v_end), ("e_restore", e_pre),

@@ -107,10 +107,21 @@ class TestSampledArray:
     def test_load_validates(self):
         array = SampledFeFETArray(GEO, NO_VARIATION, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        with pytest.raises(AnalysisError):
+        with pytest.raises(AnalysisError, match="SampledFeFETArray.load"):
             array.load([random_word(24, rng)] * 9)
-        with pytest.raises(AnalysisError):
+        with pytest.raises(TCAMError, match="SampledFeFETArray.load"):
             array.load([random_word(8, rng)])
+
+    def test_bad_word_stores_no_row(self):
+        """A bad word fails the whole load before any row is stored, and
+        is reported the way ``run_campaign`` reports a bad key."""
+        array = SampledFeFETArray(GEO, NO_VARIATION, np.random.default_rng(0))
+        rng = np.random.default_rng(2)
+        before = array._stored.copy()
+        words = [random_word(24, rng), random_word(24, rng), random_word(6, rng)]
+        with pytest.raises(TCAMError, match="SampledFeFETArray.load"):
+            array.load(words)
+        assert np.array_equal(array._stored, before)
 
     def test_empty_campaign_rejected(self):
         array = SampledFeFETArray(GEO, NO_VARIATION, np.random.default_rng(0))

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy.accounting import EnergyComponent, EnergyLedger
-from repro.energy.power import leakage_energy, switching_energy
 from repro.errors import ReproError
 
 joules = st.floats(min_value=0.0, max_value=1e-9)
@@ -153,22 +152,3 @@ class TestLedgerReadSurface:
         led = EnergyLedger()
         led.add(EnergyComponent.SEARCHLINE, 1.0)
         assert led.components() == (EnergyComponent.SEARCHLINE.value,)
-
-
-class TestPowerFormulas:
-    def test_switching_full_swing(self):
-        assert switching_energy(1e-15, 0.9) == pytest.approx(0.81e-15)
-
-    def test_switching_partial_swing(self):
-        assert switching_energy(1e-15, 0.5, 0.9) == pytest.approx(0.45e-15)
-
-    def test_switching_rejects_negative(self):
-        with pytest.raises(ReproError):
-            switching_energy(-1e-15, 0.9)
-
-    def test_leakage_product(self):
-        assert leakage_energy(1e-9, 0.9, 1e-6) == pytest.approx(0.9e-15)
-
-    def test_leakage_rejects_negative(self):
-        with pytest.raises(ReproError):
-            leakage_energy(1e-9, 0.9, -1.0)

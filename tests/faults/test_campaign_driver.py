@@ -9,6 +9,8 @@ import pytest
 from repro import obs
 from repro.analysis.faultcampaign import run_fault_campaign
 from repro.errors import AnalysisError
+from repro.kernels import KernelEngine
+from repro.tcam import TCAMArray
 
 CONFIG = dict(
     design="fefet2t",
@@ -117,3 +119,30 @@ class TestValidationAndObservability:
         snapshot = sess.metrics.snapshot()
         assert snapshot["faults.trials"] == 2.0
         assert not obs.is_enabled()
+
+
+class TestTrialTableSharing:
+    def test_trial_compiles_each_row_and_signature_once(self, monkeypatch):
+        """Every instance of a trial adopts the golden instance's tables:
+        across the golden search, each density's faulty search and each
+        repaired search, a driven row compiles once and a fault
+        signature integrates once."""
+        built, integrated = [], []
+        build, integrate = KernelEngine._build, TCAMArray._fault_sig_classes
+
+        def record_build(engine, drivens):
+            built.extend(drivens)
+            return build(engine, drivens)
+
+        def record_integrate(array, sigs):
+            integrated.extend(sigs)
+            return integrate(array, sigs)
+
+        monkeypatch.setattr(KernelEngine, "_build", record_build)
+        monkeypatch.setattr(TCAMArray, "_fault_sig_classes", record_integrate)
+        run_fault_campaign(
+            **{**CONFIG, "densities": (0.05, 0.1, 0.2), "n_trials": 1}, workers=0
+        )
+        assert built and integrated
+        assert len(built) == len(set(built))
+        assert len(integrated) == len(set(integrated))

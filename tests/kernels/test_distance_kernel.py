@@ -226,6 +226,8 @@ class TestAdoptTables:
         adopter.adopt_tables(donor)
         assert adopter._rows is donor._rows
         assert adopter._window_rows is donor._window_rows
+        assert adopter._diss0 is donor._diss0
+        assert adopter._fault_classes is donor._fault_classes
         assert adopter.rows_built == donor.rows_built
         # Lazy builds through the adopter land in the shared cache.
         adopter.row(6)

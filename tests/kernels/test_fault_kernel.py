@@ -159,12 +159,13 @@ class TestFaultKernelEquivalence:
         _assert_same([reference.search(ref, k) for k in keys], ker.search_batch(keys))
         if design == "fefet2t":
             # An ulp of endpoint often rounds away in the energies, so also
-            # check that every signature the kernel compiled is one the
-            # reference integrated (its memo keeps every signature it saw).
+            # check that every signature the kernel cached is one the
+            # reference integrated (its memo keeps every signature it saw),
+            # with the same result float for float.
             assert engine._fault_classes
             memo = reference._fault_memo(ref)
-            for sig in engine._fault_classes:
-                assert sig in memo
+            for sig, result in engine._fault_classes.items():
+                assert memo[sig] == result
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_mutation_between_batches_and_detach(self, design):
@@ -208,6 +209,60 @@ class TestFaultKernelEquivalence:
         merged = EnergyLedger.sum(o.energy for o in outcomes)
         assert root.total_energy().as_dict() == merged.as_dict()
         assert root.total_energy().total == merged.total
+
+
+def _integrations(sess) -> int:
+    """Stacked fault-signature passes traced in a session."""
+    return sum(
+        span.name == "array.integrate_faulty"
+        for root in sess.spans
+        for _, span in root.walk()
+    )
+
+
+class TestFaultSignatureCache:
+    """Signature results are electrical: keyed by signature alone, they
+    survive fault-map changes and are shared by adopting engines."""
+
+    def _faulty_pair(self):
+        rng = np.random.default_rng(23)
+        ref, ker = _twins("fefet2t", 16, 12, rng, 0.1)
+        fm = _random_fault_map(rng, 16, 12, 30, 1, 2)
+        keys = [random_word(12, rng, 0.1) for _ in range(12)]
+        return ref, ker, fm, keys
+
+    def test_signatures_survive_a_fault_map_change(self):
+        ref, ker, fm, keys = self._faulty_pair()
+        ref.attach_faults(fm.copy())
+        ker.attach_faults(fm)
+        with obs.observe() as sess:
+            got = ker.search_batch(keys)
+        assert _integrations(sess) >= 1
+        _assert_same([reference.search(ref, k) for k in keys], got)
+        # A dead row moves the map's version but leaves every other
+        # row's pull-down composition, hence every signature, unchanged.
+        for held in (fm, ref.faults):
+            held.set_dead_row(0)
+        with obs.observe() as sess:
+            got = ker.search_batch(keys)
+        assert _integrations(sess) == 0
+        _assert_same([reference.search(ref, k) for k in keys], got)
+
+    def test_adopter_reuses_donor_signatures(self):
+        _, donor, fm, keys = self._faulty_pair()
+        ref, adopter, _, _ = self._faulty_pair()
+        donor.attach_faults(fm)
+        donor.search_batch(keys)
+        adopter.kernel.adopt_tables(donor.kernel)
+        # The adopter's own map is a changed copy of the donor's.
+        moved = fm.copy()
+        moved.set_dead_row(0)
+        adopter.attach_faults(moved)
+        ref.attach_faults(moved.copy())
+        with obs.observe() as sess:
+            got = adopter.search_batch(keys)
+        assert _integrations(sess) == 0
+        _assert_same([reference.search(ref, k) for k in keys], got)
 
 
 def _bank_pair(factory, rows, cols, rng):

@@ -1,11 +1,9 @@
-"""Tests for the simulation configuration and error hierarchy."""
+"""Tests for the error hierarchy."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.config import SimConfig, default_config
 from repro.errors import (
     AnalysisError,
     CapacityError,
@@ -16,31 +14,6 @@ from repro.errors import (
     TCAMError,
     WorkloadError,
 )
-
-
-class TestSimConfig:
-    def test_default_is_room_temperature(self):
-        assert default_config().temperature_k == pytest.approx(300.0)
-
-    def test_default_is_shared_instance(self):
-        assert default_config() is default_config()
-
-    def test_rng_deterministic(self):
-        cfg = SimConfig(seed=5)
-        a = cfg.rng().integers(0, 1000, 10)
-        b = cfg.rng().integers(0, 1000, 10)
-        assert np.array_equal(a, b)
-
-    def test_with_temperature_copies_other_fields(self):
-        cfg = SimConfig(seed=9, rel_tol=1e-6)
-        hot = cfg.with_temperature(400.0)
-        assert hot.temperature_k == 400.0
-        assert hot.seed == 9
-        assert hot.rel_tol == 1e-6
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            default_config().seed = 1  # type: ignore[misc]
 
 
 class TestErrorHierarchy:
