@@ -9,9 +9,9 @@ numbers to ``BENCH_kernels.json`` at the repo root:
   tabulated class); for every registered cell, the full class triangle
   must agree exactly (error 0.0).
 * **Table build** -- cold build time of a batch's table rows on a
-  128x64 fefet2t array: one stacked :meth:`KernelEngine.rows` pass
-  against a per-row :meth:`KernelEngine.row` loop (rows asserted
-  bitwise equal).
+  128x64 fefet2t array: one stacked :meth:`KernelEngine.planes` call
+  against one call per ``driven`` value (planes asserted bitwise
+  equal).
 * **Faulted arrays** -- on a 64x32 array carrying every fault kind
   (stuck-match, stuck-miss, stuck-trit, retention, dead rows, SA
   offsets), the fault-aware kernel batch must equal the per-key
@@ -158,13 +158,13 @@ def run_table_build(rows: int, cols: int, n_keys: int) -> dict:
         engine = _build_loaded(DESIGN, rows, cols, SEED).kernel
         t0 = time.perf_counter()
         if mode == "stacked":
-            built[mode] = engine.rows(drivens)
+            built[mode] = engine.planes(drivens)
         else:
-            built[mode] = [engine.row(d) for d in drivens]
+            for d in drivens:
+                built[mode] = engine.planes([d])
         seconds[mode] = round(time.perf_counter() - t0, 4)
-    for a, b in zip(built["stacked"], built["per_row"]):
-        for name, field in vars(a).items():
-            assert np.array_equal(field, getattr(b, name)), "stacked row != per-row build"
+    for name, plane in built["stacked"].items():
+        assert np.array_equal(plane, built["per_row"][name]), "stacked row != per-row build"
     return {
         "design": DESIGN,
         "rows": rows,

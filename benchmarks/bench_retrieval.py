@@ -87,8 +87,7 @@ def bench_nearest_kernel(
     kernel = _build_loaded(GATE_ROWS, GATE_COLS, rng)
     engine = kernel.kernel
     engine.precompute()
-    for d in range(GATE_COLS + 1):
-        engine.window_row(d)
+    engine.windows(range(GATE_COLS + 1))
 
     key_rng = np.random.default_rng(SEED + 1)
     keys = [random_word(GATE_COLS, key_rng, x_fraction=0.2) for _ in range(n_keys)]

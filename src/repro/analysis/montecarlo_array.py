@@ -105,8 +105,9 @@ class SampledFeFETArray:
             threshold offset and each row's SA draws an input offset.
         rng: Sample source.
         vdd: Supply / precharge voltage [V].
-        v_sense: Nominal sense reference [V].
-        t_eval: Evaluation window [s]; defaults to the nominal design's.
+
+    The ML load, sense reference and evaluation window are the nominal
+    fefet2t design's at this geometry and supply.
     """
 
     def __init__(
@@ -115,8 +116,6 @@ class SampledFeFETArray:
         spec: VariationSpec,
         rng: np.random.Generator,
         vdd: float = 0.9,
-        v_sense: float | None = None,
-        t_eval: float | None = None,
     ) -> None:
         self.geometry = geometry
         self.vdd = vdd
@@ -144,8 +143,8 @@ class SampledFeFETArray:
 
         nominal = build_array(get_design("fefet2t"), geometry, vdd=vdd)
         self.c_ml = nominal.c_ml
-        self.v_sense = v_sense if v_sense is not None else nominal.sense_amp.v_ref
-        self.t_eval = t_eval if t_eval is not None else nominal.t_eval
+        self.v_sense = nominal.sense_amp.v_ref
+        self.t_eval = nominal.t_eval
 
     def load(self, words: list[TernaryWord]) -> None:
         """Store words row-major (no energy accounting at this level).

@@ -2,22 +2,24 @@
 
 Routing tables and signature sets are not static -- BGP alone delivers
 a steady stream of route add/withdraw events, and every one of them is
-a physical write whose energy the paper's estimator surface (PR 8) can
+a physical write whose energy the paper's estimator surface can
 price.  :class:`UpdateEngine` applies such streams to a live
 :class:`~repro.cluster.fabric.TCAMFabric`:
 
 * **adds** route through the fabric's distributor (new rules join the
   priority tail), land on the first free row of every replica shard
   via the normal ``chip.write`` path -- so the per-cell trit-transition
-  costs, trajectory-cache flushes and kernel-table rebuilds all happen
-  exactly as they would on a standalone array;
+  costs are booked exactly as on a standalone array, and the write moves
+  the bank's content version, which rebuilds only its packed content
+  snapshot on the next search (the compiled class tables survive
+  writes);
 * **withdrawals** erase every replica to all-X (a real write, priced
   by the estimator) before clearing the valid bit;
 * both directions ship their flits over the interconnect, booking
   ``link``/``distribution`` energy next to the ``write`` component.
 
 Sustained churn raises per-cell write counts, and
-:func:`age_and_repair` closes the loop with the PR 5 fault subsystem:
+:func:`age_and_repair` closes the loop with the fault subsystem:
 a wear-mode :class:`~repro.faults.campaign.FaultCampaign` makes the
 most-written cells fail first, spare-row repair relocates broken rows
 (consuming the per-bank spare budget), and the fabric's

@@ -187,7 +187,6 @@ def build_array(
     *,
     vdd: float | None = None,
     ml_swing: float | None = None,
-    t_eval: float | None = None,
 ) -> TCAMArray:
     """Instantiate a live array for a design.
 
@@ -201,7 +200,6 @@ def build_array(
         vdd: Supply override [V].
         ml_swing: ML swing override for precharge designs [V]; defaults to
             the spec's value (or full VDD when the spec has none).
-        t_eval: Evaluation-window override [s].
 
     Raises:
         DesignError: when an ML swing is supplied for a current-race design.
@@ -213,7 +211,7 @@ def build_array(
             raise DesignError("the NAND design has no ML swing to set")
         from ..tcam.nand_array import NANDTCAMArray
 
-        return NANDTCAMArray(geometry, vdd=supply, t_eval=t_eval)
+        return NANDTCAMArray(geometry, vdd=supply)
 
     if spec.sensing == "current_race" and ml_swing is not None:
         raise DesignError("current-race designs have no ML swing to set")
@@ -226,5 +224,4 @@ def build_array(
         sensing=spec.sensing,
         vdd=supply,
         precharge=None if swing is None else ClampedPrecharge(vdd=supply, v_target=swing),
-        t_eval=t_eval,
     )

@@ -4,22 +4,26 @@ The per-key reference search (:mod:`repro.tcam.reference`) integrates
 each mismatch class it meets by RK4, per search.  The kernel engine
 instead compiles the class triangle of the array's electrical
 configuration -- every ``(n_miss, driven)`` with ``0 <= n_miss <=
-driven <= cols`` -- into flat per-``driven`` rows of sensing results
-(match verdicts, restore/dissipation/sense energies, strobe and restore
-delays) that survive writes (content never enters the class physics)
-and can be gathered with fancy indexing by the vectorized batch path.
+driven <= cols`` -- into dense ``(cols + 1) x (cols + 1)`` planes, one
+per sensing field (match verdicts, restore/dissipation/sense energies,
+strobe and restore delays): ``plane[driven, n_miss]`` is the field of
+that class, and entries past a row's triangle read ``0.0`` / ``False``.
+The planes survive writes (content never enters the class physics), and
+every batch kernel indexes them directly with its per-key ``driven``
+and per-row ``n_miss`` arrays -- no kernel pads a table of its own.
 
 Rows are built by the array's own class helpers: precharge endpoints
 by its stacked integrator (:meth:`TCAMArray._ml_voltages_after_eval`)
 and :meth:`TCAMArray._precharge_class_from_v_end`, current-race rows by
 the race amp's closed form (:meth:`TCAMArray._race_class_from_current`),
 so every tabulated quantity is the exact object the per-key reference
-would have computed.  A batch asks for all of its rows in one
-:meth:`KernelEngine.rows` call, which builds every missing row together
+would have computed.  A batch asks for its rows in one
+:meth:`KernelEngine.planes` call, which builds every missing row together
 -- for precharge sensing in one stacked RK4 pass -- under a
-``kernels.build_rows`` span.  :meth:`KernelEngine.validate` re-integrates
-the compiled precharge classes one at a time with the scalar RK4
-integrator.
+``kernels.build_rows`` span; :meth:`KernelEngine.windows` does the same
+for the precharge distance-mode strobe windows.
+:meth:`KernelEngine.validate` re-integrates the compiled precharge
+classes one at a time with the scalar RK4 integrator.
 
 With a fault map attached, retention-degraded rows carry pull-down
 compositions outside the class triangle.  A signature ``(n_strong,
@@ -28,7 +32,7 @@ electrical state of the line, so its sensing result depends on the
 signature and the electrical configuration alone -- never on which
 fault map produced it.  Results are compiled on demand, one stacked
 RK4 pass per batch for the signatures not seen yet, and cached by
-signature next to the class rows (:meth:`KernelEngine.fault_classes`):
+signature next to the class planes (:meth:`KernelEngine.fault_classes`):
 the cache survives writes and fault-map changes, and engines that
 adopt each other's tables share it.
 
@@ -40,13 +44,14 @@ rows; the array delta-syncs both into the ``MetricsRegistry`` as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterable
+from dataclasses import fields
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .. import obs
-from ..circuits.matchline import composite_current
+from ..circuits.matchline import MatchLine, MatchLineLoad, composite_current
 from ..circuits.rc import discharge_waveform
 from ..errors import KernelError
 
@@ -76,41 +81,46 @@ def class_sums(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-@dataclass(frozen=True)
-class PrechargeClassRow:
-    """Per-class sensing results of one ``driven`` value, as flat arrays.
+def _read_only(plane: np.ndarray) -> np.ndarray:
+    view = plane.view()
+    view.setflags(write=False)
+    return view
 
-    Entry ``n`` of every field is the corresponding attribute of the
-    reference ``_PrechargeClassResult`` for class ``(n, driven)``.
+
+class _ClassPlanes:
+    """The dense class planes of one electrical configuration.
+
+    Shared by reference between engines that adopt each other's tables.
+    ``built[d]`` marks the compiled rows of the class planes and
+    ``window_built[d]`` those of the window plane.  The planes are
+    allocated on the first build (an engine that adopts before it builds
+    allocates nothing) and handed out only as read-only views.
     """
 
-    v_end: np.ndarray
-    is_match: np.ndarray
-    e_restore: np.ndarray
-    e_diss: np.ndarray
-    e_sense: np.ndarray
-    t_sense: np.ndarray
-    t_restore: np.ndarray
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.built = np.zeros(size, dtype=bool)
+        self.window_built = np.zeros(size, dtype=bool)
+        self.data: dict[str, np.ndarray] = {}
+        self.views: Mapping[str, np.ndarray] = MappingProxyType({})
+        self.window: np.ndarray | None = None
+        self.window_view: np.ndarray | None = None
 
-
-@dataclass(frozen=True)
-class RaceClassRow:
-    """Per-class current-race results of one ``driven`` value."""
-
-    is_match: np.ndarray
-    energy: np.ndarray
-    delay: np.ndarray
-
-
-def _row_of(row_type, results: list):
-    """Stack per-class result objects into one row of flat arrays."""
-    return row_type(**{
-        f.name: np.array(
-            [getattr(r, f.name) for r in results],
-            dtype=bool if f.name == "is_match" else float,
-        )
-        for f in fields(row_type)
-    })
+    def store(self, driven: np.ndarray, n_miss: np.ndarray, results: list) -> None:
+        """Write per-class result objects at ``[driven, n_miss]``."""
+        if not self.data:
+            self.data = {
+                f.name: np.zeros(
+                    (self.size, self.size), dtype=bool if f.name == "is_match" else float
+                )
+                for f in fields(results[0])
+            }
+            self.views = MappingProxyType(
+                {name: _read_only(plane) for name, plane in self.data.items()}
+            )
+        for name, plane in self.data.items():
+            plane[driven, n_miss] = [getattr(r, name) for r in results]
+        self.built[driven] = True
 
 
 class KernelEngine:
@@ -132,8 +142,7 @@ class KernelEngine:
     def __init__(self, array) -> None:
         self._array = array
         self.table_hits = 0
-        self._rows: dict[int, PrechargeClassRow | RaceClassRow] = {}
-        self._window_rows: dict[int, np.ndarray] = {}
+        self._planes = _ClassPlanes(array.geometry.cols + 1)
         self._diss0: dict[int, np.ndarray] = {}
         self._fault_classes: dict[tuple, object] = {}
 
@@ -142,27 +151,38 @@ class KernelEngine:
     @property
     def rows_built(self) -> int:
         """Number of ``driven`` rows compiled so far."""
-        return len(self._rows)
+        return int(np.count_nonzero(self._planes.built))
 
-    def _check_driven(self, driven) -> int:
-        d = as_driven(driven)
+    def _missing(self, drivens: Iterable[int], built: np.ndarray) -> list[int]:
+        """The distinct ``drivens`` not marked in ``built``, ascending;
+        every one is checked before anything is built."""
         cols = self._array.geometry.cols
-        if not 0 <= d <= cols:
-            raise KernelError(f"driven {d} outside the class triangle [0, {cols}]")
-        return d
+        ds = set()
+        for driven in drivens:
+            d = as_driven(driven)
+            if not 0 <= d <= cols:
+                raise KernelError(f"driven {d} outside the class triangle [0, {cols}]")
+            ds.add(d)
+        return sorted(d for d in ds if not built[d])
 
-    def rows(self, drivens: Iterable[int]) -> list[PrechargeClassRow | RaceClassRow]:
-        """Compiled sensing rows for several ``driven`` values.
+    def planes(self, drivens: Iterable[int]) -> Mapping[str, np.ndarray]:
+        """Read-only dense class planes, with the rows of ``drivens`` compiled.
 
-        Entry ``i`` is the row of ``drivens[i]``.  The rows not compiled
-        yet are built together under one ``kernels.build_rows`` span
-        (attributes ``n_rows``, ``n_classes``): precharge endpoints of
-        all of them integrate in one stacked RK4 pass
+        Plane ``name`` holds at ``[driven, n_miss]`` the attribute
+        ``name`` of the reference per-class result (``_PrechargeClassResult``
+        or ``_RaceClassResult``) of class ``(n_miss, driven)``; entries
+        past a row's triangle read ``0.0`` / ``False``.  The rows not
+        compiled yet are built together under one ``kernels.build_rows``
+        span (attributes ``n_rows``, ``n_classes``): precharge endpoints
+        of all of them integrate in one stacked RK4 pass
         (:meth:`TCAMArray._ml_voltages_after_eval`), current-race rows
         evaluate their class currents in one array call.
+
+        Raises:
+            KernelError: for a non-integer ``driven`` or one outside
+                ``[0, cols]``; nothing is built then.
         """
-        ds = [self._check_driven(d) for d in drivens]
-        missing = sorted({d for d in ds if d not in self._rows})
+        missing = self._missing(drivens, self._planes.built)
         if missing:
             with obs.span(
                 "kernels.build_rows",
@@ -170,11 +190,7 @@ class KernelEngine:
                 n_classes=sum(d + 1 for d in missing),
             ):
                 self._build(missing)
-        return [self._rows[d] for d in ds]
-
-    def row(self, driven: int) -> PrechargeClassRow | RaceClassRow:
-        """Compiled sensing row for one ``driven`` value (``rows([driven])[0]``)."""
-        return self.rows([driven])[0]
+        return self._planes.views
 
     def _build(self, drivens: list[int]) -> None:
         """Compile the rows of ``drivens`` (sorted, distinct) in one pass
@@ -185,29 +201,23 @@ class KernelEngine:
         driven = np.repeat(drivens, sizes)
         n_miss = np.arange(driven.size) - np.repeat(starts, sizes)
         if array.sensing == "precharge":
-            row_type = PrechargeClassRow
             results = [
                 array._precharge_class_from_v_end(v)
                 for v in array._ml_voltages_after_eval(n_miss, driven)
             ]
         else:
-            row_type = RaceClassRow
             cell = array.cell
             currents = composite_current(
                 array.race_amp.v_trip, cell.i_pulldown, cell.i_leak, n_miss, driven - n_miss
             )
             results = [array._race_class_from_current(float(i)) for i in currents]
-        for d, lo in zip(drivens, starts.tolist()):
-            built = _row_of(row_type, results[lo : lo + d + 1])
-            for field in vars(built).values():
-                field.setflags(write=False)
-            self._rows[d] = built
+        self._planes.store(driven, n_miss, results)
 
     def precompute(self, drivens: "range | list[int] | None" = None) -> None:
         """Compile rows eagerly (the whole triangle by default), in one pass."""
         if drivens is None:
             drivens = range(self._array.geometry.cols + 1)
-        self.rows(drivens)
+        self.planes(drivens)
 
     def fault_classes(self, sigs: list[tuple]) -> dict:
         """Sensing results of retention-degraded pull-down signatures.
@@ -216,9 +226,9 @@ class KernelEngine:
         discharge (its sorted weak Vt shifts included), so its result is
         the exact object the per-key faulty search computes for it.  The
         missing signatures integrate in one stacked RK4 pass through the
-        array's own fault-class integrator.  Like the class rows, results
-        are electrical: they survive writes and fault-map changes (a
-        signature already carries every Vt shift it depends on), and
+        array's own fault-class integrator.  Like the class planes,
+        results are electrical: they survive writes and fault-map changes
+        (a signature already carries every Vt shift it depends on), and
         adopting engines share them.  Precharge sensing only.
         """
         cache = self._fault_classes
@@ -227,43 +237,48 @@ class KernelEngine:
             cache.update(zip(missing, self._array._fault_sig_classes(missing)))
         return {sig: cache[sig] for sig in sigs}
 
-    def window_row(self, driven: int) -> np.ndarray:
-        """Crossing-time table for the distance-mode evaluation windows.
+    def windows(self, drivens: Iterable[int]) -> np.ndarray:
+        """Read-only dense crossing-time plane for the distance-mode
+        evaluation windows, with the rows of ``drivens`` compiled.
 
-        Entry ``n`` is the time for an ``n``-mismatch line (of ``driven``
-        driven columns) to cross the sense reference -- float for float
-        the value ``repro.tcam.reference._nearest_window`` computes, with
-        non-finite crossings clamped to ``t_eval``.  Entry 0 (a full
-        match never crosses) is ``t_eval``.  The distance kernel gathers
-        nearest/threshold/top-k strobe windows from these rows instead
-        of re-deriving them per key.  Precharge sensing only.
+        Entry ``[driven, n]`` is the time for an ``n``-mismatch line (of
+        ``driven`` driven columns) to cross the sense reference -- float
+        for float the value ``repro.tcam.reference._nearest_window``
+        computes, with non-finite crossings clamped to ``t_eval``.  Entry
+        ``[driven, 0]`` (a full match never crosses) is ``t_eval``, and
+        entries past a row's triangle read ``0.0``.  The distance kernels
+        gather nearest/threshold/top-k strobe windows from this plane
+        instead of re-deriving them per key.  Precharge sensing only.
+
+        Raises:
+            KernelError: under current-race sensing, or for a ``driven``
+                :meth:`planes` rejects.
         """
-        if self._array.sensing != "precharge":
-            raise KernelError("window tables apply to precharge-style sensing only")
-        driven = self._check_driven(driven)
-        cached = self._window_rows.get(driven)
-        if cached is not None:
-            return cached
-        from ..circuits.matchline import MatchLine, MatchLineLoad
-
         array = self._array
+        if array.sensing != "precharge":
+            raise KernelError("window tables apply to precharge-style sensing only")
+        planes = self._planes
+        missing = self._missing(drivens, planes.window_built)
+        if missing and planes.window is None:
+            planes.window = np.zeros((planes.size, planes.size))
+            planes.window_view = _read_only(planes.window)
         v_pre = array.precharge.target_voltage()
         v_ref = array.sense_amp.v_ref
-        out = np.empty(driven + 1)
-        out[0] = array.t_eval
-        for n in range(1, driven + 1):
-            load = MatchLineLoad(
-                capacitance=array.c_ml,
-                n_miss=n,
-                n_match=max(driven - n, 0),
-                i_pulldown=array.cell.i_pulldown,
-                i_leak=array.cell.i_leak,
-            )
-            t_window = MatchLine(load, v_pre, array.vdd).time_to(v_ref)
-            out[n] = array.t_eval if not np.isfinite(t_window) else float(t_window)
-        out.setflags(write=False)
-        self._window_rows[driven] = out
-        return out
+        for driven in missing:
+            row = planes.window[driven]
+            row[0] = array.t_eval
+            for n in range(1, driven + 1):
+                load = MatchLineLoad(
+                    capacitance=array.c_ml,
+                    n_miss=n,
+                    n_match=max(driven - n, 0),
+                    i_pulldown=array.cell.i_pulldown,
+                    i_leak=array.cell.i_leak,
+                )
+                t_window = MatchLine(load, v_pre, array.vdd).time_to(v_ref)
+                row[n] = array.t_eval if not np.isfinite(t_window) else float(t_window)
+            planes.window_built[driven] = True
+        return planes.window_view
 
     def diss0_table(self, n_max: int) -> np.ndarray:
         """Full-discharge dissipation per line count, tabulated 0..n_max.
@@ -312,11 +327,11 @@ class KernelEngine:
         configuration, never on its contents -- so a fleet of identical
         banks (the banks of a :class:`~repro.cluster.fabric.TCAMFabric`,
         a sharded retrieval index, the instances of a fault-campaign
-        trial) can compile the triangle once and serve every bank from it.  The caches -- class
-        rows, distance windows, dissipation tables and fault signatures --
-        are shared *by reference*: an entry lazily built through any
-        adopting engine becomes visible to all of them.  Hit counters
-        stay per-engine.
+        trial) can compile the triangle once and serve every bank from
+        it.  The class and window planes, the dissipation tables and the
+        fault-signature cache are shared *by reference*: a row lazily
+        built through any adopting engine becomes visible to all of them.
+        Hit counters stay per-engine.
 
         Raises:
             KernelError: if the two arrays differ in any parameter the
@@ -331,12 +346,14 @@ class KernelEngine:
                 "cannot adopt kernel tables across electrically different "
                 f"arrays: {mine} != {theirs}"
             )
-        self._rows = donor._rows
-        self._window_rows = donor._window_rows
+        self._planes = donor._planes
         self._diss0 = donor._diss0
         self._fault_classes = donor._fault_classes
 
     # -- validation / diagnostics -----------------------------------------
+
+    def _built_drivens(self) -> list[int]:
+        return np.flatnonzero(self._planes.built).tolist()
 
     def validate(self) -> float:
         """Check the compiled precharge classes against the scalar RK4 reference.
@@ -344,7 +361,7 @@ class KernelEngine:
         Every class ``(n, d)`` of every compiled precharge row (of the
         full triangle when no row is compiled yet) is re-integrated alone
         with :func:`~repro.circuits.rc.discharge_waveform` and compared
-        with ``row.v_end[n]``.  Returns the worst relative error and
+        with ``v_end[d, n]``.  Returns the worst relative error and
         raises :class:`KernelError` when it exceeds
         :data:`VALIDATION_RTOL`.  The stacked integrator and the numpy
         device model are elementwise identical to a lone scalar class,
@@ -355,14 +372,15 @@ class KernelEngine:
         array = self._array
         if array.sensing != "precharge":
             return 0.0
-        if not self._rows:
+        if not self.rows_built:
             self.precompute()
         cell = array.cell
         v_pre = array.precharge.target_voltage()
         grid = array._eval_grid()
+        v_end = self._planes.data["v_end"]
         worst = 0.0
-        for d, row in sorted(self._rows.items()):
-            for n_miss, got in enumerate(row.v_end.tolist()):
+        for d in self._built_drivens():
+            for n_miss, got in enumerate(v_end[d, : d + 1].tolist()):
                 expected = float(
                     discharge_waveform(
                         array.c_ml,
@@ -383,12 +401,9 @@ class KernelEngine:
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the hit/build counters."""
+        precharge = self._array.sensing == "precharge"
         return {
             "table_hits": self.table_hits,
             "rows_built": self.rows_built,
-            "classes_tabulated": sum(
-                row.v_end.size
-                for row in self._rows.values()
-                if isinstance(row, PrechargeClassRow)
-            ),
+            "classes_tabulated": sum(d + 1 for d in self._built_drivens()) if precharge else 0,
         }

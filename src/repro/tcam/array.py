@@ -34,7 +34,7 @@ from ..circuits.precharge import FullSwingPrecharge, PrechargeScheme
 from ..circuits.rc import discharge_waveform_batch
 from ..circuits.searchline import SearchLine
 from ..circuits.senseamp import CurrentRaceSenseAmp, VoltageSenseAmp
-from ..circuits.wire import M2_WIRE, M4_WIRE, WireModel
+from ..circuits.wire import M2_WIRE, M4_WIRE
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..energy.estimator import ArrayEstimator
 from ..errors import ReproError, TCAMError
@@ -337,12 +337,10 @@ class TCAMArray:
             to a full-swing scheme at ``vdd``.
         sense_amp: Voltage sense amp; defaults to a latch referenced at
             half the precharge target.
-        race_amp: Current-race sense amp for ``current_race`` sensing.
-        t_eval: Evaluation window [s]; defaults to 2x the worst-case
-            single-mismatch discharge time (a standard timing margin).
-        ml_wire: Match-line routing layer.
-        sl_wire: Search-line routing layer.
-        encoder: Priority encoder; defaults to one sized for ``rows``.
+        t_eval: Evaluation window [s] for precharge-style sensing;
+            defaults to 2x the worst-case single-mismatch discharge time
+            (a standard timing margin).  A current-race array's window is
+            its race amp's cutoff, so passing one there is an error.
         estimator: Energy estimator every ledger booking routes through;
             defaults to an :class:`~repro.energy.estimator.ArrayEstimator`
             over this array's cell and sensing chain (bit-identical to
@@ -366,15 +364,16 @@ class TCAMArray:
         vdd: float | None = None,
         precharge: PrechargeScheme | None = None,
         sense_amp: VoltageSenseAmp | None = None,
-        race_amp: CurrentRaceSenseAmp | None = None,
         t_eval: float | None = None,
-        ml_wire: WireModel = M2_WIRE,
-        sl_wire: WireModel = M4_WIRE,
-        encoder: PriorityEncoder | None = None,
         estimator: "Callable[[TCAMArray], ArrayEstimator] | None" = None,
     ) -> None:
         if sensing not in SENSING_STYLES:
             raise TCAMError(f"sensing must be one of {SENSING_STYLES}, got {sensing!r}")
+        if sensing == "current_race" and t_eval is not None:
+            raise TCAMError(
+                "a current-race array's evaluation window is its race amp's cutoff; "
+                "t_eval applies to precharge-style sensing only"
+            )
         self.cell = cell
         self.geometry = geometry
         self.sensing = sensing
@@ -420,7 +419,7 @@ class TCAMArray:
             self.race_amp = None
             sa_input_cap = self.sense_amp.input_capacitance
         else:
-            self.race_amp = race_amp if race_amp is not None else CurrentRaceSenseAmp(vdd=self.vdd)
+            self.race_amp = CurrentRaceSenseAmp(vdd=self.vdd)
             self.precharge = None
             self.sense_amp = None
             sa_input_cap = self.race_amp.input_capacitance
@@ -429,21 +428,21 @@ class TCAMArray:
         ml_length = cols * cell_w
         self.c_ml = (
             cols * cell.c_ml_per_cell
-            + ml_wire.capacitance(ml_length)
+            + M2_WIRE.capacitance(ml_length)
             + sa_input_cap
             + 0.1e-15  # precharge / race-source device junction
         )
-        self._ml_wire = ml_wire
+        self._ml_wire = M2_WIRE
 
         # Search lines -------------------------------------------------------
         self.search_line = SearchLine(
             n_rows=rows,
             c_gate_per_cell=cell.c_sl_gate_per_cell,
             cell_pitch=cell_h,
-            wire=sl_wire,
+            wire=M4_WIRE,
         )
         self._sl_r_driver = 2.0e3  # sized driver for the SL RC
-        self.encoder = encoder if encoder is not None else PriorityEncoder(rows)
+        self.encoder = PriorityEncoder(rows)
 
         # Evaluation window ---------------------------------------------------
         if sensing == "precharge":
@@ -868,12 +867,12 @@ class TCAMArray:
         Mismatch counts come from the SoA matmul (exact integer float32
         accumulation), dense per-(key, class) row counts from one offset
         bincount per row subset, and per-class sensing quantities from
-        the compiled tables.  The batch's compiled rows are stacked into
-        width-``cols + 1`` tables padded with ``0.0`` energy, ``0.0``
-        time and no match, and every key gathers its own ``driven`` row
-        from them, so the whole batch is one pass whatever its widths.
-        A driven-``d`` key meets classes ``0..d`` only, so the padding
-        only ever meets zero row counts.  Each component's per-key sum is
+        the engine's dense class planes
+        (:meth:`~repro.kernels.KernelEngine.planes`): every key gathers
+        its own ``driven`` row, so the whole batch is one pass whatever
+        its widths.  A driven-``d`` key meets classes ``0..d`` only, so
+        the planes' ``0.0`` / no-match entries past the triangle only
+        ever meet zero row counts.  Each component's per-key sum is
         one dense ``(keys, cols + 1)`` count x energy matrix summed by
         :func:`~repro.kernels.class_sums`: strictly left to right in
         ascending ``n_miss`` order, with absent and padded classes adding
@@ -935,23 +934,11 @@ class TCAMArray:
                     class_counts=counts_valid,
                 )
 
-            # One padded table per field: entry ``j`` is the compiled row
-            # of the ``j``-th driven width in the batch.
-            ds = np.unique(driven_all).tolist()
-            compiled = eng.rows(ds)
-            which = np.zeros(cols + 1, dtype=np.intp)
-            which[ds] = np.arange(len(ds))
-            t = which[driven_all]
-
-            def table(field: str, dtype=np.float64) -> np.ndarray:
-                tab = np.zeros((len(ds), n_classes), dtype=dtype)
-                for j, row in enumerate(compiled):
-                    v = getattr(row, field)
-                    tab[j, : v.size] = v
-                return tab
+            # Row ``d`` of every plane is the compiled row of width ``d``.
+            planes = eng.planes(np.unique(driven_all).tolist())
 
             def gather(field: str) -> np.ndarray:
-                return table(field)[t]
+                return planes[field][driven_all]
 
             present = counts_active > 0
             eng.table_hits += int(np.count_nonzero(present))
@@ -976,7 +963,7 @@ class TCAMArray:
                 sensed = [class_sums(cnt * gather("energy"))]
 
             av = active & self._valid
-            eff = table("is_match", bool)[t[:, np.newaxis], miss_all]
+            eff = planes["is_match"][driven_all[:, np.newaxis], miss_all]
             eff &= av
             logical = (miss_all == 0) & av
             batch = SearchBatch(
@@ -1006,7 +993,7 @@ class TCAMArray:
           from one matmul over the snapshot's :class:`FaultPlanes`;
         * sensed rows without a weak pull-down are electrically nominal
           ``(n_pull, driven)`` classes and gather their results from the
-          compiled class rows;
+          engine's class planes at ``[driven, n_pull]``;
         * retention-degraded rows group into ``(n_strong, weak_offsets,
           n_leak)`` signatures, precharge results of the batch's unseen
           ones integrate in one stacked pass cached on the engine
@@ -1067,27 +1054,15 @@ class TCAMArray:
             sig_id = {sig: i for i, sig in enumerate(distinct)}
             gid = np.array([sig_id[sig] for sig in sigs], dtype=np.intp)
 
-            # Nominal gathers (weak entries are overwritten below).
-            is_match = np.zeros((n_keys, ns), dtype=bool)
-            if precharge:
-                v_end, e_pre, e_diss, e_sa, t_sa, t_res = (np.zeros((n_keys, ns)) for _ in range(6))
-            else:
-                e_race = np.zeros((n_keys, ns))
+            # Per-(key, sensed row) class results: nominal gathers from
+            # the class planes (weak entries are overwritten below).
             if ns:
-                ds = np.unique(driven).tolist()
-                for d, row in zip(ds, eng.rows(ds)):
-                    g = np.flatnonzero(driven == d)
-                    c = n_pull[g]
-                    is_match[g] = row.is_match[c]
-                    if precharge:
-                        v_end[g] = row.v_end[c]
-                        e_pre[g] = row.e_restore[c]
-                        e_diss[g] = row.e_diss[c]
-                        e_sa[g] = row.e_sense[c]
-                        t_sa[g] = row.t_sense[c]
-                        t_res[g] = row.t_restore[c]
-                    else:
-                        e_race[g] = row.energy[c]
+                planes = eng.planes(np.unique(driven).tolist())
+                at = (driven[:, np.newaxis], n_pull)
+                cls = {name: plane[at] for name, plane in planes.items()}
+            else:
+                cls = {"is_match": np.zeros((n_keys, 0), dtype=bool)}
+            is_match = cls["is_match"]
             classes = n_pull + (np.arange(n_keys) * (cols + 1))[:, np.newaxis]
             eng.table_hits += int(
                 np.count_nonzero(np.bincount(classes[~weak], minlength=n_keys * (cols + 1)))
@@ -1098,20 +1073,16 @@ class TCAMArray:
                 if distinct:
                     found = eng.fault_classes(distinct)
                     res = [found[sig] for sig in distinct]
-                    for name, plane in (
-                        ("is_match", is_match), ("v_end", v_end), ("e_restore", e_pre),
-                        ("e_diss", e_diss), ("e_sense", e_sa), ("t_sense", t_sa),
-                        ("t_restore", t_res),
-                    ):
+                    for name, plane in cls.items():
                         plane[gk, gr] = np.array([getattr(r, name) for r in res])[gid]
                 # SA-offset rows re-strobe their endpoint with the offset.
                 for j in offset_cols.tolist():
                     offset = float(fp.sa_offset[sensed_idx[j]])
-                    for i, v in enumerate(v_end[:, j].tolist()):
+                    for i, v in enumerate(cls["v_end"][:, j].tolist()):
                         dec = self.estimator.sense(v, offset)
                         is_match[i, j] = dec.is_match
-                        t_sa[i, j] = dec.delay
-                        e_sa[i, j] = dec.energy
+                        cls["t_sense"][i, j] = dec.delay
+                        cls["e_sense"][i, j] = dec.energy
             elif ns:
                 # Weak and SA-offset entries race their reference current.
                 v_trip = self.race_amp.v_trip
@@ -1129,16 +1100,20 @@ class TCAMArray:
                         i_total += self.cell.i_pulldown(v_trip, dvt)
                     dec = self.estimator.race(i_total, float(fp.sa_offset[sensed_idx[j]]))
                     is_match[i, j] = dec.is_match
-                    e_race[i, j] = dec.energy
+                    cls["energy"][i, j] = dec.energy
 
             # Per-key columns, in the reference's booking order.
             sl_delay = self.sl_settle_delay
             enc_delay = self.encoder.delay
             if precharge:
                 if ns:
-                    t_sense = self.t_eval + np.maximum(t_sa.max(axis=1), 0.0)
-                    t_cycle = t_sense + np.maximum(t_res.max(axis=1), 0.0)
-                    booked = {_PRE: class_sums(e_pre), _DISS: class_sums(e_diss), _SA: class_sums(e_sa)}
+                    t_sense = self.t_eval + np.maximum(cls["t_sense"].max(axis=1), 0.0)
+                    t_cycle = t_sense + np.maximum(cls["t_restore"].max(axis=1), 0.0)
+                    booked = {
+                        _PRE: class_sums(cls["e_restore"]),
+                        _DISS: class_sums(cls["e_diss"]),
+                        _SA: class_sums(cls["e_sense"]),
+                    }
                 else:
                     t_sense = t_cycle = np.full(n_keys, self.t_eval)
                     booked = {}
@@ -1146,7 +1121,7 @@ class TCAMArray:
                 cutoff = self.race_amp.cutoff_time(self.c_ml)
                 t_sense = np.full(n_keys, cutoff)
                 t_cycle = np.full(n_keys, 1.2 * cutoff)
-                booked = {_RACE: class_sums(e_race)}
+                booked = {_RACE: class_sums(cls["energy"])}
             else:
                 t_sense = t_cycle = np.full(n_keys, self.race_amp.t_window)
                 booked = {}
@@ -1476,13 +1451,12 @@ class TCAMArray:
 
         Winner/runner-up partitioning is vectorized over the whole
         mismatch matrix; evaluation windows come from the engine's
-        crossing-time tables (:meth:`~repro.kernels.KernelEngine.window_row`,
+        crossing-time plane (:meth:`~repro.kernels.KernelEngine.windows`,
         the same floats :func:`repro.tcam.reference._nearest_window`
-        computes) and the
-        winner droop voltages from the compiled class tables.  The
-        per-key ledgers repeat the reference adds in the reference order,
-        with the estimator's count-scaled terms memoized per distinct
-        count -- identical call, identical float.
+        computes) and the winners' restore energies from its class
+        planes.  The per-key ledgers repeat the reference adds in the
+        reference order, with the estimator's count-scaled terms memoized
+        per distinct count -- identical call, identical float.
         """
         eng = self.kernel
         n_keys = packed.shape[0]
@@ -1496,29 +1470,18 @@ class TCAMArray:
             nl = np.count_nonzero(st.miss_v > bd[:, np.newaxis], axis=1)
             nw = st.valid_idx.size - nl
 
-            # Pad the per-driven crossing-time rows and winner restore
-            # energies into dense tables so the whole batch gathers in
-            # one pass (entries beyond each row's triangle are masked
-            # off by the ``ru <= d`` window condition below).
+            # Windows past a key's triangle fall back to ``t_eval``.
             d_arr = st.driven
             ds = np.unique(d_arr).tolist()
-            maxd = ds[-1]
-            win_tab = np.full((maxd + 1, maxd + 2), self.t_eval)
-            rest0 = np.empty(maxd + 1)
-            for d, row in zip(ds, eng.rows(ds)):
-                win_tab[d, : d + 1] = eng.window_row(d)
-                rest0[d] = row.e_restore[0]
+            e_restore = eng.planes(ds)["e_restore"]
+            win = eng.windows(ds)
             eng.table_hits += n_keys
             ru = bd + 1
-            t_window = np.where(
-                ru <= d_arr,
-                win_tab[d_arr, np.minimum(ru, d_arr)],
-                self.t_eval,
-            )
+            t_window = np.where(ru <= d_arr, win[d_arr, np.minimum(ru, d_arr)], self.t_eval)
             delays = (st.sl_delay + t_window) + st.enc_delay
             leak = st.k_leak * delays
             pre_losers = nl.astype(np.float64) * st.r0
-            pre_winners = nw.astype(np.float64) * np.where(bd == 0, rest0[d_arr], st.r0)
+            pre_winners = nw.astype(np.float64) * np.where(bd == 0, e_restore[d_arr, 0], st.r0)
             # Component totals, vectorized with the reference operand
             # grouping: two precharge adds fold to one elementwise sum
             # ((0.0 + a) + b == a + b); the winner dissipation term is
@@ -1638,54 +1601,50 @@ class TCAMArray:
         to the key's ``last`` class) and ``n_enc`` is the priority
         encoder's drain count.  Rejected rows fully discharge; the strobe
         waits for class ``last + 1`` to cross.  Accepted-class restore
-        and dissipation are dense ``(keys, classes)`` count x table
-        products over the first ``min(max cut, d + 1)`` classes, the
-        classes at or past each key's cut zeroed, summed left to right by
+        and dissipation are dense count x plane-row products over the
+        classes below the batch's largest cut, the classes at or past
+        each key's cut zeroed, summed left to right by
         :func:`~repro.kernels.class_sums`: the reference's per-class
-        accumulation (zero-count classes add exactly ``0.0``).  The
-        per-key component totals fold as in the nearest kernel.
+        accumulation (zero-count classes, and the ``0.0`` plane entries
+        past a key's triangle, add exactly ``0.0``).  The per-key
+        component totals fold as in the nearest kernel.
         ``make(q, ledger, delay)`` builds key ``q``'s outcome.
         """
         eng = self.kernel
         n_losers = st.valid_idx.size - np.count_nonzero(accepted, axis=1)
-        counts_valid = self._valid_class_counts(st.miss_v)
         cut = last + 1
+        d_arr = st.driven
+        ds = np.unique(d_arr).tolist()
+        planes = eng.planes(ds)
+        win = eng.windows(ds)
+        eng.table_hits += len(outcomes)
+        t_window = np.where(cut <= d_arr, win[d_arr, np.minimum(cut, d_arr)], self.t_eval)
+        delays = (st.sl_delay + t_window) + float(n_enc) * st.enc_delay
+        leak = st.k_leak * delays
+        # Accepted classes are the first ``cut`` columns of each key's
+        # class histogram, so no key books a class past the largest cut.
+        n_acc = min(int(cut.max()), self.geometry.cols + 1)
+        cnt = np.where(
+            np.arange(n_acc) < cut[:, np.newaxis], self._valid_class_counts(st.miss_v)[:, :n_acc], 0
+        ).astype(np.float64)
+        e_pre = class_sums(cnt * planes["e_restore"][d_arr, :n_acc])
+        e_diss = class_sums(cnt * planes["e_diss"][d_arr, :n_acc])
+        # Reference booking folds to one elementwise sum per component:
+        # (0.0 + losers) + accepted == losers + accepted.
+        pre_tot = (n_losers.astype(np.float64) * st.r0 + e_pre).tolist()
+        diss_tot = (st.diss_tab[n_losers] + e_diss).tolist()
         enc_e = float(n_enc) * st.enc_e
-        enc_delay = float(n_enc) * st.enc_delay
-        ds = np.unique(st.driven).tolist()
-        for d, vrow in zip(ds, eng.rows(ds)):
-            grp = np.flatnonzero(st.driven == d)
-            wrow = eng.window_row(d)
-            eng.table_hits += int(grp.size)
-            cut_g = cut[grp]
-            t_window = np.where(cut_g <= d, wrow[np.minimum(cut_g, d)], self.t_eval)
-            delays = (st.sl_delay + t_window) + enc_delay
-            leak = st.k_leak * delays
-            # Accepted classes lie in the first ``cut`` columns of the
-            # class histogram (miss <= driven bounds the rest out).
-            n_acc = min(int(cut_g.max()), d + 1)
-            cnt = np.where(
-                np.arange(n_acc) < cut_g[:, np.newaxis], counts_valid[grp, :n_acc], 0
-            ).astype(np.float64)
-            e_pre = class_sums(cnt * vrow.e_restore[:n_acc])
-            e_diss = class_sums(cnt * vrow.e_diss[:n_acc])
-            nl = n_losers[grp]
-            # Reference booking folds to one elementwise sum per
-            # component: (0.0 + losers) + accepted == losers + accepted.
-            pre_tot = (nl.astype(np.float64) * st.r0 + e_pre).tolist()
-            diss_tot = (st.diss_tab[nl] + e_diss).tolist()
-            for q, sl, pre, dis, lk, dl in zip(
-                grp.tolist(), st.sl_e[grp].tolist(), pre_tot, diss_tot,
-                leak.tolist(), delays.tolist(),
-            ):
-                outcomes[q] = make(q, EnergyLedger._from_booked({
-                    _SL: sl,
-                    _PRE: pre,
-                    _DISS: dis,
-                    _SA: st.e_sa,
-                    _ENC: enc_e,
-                    _LEAK: lk,
-                }), dl)
+        for q, (sl, pre, dis, lk, dl) in enumerate(
+            zip(st.sl_e.tolist(), pre_tot, diss_tot, leak.tolist(), delays.tolist())
+        ):
+            outcomes[q] = make(q, EnergyLedger._from_booked({
+                _SL: sl,
+                _PRE: pre,
+                _DISS: dis,
+                _SA: st.e_sa,
+                _ENC: enc_e,
+                _LEAK: lk,
+            }), dl)
 
     # ------------------------------------------------------------------
     # Static characterization helpers (used by benches and analyses)

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..circuits.nandstring import NANDMatchString, NANDStringParams
 from ..circuits.searchline import SearchLine, count_toggles
-from ..circuits.wire import M4_WIRE, WireModel
+from ..circuits.wire import M4_WIRE
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..energy.estimator import CellEstimator
 from ..errors import TCAMError
@@ -93,10 +93,7 @@ class NANDTCAMArray:
 
     Args:
         geometry: Array shape.
-        cell_params: 2-FeFET cell parameters (defaults match the NOR cell).
         vdd: Supply [V].
-        c_eval: Evaluation-node capacitance per word [F].
-        sl_wire: Search-line routing layer.
         t_eval: Evaluation window [s]; defaults to 2x the full-match
             string discharge time (the row-delay-critical quantity).
     """
@@ -104,18 +101,15 @@ class NANDTCAMArray:
     def __init__(
         self,
         geometry: ArrayGeometry,
-        cell_params: FeFET2TCellParams | None = None,
         vdd: float | None = None,
-        c_eval: float = 1.0e-15,
-        sl_wire: WireModel = M4_WIRE,
         t_eval: float | None = None,
     ) -> None:
         self.geometry = geometry
         self.vdd = vdd if vdd is not None else geometry.node.vdd_nominal
-        self.cell_params = cell_params if cell_params is not None else FeFET2TCellParams()
-        self.cell = FeFET2TCell(self.cell_params)
+        # The same 2-FeFET cell as the NOR design.
+        self.cell = FeFET2TCell()
         self._write_estimator = CellEstimator(self.cell)
-        self.electricals = nand_cell_electricals(self.cell_params)
+        self.electricals = nand_cell_electricals(self.cell.params)
 
         self._stored = np.full(
             (geometry.rows, geometry.cols), int(Trit.X), dtype=np.int8
@@ -128,7 +122,7 @@ class NANDTCAMArray:
             n_rows=geometry.rows,
             c_gate_per_cell=self.electricals.c_sl_gate,
             cell_pitch=cell_h,
-            wire=sl_wire,
+            wire=M4_WIRE,
         )
         self._sl_r_driver = 2.0e3
         self.encoder = PriorityEncoder(geometry.rows)
@@ -137,7 +131,7 @@ class NANDTCAMArray:
             n_cells=geometry.cols,
             r_on_per_cell=self.electricals.r_on,
             c_node_per_cell=self.electricals.c_node,
-            c_eval=c_eval,
+            c_eval=1.0e-15,  # evaluation-node capacitance per word
             i_off_per_cell=self.electricals.i_off,
         )
         self.v_sense = 0.5 * self.vdd

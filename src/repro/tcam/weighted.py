@@ -56,8 +56,8 @@ class WeightedTCAMArray:
     Args:
         geometry: Array shape.
         cell: MLC cell descriptor.
-        vdd: Supply / precharge voltage [V].
-        v_sense: Crossing reference for the time-domain readout [V].
+        vdd: Supply / precharge voltage [V]; the time-domain readout
+            senses the crossing of half of it.
     """
 
     def __init__(
@@ -65,15 +65,14 @@ class WeightedTCAMArray:
         geometry: ArrayGeometry,
         cell: MLCFeFETCell | None = None,
         vdd: float | None = None,
-        v_sense: float | None = None,
     ) -> None:
         self.geometry = geometry
         self.cell = cell if cell is not None else MLCFeFETCell()
         self._write_estimator = CellEstimator(self.cell)
         self.vdd = vdd if vdd is not None else geometry.node.vdd_nominal
-        self.v_sense = v_sense if v_sense is not None else 0.5 * self.vdd
-        if not 0.0 < self.v_sense < self.vdd:
-            raise TCAMError(f"v_sense {self.v_sense} V outside (0, vdd)")
+        if not self.vdd > 0.0:
+            raise TCAMError(f"vdd must be positive, got {self.vdd}")
+        self.v_sense = 0.5 * self.vdd
 
         rows, cols = geometry.rows, geometry.cols
         self._stored = np.full((rows, cols), int(Trit.X), dtype=np.int8)

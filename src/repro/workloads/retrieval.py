@@ -264,7 +264,7 @@ class RetrievalIndex:
             # lives on one driven value; compile it eagerly and share the
             # tables with every other bank.
             donor.precompute([self.dims])
-            donor.window_row(self.dims)
+            donor.windows([self.dims])
             for bank in self._banks()[1:]:
                 bank.kernel.adopt_tables(donor)
 

@@ -88,7 +88,3 @@ class TestBuildArray:
     def test_vdd_override(self):
         arr = build_array(get_design("cmos16t"), GEO, vdd=0.8)
         assert arr.vdd == pytest.approx(0.8)
-
-    def test_t_eval_override(self):
-        arr = build_array(get_design("fefet2t"), GEO, t_eval=1e-9)
-        assert arr.t_eval == pytest.approx(1e-9)

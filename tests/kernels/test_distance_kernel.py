@@ -128,26 +128,31 @@ class TestWindowTables:
         _, b = _loaded_pair("fefet2t")
         eng = b.kernel
         v_pre = b.precharge.target_voltage()
+        win = eng.windows((1, 5, 24))
+        assert win.shape == (25, 25)
         for driven in (1, 5, 24):
-            row = eng.window_row(driven)
-            assert row.shape == (driven + 1,)
-            assert row[0] == b.t_eval
+            assert win[driven, 0] == b.t_eval
             for n in range(1, driven + 1):
-                assert row[n] == reference._nearest_window(b, n, driven, v_pre)
+                assert win[driven, n] == reference._nearest_window(b, n, driven, v_pre)
+            assert not win[driven, driven + 1 :].any()
+        assert not win[[0, 2, 23]].any()
+        # Windows build no class rows.
+        assert eng.rows_built == 0
 
     def test_window_row_is_read_only_and_guarded(self):
         _, b = _loaded_pair("fefet2t")
-        row = b.kernel.window_row(4)
+        win = b.kernel.windows([4])
         with pytest.raises(ValueError):
-            row[0] = 0.0
+            win[4, 0] = 0.0
         with pytest.raises(KernelError):
-            b.kernel.window_row(25)
+            b.kernel.windows([4, 25])
+        assert b.kernel._planes.window_built.tolist() == [d == 4 for d in range(25)]
 
     def test_current_race_has_no_window_tables(self):
         a = build_array(get_design("fefet_cr"), ArrayGeometry(rows=4, cols=8))
         eng = a.kernel
         with pytest.raises(KernelError):
-            eng.window_row(4)
+            eng.windows([4])
 
 
 class TestGuards:
@@ -222,16 +227,40 @@ class TestAdoptTables:
     def test_tables_shared_by_reference(self):
         _, _, donor, adopter = self._pair_of_engines()
         donor.precompute([10])
-        donor.window_row(10)
+        donor.windows([10])
         adopter.adopt_tables(donor)
-        assert adopter._rows is donor._rows
-        assert adopter._window_rows is donor._window_rows
+        assert adopter._planes is donor._planes
         assert adopter._diss0 is donor._diss0
         assert adopter._fault_classes is donor._fault_classes
         assert adopter.rows_built == donor.rows_built
-        # Lazy builds through the adopter land in the shared cache.
-        adopter.row(6)
-        assert 6 in donor._rows
+        assert adopter.planes([10]) is donor.planes([10])
+        assert adopter.windows([10]) is donor.windows([10])
+        # Lazy builds through the adopter land in the shared planes.
+        adopter.planes([6])
+        assert donor._planes.built[6]
+
+    def test_row_built_through_adopter_is_built_once(self):
+        """An engine that adopts before anything is built allocates
+        nothing of its own; a row it then builds is visible to the donor,
+        which builds it no second time."""
+        _, _, donor, adopter = self._pair_of_engines()
+        adopter.adopt_tables(donor)
+        assert not donor._planes.data
+        with obs.observe() as session:
+            planes = adopter.planes([7])
+            assert donor.planes([7]) is planes
+            windows = adopter.windows([7])
+            assert donor.windows([7]) is windows
+        builds = [
+            node
+            for root in session.spans
+            for _, node in root.walk()
+            if node.name == "kernels.build_rows"
+        ]
+        assert len(builds) == 1
+        assert donor.rows_built == adopter.rows_built == 1
+        assert planes["v_end"][7, 0] > 0.0
+        assert windows[7, 0] == donor._array.t_eval
 
     def test_adopted_results_stay_bit_identical(self):
         a, b, donor, adopter = self._pair_of_engines()
@@ -265,6 +294,6 @@ class TestAdoptTables:
     def test_self_adoption_is_a_no_op(self):
         _, _, donor, _ = self._pair_of_engines()
         donor.precompute([4])
-        rows = donor._rows
+        planes = donor._planes
         donor.adopt_tables(donor)
-        assert donor._rows is rows
+        assert donor._planes is planes

@@ -1,9 +1,10 @@
-"""KernelEngine: compiled class rows, counters, validation, the dense class sum.
+"""KernelEngine: compiled class planes, counters, validation, the dense class sum.
 
 Every precharge ``v_end`` endpoint must equal a lone scalar RK4 run
 (:func:`repro.circuits.rc.discharge_waveform`) of its class bit for bit,
-every other row field the reference per-class result; rows stay cached
-and read-only, and :meth:`KernelEngine.validate` catches a corrupted
+every other plane the reference per-class result; entries past a row's
+triangle read ``0.0`` / ``False``, rows stay cached, the planes are
+read-only, and :meth:`KernelEngine.validate` catches a corrupted
 endpoint.
 """
 
@@ -15,7 +16,7 @@ import pytest
 from repro.circuits.rc import discharge_waveform
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError
-from repro.kernels import KernelEngine, PrechargeClassRow, RaceClassRow, class_sums
+from repro.kernels import KernelEngine, class_sums
 from repro.tcam import ArrayGeometry, reference
 
 SEARCHABLE = [spec.name for spec in all_designs() if spec.sensing != "nand"]
@@ -83,26 +84,23 @@ class TestEngineRows:
         """Every tabulated field equals the reference per-class result."""
         array = _array(design)
         engine = KernelEngine(array)
-        for driven in (0, 3, 8, 12):
-            row = engine.row(driven)
+        drivens = (0, 3, 8, 12)
+        planes = engine.planes(drivens)
+        for driven in drivens:
             if array.sensing == "precharge":
-                assert isinstance(row, PrechargeClassRow)
                 refs = reference._precharge_classes(array, range(driven + 1), driven)
-                for n_miss, ref in enumerate(refs):
-                    assert row.v_end[n_miss] == ref.v_end
-                    assert bool(row.is_match[n_miss]) == ref.is_match
-                    assert row.e_restore[n_miss] == ref.e_restore
-                    assert row.e_diss[n_miss] == ref.e_diss
-                    assert row.e_sense[n_miss] == ref.e_sense
-                    assert row.t_sense[n_miss] == ref.t_sense
-                    assert row.t_restore[n_miss] == ref.t_restore
             else:
-                assert isinstance(row, RaceClassRow)
-                for n_miss in range(driven + 1):
-                    ref = reference._race_class(array, n_miss, driven)
-                    assert bool(row.is_match[n_miss]) == ref.is_match
-                    assert row.energy[n_miss] == ref.energy
-                    assert row.delay[n_miss] == ref.delay
+                refs = [reference._race_class(array, n, driven) for n in range(driven + 1)]
+            assert planes.keys() == vars(refs[0]).keys()
+            for name, plane in planes.items():
+                assert plane.shape == (13, 13)
+                row = plane[driven].tolist()
+                assert row[: driven + 1] == [getattr(ref, name) for ref in refs], name
+                # Padding past the row's triangle: no energy, no time, no match.
+                assert not any(row[driven + 1 :]), name
+        for name, plane in planes.items():
+            # Rows not requested stay unbuilt.
+            assert not plane[[1, 2, 4, 11]].any(), name
 
     @pytest.mark.parametrize("design", PRECHARGE)
     def test_endpoints_match_scalar_rk4_exactly(self, design):
@@ -111,8 +109,7 @@ class TestEngineRows:
         engine = array.kernel
         t_grid = np.linspace(0.0, array.t_eval, 65)
         for driven in (0, 1, 5, 12):
-            v_ends = engine.row(driven).v_end
-            assert v_ends.shape == (driven + 1,)
+            v_ends = engine.planes([driven])["v_end"][driven, : driven + 1]
             for n_miss in range(driven + 1):
                 n_match = driven - n_miss
 
@@ -139,11 +136,12 @@ class TestEngineRows:
 
     def test_rows_cached_and_read_only(self):
         engine = KernelEngine(_array())
-        row = engine.row(4)
-        assert engine.row(4) is row
+        planes = engine.planes([4])
+        assert engine.planes([4]) is planes
         assert engine.rows_built == 1
-        with pytest.raises(ValueError):
-            row.e_sense[0] = 1.0
+        for plane in planes.values():
+            with pytest.raises(ValueError):
+                plane[4, 0] = 1.0
 
     def test_out_of_grid_row_raises(self):
         """``driven`` past the array width (or negative) is a typed error,
@@ -151,9 +149,9 @@ class TestEngineRows:
         engine = KernelEngine(_array(cols=12))
         for bad in (13, -1):
             with pytest.raises(KernelError, match="class triangle"):
-                engine.rows([3, bad])
+                engine.planes([3, bad])
         assert engine.rows_built == 0
-        assert engine.row(12).v_end.size == 13
+        assert engine.planes([12])["v_end"][12].size == 13
 
     @pytest.mark.parametrize("design", SEARCHABLE)
     def test_validate_within_budget(self, design):
@@ -165,9 +163,9 @@ class TestEngineRows:
         engine = KernelEngine(_array(cols=6))
         engine.precompute([3])
         # Corrupt one compiled endpoint; validation must catch it.
-        v_end = engine.row(3).v_end
+        v_end = engine.planes([3])["v_end"]
         v_end.setflags(write=True)
-        v_end[1] *= 1.0 + 1e-6
+        v_end[3, 1] *= 1.0 + 1e-6
         v_end.setflags(write=False)
         with pytest.raises(KernelError, match="diverged"):
             engine.validate()

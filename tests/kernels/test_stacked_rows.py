@@ -1,4 +1,4 @@
-"""Stacked table builds: one RK4 pass per batch, rows equal to lone builds."""
+"""Stacked table builds: one RK4 pass per batch, planes equal to lone builds."""
 
 from __future__ import annotations
 
@@ -25,23 +25,26 @@ class TestTypedDriven:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda eng, d: eng.row(d),
-            lambda eng, d: eng.rows([1, d]),
-            lambda eng, d: eng.window_row(d),
+            lambda eng, d: eng.planes([d]),
+            lambda eng, d: eng.planes([1, d]),
+            lambda eng, d: eng.windows([1, d]),
         ],
-        ids=["engine.row", "engine.rows", "engine.window_row"],
+        ids=["engine.planes", "engine.planes_batch", "engine.windows"],
     )
     def test_non_integer_driven_raises_kernel_error(self, call, bad):
         engine = KernelEngine(_array())
         with pytest.raises(KernelError, match="integer"):
             call(engine, bad)
         assert engine.rows_built == 0
+        assert not engine._planes.window_built.any()
 
     @pytest.mark.parametrize("good", [3, np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_integers_are_accepted(self, good):
         engine = KernelEngine(_array())
-        assert engine.row(good) is engine.row(3)
-        assert engine.window_row(good) is engine.window_row(3)
+        assert engine.planes([good]) is engine.planes([3])
+        assert engine.rows_built == 1
+        assert engine.windows([good]) is engine.windows([3])
+        assert engine._planes.window_built.tolist() == [d == 3 for d in range(13)]
 
 
 class TestStackedBuild:
@@ -50,13 +53,13 @@ class TestStackedBuild:
         together = KernelEngine(_array(design))
         alone = KernelEngine(_array(design))
         drivens = [7, 0, 12, 3, 7]
-        built = together.rows(drivens)
-        for d, row in zip(drivens, built):
-            lone = alone.row(d)
-            for name, field in vars(row).items():
-                assert np.array_equal(field, getattr(lone, name)), (d, name)
-                assert field.dtype == getattr(lone, name).dtype
-        assert built[0] is built[4]
+        built = together.planes(drivens)
+        for d in drivens:
+            lone = alone.planes([d])
+        assert built.keys() == lone.keys()
+        for name, plane in built.items():
+            assert np.array_equal(plane, lone[name]), name
+            assert plane.dtype == lone[name].dtype
         assert together.rows_built == 4
 
     def test_precompute_is_one_integration(self):

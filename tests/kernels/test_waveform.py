@@ -1,8 +1,9 @@
-"""Compiled precharge rows: lazy, cached, read-only, bounded, validated.
+"""Compiled precharge planes: lazy, cached, read-only, bounded, validated.
 
-Rows compile lazily on first use and stay cached and read-only, the
-tables span exactly the array's class triangle, and the rows a search
-batch compiled validate exactly without compiling the rest.
+Rows compile lazily on first use and stay cached, the planes are
+handed out read-only, they span exactly the array's class triangle, and
+the rows a search batch compiled validate exactly without compiling the
+rest.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError
 from repro.tcam import ArrayGeometry
@@ -28,26 +30,36 @@ class TestTableConstruction:
     def test_rows_are_lazy_and_cached(self):
         engine = _array_for("fefet2t").kernel
         assert engine.rows_built == 0
-        row = engine.row(4)
+        planes = engine.planes([4])
         assert engine.rows_built == 1
-        assert engine.row(4) is row
+        v_end = planes["v_end"][4].copy()
+        with obs.observe() as session:
+            assert engine.planes([4]) is planes
+        assert not [n for root in session.spans for _, n in root.walk()
+                    if n.name == "kernels.build_rows"]
         engine.precompute()
         assert engine.rows_built == 13  # drivens 0..12
         assert engine.counters()["classes_tabulated"] == sum(d + 1 for d in range(13))
+        assert np.array_equal(planes["v_end"][4], v_end)
 
     def test_rows_are_read_only(self):
         engine = _array_for("fefet2t").kernel
+        planes = engine.planes([3])
         with pytest.raises(ValueError):
-            engine.row(3).v_end[0] = 0.0
+            planes["v_end"][3, 0] = 0.0
+        with pytest.raises(TypeError):
+            planes["v_end"] = np.zeros((13, 13))
+        with pytest.raises(ValueError):
+            engine.windows([3])[3, 0] = 0.0
 
     def test_out_of_grid_raises(self):
         """The tables span exactly the array's class triangle."""
         engine = _array_for("fefet2t", cols=4).kernel
-        engine.row(4)
+        assert engine.planes([4])["v_end"].shape == (5, 5)
         with pytest.raises(KernelError):
-            engine.row(5)
+            engine.planes([5])
         with pytest.raises(KernelError):
-            engine.window_row(5)
+            engine.windows([5])
 
 
 class TestValidation:

@@ -49,7 +49,7 @@ class TestArraySearchBatchEquivalence:
         assert [a.miss_histogram for a in scalar] == [b.miss_histogram for b in batch]
         assert scalar_array._last_drive == batch_array._last_drive
         drivens = {int(np.count_nonzero(k.as_array() != 2)) for k in keys}
-        assert set(batch_array.kernel._rows) == drivens
+        assert set(np.flatnonzero(batch_array.kernel._planes.built).tolist()) == drivens
 
     def test_consecutive_batches_share_cache_identically(self):
         """A second batch reuses the first batch's compiled rows and

@@ -11,7 +11,7 @@ from repro.core import build_array, get_design
 from repro.energy import EnergyComponent
 from repro.errors import TCAMError
 from repro.tcam import ArrayGeometry, TCAMArray, random_word, word_from_string
-from repro.tcam.cells import FeFET2TCell
+from repro.tcam.cells import FeFET2TCell, get_cell
 from repro.tcam.trit import TernaryWord, Trit
 
 
@@ -36,6 +36,16 @@ class TestConstruction:
         a16 = build_array(get_design("fefet2t"), ArrayGeometry(4, 16))
         a64 = build_array(get_design("fefet2t"), ArrayGeometry(4, 64))
         assert a64.c_ml > 3.0 * a16.c_ml
+
+    def test_t_eval_rejected_for_current_race_sensing(self):
+        """A race array's window is its amp's cutoff: an explicit
+        ``t_eval`` is an error rather than silently replaced."""
+        cell = get_cell("fefet2t")
+        with pytest.raises(TCAMError, match="t_eval applies to precharge"):
+            TCAMArray(cell, ArrayGeometry(8, 8), sensing="current_race", t_eval=1e-9)
+        race = TCAMArray(cell, ArrayGeometry(8, 8), sensing="current_race")
+        assert race.t_eval == race.race_amp.cutoff_time(race.c_ml)
+        assert TCAMArray(cell, ArrayGeometry(8, 8), t_eval=1e-9).t_eval == 1e-9
 
     def test_default_t_eval_is_twice_single_miss_crossing(self):
         arr = build_array(get_design("fefet2t"), ArrayGeometry(4, 16))
