@@ -76,7 +76,6 @@ def run_bench(smoke: bool, workers: int) -> dict:
         "schema_version": SCHEMA_VERSION,
         "design": DESIGN,
         "seed": SEED,
-        "workers": workers,
         "config": {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()},
         "sweeps": sweeps,
     }

@@ -1,8 +1,8 @@
 """Design-space exploration over the cell registry.
 
-The estimator protocol (:mod:`repro.energy.estimator`) makes every
-registered cell's energy, leakage and area queryable through one
-interface, so the design space becomes a plain cross-product:
+Every registered cell builds a flat or segmented array through the
+same constructors, and its area and density come from the cell
+descriptor, so the design space is a plain cross-product:
 
     {cell} x {rows} x {cols} x {segmentation} x {sensing} x {VDD}
 

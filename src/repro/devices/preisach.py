@@ -122,10 +122,6 @@ class PreisachModel:
         """Remanent polarization [C/m^2] at zero applied field."""
         return self.material.p_rem * self.normalized_polarization
 
-    def domain_states(self) -> np.ndarray:
-        """Return a copy of the per-domain states (+1/-1)."""
-        return self._state.copy()
-
     def set_normalized_polarization(self, target: float) -> None:
         """Force the ensemble to an average state (used for initialization).
 

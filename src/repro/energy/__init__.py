@@ -1,13 +1,10 @@
-"""Energy accounting: ledgers, breakdowns and estimators."""
+"""Energy accounting: ledgers, breakdowns and the array's estimator."""
 
 from .accounting import EnergyComponent, EnergyLedger
-from .estimator import ArrayEstimator, CellEstimator, EnergyEstimator, EstimatorError
+from .estimator import ArrayEstimator
 
 __all__ = [
     "EnergyComponent",
     "EnergyLedger",
-    "EnergyEstimator",
-    "CellEstimator",
     "ArrayEstimator",
-    "EstimatorError",
 ]

@@ -4,11 +4,12 @@ The array keeps the stored trits as one ``(rows, cols)`` int8 matrix,
 and the per-key reference counts mismatches with a broadcast compare
 over it (``mismatch_counts_batch`` does the same over a
 ``(n_keys, rows, cols)`` boolean cube).  The kernel path re-expresses the
-same content as two contiguous *trit planes* -- ``plane0[r, c] = 1``
-where row ``r`` stores a 0, ``plane1`` likewise for stored 1s -- so the
-whole batch's mismatch counts collapse into two matmuls:
+same content as two float32 *trit planes* -- ``plane0[r, c] = 1``
+where row ``r`` stores a 0, ``plane1`` likewise for stored 1s --
+stacked into one ``(2*cols, rows)`` matrix, so the whole batch's
+mismatch counts collapse into one matmul:
 
-``miss = K1 @ plane0.T + K0 @ plane1.T``
+``miss = [K1 | K0] @ [plane0.T ; plane1.T]``
 
 where ``K1``/``K0`` are the key batch's "drives 1"/"drives 0" indicator
 planes.  Every product term is 0 or 1 and every partial sum is an
@@ -156,16 +157,15 @@ class SoAState:
         version: The array content version this snapshot was built from;
             the array rebuilds the snapshot when its counter moves (every
             write, invalidate and fault-map change moves it).
-        plane0_t: ``(cols, rows)`` float32, 1.0 where the row stores 0.
-        plane1_t: ``(cols, rows)`` float32, 1.0 where the row stores 1.
+        planes: ``(2*cols, rows)`` float32 stack of the two trit planes:
+            1.0 where the row stores 0 (top half) or 1 (bottom half).
         valid: ``(rows,)`` bool copy of the valid bits.
         faults: :class:`FaultPlanes` of the attached non-empty fault map,
             or ``None`` for a nominal array.
     """
 
     version: int
-    plane0_t: np.ndarray
-    plane1_t: np.ndarray
+    planes: np.ndarray
     valid: np.ndarray
     faults: FaultPlanes | None = None
 
@@ -177,12 +177,9 @@ class SoAState:
             # float32 accumulation is only exact while every partial sum
             # (bounded by cols) stays an exact float32 integer.
             raise KernelError("SoA matmul counts require cols < 2**24")
-        plane0_t = np.ascontiguousarray((stored == 0).T, dtype=np.float32)
-        plane1_t = np.ascontiguousarray((stored == 1).T, dtype=np.float32)
         return cls(
             version=version,
-            plane0_t=plane0_t,
-            plane1_t=plane1_t,
+            planes=_stacked(stored == 0, stored == 1),
             valid=array._valid.copy(),
             faults=None if faults is None else FaultPlanes.from_fault_map(stored, faults),
         )
@@ -199,24 +196,15 @@ class SoAState:
             snapshot's content.
         """
         packed = np.asarray(packed)
-        if packed.ndim != 2 or packed.shape[1] != self.plane0_t.shape[0]:
+        if packed.ndim != 2 or 2 * packed.shape[1] != self.planes.shape[0]:
             raise KernelError(
-                f"key batch shape {packed.shape} does not match plane shape "
-                f"{self.plane0_t.shape}"
+                f"key batch shape {packed.shape} does not match stacked plane shape "
+                f"{self.planes.shape}"
             )
         # A driven-1 column mismatches stored 0s; a driven-0 column
         # mismatches stored 1s; X on either side never mismatches.  Both
         # products run as ONE matmul over vertically stacked planes: every
         # partial sum is still an exact integer below 2**24, so float32
         # accumulation order cannot change the (integer) result.
-        miss = key_planes(packed) @ self._stacked_planes()
+        miss = key_planes(packed) @ self.planes
         return miss.astype(np.int64)
-
-    def _stacked_planes(self) -> np.ndarray:
-        """``(2*cols, rows)`` vertical stack of the two trit planes,
-        built once per snapshot (content changes rebuild the snapshot)."""
-        stacked = getattr(self, "_planes_cache", None)
-        if stacked is None:
-            stacked = np.vstack([self.plane0_t, self.plane1_t])
-            self._planes_cache = stacked
-        return stacked

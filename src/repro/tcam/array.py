@@ -102,14 +102,15 @@ def _check_row(row, rows: int, api: str) -> int:
 
 
 def _price_rows(
-    estimator, old: np.ndarray, new: np.ndarray
+    write_table: Callable[[], tuple[np.ndarray, np.ndarray]], old: np.ndarray, new: np.ndarray
 ) -> tuple[EnergyLedger, float, np.ndarray]:
     """Price storing the trit block ``new`` over ``old`` (both rows x cols).
 
-    Every cell's cost is gathered from the estimator's cached ``(old,
-    new)`` tables (:meth:`~repro.energy.estimator.EnergyEstimator.write_table`,
-    which raises on an invalid price), so nothing is stored until this
-    returns.  Each row's cells are summed left to right
+    Every cell's cost is gathered from the cached ``(old, new)`` tables
+    that ``write_table()`` returns (a
+    :class:`~repro.energy.estimator.WriteTables`, which raises on an
+    invalid price), so nothing is stored until this returns.  Each row's
+    cells are summed left to right
     (:func:`~repro.kernels.class_sums`) and the row sums accumulate left
     to right into one WRITE entry: the float a per-cell ``ledger.add``
     loop over the block books.
@@ -118,7 +119,7 @@ def _price_rows(
         ``(ledger, latency, changed)``: the slowest cell's latency
         (``max(0.0, ...)``) and the per-cell ``old != new`` mask.
     """
-    e_tab, t_tab = estimator.write_table()
+    e_tab, t_tab = write_table()
     transition = old * np.int8(3) + new  # flat (old, new) index into the 3x3 tables
     ledger = EnergyLedger()
     ledger.add(EnergyComponent.WRITE, float(np.cumsum(class_sums(e_tab.take(transition)))[-1]))
@@ -341,11 +342,6 @@ class TCAMArray:
             defaults to 2x the worst-case single-mismatch discharge time
             (a standard timing margin).  A current-race array's window is
             its race amp's cutoff, so passing one there is an error.
-        estimator: Energy estimator every ledger booking routes through;
-            defaults to an :class:`~repro.energy.estimator.ArrayEstimator`
-            over this array's cell and sensing chain (bit-identical to
-            the historical inline accounting).  Pass a factory to study
-            alternative cost models without touching the physics.
 
     Every search runs on the compiled kernel (:attr:`kernel`, see
     :mod:`repro.kernels`): the scalar operations (:meth:`search`,
@@ -365,7 +361,6 @@ class TCAMArray:
         precharge: PrechargeScheme | None = None,
         sense_amp: VoltageSenseAmp | None = None,
         t_eval: float | None = None,
-        estimator: "Callable[[TCAMArray], ArrayEstimator] | None" = None,
     ) -> None:
         if sensing not in SENSING_STYLES:
             raise TCAMError(f"sensing must be one of {SENSING_STYLES}, got {sensing!r}")
@@ -432,7 +427,6 @@ class TCAMArray:
             + sa_input_cap
             + 0.1e-15  # precharge / race-source device junction
         )
-        self._ml_wire = M2_WIRE
 
         # Search lines -------------------------------------------------------
         self.search_line = SearchLine(
@@ -452,10 +446,10 @@ class TCAMArray:
         else:
             self.t_eval = self.race_amp.cutoff_time(self.c_ml)
 
-        # Energy protocol -----------------------------------------------------
-        # Every ledger booking below goes through this estimator; the
-        # default reproduces the historical inline formulas bit for bit.
-        self.estimator = ArrayEstimator(self) if estimator is None else estimator(self)
+        # Every ledger booking below goes through this estimator, which
+        # reproduces the historical inline formulas bit for bit; assign
+        # another to study an alternative cost model.
+        self.estimator = ArrayEstimator(self)
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -575,7 +569,7 @@ class TCAMArray:
         """
         block = slice(start_row, start_row + len(new))
         old = self._stored[block]
-        ledger, latency, changed = _price_rows(self.estimator, old, new)
+        ledger, latency, changed = _price_rows(self.estimator.write_table, old, new)
         n_changed = int(np.count_nonzero(changed))
         self._content_version += 1
         self._write_counts[block][changed] += 1

@@ -36,7 +36,7 @@ from ..circuits.nandstring import NANDMatchString, NANDStringParams
 from ..circuits.searchline import SearchLine, count_toggles
 from ..circuits.wire import M4_WIRE
 from ..energy.accounting import EnergyComponent, EnergyLedger
-from ..energy.estimator import CellEstimator
+from ..energy.estimator import WriteTables
 from ..errors import TCAMError
 from .area import cell_dimensions
 from .array import (
@@ -94,21 +94,21 @@ class NANDTCAMArray:
     Args:
         geometry: Array shape.
         vdd: Supply [V].
-        t_eval: Evaluation window [s]; defaults to 2x the full-match
-            string discharge time (the row-delay-critical quantity).
+
+    The evaluation window :attr:`t_eval` is 2x the full-match string
+    discharge time (the row-delay-critical quantity).
     """
 
     def __init__(
         self,
         geometry: ArrayGeometry,
         vdd: float | None = None,
-        t_eval: float | None = None,
     ) -> None:
         self.geometry = geometry
         self.vdd = vdd if vdd is not None else geometry.node.vdd_nominal
         # The same 2-FeFET cell as the NOR design.
         self.cell = FeFET2TCell()
-        self._write_estimator = CellEstimator(self.cell)
+        self._write_table = WriteTables(self.cell.write_cost)
         self.electricals = nand_cell_electricals(self.cell.params)
 
         self._stored = np.full(
@@ -137,9 +137,7 @@ class NANDTCAMArray:
         self.v_sense = 0.5 * self.vdd
         string = NANDMatchString(self.string_params, self.vdd, self.vdd)
         self._string = string
-        self.t_eval = t_eval if t_eval is not None else 2.0 * string.time_to(self.v_sense)
-        if self.t_eval <= 0.0:
-            raise TCAMError(f"t_eval must be positive, got {self.t_eval}")
+        self.t_eval = 2.0 * string.time_to(self.v_sense)
 
     # ------------------------------------------------------------------
     # Storage (shares the NOR array's conventions)
@@ -153,9 +151,7 @@ class NANDTCAMArray:
 
     def _store(self, row: int, new: np.ndarray) -> WriteOutcome:
         """Price and store the validated one-row block ``new`` at ``row``."""
-        ledger, latency, changed = _price_rows(
-            self._write_estimator, self._stored[row : row + 1], new
-        )
+        ledger, latency, changed = _price_rows(self._write_table, self._stored[row : row + 1], new)
         self._stored[row] = new[0]
         self._valid[row] = True
         return WriteOutcome(

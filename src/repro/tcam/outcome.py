@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from ..energy.accounting import EnergyLedger
 
 #: Version of the serialized outcome format emitted by
@@ -80,13 +78,6 @@ class BaseOutcome:
         }
         out.update(self._extra_dict())
         return out
-
-
-def mask_to_list(mask: np.ndarray | None) -> list[bool] | None:
-    """Plain-bool list form of a verdict mask (``None`` passes through)."""
-    if mask is None:
-        return None
-    return [bool(m) for m in mask]
 
 
 class BatchColumns:

@@ -22,7 +22,7 @@ import numpy as np
 from ..circuits.rc import discharge_time
 from ..circuits.wire import M2_WIRE
 from ..energy.accounting import EnergyComponent, EnergyLedger
-from ..energy.estimator import CellEstimator
+from ..energy.estimator import WriteTables
 from ..errors import TCAMError
 from .area import cell_dimensions
 from .array import ArrayGeometry, _check_row, _price_rows
@@ -68,7 +68,7 @@ class WeightedTCAMArray:
     ) -> None:
         self.geometry = geometry
         self.cell = cell if cell is not None else MLCFeFETCell()
-        self._write_estimator = CellEstimator(self.cell)
+        self._write_table = WriteTables(self.cell.write_cost)
         self.vdd = vdd if vdd is not None else geometry.node.vdd_nominal
         if not self.vdd > 0.0:
             raise TCAMError(f"vdd must be positive, got {self.vdd}")
@@ -108,7 +108,7 @@ class WeightedTCAMArray:
             raise TCAMError(
                 f"weights must lie in [1, {self.cell.n_levels}]"
             )
-        ledger = _price_rows(self._write_estimator, self._stored[row : row + 1], new)[0]
+        ledger = _price_rows(self._write_table, self._stored[row : row + 1], new)[0]
         self._stored[row] = new[0]
         self._weights[row] = w.astype(np.int16)
         self._valid[row] = True

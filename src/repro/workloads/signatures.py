@@ -41,15 +41,6 @@ def _stored_byte_trits(value: int | None) -> list[Trit]:
     return [Trit.ONE] + [Trit((value >> (7 - i)) & 1) for i in range(BITS_PER_BYTE)]
 
 
-def _key_byte_trits(value: int | None) -> list[Trit]:
-    """Nine key trits for one window byte (``None`` = past payload end)."""
-    if value is None:
-        return [Trit.ZERO] + [Trit.X] * BITS_PER_BYTE
-    if not 0 <= value <= 0xFF:
-        raise WorkloadError(f"byte value {value} outside [0, 255]")
-    return [Trit.ONE] + [Trit((value >> (7 - i)) & 1) for i in range(BITS_PER_BYTE)]
-
-
 @dataclass(frozen=True)
 class Signature:
     """One byte signature.

@@ -1,10 +1,10 @@
-"""Protocol-conformance suite, parametrized over every registered cell.
+"""Conformance suite, parametrized over every registered cell and design.
 
-Every cell in the registry must satisfy the estimator protocol through
-:class:`CellEstimator`, and every design's array must satisfy it through
-its own :class:`ArrayEstimator`: non-negative energies and areas,
-write-cost consistency, pulldown monotonicity in the threshold offset,
-and a gated action vocabulary.
+Every registered cell must price its own writes and standby leakage
+sanely (the array's estimator and every write table read these), and
+every design's array must carry its own :class:`ArrayEstimator`:
+non-negative energies and writes, pulldown monotonicity in the
+threshold offset.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import all_designs, build_array
-from repro.energy.estimator import ArrayEstimator, CellEstimator, EstimatorError
+from repro.energy.estimator import ArrayEstimator
 from repro.tcam import ArrayGeometry
 from repro.tcam.cells import get_cell, list_cells
 from repro.tcam.trit import Trit
@@ -34,52 +34,27 @@ def array(request):
 
 
 class TestCellEstimatorConformance:
-    def test_name_carries_technology(self, cell):
-        est = CellEstimator(cell)
-        assert est.name == f"cell:{cell.technology}"
-
-    def test_actions_is_write(self, cell):
-        assert CellEstimator(cell).actions() == ("write",)
-
-    def test_area_non_negative_and_passthrough(self, cell):
-        est = CellEstimator(cell)
-        assert est.area_f2() == cell.area_f2
-        assert est.area_f2() > 0.0
+    """The cell's own write and leakage pricing."""
 
     def test_leakage_power_non_negative(self, cell):
-        est = CellEstimator(cell)
-        assert est.leakage_power(0.9) >= 0.0
-        assert est.leakage_power(0.9) == cell.standby_leakage(0.9) * 0.9
+        assert cell.standby_leakage(0.9) >= 0.0
 
     def test_write_energy_non_negative_all_transitions(self, cell):
-        est = CellEstimator(cell)
         for old in TRITS:
             for new in TRITS:
-                cost = est.write_cost(old, new)
+                cost = cell.write_cost(old, new)
                 assert cost.energy >= 0.0
                 assert cost.latency >= 0.0
-                assert est.dynamic_energy("write", old=old, new=new) == cost.energy
 
     def test_same_trit_write_free_when_nonvolatile(self, cell):
         """NV cells skip redundant programs; volatile SRAM always burns."""
-        est = CellEstimator(cell)
         for trit in TRITS:
-            cost = est.write_cost(trit, trit)
+            cost = cell.write_cost(trit, trit)
             if cell.nonvolatile:
                 assert cost.energy == 0.0
                 assert cost.latency == 0.0
             else:
                 assert cost.energy > 0.0
-
-    def test_unknown_action_raises(self, cell):
-        with pytest.raises(EstimatorError, match="no action"):
-            CellEstimator(cell).dynamic_energy("frobnicate")
-
-    def test_describe_lists_protocol_fields(self, cell):
-        info = CellEstimator(cell).describe()
-        assert info["technology"] == cell.technology
-        assert info["actions"] == ["write"]
-        assert info["area_f2"] > 0.0
 
 
 class TestCellPhysicsConformance:
@@ -110,14 +85,6 @@ class TestArrayEstimatorConformance:
         assert isinstance(array.estimator, ArrayEstimator)
         assert array.estimator.array is array
 
-    def test_actions_gated_by_sensing(self, array):
-        actions = array.estimator.actions()
-        if array.sensing == "precharge":
-            assert "race" not in actions
-            assert "ml_precharge" in actions and "sense" in actions
-        else:
-            assert actions == ("sl_toggle", "race", "encode", "write")
-
     def test_priced_actions_non_negative(self, array):
         est = array.estimator
         assert est.sl_toggle_energy() >= 0.0
@@ -126,10 +93,8 @@ class TestArrayEstimatorConformance:
             assert est.ml_precharge_energy(0.0) >= 0.0
             assert est.ml_dissipation_energy(0.0) >= 0.0
             assert est.sense_idle_energy() >= 0.0
-
-    def test_area_is_cell_area_times_geometry(self, array):
-        rows, cols = array.geometry.rows, array.geometry.cols
-        assert array.estimator.area_f2() == rows * cols * array.cell.area_f2
+        else:
+            assert est.race(1e-6).energy >= 0.0
 
     def test_leakage_power_scales_with_geometry(self, array):
         per_cell = array.cell.standby_leakage(array.vdd) * array.vdd
@@ -137,45 +102,3 @@ class TestArrayEstimatorConformance:
         assert total == pytest.approx(
             array.geometry.rows * array.geometry.cols * per_cell
         )
-
-    def test_unknown_action_raises(self, array):
-        with pytest.raises(EstimatorError, match="no action"):
-            array.estimator.dynamic_energy("frobnicate")
-
-    def test_out_of_mode_action_raises(self, array):
-        est = array.estimator
-        if array.sensing == "precharge":
-            with pytest.raises(EstimatorError):
-                est.dynamic_energy("race", i_total=1e-6)
-        else:
-            with pytest.raises(EstimatorError):
-                est.dynamic_energy("ml_precharge", v_end=0.0)
-
-    def test_dynamic_energy_matches_typed_methods(self, array):
-        est = array.estimator
-        assert est.dynamic_energy("sl_toggle") == est.sl_toggle_energy()
-        assert est.dynamic_energy("sl_toggle", n=3) == 3 * est.sl_toggle_energy()
-        assert est.dynamic_energy("encode") == est.encode_energy()
-        assert (
-            est.dynamic_energy("write", old=Trit.ZERO, new=Trit.ONE)
-            == est.write_cost(Trit.ZERO, Trit.ONE).energy
-        )
-        if array.sensing == "precharge":
-            assert est.dynamic_energy(
-                "ml_precharge", v_end=0.1
-            ) == est.ml_precharge_energy(0.1)
-            assert est.dynamic_energy(
-                "ml_dissipation", v_end=0.1, n=2
-            ) == est.ml_dissipation_energy(0.1, 2)
-            assert est.dynamic_energy("sense_idle", n=4) == est.sense_idle_energy(4)
-            assert est.dynamic_energy("sense", v_end=0.05) == est.sense(0.05).energy
-        else:
-            assert (
-                est.dynamic_energy("race", i_total=1e-6)
-                == est.race(1e-6).energy
-            )
-
-    def test_describe_reports_sensing(self, array):
-        info = array.estimator.describe()
-        assert info["sensing"] == array.sensing
-        assert info["technology"] == array.cell.technology

@@ -36,10 +36,13 @@ class TestMismatchCounts:
         assert np.array_equal(got, expected)
 
     def test_planes_are_contiguous_float32(self):
-        soa = SoAState.from_array(_loaded(), version=0)
-        for plane in (soa.plane0_t, soa.plane1_t):
-            assert plane.dtype == np.float32
-            assert plane.flags["C_CONTIGUOUS"]
+        array = _loaded()
+        soa = SoAState.from_array(array, version=0)
+        assert soa.planes.dtype == np.float32
+        assert soa.planes.flags.forc  # one block: the matmul reads it without a copy
+        cols = array.geometry.cols
+        for half, trit in ((soa.planes[:cols], 0), (soa.planes[cols:], 1)):
+            assert np.array_equal(half, (array._stored == trit).T.astype(np.float32))
 
     def test_shape_mismatch_raises(self):
         soa = SoAState.from_array(_loaded(cols=20), version=0)

@@ -17,13 +17,15 @@ import numpy as np
 import pytest
 
 from repro.energy.accounting import EnergyComponent, EnergyLedger
-from repro.energy.estimator import ArrayEstimator, CellEstimator
+from repro.energy.estimator import ArrayEstimator, WriteTables
 from repro.errors import ReproError, TCAMError
 from repro.tcam import ArrayGeometry, TCAMArray
 from repro.tcam.array import WriteOutcome
 from repro.tcam.bank import HierarchicalBank, SegmentedBank
 from repro.tcam.cell import WriteCost
 from repro.tcam.cells import get_cell, list_cells
+from repro.tcam.cells.fefet2t import FeFET2TCell
+from repro.tcam.cells.fefet_mlc import MLCFeFETCell
 from repro.tcam.chip import GatingPolicy, TCAMChip
 from repro.tcam.nand_array import NANDTCAMArray
 from repro.tcam.trit import TernaryWord, Trit, random_word, word_from_string
@@ -116,12 +118,12 @@ class TestAgainstPerCellLoop:
 
 class TestWriteTable:
     def test_entries_are_write_cost(self):
-        est = CellEstimator(get_cell("fefet2t"))
-        energy, latency = est.write_table()
+        cell = get_cell("fefet2t")
+        energy, latency = WriteTables(cell.write_cost)()
         assert energy.shape == latency.shape == (3, 3)
         for old in Trit:
             for new in Trit:
-                cost = est.write_cost(old, new)
+                cost = cell.write_cost(old, new)
                 assert energy[int(old), int(new)] == cost.energy
                 assert latency[int(old), int(new)] == cost.latency
         assert not energy.flags.writeable and not latency.flags.writeable
@@ -134,7 +136,8 @@ class TestWriteTable:
                 calls.append((old, new))
                 return super().write_cost(old, new)
 
-        array = TCAMArray(get_cell("fefet2t"), ArrayGeometry(ROWS, COLS), estimator=Counting)
+        array = TCAMArray(get_cell("fefet2t"), ArrayGeometry(ROWS, COLS))
+        array.estimator = Counting(array)
         for row, word in enumerate(_words(ROWS, seed=5)):
             array.write(row, word)
         array.load_rows(_words(ROWS, seed=6))
@@ -157,7 +160,8 @@ class TestWriteTable:
                     return cost
                 return super().write_cost(old, new)
 
-        array = TCAMArray(get_cell("fefet2t"), ArrayGeometry(ROWS, COLS), estimator=Broken)
+        array = TCAMArray(get_cell("fefet2t"), ArrayGeometry(ROWS, COLS))
+        array.estimator = Broken(array)
         version, stored = array._content_version, array.stored_matrix()
         word = word_from_string("1" * COLS)
         with pytest.raises(ReproError):
@@ -199,6 +203,22 @@ class TestNandAndWeighted:
             row %= ROWS
             ledger = _per_cell(array.cell, array._stored[row].copy(), word)[0]
             assert _same_ledger(ledger, array.write(row, word, weights))
+
+    @pytest.mark.parametrize(
+        "call, cell_cls",
+        [("nand-write", FeFET2TCell), ("weighted-write", MLCFeFETCell)],
+    )
+    def test_nan_priced_write_raises_and_stores_nothing(self, call, cell_cls, monkeypatch):
+        monkeypatch.setattr(
+            cell_cls, "write_cost", lambda self, old, new: WriteCost(energy=math.nan, latency=0.0)
+        )
+        make, op = CALLS[call]
+        array = make()
+        stored = array._stored.copy()
+        with pytest.raises(ReproError, match="write energy"):
+            op(array, 0)
+        assert np.array_equal(array._stored, stored)
+        assert not array._valid.any()
 
 
 def _nor():
