@@ -40,6 +40,9 @@ examples:
 		$(PYTHON) $$ex > /dev/null || exit 1; \
 	done; echo "all examples OK"
 
+# Caches and untracked output only: benchmarks/output and REPORT.md are
+# tracked, pinned artifacts.
 clean:
-	rm -rf .pytest_cache benchmarks/output REPORT.md
+	rm -rf .pytest_cache .benchmarks .hypothesis benchmarks/perf/results
+	-git clean -fq -- benchmarks/output
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -6,7 +6,6 @@ from .montecarlo_array import (
     ArrayMCResult,
     SampledFeFETArray,
     critical_keys,
-    run_array_mc,
 )
 from .faultcampaign import (
     FaultCampaignResult,
@@ -42,7 +41,6 @@ __all__ = [
     "SampledFeFETArray",
     "ArrayMCResult",
     "critical_keys",
-    "run_array_mc",
     "FaultCampaignResult",
     "FaultDensityPoint",
     "run_fault_campaign",

@@ -27,12 +27,10 @@ from ..circuits.rc import discharge_waveform_batch
 from ..devices.mosfet import ekv_current
 from ..devices.variability import VariationSpec
 from ..errors import AnalysisError
-from ..parallel import spawn_seeds
 from ..tcam.array import ArrayGeometry
 from ..tcam.cells.fefet2t import FeFET2TCell
 from ..tcam.trit import TernaryWord, Trit, mismatch_counts_batch, trit_block
 from ..units import thermal_voltage
-from .montecarlo import check_count
 
 
 @dataclass(frozen=True)
@@ -53,16 +51,6 @@ class ArrayMCResult:
     wrong_rows: int
     wrong_searches: int
     errors_by_distance: dict[int, int]
-
-    @property
-    def row_error_rate(self) -> float:
-        """Per-row-decision error probability."""
-        return self.wrong_rows / self.n_row_decisions
-
-    @property
-    def search_error_rate(self) -> float:
-        """Per-search error probability."""
-        return self.wrong_searches / self.n_searches
 
 
 def critical_keys(
@@ -295,54 +283,3 @@ class SampledFeFETArray:
             wrong_searches=wrong_searches,
             errors_by_distance={int(d): int(n) for d, n in zip(*by_distance)},
         )
-
-
-def run_array_mc(
-    geometry: ArrayGeometry,
-    spec: VariationSpec,
-    words: list[TernaryWord],
-    keys: list[TernaryWord],
-    n_instances: int = 8,
-    seed: int = 2021,
-    vdd: float = 0.9,
-) -> ArrayMCResult:
-    """Measure error rates over many independently sampled array instances.
-
-    Each instance draws its own per-cell threshold offsets from its own
-    ``SeedSequence`` child of ``seed`` and runs the full key campaign
-    (one stacked pass), so instances are independent trials.  Under an
-    observability session the run is one ``mc.array`` span.
-
-    Args:
-        geometry: Array shape shared by every instance.
-        spec: Variation corner to sample.
-        words: Stored content (same for every instance).
-        keys: Search campaign (same for every instance); see
-            :func:`critical_keys`.
-        n_instances: Independent sampled-array trials.
-        seed: Root RNG seed for the per-instance draws.
-        vdd: Supply / precharge voltage [V].
-
-    Raises:
-        AnalysisError: for an instance count that is not an integer >= 1.
-    """
-    n_instances = check_count(n_instances, "run_array_mc: n_instances")
-    results = []
-    with obs.span("mc.array", n_instances=n_instances):
-        for seed_seq in spawn_seeds(seed, n_instances):
-            array = SampledFeFETArray(
-                geometry, spec, np.random.default_rng(seed_seq), vdd=vdd
-            )
-            array.load(words)
-            results.append(array.run_campaign(keys))
-    by_distance: dict[int, int] = {}
-    for r in results:
-        for d, n in r.errors_by_distance.items():
-            by_distance[d] = by_distance.get(d, 0) + n
-    return ArrayMCResult(
-        n_searches=sum(r.n_searches for r in results),
-        n_row_decisions=sum(r.n_row_decisions for r in results),
-        wrong_rows=sum(r.wrong_rows for r in results),
-        wrong_searches=sum(r.wrong_searches for r in results),
-        errors_by_distance=dict(sorted(by_distance.items())),
-    )

@@ -139,14 +139,3 @@ class RetentionModel:
             else:
                 hi = mid
         return hi
-
-    def vt_window_after(
-        self, time_s: float, temperature_k: float, memory_window: float
-    ) -> float:
-        """Remaining threshold window after storage [V].
-
-        The window scales with the surviving polarization.
-        """
-        if memory_window <= 0.0:
-            raise AnalysisError(f"memory window must be positive, got {memory_window}")
-        return memory_window * self.retention_fraction(time_s, temperature_k)

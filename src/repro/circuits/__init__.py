@@ -9,26 +9,17 @@ models.
 """
 
 from .wire import WireModel, M2_WIRE, M4_WIRE
-from .rc import (
-    RCLine,
-    discharge_time,
-    discharge_waveform,
-    elmore_delay,
-    rc_step_response,
-)
+from .rc import discharge_time, discharge_waveform
 from .matchline import MatchLine, MatchLineLoad, MatchLineResult, composite_current
 from .nandstring import NANDMatchString, NANDStringParams, NANDStringResult
-from .searchline import SearchLine, SearchLineEnergy
-from .senseamp import CurrentRaceSenseAmp, SenseAmp, SenseDecision, VoltageSenseAmp
+from .searchline import SearchLine
+from .senseamp import CurrentRaceSenseAmp, SenseDecision, VoltageSenseAmp
 from .precharge import ClampedPrecharge, FullSwingPrecharge, PrechargeScheme
 
 __all__ = [
     "WireModel",
     "M2_WIRE",
     "M4_WIRE",
-    "RCLine",
-    "rc_step_response",
-    "elmore_delay",
     "discharge_time",
     "discharge_waveform",
     "MatchLine",
@@ -39,8 +30,6 @@ __all__ = [
     "NANDStringParams",
     "NANDStringResult",
     "SearchLine",
-    "SearchLineEnergy",
-    "SenseAmp",
     "SenseDecision",
     "VoltageSenseAmp",
     "CurrentRaceSenseAmp",

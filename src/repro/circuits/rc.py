@@ -2,8 +2,8 @@
 
 Three tools cover everything the TCAM layer needs:
 
-* :func:`rc_step_response` / :class:`RCLine` -- closed-form single-pole and
-  Elmore-approximated distributed RC responses (precharge, SL propagation),
+* :func:`rc_time_to_reach` -- closed-form single-pole RC timing
+  (precharge),
 * :func:`discharge_time` -- exact time for a capacitor discharged by an
   arbitrary voltage-dependent current ``i(v)``, by numerical quadrature of
   ``t = C * integral dv / i(v)``,
@@ -14,26 +14,12 @@ Three tools cover everything the TCAM layer needs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .. import obs
 from ..errors import CircuitError
-
-
-def rc_step_response(r: float, c: float, v_start: float, v_end: float, t: float) -> float:
-    """Voltage at time ``t`` of a single-pole RC driven from v_start to v_end.
-
-    >>> round(rc_step_response(1e3, 1e-12, 0.0, 1.0, 1e-9), 4)
-    0.6321
-    """
-    if r <= 0.0 or c <= 0.0:
-        raise CircuitError(f"R and C must be positive, got R={r}, C={c}")
-    if t < 0.0:
-        raise CircuitError(f"time must be non-negative, got {t}")
-    return v_end + (v_start - v_end) * math.exp(-t / (r * c))
 
 
 def rc_time_to_reach(r: float, c: float, v_start: float, v_end: float, v_target: float) -> float:
@@ -54,61 +40,6 @@ def rc_time_to_reach(r: float, c: float, v_start: float, v_end: float, v_target:
             f"target {v_target} V is not between start {v_start} V and end {v_end} V"
         )
     return -r * c * math.log(frac)
-
-
-def elmore_delay(r_total: float, c_total: float, distributed: bool = True) -> float:
-    """50% Elmore delay of a wire [s].
-
-    A distributed RC line has delay ``0.38 * R * C``; a lumped one
-    ``0.69 * R * C`` (Rabaey).
-    """
-    if r_total < 0.0 or c_total < 0.0:
-        raise CircuitError("R and C must be non-negative")
-    factor = 0.38 if distributed else 0.69
-    return factor * r_total * c_total
-
-
-@dataclass(frozen=True)
-class RCLine:
-    """A driver charging a distributed wire plus lumped load.
-
-    Attributes:
-        r_driver: Driver equivalent resistance [ohm].
-        r_wire: Total distributed wire resistance [ohm].
-        c_wire: Total distributed wire capacitance [F].
-        c_load: Lumped far-end load capacitance [F].
-    """
-
-    r_driver: float
-    r_wire: float
-    c_wire: float
-    c_load: float
-
-    def __post_init__(self) -> None:
-        if min(self.r_driver, self.r_wire, self.c_wire, self.c_load) < 0.0:
-            raise CircuitError("RCLine parameters must be non-negative")
-        if self.r_driver == 0.0:
-            raise CircuitError("driver resistance must be positive")
-
-    @property
-    def total_capacitance(self) -> float:
-        """Total capacitance seen by the driver [F]."""
-        return self.c_wire + self.c_load
-
-    def delay_50pct(self) -> float:
-        """Elmore 50% delay of driver + wire + load [s]."""
-        tau = (
-            0.69 * self.r_driver * (self.c_wire + self.c_load)
-            + 0.38 * self.r_wire * self.c_wire
-            + 0.69 * self.r_wire * self.c_load
-        )
-        return tau
-
-    def settle_time(self, n_tau: float = 4.0) -> float:
-        """Approximate full-settling time as ``n_tau`` Elmore constants [s]."""
-        if n_tau <= 0.0:
-            raise CircuitError(f"n_tau must be positive, got {n_tau}")
-        return n_tau / 0.69 * self.delay_50pct()
 
 
 CurrentOfVoltage = Callable[[float], float]

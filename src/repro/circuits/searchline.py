@@ -58,11 +58,6 @@ class SearchLine:
             + self.c_driver
         )
 
-    @property
-    def capacitance_pair(self) -> float:
-        """Total capacitance of the SL/SLB pair [F]."""
-        return 2.0 * self.capacitance_single
-
     def toggle_energy(self, vdd: float) -> float:
         """Energy to toggle exactly one line of the pair [J]."""
         if vdd <= 0.0:
@@ -76,42 +71,6 @@ class SearchLine:
         r_wire = self.wire.resistance(self.length)
         c_line = self.capacitance_single
         return 0.69 * r_driver * c_line + 0.38 * r_wire * c_line
-
-
-@dataclass(frozen=True)
-class SearchLineEnergy:
-    """Search-line energy for one search across the whole array.
-
-    Attributes:
-        n_toggles: Number of individual line transitions that occurred.
-        n_gated: Number of column pairs skipped by don't-care gating.
-        energy: Total switched energy [J].
-    """
-
-    n_toggles: int
-    n_gated: int
-    energy: float
-
-
-def search_energy(
-    line: SearchLine,
-    vdd: float,
-    toggled_lines: int,
-    gated_columns: int = 0,
-) -> SearchLineEnergy:
-    """Aggregate SL energy for one search.
-
-    Args:
-        line: Per-column line model (all columns identical).
-        vdd: Search-line swing [V].
-        toggled_lines: Individual line transitions between the previous and
-            current key (0..2 per column).
-        gated_columns: Columns skipped entirely by X-gating.
-    """
-    if toggled_lines < 0 or gated_columns < 0:
-        raise CircuitError("counts must be non-negative")
-    energy = toggled_lines * line.toggle_energy(vdd)
-    return SearchLineEnergy(n_toggles=toggled_lines, n_gated=gated_columns, energy=energy)
 
 
 def count_toggles(previous_drive: tuple[int, ...], current_drive: tuple[int, ...]) -> int:

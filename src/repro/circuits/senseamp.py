@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 from ..errors import CircuitError
 
@@ -40,15 +39,6 @@ class SenseDecision:
     margin: float
     energy: float
     delay: float
-
-
-class SenseAmp(Protocol):
-    """Common protocol for ML sense amplifiers."""
-
-    @property
-    def input_capacitance(self) -> float:
-        """Capacitive load the SA adds to the match line [F]."""
-        ...
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from .updates import (
     RuleUpdate,
     UpdateEngine,
     age_and_repair,
-    bulk_signature_push,
     synthesize_churn,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "UpdateEngine",
     "age_and_repair",
     "build_reference_chip",
-    "bulk_signature_push",
     "get_distributor",
     "logical_winner",
     "rule_fingerprint",

@@ -268,10 +268,6 @@ class TCAMFabric:
             if (mapped[b * rows : (b + 1) * rows] >= 0).any()
         ]
 
-    def live_rules(self) -> set[int]:
-        """Global indices of rules currently stored somewhere."""
-        return set(self.rule_sites)
-
     def free_row(self, chip: int) -> int | None:
         """First unmapped non-spare row of ``chip``, or ``None`` if full."""
         rows = self.bank_rows

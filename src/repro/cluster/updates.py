@@ -109,20 +109,6 @@ def synthesize_churn(
     return updates
 
 
-def bulk_signature_push(
-    signatures, width: int | None = None
-) -> list[RuleUpdate]:
-    """A signature-set push: one add per word, applied as one batch."""
-    updates = []
-    for word in signatures:
-        if width is not None and len(word) != width:
-            raise ClusterError(
-                f"signature width {len(word)} != expected {width}"
-            )
-        updates.append(RuleUpdate("add", rule=word))
-    return updates
-
-
 @dataclass
 class ChurnReport:
     """What one update batch did and what it cost.

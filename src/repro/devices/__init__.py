@@ -13,24 +13,19 @@ from .preisach import (
     PreisachModel,
     SwitchingPulse,
     loop_coercive_voltage,
-    remanent_window,
     saturation_loop,
 )
 from .fefet import FeFET, FeFETParams, FeFETState, WriteResult
-from .mosfet import MOSFET, MOSFETParams, ekv_current, nmos_45nm, pmos_45nm
+from .mosfet import MOSFET, MOSFETParams, ekv_current, nmos_45nm
 from .resistive import ReRAM, ReRAMParams, ReRAMState
 from .variability import (
     NOMINAL_VARIATION,
     NO_VARIATION,
-    VariationSample,
     VariationSpec,
     pelgrom_sigma,
-    sample_variation,
-    sample_vt_offsets,
 )
 from .temperature import TemperatureModel
 from .landau import LandauKhalatnikov, LKParams
-from .cards import from_card, load_card, save_card, to_card
 
 __all__ = [
     "FerroMaterial",
@@ -40,7 +35,6 @@ __all__ = [
     "SwitchingPulse",
     "saturation_loop",
     "loop_coercive_voltage",
-    "remanent_window",
     "FeFET",
     "FeFETParams",
     "FeFETState",
@@ -49,22 +43,14 @@ __all__ = [
     "MOSFETParams",
     "ekv_current",
     "nmos_45nm",
-    "pmos_45nm",
     "ReRAM",
     "ReRAMParams",
     "ReRAMState",
     "VariationSpec",
-    "VariationSample",
     "NOMINAL_VARIATION",
     "NO_VARIATION",
-    "sample_vt_offsets",
-    "sample_variation",
     "pelgrom_sigma",
     "TemperatureModel",
     "LKParams",
     "LandauKhalatnikov",
-    "to_card",
-    "from_card",
-    "save_card",
-    "load_card",
 ]

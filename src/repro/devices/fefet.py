@@ -193,16 +193,6 @@ class FeFET:
             self.params.lambda_cl,
         )
 
-    def on_current(self, v_read: float, vds: float) -> float:
-        """Current in the LVT state at the read bias [A].
-
-        Raises:
-            DeviceError: if the device is not (mostly) in the LVT state.
-        """
-        if self.polarization < 0.5:
-            raise DeviceError("on_current() queried while device is not in LVT state")
-        return self.current(v_read, vds)
-
     def butterfly_curves(
         self, vgs_values: np.ndarray, vds: float
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DeviceError
-from ..units import EPSILON_0, EPS_HZO, NANO
+from ..units import EPS_HZO, NANO
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,6 @@ class FerroMaterial:
     def v_coercive(self) -> float:
         """Coercive voltage across the film [V]."""
         return self.e_coercive * self.thickness
-
-    @property
-    def capacitance_per_area(self) -> float:
-        """Background (dielectric) capacitance per unit area [F/m^2]."""
-        return EPSILON_0 * self.eps_rel / self.thickness
 
     def field(self, voltage: float) -> float:
         """Electric field [V/m] for a voltage across the film."""

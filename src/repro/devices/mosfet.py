@@ -146,9 +146,7 @@ class MOSFETParams:
 class MOSFET:
     """A behavioral logic transistor instance.
 
-    All terminal voltages are given in the NMOS convention; PMOS devices
-    internally mirror ``vgs``/``vds`` so callers can always pass positive
-    overdrive magnitudes via :meth:`current_magnitude`.
+    All terminal voltages are given in the NMOS convention (magnitudes).
     """
 
     def __init__(self, params: MOSFETParams, temperature_k: float = 300.0) -> None:
@@ -185,35 +183,9 @@ class MOSFET:
             self.params.lambda_cl,
         )
 
-    def current_magnitude(self, v_overdrive_gate: float, v_drive: float) -> float:
-        """Current magnitude for |Vgs| = ``v_overdrive_gate``, |Vds| = ``v_drive``.
-
-        Convenience wrapper that works identically for NMOS and PMOS since
-        the EKV core is symmetric once magnitudes are used.
-        """
-        return self.current(v_overdrive_gate, v_drive)
-
-    def on_current(self, vdd: float) -> float:
-        """Saturation on-current at Vgs = Vds = vdd [A]."""
-        return self.current(vdd, vdd)
-
     def off_current(self, vdd: float) -> float:
         """Leakage at Vgs = 0, Vds = vdd [A]."""
         return self.current(0.0, vdd)
-
-    def effective_resistance(self, vdd: float) -> float:
-        """Switching-equivalent resistance ~ vdd / (2 * Ion) [ohm].
-
-        The classic RC-delay fitting resistance (Rabaey convention).
-        """
-        i_on = self.on_current(vdd)
-        if i_on <= 0.0:
-            raise DeviceError(f"{self.params.name}: zero on-current at vdd={vdd}")
-        return vdd / (2.0 * i_on)
-
-    def iv_curve(self, vgs_values: np.ndarray, vds: float) -> np.ndarray:
-        """Vectorized ID(VGS) sweep at fixed VDS."""
-        return np.asarray(self.current(np.asarray(vgs_values, dtype=float), vds))
 
 
 def nmos_45nm(width: float = 90 * NANO) -> MOSFETParams:
@@ -230,21 +202,4 @@ def nmos_45nm(width: float = 90 * NANO) -> MOSFETParams:
         c_ox_per_area=1.2e-2,
         c_overlap_per_width=0.30 * 1e-9,  # 0.30 fF/um
         c_junction_per_width=0.80 * 1e-9,  # 0.80 fF/um
-    )
-
-
-def pmos_45nm(width: float = 180 * NANO) -> MOSFETParams:
-    """Representative 45 nm PMOS parameters (half the NMOS mobility)."""
-    return MOSFETParams(
-        name="pmos45",
-        polarity="p",
-        vt0=0.40,
-        kp=240e-6,
-        n_slope=1.30,
-        lambda_cl=0.12,
-        width=width,
-        length=45 * NANO,
-        c_ox_per_area=1.2e-2,
-        c_overlap_per_width=0.30 * 1e-9,
-        c_junction_per_width=0.85 * 1e-9,
     )

@@ -314,8 +314,3 @@ def loop_coercive_voltage(voltages: np.ndarray, polarizations: np.ndarray) -> fl
     # Linear interpolation between the bracketing samples.
     frac = -p_up[i] / (p_up[i + 1] - p_up[i])
     return float(v_up[i] + frac * (v_up[i + 1] - v_up[i]))
-
-
-def remanent_window(material: FerroMaterial) -> float:
-    """Full remanent polarization window 2*Pr [C/m^2]."""
-    return 2.0 * material.p_rem

@@ -93,10 +93,6 @@ class ReRAM:
         """Present resistance [ohm]."""
         return self._r_lrs if self.state is ReRAMState.LRS else self._r_hrs
 
-    def set_state(self, state: ReRAMState) -> None:
-        """Force the logical state without energy accounting."""
-        self.state = state
-
     def write(self, state: ReRAMState) -> float:
         """Switch to ``state``; return the write energy [J].
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from ..errors import DeviceError
 from ..units import T_ROOM
 from .fefet import FeFETParams
-from .mosfet import MOSFETParams
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,6 @@ class TemperatureModel:
         self._check(temperature_k)
         scale = 1.0 + self.window_dt_rel * (temperature_k - self.t_ref)
         return max(scale, 0.1)
-
-    def mosfet_at(self, params: MOSFETParams, temperature_k: float) -> MOSFETParams:
-        """Return MOSFET parameters rescaled to ``temperature_k``."""
-        return replace(
-            params,
-            vt0=params.vt0 + self.vt_shift(temperature_k),
-            kp=params.kp * self.kp_scale(temperature_k),
-        )
 
     def fefet_at(self, params: FeFETParams, temperature_k: float) -> FeFETParams:
         """Return FeFET parameters rescaled to ``temperature_k``."""

@@ -71,67 +71,6 @@ NO_VARIATION = VariationSpec(0.0, 0.0, 0.0, 0.0, 0.0)
 """All sigmas zero -- for nominal-corner analyses."""
 
 
-@dataclass(frozen=True)
-class VariationSample:
-    """One Monte-Carlo sample of the per-instance variation parameters.
-
-    Attributes:
-        vt_offset_fefet: Threshold offsets, one per varied FeFET [V].
-        vt_offset_mosfet: Threshold offsets, one per varied MOSFET [V].
-        window_scale: Multiplicative memory-window factor (scalar).
-        cap_scale: Multiplicative parasitic-capacitance factor (scalar).
-        sa_offset: Sense-amplifier input offset [V].
-    """
-
-    vt_offset_fefet: np.ndarray
-    vt_offset_mosfet: np.ndarray
-    window_scale: float
-    cap_scale: float
-    sa_offset: float
-
-
-def sample_vt_offsets(
-    spec: VariationSpec, n_devices: int, rng: np.random.Generator, kind: str = "fefet"
-) -> np.ndarray:
-    """Draw ``n_devices`` threshold offsets [V] for the given device kind."""
-    if n_devices < 0:
-        raise DeviceError(f"n_devices must be non-negative, got {n_devices}")
-    if kind == "fefet":
-        sigma = spec.sigma_vt_fefet
-    elif kind == "mosfet":
-        sigma = spec.sigma_vt_mosfet
-    else:
-        raise DeviceError(f"unknown device kind {kind!r}")
-    if sigma == 0.0:
-        return np.zeros(n_devices)
-    return rng.normal(0.0, sigma, size=n_devices)
-
-
-def sample_variation(
-    spec: VariationSpec,
-    n_fefets: int,
-    n_mosfets: int,
-    rng: np.random.Generator,
-) -> VariationSample:
-    """Draw one complete variation sample for a circuit instance."""
-    window_scale = 1.0
-    if spec.sigma_window_rel > 0.0:
-        window_scale = float(max(rng.normal(1.0, spec.sigma_window_rel), 0.1))
-    cap_scale = 1.0
-    if spec.sigma_cap_rel > 0.0:
-        cap_scale = float(max(rng.normal(1.0, spec.sigma_cap_rel), 0.1))
-    sa_offset = 0.0
-    if spec.sa_offset_sigma > 0.0:
-        sa_offset = float(rng.normal(0.0, spec.sa_offset_sigma))
-    return VariationSample(
-        vt_offset_fefet=sample_vt_offsets(spec, n_fefets, rng, "fefet"),
-        vt_offset_mosfet=sample_vt_offsets(spec, n_mosfets, rng, "mosfet"),
-        window_scale=window_scale,
-        cap_scale=cap_scale,
-        sa_offset=sa_offset,
-    )
-
-
 def pelgrom_sigma(a_vt: float, width: float, length: float) -> float:
     """Pelgrom-law mismatch sigma [V] for a device of the given geometry.
 

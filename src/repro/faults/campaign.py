@@ -205,32 +205,3 @@ class FaultCampaign:
                 raise FaultError("wear mode needs per-cell wear counts")
             return self.draw_wear(rng, wear_counts)
         raise FaultError(f"mode must be one of {GENERATOR_MODES}, got {mode!r}")
-
-    # ------------------------------------------------------------------
-    # Row-level overlays
-    # ------------------------------------------------------------------
-
-    def with_dead_rows(
-        self, fault_map: FaultMap, fraction: float, rng: np.random.Generator
-    ) -> FaultMap:
-        """Overlay ``fraction`` of rows as dead on a copy of ``fault_map``."""
-        if not 0.0 <= fraction <= 1.0:
-            raise FaultError(f"dead-row fraction must be in [0, 1], got {fraction}")
-        out = fault_map.copy()
-        n = int(round(fraction * self.rows))
-        for row in rng.permutation(self.rows)[:n]:
-            out.set_dead_row(int(row))
-        return out
-
-    def with_sa_offsets(
-        self, fault_map: FaultMap, sigma: float, rng: np.random.Generator
-    ) -> FaultMap:
-        """Overlay Gaussian per-row SA offsets on a copy of ``fault_map``."""
-        if sigma < 0.0:
-            raise FaultError(f"sa-offset sigma must be non-negative, got {sigma}")
-        out = fault_map.copy()
-        if sigma > 0.0:
-            offsets = rng.normal(0.0, sigma, size=self.rows)
-            for row, off in enumerate(offsets):
-                out.set_sa_offset(row, float(off))
-        return out

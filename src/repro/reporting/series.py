@@ -80,17 +80,5 @@ class FigureSeries:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        """Raw-valued CSV: one x column plus one column per series."""
-        if not self._series:
-            raise ReproError("figure has no series")
-        lines = [",".join([self.x_label] + self.series_names)]
-        for i, xv in enumerate(self.x):
-            cells = [repr(float(xv))] + [
-                repr(float(ys[i])) for ys in self._series.values()
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines)
-
     def __str__(self) -> str:
         return self.to_text()

@@ -1,8 +1,7 @@
 """Plain-text table emitter used by the benchmark harness.
 
 Benchmarks print the same rows the paper's tables report; this keeps the
-formatting in one place and renderable both as aligned ASCII and as
-GitHub-flavoured markdown.
+formatting in one place, rendered as aligned ASCII.
 """
 
 from __future__ import annotations
@@ -62,31 +61,6 @@ class Table:
         lines.append(sep.join("-" * w for w in widths))
         for row in self._rows:
             lines.append(sep.join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
-
-    def to_markdown(self) -> str:
-        """Render as a GitHub-flavoured markdown table."""
-        lines = []
-        if self.title:
-            lines.append(f"**{self.title}**")
-            lines.append("")
-        lines.append("| " + " | ".join(self.columns) + " |")
-        lines.append("|" + "|".join("---" for _ in self.columns) + "|")
-        for row in self._rows:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        """Render as RFC-4180-ish CSV (cells containing commas are quoted)."""
-
-        def escape(cell: str) -> str:
-            if "," in cell or '"' in cell or "\n" in cell:
-                return '"' + cell.replace('"', '""') + '"'
-            return cell
-
-        lines = [",".join(escape(h) for h in self.columns)]
-        for row in self._rows:
-            lines.append(",".join(escape(c) for c in row))
         return "\n".join(lines)
 
     def __str__(self) -> str:

@@ -39,8 +39,8 @@ from .bank import HierarchicalBank, SegmentedBank, SegmentedSearchOutcome
 from .nand_array import NANDTCAMArray
 from .weighted import DistanceSearchOutcome, WeightedTCAMArray
 from .chip import ChipSearchOutcome, GatingPolicy, TCAMChip
-from .priority import MatchReducer, PriorityEncoder
-from .writer import WearLevelingScheduler, WritePlan, WriteScheduler
+from .priority import PriorityEncoder
+from .writer import WritePlan, WriteScheduler
 
 __all__ = [
     "Trit",
@@ -72,8 +72,6 @@ __all__ = [
     "ChipSearchOutcome",
     "GatingPolicy",
     "PriorityEncoder",
-    "MatchReducer",
     "WriteScheduler",
-    "WearLevelingScheduler",
     "WritePlan",
 ]

@@ -63,17 +63,3 @@ def cell_dimensions(area_f2: float, node: TechNode) -> tuple[float, float]:
     height = math.sqrt(area / _ASPECT_W_OVER_H)
     width = _ASPECT_W_OVER_H * height
     return width, height
-
-
-def array_area_m2(area_f2: float, rows: int, cols: int, node: TechNode) -> float:
-    """Total cell-array area [m^2] excluding periphery.
-
-    Args:
-        area_f2: Per-cell area [F^2].
-        rows: Word count.
-        cols: Bits per word.
-        node: Technology node.
-    """
-    if rows < 1 or cols < 1:
-        raise TCAMError(f"array must be at least 1x1, got {rows}x{cols}")
-    return node.area_m2(area_f2) * rows * cols

@@ -1670,20 +1670,6 @@ class TCAMArray:
             return 0.0
         return float(np.mean(valid_rows == int(Trit.X)))
 
-    def pipelined_cycle_time(self) -> float:
-        """Cycle time with SL drive, evaluation and restore overlapped [s].
-
-        A pipelined TCAM drives the next key's search lines while the
-        previous search's match lines restore, so the issue rate is set by
-        the slowest *stage* rather than their sum.  Only meaningful for
-        precharge-style sensing (the restore stage exists there).
-        """
-        if self.sensing != "precharge":
-            raise TCAMError("pipelined cycle time applies to precharge sensing")
-        t_restore = self.precharge.restore_time(self.c_ml, 0.0)  # worst case
-        stages = (self.sl_settle_delay, self.t_eval, t_restore)
-        return max(stages)
-
     # ------------------------------------------------------------------
     # Wear / endurance
     # ------------------------------------------------------------------
@@ -1708,17 +1694,6 @@ class TCAMArray:
             "hot_row": float(hot[0]),
             "hot_col": float(hot[1]),
         }
-
-    def remaining_lifetime_fraction(self, endurance_cycles: float) -> float:
-        """Fraction of cell endurance the hottest cell has left.
-
-        Args:
-            endurance_cycles: The technology's program/erase endurance.
-        """
-        if endurance_cycles <= 0.0:
-            raise TCAMError(f"endurance must be positive, got {endurance_cycles}")
-        worst = float(self._write_counts.max())
-        return max(1.0 - worst / endurance_cycles, 0.0)
 
 
 # The per-key reference builds this module's outcome types, so it binds

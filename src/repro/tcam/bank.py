@@ -299,13 +299,3 @@ class SegmentedBank(HierarchicalBank):
             **array_kwargs,
         )
         self.probe_cols = probe_cols
-
-    @property
-    def stage1(self) -> TCAMArray:
-        """The probe-segment array (``stages[0]``)."""
-        return self.stages[0]
-
-    @property
-    def stage2(self) -> TCAMArray:
-        """The tail-segment array (``stages[1]``)."""
-        return self.stages[1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...devices.mosfet import MOSFET, MOSFETParams, ekv_current, nmos_45nm
-from ...devices.resistive import ReRAMParams
+from ...devices.resistive import ReRAM, ReRAMParams, ReRAMState
 from ...errors import TCAMError
 from ...units import NANO, thermal_voltage
 from ..cell import CellDescriptor, FloatOrArray, WriteCost, ml_drain_bias
@@ -58,6 +58,10 @@ class ReRAM2T2RCell(CellDescriptor):
         # Access-transistor on-resistance at full gate drive, linearized.
         i_lin = self._nmos.current(self.params.vdd, 0.05)
         self._r_access = 0.05 / i_lin if i_lin > 0.0 else float("inf")
+        # SET and RESET pulse energies of one nominal element.
+        element = ReRAM(self.params.rram)  # powers on in HRS
+        self._e_set = element.write(ReRAMState.LRS)
+        self._e_reset = element.write(ReRAMState.HRS)
 
     # -- identity ----------------------------------------------------------
 
@@ -81,11 +85,6 @@ class ReRAM2T2RCell(CellDescriptor):
     def v_search(self) -> float:
         """Access gates are driven at the full supply."""
         return self.params.vdd
-
-    @property
-    def r_access(self) -> float:
-        """Linearized access-transistor resistance [ohm]."""
-        return self._r_access
 
     # -- capacitances --------------------------------------------------------
 
@@ -138,18 +137,13 @@ class ReRAM2T2RCell(CellDescriptor):
         """
         if old is new:
             return WriteCost(energy=0.0, latency=0.0)
-        p = self.params.rram
-        i_set = min(p.v_set / p.r_hrs, p.i_compliance)
-        i_reset = min(p.v_reset / p.r_lrs, p.i_compliance)
-        e_set = p.v_set * i_set * p.t_write + p.c_cell * p.v_set**2
-        e_reset = p.v_reset * i_reset * p.t_write + p.c_cell * p.v_reset**2
         if new is Trit.X:
-            energy = e_reset  # the single LRS element goes HRS
+            energy = self._e_reset  # the single LRS element goes HRS
         elif old is Trit.X:
-            energy = e_set  # one element goes LRS
+            energy = self._e_set  # one element goes LRS
         else:
-            energy = e_set + e_reset  # swap the two branches
-        return WriteCost(energy=energy, latency=p.t_write)
+            energy = self._e_set + self._e_reset  # swap the two branches
+        return WriteCost(energy=energy, latency=self.params.rram.t_write)
 
     # -- standby ----------------------------------------------------------------
 

@@ -282,10 +282,6 @@ class NANDTCAMArray:
         broken = self._string.evaluate(1, self.v_sense, self.t_eval)
         return broken.v_end - match.v_end
 
-    def match_delay(self) -> float:
-        """Full-match string discharge time to the sense threshold [s]."""
-        return self._string.time_to(self.v_sense)
-
     def standby_power(self) -> float:
         """Array standby power [W] (same cell leakage as the NOR array)."""
         return (

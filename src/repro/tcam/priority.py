@@ -1,4 +1,4 @@
-"""Match reduction: priority encoding and multi-match resolution.
+"""Match reduction: priority encoding.
 
 A TCAM search produces one match signal per row; a priority encoder
 reduces them to the index of the highest-priority (lowest row index)
@@ -67,24 +67,3 @@ class PriorityEncoder:
         if hits.size == 0:
             return None
         return int(hits[0])
-
-
-class MatchReducer:
-    """Collects all match indices (multi-match mode) with the same costs.
-
-    Used by the HDC workload, where every match above a similarity
-    threshold participates in the answer.
-    """
-
-    def __init__(self, encoder: PriorityEncoder) -> None:
-        self.encoder = encoder
-
-    def reduce(self, match_mask: np.ndarray) -> list[int]:
-        """Return all asserted indices in priority order."""
-        mask = np.asarray(match_mask, dtype=bool)
-        if mask.ndim != 1 or mask.size != self.encoder.n_rows:
-            raise TCAMError(
-                f"match mask must be 1-D of length {self.encoder.n_rows}, "
-                f"got shape {mask.shape}"
-            )
-        return [int(i) for i in np.flatnonzero(mask)]

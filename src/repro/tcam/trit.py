@@ -152,20 +152,6 @@ class TernaryWord(Sequence[Trit]):
             )
         return int(mismatch_counts(self._data[np.newaxis, :], key.as_array())[0])
 
-    def x_count(self) -> int:
-        """Number of don't-care columns."""
-        return int(np.count_nonzero(self._data == int(Trit.X)))
-
-    def specificity(self) -> int:
-        """Number of specified (non-X) columns -- the LPM tie-breaker."""
-        return len(self) - self.x_count()
-
-    def with_trit(self, index: int, trit: Trit) -> "TernaryWord":
-        """Return a copy with one column replaced."""
-        data = self._data.copy()
-        data[index] = int(trit)
-        return TernaryWord(data)
-
 
 def mismatch_counts(stored: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Vectorized per-row mismatch counts.
@@ -303,8 +289,8 @@ def drive_matrix(keys: np.ndarray) -> np.ndarray:
 def word_from_string(text: str) -> TernaryWord:
     """Parse a word like ``"10XX01"``.
 
-    >>> word_from_string("1X0").x_count()
-    1
+    >>> str(word_from_string("1x0"))
+    '1X0'
     """
     if not text:
         raise TCAMError("empty word string")

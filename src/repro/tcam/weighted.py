@@ -114,10 +114,13 @@ class WeightedTCAMArray:
         self._valid[row] = True
         return ledger
 
-    def weighted_distance(self, row: int, key: TernaryWord) -> int:
-        """Software oracle: sum of weights over mismatching columns."""
+    def weighted_distance(self, row: int, key: TernaryWord | np.ndarray) -> int:
+        """Software oracle: sum of weights over mismatching columns.
+
+        ``key`` is a word or one row of trit codes 0/1/2.
+        """
         row = _check_row(row, self.geometry.rows, "weighted_distance")
-        key_arr = key.as_array()
+        key_arr = trit_block([key], self.geometry.cols, "weighted_distance")[0]
         stored = self._stored[row]
         x = int(Trit.X)
         mism = (stored != x) & (key_arr != x) & (stored != key_arr)
@@ -125,20 +128,20 @@ class WeightedTCAMArray:
 
     # ------------------------------------------------------------------
 
-    def distance_search(self, key: TernaryWord) -> DistanceSearchOutcome:
+    def distance_search(self, key: TernaryWord | np.ndarray) -> DistanceSearchOutcome:
         """Time-domain weighted-distance search.
 
         Every valid row's ML is precharged and released; the crossing time
         of each line is computed exactly from its weighted pull-down
         ensemble.  Energy: all lines with any mismatch fully discharge (as
-        in associative mode), plus the timing front-end per row.
+        in associative mode), plus the timing front-end per row.  ``key``
+        is a word or one row of trit codes 0/1/2.
+
+        Raises:
+            TCAMError: for a key of the wrong width or with a bad code.
         """
-        if len(key) != self.geometry.cols:
-            raise TCAMError(
-                f"key width {len(key)} does not match cols {self.geometry.cols}"
-            )
         rows, cols = self.geometry.rows, self.geometry.cols
-        key_arr = key.as_array()
+        key_arr = trit_block([key], cols, "distance_search")[0]
         x = int(Trit.X)
         driven = key_arr != x
 

@@ -9,7 +9,7 @@ the per-technology write costs this scheduler amortizes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,6 @@ class WritePlan:
     invalidations: tuple[int, ...]
     unchanged: tuple[int, ...]
 
-    @property
-    def n_operations(self) -> int:
-        """Writes plus invalidations."""
-        return len(self.writes) + len(self.invalidations)
-
 
 @dataclass
 class WriteScheduler:
@@ -48,7 +43,6 @@ class WriteScheduler:
     """
 
     array: TCAMArray
-    _applied_plans: int = field(default=0, init=False)
 
     def plan(self, desired: list[TernaryWord]) -> WritePlan:
         """Diff ``desired`` (row-ordered) against the array contents.
@@ -103,7 +97,6 @@ class WriteScheduler:
             latency += outcome.latency
         for row in plan.invalidations:
             self.array.invalidate(row)
-        self._applied_plans += 1
         return ledger, latency
 
     def update(self, desired: list[TernaryWord]) -> tuple[WritePlan, EnergyLedger, float]:
@@ -111,110 +104,3 @@ class WriteScheduler:
         plan = self.plan(desired)
         ledger, latency = self.apply(plan)
         return plan, ledger, latency
-
-    @property
-    def applied_plans(self) -> int:
-        """Number of plans applied through this scheduler."""
-        return self._applied_plans
-
-
-@dataclass
-class WearLevelingScheduler:
-    """A write scheduler that rotates the table through spare rows.
-
-    FeFET and ReRAM cells are endurance-limited, and real update traffic
-    is skewed: a few hot entries (flapping routes, rotating signatures)
-    absorb most writes.  When the array has spare rows (capacity
-    headroom), sliding the whole table's base row around the spare region
-    spreads that hot-row wear across ``rows - table_len + 1`` physical
-    rows -- without ever wrapping, so the intra-table priority order the
-    TCAM's first-match semantics rely on is preserved exactly.
-
-    Attributes:
-        array: The target array.
-        rotate_period: Applied updates between base-row moves.
-    """
-
-    array: TCAMArray
-    rotate_period: int = 8
-    _base_row: int = field(default=0, init=False)
-    _updates_since_rotate: int = field(default=0, init=False)
-    _table_len: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.rotate_period < 1:
-            raise TCAMError(f"rotate_period must be >= 1, got {self.rotate_period}")
-
-    @property
-    def base_row(self) -> int:
-        """Physical row the logical table currently starts at."""
-        return self._base_row
-
-    def logical_to_physical(self, logical_row: int) -> int:
-        """Translate a logical table index to its physical row."""
-        if not 0 <= logical_row < self._table_len:
-            raise TCAMError(
-                f"logical row {logical_row} outside the {self._table_len}-entry table"
-            )
-        return self._base_row + logical_row
-
-    def physical_to_logical(self, physical_row: int) -> int | None:
-        """Translate a physical match back to the table index (or None)."""
-        logical = physical_row - self._base_row
-        if 0 <= logical < self._table_len:
-            return logical
-        return None
-
-    def update(self, desired: list[TernaryWord]) -> tuple[EnergyLedger, float]:
-        """Write the desired table, rotating the base row periodically.
-
-        Returns:
-            (energy ledger, total write latency) including any migration.
-        """
-        rows = self.array.geometry.rows
-        if len(desired) > rows:
-            raise CapacityError(f"{len(desired)} words do not fit in {rows} rows")
-        span = rows - len(desired)  # available slide range
-
-        rotate_now = (
-            span > 0
-            and self._table_len > 0
-            and self._updates_since_rotate + 1 >= self.rotate_period
-        )
-        if rotate_now:
-            # Clear the old placement, then slide one row (ring over span+1).
-            for logical in range(self._table_len):
-                self.array.invalidate(self._base_row + logical)
-            self._base_row = (self._base_row + 1) % (span + 1)
-            self._updates_since_rotate = 0
-        else:
-            self._updates_since_rotate += 1
-
-        ledger = EnergyLedger()
-        latency = 0.0
-        stored = self.array.stored_matrix()
-        valid = self.array.valid_mask()
-        for logical, word in enumerate(desired):
-            physical = self._base_row + logical
-            if valid[physical] and bool(
-                np.array_equal(stored[physical], word.as_array())
-            ):
-                continue
-            outcome = self.array.write(physical, word)
-            ledger.merge(outcome.energy)
-            latency += outcome.latency
-        # Invalidate any stale tail beyond the new table.
-        for logical in range(len(desired), self._table_len):
-            self.array.invalidate(self._base_row + logical)
-        self._table_len = len(desired)
-        return ledger, latency
-
-    def lookup(self, key: TernaryWord) -> tuple[int | None, "object"]:
-        """Search and translate the first match back to a table index."""
-        outcome = self.array.search(key)
-        logical = (
-            self.physical_to_logical(outcome.first_match)
-            if outcome.first_match is not None
-            else None
-        )
-        return logical, outcome

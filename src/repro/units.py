@@ -103,17 +103,6 @@ def eng(value: float, unit: str = "", digits: int = 3) -> str:
     return f"{text} {prefix}{unit}".rstrip()
 
 
-def db(ratio: float) -> float:
-    """Convert a power ratio to decibels.
-
-    >>> db(100.0)
-    20.0
-    """
-    if ratio <= 0.0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    return 10.0 * math.log10(ratio)
-
-
 def parallel(*resistances: float) -> float:
     """Resistance of resistors in parallel; infinite inputs are ignored.
 

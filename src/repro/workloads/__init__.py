@@ -1,7 +1,7 @@
 """Workload generators: random patterns, IP routing, ACLs, HDC memory,
 corpus-scale associative retrieval."""
 
-from .patterns import PatternStream, biased_key_stream, random_table
+from .patterns import PatternStream
 from .iproute import Route, RoutingTable, synthetic_routing_table
 from .packetclass import AclRule, Packet, RuleSet, synthetic_acl
 from .hdc import HDCMemory, HDCEncoder
@@ -25,8 +25,6 @@ from .retrieval import (
 
 __all__ = [
     "PatternStream",
-    "random_table",
-    "biased_key_stream",
     "Route",
     "RoutingTable",
     "synthetic_routing_table",

@@ -1,8 +1,8 @@
-"""Random and biased ternary pattern generators.
+"""Biased ternary key streams.
 
-These are the "micro" workloads behind the sweep figures: stored tables
-with controllable don't-care density and key streams with controllable
-temporal correlation (which sets the search-line activity factor).
+The "micro" workload behind the sweep figures: key streams with
+controllable temporal correlation (which sets the search-line activity
+factor).
 """
 
 from __future__ import annotations
@@ -12,26 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import WorkloadError
-from ..tcam.trit import TernaryWord, Trit, random_word
-
-
-def random_table(
-    rows: int,
-    cols: int,
-    rng: np.random.Generator,
-    x_fraction: float = 0.3,
-) -> list[TernaryWord]:
-    """A table of independent random ternary words.
-
-    Args:
-        rows: Number of words.
-        cols: Trits per word.
-        rng: Random generator.
-        x_fraction: Per-column don't-care probability.
-    """
-    if rows < 1:
-        raise WorkloadError(f"rows must be >= 1, got {rows}")
-    return [random_word(cols, rng, x_fraction=x_fraction) for _ in range(rows)]
+from ..tcam.trit import TernaryWord
 
 
 @dataclass
@@ -70,32 +51,3 @@ class PatternStream:
         if n < 0:
             raise WorkloadError(f"n must be non-negative, got {n}")
         return [self.next_key() for _ in range(n)]
-
-
-def biased_key_stream(
-    cols: int,
-    n_keys: int,
-    rng: np.random.Generator,
-    flip_probability: float = 0.5,
-) -> list[TernaryWord]:
-    """Convenience wrapper: ``n_keys`` from a :class:`PatternStream`."""
-    stream = PatternStream(cols=cols, flip_probability=flip_probability, rng=rng)
-    return stream.keys(n_keys)
-
-
-def planted_key(table: list[TernaryWord], rng: np.random.Generator) -> TernaryWord:
-    """A key guaranteed to match one random row of ``table``.
-
-    Every X column of the chosen row is filled with a random bit, so the
-    key is fully specified yet matches the row.
-    """
-    if not table:
-        raise WorkloadError("table must be non-empty")
-    row = table[int(rng.integers(0, len(table)))]
-    trits = []
-    for t in row:
-        if t is Trit.X:
-            trits.append(Trit(int(rng.integers(0, 2))))
-        else:
-            trits.append(t)
-    return TernaryWord(trits)

@@ -11,12 +11,11 @@ from repro import obs
 from repro.analysis import montecarlo as mc_mod
 from repro.analysis.margin import worst_case_margin
 from repro.analysis.montecarlo import run_margin_mc
-from repro.analysis.montecarlo_array import critical_keys, run_array_mc
 from repro.core import build_array, get_design
 from repro.devices.variability import NO_VARIATION, NOMINAL_VARIATION
 from repro.errors import AnalysisError
 from repro.parallel import chunk_bounds, spawn_seeds
-from repro.tcam import ArrayGeometry, random_word
+from repro.tcam import ArrayGeometry
 from repro.tcam.array import RK4_GRID_POINTS
 
 GEO = ArrayGeometry(8, 32)
@@ -166,13 +165,6 @@ def _margin_mc(**kwargs):
     return run_margin_mc(array, NOMINAL_VARIATION, **kwargs)
 
 
-def _array_mc(**kwargs):
-    rng = np.random.default_rng(0)
-    words = [random_word(8, rng) for _ in range(4)]
-    keys = critical_keys(words, rng)
-    return run_array_mc(ArrayGeometry(4, 8), NOMINAL_VARIATION, words, keys, **kwargs)
-
-
 class TestTypedCountErrors:
     @pytest.mark.parametrize(
         "run, kwargs, api",
@@ -181,13 +173,9 @@ class TestTypedCountErrors:
             (_margin_mc, {"n_samples": True}, "run_margin_mc: n_samples"),
             (_margin_mc, {"n_samples": np.float64(3.0)}, "run_margin_mc: n_samples"),
             (_margin_mc, {"n_samples": -2}, "run_margin_mc: n_samples"),
-            (_array_mc, {"n_instances": 2.5}, "run_array_mc: n_instances"),
-            (_array_mc, {"n_instances": True}, "run_array_mc: n_instances"),
-            (_array_mc, {"n_instances": 0}, "run_array_mc: n_instances"),
         ],
         ids=[
             "margin-float", "margin-bool", "margin-np-float", "margin-negative",
-            "array-float", "array-bool", "array-zero",
         ],
     )
     def test_bad_count_names_the_api(self, run, kwargs, api):
@@ -196,7 +184,6 @@ class TestTypedCountErrors:
 
     def test_numpy_integer_counts_accepted(self):
         assert _margin_mc(n_samples=np.int64(3)).margins.shape == (3,)
-        assert _array_mc(n_instances=np.int32(2)).n_searches == 16
 
 
 class TestObservability:

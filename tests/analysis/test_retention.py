@@ -52,10 +52,6 @@ class TestShape:
     def test_room_temperature_nearly_immortal(self):
         assert MODEL.retention_fraction(10 * YEAR_SECONDS, T25) > 0.95
 
-    def test_window_scales_with_retention(self):
-        window = MODEL.vt_window_after(10 * YEAR_SECONDS, T85, memory_window=1.2)
-        assert window == pytest.approx(1.2 * 0.90, abs=0.01)
-
 
 class TestTimeToLoss:
     def test_spec_consistency(self):
@@ -86,7 +82,3 @@ class TestValidation:
     def test_rejects_bad_spec(self):
         with pytest.raises(AnalysisError):
             RetentionModel(HZO_10NM, spec_loss=1.5)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(AnalysisError):
-            MODEL.vt_window_after(1.0, T85, memory_window=0.0)

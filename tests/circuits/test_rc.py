@@ -10,46 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.rc import (
-    RCLine,
     charge_energy,
     discharge_time,
     discharge_waveform,
-    elmore_delay,
-    rc_step_response,
     rc_time_to_reach,
 )
 from repro.errors import CircuitError
-
-
-class TestStepResponse:
-    def test_one_tau_point(self):
-        v = rc_step_response(1e3, 1e-12, 0.0, 1.0, 1e-9)
-        assert v == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
-
-    def test_t_zero_is_start(self):
-        assert rc_step_response(1e3, 1e-12, 0.3, 1.0, 0.0) == pytest.approx(0.3)
-
-    def test_long_time_reaches_end(self):
-        assert rc_step_response(1e3, 1e-12, 0.0, 1.0, 1e-6) == pytest.approx(1.0)
-
-    def test_discharge_direction(self):
-        v = rc_step_response(1e3, 1e-12, 1.0, 0.0, 1e-9)
-        assert v == pytest.approx(math.exp(-1.0), rel=1e-9)
-
-    def test_rejects_bad_rc(self):
-        with pytest.raises(CircuitError):
-            rc_step_response(0.0, 1e-12, 0.0, 1.0, 1e-9)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(CircuitError):
-            rc_step_response(1e3, 1e-12, 0.0, 1.0, -1e-9)
 
 
 class TestTimeToReach:
     def test_inverse_of_step_response(self):
         r, c = 2e3, 3e-12
         t = rc_time_to_reach(r, c, 0.0, 1.0, 0.9)
-        assert rc_step_response(r, c, 0.0, 1.0, t) == pytest.approx(0.9, rel=1e-9)
+        assert 1.0 - math.exp(-t / (r * c)) == pytest.approx(0.9, rel=1e-9)
 
     def test_target_equal_start_is_zero_time(self):
         assert rc_time_to_reach(1e3, 1e-12, 0.2, 1.0, 0.2) == pytest.approx(0.0)
@@ -61,35 +34,6 @@ class TestTimeToReach:
     def test_rejects_degenerate_drive(self):
         with pytest.raises(CircuitError):
             rc_time_to_reach(1e3, 1e-12, 1.0, 1.0, 1.0)
-
-
-class TestElmore:
-    def test_distributed_vs_lumped_factors(self):
-        assert elmore_delay(1e3, 1e-12) == pytest.approx(0.38e-9)
-        assert elmore_delay(1e3, 1e-12, distributed=False) == pytest.approx(0.69e-9)
-
-    def test_rejects_negative(self):
-        with pytest.raises(CircuitError):
-            elmore_delay(-1.0, 1e-12)
-
-
-class TestRCLine:
-    def test_delay_positive_and_monotone_in_load(self):
-        small = RCLine(1e3, 500.0, 2e-15, 1e-15)
-        large = RCLine(1e3, 500.0, 2e-15, 10e-15)
-        assert 0.0 < small.delay_50pct() < large.delay_50pct()
-
-    def test_total_capacitance(self):
-        line = RCLine(1e3, 500.0, 2e-15, 1e-15)
-        assert line.total_capacitance == pytest.approx(3e-15)
-
-    def test_settle_time_exceeds_delay(self):
-        line = RCLine(1e3, 500.0, 2e-15, 1e-15)
-        assert line.settle_time() > line.delay_50pct()
-
-    def test_rejects_zero_driver(self):
-        with pytest.raises(CircuitError):
-            RCLine(0.0, 500.0, 2e-15, 1e-15)
 
 
 class TestDischargeTime:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.circuits.searchline import SearchLine, count_toggles, search_energy
+from repro.circuits.searchline import SearchLine, count_toggles
 from repro.circuits.wire import M4_WIRE
 from repro.errors import CircuitError
 from repro.tcam.trit import Trit, drive_vector, word_from_string
@@ -28,10 +28,6 @@ class TestGeometry:
         c128 = _line(128).capacitance_single
         assert c128 > 1.8 * c64
 
-    def test_pair_is_double(self):
-        line = _line()
-        assert line.capacitance_pair == pytest.approx(2 * line.capacitance_single)
-
     def test_rejects_zero_rows(self):
         with pytest.raises(CircuitError):
             _line(0)
@@ -51,16 +47,6 @@ class TestEnergy:
     def test_toggle_energy_rejects_bad_vdd(self):
         with pytest.raises(CircuitError):
             _line().toggle_energy(0.0)
-
-    def test_search_energy_counts(self):
-        line = _line()
-        result = search_energy(line, 0.9, toggled_lines=10, gated_columns=3)
-        assert result.energy == pytest.approx(10 * line.toggle_energy(0.9))
-        assert result.n_gated == 3
-
-    def test_search_energy_rejects_negative(self):
-        with pytest.raises(CircuitError):
-            search_energy(_line(), 0.9, toggled_lines=-1)
 
 
 class TestToggleCounting:

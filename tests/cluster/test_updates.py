@@ -10,7 +10,6 @@ from repro.cluster import (
     TCAMFabric,
     UpdateEngine,
     age_and_repair,
-    bulk_signature_push,
     logical_winner,
     synthesize_churn,
 )
@@ -47,12 +46,6 @@ class TestRuleUpdate:
             RuleUpdate("add")
         with pytest.raises(ClusterError, match="rule id"):
             RuleUpdate("withdraw")
-
-    def test_bulk_push_width_check(self, rng):
-        words = [random_word(COLS, rng) for _ in range(3)]
-        assert len(bulk_signature_push(words, width=COLS)) == 3
-        with pytest.raises(ClusterError, match="signature width"):
-            bulk_signature_push(words, width=COLS + 1)
 
 
 class TestSynthesizeChurn:
@@ -114,7 +107,7 @@ class TestUpdateAccounting:
         table = _table(rng)
         fabric = _fabric(table, n_chips=2, policy="hash")
         report = UpdateEngine(fabric).apply(
-            bulk_signature_push([random_word(COLS, rng) for _ in range(4)])
+            [RuleUpdate("add", rule=random_word(COLS, rng)) for _ in range(4)]
         )
         assert report.adds == 4
         assert report.replicas_written == 4  # hash: one replica per rule
@@ -130,7 +123,7 @@ class TestUpdateAccounting:
         report = UpdateEngine(fabric).apply([RuleUpdate("withdraw", rule_id=0)])
         assert report.withdrawals == 1
         assert report.energy.total > 0.0
-        assert 0 not in fabric.live_rules()
+        assert 0 not in fabric.rule_sites
         assert 0 not in fabric.rule_words
 
     def test_withdrawn_rule_stops_matching(self, rng):
@@ -175,7 +168,7 @@ class TestCapacity:
         sites_before = {g: list(s) for g, s in fabric.rule_sites.items()}
         next_before = fabric.next_rule_id
         report = UpdateEngine(fabric).apply(
-            bulk_signature_push([random_word(COLS, rng)])
+            [RuleUpdate("add", rule=random_word(COLS, rng))]
         )
         assert report.rejected_adds == 1
         assert report.adds == 0
@@ -188,7 +181,7 @@ class TestCapacity:
         engine = UpdateEngine(fabric)
         engine.apply([RuleUpdate("withdraw", rule_id=3)])
         report = engine.apply(
-            bulk_signature_push([random_word(COLS, rng)])
+            [RuleUpdate("add", rule=random_word(COLS, rng))]
         )
         assert report.adds == 1
 
@@ -225,7 +218,7 @@ class TestWearAndRepair:
         # Hammer row churn: repeated add/withdraw cycles concentrate
         # writes on the first free rows.
         for _ in range(6):
-            r = engine.apply(bulk_signature_push([random_word(COLS, rng)]))
+            r = engine.apply([RuleUpdate("add", rule=random_word(COLS, rng))])
             assert r.adds == 1
             engine.apply(
                 [RuleUpdate("withdraw", rule_id=fabric.next_rule_id - 1)]

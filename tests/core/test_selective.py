@@ -50,8 +50,8 @@ class TestTechniqueSet:
         built = TechniqueSet(low_voltage_ml=True, segmentation=True).build(GEO)
         from repro.circuits.precharge import ClampedPrecharge
 
-        assert isinstance(built.stage1.precharge, ClampedPrecharge)
-        assert isinstance(built.stage2.precharge, ClampedPrecharge)
+        assert isinstance(built.stages[0].precharge, ClampedPrecharge)
+        assert isinstance(built.stages[1].precharge, ClampedPrecharge)
 
     def test_probe_must_fit_geometry(self):
         with pytest.raises(DesignError):

@@ -58,11 +58,6 @@ class TestIV:
         assert ratio > 1e5
         assert f.state is FeFETState.LVT  # restored
 
-    def test_on_current_requires_lvt(self):
-        f = FeFET()  # HVT
-        with pytest.raises(DeviceError):
-            f.on_current(0.9, 0.1)
-
     def test_butterfly_curves_ordered(self):
         f = FeFET()
         vgs = np.linspace(0.0, 2.0, 30)

@@ -62,9 +62,6 @@ class TestDerivedQuantities:
     def test_hzo_coercive_voltage_about_one_volt(self):
         assert HZO_10NM.v_coercive == pytest.approx(1.0, rel=0.01)
 
-    def test_capacitance_per_area_positive(self):
-        assert _material().capacitance_per_area > 0.0
-
     def test_field_conversion(self):
         m = _material()
         assert m.field(1.0) == pytest.approx(1.0 / (10 * NANO))

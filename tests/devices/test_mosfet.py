@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices.mosfet import MOSFET, ekv_current, nmos_45nm, pmos_45nm
+from repro.devices.mosfet import MOSFET, ekv_current, nmos_45nm
 from repro.errors import DeviceError
 from repro.units import NANO, thermal_voltage
 
@@ -112,7 +112,7 @@ class TestEkvCore:
 class TestMOSFETDevice:
     def test_on_current_microamps(self):
         m = MOSFET(nmos_45nm())
-        assert 10e-6 < m.on_current(0.9) < 1e-3
+        assert 10e-6 < m.current(0.9, 0.9) < 1e-3
 
     def test_off_current_picoamps(self):
         m = MOSFET(nmos_45nm())
@@ -120,17 +120,12 @@ class TestMOSFETDevice:
 
     def test_on_off_ratio_large(self):
         m = MOSFET(nmos_45nm())
-        assert m.on_current(0.9) / m.off_current(0.9) > 1e5
-
-    def test_pmos_weaker_than_nmos_at_same_width(self):
-        n = MOSFET(nmos_45nm(width=90 * NANO))
-        p = MOSFET(pmos_45nm(width=90 * NANO))
-        assert p.on_current(0.9) < n.on_current(0.9)
+        assert m.current(0.9, 0.9) / m.off_current(0.9) > 1e5
 
     def test_width_scaling_of_current(self):
         m1 = MOSFET(nmos_45nm(width=90 * NANO))
         m2 = MOSFET(nmos_45nm(width=180 * NANO))
-        assert m2.on_current(0.9) == pytest.approx(2.0 * m1.on_current(0.9))
+        assert m2.current(0.9, 0.9) == pytest.approx(2.0 * m1.current(0.9, 0.9))
 
     def test_width_scaling_of_capacitance(self):
         m1 = MOSFET(nmos_45nm(width=90 * NANO))
@@ -138,22 +133,11 @@ class TestMOSFETDevice:
         assert m2.gate_capacitance == pytest.approx(2.0 * m1.gate_capacitance)
         assert m2.junction_capacitance == pytest.approx(2.0 * m1.junction_capacitance)
 
-    def test_effective_resistance_definition(self):
-        m = MOSFET(nmos_45nm())
-        assert m.effective_resistance(0.9) == pytest.approx(0.9 / (2 * m.on_current(0.9)))
-
     def test_scaled_returns_new_params(self):
         p = nmos_45nm()
         p2 = p.scaled(200 * NANO)
         assert p2.width == 200 * NANO
         assert p.width != p2.width
-
-    def test_iv_curve_shape(self):
-        m = MOSFET(nmos_45nm())
-        vgs = np.linspace(0, 1.2, 20)
-        curve = m.iv_curve(vgs, 0.9)
-        assert curve.shape == (20,)
-        assert np.all(np.diff(curve) >= 0.0)
 
     def test_rejects_bad_polarity(self):
         from repro.devices.mosfet import MOSFETParams

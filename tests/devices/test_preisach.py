@@ -14,7 +14,6 @@ from repro.devices.preisach import (
     PreisachModel,
     SwitchingPulse,
     loop_coercive_voltage,
-    remanent_window,
     saturation_loop,
 )
 from repro.errors import DeviceError
@@ -46,6 +45,17 @@ class TestHysteron:
     def test_rejects_non_positive_ec(self):
         with pytest.raises(DeviceError):
             Hysteron(ec=0.0).apply(1.0)
+
+    def test_ensemble_field_response_is_one_hysteron_per_domain(self):
+        """PreisachModel.apply_field is the scalar hysteron rule, vectorized."""
+        ec = HZO_10NM.e_coercive
+        model = PreisachModel(
+            HZO_10NM, n_domains=48, rng=np.random.default_rng(5), imprint_field=0.1 * ec
+        )
+        domains = [Hysteron(ec=float(e), imprint=model.imprint_field) for e in model._ec]
+        for field in (0.5, 1.2, -0.8, -1.5, 0.9, 0.0, 2.0, -1.0, 1.05):
+            states = [h.apply(field * ec) for h in domains]
+            assert model.apply_field(field * ec) == np.mean(states)
 
 
 class TestQuasiStatic:
@@ -228,9 +238,6 @@ class TestSaturationLoop:
     def test_rejects_too_few_points(self):
         with pytest.raises(DeviceError):
             saturation_loop(HZO_10NM, 3.0, n_points=2)
-
-    def test_remanent_window(self):
-        assert remanent_window(HZO_10NM) == pytest.approx(0.4)
 
     def test_coercive_extraction_rejects_mismatched_arrays(self):
         with pytest.raises(DeviceError):

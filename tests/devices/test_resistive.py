@@ -34,7 +34,7 @@ class TestStateMachine:
     def test_resistance_follows_state(self):
         r = ReRAM()
         assert r.resistance == pytest.approx(r.params.r_hrs)
-        r.set_state(ReRAMState.LRS)
+        r.write(ReRAMState.LRS)
         assert r.resistance == pytest.approx(r.params.r_lrs)
 
     def test_conductance_inverse(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.devices.fefet import FeFETParams
@@ -43,13 +45,17 @@ class TestScalings:
             TemperatureModel(t_ref=-1.0)
 
 
-class TestDeviceRescaling:
-    def test_mosfet_at_hot_corner(self):
-        tm = TemperatureModel()
-        hot = tm.mosfet_at(nmos_45nm(), 398.15)  # 125 C
-        assert hot.vt0 < nmos_45nm().vt0
-        assert hot.kp < nmos_45nm().kp
+def _hot_nmos(tm: TemperatureModel, temperature_k: float):
+    """The 45 nm NMOS with its VT and kp moved to ``temperature_k``."""
+    base = nmos_45nm()
+    return replace(
+        base,
+        vt0=base.vt0 + tm.vt_shift(temperature_k),
+        kp=base.kp * tm.kp_scale(temperature_k),
+    )
 
+
+class TestDeviceRescaling:
     def test_fefet_at_hot_corner(self):
         tm = TemperatureModel()
         base = FeFETParams()
@@ -61,12 +67,12 @@ class TestDeviceRescaling:
         """Combined VT shift + EKV thermal voltage: leakage rises with T."""
         tm = TemperatureModel()
         cold = MOSFET(nmos_45nm(), temperature_k=300.0)
-        hot_params = tm.mosfet_at(nmos_45nm(), 398.15)
+        hot_params = _hot_nmos(tm, 398.15)
         hot = MOSFET(hot_params, temperature_k=398.15)
         assert hot.off_current(0.9) > 10.0 * cold.off_current(0.9)
 
     def test_hot_mosfet_drives_less(self):
         tm = TemperatureModel()
         cold = MOSFET(nmos_45nm(), temperature_k=300.0)
-        hot = MOSFET(tm.mosfet_at(nmos_45nm(), 398.15), temperature_k=398.15)
-        assert hot.on_current(0.9) < cold.on_current(0.9)
+        hot = MOSFET(_hot_nmos(tm, 398.15), temperature_k=398.15)
+        assert hot.current(0.9, 0.9) < cold.current(0.9, 0.9)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +11,6 @@ from repro.devices.variability import (
     NO_VARIATION,
     VariationSpec,
     pelgrom_sigma,
-    sample_variation,
-    sample_vt_offsets,
 )
 from repro.errors import DeviceError
 
@@ -40,52 +37,6 @@ class TestSpec:
     def test_scaled_rejects_negative(self):
         with pytest.raises(DeviceError):
             NOMINAL_VARIATION.scaled(-1.0)
-
-
-class TestSamplers:
-    def test_offsets_shape(self):
-        rng = np.random.default_rng(0)
-        offsets = sample_vt_offsets(NOMINAL_VARIATION, 100, rng)
-        assert offsets.shape == (100,)
-
-    def test_zero_sigma_gives_zeros(self):
-        rng = np.random.default_rng(0)
-        offsets = sample_vt_offsets(NO_VARIATION, 10, rng)
-        assert np.all(offsets == 0.0)
-
-    def test_offsets_std_matches_sigma(self):
-        rng = np.random.default_rng(1)
-        offsets = sample_vt_offsets(NOMINAL_VARIATION, 20000, rng)
-        assert np.std(offsets) == pytest.approx(NOMINAL_VARIATION.sigma_vt_fefet, rel=0.05)
-
-    def test_mosfet_kind_uses_mosfet_sigma(self):
-        rng = np.random.default_rng(2)
-        offsets = sample_vt_offsets(NOMINAL_VARIATION, 20000, rng, kind="mosfet")
-        assert np.std(offsets) == pytest.approx(NOMINAL_VARIATION.sigma_vt_mosfet, rel=0.05)
-
-    def test_rejects_unknown_kind(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(DeviceError):
-            sample_vt_offsets(NOMINAL_VARIATION, 5, rng, kind="finfet")
-
-    def test_rejects_negative_count(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(DeviceError):
-            sample_vt_offsets(NOMINAL_VARIATION, -1, rng)
-
-    def test_full_sample_fields(self):
-        rng = np.random.default_rng(3)
-        s = sample_variation(NOMINAL_VARIATION, n_fefets=4, n_mosfets=2, rng=rng)
-        assert s.vt_offset_fefet.shape == (4,)
-        assert s.vt_offset_mosfet.shape == (2,)
-        assert s.window_scale > 0.0
-        assert s.cap_scale > 0.0
-
-    def test_full_sample_deterministic_under_seed(self):
-        s1 = sample_variation(NOMINAL_VARIATION, 4, 2, np.random.default_rng(9))
-        s2 = sample_variation(NOMINAL_VARIATION, 4, 2, np.random.default_rng(9))
-        assert np.array_equal(s1.vt_offset_fefet, s2.vt_offset_fefet)
-        assert s1.sa_offset == s2.sa_offset
 
 
 class TestPelgrom:

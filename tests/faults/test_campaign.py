@@ -116,24 +116,3 @@ class TestModesAndErrors:
             FaultCampaign(4, 4, kind_weights={FaultKind.NONE: 1.0})
         with pytest.raises(FaultError):
             FaultCampaign(4, 4, n_clusters=0)
-
-
-class TestRowLevelDecorators:
-    def test_with_dead_rows_marks_requested_fraction(self, campaign, rng):
-        fm = campaign.draw_random(rng).at_density(0.0)
-        out = campaign.with_dead_rows(fm, 0.25, rng)
-        assert int(np.count_nonzero(out.dead_rows)) == round(0.25 * ROWS)
-        assert not fm.dead_rows.any()  # overlays copy, never mutate the input
-
-    def test_with_sa_offsets_draws_nonzero_offsets(self, campaign, rng):
-        fm = campaign.draw_random(rng).at_density(0.0)
-        out = campaign.with_sa_offsets(fm, 0.05, rng)
-        assert (out.sa_offset != 0.0).any()
-        assert not fm.sa_offset.any()
-
-    def test_decorator_validation(self, campaign, rng):
-        fm = campaign.draw_random(rng).at_density(0.0)
-        with pytest.raises(FaultError):
-            campaign.with_dead_rows(fm, 1.5, rng)
-        with pytest.raises(FaultError):
-            campaign.with_sa_offsets(fm, -0.1, rng)

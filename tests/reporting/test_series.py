@@ -56,14 +56,3 @@ class TestFigureSeries:
         fig = FigureSeries(title="t", x_label="x", y_label="y", x=[1.0])
         fig.add_series("s", [0.25])
         assert "0.25" in fig.to_text()
-
-    def test_csv_round_trips_values(self):
-        fig = _fig()
-        fig.add_series("cmos", [1e-15, 2e-15, 4e-15])
-        lines = fig.to_csv().splitlines()
-        assert lines[0] == "width,cmos"
-        assert float(lines[1].split(",")[1]) == 1e-15
-
-    def test_csv_without_series_rejected(self):
-        with pytest.raises(ReproError):
-            _fig().to_csv()

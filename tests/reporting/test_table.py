@@ -24,14 +24,6 @@ class TestTable:
         header, sep, row = lines[0], lines[1], lines[2]
         assert len(header) == len(sep) == len(row)
 
-    def test_markdown_shape(self):
-        t = Table(title="T", columns=["a", "b"])
-        t.add_row(1, 2)
-        md = t.to_markdown()
-        assert "| a | b |" in md
-        assert "|---|---|" in md
-        assert "| 1 | 2 |" in md
-
     def test_row_count(self):
         t = Table(title="", columns=["a"])
         assert t.n_rows == 0
@@ -51,13 +43,3 @@ class TestTable:
         t = Table(title="T", columns=["a"])
         t.add_row("v")
         assert str(t) == t.to_ascii()
-
-    def test_csv_plain(self):
-        t = Table(title="T", columns=["a", "b"])
-        t.add_row(1, "x")
-        assert t.to_csv() == "a,b\n1,x"
-
-    def test_csv_quotes_commas_and_quotes(self):
-        t = Table(title="T", columns=["a"])
-        t.add_row('hello, "world"')
-        assert t.to_csv().splitlines()[1] == '"hello, ""world"""'

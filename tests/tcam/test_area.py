@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TCAMError
-from repro.tcam.area import TECH_45NM, TechNode, array_area_m2, cell_dimensions
+from repro.tcam.area import TECH_45NM, TechNode, cell_dimensions
 
 
 class TestTechNode:
@@ -38,19 +38,3 @@ class TestCellDimensions:
         w1, h1 = cell_dimensions(74.0, TECH_45NM)
         w2, h2 = cell_dimensions(331.0, TECH_45NM)
         assert w2 > w1 and h2 > h1
-
-
-class TestArrayArea:
-    def test_scales_with_rows_and_cols(self):
-        a = array_area_m2(74.0, 64, 64, TECH_45NM)
-        b = array_area_m2(74.0, 128, 64, TECH_45NM)
-        assert b == pytest.approx(2 * a)
-
-    def test_rejects_empty_array(self):
-        with pytest.raises(TCAMError):
-            array_area_m2(74.0, 0, 64, TECH_45NM)
-
-    def test_64x64_fefet_array_order_of_magnitude(self):
-        """64x64 2-FeFET cells at 45 nm ~ 600 um^2."""
-        area = array_area_m2(74.0, 64, 64, TECH_45NM)
-        assert 1e-10 < area < 1e-8

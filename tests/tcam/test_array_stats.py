@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import build_array, get_design
-from repro.errors import TCAMError
 from repro.tcam import ArrayGeometry, random_word, word_from_string
 
 
@@ -39,32 +38,3 @@ class TestOccupancy:
         arr = _array(rows=64, cols=64)
         arr.load([random_word(64, rng, x_fraction=0.3) for _ in range(64)])
         assert arr.x_density() == pytest.approx(0.3, abs=0.03)
-
-
-class TestPipelinedCycle:
-    def test_pipelined_no_slower_than_sequential(self, rng):
-        arr = _array(rows=16, cols=64)
-        arr.load([random_word(64, rng) for _ in range(16)])
-        out = arr.search(random_word(64, rng))
-        assert arr.pipelined_cycle_time() <= out.cycle_time
-
-    def test_pipelined_is_max_of_stages(self):
-        arr = _array(rows=16, cols=64)
-        t_restore = arr.precharge.restore_time(arr.c_ml, 0.0)
-        expected = max(arr.sl_settle_delay, arr.t_eval, t_restore)
-        assert arr.pipelined_cycle_time() == pytest.approx(expected)
-
-    def test_race_arrays_rejected(self):
-        arr = _array(design="fefet_cr")
-        with pytest.raises(TCAMError):
-            arr.pipelined_cycle_time()
-
-    def test_pipelining_raises_throughput_meaningfully(self, rng):
-        """The restore stage dominates the FeFET cycle; overlapping the
-        evaluation and sensing of the next search behind it buys a real
-        issue-rate factor (>= 1.2x)."""
-        arr = _array(rows=32, cols=64)
-        arr.load([random_word(64, rng) for _ in range(32)])
-        out = arr.search(random_word(64, rng))
-        speedup = out.cycle_time / arr.pipelined_cycle_time()
-        assert speedup > 1.2

@@ -55,8 +55,8 @@ class TestConstruction:
 
     def test_segments_partition_columns(self):
         bank = _bank(probe=10)
-        assert bank.stage1.geometry.cols == 10
-        assert bank.stage2.geometry.cols == 22
+        assert bank.stages[0].geometry.cols == 10
+        assert bank.stages[1].geometry.cols == 22
 
 
 class TestWriteReadback:

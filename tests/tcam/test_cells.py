@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.devices.mosfet import MOSFET
+from repro.devices.resistive import ReRAM, ReRAMState
 from repro.errors import TCAMError
 from repro.tcam.cells import CMOS16TCell, FeFET2TCell, ReRAM2T2RCell
 from repro.tcam.cells.fefet2t import FeFET2TCellParams, default_fefet_cell_params
@@ -113,7 +115,9 @@ class TestCrossTechnologyOrdering:
 class TestReRAMSpecifics:
     def test_match_leak_set_by_hrs(self):
         cell = ReRAM2T2RCell()
-        expected = 0.9 / (cell.params.rram.r_hrs + cell.r_access)
+        # Access-transistor on-resistance, linearized at full gate drive.
+        r_access = 0.05 / MOSFET(cell.params.access_nmos).current(cell.params.vdd, 0.05)
+        expected = 0.9 / (cell.params.rram.r_hrs + r_access)
         assert cell.i_leak(0.9) == pytest.approx(expected)
 
     def test_pulldown_limited_by_lrs_or_saturation(self):
@@ -126,6 +130,16 @@ class TestReRAMSpecifics:
         e_to_x = cell.write_cost(Trit.ONE, Trit.X).energy
         e_swap = cell.write_cost(Trit.ONE, Trit.ZERO).energy
         assert 0.0 < e_to_x < e_swap
+
+    def test_write_cost_equals_element_model(self):
+        """The cell's write energies are SET/RESET pulses of its ReRAM element."""
+        cell = ReRAM2T2RCell()
+        element = ReRAM(cell.params.rram)  # powers on in HRS
+        e_set = element.write(ReRAMState.LRS)
+        e_reset = element.write(ReRAMState.HRS)
+        assert cell.write_cost(Trit.X, Trit.ONE).energy == e_set
+        assert cell.write_cost(Trit.ONE, Trit.X).energy == e_reset
+        assert cell.write_cost(Trit.ONE, Trit.ZERO).energy == e_set + e_reset
 
 
 class TestFeFETCellSpecifics:

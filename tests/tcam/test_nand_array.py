@@ -100,8 +100,8 @@ class TestNANDTradeoffs:
             assert ml < 0.01 * out.energy_total
 
     def test_delay_grows_superlinearly_with_width(self):
-        d16 = NANDTCAMArray(ArrayGeometry(4, 16)).match_delay()
-        d64 = NANDTCAMArray(ArrayGeometry(4, 64)).match_delay()
+        d16 = NANDTCAMArray(ArrayGeometry(4, 16)).t_eval
+        d64 = NANDTCAMArray(ArrayGeometry(4, 64)).t_eval
         assert d64 > 6.0 * (d16 * 64 / 16) / 4  # clearly superlinear trend
         assert d64 / d16 > 6.0
 

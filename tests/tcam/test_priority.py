@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TCAMError
-from repro.tcam.priority import MatchReducer, PriorityEncoder
+from repro.tcam.priority import PriorityEncoder
 
 
 class TestPriorityEncoder:
@@ -46,19 +46,3 @@ class TestPriorityEncoder:
     def test_rejects_negative_costs(self):
         with pytest.raises(TCAMError):
             PriorityEncoder(4, e_per_row=-1.0)
-
-
-class TestMatchReducer:
-    def test_all_matches_in_order(self):
-        mr = MatchReducer(PriorityEncoder(5))
-        mask = np.array([True, False, True, False, True])
-        assert mr.reduce(mask) == [0, 2, 4]
-
-    def test_empty(self):
-        mr = MatchReducer(PriorityEncoder(3))
-        assert mr.reduce(np.zeros(3, dtype=bool)) == []
-
-    def test_rejects_wrong_shape(self):
-        mr = MatchReducer(PriorityEncoder(3))
-        with pytest.raises(TCAMError):
-            mr.reduce(np.zeros(4, dtype=bool))

@@ -77,17 +77,6 @@ class TestTernaryWord:
         assert w[0] is Trit.ONE
         assert str(w[1:3]) == "0X"
 
-    def test_with_trit(self):
-        w = word_from_string("000")
-        w2 = w.with_trit(1, Trit.X)
-        assert str(w2) == "0X0"
-        assert str(w) == "000"  # original untouched
-
-    def test_x_count_and_specificity(self):
-        w = word_from_string("1XX0")
-        assert w.x_count() == 2
-        assert w.specificity() == 2
-
     def test_array_readonly(self):
         w = word_from_string("10")
         with pytest.raises(ValueError):
@@ -155,8 +144,8 @@ class TestConstructors:
     def test_random_word_x_fraction_extremes(self, rng):
         w0 = random_word(64, rng, x_fraction=0.0)
         w1 = random_word(64, rng, x_fraction=1.0)
-        assert w0.x_count() == 0
-        assert w1.x_count() == 64
+        assert str(w0).count("X") == 0
+        assert str(w1).count("X") == 64
 
     def test_random_word_rejects_bad_fraction(self, rng):
         with pytest.raises(TCAMError):

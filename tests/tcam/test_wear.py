@@ -1,11 +1,8 @@
-"""Tests for cell-wear tracking and endurance accounting."""
+"""Tests for cell-wear tracking."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import build_array, get_design
-from repro.errors import TCAMError
 from repro.tcam import ArrayGeometry, word_from_string
 
 
@@ -55,23 +52,3 @@ class TestWearCounting:
         counts = arr.wear_counts()
         counts[:] = 0
         assert arr.wear_counts().sum() == 8
-
-
-class TestLifetime:
-    def test_fresh_array_full_lifetime(self):
-        assert _array().remaining_lifetime_fraction(1e10) == 1.0
-
-    def test_lifetime_decreases_with_writes(self):
-        arr = _array()
-        arr.write(0, word_from_string("10101010"))
-        arr.write(0, word_from_string("01010101"))
-        assert arr.remaining_lifetime_fraction(100.0) == pytest.approx(1.0 - 2 / 100)
-
-    def test_exhausted_lifetime_clamps_at_zero(self):
-        arr = _array()
-        arr.write(0, word_from_string("10101010"))
-        assert arr.remaining_lifetime_fraction(0.5) == 0.0
-
-    def test_rejects_bad_endurance(self):
-        with pytest.raises(TCAMError):
-            _array().remaining_lifetime_fraction(0.0)

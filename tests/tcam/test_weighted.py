@@ -93,6 +93,14 @@ class TestWeightedArray:
             out = arr.distance_search(key)
             assert out.distances[out.best_row] == out.distances.min()
 
+    def test_distances_equal_software_oracle(self):
+        arr, rng = self._loaded(seed=3)
+        for _ in range(4):
+            key = random_word(24, rng)
+            out = arr.distance_search(key)
+            expected = [arr.weighted_distance(r, key) for r in range(12)]
+            assert out.distances.tolist() == expected
+
     def test_crossing_times_rank_distances(self):
         import scipy.stats as st
 
@@ -139,3 +147,21 @@ class TestWeightedArray:
         arr = WeightedTCAMArray(ArrayGeometry(2, 8))
         with pytest.raises(TCAMError):
             arr.distance_search(word_from_string("101"))
+
+    def test_trit_code_keys(self):
+        """A row of trit codes is a key; a bad width or code raises TCAMError."""
+        arr = WeightedTCAMArray(ArrayGeometry(2, 8))
+        arr.write(0, word_from_string("10101010"), np.full(8, 2))
+        word = word_from_string("10X01110")
+        codes = np.array(word.as_array())
+        by_word, by_codes = arr.distance_search(word), arr.distance_search(codes)
+        assert np.array_equal(by_codes.crossing_times, by_word.crossing_times)
+        assert np.array_equal(by_codes.distances, by_word.distances)
+        assert arr.weighted_distance(0, codes) == arr.weighted_distance(0, word) == 2
+        assert arr.weighted_distance(0, np.zeros(8, np.int8)) == 8
+        assert arr.distance_search(np.zeros(8, np.int8)).distances[0] == 8
+        for bad in (np.zeros(7, np.int8), np.full(8, 3, np.int8)):
+            with pytest.raises(TCAMError, match="distance_search"):
+                arr.distance_search(bad)
+            with pytest.raises(TCAMError, match="weighted_distance"):
+                arr.weighted_distance(0, bad)

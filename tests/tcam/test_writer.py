@@ -31,7 +31,7 @@ class TestPlanning:
         desired = [random_word(16, rng) for _ in range(5)]
         sched.update(desired)
         plan = sched.plan(desired)
-        assert plan.n_operations == 0
+        assert plan.writes == () and plan.invalidations == ()
         assert len(plan.unchanged) == 5
 
     def test_single_change_writes_one_row(self, rng):
@@ -86,12 +86,6 @@ class TestApplication:
         sched.update(desired)
         sched.update(desired[:2])
         assert not arr.valid_mask()[2:].any()
-
-    def test_plan_counter(self, rng):
-        arr, sched, _ = _setup()
-        assert sched.applied_plans == 0
-        sched.update([random_word(16, rng)])
-        assert sched.applied_plans == 1
 
     def test_serial_latency_sums(self, rng):
         arr, sched, _ = _setup()

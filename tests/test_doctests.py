@@ -12,7 +12,6 @@ import pytest
 
 import repro.analysis.analytic
 import repro.core.segmentation
-import repro.devices.cards
 import repro.energy.accounting
 import repro.tcam.area
 import repro.tcam.priority
@@ -29,7 +28,6 @@ MODULES = [
     repro.core.segmentation,
     repro.workloads.packetclass,
     repro.analysis.analytic,
-    repro.devices.cards,
 ]
 
 

@@ -13,7 +13,6 @@ from repro.units import (
     NANO,
     PICO,
     celsius_to_kelvin,
-    db,
     eng,
     parallel,
     thermal_voltage,
@@ -64,18 +63,6 @@ class TestEng:
         parts = text.split()
         scale = prefix_scale[parts[1]] if len(parts) > 1 else 1.0
         assert number * scale == pytest.approx(value, rel=1e-6)
-
-
-class TestDb:
-    def test_power_ratio(self):
-        assert db(100.0) == pytest.approx(20.0)
-
-    def test_unity(self):
-        assert db(1.0) == pytest.approx(0.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            db(0.0)
 
 
 class TestParallel:

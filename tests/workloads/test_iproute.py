@@ -38,7 +38,7 @@ class TestRoute:
     def test_word_has_prefix_specificity(self):
         r = Route(prefix=0xC0A80000, length=16, next_hop=1)
         w = r.to_word()
-        assert w.specificity() == 16
+        assert str(w).count("X") == 32 - 16
         assert len(w) == 32
 
 
