@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-kernels bench-faults bench-service bench-dse bench-retrieval bench-cluster report examples clean
+.PHONY: install test bench bench-kernels bench-faults bench-service bench-dse bench-retrieval bench-cluster bench-pin report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -30,6 +30,16 @@ bench-retrieval:
 
 bench-cluster:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_cluster.py --check
+
+# Regenerate the four pinned BENCH records and fail if any changed.  A
+# make target, not a CI step: the records hold full-precision floats, and
+# another Python (3.12's `sum`) or numpy build may change the last bits.
+bench-pin:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --check
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_cluster.py --check
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_dse.py --workers 2
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_fig19_faults.py --check --workers 2
+	git diff --exit-code -- BENCH_service.json BENCH_cluster.json BENCH_dse.json BENCH_faults.json
 
 report: bench
 	$(PYTHON) -m repro report --output-dir benchmarks/output --out REPORT.md

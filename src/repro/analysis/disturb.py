@@ -81,21 +81,21 @@ class DisturbAnalysis:
     Args:
         fefet: Device parameters (program voltage/width, window, material).
         scheme: Write biasing scheme.
-        n_domains: Ensemble resolution for the expectation.
         seed: Ensemble seed.
+
+    The expectation runs over a 256-domain Preisach ensemble.
     """
 
     def __init__(
         self,
         fefet: FeFETParams,
         scheme: WriteScheme,
-        n_domains: int = 256,
         seed: int = 7,
     ) -> None:
         self.fefet = fefet
         self.scheme = scheme
         self._film = PreisachModel(
-            fefet.material, n_domains=n_domains, rng=np.random.default_rng(seed)
+            fefet.material, n_domains=256, rng=np.random.default_rng(seed)
         )
         self._film.saturate(1)  # victim stores LVT
         self._pulse = SwitchingPulse(

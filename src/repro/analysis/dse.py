@@ -203,13 +203,13 @@ def evaluate_point(
     point: DesignPoint,
     searches: int = 8,
     seed: int = 0,
-    x_fraction: float = 0.3,
     use_kernel: bool = False,
     *,
     tables: dict | None = None,
 ) -> dict:
     """Measure one design point on a common random workload.
 
+    The stored words carry 30% don't-care trits; the keys none.
     Returns the coordinate plus the objective metrics: energy per
     search and per stored bit, worst search delay and cycle time, total
     array area and area per stored bit, equivalent storage density,
@@ -219,7 +219,6 @@ def evaluate_point(
         point: The coordinate to evaluate.
         searches: Random search keys.
         seed: Workload seed (per-point stream derived from it).
-        x_fraction: Don't-care density of the stored words.
         use_kernel: Answer the keys in one ``search_batch`` call (the
             path :func:`run_dse` takes); ``False`` answers them one by
             one on the per-key reference -- a flat array through
@@ -244,7 +243,7 @@ def evaluate_point(
         engine.adopt_tables(tables.setdefault(engine._electrical_signature(), engine))
     rng = np.random.default_rng(point.seed_key(seed))
     words = [
-        random_word(point.cols, rng, x_fraction=x_fraction)
+        random_word(point.cols, rng, x_fraction=0.3)
         for _ in range(point.rows)
     ]
     keys = [random_word(point.cols, rng) for _ in range(searches)]
@@ -311,16 +310,13 @@ def dominates(
     return no_worse and strictly
 
 
-def pareto_frontier(
-    rows: Sequence[dict],
-    minimize: Sequence[str] = MINIMIZE,
-    maximize: Sequence[str] = MAXIMIZE,
-) -> tuple[int, ...]:
-    """Indices of the rows no other row :func:`dominates`."""
+def pareto_frontier(rows: Sequence[dict]) -> tuple[int, ...]:
+    """Indices of the rows no other row :func:`dominates` on the
+    :data:`MINIMIZE` / :data:`MAXIMIZE` objectives."""
     keep = []
     for i, row in enumerate(rows):
         if not any(
-            dominates(other, row, minimize, maximize)
+            dominates(other, row)
             for j, other in enumerate(rows)
             if j != i
         ):

@@ -74,11 +74,13 @@ def check_count(value, name: str) -> int:
     return int(value)
 
 
+#: Subthreshold slope factor of the match-side leakage statistics.
+N_SLOPE = 1.35
+
+
 def _leak_scale_factor(
     spec: VariationSpec,
     cols: int,
-    n_slope: float,
-    temperature_k: float,
     rng: np.random.Generator,
     vt_to_on: float = 0.40,
 ) -> float:
@@ -86,7 +88,8 @@ def _leak_scale_factor(
 
     Subthreshold current scales exponentially with the threshold offset --
     but only until the device reaches its threshold; beyond that the
-    current saturates instead of growing another decade per ``n*phi_t``.
+    current saturates instead of growing another decade per ``n*phi_t``
+    (slope factor :data:`N_SLOPE`, thermal voltage at 300 K).
     The per-cell factor is therefore capped at ``exp(vt_to_on / (n*phi_t))``,
     the subthreshold-to-on ratio of the leak path (0.40 V for the default
     cell's undriven-LVT device).  Without the cap the engine overstates
@@ -95,9 +98,9 @@ def _leak_scale_factor(
     """
     if spec.sigma_vt_fefet == 0.0:
         return 1.0
-    phi_t = thermal_voltage(temperature_k)
+    phi_t = thermal_voltage(300.0)
     offsets = rng.normal(0.0, spec.sigma_vt_fefet, size=cols)
-    exponents = np.minimum(-offsets / (n_slope * phi_t), vt_to_on / (n_slope * phi_t))
+    exponents = np.minimum(-offsets / (N_SLOPE * phi_t), vt_to_on / (N_SLOPE * phi_t))
     factors = np.exp(exponents)
     return float(np.mean(factors))
 
@@ -107,8 +110,6 @@ def _sample_chunk(
     spec: VariationSpec,
     seed_seq: np.random.SeedSequence,
     count: int,
-    n_slope: float,
-    temperature_k: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw and evaluate one chunk of margin samples.
 
@@ -130,7 +131,7 @@ def _sample_chunk(
         # the draw is two-sided, matching physical mismatch.
         if spec.sigma_vt_fefet:
             dvt_pd[k] = rng.normal(0.0, spec.sigma_vt_fefet)
-        leak_scale[k] = _leak_scale_factor(spec, cols, n_slope, temperature_k, rng)
+        leak_scale[k] = _leak_scale_factor(spec, cols, rng)
         if spec.sa_offset_sigma:
             sa_off[k] = rng.normal(0.0, spec.sa_offset_sigma)
     v_sense = np.minimum(np.maximum(array.sense_amp.v_ref + sa_off, 1e-3), v_pre - 1e-3)
@@ -161,8 +162,6 @@ def run_margin_mc(
     spec: VariationSpec,
     n_samples: int = 1000,
     seed: int = 2021,
-    n_slope: float = 1.35,
-    temperature_k: float = 300.0,
 ) -> MonteCarloResult:
     """Sample the match / 1-mismatch margin of a precharge-style array.
 
@@ -177,8 +176,6 @@ def run_margin_mc(
         spec: Variation corner to sample.
         n_samples: Monte-Carlo sample count.
         seed: RNG seed.
-        n_slope: Subthreshold slope factor used for the leakage statistics.
-        temperature_k: Temperature for the leakage statistics [K].
 
     Raises:
         AnalysisError: for current-race and NAND arrays (different
@@ -192,7 +189,7 @@ def run_margin_mc(
     seeds = spawn_seeds(seed, len(bounds))
     with obs.span("mc.margin", n_samples=n_samples, chunks=len(bounds)):
         chunks = [
-            _sample_chunk(array, spec, s, hi - lo, n_slope, temperature_k)
+            _sample_chunk(array, spec, s, hi - lo)
             for s, (lo, hi) in zip(seeds, bounds)
         ]
     margins = np.concatenate([c[0] for c in chunks])

@@ -92,21 +92,17 @@ class SampledFeFETArray:
         spec: Variation corner; every compare device draws its own
             threshold offset and each row's SA draws an input offset.
         rng: Sample source.
-        vdd: Supply / precharge voltage [V].
 
-    The ML load, sense reference and evaluation window are the nominal
-    fefet2t design's at this geometry and supply.
+    The supply / precharge voltage ``vdd`` is 0.9 V.  The ML load, sense
+    reference and evaluation window are the nominal fefet2t design's at
+    this geometry and supply.
     """
 
     def __init__(
-        self,
-        geometry: ArrayGeometry,
-        spec: VariationSpec,
-        rng: np.random.Generator,
-        vdd: float = 0.9,
+        self, geometry: ArrayGeometry, spec: VariationSpec, rng: np.random.Generator
     ) -> None:
         self.geometry = geometry
-        self.vdd = vdd
+        self.vdd = 0.9
         self.cell = FeFET2TCell()
         f = self.cell.params.fefet
         self._phi_t = thermal_voltage(300.0)
@@ -129,7 +125,7 @@ class SampledFeFETArray:
         # Borrow the nominal design's electrical configuration.
         from ..core.designs import build_array, get_design
 
-        nominal = build_array(get_design("fefet2t"), geometry, vdd=vdd)
+        nominal = build_array(get_design("fefet2t"), geometry, vdd=self.vdd)
         self.c_ml = nominal.c_ml
         self.v_sense = nominal.sense_amp.v_ref
         self.t_eval = nominal.t_eval

@@ -116,14 +116,14 @@ class RetentionModel:
             return 1.0
         return self._retention_with_scale(self.barrier_scale_ev, time_s, temperature_k)
 
-    def time_to_loss(
-        self, loss_fraction: float, temperature_k: float, t_max: float = 1e14
-    ) -> float:
+    def time_to_loss(self, loss_fraction: float, temperature_k: float) -> float:
         """Time until the stored polarization loses ``loss_fraction`` [s].
 
         Bisection on the (monotone) retention curve; returns ``inf`` when
-        even ``t_max`` seconds stay below the loss target.
+        even ``1e14`` seconds (about three million years) stay below the
+        loss target.
         """
+        t_max = 1e14
         if not 0.0 < loss_fraction < 1.0:
             raise AnalysisError(
                 f"loss fraction must be in (0, 1), got {loss_fraction}"

@@ -45,6 +45,9 @@ class SensitivityEntry:
         return (self.high - self.low) / self.nominal
 
 
+#: Relative perturbation of each parameter, applied to each side.
+STEP_REL = 0.2
+
 # (label, fefet-params attribute) pairs perturbed by the tornado.
 _FEFET_KNOBS = (
     ("fefet.memory_window", "memory_window"),
@@ -59,12 +62,12 @@ def _build_array(cell_params: FeFET2TCellParams, geometry: ArrayGeometry) -> TCA
     return TCAMArray(FeFET2TCell(cell_params), geometry)
 
 
-def default_energy_metric(geometry: ArrayGeometry, n_searches: int = 3, seed: int = 5) -> Metric:
-    """Mean search energy on a fixed random workload [J]
+def default_energy_metric(geometry: ArrayGeometry, seed: int = 5) -> Metric:
+    """Mean search energy over three random searches [J]
     (:func:`~repro.analysis.throughput.characterize`)."""
 
     def metric(array: TCAMArray) -> float:
-        return characterize(array, n_searches, seed=seed).energy_per_search
+        return characterize(array, 3, seed=seed).energy_per_search
 
     return metric
 
@@ -78,33 +81,27 @@ def default_margin_metric() -> Metric:
     return metric
 
 
-def tornado(
-    geometry: ArrayGeometry,
-    metric: Metric,
-    step_rel: float = 0.2,
-    base_params: FeFET2TCellParams | None = None,
-) -> list[SensitivityEntry]:
+def tornado(geometry: ArrayGeometry, metric: Metric) -> list[SensitivityEntry]:
     """Rank FeFET cell parameters by their impact on ``metric``.
+
+    Each parameter of the nominal :class:`FeFET2TCellParams` card moves
+    by :data:`STEP_REL` of its value to each side.
 
     Args:
         geometry: Array shape each evaluation uses.
         metric: The figure of merit (see the ``default_*_metric`` helpers).
-        step_rel: Relative perturbation applied to each side.
-        base_params: Nominal cell parameters.
 
     Returns:
         Entries sorted by descending absolute swing.
     """
-    if not 0.0 < step_rel < 1.0:
-        raise AnalysisError(f"step_rel must be in (0, 1), got {step_rel}")
-    base = base_params if base_params is not None else FeFET2TCellParams()
+    base = FeFET2TCellParams()
     nominal = metric(_build_array(base, geometry))
 
     entries = []
     for label, attr in _FEFET_KNOBS:
         value = getattr(base.fefet, attr)
-        low_fefet = replace(base.fefet, **{attr: value * (1.0 - step_rel)})
-        high_fefet = replace(base.fefet, **{attr: value * (1.0 + step_rel)})
+        low_fefet = replace(base.fefet, **{attr: value * (1.0 - STEP_REL)})
+        high_fefet = replace(base.fefet, **{attr: value * (1.0 + STEP_REL)})
         low_params = FeFET2TCellParams(
             fefet=low_fefet, v_search=base.v_search, area_f2=base.area_f2
         )

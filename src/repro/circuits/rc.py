@@ -22,6 +22,10 @@ from .. import obs
 from ..errors import CircuitError
 
 
+#: Trapezoid intervals of :func:`discharge_time`'s quadrature.
+N_QUAD = 256
+
+
 def rc_time_to_reach(r: float, c: float, v_start: float, v_end: float, v_target: float) -> float:
     """Time for a single-pole RC to move from v_start toward v_end to v_target.
 
@@ -50,14 +54,13 @@ def discharge_time(
     current: CurrentOfVoltage,
     v_start: float,
     v_stop: float,
-    n_quad: int = 256,
 ) -> float:
     """Time for ``capacitance`` to discharge from v_start to v_stop [s].
 
     Integrates ``t = C * integral_{v_stop}^{v_start} dv / i(v)`` with the
-    composite trapezoid rule.  ``current`` is called once, on the array of
-    quadrature voltages, and must answer elementwise (a scalar answer is a
-    constant current).  It must be strictly positive over the interval; a
+    composite trapezoid rule over :data:`N_QUAD` intervals.  ``current``
+    is called once, on the array of quadrature voltages, and must answer
+    elementwise (a scalar answer is a constant current).  It must be strictly positive over the interval; a
     non-positive current means the line can never reach ``v_stop`` and
     ``inf`` is returned.
 
@@ -67,15 +70,12 @@ def discharge_time(
             evaluated on a voltage array.
         v_start: Initial (higher) voltage [V].
         v_stop: Final (lower) voltage [V].
-        n_quad: Number of quadrature intervals.
     """
     if capacitance <= 0.0:
         raise CircuitError(f"capacitance must be positive, got {capacitance}")
     if v_stop >= v_start:
         raise CircuitError(f"v_stop ({v_stop}) must be below v_start ({v_start})")
-    if n_quad < 2:
-        raise CircuitError(f"n_quad must be >= 2, got {n_quad}")
-    voltages = np.linspace(v_stop, v_start, n_quad + 1)
+    voltages = np.linspace(v_stop, v_start, N_QUAD + 1)
     i = np.broadcast_to(np.asarray(current(voltages), dtype=float), voltages.shape)
     if (i <= 0.0).any():
         return math.inf
@@ -88,18 +88,17 @@ def discharge_waveform(
     current: CurrentOfVoltage,
     v_start: float,
     t_grid: np.ndarray,
-    v_floor: float = 0.0,
 ) -> np.ndarray:
     """Voltage trajectory ``v(t)`` of a capacitor discharged by ``current(v)``.
 
-    Classic RK4 on ``dv/dt = -i(v)/C``, clamped at ``v_floor``.
+    Classic RK4 on ``dv/dt = -i(v)/C``, clamped at ground: the discharge
+    stops at 0 V.
 
     Args:
         capacitance: Line capacitance [F].
         current: Discharge current vs line voltage [A].
         v_start: Initial voltage [V].
         t_grid: Monotonically increasing time samples starting at 0 [s].
-        v_floor: Voltage at which the discharge stops (ground) [V].
     """
     if capacitance <= 0.0:
         raise CircuitError(f"capacitance must be positive, got {capacitance}")
@@ -108,7 +107,7 @@ def discharge_waveform(
         raise CircuitError("t_grid must be 1-D, start at 0 and strictly increase")
 
     def dv_dt(v: float) -> float:
-        if v <= v_floor:
+        if v <= 0.0:
             return 0.0
         return -current(v) / capacitance
 
@@ -122,7 +121,7 @@ def discharge_waveform(
         k3 = dv_dt(v + 0.5 * h * k2)
         k4 = dv_dt(v + h * k3)
         v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v = max(v, v_floor)
+        v = max(v, 0.0)
         out[k] = v
     return out
 
@@ -135,7 +134,6 @@ def discharge_waveform_batch(
     currents: CurrentsOfVoltages,
     v_start: np.ndarray,
     t_grid: np.ndarray,
-    v_floor: float = 0.0,
 ) -> np.ndarray:
     """Final voltages of many capacitor discharges integrated in one pass.
 
@@ -150,10 +148,10 @@ def discharge_waveform_batch(
         capacitance: Line capacitance, common to every trajectory [F].
         currents: Maps the stacked voltages ``(n,)`` to the stacked
             discharge currents ``(n,)`` [A].  Must tolerate any voltage
-            the integrator visits (including at or below ``v_floor``).
+            the integrator visits (including at or below ground, where
+            a discharge stops).
         v_start: Initial voltage per trajectory, shape ``(n,)`` [V].
         t_grid: Monotonically increasing time samples starting at 0 [s].
-        v_floor: Voltage at which a discharge stops (ground) [V].
 
     Returns:
         ``(n,)`` array of voltages at ``t_grid[-1]``.
@@ -174,7 +172,7 @@ def discharge_waveform_batch(
         m.counter("rk4.steps").inc((t.size - 1) * v.size)
 
     def dv_dt(volts: np.ndarray) -> np.ndarray:
-        return np.where(volts <= v_floor, 0.0, -np.asarray(currents(volts)) / capacitance)
+        return np.where(volts <= 0.0, 0.0, -np.asarray(currents(volts)) / capacitance)
 
     for k in range(1, t.size):
         h = t[k] - t[k - 1]
@@ -183,7 +181,7 @@ def discharge_waveform_batch(
         k3 = dv_dt(v + 0.5 * h * k2)
         k4 = dv_dt(v + h * k3)
         v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v = np.maximum(v, v_floor)
+        v = np.maximum(v, 0.0)
     return v
 
 

@@ -415,15 +415,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from .serve import (
         ARRIVAL_PROCESSES,
         AdmissionControl,
         ArrayBackend,
         ChipBackend,
         make_policy,
-        serve_trace,
+        run_trace,
     )
 
     spec = get_design(args.design)
@@ -452,7 +450,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.policy, max_batch=args.max_batch, max_wait=args.max_wait_us * 1e-6
     )
     admission = AdmissionControl(args.queue_cap if args.queue_cap > 0 else None)
-    report = asyncio.run(serve_trace(backend, trace, policy, admission=admission))
+    report = run_trace(backend, trace, policy, admission=admission)
     if args.json:
         _emit_json({"command": "serve", **report.to_dict()})
         return 0
@@ -976,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coalescing wait budget [microseconds]",
     )
     serve.add_argument(
-        "--queue-cap", type=int, default=256,
+        "--queue-cap", type=_non_negative_int, default=256,
         help="admission queue bound; 0 means unbounded",
     )
     serve.set_defaults(func=_cmd_serve)

@@ -42,13 +42,14 @@ from .fabric import TCAMFabric, logical_winner
 from .interconnect import (
     DISTRIBUTION_COMPONENT,
     LINK_COMPONENT,
-    LinkModel,
     TOPOLOGIES,
 )
-from .updates import UpdateEngine, age_and_repair, synthesize_churn
+from .updates import MIN_PREFIX, UpdateEngine, age_and_repair, synthesize_churn
 
 #: Chip counts of the full scaling sweep.
 DEFAULT_CHIP_COUNTS = (1, 2, 4, 8, 16, 32, 64)
+#: Batch ceiling of the fixed serving policy every point runs.
+MAX_BATCH = 64
 
 
 class FabricBackend:
@@ -91,18 +92,17 @@ class FabricServiceModel(ServiceModel):
         return self.t_overhead + max([medium, *busy.values()], default=0.0)
 
 
-def synthetic_rule_table(
-    n_rules: int, cols: int, seed: int = 0, min_prefix: int = 4
-) -> RuleTable:
-    """A route-table-shaped rule set: random prefixes of mixed length,
-    higher-priority (earlier) rules tending more specific -- the LPM
-    convention that makes priority order meaningful."""
+def synthetic_rule_table(n_rules: int, cols: int, seed: int = 0) -> RuleTable:
+    """A route-table-shaped rule set: random prefixes of mixed length
+    (:data:`MIN_PREFIX` to ``cols`` trits), higher-priority (earlier)
+    rules tending more specific -- the LPM convention that makes
+    priority order meaningful."""
     if n_rules < 1 or cols < 1:
         raise ClusterError("n_rules and cols must be >= 1")
-    if not 1 <= min_prefix <= cols:
-        raise ClusterError(f"min_prefix must be in [1, {cols}]")
+    if cols < MIN_PREFIX:
+        raise ClusterError(f"cols must be >= {MIN_PREFIX}, got {cols}")
     rng = np.random.default_rng(seed)
-    lens = np.sort(rng.integers(min_prefix, cols + 1, size=n_rules))[::-1]
+    lens = np.sort(rng.integers(MIN_PREFIX, cols + 1, size=n_rules))[::-1]
     rules = []
     for plen in lens:
         value = int(rng.integers(1 << min(cols, 62)))
@@ -159,11 +159,9 @@ def _run_point(
     design: str,
     banks_per_chip: int,
     spare_rows: int,
-    link: LinkModel | None,
     n_requests: int,
     rate_factor: float,
     process: str,
-    max_batch: int,
     churn_updates: int,
     wear_density: float,
     seed: int,
@@ -176,7 +174,6 @@ def _run_point(
         banks_per_chip=banks_per_chip,
         spare_rows=spare_rows,
         topology=topology,
-        link=link,
     )
     cols = table.width
 
@@ -184,7 +181,7 @@ def _run_point(
     # a probe batch through the fabric service model itself, so the
     # measured throughput reads as capacity at every chip count.
     model = FabricServiceModel()
-    probe = fabric.search_batch(_probe_keys(cols, max(16, max_batch // 2), seed + 11))
+    probe = fabric.search_batch(_probe_keys(cols, MAX_BATCH // 2, seed + 11))
     capacity = len(probe) / model.batch_service_time(probe)
     rate = rate_factor * capacity
 
@@ -200,8 +197,8 @@ def _run_point(
     report = run_trace(
         backend,
         trace,
-        make_policy("fixed", max_batch=max_batch, max_wait=max_batch / rate),
-        admission=AdmissionControl(queue_capacity=4 * max_batch),
+        make_policy("fixed", max_batch=MAX_BATCH, max_wait=MAX_BATCH / rate),
+        admission=AdmissionControl(queue_capacity=4 * MAX_BATCH),
         model=model,
     )
     served = fabric.queries_offered - base_offered
@@ -292,11 +289,9 @@ def run_cluster_campaign(
     chip_counts: Sequence[int] = DEFAULT_CHIP_COUNTS,
     policies: Sequence[str] = DISTRIBUTOR_POLICIES,
     topology: str = "p2p",
-    link: LinkModel | None = None,
     n_requests: int = 600,
     rate_factor: float = 3.0,
     process: str = "poisson",
-    max_batch: int = 64,
     churn_updates: int = 120,
     wear_density: float = 0.02,
     seed: int = 0,
@@ -325,11 +320,9 @@ def run_cluster_campaign(
                         design=design,
                         banks_per_chip=banks_per_chip,
                         spare_rows=spare_rows,
-                        link=link,
                         n_requests=n_requests,
                         rate_factor=rate_factor,
                         process=process,
-                        max_batch=max_batch,
                         churn_updates=churn_updates,
                         wear_density=wear_density,
                         seed=seed,
@@ -350,7 +343,7 @@ def run_cluster_campaign(
             "n_requests": n_requests,
             "rate_factor": rate_factor,
             "process": process,
-            "max_batch": max_batch,
+            "max_batch": MAX_BATCH,
             "churn_updates": churn_updates,
             "wear_density": wear_density,
             "seed": seed,

@@ -43,6 +43,11 @@ from ..faults.repair import SpareRowPolicy
 from ..tcam.trit import TernaryWord, Trit, prefix_word
 from .fabric import TCAMFabric
 
+#: Shortest route prefix the synthetic rule generators draw [trits].
+MIN_PREFIX = 4
+#: Probability that a :func:`synthesize_churn` update is an add.
+ADD_FRACTION = 0.55
+
 
 @dataclass(frozen=True)
 class RuleUpdate:
@@ -73,33 +78,31 @@ def synthesize_churn(
     width: int,
     n_updates: int,
     seed: int = 0,
-    add_fraction: float = 0.55,
-    min_prefix: int = 4,
 ) -> list[RuleUpdate]:
     """A BGP-flavoured add/withdraw stream.
 
-    Adds are route-prefix words (``min_prefix``..``width`` specified
-    MSBs, the rest X); withdrawals pick a uniformly random live rule.
+    Each update is an add with probability :data:`ADD_FRACTION` (always,
+    while no rule is live).  Adds are route-prefix words
+    (:data:`MIN_PREFIX`..``width`` specified MSBs, the rest X);
+    withdrawals pick a uniformly random live rule.
     The generator tracks the live id set the way the engine will assign
     ids (adds take sequential ids from ``n_initial`` up), so withdraw
     targets are valid as long as every add is accepted.
     """
     if n_initial < 0 or n_updates < 0:
         raise ClusterError("n_initial and n_updates must be non-negative")
-    if not 0.0 <= add_fraction <= 1.0:
-        raise ClusterError(f"add_fraction must be in [0, 1], got {add_fraction}")
-    if not 1 <= min_prefix <= width:
-        raise ClusterError(f"min_prefix must be in [1, {width}]")
+    if width < MIN_PREFIX:
+        raise ClusterError(f"width must be >= {MIN_PREFIX}, got {width}")
     rng = np.random.default_rng(seed)
     live = list(range(n_initial))
     next_id = n_initial
     updates: list[RuleUpdate] = []
     for _ in range(n_updates):
-        if live and rng.random() >= add_fraction:
+        if live and rng.random() >= ADD_FRACTION:
             victim = live.pop(int(rng.integers(len(live))))
             updates.append(RuleUpdate("withdraw", rule_id=victim))
         else:
-            plen = int(rng.integers(min_prefix, width + 1))
+            plen = int(rng.integers(MIN_PREFIX, width + 1))
             value = int(rng.integers(1 << min(width, 62)))
             updates.append(
                 RuleUpdate("add", rule=prefix_word(value, plen, width))

@@ -130,20 +130,21 @@ def _evaluate(spec, profile: WorkloadProfile, n_searches: int, seed: int) -> Can
     )
 
 
-def advise(
-    profile: WorkloadProfile, n_searches: int = 4, seed: int = 404
-) -> Recommendation:
+#: Random searches each design answers in :func:`advise`.
+ADVISOR_SEARCHES = 4
+
+
+def advise(profile: WorkloadProfile, seed: int = 404) -> Recommendation:
     """Measure every design against the profile and recommend the best.
 
+    Each design answers :data:`ADVISOR_SEARCHES` random searches.
+
     Raises:
-        DesignError: when ``n_searches`` < 1, or when no design satisfies
-            the profile's constraints (the message lists each exclusion
-            reason).
+        DesignError: when no design satisfies the profile's constraints
+            (the message lists each exclusion reason).
     """
-    if n_searches < 1:
-        raise DesignError(f"n_searches must be >= 1, got {n_searches}")
     candidates = [
-        _evaluate(spec, profile, n_searches, seed) for spec in all_designs()
+        _evaluate(spec, profile, ADVISOR_SEARCHES, seed) for spec in all_designs()
     ]
     feasible = [c for c in candidates if c.feasible]
     if not feasible:

@@ -112,34 +112,28 @@ def _evaluate(
 def explore(
     geometry: ArrayGeometry,
     ml_swings: tuple[float, ...] = (0.35, 0.45, 0.55, 0.7, 0.9),
-    vdds: tuple[float, ...] = (0.9,),
     n_searches: int = 6,
     seed: int = 77,
 ) -> ParetoFront:
-    """Sweep the design space and extract the Pareto front.
+    """Sweep the design space at a 0.9 V supply and extract the Pareto front.
 
     Args:
         geometry: Array shape every point is evaluated at.
         ml_swings: Swing values applied to the FeFET precharge designs.
-        vdds: Supply values.
         n_searches: Canonical searches per point.
         seed: Workload seed (identical across points).
     """
     if n_searches < 1:
         raise DesignError(f"n_searches must be >= 1, got {n_searches}")
+    vdd = 0.9
     points: list[DesignPoint] = []
     for spec in all_designs():
-        for vdd in vdds:
-            if spec.sensing == "current_race":
-                points.append(_evaluate(spec, geometry, vdd, None, n_searches, seed))
-            elif spec.name == "fefet2t_lv":
-                for swing in ml_swings:
-                    if swing <= vdd:
-                        points.append(
-                            _evaluate(spec, geometry, vdd, swing, n_searches, seed)
-                        )
-            else:
-                points.append(_evaluate(spec, geometry, vdd, None, n_searches, seed))
+        if spec.name == "fefet2t_lv":
+            for swing in ml_swings:
+                if swing <= vdd:
+                    points.append(_evaluate(spec, geometry, vdd, swing, n_searches, seed))
+        else:
+            points.append(_evaluate(spec, geometry, vdd, None, n_searches, seed))
 
     front = tuple(
         p

@@ -47,6 +47,12 @@ class MarginReport:
 
 
 _CANONICAL_SEED = 1021
+#: Sense-amplifier input-offset sigma the guardband is counted in [V].
+SA_OFFSET_SIGMA = 0.010
+#: Lower bracket of the :func:`minimum_ml_voltage` bisection [V].
+V_ML_FLOOR = 0.05
+#: Voltage resolution at which the bisection stops [V].
+V_ML_TOLERANCE = 0.005
 
 
 def _canonical_search_energy(array: TCAMArray, n_searches: int = 8) -> float:
@@ -63,7 +69,6 @@ def margin_at_vml(
     spec: DesignSpec,
     geometry: ArrayGeometry,
     v_ml: float,
-    sa_offset_sigma: float = 0.010,
 ) -> MarginReport:
     """Characterize a precharge design at a specific ML swing.
 
@@ -71,15 +76,12 @@ def margin_at_vml(
         spec: A precharge-style design (Design LV or a baseline).
         geometry: Array shape the margin is evaluated for.
         v_ml: ML swing to test [V].
-        sa_offset_sigma: SA offset sigma used for the guardband [V].
 
     Raises:
         DesignError: for current-race designs (no swing to set).
     """
     if spec.sensing != "precharge":
         raise DesignError(f"design {spec.name!r} has no ML swing to characterize")
-    if sa_offset_sigma <= 0.0:
-        raise DesignError(f"sa_offset_sigma must be positive, got {sa_offset_sigma}")
     array = build_array(spec, geometry, ml_swing=v_ml)
     margin = array.sense_margin()
     energy = _canonical_search_energy(array)
@@ -88,7 +90,7 @@ def margin_at_vml(
     return MarginReport(
         v_ml=v_ml,
         margin=margin,
-        guardband_sigmas=margin / sa_offset_sigma,
+        guardband_sigmas=margin / SA_OFFSET_SIGMA,
         energy_per_search=energy,
         energy_per_bit=energy / cells if functional else float("inf"),
         functional=functional,
@@ -99,33 +101,26 @@ def minimum_ml_voltage(
     spec: DesignSpec,
     geometry: ArrayGeometry,
     guardband_sigmas: float = 6.0,
-    sa_offset_sigma: float = 0.010,
-    v_lo: float = 0.05,
-    v_hi: float | None = None,
-    tolerance: float = 0.005,
 ) -> float:
     """Lowest ML swing [V] whose margin clears the guardband, by bisection.
+
+    The bracket runs from :data:`V_ML_FLOOR` to the node's nominal VDD
+    and the bisection stops at :data:`V_ML_TOLERANCE`.
 
     Args:
         spec: A precharge-style design.
         geometry: Array shape.
-        guardband_sigmas: Required margin in units of SA offset sigma.
-        sa_offset_sigma: SA offset sigma [V].
-        v_lo: Lower bracket [V].
-        v_hi: Upper bracket [V]; defaults to the node's nominal VDD.
-        tolerance: Bisection voltage resolution [V].
+        guardband_sigmas: Required margin in units of
+            :data:`SA_OFFSET_SIGMA`.
 
     Raises:
         DesignError: when even the full swing cannot meet the guardband.
     """
-    if v_hi is None:
-        v_hi = geometry.node.vdd_nominal
-    if not 0.0 < v_lo < v_hi:
-        raise DesignError(f"invalid bracket ({v_lo}, {v_hi})")
-    target = guardband_sigmas * sa_offset_sigma
+    v_lo, v_hi = V_ML_FLOOR, geometry.node.vdd_nominal
+    target = guardband_sigmas * SA_OFFSET_SIGMA
 
     def ok(v: float) -> bool:
-        report = margin_at_vml(spec, geometry, v, sa_offset_sigma)
+        report = margin_at_vml(spec, geometry, v)
         return report.functional and report.margin >= target
 
     if not ok(v_hi):
@@ -136,7 +131,7 @@ def minimum_ml_voltage(
     if ok(v_lo):
         return v_lo
     lo, hi = v_lo, v_hi
-    while hi - lo > tolerance:
+    while hi - lo > V_ML_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
@@ -149,7 +144,6 @@ def energy_vs_vml(
     spec: DesignSpec,
     geometry: ArrayGeometry,
     v_ml_values: np.ndarray,
-    sa_offset_sigma: float = 0.010,
 ) -> list[MarginReport]:
     """Sweep the ML swing and report the energy/margin trade-off.
 
@@ -160,5 +154,5 @@ def energy_vs_vml(
     for v in np.asarray(v_ml_values, dtype=float):
         if v <= 0.0:
             raise DesignError(f"ML swing must be positive, got {v}")
-        reports.append(margin_at_vml(spec, geometry, float(v), sa_offset_sigma))
+        reports.append(margin_at_vml(spec, geometry, float(v)))
     return reports

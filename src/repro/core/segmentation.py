@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from ..errors import DesignError
 
+#: Narrowest probe stage :func:`optimal_probe_width` considers [columns].
+MIN_PROBE = 2
+
 
 def expected_survivor_fraction(probe_cols: int, x_fraction: float) -> float:
     """Expected fraction of rows matching a random probe of ``probe_cols``.
@@ -75,24 +78,23 @@ def expected_energy_ratio(probe_cols: int, total_cols: int, x_fraction: float) -
     return (probe_cols + survivors * tail) / total_cols
 
 
-def optimal_probe_width(
-    total_cols: int, x_fraction: float = 0.0, min_probe: int = 2
-) -> SegmentationPlan:
+def optimal_probe_width(total_cols: int, x_fraction: float = 0.0) -> SegmentationPlan:
     """Probe width minimizing the analytic expected ML energy.
 
+    Probes of :data:`MIN_PROBE` columns and up are considered (a 1-column
+    probe rarely has enough discrimination to be worth the extra stage).
+
     Args:
-        total_cols: Word width.
+        total_cols: Word width; more than :data:`MIN_PROBE` columns.
         x_fraction: Stored don't-care density of the workload.
-        min_probe: Smallest probe considered (a 1-column probe rarely has
-            enough discrimination to be worth the extra stage).
     """
-    if total_cols < 2:
-        raise DesignError(f"need at least 2 columns to segment, got {total_cols}")
-    if not 1 <= min_probe < total_cols:
-        raise DesignError(f"min_probe {min_probe} outside [1, {total_cols})")
-    best_s = min_probe
+    if total_cols <= MIN_PROBE:
+        raise DesignError(
+            f"need more than {MIN_PROBE} columns to segment, got {total_cols}"
+        )
+    best_s = MIN_PROBE
     best_ratio = math.inf
-    for s in range(min_probe, total_cols):
+    for s in range(MIN_PROBE, total_cols):
         ratio = expected_energy_ratio(s, total_cols, x_fraction)
         if ratio < best_ratio:
             best_ratio = ratio

@@ -125,26 +125,17 @@ class WriteResult:
 class FeFET:
     """A single behavioral FeFET instance with hysteretic state.
 
+    The device runs at 300 K; its Preisach ensemble is drawn from the
+    film model's default seeded generator.
+
     Args:
         params: Device parameters.
-        rng: Generator for the Preisach ensemble; pass one per device when
-            modelling device-to-device variation.
-        vt_offset: Static threshold offset [V] modelling process variation.
-        temperature_k: Operating temperature [K].
     """
 
-    def __init__(
-        self,
-        params: FeFETParams = FeFETParams(),
-        rng: np.random.Generator | None = None,
-        vt_offset: float = 0.0,
-        temperature_k: float = 300.0,
-    ) -> None:
+    def __init__(self, params: FeFETParams = FeFETParams()) -> None:
         self.params = params
-        self.vt_offset = vt_offset
-        self.temperature_k = temperature_k
-        self._phi_t = thermal_voltage(temperature_k)
-        self._film = PreisachModel(params.material, n_domains=params.n_domains, rng=rng)
+        self._phi_t = thermal_voltage(300.0)
+        self._film = PreisachModel(params.material, n_domains=params.n_domains)
         self._film.saturate(-1)  # power-on in the HVT state
 
     # ------------------------------------------------------------------
@@ -158,9 +149,9 @@ class FeFET:
 
     @property
     def vt(self) -> float:
-        """Present threshold voltage [V], including static offset."""
+        """Present threshold voltage [V]."""
         p = self.params
-        return p.vt_mid - self.polarization * p.memory_window / 2.0 + self.vt_offset
+        return p.vt_mid - self.polarization * p.memory_window / 2.0
 
     @property
     def state(self) -> FeFETState:

@@ -144,15 +144,14 @@ class MOSFETParams:
 
 
 class MOSFET:
-    """A behavioral logic transistor instance.
+    """A behavioral logic transistor instance at 300 K.
 
     All terminal voltages are given in the NMOS convention (magnitudes).
     """
 
-    def __init__(self, params: MOSFETParams, temperature_k: float = 300.0) -> None:
+    def __init__(self, params: MOSFETParams) -> None:
         self.params = params
-        self.temperature_k = temperature_k
-        self._phi_t = thermal_voltage(temperature_k)
+        self._phi_t = thermal_voltage(300.0)
 
     @property
     def beta(self) -> float:

@@ -77,7 +77,6 @@ class PreisachModel:
         n_domains: Number of hysterons; more domains = smoother loops.
         rng: Random generator used to draw the coercive-field ensemble and
             to resolve stochastic pulse switching.
-        imprint_field: Uniform field offset modelling imprint [V/m].
 
     The polarization reported by :attr:`polarization` is the remanent part
     only (``p_rem * mean(state)``); the linear dielectric response is added
@@ -89,12 +88,10 @@ class PreisachModel:
         material: FerroMaterial,
         n_domains: int = 64,
         rng: np.random.Generator | None = None,
-        imprint_field: float = 0.0,
     ) -> None:
         if n_domains < 1:
             raise DeviceError(f"n_domains must be >= 1, got {n_domains}")
         self.material = material
-        self.imprint_field = imprint_field
         self._rng = rng if rng is not None else np.random.default_rng(0)
         sigma = material.e_coercive * material.ec_sigma_rel
         raw = self._rng.normal(material.e_coercive, sigma, size=n_domains)
@@ -141,11 +138,10 @@ class PreisachModel:
 
     def apply_field(self, field: float) -> float:
         """Apply a quasi-static field [V/m]; return normalized polarization."""
-        effective = field - self.imprint_field
-        if effective > 0.0:
-            self._state[self._ec <= effective] = 1.0
-        elif effective < 0.0:
-            self._state[self._ec <= -effective] = -1.0
+        if field > 0.0:
+            self._state[self._ec <= field] = 1.0
+        elif field < 0.0:
+            self._state[self._ec <= -field] = -1.0
         return self.normalized_polarization
 
     def apply_voltage(self, voltage: float) -> float:
@@ -178,7 +174,7 @@ class PreisachModel:
         Returns:
             The normalized polarization after the pulse.
         """
-        field = self.material.field(pulse.amplitude) - self.imprint_field
+        field = self.material.field(pulse.amplitude)
         if field == 0.0:
             return self.normalized_polarization
         direction = 1.0 if field > 0.0 else -1.0
@@ -226,7 +222,7 @@ class PreisachModel:
         """
         if n_pulses < 0:
             raise DeviceError(f"n_pulses must be non-negative, got {n_pulses}")
-        field = self.material.field(pulse.amplitude) - self.imprint_field
+        field = self.material.field(pulse.amplitude)
         if field == 0.0 or n_pulses == 0:
             return self.normalized_polarization
         direction = 1.0 if field > 0.0 else -1.0

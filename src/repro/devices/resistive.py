@@ -1,7 +1,7 @@
 """Bistable ReRAM resistor for the 2T-2R TCAM baseline.
 
 The behavioral comparison against a resistive TCAM only needs the two
-resistance states, their spread, and SET/RESET pulse energetics.  Filament
+resistance states and SET/RESET pulse energetics.  Filament
 physics is deliberately out of scope (see DESIGN.md substitution table).
 """
 
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import DeviceError
 
@@ -30,7 +28,6 @@ class ReRAMParams:
         name: Label for reports.
         r_lrs: Low-resistance (SET) state [ohm].
         r_hrs: High-resistance (RESET) state [ohm].
-        sigma_rel: Relative lognormal spread of each state's resistance.
         v_set: SET pulse amplitude [V].
         v_reset: RESET pulse amplitude magnitude [V].
         i_compliance: Write-current compliance of the access device [A];
@@ -44,7 +41,6 @@ class ReRAMParams:
     name: str = "rram-hfo2"
     r_lrs: float = 10e3
     r_hrs: float = 1e6
-    sigma_rel: float = 0.10
     v_set: float = 2.0
     v_reset: float = 2.2
     i_compliance: float = 100e-6
@@ -59,8 +55,6 @@ class ReRAMParams:
             raise DeviceError(
                 f"{self.name}: HRS ({self.r_hrs}) must exceed LRS ({self.r_lrs})"
             )
-        if not 0.0 <= self.sigma_rel < 1.0:
-            raise DeviceError(f"{self.name}: sigma_rel must be in [0, 1)")
 
     @property
     def on_off_ratio(self) -> float:
@@ -69,29 +63,21 @@ class ReRAMParams:
 
 
 class ReRAM:
-    """One resistive element with optional sampled variation.
+    """One resistive element at its nominal LRS/HRS resistances.
 
     Args:
         params: Device parameters.
-        rng: When provided, the LRS/HRS values are drawn from lognormal
-            distributions with relative sigma ``params.sigma_rel``.
     """
 
-    def __init__(self, params: ReRAMParams = ReRAMParams(), rng: np.random.Generator | None = None) -> None:
+    def __init__(self, params: ReRAMParams = ReRAMParams()) -> None:
         self.params = params
-        if rng is None or params.sigma_rel == 0.0:
-            self._r_lrs = params.r_lrs
-            self._r_hrs = params.r_hrs
-        else:
-            sigma = np.sqrt(np.log1p(params.sigma_rel**2))
-            self._r_lrs = float(params.r_lrs * rng.lognormal(-0.5 * sigma**2, sigma))
-            self._r_hrs = float(params.r_hrs * rng.lognormal(-0.5 * sigma**2, sigma))
         self.state = ReRAMState.HRS
 
     @property
     def resistance(self) -> float:
         """Present resistance [ohm]."""
-        return self._r_lrs if self.state is ReRAMState.LRS else self._r_hrs
+        p = self.params
+        return p.r_lrs if self.state is ReRAMState.LRS else p.r_hrs
 
     def write(self, state: ReRAMState) -> float:
         """Switch to ``state``; return the write energy [J].
@@ -105,9 +91,9 @@ class ReRAM:
         if state is self.state:
             return 0.0
         if state is ReRAMState.LRS:
-            voltage, r_path = p.v_set, self._r_hrs
+            voltage, r_path = p.v_set, p.r_hrs
         else:
-            voltage, r_path = p.v_reset, self._r_lrs
+            voltage, r_path = p.v_reset, p.r_lrs
         current = min(voltage / r_path, p.i_compliance)
         energy = voltage * current * p.t_write + p.c_cell * voltage**2
         self.state = state

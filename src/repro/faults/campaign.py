@@ -38,6 +38,9 @@ DEFAULT_KIND_WEIGHTS: dict[FaultKind, float] = {
     FaultKind.STUCK_TRIT: 0.25,
     FaultKind.RETENTION: 0.25,
 }
+#: Nominal retention Vt shift [V]; each ``RETENTION`` cell draws
+#: uniformly from ``[0.5, 1.5] x RETENTION_VT_SHIFT``.
+RETENTION_VT_SHIFT = 0.3
 
 
 @dataclass(frozen=True)
@@ -78,47 +81,26 @@ class FaultPlan:
 class FaultCampaign:
     """Seeded generator of nested fault maps over one array shape.
 
+    Cell fault kinds are drawn with the :data:`DEFAULT_KIND_WEIGHTS`
+    probabilities; retention faults shift Vt around
+    :data:`RETENTION_VT_SHIFT`.  The ``clustered`` mode grows from one
+    cluster center per 64 cells (at least one).
+
     Args:
         rows: Array rows.
         cols: Array cols.
-        kind_weights: Relative probability of each cell fault kind;
-            defaults to :data:`DEFAULT_KIND_WEIGHTS`.
-        vt_shift: Nominal retention Vt shift [V]; each ``RETENTION``
-            cell draws uniformly from ``[0.5, 1.5] x vt_shift``.
-        n_clusters: Cluster-center count for the ``clustered`` mode
-            (default: one center per 64 cells, at least one).
     """
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        kind_weights: dict[FaultKind, float] | None = None,
-        vt_shift: float = 0.3,
-        n_clusters: int | None = None,
-    ) -> None:
+    def __init__(self, rows: int, cols: int) -> None:
         if rows < 1 or cols < 1:
             raise FaultError(f"campaign shape must be at least 1x1, got {rows}x{cols}")
-        if vt_shift < 0.0:
-            raise FaultError(f"vt_shift must be non-negative, got {vt_shift}")
-        weights = dict(kind_weights if kind_weights is not None else DEFAULT_KIND_WEIGHTS)
-        if not weights:
-            raise FaultError("kind_weights must name at least one fault kind")
-        total = sum(weights.values())
-        if total <= 0.0 or any(w < 0.0 for w in weights.values()):
-            raise FaultError("kind weights must be non-negative with a positive sum")
-        if FaultKind.NONE in weights:
-            raise FaultError("FaultKind.NONE cannot be drawn as a fault")
         self.rows = rows
         self.cols = cols
-        self.vt_shift = vt_shift
+        weights = DEFAULT_KIND_WEIGHTS
+        total = sum(weights.values())
         self._kinds = np.array([int(k) for k in weights], dtype=np.int8)
         self._probs = np.array([weights[k] / total for k in weights])
-        if n_clusters is None:
-            n_clusters = max(1, (rows * cols) // 64)
-        if n_clusters < 1:
-            raise FaultError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = n_clusters
+        self.n_clusters = max(1, (rows * cols) // 64)
 
     # ------------------------------------------------------------------
 
@@ -129,7 +111,7 @@ class FaultCampaign:
         values = np.zeros(n)
         retention = kinds == int(FaultKind.RETENTION)
         if retention.any():
-            values[retention] = self.vt_shift * rng.uniform(
+            values[retention] = RETENTION_VT_SHIFT * rng.uniform(
                 0.5, 1.5, size=int(retention.sum())
             )
         stuck = kinds == int(FaultKind.STUCK_TRIT)

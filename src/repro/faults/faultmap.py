@@ -124,11 +124,11 @@ class FaultMap:
         self.value[row, col] = value
         self.version += 1
 
-    def set_dead_row(self, row: int, dead: bool = True) -> None:
-        """Mark a whole row's match line broken (or repaired)."""
+    def set_dead_row(self, row: int) -> None:
+        """Mark a whole row's match line broken."""
         if not 0 <= row < self.rows:
             raise FaultError(f"row {row} outside [0, {self.rows})")
-        self.dead_rows[row] = bool(dead)
+        self.dead_rows[row] = True
         self.version += 1
 
     def set_sa_offset(self, row: int, offset: float) -> None:

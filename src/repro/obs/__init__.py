@@ -107,10 +107,11 @@ def is_enabled() -> bool:
     return _SESSION is not None
 
 
-def enable(sinks: Iterable[Sink] = ()) -> ObservabilitySession:
-    """Activate a fresh session (replacing any active one) and return it."""
+def enable() -> ObservabilitySession:
+    """Activate a fresh session without sinks (replacing any active one)
+    and return it."""
     global _SESSION
-    _SESSION = ObservabilitySession(sinks)
+    _SESSION = ObservabilitySession(())
     return _SESSION
 
 

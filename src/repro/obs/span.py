@@ -95,16 +95,13 @@ class Span:
         self.children.append(node)
         return node
 
-    def split_energy(
-        self, ledger: EnergyLedger, groups: Mapping[str, str], prefix: str = ""
-    ) -> None:
+    def split_energy(self, ledger: EnergyLedger, groups: Mapping[str, str]) -> None:
         """Slice ``ledger`` into per-phase child spans, exactly.
 
         Args:
             ledger: The outcome ledger to attribute (it is only read).
             groups: Component name -> child span name.  Components absent
-                from the mapping land in a ``{prefix}other`` child.
-            prefix: Prepended to every child span name.
+                from the mapping land in an ``other`` child.
 
         Iterates the ledger's components in their stored (insertion)
         order and creates/extends child spans in first-touch order, so
@@ -114,7 +111,7 @@ class Span:
         """
         by_name: dict[str, Span] = {}
         for component, joules in ledger:
-            child_name = prefix + groups.get(component, "other")
+            child_name = groups.get(component, "other")
             node = by_name.get(child_name)
             if node is None:
                 node = self.child(child_name)

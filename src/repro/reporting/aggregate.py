@@ -86,7 +86,7 @@ def _sort_key(path: pathlib.Path) -> tuple[int, int, str]:
     return (kind, int(match.group(2)), path.stem)
 
 
-def aggregate_report(output_dir: str | pathlib.Path, title: str = "Benchmark report") -> str:
+def aggregate_report(output_dir: str | pathlib.Path) -> str:
     """Merge every ``*.txt`` artifact under ``output_dir`` into markdown.
 
     Raises:
@@ -99,7 +99,7 @@ def aggregate_report(output_dir: str | pathlib.Path, title: str = "Benchmark rep
     if not artifacts:
         raise ReproError(f"no artifacts found under {directory}")
 
-    parts = [f"# {title}", "", f"{len(artifacts)} experiment artifacts.", ""]
+    parts = ["# Benchmark report", "", f"{len(artifacts)} experiment artifacts.", ""]
     for path in artifacts:
         parts.append(f"## {path.stem}")
         parts.append("")
@@ -110,12 +110,8 @@ def aggregate_report(output_dir: str | pathlib.Path, title: str = "Benchmark rep
     return "\n".join(parts)
 
 
-def write_report(
-    output_dir: str | pathlib.Path,
-    out_path: str | pathlib.Path,
-    title: str = "Benchmark report",
-) -> pathlib.Path:
+def write_report(output_dir: str | pathlib.Path, out_path: str | pathlib.Path) -> pathlib.Path:
     """Aggregate and write the report; returns the written path."""
     target = pathlib.Path(out_path)
-    target.write_text(aggregate_report(output_dir, title) + "\n")
+    target.write_text(aggregate_report(output_dir) + "\n")
     return target

@@ -1,4 +1,4 @@
-"""TCAM-as-a-service: asyncio ingress with dynamic batching.
+"""TCAM-as-a-service: trace-driven serving with dynamic batching.
 
 The serving layer turns the chip/array models into a request-serving
 system: seeded open-loop clients (:mod:`~repro.serve.arrivals`) submit
@@ -8,8 +8,9 @@ dispatches, bounded-queue admission control
 (:mod:`~repro.serve.admission`) sheds overload, and every request is
 booked with its modeled queue wait, batch service time and energy
 share.  The deterministic modeled-time core
-(:mod:`~repro.serve.engine`) makes runs bit-reproducible for any
-asyncio scheduling; ``benchmarks/bench_service.py``
+(:mod:`~repro.serve.engine`) makes runs bit-reproducible, and
+:func:`~repro.serve.service.run_trace` serves one trace through it;
+``benchmarks/bench_service.py``
 sweeps offered load x policy into the throughput / tail-latency /
 energy frontier.
 """
@@ -32,7 +33,7 @@ from .policy import (
     make_policy,
     no_batching,
 )
-from .service import ServiceReport, TCAMService, build_report, run_trace, serve_trace
+from .service import ServiceReport, build_report, run_trace
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -50,7 +51,6 @@ __all__ = [
     "ServeEngine",
     "ServiceModel",
     "ServiceReport",
-    "TCAMService",
     "build_report",
     "diurnal_trace",
     "make_policy",
@@ -58,5 +58,4 @@ __all__ = [
     "no_batching",
     "poisson_trace",
     "run_trace",
-    "serve_trace",
 ]

@@ -30,6 +30,15 @@ import numpy as np
 from ..errors import ServeError
 from ..tcam.trit import TernaryWord, random_word
 
+#: MMPP burst-state rate over quiet-state rate.
+MMPP_BURST_RATIO = 8.0
+#: Long-run fraction of time the MMPP spends bursting.
+MMPP_BURST_FRACTION = 0.2
+#: Mean MMPP state dwell, in mean interarrival times (``1 / rate``).
+MMPP_DWELL_GAPS = 20.0
+#: Peak-to-mean rate swing of the diurnal profile.
+DIURNAL_AMPLITUDE = 0.6
+
 
 @dataclass(frozen=True)
 class ArrivalTrace:
@@ -38,8 +47,8 @@ class ArrivalTrace:
     Attributes:
         process: Generator name (``poisson``/``mmpp``/``diurnal``).
         seed: Seed the trace was drawn from.
-        times: Modeled arrival timestamps [s], strictly increasing,
-            shape ``(n,)``.
+        times: Modeled arrival timestamps [s], non-decreasing (ties
+            allowed), shape ``(n,)``.
         keys: One search key per request.
         banks: Bank index per request (all zero for single-array
             backends), shape ``(n,)``.
@@ -84,11 +93,12 @@ def _finish(
     rng: np.random.Generator,
     cols: int,
     n_banks: int,
-    x_fraction: float,
 ) -> ArrivalTrace:
-    """Draw keys/banks for already-fixed times and assemble the trace."""
+    """Draw keys/banks for already-fixed times and assemble the trace.
+
+    Keys are fully specified (no don't-care trits)."""
     n = times.shape[0]
-    keys = [random_word(cols, rng, x_fraction=x_fraction) for _ in range(n)]
+    keys = [random_word(cols, rng) for _ in range(n)]
     banks = rng.integers(0, n_banks, size=n) if n_banks > 1 else np.zeros(n, dtype=np.int64)
     return ArrivalTrace(
         process=process, seed=seed, times=times, keys=keys, banks=banks
@@ -112,7 +122,6 @@ def poisson_trace(
     cols: int,
     seed: int = 0,
     n_banks: int = 1,
-    x_fraction: float = 0.0,
 ) -> ArrivalTrace:
     """Homogeneous Poisson arrivals at ``rate`` requests/s.
 
@@ -122,12 +131,11 @@ def poisson_trace(
         cols: Key width (array/bank columns).
         seed: RNG seed; same seed, same trace, always.
         n_banks: Banks to spread requests over (uniform).
-        x_fraction: Wildcard fraction of each key's trits.
     """
     _validate(n_requests, rate, cols, n_banks)
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.exponential(1.0 / rate, size=n_requests))
-    return _finish("poisson", seed, times, rng, cols, n_banks, x_fraction)
+    return _finish("poisson", seed, times, rng, cols, n_banks)
 
 
 def mmpp_trace(
@@ -136,19 +144,17 @@ def mmpp_trace(
     cols: int,
     seed: int = 0,
     n_banks: int = 1,
-    x_fraction: float = 0.0,
-    burst_ratio: float = 8.0,
-    burst_fraction: float = 0.2,
-    mean_dwell: float | None = None,
 ) -> ArrivalTrace:
     """2-state Markov-modulated Poisson process (bursty arrivals).
 
     The process alternates between a quiet state and a burst state whose
-    rate is ``burst_ratio`` times the quiet rate; dwell times in each
-    state are exponential with mean ``mean_dwell``.  The two rates are
-    chosen so the *time-averaged* rate equals ``rate``, making MMPP
-    points directly comparable with Poisson points at the same offered
-    load.
+    rate is :data:`MMPP_BURST_RATIO` times the quiet rate, bursting a
+    long-run :data:`MMPP_BURST_FRACTION` of the time; dwell times in each
+    state are exponential around a mean of :data:`MMPP_DWELL_GAPS` mean
+    interarrival times (``20 / rate``), so a trace sees many state
+    flips.  The two rates are chosen so the *time-averaged* rate equals
+    ``rate``, making MMPP points directly comparable with Poisson points
+    at the same offered load.
 
     Args:
         n_requests: Trace length.
@@ -156,22 +162,13 @@ def mmpp_trace(
         cols: Key width.
         seed: RNG seed.
         n_banks: Banks to spread requests over.
-        x_fraction: Wildcard fraction of each key's trits.
-        burst_ratio: Burst-state rate over quiet-state rate (> 1).
-        burst_fraction: Long-run fraction of time spent bursting (0, 1).
-        mean_dwell: Mean state dwell time [s]; default 20 mean
-            interarrival times, so a trace sees many state flips.
     """
     _validate(n_requests, rate, cols, n_banks)
-    if burst_ratio <= 1.0:
-        raise ServeError(f"burst_ratio must exceed 1, got {burst_ratio}")
-    if not 0.0 < burst_fraction < 1.0:
-        raise ServeError(f"burst_fraction must lie in (0, 1), got {burst_fraction}")
+    burst_ratio, burst_fraction = MMPP_BURST_RATIO, MMPP_BURST_FRACTION
     # rate = (1-f)*r_quiet + f*ratio*r_quiet  =>  solve for r_quiet.
     r_quiet = rate / (1.0 - burst_fraction + burst_fraction * burst_ratio)
     r_burst = burst_ratio * r_quiet
-    if mean_dwell is None:
-        mean_dwell = 20.0 / rate
+    mean_dwell = MMPP_DWELL_GAPS / rate
     rng = np.random.default_rng(seed)
     times = np.empty(n_requests)
     t = 0.0
@@ -197,7 +194,7 @@ def mmpp_trace(
             state_left = float(
                 rng.exponential(dwell_burst if bursting else dwell_quiet)
             )
-    return _finish("mmpp", seed, times, rng, cols, n_banks, x_fraction)
+    return _finish("mmpp", seed, times, rng, cols, n_banks)
 
 
 def diurnal_trace(
@@ -206,14 +203,14 @@ def diurnal_trace(
     cols: int,
     seed: int = 0,
     n_banks: int = 1,
-    x_fraction: float = 0.0,
-    amplitude: float = 0.6,
-    period: float | None = None,
 ) -> ArrivalTrace:
     """Sinusoidal-rate arrivals replaying a compressed diurnal cycle.
 
     A non-homogeneous Poisson process with
-    ``lambda(t) = rate * (1 + amplitude * sin(2*pi*t / period))``,
+    ``lambda(t) = rate * (1 + amplitude * sin(2*pi*t / period))``, where
+    ``amplitude`` is :data:`DIURNAL_AMPLITUDE` and
+    ``period = n_requests / rate / 2``: half the trace's expected span
+    ``n_requests / rate``, so a trace covers about two cycles.  It is
     drawn by thinning against the peak rate: candidate arrivals are
     generated at ``rate * (1 + amplitude)`` and accepted with
     probability ``lambda(t) / lambda_max``.  Thinning consumes its
@@ -226,19 +223,10 @@ def diurnal_trace(
         cols: Key width.
         seed: RNG seed.
         n_banks: Banks to spread requests over.
-        x_fraction: Wildcard fraction of each key's trits.
-        amplitude: Peak-to-mean rate swing, in [0, 1).
-        period: Cycle length [s]; default compresses one "day" into the
-            expected span of the trace (``2 * n_requests / rate``), so a
-            trace covers roughly two cycles.
     """
     _validate(n_requests, rate, cols, n_banks)
-    if not 0.0 <= amplitude < 1.0:
-        raise ServeError(f"amplitude must lie in [0, 1), got {amplitude}")
-    if period is None:
-        period = n_requests / rate / 2.0
-    if period <= 0.0:
-        raise ServeError(f"period must be positive, got {period}")
+    amplitude = DIURNAL_AMPLITUDE
+    period = n_requests / rate / 2.0
     rng = np.random.default_rng(seed)
     lam_max = rate * (1.0 + amplitude)
     times = np.empty(n_requests)
@@ -250,7 +238,7 @@ def diurnal_trace(
             if float(rng.random()) * lam_max <= lam:
                 times[i] = t
                 break
-    return _finish("diurnal", seed, times, rng, cols, n_banks, x_fraction)
+    return _finish("diurnal", seed, times, rng, cols, n_banks)
 
 
 #: Generator registry used by the CLI and the service benchmark.

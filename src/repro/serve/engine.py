@@ -6,8 +6,8 @@ policy deadlines, port occupancy -- comes from the arrival trace and
 the physics model, never from wall clocks or scheduler interleaving.
 That is the whole reproducibility argument of the serving layer:
 
-1. Requests are processed strictly in trace order (``seq``), which the
-   asyncio front-end guarantees with a reorder buffer.
+1. Requests are processed strictly in trace order (``seq``), the order
+   in which :func:`~repro.serve.service.run_trace` offers them.
 2. A request's coalescing deadline is frozen at admission
    (``deadline = arrival + policy.wait_budget()``), so adaptive policies
    are a deterministic fold over the arrival sequence.
@@ -20,7 +20,7 @@ That is the whole reproducibility argument of the serving layer:
    graceful-shutdown guarantee.
 
 Same trace + same policy + same hardware seed therefore yields the same
-per-request latency and energy records for any asyncio scheduling.
+per-request latency and energy records on every run.
 """
 
 from __future__ import annotations

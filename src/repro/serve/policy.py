@@ -4,7 +4,7 @@ A policy answers one question per admitted request: *how long may this
 request wait for companions before its batch must dispatch?*  The
 engine freezes the answer at admission time (``deadline = arrival +
 wait_budget()``), so a batch's dispatch time is a pure function of the
-arrival trace and the policy -- never of asyncio scheduling.  Dispatch
+arrival trace and the policy -- never of wall-clock timing.  Dispatch
 fires at the earliest of:
 
 * the head-of-queue request's frozen deadline,
@@ -24,6 +24,11 @@ latency) and grows when traffic is sparse (batch fill, energy).
 from __future__ import annotations
 
 from ..errors import ServeError
+
+#: Floor of the adaptive wait budget [s].
+ADAPTIVE_MIN_WAIT = 0.0
+#: EWMA weight of the newest interarrival gap in :class:`AdaptivePolicy`.
+ADAPTIVE_ALPHA = 0.2
 
 
 class BatchPolicy:
@@ -81,29 +86,21 @@ class AdaptivePolicy(BatchPolicy):
     arrive, bounded to ``[min_wait, max_wait]``.
 
     The interarrival estimate is an exponentially weighted moving
-    average updated once per admitted arrival -- deterministic state, so
-    two runs over the same trace always produce the same deadlines.
-    Until the first gap is observed the budget is ``max_wait`` (nothing
-    is known about the rate yet).
+    average (weight :data:`ADAPTIVE_ALPHA` on the newest gap) updated
+    once per admitted arrival -- deterministic state, so two runs over
+    the same trace always produce the same deadlines.  The floor
+    ``min_wait`` is :data:`ADAPTIVE_MIN_WAIT`.  Until the first gap is
+    observed the budget is ``max_wait`` (nothing is known about the rate
+    yet).
     """
 
-    def __init__(
-        self,
-        max_batch: int,
-        min_wait: float = 0.0,
-        max_wait: float = 50e-6,
-        alpha: float = 0.2,
-    ) -> None:
+    def __init__(self, max_batch: int, max_wait: float = 50e-6) -> None:
         super().__init__(max_batch)
-        if not 0.0 <= min_wait <= max_wait:
-            raise ServeError(
-                f"need 0 <= min_wait <= max_wait, got [{min_wait}, {max_wait}]"
-            )
-        if not 0.0 < alpha <= 1.0:
-            raise ServeError(f"alpha must lie in (0, 1], got {alpha}")
-        self.min_wait = float(min_wait)
+        if max_wait < 0.0:
+            raise ServeError(f"max_wait must be non-negative, got {max_wait}")
+        self.min_wait = ADAPTIVE_MIN_WAIT
         self.max_wait = float(max_wait)
-        self.alpha = float(alpha)
+        self.alpha = ADAPTIVE_ALPHA
         self._last_arrival: float | None = None
         self._ewma_gap: float | None = None
 

@@ -1,30 +1,20 @@
-"""Asyncio ingress and trace runners for the serving layer.
+"""Trace runner and report for the serving layer.
 
-:class:`TCAMService` is the concurrent front door: many client tasks
-call :meth:`TCAMService.submit` in whatever order the event loop
-schedules them, and a seq-contiguous reorder buffer feeds the
-deterministic :class:`~repro.serve.engine.ServeEngine` strictly in
-trace order.  Concurrency therefore changes *when* a coroutine resumes,
-never *what* the engine computes -- :func:`serve_trace` (asyncio, any
-task interleaving) and :func:`run_trace` (plain loop) produce
-bit-identical per-request records, which the test suite asserts.
-
-Both runners return a :class:`ServiceReport`: conservation counts,
-throughput, p50/p95/p99 modeled latency (via the observability layer's
+:func:`run_trace` feeds an arrival trace to the deterministic
+:class:`~repro.serve.engine.ServeEngine` in trace order and drains it.
+It returns a :class:`ServiceReport`: conservation counts, throughput,
+p50/p95/p99 modeled latency (via the observability layer's
 :class:`~repro.obs.metrics.Histogram` quantiles) and energy per
 request -- one point of the throughput/tail-latency/energy frontier.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import ServeError
 from ..obs.metrics import Histogram
 from ..tcam.outcome import SCHEMA_VERSION
-from ..tcam.trit import TernaryWord
 from .admission import AdmissionControl
 from .arrivals import ArrivalTrace
 from .backend import ServiceModel
@@ -76,9 +66,9 @@ class ServiceReport:
     records: list[RequestRecord] = field(repr=False)
     rejected_seqs: list[int] = field(repr=False)
 
-    def to_dict(self, include_records: bool = False) -> dict[str, Any]:
-        """JSON-ready form; set ``include_records`` for per-request rows."""
-        out = {
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready form of the aggregate figures (no per-request rows)."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "policy": self.policy,
             "admission": self.admission,
@@ -98,10 +88,6 @@ class ServiceReport:
             "energy_total": self.energy_total,
             "energy_per_request": self.energy_per_request,
         }
-        if include_records:
-            out["records"] = [r.to_dict() for r in self.records]
-            out["rejected_seqs"] = list(self.rejected_seqs)
-        return out
 
 
 def build_report(
@@ -149,113 +135,6 @@ def build_report(
     )
 
 
-class TCAMService:
-    """Asyncio front door over a deterministic :class:`ServeEngine`.
-
-    Client tasks call :meth:`submit` concurrently; a reorder buffer
-    releases requests to the engine only when they are seq-contiguous,
-    so the engine always sees the exact arrival trace regardless of how
-    the event loop interleaved the submitters.  Each submitter awaits a
-    future resolved with its :class:`RequestRecord` (or ``None`` if
-    admission shed it).
-    """
-
-    def __init__(self, engine: ServeEngine) -> None:
-        self.engine = engine
-        self.records: list[RequestRecord] = []
-        self._waiting: dict[int, tuple[float, TernaryWord, int]] = {}
-        self._futures: dict[int, asyncio.Future] = {}
-        self._next_seq = 0
-        self._closed = False
-
-    async def submit(
-        self, seq: int, arrival: float, key: TernaryWord, bank: int
-    ) -> RequestRecord | None:
-        """Submit one trace request; resolves when its batch completes.
-
-        Safe to call from many tasks in any order -- the reorder buffer
-        restores trace order before the engine sees anything.
-        """
-        if self._closed:
-            raise ServeError("service is closed")
-        if seq in self._futures or seq in self._waiting:
-            raise ServeError(f"duplicate submission for seq {seq}")
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._futures[seq] = fut
-        self._waiting[seq] = (arrival, key, bank)
-        self._pump()
-        return await fut
-
-    def _pump(self) -> None:
-        """Feed every seq-contiguous buffered request to the engine."""
-        while self._next_seq in self._waiting:
-            seq = self._next_seq
-            arrival, key, bank = self._waiting.pop(seq)
-            rejected_before = self.engine.rejected
-            done = self.engine.offer(seq, arrival, key, bank)
-            self._next_seq += 1
-            if self.engine.rejected > rejected_before:
-                self._resolve(seq, None)
-            self._finish(done)
-
-    def _finish(self, done: list[RequestRecord]) -> None:
-        self.records.extend(done)
-        for rec in done:
-            self._resolve(rec.seq, rec)
-
-    def _resolve(self, seq: int, value: RequestRecord | None) -> None:
-        fut = self._futures.pop(seq, None)
-        if fut is not None and not fut.done():
-            fut.set_result(value)
-
-    async def close(self) -> None:
-        """Drain the queue (partial batches dispatch) and resolve waiters."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._waiting:
-            raise ServeError(
-                f"close() with {len(self._waiting)} non-contiguous requests "
-                f"still buffered (missing seq {self._next_seq})"
-            )
-        self._finish(self.engine.drain())
-
-
-async def serve_trace(
-    backend,
-    trace: ArrivalTrace,
-    policy: BatchPolicy,
-    admission: AdmissionControl | None = None,
-    model: ServiceModel | None = None,
-) -> ServiceReport:
-    """Serve ``trace`` through the asyncio ingress (one task per client).
-
-    Every request is its own asyncio task, started in a scrambled but
-    deterministic order to exercise the reorder buffer; the report is
-    bit-identical to :func:`run_trace` on the same inputs.
-    """
-    engine = ServeEngine(backend, policy, admission=admission, model=model)
-    service = TCAMService(engine)
-
-    async def client(seq: int, t: float, key: TernaryWord, bank: int):
-        await service.submit(seq, t, key, bank)
-
-    # Launch clients in a deterministic non-trace order (stride walk) so
-    # the reorder buffer is genuinely exercised on every run.
-    requests = list(trace)
-    stride = 7 if len(requests) % 7 else 5
-    order = sorted(range(len(requests)), key=lambda i: (i % stride, i))
-    tasks = [asyncio.ensure_future(client(*requests[i])) for i in order]
-    # Yield until every submission has passed through the reorder buffer
-    # into the engine, then drain -- close() resolves the futures of the
-    # final partial batch, letting the remaining clients finish.
-    while service._next_seq < len(requests):
-        await asyncio.sleep(0)
-    await service.close()
-    await asyncio.gather(*tasks)
-    return build_report(engine, trace, service.records)
-
-
 def run_trace(
     backend,
     trace: ArrivalTrace,
@@ -263,7 +142,11 @@ def run_trace(
     admission: AdmissionControl | None = None,
     model: ServiceModel | None = None,
 ) -> ServiceReport:
-    """Synchronous twin of :func:`serve_trace` (same report, bit for bit)."""
+    """Serve ``trace`` on ``backend`` under ``policy`` and report the run.
+
+    Requests reach the engine in trace order; the final partial batches
+    dispatch at their head deadlines when the engine drains.
+    """
     engine = ServeEngine(backend, policy, admission=admission, model=model)
     records: list[RequestRecord] = []
     for seq, t, key, bank in trace:

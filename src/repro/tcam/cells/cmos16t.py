@@ -58,10 +58,10 @@ class CMOS16TParams:
 class CMOS16TCell(CellDescriptor):
     """Descriptor for the 16T CMOS NOR TCAM cell."""
 
-    def __init__(self, params: CMOS16TParams | None = None, temperature_k: float = 300.0) -> None:
+    def __init__(self, params: CMOS16TParams | None = None) -> None:
         self.params = params if params is not None else CMOS16TParams()
-        self._nmos = MOSFET(self.params.compare_nmos, temperature_k)
-        self._phi_t = thermal_voltage(temperature_k)
+        self._nmos = MOSFET(self.params.compare_nmos)
+        self._phi_t = thermal_voltage(300.0)
 
     # -- identity ----------------------------------------------------------
 

@@ -78,14 +78,12 @@ class FeCAMCellParams:
 class FeCAMCell(CellDescriptor):
     """Descriptor for the analog FeFET distance-matching cell."""
 
-    def __init__(
-        self, params: FeCAMCellParams | None = None, temperature_k: float = 300.0
-    ) -> None:
+    def __init__(self, params: FeCAMCellParams | None = None) -> None:
         self.params = params if params is not None else FeCAMCellParams()
-        self._phi_t = thermal_voltage(temperature_k)
+        self._phi_t = thermal_voltage(300.0)
         f = self.params.base.fefet
         self._beta = f.kp * f.width / f.length
-        self._binary = FeFET2TCell(self.params.base, temperature_k)
+        self._binary = FeFET2TCell(self.params.base)
 
     # -- identity ----------------------------------------------------------
 

@@ -67,14 +67,14 @@ class MLCFeFETCell(CellDescriptor):
     :meth:`i_pulldown_level` instead.
     """
 
-    def __init__(self, params: MLCFeFETCellParams | None = None, temperature_k: float = 300.0) -> None:
+    def __init__(self, params: MLCFeFETCellParams | None = None) -> None:
         self.params = params if params is not None else MLCFeFETCellParams()
-        self._phi_t = thermal_voltage(temperature_k)
+        self._phi_t = thermal_voltage(300.0)
         f = self.params.base.fefet
         self._beta = f.kp * f.width / f.length
         from .fefet2t import FeFET2TCell
 
-        self._binary = FeFET2TCell(self.params.base, temperature_k)
+        self._binary = FeFET2TCell(self.params.base)
         self._level_vts = self._place_levels()
 
     def _place_levels(self) -> list[float]:

@@ -52,9 +52,9 @@ class ReRAM2T2RParams:
 class ReRAM2T2RCell(CellDescriptor):
     """Descriptor for the 2T-2R resistive TCAM cell."""
 
-    def __init__(self, params: ReRAM2T2RParams | None = None, temperature_k: float = 300.0) -> None:
+    def __init__(self, params: ReRAM2T2RParams | None = None) -> None:
         self.params = params if params is not None else ReRAM2T2RParams()
-        self._nmos = MOSFET(self.params.access_nmos, temperature_k)
+        self._nmos = MOSFET(self.params.access_nmos)
         # Access-transistor on-resistance at full gate drive, linearized.
         i_lin = self._nmos.current(self.params.vdd, 0.05)
         self._r_access = 0.05 / i_lin if i_lin > 0.0 else float("inf")

@@ -76,9 +76,7 @@ class SEEMCAMCellParams:
 class SEEMCAMCell(MLCFeFETCell):
     """Descriptor for the multi-bit 2-FeFET exact-match CAM cell."""
 
-    def __init__(
-        self, params: SEEMCAMCellParams | None = None, temperature_k: float = 300.0
-    ) -> None:
+    def __init__(self, params: SEEMCAMCellParams | None = None) -> None:
         self.mb_params = params if params is not None else SEEMCAMCellParams()
         super().__init__(
             MLCFeFETCellParams(
@@ -86,8 +84,7 @@ class SEEMCAMCell(MLCFeFETCell):
                 n_levels=2**self.mb_params.bits,
                 level_sigma=self.mb_params.level_sigma,
                 calibrated=self.mb_params.calibrated,
-            ),
-            temperature_k,
+            )
         )
 
     # -- identity ----------------------------------------------------------

@@ -53,25 +53,19 @@ class DistanceSearchOutcome:
 class WeightedTCAMArray:
     """Rows x cols MLC-FeFET array searched by weighted distance.
 
+    The supply / precharge voltage ``vdd`` is the node's nominal VDD;
+    the time-domain readout senses the crossing of half of it.
+
     Args:
         geometry: Array shape.
         cell: MLC cell descriptor.
-        vdd: Supply / precharge voltage [V]; the time-domain readout
-            senses the crossing of half of it.
     """
 
-    def __init__(
-        self,
-        geometry: ArrayGeometry,
-        cell: MLCFeFETCell | None = None,
-        vdd: float | None = None,
-    ) -> None:
+    def __init__(self, geometry: ArrayGeometry, cell: MLCFeFETCell | None = None) -> None:
         self.geometry = geometry
         self.cell = cell if cell is not None else MLCFeFETCell()
         self._write_table = WriteTables(self.cell.write_cost)
-        self.vdd = vdd if vdd is not None else geometry.node.vdd_nominal
-        if not self.vdd > 0.0:
-            raise TCAMError(f"vdd must be positive, got {self.vdd}")
+        self.vdd = geometry.node.vdd_nominal
         self.v_sense = 0.5 * self.vdd
 
         rows, cols = geometry.rows, geometry.cols

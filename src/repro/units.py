@@ -83,15 +83,16 @@ _ENG_PREFIXES = {
 }
 
 
-def eng(value: float, unit: str = "", digits: int = 3) -> str:
-    """Format *value* in engineering notation with an SI prefix.
+def eng(value: float, unit: str = "") -> str:
+    """Format *value* in engineering notation with an SI prefix, to three
+    significant digits.
 
     >>> eng(1.5e-15, "F")
     '1.5 fF'
     >>> eng(0.0, "J")
     '0 J'
-    >>> eng(-2.2e-12, "s", digits=2)
-    '-2.2 ps'
+    >>> eng(-2.25e-12, "s")
+    '-2.25 ps'
     """
     if value == 0.0 or not math.isfinite(value):
         return f"{value:g} {unit}".rstrip()
@@ -99,7 +100,7 @@ def eng(value: float, unit: str = "", digits: int = 3) -> str:
     exponent = max(-18, min(12, exponent))
     scaled = value / (10.0**exponent)
     prefix = _ENG_PREFIXES[exponent]
-    text = f"{scaled:.{digits}g}"
+    text = f"{scaled:.3g}"
     return f"{text} {prefix}{unit}".rstrip()
 
 

@@ -154,22 +154,16 @@ class RoutingTable:
         return None
 
 
-def synthetic_routing_table(
-    n_routes: int,
-    rng: np.random.Generator,
-    next_hops: int = 16,
-) -> RoutingTable:
-    """Draw a BGP-shaped synthetic routing table.
+def synthetic_routing_table(n_routes: int, rng: np.random.Generator) -> RoutingTable:
+    """Draw a BGP-shaped synthetic routing table over a pool of 16 next
+    hops.
 
     Args:
         n_routes: Number of (distinct) routes to draw.
         rng: Random generator.
-        next_hops: Size of the next-hop pool.
     """
     if n_routes < 1:
         raise WorkloadError(f"n_routes must be >= 1, got {n_routes}")
-    if next_hops < 1:
-        raise WorkloadError(f"next_hops must be >= 1, got {next_hops}")
     probs = _PREFIX_WEIGHTS / _PREFIX_WEIGHTS.sum()
     seen: set[tuple[int, int]] = set()
     routes: list[Route] = []
@@ -181,7 +175,7 @@ def synthetic_routing_table(
         if (prefix, length) in seen:
             continue
         seen.add((prefix, length))
-        routes.append(Route(prefix=prefix, length=length, next_hop=int(rng.integers(0, next_hops))))
+        routes.append(Route(prefix=prefix, length=length, next_hop=int(rng.integers(0, 16))))
     return RoutingTable(routes)
 
 

@@ -102,7 +102,7 @@ class TestDesignComparisons:
 PRECHARGE_DESIGNS = ("cmos16t", "reram2t2r", "fefet2t", "fefet2t_lv")
 
 
-def _per_sample_margins(array, spec, n_samples, seed, n_slope=1.35, temperature_k=300.0):
+def _per_sample_margins(array, spec, n_samples, seed):
     """The per-sample oracle: the engine's chunked draw order, with one
     scalar :func:`worst_case_margin` evaluation per sample."""
     cols = array.geometry.cols
@@ -115,7 +115,7 @@ def _per_sample_margins(array, spec, n_samples, seed, n_slope=1.35, temperature_
         for _ in range(hi - lo):
             sigma_vt, sigma_sa = spec.sigma_vt_fefet, spec.sa_offset_sigma
             dvt = float(rng.normal(0.0, sigma_vt)) if sigma_vt else 0.0
-            leak = mc_mod._leak_scale_factor(spec, cols, n_slope, temperature_k, rng)
+            leak = mc_mod._leak_scale_factor(spec, cols, rng)
             sa_off = float(rng.normal(0.0, sigma_sa)) if sigma_sa else 0.0
             corner = worst_case_margin(
                 array.cell,

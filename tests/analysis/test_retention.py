@@ -63,7 +63,7 @@ class TestTimeToLoss:
 
     def test_unreachable_loss_is_infinite(self):
         cold = celsius_to_kelvin(-40.0)
-        assert MODEL.time_to_loss(0.5, cold, t_max=YEAR_SECONDS) == math.inf
+        assert MODEL.time_to_loss(0.5, cold) == math.inf
 
 
 class TestValidation:

@@ -58,7 +58,3 @@ class TestTornado:
         by_name = {e.parameter: e for e in energy_entries}
         width = by_name["fefet.width"]
         assert width.high > width.low
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(AnalysisError):
-            tornado(GEO, default_margin_metric(), step_rel=1.5)

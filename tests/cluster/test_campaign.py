@@ -36,8 +36,8 @@ class TestSyntheticRuleTable:
     def test_validation(self):
         with pytest.raises(ClusterError):
             synthetic_rule_table(0, 16)
-        with pytest.raises(ClusterError, match="min_prefix"):
-            synthetic_rule_table(4, 16, min_prefix=0)
+        with pytest.raises(ClusterError, match="cols must be >= 4"):
+            synthetic_rule_table(4, 3)
 
 
 class TestFabricServiceModel:
@@ -96,7 +96,6 @@ class TestCampaignRecord:
             policies=("hash", "range"),
             n_requests=60,
             churn_updates=16,
-            max_batch=16,
             seed=3,
         )
 

@@ -69,10 +69,8 @@ class TestSynthesizeChurn:
     def test_parameter_validation(self):
         with pytest.raises(ClusterError, match="non-negative"):
             synthesize_churn(-1, COLS, 5)
-        with pytest.raises(ClusterError, match="add_fraction"):
-            synthesize_churn(4, COLS, 5, add_fraction=2.0)
-        with pytest.raises(ClusterError, match="min_prefix"):
-            synthesize_churn(4, COLS, 5, min_prefix=0)
+        with pytest.raises(ClusterError, match="width must be >= 4"):
+            synthesize_churn(4, 3, 5)
 
 
 @pytest.mark.parametrize("policy", ["hash", "range", "replicated"])

@@ -33,7 +33,7 @@ class TestProfileValidation:
 class TestAdvise:
     @pytest.fixture(scope="class")
     def default_rec(self):
-        return advise(_profile(), n_searches=2)
+        return advise(_profile())
 
     def test_every_design_evaluated(self, default_rec):
         assert len(default_rec.candidates) == 6
@@ -51,39 +51,35 @@ class TestAdvise:
         assert default_rec.best.design in ("fefet2t_lv", "fefet_cr", "fefet_nand")
 
     def test_latency_bound_excludes_slow_designs(self):
-        rec = advise(_profile(max_latency=4e-10), n_searches=2)
+        rec = advise(_profile(max_latency=4e-10))
         assert rec.best.search_delay <= 4e-10
         slow = [c for c in rec.candidates if c.search_delay > 4e-10]
         assert all(not c.feasible for c in slow)
 
     def test_nonvolatile_requirement_excludes_cmos(self):
-        rec = advise(_profile(nonvolatile_required=True), n_searches=2)
+        rec = advise(_profile(nonvolatile_required=True))
         cmos = next(c for c in rec.candidates if c.design == "cmos16t")
         assert cmos.excluded_reason == "volatile storage"
 
     def test_impossible_profile_raises_with_reasons(self):
         with pytest.raises(DesignError, match="no design satisfies"):
-            advise(_profile(max_latency=1e-12), n_searches=2)
+            advise(_profile(max_latency=1e-12))
 
     def test_low_rate_profile_weighs_standby(self):
-        fast = advise(_profile(searches_per_second=1e8), n_searches=2)
-        slow = advise(_profile(searches_per_second=1e3), n_searches=2)
+        fast = advise(_profile(searches_per_second=1e8))
+        slow = advise(_profile(searches_per_second=1e3))
         best_fast = fast.best.total_energy_per_search
         best_slow = slow.best.total_energy_per_search
         assert best_slow > best_fast  # idle leakage amortizes in
-
-    def test_rejects_zero_searches(self):
-        with pytest.raises(DesignError, match="n_searches"):
-            advise(_profile(), n_searches=0)
 
     def test_equals_per_key_reference(self, per_key_search):
         """Every design answers its keys in one ``search_batch`` call; the
         per-key scalar loop gives the same recommendation.  (The margin
         MC is off: it reads no search outcome and dominates run time.)"""
         profile = _profile(rows=8, cols=16, require_failure_free_mc=False)
-        fast = advise(profile, n_searches=3)
+        fast = advise(profile)
         with per_key_search():
-            ref = advise(profile, n_searches=3)
+            ref = advise(profile)
         assert fast == ref
         assert len(ref.candidates) == 6
 

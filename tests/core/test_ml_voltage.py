@@ -32,16 +32,12 @@ class TestMarginAtVml:
         assert e_low < e_high
 
     def test_guardband_consistent(self):
-        rep = margin_at_vml(LV, GEO, 0.6, sa_offset_sigma=0.02)
-        assert rep.guardband_sigmas == pytest.approx(rep.margin / 0.02)
+        rep = margin_at_vml(LV, GEO, 0.6)
+        assert rep.guardband_sigmas == pytest.approx(rep.margin / 0.010)
 
     def test_rejects_race_design(self):
         with pytest.raises(DesignError):
             margin_at_vml(get_design("fefet_cr"), GEO, 0.5)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(DesignError):
-            margin_at_vml(LV, GEO, 0.5, sa_offset_sigma=0.0)
 
 
 class TestMinimumMlVoltage:
@@ -58,10 +54,6 @@ class TestMinimumMlVoltage:
     def test_impossible_guardband_raises(self):
         with pytest.raises(DesignError):
             minimum_ml_voltage(LV, GEO, guardband_sigmas=1e4)
-
-    def test_rejects_bad_bracket(self):
-        with pytest.raises(DesignError):
-            minimum_ml_voltage(LV, GEO, v_lo=1.0, v_hi=0.5)
 
 
 class TestEnergySweep:

@@ -155,6 +155,13 @@ class TestMOSFETDevice:
             nmos_45nm(width=0.0)
 
     def test_hotter_device_leaks_more(self):
-        cold = MOSFET(nmos_45nm(), temperature_k=300.0)
-        hot = MOSFET(nmos_45nm(), temperature_k=360.0)
-        assert hot.off_current(0.9) > cold.off_current(0.9)
+        p = nmos_45nm()
+        beta = p.kp * p.width / p.length
+
+        def off(temperature_k):
+            return ekv_current(
+                0.0, 0.9, p.vt0, beta, p.n_slope, thermal_voltage(temperature_k), p.lambda_cl
+            )
+
+        assert off(300.0) == MOSFET(p).off_current(0.9)
+        assert off(360.0) > off(300.0)

@@ -49,10 +49,8 @@ class TestHysteron:
     def test_ensemble_field_response_is_one_hysteron_per_domain(self):
         """PreisachModel.apply_field is the scalar hysteron rule, vectorized."""
         ec = HZO_10NM.e_coercive
-        model = PreisachModel(
-            HZO_10NM, n_domains=48, rng=np.random.default_rng(5), imprint_field=0.1 * ec
-        )
-        domains = [Hysteron(ec=float(e), imprint=model.imprint_field) for e in model._ec]
+        model = PreisachModel(HZO_10NM, n_domains=48, rng=np.random.default_rng(5))
+        domains = [Hysteron(ec=float(e)) for e in model._ec]
         for field in (0.5, 1.2, -0.8, -1.5, 0.9, 0.0, 2.0, -1.0, 1.05):
             states = [h.apply(field * ec) for h in domains]
             assert model.apply_field(field * ec) == np.mean(states)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.devices.resistive import ReRAM, ReRAMParams, ReRAMState
@@ -21,10 +20,6 @@ class TestParams:
     def test_rejects_negative_resistance(self):
         with pytest.raises(DeviceError):
             ReRAMParams(r_lrs=-1.0)
-
-    def test_rejects_sigma_out_of_range(self):
-        with pytest.raises(DeviceError):
-            ReRAMParams(sigma_rel=1.5)
 
 
 class TestStateMachine:
@@ -65,24 +60,3 @@ class TestWrite:
         r = ReRAM()
         e = r.write(ReRAMState.LRS)
         assert 1e-16 < e < 1e-9
-
-
-class TestVariation:
-    def test_sampled_resistances_differ_across_devices(self):
-        rng = np.random.default_rng(0)
-        devices = [ReRAM(ReRAMParams(), rng=rng) for _ in range(20)]
-        values = {d.resistance for d in devices}
-        assert len(values) > 1
-
-    def test_sampled_mean_near_nominal(self):
-        rng = np.random.default_rng(1)
-        p = ReRAMParams()
-        devices = [ReRAM(p, rng=rng) for _ in range(400)]
-        mean_hrs = np.mean([d.resistance for d in devices])
-        assert mean_hrs == pytest.approx(p.r_hrs, rel=0.05)
-
-    def test_zero_sigma_is_deterministic(self):
-        rng = np.random.default_rng(2)
-        p = ReRAMParams(sigma_rel=0.0)
-        d = ReRAM(p, rng=rng)
-        assert d.resistance == p.r_hrs

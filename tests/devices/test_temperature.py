@@ -7,9 +7,10 @@ from dataclasses import replace
 import pytest
 
 from repro.devices.fefet import FeFETParams
-from repro.devices.mosfet import MOSFET, nmos_45nm
+from repro.devices.mosfet import MOSFET, ekv_current, nmos_45nm
 from repro.devices.temperature import TemperatureModel
 from repro.errors import DeviceError
+from repro.units import thermal_voltage
 
 
 class TestScalings:
@@ -45,6 +46,16 @@ class TestScalings:
             TemperatureModel(t_ref=-1.0)
 
 
+def _current(params, temperature_k: float, vgs: float, vds: float) -> float:
+    """EKV drain current of ``params`` with the thermal voltage of
+    ``temperature_k`` (the :class:`MOSFET` instance runs at 300 K)."""
+    beta = params.kp * params.width / params.length
+    return ekv_current(
+        vgs, vds, params.vt0, beta, params.n_slope,
+        thermal_voltage(temperature_k), params.lambda_cl,
+    )
+
+
 def _hot_nmos(tm: TemperatureModel, temperature_k: float):
     """The 45 nm NMOS with its VT and kp moved to ``temperature_k``."""
     base = nmos_45nm()
@@ -66,13 +77,13 @@ class TestDeviceRescaling:
     def test_hot_mosfet_leaks_more(self):
         """Combined VT shift + EKV thermal voltage: leakage rises with T."""
         tm = TemperatureModel()
-        cold = MOSFET(nmos_45nm(), temperature_k=300.0)
-        hot_params = _hot_nmos(tm, 398.15)
-        hot = MOSFET(hot_params, temperature_k=398.15)
-        assert hot.off_current(0.9) > 10.0 * cold.off_current(0.9)
+        cold = _current(nmos_45nm(), 300.0, 0.0, 0.9)
+        hot = _current(_hot_nmos(tm, 398.15), 398.15, 0.0, 0.9)
+        assert cold == MOSFET(nmos_45nm()).off_current(0.9)
+        assert hot > 10.0 * cold
 
     def test_hot_mosfet_drives_less(self):
         tm = TemperatureModel()
-        cold = MOSFET(nmos_45nm(), temperature_k=300.0)
-        hot = MOSFET(_hot_nmos(tm, 398.15), temperature_k=398.15)
-        assert hot.current(0.9, 0.9) < cold.current(0.9, 0.9)
+        cold = _current(nmos_45nm(), 300.0, 0.9, 0.9)
+        hot = _current(_hot_nmos(tm, 398.15), 398.15, 0.9, 0.9)
+        assert hot < cold

@@ -183,7 +183,7 @@ class TestFaultKernelEquivalence:
         for fm in (fm_ref, fm_ker):
             fm.set_cell(5, 5, FaultKind.RETENTION, 0.45)
             fm.set_cell(6, 2, FaultKind.STUCK_MISS)
-            fm.set_dead_row(7, False)
+            fm.set_dead_row(9)
             fm.set_sa_offset(8, 0.2)
         _assert_same([reference.search(ref, k) for k in keys], ker.search_batch(keys))
         assert ker._soa_state().faults.version == fm_ker.version

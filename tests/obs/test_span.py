@@ -72,8 +72,8 @@ class TestSplitEnergy:
 
     def test_unmapped_components_land_in_other(self):
         s = Span("root")
-        s.split_energy(EnergyLedger({"mystery": 1.0}), {}, prefix="p.")
-        assert [c.name for c in s.children] == ["p.other"]
+        s.split_energy(EnergyLedger({"mystery": 1.0}), {})
+        assert [c.name for c in s.children] == ["other"]
 
     def test_split_is_exact(self):
         led = EnergyLedger({"a": 0.1, "b": 0.2, "c": 0.30000000000000004})

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ServeError
 from repro.serve import (
     ARRIVAL_PROCESSES,
+    arrivals,
     diurnal_trace,
     mmpp_trace,
     poisson_trace,
@@ -64,16 +65,18 @@ class TestValidation:
             poisson_trace(10, rate=1e6, cols=COLS, n_banks=0)
 
     def test_mmpp_parameter_ranges(self):
-        with pytest.raises(ServeError):
-            mmpp_trace(10, rate=1e6, cols=COLS, burst_ratio=1.0)
-        with pytest.raises(ServeError):
-            mmpp_trace(10, rate=1e6, cols=COLS, burst_fraction=0.0)
+        """The burst constants keep a real burst state and a quiet one."""
+        assert arrivals.MMPP_BURST_RATIO > 1.0
+        assert 0.0 < arrivals.MMPP_BURST_FRACTION < 1.0
+        assert arrivals.MMPP_DWELL_GAPS > 0.0
 
     def test_diurnal_parameter_ranges(self):
-        with pytest.raises(ServeError):
-            diurnal_trace(10, rate=1e6, cols=COLS, amplitude=1.0)
-        with pytest.raises(ServeError):
-            diurnal_trace(10, rate=1e6, cols=COLS, period=0.0)
+        """The swing keeps the rate positive; two cycles span the trace."""
+        assert 0.0 <= arrivals.DIURNAL_AMPLITUDE < 1.0
+        trace = diurnal_trace(4000, rate=1e6, cols=COLS, seed=3)
+        cycles = (trace.times[-1] - trace.times[0]) / (4000 / 1e6 / 2.0)
+        assert 1.5 < cycles < 2.5
+
 
 
 class TestBurstiness:
@@ -86,12 +89,12 @@ class TestBurstiness:
             return float(np.var(gaps) / np.mean(gaps) ** 2)
 
         p = poisson_trace(4000, rate=1e6, cols=COLS, seed=2)
-        m = mmpp_trace(4000, rate=1e6, cols=COLS, seed=2, burst_ratio=10.0)
+        m = mmpp_trace(4000, rate=1e6, cols=COLS, seed=2)
         assert cv2(m.times) > 1.5 > cv2(p.times) * 1.2
 
     def test_diurnal_rate_oscillates(self):
         """Windowed arrival counts must swing well beyond Poisson noise."""
-        trace = diurnal_trace(6000, rate=1e6, cols=COLS, seed=8, amplitude=0.8)
+        trace = diurnal_trace(6000, rate=1e6, cols=COLS, seed=8)
         span = trace.times[-1] - trace.times[0]
         counts, _ = np.histogram(trace.times, bins=24)
         assert counts.max() > 1.5 * counts.min()

@@ -169,29 +169,30 @@ class TestPolicies:
             FixedPolicy(max_batch=0, max_wait=1.0)
         with pytest.raises(ServeError):
             FixedPolicy(max_batch=4, max_wait=-1.0)
-        with pytest.raises(ServeError):
-            AdaptivePolicy(max_batch=4, min_wait=2.0, max_wait=1.0)
-        with pytest.raises(ServeError):
-            AdaptivePolicy(max_batch=4, alpha=0.0)
+        with pytest.raises(ServeError, match="max_wait must be non-negative"):
+            AdaptivePolicy(max_batch=4, max_wait=-1e-6)
         with pytest.raises(ServeError):
             make_policy("bogus")
 
     def test_adaptive_budget_tracks_rate(self):
-        pol = AdaptivePolicy(max_batch=8, min_wait=0.0, max_wait=1e3, alpha=1.0)
+        pol = AdaptivePolicy(max_batch=8, max_wait=1e3)
         assert pol.wait_budget() == 1e3  # nothing observed yet
         pol.on_arrival(0.0)
         pol.on_arrival(2.0)  # gap 2 -> budget (8-1)*2
         assert pol.wait_budget() == pytest.approx(14.0)
-        pol.on_arrival(2.5)  # alpha=1: budget follows the newest gap
-        assert pol.wait_budget() == pytest.approx(3.5)
+        pol.on_arrival(2.5)  # EWMA: 2 + 0.2 * (0.5 - 2) = 1.7
+        assert pol.wait_budget() == pytest.approx(7 * 1.7)
 
     def test_adaptive_budget_clamped(self):
-        pol = AdaptivePolicy(max_batch=8, min_wait=1.0, max_wait=2.0, alpha=1.0)
+        pol = AdaptivePolicy(max_batch=8, max_wait=2.0)
         pol.on_arrival(0.0)
         pol.on_arrival(100.0)
         assert pol.wait_budget() == 2.0
-        pol.on_arrival(100.001)
-        assert pol.wait_budget() == 1.0
+        for _ in range(200):  # zero gaps pull the EWMA toward the 0 floor
+            pol.on_arrival(100.0)
+        assert 0.0 <= pol.wait_budget() < 1e-12
+        assert pol.describe()["min_wait"] == 0.0
+        assert pol.describe()["alpha"] == 0.2
 
     def test_no_batching_is_fixed_one_zero(self):
         pol = no_batching()

@@ -1,28 +1,23 @@
-"""Asyncio front door: reorder buffer, bit-reproducibility, reports."""
+"""Trace runner: bit-reproducibility, admission, reports."""
 
 from __future__ import annotations
-
-import asyncio
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core import build_array, get_design
-from repro.errors import ServeError
 from repro.serve import (
     AdmissionControl,
     ArrayBackend,
     ChipBackend,
     ServeEngine,
     ServiceModel,
-    TCAMService,
     make_policy,
     mmpp_trace,
     no_batching,
     poisson_trace,
     run_trace,
-    serve_trace,
 )
 from repro.tcam import ArrayGeometry, random_word
 from repro.tcam.chip import TCAMChip
@@ -47,36 +42,32 @@ def _chip_backend() -> ChipBackend:
     return ChipBackend(chip)
 
 
-class TestBitReproducibility:
-    def test_async_matches_sync_exactly(self):
-        """Any asyncio interleaving produces the same records as the
-        plain synchronous loop -- bit for bit, including energy."""
-        trace = poisson_trace(150, rate=2e6, cols=COLS, seed=1)
-        policy = lambda: make_policy("fixed", max_batch=16, max_wait=10e-6)  # noqa: E731
-        sync = run_trace(_backend(), trace, policy())
-        conc = asyncio.run(serve_trace(_backend(), trace, policy()))
-        assert sync.to_dict(include_records=True) == conc.to_dict(include_records=True)
+def _full(report) -> tuple:
+    """Aggregate figures, per-request rows and shed seqs of one run."""
+    return report.to_dict(), [r.to_dict() for r in report.records], report.rejected_seqs
 
-    def test_async_matches_sync_with_backpressure(self):
+
+class TestBitReproducibility:
+    def test_backpressure_runs_identical(self):
+        """Admission sheds under overload, conserves every request, and
+        two runs of one trace agree bit for bit."""
         trace = mmpp_trace(200, rate=20e6, cols=COLS, seed=5)
-        adm = AdmissionControl(queue_capacity=8)
-        sync = run_trace(_backend(), trace, no_batching(), admission=adm)
-        conc = asyncio.run(
-            serve_trace(
-                _backend(),
-                trace,
-                no_batching(),
-                admission=AdmissionControl(queue_capacity=8),
+        runs = [
+            run_trace(
+                _backend(), trace, no_batching(), admission=AdmissionControl(queue_capacity=8)
             )
-        )
-        assert sync.rejected == conc.rejected > 0
-        assert sync.to_dict(include_records=True) == conc.to_dict(include_records=True)
+            for _ in range(2)
+        ]
+        a, b = runs
+        assert a.rejected > 0
+        assert a.offered == a.completed + a.rejected == 200
+        assert _full(a) == _full(b)
 
     def test_repeated_runs_identical(self):
         trace = mmpp_trace(100, rate=3e6, cols=COLS, seed=9)
         a = run_trace(_backend(), trace, make_policy("adaptive", max_batch=32))
         b = run_trace(_backend(), trace, make_policy("adaptive", max_batch=32))
-        assert a.to_dict(include_records=True) == b.to_dict(include_records=True)
+        assert _full(a) == _full(b)
 
     def test_chip_backend_routes_banks(self):
         trace = poisson_trace(60, rate=2e6, cols=COLS, seed=4, n_banks=2)
@@ -85,80 +76,19 @@ class TestBitReproducibility:
         report.records  # served in dispatch order with global rows
         assert {r.seq for r in report.records} == set(range(60))
 
-
-class TestReorderBuffer:
-    def test_out_of_order_submission_is_reordered(self):
-        """Submitting seqs in scrambled task order must not disturb the
-        engine's trace order (it would raise otherwise)."""
-
-        async def scenario():
-            engine = ServeEngine(_backend(), no_batching())
-            service = TCAMService(engine)
-            rng = np.random.default_rng(0)
-            keys = [random_word(COLS, rng) for _ in range(20)]
-            order = list(reversed(range(20)))  # worst case: fully reversed
-            tasks = [
-                asyncio.ensure_future(service.submit(s, float(s), keys[s], 0))
-                for s in order
-            ]
-            while service._next_seq < 20:
-                await asyncio.sleep(0)
-            await service.close()
-            results = await asyncio.gather(*tasks)
-            return results
-
-        results = asyncio.run(scenario())
-        # gather order follows the scrambled submission order.
-        assert [r.seq for r in results] == list(reversed(range(20)))
-        assert all(r is not None for r in results)
-
-    def test_duplicate_seq_rejected(self):
-        async def scenario():
-            service = TCAMService(ServeEngine(_backend(), no_batching()))
-            rng = np.random.default_rng(0)
-            key = random_word(COLS, rng)
-            task = asyncio.ensure_future(service.submit(5, 0.0, key, 0))
-            await asyncio.sleep(0)
-            with pytest.raises(ServeError, match="duplicate"):
-                await service.submit(5, 0.0, key, 0)
-            task.cancel()
-
-        asyncio.run(scenario())
-
-    def test_submit_after_close_raises(self):
-        async def scenario():
-            service = TCAMService(ServeEngine(_backend(), no_batching()))
-            await service.close()
-            rng = np.random.default_rng(0)
-            with pytest.raises(ServeError, match="closed"):
-                await service.submit(0, 0.0, random_word(COLS, rng), 0)
-
-        asyncio.run(scenario())
-
-    def test_rejected_submitter_receives_none(self):
-        async def scenario():
-            engine = ServeEngine(
-                _backend(),
-                no_batching(),
-                admission=AdmissionControl(queue_capacity=1),
-                model=ServiceModel(t_overhead=1e3),  # port busy forever
-            )
-            service = TCAMService(engine)
-            rng = np.random.default_rng(0)
-            keys = [random_word(COLS, rng) for _ in range(3)]
-            tasks = [
-                asyncio.ensure_future(service.submit(s, float(s) * 1e-9, keys[s], 0))
-                for s in range(3)
-            ]
-            while service._next_seq < 3:
-                await asyncio.sleep(0)
-            await service.close()
-            return await asyncio.gather(*tasks)
-
-        results = asyncio.run(scenario())
-        # Seq 0 grabs the port, seq 1 fills the 1-deep queue, seq 2 shed.
-        assert results[0] is not None and results[1] is not None
-        assert results[2] is None
+    def test_shed_request_listed_in_rejected_seqs(self):
+        """Seq 0 grabs the port, seq 1 fills the 1-deep queue, seq 2 is
+        shed; the two admitted requests still complete."""
+        trace = poisson_trace(3, rate=1e9, cols=COLS, seed=0)
+        report = run_trace(
+            _backend(),
+            trace,
+            no_batching(),
+            admission=AdmissionControl(queue_capacity=1),
+            model=ServiceModel(t_overhead=1e3),  # port busy forever
+        )
+        assert report.rejected_seqs == [2]
+        assert sorted(r.seq for r in report.records) == [0, 1]
 
 
 class TestReportAndObs:
@@ -172,7 +102,6 @@ class TestReportAndObs:
         assert d["latency_p50"] <= d["latency_p95"] <= d["latency_p99"]
         assert d["energy_per_request"] > 0.0
         assert "records" not in d
-        assert "records" in report.to_dict(include_records=True)
 
     def test_serving_books_obs_metrics_and_spans(self):
         trace = poisson_trace(40, rate=2e6, cols=COLS, seed=6)

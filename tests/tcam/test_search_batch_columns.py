@@ -13,7 +13,7 @@ columns, so its records must equal the per-key reference's too.
 
 from __future__ import annotations
 
-import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from repro.serve import (
     make_policy,
     poisson_trace,
     run_trace,
-    serve_trace,
 )
 from repro.serve.backend import request_energy
 from repro.tcam import ArrayGeometry, TCAMChip, reference
@@ -236,7 +235,9 @@ def _chip_backend():
 
 
 def _trace(banks=1):
-    return poisson_trace(160, rate=3e7, cols=COLS, seed=10, n_banks=banks, x_fraction=0.4)
+    """A Poisson trace whose keys carry don't-care trits."""
+    trace = poisson_trace(160, rate=3e7, cols=COLS, seed=10, n_banks=banks)
+    return replace(trace, keys=_keys(160, seed=10, x_fraction=0.4))
 
 
 def _policy():
@@ -263,18 +264,18 @@ class TestServeReadsColumns:
                 assert rec.row == outcome.first_match
                 assert rec.matched == (outcome.first_match is not None)
 
-    @pytest.mark.parametrize("make", [_array_backend, _chip_backend], ids=["array", "chip"])
-    def test_serve_trace_equals_run_trace(self, make):
-        banks = 2 if make is _chip_backend else 1
-        sync = run_trace(make(), _trace(banks), _policy())
-        conc = asyncio.run(serve_trace(make(), _trace(banks), _policy()))
-        assert sync.to_dict(include_records=True) == conc.to_dict(include_records=True)
+    def test_chip_columns_equal_per_key_reference(self, per_key_search):
+        """A two-bank chip backend serves the same records as the per-key
+        reference behind each bank."""
+        batched = run_trace(_chip_backend(), _trace(2), _policy())
+        with per_key_search():
+            ref = run_trace(_chip_backend(), _trace(2), _policy())
+        assert batched.to_dict() == ref.to_dict()
+        assert [r.to_dict() for r in batched.records] == [r.to_dict() for r in ref.records]
 
     def test_columns_equal_per_key_reference(self, per_key_search):
         batched = run_trace(_array_backend(), _trace(), _policy())
         with per_key_search():
             ref = run_trace(_array_backend(), _trace(), _policy())
-            conc = asyncio.run(serve_trace(_array_backend(), _trace(), _policy()))
-        want = ref.to_dict(include_records=True)
-        assert batched.to_dict(include_records=True) == want
-        assert conc.to_dict(include_records=True) == want
+        assert batched.to_dict() == ref.to_dict()
+        assert [r.to_dict() for r in batched.records] == [r.to_dict() for r in ref.records]

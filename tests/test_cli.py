@@ -341,6 +341,65 @@ class TestFaults:
         assert payload == {"command": "faults", **json.loads(json.dumps(ref.to_dict()))}
 
 
+class TestServe:
+    _SMALL = ["serve", "--rows", "8", "--cols", "16", "--requests", "80",
+              "--rate", "2e7", "--policy", "fixed", "--max-batch", "8",
+              "--queue-cap", "4", "--seed", "3"]
+
+    @staticmethod
+    def _reference(banks: int) -> dict:
+        """The same run built by hand and served by ``run_trace``."""
+        import numpy as np
+
+        from repro.core import build_array, get_design
+        from repro.serve import (
+            AdmissionControl,
+            ArrayBackend,
+            ChipBackend,
+            make_policy,
+            poisson_trace,
+            run_trace,
+        )
+        from repro.tcam import ArrayGeometry, TCAMChip, random_word
+
+        spec, geometry = get_design("fefet2t"), ArrayGeometry(8, 16)
+        rng = np.random.default_rng(3)
+        if banks > 1:
+            chip = TCAMChip(lambda: build_array(spec, geometry), n_banks=banks)
+            chip.load([random_word(16, rng) for _ in range(8 * banks)])
+            backend = ChipBackend(chip)
+        else:
+            array = build_array(spec, geometry)
+            array.load([random_word(16, rng) for _ in range(8)])
+            backend = ArrayBackend(array)
+        trace = poisson_trace(80, rate=2e7, cols=16, seed=3, n_banks=banks)
+        policy = make_policy("fixed", max_batch=8, max_wait=10.0 * 1e-6)
+        report = run_trace(backend, trace, policy, admission=AdmissionControl(4))
+        return {"command": "serve", **json.loads(json.dumps(report.to_dict()))}
+
+    @pytest.mark.parametrize("banks", [1, 2])
+    def test_json_equals_run_trace(self, banks, capsys):
+        assert main(self._SMALL + ["--banks", str(banks), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["offered"] == payload["completed"] + payload["rejected"] == 80
+        assert payload["rejected"] > 0
+        assert payload == self._reference(banks)
+
+    def test_negative_queue_cap_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--queue-cap", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_wait_names_max_wait(self, capsys):
+        assert main(["serve", "--policy", "adaptive", "--max-wait-us", "-1",
+                     "--rows", "8", "--cols", "16", "--requests", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "max_wait must be non-negative" in err
+        assert "min_wait" not in err
+
+
 class TestCluster:
     _SMALL = ["cluster", "--chips", "1,2", "--policy", "range",
               "--rules", "24", "--cols", "16", "--requests", "60",
